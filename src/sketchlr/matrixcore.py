@@ -1,4 +1,4 @@
-"""Matrix primitives: sparse storage, SVD, rank truncation, row spaces.
+"""Matrix primitives: sparse storage, SVDs, rank truncation, row spaces.
 
 Dense matrices are plain float64 numpy arrays (row-major) and spectra are 1-D
 arrays of singular values sorted non-increasing. The one wrapped type is
@@ -7,9 +7,11 @@ every product through an exact multiply-add count so nnz-proportionality can
 be asserted rather than estimated.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 SVD_TOL = 1e-9    # relative factorization / orthonormality tolerance
@@ -169,8 +171,6 @@ def svd(a) -> SvdResult:
         u, sigma, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError:
         # gesdd occasionally fails to converge; gesvd is slower but sturdier
-        import scipy.linalg
-
         try:
             u, sigma, vt = scipy.linalg.svd(
                 a, full_matrices=False, lapack_driver="gesvd"
@@ -196,9 +196,58 @@ def singular_values(a) -> np.ndarray:
     try:
         return np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError:
-        import scipy.linalg
-
         return scipy.linalg.svd(a, compute_uv=False, lapack_driver="gesvd")
+
+
+def top_singular(a, k: int) -> SvdResult:
+    """Top-k singular triplets from the Gram matrix of the smaller side.
+
+    Takes the top eigenpairs of ``A^T A`` (``A A^T`` when A is wide) and
+    derives the other side by one product, which costs a fraction of a full
+    :func:`svd` when k is small. Every triplet is verified at ``SVD_TOL``:
+    both blocks orthonormal, and ``||A^T U - V diag(sigma)||`` and
+    ``||A V - U diag(sigma)||`` small relative to ``||A||_F``. The Gram matrix
+    squares the conditioning, so when sigma_k is numerically zero, when it
+    ties with sigma_(k+1), or when a check fails, the result is the k-column
+    truncation of the verified full :func:`svd` instead.
+    """
+    a = _check_dense(a)
+    m, n = a.shape
+    d = min(m, n)
+    if not 1 <= k <= d:
+        raise ValueError(f"k={k} out of range 1..{d}")
+    wide = m < n
+    gram = a @ a.T if wide else a.T @ a
+    fro = math.sqrt(np.trace(gram))  # read before eigh overwrites the Gram
+    # one eigenpair past k exposes the gap that separates the top-k subspace
+    top = min(k + 1, d)
+    lam, vecs = scipy.linalg.eigh(
+        gram, overwrite_a=True, subset_by_index=[d - top, d - 1]
+    )
+    lam, vecs = lam[::-1], vecs[:, ::-1]
+    # dsyevr may return fewer pairs than asked for on a tight cluster
+    separated = (
+        lam.size == top
+        and lam[k - 1] > d * np.finfo(float).eps * lam[0]
+        and (top == k or lam[k - 1] - lam[k] > SVD_TOL * lam[0])
+    )
+    if separated:
+        sigma = np.sqrt(lam[:k])
+        side = np.ascontiguousarray(vecs[:, :k])
+        other = (a.T @ side if wide else a @ side) / sigma
+        u, v = (side, other) if wide else (other, side)
+        worst = max(
+            float(np.max(np.abs(u.T @ u - np.eye(k)))),
+            float(np.max(np.abs(v.T @ v - np.eye(k)))),
+            float(np.linalg.norm(a.T @ u - v * sigma)) / fro,
+            float(np.linalg.norm(a @ v - u * sigma)) / fro,
+        )
+        if worst <= SVD_TOL:
+            return SvdResult(u=u, sigma=sigma, v=v)
+    res = svd(a)
+    return SvdResult(
+        u=res.u[:, :k].copy(), sigma=res.sigma[:k].copy(), v=res.v[:, :k].copy()
+    )
 
 
 def truncate_rank(res: SvdResult, k: int) -> LowRankFactors:

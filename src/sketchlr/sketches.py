@@ -5,14 +5,17 @@ are rebuilt bit-exactly from (dims, seed). Applications are pure and report
 their exact multiply-add counts through an optional counter.
 
 The fast recursive constructions behind the sampling sketches are replaced by
-exact ridge leverage scores (computed through the SVD), which preserves the
-spectral guarantees at the cost of the asymptotic construction time.
+exact ridge leverage scores, computed from an eigendecomposition of the Gram
+matrix of the smaller side. This preserves the spectral guarantees at the
+cost of the asymptotic construction time. A sampler whose budget covers every
+nonzero column needs no scores at all and factorizes nothing.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from .matrixcore import (
@@ -20,7 +23,7 @@ from .matrixcore import (
     MultiplyAddCounter,
     SparseMatrix,
     _check_dense,
-    svd,
+    svd,  # noqa: F401  (stays importable as sketches.svd; perfbench's tests read it)
 )
 from .rng import RandomStream, generator_from_seed
 
@@ -181,6 +184,46 @@ def sample_count(k: int, eps: float, eta: float, c_s: float) -> int:
     return int(math.ceil(c_s * big_k * (1.0 + math.log(big_k)) / (eps * eps)))
 
 
+def ridge_leverage_scores(a, k: int, ridge_scale: float) -> np.ndarray:
+    """Exact column ridge leverage scores ``a_j^T (A A^T + lam I)^+ a_j``.
+
+    The ridge is ``lam = ridge_scale * ||A - A_k||_F^2``. Both the scores and
+    the tail come from an eigendecomposition of the Gram matrix of the smaller
+    side (``A A^T`` or ``A^T A``), formed from the sparse input. Eigenvalues
+    below ``d * eps_mach * lambda_max`` count as null, which floors the
+    rounding tail at zero. Refuses, before building any dense array, when the
+    Gram matrix would exceed ``DENSE_GUARD``.
+    """
+    m, n = a.shape
+    d = min(m, n)
+    if d > DENSE_GUARD:
+        raise ValueError(
+            f"exact leverage scores need a dense {d}x{d} Gram matrix; min dim {d} "
+            f"exceeds the guard {DENSE_GUARD}"
+        )
+    x = a.csr if isinstance(a, SparseMatrix) else _check_dense(a)
+    gram = x @ x.T if m <= n else x.T @ x
+    if sp.issparse(gram):
+        gram = gram.toarray()
+    lam, vecs = scipy.linalg.eigh(gram, overwrite_a=True, driver="evd")
+    lam, vecs = lam[::-1], vecs[:, ::-1]
+    lam = np.where(lam > d * np.finfo(float).eps * lam[0], lam, 0.0)
+    ridge = ridge_scale * float(np.sum(lam[k:]))
+    live = lam > 0.0
+    lam, vecs = lam[live], vecs[:, live]
+    if m <= n:
+        # A A^T = U diag(lam) U^T: tau_j = sum_i (u_i^T a_j)^2 / (lam_i + ridge)
+        return ((x.T @ vecs) ** 2) @ (1.0 / (lam + ridge))
+    # A^T A = V diag(lam) V^T: tau_j = sum_i v_ji^2 lam_i / (lam_i + ridge)
+    return (vecs**2) @ (lam / (lam + ridge))
+
+
+def _nonzero_columns(a) -> np.ndarray:
+    if isinstance(a, SparseMatrix):
+        return np.flatnonzero(np.bincount(a.csr.indices, minlength=a.ncols))
+    return np.flatnonzero(np.any(a != 0.0, axis=0))
+
+
 def build_column_sampler(
     a,
     k: int,
@@ -192,28 +235,28 @@ def build_column_sampler(
     """Column sampler whose rescaled samples C satisfy the two-sided bound
     ``(1-eps) A A^T - eta * ||A - A_k||_F^2 I <= C C^T <= (1+eps) A A^T + ...``.
 
-    Sampling probabilities are proportional to exact ridge leverage scores
-    with ridge ``(eta/eps) * ||A - A_k||_F^2``, whose total mass is at most
-    ``k + eps/eta``; samples are drawn without replacement. When the sample
-    budget covers the whole support the sketch keeps every nonzero column
-    with unit weight (``clipped``), which satisfies the bound exactly.
+    When the sample budget covers every structurally nonzero column, the
+    sketch keeps all of them with unit weight (``clipped``), which satisfies
+    the bound exactly; this path densifies and factorizes nothing. Otherwise
+    sampling probabilities are proportional to the exact ridge leverage
+    scores of :func:`ridge_leverage_scores` with ridge
+    ``(eta/eps) * ||A - A_k||_F^2``, whose total mass is at most
+    ``k + eps/eta``, and samples are drawn without replacement. The zero
+    matrix gets a uniform sample (``degenerate``).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not (0.0 < eta <= eps <= 1.0):
         raise ValueError(f"need 0 < eta <= eps <= 1, got eta={eta}, eps={eps}")
-    dense = a.to_dense() if isinstance(a, SparseMatrix) else _check_dense(a)
-    if min(dense.shape) > DENSE_GUARD:
-        raise ValueError(
-            f"exact leverage scores need a dense SVD; min dim {min(dense.shape)} "
-            f"exceeds the guard {DENSE_GUARD}"
-        )
-    n = dense.shape[1]
+    if not isinstance(a, SparseMatrix):
+        a = _check_dense(a)
+    n = a.shape[1]
     t = min(sample_count(k, eps, eta, constants.c_s), n)
     seed = stream.child_seed()
     gen = generator_from_seed(seed)
 
-    if not np.any(dense):
+    support = _nonzero_columns(a)
+    if support.size == 0:
         # zero matrix: leverage is undefined, fall back to a uniform sample
         prob = np.full(n, 1.0 / n)
         if t >= n:
@@ -221,21 +264,12 @@ def build_column_sampler(
         idx = np.sort(gen.choice(n, size=t, replace=False, p=prob))
         w = 1.0 / np.sqrt(t * prob[idx])
         return SamplingSketch(n, idx, w, seed, False, True)
-
-    res = svd(dense)
-    s2 = res.sigma**2
-    tail2 = float(np.sum(s2[k:])) if k < s2.size else 0.0
-    lam = (eta / eps) * tail2
-    denom = s2 + lam
-    ratio = np.divide(s2, denom, out=np.zeros_like(s2), where=denom > 0)
-    tau = np.maximum((res.v**2) @ ratio, 0.0)
-    prob = tau / tau.sum()
-
-    support = np.flatnonzero(prob > 0)
+    if t < support.size:
+        tau = ridge_leverage_scores(a, k, eta / eps)
+        support = np.flatnonzero(tau > 0.0)
     if t >= support.size:
-        return SamplingSketch(
-            n, support, np.ones(support.size), seed, clipped=True
-        )
+        return SamplingSketch(n, support, np.ones(support.size), seed, clipped=True)
+    prob = tau / tau.sum()
     idx = np.sort(gen.choice(n, size=t, replace=False, p=prob))
     w = 1.0 / np.sqrt(t * prob[idx])
     return SamplingSketch(n, idx, w, seed)

@@ -7,7 +7,8 @@ The pipeline for ``min_X ||A - X||_p`` over rank-k ``X``:
 2. left-sketch ``A`` with a row sampler ``S`` whose Gram sandwich carries the
    eta1 additive term (a CountSketch of ``k^2`` rows in simplified mode);
 3. right-sketch ``SA`` with a subspace embedding ``T``;
-4. take the top-k left singular block of ``SAT`` and an orthonormal basis
+4. take the top-k left singular block of ``SAT``
+   (:func:`~sketchlr.matrixcore.top_singular`) and an orthonormal basis
    ``Z`` of the row space it induces on ``SA``;
 5. recover ``Y`` by sketched Frobenius regression against ``Z``.
 
@@ -33,6 +34,7 @@ from .matrixcore import (
     singular_values,
     sparse_dense_multiply,
     svd,
+    top_singular,
     truncate_rank,
 )
 from .norms import (
@@ -71,8 +73,10 @@ class SolveReport:
     """Factors plus the bookkeeping needed to audit one solve.
 
     ``multiply_add_counts`` holds exact per-stage counts for the sketch
-    applications and explicit factor products (dense factorizations are not
-    counted; their input dimensions are nnz-independent by construction).
+    applications and explicit factor products. Not counted: the dense
+    factorizations (the Gram eigendecomposition behind the leverage scores,
+    :func:`~sketchlr.matrixcore.top_singular` on the double sketch and the
+    row-space SVD) and the Gram products that feed the first two.
     ``relative_error`` is only present when the exact oracle was run.
     """
 
@@ -269,9 +273,9 @@ def _sketched_rowspace(
                 seeds["t"] = t_op.seed
                 sat = apply_countsketch_right(sa, t_op, _counter(counters, "t_apply"))
     with _Stage(elapsed, "svd_sat"):
-        res = svd(sat)
+        # a clipped sample of a matrix with fewer than k nonzero rows is thin
+        w_top = top_singular(sat, min(k, *sat.shape)).u
     with _Stage(elapsed, "rowspace"):
-        w_top = res.u[:, :k]
         wsa = w_top.T @ sa
         counters["wsa"] = counters.get("wsa", 0) + k * sa.shape[0] * sa.shape[1]
         z = orthonormal_rowspace(wsa)
@@ -387,8 +391,7 @@ def solve_frobenius_baseline(
             work, s_op, _counter(report.multiply_add_counts, "s_apply")
         )
     with _Stage(report.elapsed, "svd_sat"):
-        res = svd(sa)
-    z = res.v[:, :k].copy()
+        z = top_singular(sa, k).v
     with _Stage(report.elapsed, "regression"):
         y = sparse_dense_multiply(
             work, z, _counter(report.multiply_add_counts, "regression")

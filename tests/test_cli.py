@@ -94,10 +94,11 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 
 def test_numerical_failure_exit_code(monkeypatch, capsys):
-    def broken_svd(_):
+    def broken_top_singular(*_):
         raise ConvergenceError("did not converge", residual=np.inf)
 
-    monkeypatch.setattr(sketchlr.solver, "svd", broken_svd)
+    # the sketched solve factors the double sketch through top_singular
+    monkeypatch.setattr(sketchlr.solver, "top_singular", broken_top_singular)
     code = main(["solve", "--m", "20", "--n", "10", "--k", "2"])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err

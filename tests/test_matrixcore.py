@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 from conftest import make_gen, random_orthonormal, random_rank_k, random_sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sketchlr.matrixcore as matrixcore
 from sketchlr import (
     MultiplyAddCounter,
     SparseMatrix,
@@ -16,6 +19,7 @@ from sketchlr import (
     svd,
     truncate_rank,
 )
+from sketchlr.matrixcore import SVD_TOL, top_singular
 
 GOLDEN = np.array([[20.0, 20.0], [1.0, 2.0]])
 
@@ -141,6 +145,119 @@ class TestSvd:
         np.testing.assert_allclose(
             singular_values(q1 @ a @ q2), singular_values(a), atol=1e-10
         )
+
+
+def assert_verified(a, res, k):
+    """The factor checks ``top_singular`` promises, at ``SVD_TOL``."""
+    assert res.u.shape == (a.shape[0], k) and res.v.shape == (a.shape[1], k)
+    assert res.sigma.shape == (k,) and np.all(np.diff(res.sigma) <= 0)
+    for block in (res.u, res.v):
+        assert np.max(np.abs(block.T @ block - np.eye(k))) <= SVD_TOL
+    scale = max(np.linalg.norm(a), 1.0)
+    assert np.linalg.norm(a.T @ res.u - res.v * res.sigma) <= SVD_TOL * scale
+    assert np.linalg.norm(a @ res.v - res.u * res.sigma) <= SVD_TOL * scale
+
+
+def assert_matches_svd(a, res, k, gap_rtol=1e-3):
+    """sigma equals svd's top k; where sigma_k is separated, so are the subspaces."""
+    full = svd(a)
+    s1 = max(full.sigma[0], 1e-300)
+    np.testing.assert_allclose(res.sigma, full.sigma[:k], rtol=0, atol=1e-9 * s1)
+    if k == full.sigma.size or full.sigma[k - 1] - full.sigma[k] > gap_rtol * s1:
+        for mine, ref in ((res.u, full.u[:, :k]), (res.v, full.v[:, :k])):
+            np.testing.assert_allclose(mine @ mine.T, ref @ ref.T, atol=1e-8)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Counts calls of the full ``svd`` that ``top_singular`` falls back to."""
+    calls = []
+    full = matrixcore.svd
+
+    def spy(a):
+        calls.append(np.shape(a))
+        return full(a)
+
+    monkeypatch.setattr(matrixcore, "svd", spy)
+    return calls
+
+
+class TestTopSingular:
+    @pytest.mark.parametrize("shape", [(60, 40), (40, 60), (50, 50)])
+    @pytest.mark.parametrize("k", [1, 5, 39])
+    def test_matches_svd_on_random_shapes(self, shape, k, svd_calls):
+        a = make_gen(sum(shape) + k).standard_normal(shape)
+        res = top_singular(a, k)
+        assert svd_calls == []  # a generic input needs no fallback
+        assert_verified(a, res, k)
+        assert_matches_svd(a, res, k)
+
+    def test_k_equal_to_min_dimension(self, svd_calls):
+        a = make_gen(21).standard_normal((12, 7))
+        res = top_singular(a, 7)
+        assert svd_calls == []
+        assert_verified(a, res, 7)
+        assert_matches_svd(a, res, 7)
+
+    def test_sparse_like_input(self):
+        a = random_sparse(make_gen(22), 80, 30, density=0.1).to_dense()
+        res = top_singular(a, 4)
+        assert_verified(a, res, 4)
+        assert_matches_svd(a, res, 4)
+
+    def test_rank_deficient_falls_back(self, svd_calls):
+        a = random_rank_k(make_gen(23), 30, 20, 3)
+        res = top_singular(a, 4)  # sigma_4 = 0
+        assert svd_calls == [(30, 20)]
+        assert_verified(a, res, 4)
+        assert res.sigma[3] <= 1e-12 * res.sigma[0]
+        assert_matches_svd(a, res, 4, gap_rtol=np.inf)
+
+    def test_repeated_singular_values_fall_back(self, svd_calls):
+        gen = make_gen(24)
+        sigma = np.array([5.0, 3.0, 3.0, 3.0, 1.0, 0.5])
+        a = (random_orthonormal(gen, 9, 6) * sigma) @ random_orthonormal(gen, 6, 6).T
+        res = top_singular(a, 2)  # sigma_2 ties with sigma_3
+        assert svd_calls == [(9, 6)]
+        assert_verified(a, res, 2)
+        np.testing.assert_allclose(res.sigma, [5.0, 3.0], rtol=1e-12)
+
+    def test_zero_matrix_falls_back(self, svd_calls):
+        a = np.zeros((6, 4))
+        res = top_singular(a, 2)
+        assert svd_calls == [(6, 4)]
+        assert_verified(a, res, 2)
+        np.testing.assert_array_equal(res.sigma, [0.0, 0.0])
+
+    def test_k_out_of_range(self):
+        a = np.ones((5, 3))
+        for k in (0, 4, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                top_singular(a, k)
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(ValueError, match="finite"):
+            top_singular(np.array([[1.0, np.nan], [0.0, 1.0]]), 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 40),
+        n=st.integers(1, 40),
+        k_frac=st.floats(0.0, 1.0),
+        decay=st.floats(0.0, 8.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_verified_and_matches_svd(self, m, n, k_frac, decay, seed):
+        # spectra from flat to eight decades of decay, so that some draws
+        # take the Gram path and the ill-conditioned ones fall back
+        gen = make_gen(seed)
+        d = min(m, n)
+        k = 1 + int(k_frac * (d - 1))
+        sigma = 10.0 ** (-decay * gen.random(d))
+        a = (random_orthonormal(gen, m, d) * np.sort(sigma)[::-1]) @ random_orthonormal(gen, n, d).T
+        res = top_singular(a, k)
+        assert_verified(a, res, k)
+        assert_matches_svd(a, res, k)
 
 
 class TestTruncateRank:

@@ -1,12 +1,18 @@
 """Tests for CountSketch operators, leverage samplers and the sketch plan."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from conftest import lowrank_plus_noise, make_gen, random_orthonormal, random_sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+import sketchlr.matrixcore as matrixcore
+import sketchlr.sketches as sketches
 from sketchlr import (
     CountSketchOperator,
     IdentitySketch,
@@ -26,6 +32,9 @@ from sketchlr import (
     sample_count,
     singular_values,
 )
+from sketchlr.matrixcore import DENSE_GUARD
+from sketchlr.rng import generator_from_seed
+from sketchlr.sketches import ridge_leverage_scores
 
 
 def materialize(op: CountSketchOperator) -> np.ndarray:
@@ -254,6 +263,148 @@ class TestColumnSampler:
             )
             hits += upper_ok and lower_ok
         assert hits >= 90
+
+
+def svd_ridge_leverage(dense, k, ridge_scale):
+    """Reference scores ``(V^2) (sigma^2 / (sigma^2 + lam))`` through a full SVD."""
+    _, sigma, vt = np.linalg.svd(dense, full_matrices=False)
+    s2 = sigma**2
+    lam = ridge_scale * float(np.sum(s2[k:]))
+    return (vt.T**2) @ (s2 / (s2 + lam))
+
+
+def random_input(seed, m, n, sparse):
+    gen = make_gen(seed)
+    if sparse:
+        a = random_sparse(gen, m, n, density=0.3)
+        return a, a.to_dense()
+    a = lowrank_plus_noise(gen, m, n, 6)
+    return a, a
+
+
+class TestRidgeLeverage:
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("shape", [(40, 70), (70, 40), (50, 50)])
+    def test_gram_scores_equal_svd_formula(self, shape, sparse):
+        a, dense = random_input(sum(shape) + sparse, *shape, sparse)
+        for k, ridge_scale in ((1, 1.0), (3, 0.2), (10, 0.005)):
+            np.testing.assert_allclose(
+                ridge_leverage_scores(a, k, ridge_scale),
+                svd_ridge_leverage(dense, k, ridge_scale),
+                rtol=1e-10,
+                atol=0,
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(2, 30),
+        n=st.integers(2, 30),
+        k=st.integers(1, 4),
+        ridge_scale=st.floats(1e-3, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_gram_scores_equal_svd_formula(self, m, n, k, ridge_scale, seed):
+        dense = make_gen(seed).standard_normal((m, n))
+        d = min(m, n)
+        k = min(k, d - 1)
+        # the Gram path resolves (AA^T + lam I)^+ to about eps times its
+        # condition number; a tiny tail (k = d - 1) can push that past 1e-10
+        s2 = np.linalg.svd(dense, compute_uv=False) ** 2
+        cond = s2[0] / (s2[-1] + ridge_scale * float(np.sum(s2[k:])))
+        np.testing.assert_allclose(
+            ridge_leverage_scores(dense, k, ridge_scale),
+            svd_ridge_leverage(dense, k, ridge_scale),
+            rtol=max(1e-10, d * np.finfo(float).eps * cond),
+            atol=0,
+        )
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("shape", [(40, 70), (70, 40)])
+    def test_samples_equal_svd_formula_samples(self, shape, sparse):
+        # the scores feed the same draw: same indices, weights to rounding
+        a, dense = random_input(7 * sum(shape) + sparse, *shape, sparse)
+        k, eps, eta = 3, 0.5, 0.2
+        consts = SketchConstants(c_s=0.3)
+        sk = build_column_sampler(a, k, eps, eta, RandomStream(91), consts)
+        t = sample_count(k, eps, eta, consts.c_s)
+        assert not sk.clipped and t < shape[1]
+        prob = svd_ridge_leverage(dense, k, eta / eps)
+        prob /= prob.sum()
+        idx = np.sort(generator_from_seed(sk.seed).choice(shape[1], size=t, replace=False, p=prob))
+        np.testing.assert_array_equal(sk.indices, idx)
+        np.testing.assert_allclose(sk.weights, 1.0 / np.sqrt(t * prob[idx]), rtol=1e-10)
+
+
+@pytest.fixture
+def no_factorization(monkeypatch):
+    """Makes every densifying or factorizing helper of the sampler raise."""
+
+    def boom(*_, **__):
+        raise AssertionError("the clipped path must not densify or factorize")
+
+    monkeypatch.setattr(sketches, "ridge_leverage_scores", boom)
+    monkeypatch.setattr(matrixcore, "svd", boom)
+    monkeypatch.setattr(np.linalg, "svd", boom)
+    monkeypatch.setattr(scipy.linalg, "eigh", boom)
+    monkeypatch.setattr(SparseMatrix, "to_dense", boom)
+
+
+class TestClippedShortCircuit:
+    def test_runs_no_factorization(self, no_factorization):
+        a = random_sparse(make_gen(60), 30, 20, density=0.3)
+        sk = build_column_sampler(a, 2, 0.5, 0.1, RandomStream(8))
+        assert sk.clipped and not sk.degenerate
+        np.testing.assert_array_equal(sk.indices, np.arange(20))
+        np.testing.assert_array_equal(sk.weights, np.ones(20))
+
+    def test_keeps_exactly_the_nonzero_columns(self, no_factorization):
+        dense = make_gen(61).standard_normal((12, 9))
+        dense[:, [0, 4, 8]] = 0.0
+        for a in (SparseMatrix.from_dense(dense), dense):
+            sk = build_column_sampler(a, 2, 0.5, 0.1, RandomStream(9))
+            assert sk.clipped and not sk.degenerate
+            np.testing.assert_array_equal(sk.indices, [1, 2, 3, 5, 6, 7])
+            np.testing.assert_array_equal(sk.weights, np.ones(6))
+
+    def test_seed_drawn_as_on_the_leverage_path(self):
+        # the child seed is drawn before the path is chosen, so later seeds agree
+        a = random_sparse(make_gen(62), 40, 30, density=0.3)
+        streams = RandomStream(10), RandomStream(10)
+        clipped = build_column_sampler(a, 2, 0.5, 0.1, streams[0])
+        sampled = build_column_sampler(a, 2, 0.5, 0.1, streams[1], SketchConstants(c_s=0.05))
+        assert clipped.clipped and not sampled.clipped
+        assert clipped.seed == sampled.seed
+        assert streams[0].child_seed() == streams[1].child_seed()
+
+
+class TestDenseGuard:
+    n = DENSE_GUARD + 1
+
+    def _diagonal(self, ncols):
+        return SparseMatrix(self.n, ncols, np.arange(self.n), np.arange(self.n) % ncols, np.ones(self.n))
+
+    def test_small_budget_above_guard_raises_without_allocating(self):
+        a = self._diagonal(self.n)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="guard"):
+                build_column_sampler(a, 1, 0.5, 0.1, RandomStream(11), SketchConstants(c_s=1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**22  # a dense n x n array would take 200 MB
+
+    def test_large_budget_above_guard_is_clipped(self):
+        a = self._diagonal(self.n + 1000)  # the last 1000 columns are empty
+        tracemalloc.start()
+        try:
+            sk = build_column_sampler(a, 5, 0.5, 0.01, RandomStream(12))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sk.clipped and not sk.degenerate
+        np.testing.assert_array_equal(sk.indices, np.arange(self.n))
+        assert peak < 2**22
 
 
 class TestRowSamplerT:
