@@ -3,8 +3,8 @@
 A run draws one matrix (a fixed matrix seed, separate from the trial seeds),
 solves both the Schatten-p pipeline and the Frobenius baseline ``trials``
 times per requested rank, optionally scores both against the exact oracle
-(one oracle factorization per rank, reused), and writes per-trial and median
-summary tables.
+(one :class:`~sketchlr.solver.OracleScorer` per run, built before the first
+rank), and writes per-trial and median summary tables.
 """
 
 import csv
@@ -16,13 +16,7 @@ import numpy as np
 from .matrixcore import SparseMatrix
 from .norms import schatten_norm
 from .rng import RandomStream
-from .solver import (
-    exact_oracle,
-    relative_error_from,
-    singular_values,
-    solve_frobenius_baseline,
-    solve_schatten,
-)
+from .solver import OracleScorer, solve_frobenius_baseline, solve_schatten
 
 FORMATS = ("matrix_market", "bag_of_words_triplets")
 
@@ -273,43 +267,34 @@ def run_experiment(
     if any(k >= min(a.shape) for k in cfg.k_list):
         raise ValueError(f"every k must be below min(shape) = {min(a.shape)}")
 
-    dense = None
+    scorer = None
+    if cfg.oracle:
+        try:
+            scorer = OracleScorer(a)
+        except ValueError as exc:
+            raise ValueError(
+                f"{exc}; rerun without the oracle flag to skip exact scoring"
+            ) from exc
+
+    def score(factors, p: float) -> float | None:
+        if scorer is None:
+            return None
+        return scorer.relative_error(factors, lambda s: schatten_norm(s, p))
+
     records: list[TrialRecord] = []
     for k in cfg.k_list:
-        opt_p = opt_1 = mat_p = mat_1 = None
-        if cfg.oracle:
-            try:
-                oracle = exact_oracle(a, k)
-            except ValueError as exc:
-                raise ValueError(
-                    f"{exc}; rerun without the oracle flag to skip exact scoring"
-                ) from exc
-            sig = oracle.spectrum
-            tail = sig[k:]
-            opt_p = schatten_norm(tail, cfg.p)
-            opt_1 = schatten_norm(tail, 1.0)
-            mat_p = schatten_norm(sig, cfg.p)
-            mat_1 = schatten_norm(sig, 1.0)
-            if dense is None:
-                dense = a.to_dense()
         for trial in range(cfg.trials):
             ours_stream, base_stream = trial_root.split(2)
 
             t0 = time.perf_counter()
             ours = solve_schatten(a, k, cfg.p, cfg.eps, ours_stream, cfg.mode)
             wall_ours = (time.perf_counter() - t0) * 1e3
-            rel_ours = None
-            if cfg.oracle:
-                resid = singular_values(dense - ours.factors.y @ ours.factors.z.T)
-                rel_ours = relative_error_from(
-                    schatten_norm(resid, cfg.p), opt_p, mat_p
-                )
             records.append(
                 TrialRecord(
                     k=k,
                     trial_index=trial,
                     algo="schatten_p",
-                    rel_error=rel_ours,
+                    rel_error=score(ours.factors, cfg.p),
                     wall_ms=wall_ours,
                     seed=ours_stream.seed,
                     fallback_used=ours.fallback_used,
@@ -319,16 +304,12 @@ def run_experiment(
             t0 = time.perf_counter()
             base = solve_frobenius_baseline(a, k, base_stream)
             wall_base = (time.perf_counter() - t0) * 1e3
-            rel_base = None
-            if cfg.oracle:
-                resid = singular_values(dense - base.factors.y @ base.factors.z.T)
-                rel_base = relative_error_from(schatten_norm(resid, 1.0), opt_1, mat_1)
             records.append(
                 TrialRecord(
                     k=k,
                     trial_index=trial,
                     algo="frobenius_baseline",
-                    rel_error=rel_base,
+                    rel_error=score(base.factors, 1.0),
                     wall_ms=wall_base,
                     seed=base_stream.seed,
                     fallback_used=base.fallback_used,

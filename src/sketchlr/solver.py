@@ -78,6 +78,11 @@ class SolveReport:
     :func:`~sketchlr.matrixcore.top_singular` on the double sketch and the
     row-space SVD) and the Gram products that feed the first two.
     ``relative_error`` is only present when the exact oracle was run.
+    Pass-throughs are flagged: ``clipped`` when the row sampler ``S`` kept
+    every nonzero row, ``t_identity`` when there was no right sketch ``T``
+    (simplified mode, or a width reaching the column count), and
+    ``r_identity`` when ``Y`` is the exact regression ``A Z`` with no sketch
+    ``R``.
     """
 
     factors: LowRankFactors
@@ -89,6 +94,8 @@ class SolveReport:
     fallback_used: bool = False
     transposed: bool = False
     clipped: bool = False
+    t_identity: bool = False
+    r_identity: bool = False
     degenerate: bool = False
     warnings: tuple[str, ...] = ()
     condition_report: ConditionReport | None = None
@@ -169,6 +176,38 @@ def exact_oracle(a, k: int) -> OracleResult:
         raise ValueError(f"k={k} out of range 1..{min(a.shape)}")
     res = svd(_dense_guarded(a))
     return OracleResult(factors=truncate_rank(res, k), spectrum=res.sigma)
+
+
+class OracleScorer:
+    """Exact singular-value scores against one input, from one thin QR of it.
+
+    The input is densified under the dense guard and turned tall, ``A = Q R``.
+    With ``B = Q^T Y`` and ``Y - Q B = Q2 C``, ``A - Y Z^T`` equals
+    ``[Q Q2] [[R - B Z^T], [-C Z^T]]``: the residual spectrum is that of the
+    ``(n + k) x n`` stack, exact to rounding (Chan's R-SVD), and no singular
+    vectors of the input are computed.
+    """
+
+    def __init__(self, a):
+        a = _ensure_sparse(a)
+        dense = _dense_guarded(a)
+        self.transposed = a.nrows < a.ncols
+        self.q, self.r = np.linalg.qr(dense.T if self.transposed else dense)
+        self.spectrum = singular_values(self.r)
+
+    def residual_spectrum(self, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Singular values of ``A - y @ z.T``, non-increasing."""
+        if self.transposed:
+            y, z = z, y
+        b = self.q.T @ y
+        c = np.linalg.qr(y - self.q @ b, mode="r")
+        return singular_values(np.vstack([self.r - b @ z.T, -(c @ z.T)]))
+
+    def relative_error(self, factors: LowRankFactors, objective) -> float:
+        """:func:`relative_error_from` for ``objective`` of a spectrum."""
+        sigma = self.spectrum
+        resid = objective(self.residual_spectrum(factors.y, factors.z))
+        return relative_error_from(resid, objective(sigma[factors.k :]), objective(sigma))
 
 
 def solve_regression_sketched(
@@ -263,15 +302,15 @@ def _sketched_rowspace(
             report.degenerate |= s_sk.degenerate
             sa = apply_row_sampler(work, s_sk, _counter(counters, "s_apply"))
     with _Stage(elapsed, "t_apply"):
-        if plan.mode == "simplified_experiment":
+        t_op = None
+        if plan.mode != "simplified_experiment":
+            t_op = build_row_sampler_T(sa, eps, stream, plan.mode, constants)
+        report.t_identity = t_op is None or isinstance(t_op, IdentitySketch)
+        if report.t_identity:
             sat = sa
         else:
-            t_op = build_row_sampler_T(sa, eps, stream, plan.mode, constants)
-            if isinstance(t_op, IdentitySketch):
-                sat = sa
-            else:
-                seeds["t"] = t_op.seed
-                sat = apply_countsketch_right(sa, t_op, _counter(counters, "t_apply"))
+            seeds["t"] = t_op.seed
+            sat = apply_countsketch_right(sa, t_op, _counter(counters, "t_apply"))
     with _Stage(elapsed, "svd_sat"):
         # a clipped sample of a matrix with fewer than k nonzero rows is thin
         w_top = top_singular(sat, min(k, *sat.shape)).u
@@ -290,13 +329,9 @@ def _swap_transposed(factors: LowRankFactors) -> LowRankFactors:
     return LowRankFactors(y=factors.z @ r.T, z=q, k=factors.k)
 
 
-def _schatten_error(a: SparseMatrix, factors: LowRankFactors, k: int, p: float) -> float:
-    dense = _dense_guarded(a)
-    sigma = singular_values(dense)
-    resid = dense - factors.y @ factors.z.T
-    resid_norm = schatten_norm(singular_values(resid), p)
-    opt_norm = schatten_norm(sigma[k:], p) if k < sigma.size else 0.0
-    return relative_error_from(resid_norm, opt_norm, schatten_norm(sigma, p))
+def _score_oracle(report: SolveReport, a: SparseMatrix, objective) -> None:
+    with _Stage(report.elapsed, "oracle"):
+        report.relative_error = OracleScorer(a).relative_error(report.factors, objective)
 
 
 def solve_schatten(
@@ -344,14 +379,14 @@ def solve_schatten(
         )
         if reg.seed is not None:
             report.seeds["r"] = reg.seed
+        report.r_identity = reg.seed is None
         report.fallback_used = reg.fallback_used
     factors = LowRankFactors(y=reg.yhat, z=z, k=k)
     report.factors = _swap_transposed(factors) if transposed else factors
     report.warnings = tuple(warnings)
 
     if oracle:
-        with _Stage(report.elapsed, "oracle"):
-            report.relative_error = _schatten_error(a, report.factors, k, p)
+        _score_oracle(report, a, lambda s: schatten_norm(s, p))
     return report
 
 
@@ -384,6 +419,7 @@ def solve_frobenius_baseline(
         mode="simplified_experiment",
     )
     report = SolveReport(factors=None, plan=plan, transposed=transposed)  # type: ignore[arg-type]
+    report.t_identity = report.r_identity = True  # SA is factored, Y = A Z exactly
     with _Stage(report.elapsed, "s_apply"):
         s_op = build_countsketch(work.nrows, plan.s_rows, stream)
         report.seeds["s"] = s_op.seed
@@ -399,8 +435,7 @@ def solve_frobenius_baseline(
     factors = LowRankFactors(y=y, z=z, k=k)
     report.factors = _swap_transposed(factors) if transposed else factors
     if oracle:
-        with _Stage(report.elapsed, "oracle"):
-            report.relative_error = _schatten_error(a, report.factors, k, 1.0)
+        _score_oracle(report, a, lambda s: schatten_norm(s, 1.0))
     return report
 
 
@@ -470,6 +505,7 @@ def solve_generalized(
         factors=None,  # type: ignore[arg-type]
         plan=plan,
         transposed=transposed,
+        r_identity=True,
         condition_report=cond,
         warnings=tuple(warnings),
     )
@@ -482,15 +518,7 @@ def solve_generalized(
     report.factors = _swap_transposed(factors) if transposed else factors
 
     if oracle:
-        with _Stage(report.elapsed, "oracle"):
-            dense = _dense_guarded(a)
-            sigma = singular_values(dense)
-            resid = dense - report.factors.y @ report.factors.z.T
-            num = phi_objective(singular_values(resid), scalar)
-            opt = phi_objective(sigma[k:], scalar) if k < sigma.size else 0.0
-            report.relative_error = relative_error_from(
-                num, opt, phi_objective(sigma, scalar)
-            )
+        _score_oracle(report, a, lambda s: phi_objective(s, scalar))
     return report
 
 

@@ -34,7 +34,9 @@ def test_solve_with_oracle_and_file(tmp_path, capsys):
         ["solve", "--input", str(out), "--k", "2", "--oracle", "--mode", "simplified_experiment"]
     )
     assert code == 0
-    assert "relative error" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "relative error" in out
+    assert "t_identity=True r_identity=True" in out
 
 
 def test_solve_generalized_loss(capsys):

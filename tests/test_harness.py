@@ -4,8 +4,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import make_gen, random_rank_k
+from conftest import make_gen, random_rank_k, random_sparse
 
+import sketchlr.harness as harness
+import sketchlr.matrixcore as matrixcore
+import sketchlr.sketches as sketches
+import sketchlr.solver as solver
 from sketchlr import (
     ExperimentConfig,
     ParseError,
@@ -17,7 +21,10 @@ from sketchlr import (
     load_matrix,
     read_summary_csv,
     read_trials_csv,
+    relative_error_from,
     run_experiment,
+    schatten_norm,
+    singular_values,
     summarize,
     write_matrix_market,
 )
@@ -218,6 +225,70 @@ class TestRunExperiment:
         records, summary = run_experiment(cfg)
         assert all(rec.rel_error is None for rec in records)
         assert all(row.median_rel_error is None for row in summary)
+
+    def test_one_factorization_per_oracle_run(self, tmp_path, monkeypatch):
+        a = random_sparse(make_gen(17), 60, 45, density=0.3)
+        path = tmp_path / "a.mtx"
+        write_matrix_market(path, a)
+        dense = a.to_dense()
+        real_scorer, real_svd = harness.OracleScorer, matrixcore.svd
+
+        built = []
+
+        def scorer_spy(mat):
+            built.append(mat.shape)
+            return real_scorer(mat)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("exact_oracle called during an oracle run")
+
+        svd_shapes = []
+
+        def svd_spy(x):
+            svd_shapes.append(np.shape(x))
+            return real_svd(x)
+
+        reports = []
+
+        def capture(solve):
+            def wrapped(*args, **kwargs):
+                reports.append(solve(*args, **kwargs))
+                return reports[-1]
+
+            return wrapped
+
+        monkeypatch.setattr(harness, "OracleScorer", scorer_spy)
+        monkeypatch.setattr(solver, "exact_oracle", forbidden)
+        for module in (matrixcore, sketches, solver):
+            monkeypatch.setattr(module, "svd", svd_spy)
+        for name in ("solve_schatten", "solve_frobenius_baseline"):
+            monkeypatch.setattr(harness, name, capture(getattr(harness, name)))
+
+        cfg = self._config(
+            k_list=[2, 4, 6],
+            p=1.5,
+            nrows=None,
+            ncols=None,
+            density=None,
+            input_path=str(path),
+        )
+        records, _ = run_experiment(cfg)
+        assert built == [a.shape]
+        assert svd_shapes  # the spy sees the row-space SVDs of the solves
+        assert a.shape not in svd_shapes and a.shape[::-1] not in svd_shapes
+        # reference: dense spectra of A and of each residual
+        sigma = singular_values(dense)
+        assert len(records) == len(reports) == 3 * 2 * 2
+        for rec, rep in zip(records, reports):
+            p = 1.5 if rec.algo == "schatten_p" else 1.0
+            resid = singular_values(dense - rep.factors.y @ rep.factors.z.T)
+            want = relative_error_from(
+                schatten_norm(resid, p),
+                schatten_norm(sigma[rec.k :], p),
+                schatten_norm(sigma, p),
+            )
+            assert want > 1e-6
+            assert rec.rel_error == pytest.approx(want, rel=1e-12)
 
     def test_oracle_guard_guidance(self):
         cfg = self._config(nrows=5001, ncols=5001, density=0.0001, k_list=[2])

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 from conftest import lowrank_plus_noise, make_gen, random_orthonormal, random_rank_k
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sketchlr import (
     HuberLoss,
@@ -10,6 +12,7 @@ from sketchlr import (
     LossSpec,
     RandomStream,
     ScalarLoss,
+    SketchConstants,
     SparseMatrix,
     diagnose_kyfan_preservation,
     exact_oracle,
@@ -24,7 +27,9 @@ from sketchlr import (
     solve_regression_sketched,
     solve_schatten,
 )
+from sketchlr.harness import generate_synthetic
 from sketchlr.sketches import apply_row_sampler, build_row_sampler
+from sketchlr.solver import OracleScorer
 
 GOLDEN = np.array([[20.0, 20.0], [1.0, 2.0]])
 
@@ -66,6 +71,108 @@ class TestExactOracle:
             exact_oracle(a, 0)
         with pytest.raises(ValueError):
             exact_oracle(a, 5)
+
+
+def _dense_formula_error(dense, factors, objective):
+    """Oracle score from two dense spectra: the input's and the residual's."""
+    sigma = singular_values(dense)
+    k = factors.k
+    resid = objective(singular_values(dense - factors.y @ factors.z.T))
+    return relative_error_from(resid, objective(sigma[k:]), objective(sigma))
+
+
+class TestOracleScorer:
+    @pytest.mark.parametrize("shape", [(30, 20), (20, 30), (25, 25)])
+    def test_spectrum_matches_dense(self, shape):
+        dense = make_gen(sum(shape)).standard_normal(shape)
+        np.testing.assert_allclose(
+            OracleScorer(dense).spectrum, singular_values(dense), rtol=1e-12
+        )
+
+    def test_size_guard(self):
+        with pytest.raises(ValueError, match="guard"):
+            OracleScorer(SparseMatrix(5001, 5001, [0], [0], [1.0]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        m=st.integers(1, 30),
+        n=st.integers(1, 30),
+        rank_frac=st.floats(0.0, 1.0),
+        k=st.integers(1, 6),
+        y_kind=st.sampled_from(["inside", "outside", "mixed", "exact"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_residual_spectrum(self, m, n, rank_frac, k, y_kind, seed):
+        # tall, wide and square inputs, rank-deficient ones included; Y in
+        # range(A), outside it, or both; "exact" makes A = Y Z^T, residual 0
+        gen = make_gen(seed)
+        k = min(k, n)
+        z = random_orthonormal(gen, n, k)
+        if y_kind == "exact":
+            y = gen.standard_normal((m, k))
+            dense = y @ z.T
+        else:
+            dense = random_rank_k(gen, m, n, int(rank_frac * min(m, n)))
+            inside = dense @ gen.standard_normal((n, k))
+            outside = gen.standard_normal((m, k))
+            y = {"inside": inside, "outside": outside, "mixed": inside + outside}[y_kind]
+        got = OracleScorer(dense).residual_spectrum(y, z)
+        want = singular_values(dense - y @ z.T)
+        tol = 1e-12 * (np.linalg.norm(dense) + np.linalg.norm(y))
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=tol)
+
+    @pytest.mark.parametrize("shape", [(120, 90), (90, 120)])
+    @pytest.mark.parametrize(
+        "p, mode", [(1.0, "simplified_experiment"), (3.0, "full_pipeline")]
+    )
+    def test_solve_schatten_error_unchanged(self, shape, p, mode):
+        a = generate_synthetic(*shape, 0.1, RandomStream(1))
+        rep = solve_schatten(a, 3, p, 0.5, RandomStream(2), mode, oracle=True)
+        want = _dense_formula_error(
+            a.to_dense(), rep.factors, lambda s: schatten_norm(s, p)
+        )
+        assert want > 1e-6  # a relative tolerance needs an error away from 0
+        assert rep.relative_error == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(600, 40), (60, 800)])
+    def test_solve_generalized_error_unchanged(self, shape):
+        # tall enough that the row sampler does not clip, so the error is not 0
+        a = generate_synthetic(*shape, 0.2, RandomStream(1))
+        loss = HuberLoss(1.0)
+        rep = solve_generalized(a, 2, loss, 0.5, RandomStream(2), oracle=True)
+        want = _dense_formula_error(
+            a.to_dense(), rep.factors, lambda s: phi_objective(s, loss)
+        )
+        assert want > 1e-6
+        assert rep.relative_error == pytest.approx(want, rel=1e-12)
+
+
+class TestPassThroughFlags:
+    def test_simplified_mode_passes_t_and_r_through(self):
+        a = generate_synthetic(120, 90, 0.1, RandomStream(1))
+        rep = solve_schatten(a, 3, 1.0, 0.5, RandomStream(2), "simplified_experiment")
+        assert rep.t_identity and rep.r_identity
+        assert "t" not in rep.seeds and "r" not in rep.seeds
+
+    @pytest.mark.parametrize("c_t", [4.0, 0.05])
+    def test_full_pipeline_flags_match_drawn_seeds(self, c_t):
+        # default constants make T a pass-through at desk scale; a small c_t
+        # makes it a real CountSketch, so both values of the flag are seen
+        a = generate_synthetic(300, 200, 0.1, RandomStream(1))
+        consts = SketchConstants(c_s=0.05, c_t=c_t)
+        rep = solve_schatten(a, 2, 1.0, 0.5, RandomStream(2), constants=consts)
+        assert rep.t_identity == ("t" not in rep.seeds)
+        assert rep.r_identity == ("r" not in rep.seeds)
+        assert rep.t_identity == (c_t == 4.0)
+
+    def test_baseline_and_generalized_regress_exactly(self):
+        a = generate_synthetic(120, 90, 0.1, RandomStream(1))
+        base = solve_frobenius_baseline(a, 3, RandomStream(2))
+        assert base.t_identity and base.r_identity
+        gen_rep = solve_generalized(a, 3, HuberLoss(1.0), 0.5, RandomStream(2))
+        assert gen_rep.r_identity
+        assert gen_rep.t_identity == ("t" not in gen_rep.seeds)
 
 
 class TestRelativeErrorConvention:
