@@ -13,10 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 SVD_TOL = 1e-9    # relative factorization / orthonormality tolerance
 RANK_TOL = 1e-10  # singular values below RANK_TOL * sigma_max count as zero
 DENSE_GUARD = 5000  # largest min-dimension any exact dense factorization accepts
+LANCZOS_SEED = 0x1A2C  # seeds every Lanczos start vector, so reruns are bit-identical
 
 
 class ConvergenceError(RuntimeError):
@@ -104,6 +106,12 @@ class SparseMatrix:
     @property
     def nnz(self) -> int:
         return int(self._csr.nnz)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the stored values, column indices and row pointers."""
+        c = self._csr
+        return int(c.data.nbytes + c.indices.nbytes + c.indptr.nbytes)
 
     @property
     def csr(self) -> sp.csr_array:
@@ -199,24 +207,118 @@ def singular_values(a) -> np.ndarray:
         return scipy.linalg.svd(a, compute_uv=False, lapack_driver="gesvd")
 
 
+def _gram_triplets(x, lam, vecs, k: int, fro: float) -> SvdResult | None:
+    """Verified top-k triplets of ``x`` from the leading Gram eigenpairs.
+
+    ``lam``/``vecs`` are the top eigenpairs of the Gram matrix of the smaller
+    side, non-increasing, with one pair past k when there is one. Returns
+    ``None`` when sigma_k is numerically zero, ties with sigma_(k+1), or a
+    triplet misses ``SVD_TOL``.
+    """
+    m, n = x.shape
+    d = min(m, n)
+    wide = m < n
+    top = min(k + 1, d)
+    # dsyevr may return fewer pairs than asked for on a tight cluster
+    separated = (
+        lam.size == top
+        and lam[k - 1] > d * np.finfo(float).eps * lam[0]
+        and (top == k or lam[k - 1] - lam[k] > SVD_TOL * lam[0])
+    )
+    if not separated:
+        return None
+    sigma = np.sqrt(lam[:k])
+    side = np.ascontiguousarray(vecs[:, :k])
+    other = (x.T @ side if wide else x @ side) / sigma
+    u, v = (side, other) if wide else (other, side)
+    worst = max(
+        float(np.max(np.abs(u.T @ u - np.eye(k)))),
+        float(np.max(np.abs(v.T @ v - np.eye(k)))),
+        float(np.linalg.norm(x.T @ u - v * sigma)) / fro,
+        float(np.linalg.norm(x @ v - u * sigma)) / fro,
+    )
+    return SvdResult(u=u, sigma=sigma, v=v) if worst <= SVD_TOL else None
+
+
+def _lanczos_top(a: SparseMatrix, k: int) -> SvdResult | None:
+    """Top-k triplets of sparse ``a`` by Lanczos on its smaller Gram operator."""
+    x = a.csr
+    m, n = x.shape
+    d = min(m, n)
+    top = k + 1
+    if top >= d - 1 or x.nnz == 0:  # ARPACK needs fewer pairs than d
+        return None
+    xt = x.T
+    gram = (lambda w: x @ (xt @ w)) if m < n else (lambda w: xt @ (x @ w))
+    op = LinearOperator((d, d), matvec=gram, dtype=np.float64)
+    starts = np.random.default_rng(LANCZOS_SEED)
+    try:
+        lam, vecs = eigsh(op, k=top, which="LA", tol=0, v0=starts.standard_normal(d))
+        lam, vecs = lam[::-1], vecs[:, ::-1]
+        # One Krylov space holds a single direction of each repeated
+        # eigenvalue (up to rounding), so the pairs found may skip a copy of
+        # one of the top k. Outside the span of the top k found, the largest
+        # eigenvalue is lambda_(k+1) exactly when they are the top k; a second
+        # start vector finds it on the deflated operator. Its Ritz value is
+        # within the residual, at most SVD_TOL times itself, of an eigenvalue,
+        # so a skipped copy fails the tie test of _gram_triplets.
+        basis = vecs[:, :k]
+
+        def deflated(w):
+            w = gram(w - basis @ (basis.T @ w))
+            return w - basis @ (basis.T @ w)
+
+        rest = LinearOperator((d, d), matvec=deflated, dtype=np.float64)
+        beyond = eigsh(
+            rest, k=1, which="LA", tol=SVD_TOL, v0=starts.standard_normal(d)
+        )[0]
+    except ArpackError:
+        return None
+    lam = np.append(lam[:k], max(lam[k], beyond[0]))
+    fro = float(np.linalg.norm(x.data))
+    return _gram_triplets(x, lam, vecs, k, fro)
+
+
 def top_singular(a, k: int) -> SvdResult:
     """Top-k singular triplets from the Gram matrix of the smaller side.
 
     Takes the top eigenpairs of ``A^T A`` (``A A^T`` when A is wide) and
     derives the other side by one product, which costs a fraction of a full
-    :func:`svd` when k is small. Every triplet is verified at ``SVD_TOL``:
-    both blocks orthonormal, and ``||A^T U - V diag(sigma)||`` and
-    ``||A V - U diag(sigma)||`` small relative to ``||A||_F``. The Gram matrix
-    squares the conditioning, so when sigma_k is numerically zero, when it
-    ties with sigma_(k+1), or when a check fails, the result is the k-column
-    truncation of the verified full :func:`svd` instead.
+    :func:`svd` when k is small. For a :class:`SparseMatrix` input, ARPACK's
+    Lanczos (``eigsh``) runs on the operator ``x -> A^T (A x)`` without
+    densifying A, so each step costs ``2 nnz(A)`` multiply-adds. A second
+    run on that operator deflated by the top k found checks that they are
+    the top k: one Krylov space misses a copy of a repeated eigenvalue. Both
+    start vectors come from the fixed ``LANCZOS_SEED``, so no caller's random
+    stream is consumed. A dense input gets a partial ``eigh`` of the Gram
+    matrix. Every triplet is verified at ``SVD_TOL``: both blocks
+    orthonormal, and ``||A^T U - V diag(sigma)||`` and
+    ``||A V - U diag(sigma)||`` small relative to ``||A||_F``. The Gram
+    matrix squares the conditioning, so when sigma_k is numerically zero,
+    when it ties with sigma_(k+1), or when a check fails, the sparse path
+    falls back to the dense one and the dense path to the k-column
+    truncation of the verified full :func:`svd`. A sparse input whose
+    smaller side exceeds ``DENSE_GUARD`` is refused with
+    :class:`ConvergenceError` instead of densified.
     """
-    a = _check_dense(a)
-    m, n = a.shape
-    d = min(m, n)
+    sparse = isinstance(a, SparseMatrix)
+    if not sparse:
+        a = _check_dense(a)
+    d = min(a.shape)
     if not 1 <= k <= d:
         raise ValueError(f"k={k} out of range 1..{d}")
-    wide = m < n
+    if sparse:
+        res = _lanczos_top(a, k)
+        if res is not None:
+            return res
+        if d > DENSE_GUARD:
+            raise ConvergenceError(
+                f"Lanczos top-{k} triplets failed to verify, and the dense fallback "
+                f"refuses min dimension {d} above the guard DENSE_GUARD={DENSE_GUARD}",
+                np.inf,
+            )
+        a = a.to_dense()
+    wide = a.shape[0] < a.shape[1]
     gram = a @ a.T if wide else a.T @ a
     fro = math.sqrt(np.trace(gram))  # read before eigh overwrites the Gram
     # one eigenpair past k exposes the gap that separates the top-k subspace
@@ -224,26 +326,9 @@ def top_singular(a, k: int) -> SvdResult:
     lam, vecs = scipy.linalg.eigh(
         gram, overwrite_a=True, subset_by_index=[d - top, d - 1]
     )
-    lam, vecs = lam[::-1], vecs[:, ::-1]
-    # dsyevr may return fewer pairs than asked for on a tight cluster
-    separated = (
-        lam.size == top
-        and lam[k - 1] > d * np.finfo(float).eps * lam[0]
-        and (top == k or lam[k - 1] - lam[k] > SVD_TOL * lam[0])
-    )
-    if separated:
-        sigma = np.sqrt(lam[:k])
-        side = np.ascontiguousarray(vecs[:, :k])
-        other = (a.T @ side if wide else a @ side) / sigma
-        u, v = (side, other) if wide else (other, side)
-        worst = max(
-            float(np.max(np.abs(u.T @ u - np.eye(k)))),
-            float(np.max(np.abs(v.T @ v - np.eye(k)))),
-            float(np.linalg.norm(a.T @ u - v * sigma)) / fro,
-            float(np.linalg.norm(a @ v - u * sigma)) / fro,
-        )
-        if worst <= SVD_TOL:
-            return SvdResult(u=u, sigma=sigma, v=v)
+    res = _gram_triplets(a, lam[::-1], vecs[:, ::-1], k, fro)
+    if res is not None:
+        return res
     res = svd(a)
     return SvdResult(
         u=res.u[:, :k].copy(), sigma=res.sigma[:k].copy(), v=res.v[:, :k].copy()

@@ -8,7 +8,9 @@ The fast recursive constructions behind the sampling sketches are replaced by
 exact ridge leverage scores, computed from an eigendecomposition of the Gram
 matrix of the smaller side. This preserves the spectral guarantees at the
 cost of the asymptotic construction time. A sampler whose budget covers every
-nonzero column needs no scores at all and factorizes nothing.
+nonzero column needs no scores at all and factorizes nothing. Applying the
+row sampler keeps the sample sparse: ``SA`` is a :class:`SparseMatrix` of
+``nnz(SA)`` entries, never a dense copy of the rows it keeps.
 """
 
 import math
@@ -308,24 +310,26 @@ def apply_column_sampler(
 
 def apply_row_sampler(
     a, sk: SamplingSketch, counter: MultiplyAddCounter | None = None
-) -> np.ndarray:
-    """Select and rescale the sampled rows; one MAC per retained entry."""
-    nrows = a.nrows if isinstance(a, SparseMatrix) else np.asarray(a).shape[0]
-    if nrows != sk.source_dim:
-        raise ValueError(f"dimension mismatch: {nrows} rows vs sampler {sk.source_dim}")
-    if isinstance(a, SparseMatrix):
-        sub = a.csr[sk.indices, :]
-        if counter is not None:
-            counter.add(sub.nnz)
-        return sub.toarray() * sk.weights[:, None]
-    a = np.asarray(a, dtype=np.float64)
+) -> SparseMatrix:
+    """Select and rescale the sampled rows, kept sparse.
+
+    Costs one multiply-add per retained stored entry, ``nnz(SA)`` in all; a
+    dense input is read as the sparse matrix of its nonzeros.
+    """
+    if not isinstance(a, SparseMatrix):
+        a = SparseMatrix.from_dense(_check_dense(a))
+    if a.nrows != sk.source_dim:
+        raise ValueError(f"dimension mismatch: {a.nrows} rows vs sampler {sk.source_dim}")
+    sub = a.csr[sk.indices, :]
     if counter is not None:
-        counter.add(a.shape[1] * sk.sample_count)
-    return a[sk.indices, :] * sk.weights[:, None]
+        counter.add(sub.nnz)
+    sub.data *= np.repeat(sk.weights, np.diff(sub.indptr))
+    sub.eliminate_zeros()  # a product may underflow; SparseMatrix stores no zeros
+    return SparseMatrix._wrap(sub)
 
 
 def build_row_sampler_T(
-    sa: np.ndarray,
+    sa,
     eps: float,
     stream: RandomStream,
     mode: str = "full_pipeline",
@@ -333,6 +337,7 @@ def build_row_sampler_T(
 ):
     """Right-applied subspace embedding for the row space of ``sa``.
 
+    Only the shape of ``sa`` is read; it may be dense or a :class:`SparseMatrix`.
     Realized as a CountSketch of width ``ceil(c_t * s (1 + ln s) / eps^2)``
     (any oblivious subspace embedding works here). Returns an
     :class:`IdentitySketch` when the width reaches the number of columns,
@@ -340,7 +345,8 @@ def build_row_sampler_T(
     """
     if not 0.0 < eps <= 0.5:
         raise ValueError(f"eps must lie in (0, 1/2], got {eps}")
-    sa = _check_dense(sa, "sketched matrix")
+    if not isinstance(sa, SparseMatrix):
+        sa = _check_dense(sa, "sketched matrix")
     s, n = sa.shape
     if mode == "simplified_experiment":
         return IdentitySketch(n)
@@ -355,7 +361,8 @@ class SketchPlan:
     """Sketch dimensions and error splits for one solve.
 
     ``t_cols``/``r_embed`` of ``None`` mark identity pass-throughs (always
-    the case in simplified-experiment mode).
+    the case in simplified-experiment mode). ``r_embed`` is also ``None``
+    when its width would reach the column count ``n``.
     """
 
     eta1: float
@@ -420,6 +427,8 @@ def make_sketch_plan(
         math.ceil(constants.c_t * s_rows * (1.0 + math.log(s_rows)) / (eps * eps))
     )
     r_embed = int(math.ceil(constants.c_r * k / eta2))
+    if r_embed >= n:
+        r_embed = None  # no narrower than the input: regress exactly, Y = A Z
     return SketchPlan(
         eta1=eta1,
         eta2=eta2,

@@ -8,8 +8,9 @@ The pipeline for ``min_X ||A - X||_p`` over rank-k ``X``:
    eta1 additive term (a CountSketch of ``k^2`` rows in simplified mode);
 3. right-sketch ``SA`` with a subspace embedding ``T``;
 4. take the top-k left singular block of ``SAT``
-   (:func:`~sketchlr.matrixcore.top_singular`) and an orthonormal basis
-   ``Z`` of the row space it induces on ``SA``;
+   (:func:`~sketchlr.matrixcore.top_singular`, by Lanczos when ``SA`` is the
+   sparse row sample and T a pass-through) and an orthonormal basis ``Z`` of
+   the row space it induces on ``SA``;
 5. recover ``Y`` by sketched Frobenius regression against ``Z``.
 
 The returned pair never materializes ``Y @ Z.T``. Wide inputs are solved on
@@ -30,6 +31,7 @@ from .matrixcore import (
     SparseMatrix,
     _check_dense,
     complete_basis,
+    dense_sparse_multiply,
     orthonormal_rowspace,
     singular_values,
     sparse_dense_multiply,
@@ -73,10 +75,14 @@ class SolveReport:
     """Factors plus the bookkeeping needed to audit one solve.
 
     ``multiply_add_counts`` holds exact per-stage counts for the sketch
-    applications and explicit factor products. Not counted: the dense
-    factorizations (the Gram eigendecomposition behind the leverage scores,
-    :func:`~sketchlr.matrixcore.top_singular` on the double sketch and the
-    row-space SVD) and the Gram products that feed the first two.
+    applications and explicit factor products; ``wsa`` is the width of W
+    (``k``, or the smaller side of a thinner double sketch) times the stored
+    entries of ``SA`` (``k nnz(SA)`` for a sparse row sample, ``k s n`` for a
+    dense CountSketch). Not counted: the factorizations (the
+    Gram eigendecomposition behind the leverage scores,
+    :func:`~sketchlr.matrixcore.top_singular` on the double sketch, whether
+    by Lanczos on a sparse ``SA`` or by a partial dense ``eigh``, and the
+    row-space SVD) and the Gram products that feed them.
     ``relative_error`` is only present when the exact oracle was run.
     Pass-throughs are flagged: ``clipped`` when the row sampler ``S`` kept
     every nonzero row, ``t_identity`` when there was no right sketch ``T``
@@ -283,8 +289,12 @@ def _sketched_rowspace(
     stream: RandomStream,
     constants: SketchConstants,
     report: SolveReport,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stages 2-4: returns (SA, Z) and fills the report bookkeeping."""
+) -> np.ndarray:
+    """Stages 2-4: returns Z and fills the report bookkeeping.
+
+    ``SA`` is a :class:`SparseMatrix` from the row sampler and a dense array
+    from the simplified-mode CountSketch; every stage below takes either.
+    """
     counters, elapsed, seeds = (
         report.multiply_add_counts,
         report.elapsed,
@@ -315,12 +325,15 @@ def _sketched_rowspace(
         # a clipped sample of a matrix with fewer than k nonzero rows is thin
         w_top = top_singular(sat, min(k, *sat.shape)).u
     with _Stage(elapsed, "rowspace"):
-        wsa = w_top.T @ sa
-        counters["wsa"] = counters.get("wsa", 0) + k * sa.shape[0] * sa.shape[1]
+        if isinstance(sa, SparseMatrix):
+            wsa = dense_sparse_multiply(w_top.T, sa, _counter(counters, "wsa"))
+        else:
+            wsa = w_top.T @ sa
+            counters["wsa"] = counters.get("wsa", 0) + w_top.shape[1] * sa.size
         z = orthonormal_rowspace(wsa)
         if z.shape[1] < k:
             z = complete_basis(z, k)
-    return sa, z
+    return z
 
 
 def _swap_transposed(factors: LowRankFactors) -> LowRankFactors:
@@ -372,7 +385,7 @@ def solve_schatten(
     plan = make_sketch_plan(m, n, k, eps, p, mode, constants)
     report = SolveReport(factors=None, plan=plan, transposed=transposed)  # type: ignore[arg-type]
 
-    _, z = _sketched_rowspace(work, k, eps, plan, stream, constants, report)
+    z = _sketched_rowspace(work, k, eps, plan, stream, constants, report)
     with _Stage(report.elapsed, "regression"):
         reg = solve_regression_sketched(
             work, z, plan.r_embed, stream, counters=report.multiply_add_counts
@@ -509,7 +522,7 @@ def solve_generalized(
         condition_report=cond,
         warnings=tuple(warnings),
     )
-    _, z = _sketched_rowspace(work, k, eps, plan, stream, constants, report)
+    z = _sketched_rowspace(work, k, eps, plan, stream, constants, report)
     with _Stage(report.elapsed, "regression"):
         y = sparse_dense_multiply(
             work, z, _counter(report.multiply_add_counts, "regression")
@@ -524,7 +537,7 @@ def solve_generalized(
 
 def diagnose_kyfan_preservation(
     a,
-    sa: np.ndarray,
+    sa,
     k: int,
     p: float,
     r: int,
@@ -543,10 +556,15 @@ def diagnose_kyfan_preservation(
     ``r eta1^{p/2} ||A-A_k||_p^p`` for p <= 2 and
     ``C_{p/2,eps} r eta1^{p/2} ||A-A_k||_F^p`` for p > 2 (the multiplicative
     band widens to ``kp * eps`` there). Reports the violation fraction; this
-    is a diagnostic, not an assertion.
+    is a diagnostic, not an assertion. ``sa`` may be dense or the
+    :class:`SparseMatrix` that :func:`~sketchlr.sketches.apply_row_sampler`
+    returns; both it and ``a`` are densified under the dense guard.
     """
     dense = _dense_guarded(_ensure_sparse(a))
-    sa = _check_dense(sa, "sketched matrix")
+    if isinstance(sa, SparseMatrix):
+        sa = _dense_guarded(sa)
+    else:
+        sa = _check_dense(sa, "sketched matrix")
     if sa.shape[1] != dense.shape[1]:
         raise ValueError("sketched matrix must keep the column dimension")
     if trials < 1:

@@ -1,10 +1,13 @@
 """Tests for sparse storage, the SVD primitive and its derived operations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import make_gen, random_orthonormal, random_rank_k, random_sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import ArpackNoConvergence
 
 import sketchlr.matrixcore as matrixcore
 from sketchlr import (
@@ -19,7 +22,7 @@ from sketchlr import (
     svd,
     truncate_rank,
 )
-from sketchlr.matrixcore import SVD_TOL, top_singular
+from sketchlr.matrixcore import DENSE_GUARD, SVD_TOL, ConvergenceError, top_singular
 
 GOLDEN = np.array([[20.0, 20.0], [1.0, 2.0]])
 
@@ -54,6 +57,12 @@ def jacobi_singular_values(a, sweeps=60, tol=1e-13):
 
 
 class TestSparseMatrix:
+    def test_nbytes_counts_the_stored_arrays(self):
+        mat = SparseMatrix.from_dense(np.array([[1.0, 0.0, 2.0], [0.0, 0.0, -3.0]]))
+        # three float64 values, three column indices, three row pointers
+        c = mat.csr
+        assert mat.nbytes == 3 * 8 + 3 * c.indices.itemsize + 3 * c.indptr.itemsize
+
     def test_round_trip_and_counts(self):
         dense = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, -3.0]])
         mat = SparseMatrix.from_dense(dense)
@@ -258,6 +267,189 @@ class TestTopSingular:
         res = top_singular(a, k)
         assert_verified(a, res, k)
         assert_matches_svd(a, res, k)
+
+
+def _spectrum_input(gen, m, n, sigma):
+    d = min(m, n)
+    return (random_orthonormal(gen, m, d) * sigma) @ random_orthonormal(gen, n, d).T
+
+
+@pytest.fixture
+def sparse_calls(monkeypatch):
+    """Counts the Lanczos runs, densifications and full SVDs of ``top_singular``."""
+    calls = {"eigsh": 0, "to_dense": 0, "svd": 0}
+
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return spy
+
+    monkeypatch.setattr(matrixcore, "eigsh", counted("eigsh", matrixcore.eigsh))
+    monkeypatch.setattr(matrixcore, "svd", counted("svd", matrixcore.svd))
+    monkeypatch.setattr(
+        SparseMatrix, "to_dense", counted("to_dense", SparseMatrix.to_dense)
+    )
+    return calls
+
+
+class TestTopSingularSparse:
+    @pytest.mark.parametrize("shape", [(60, 40), (40, 60), (50, 50)])
+    @pytest.mark.parametrize("k", [1, 5, 20])
+    def test_lanczos_matches_svd_on_random_shapes(self, shape, k, sparse_calls):
+        a = random_sparse(make_gen(sum(shape) + k), *shape, density=0.3)
+        res = top_singular(a, k)
+        assert sparse_calls == {"eigsh": 2, "to_dense": 0, "svd": 0}
+        dense = a.to_dense()
+        assert_verified(dense, res, k)
+        assert_matches_svd(dense, res, k)
+        reference = np.linalg.svd(dense, compute_uv=False)[:k]
+        np.testing.assert_allclose(res.sigma, reference, rtol=1e-12)
+
+    def test_repeated_head_is_resolved(self, sparse_calls):
+        # a triple sigma_1 with a clear gap at k: Lanczos must find all copies
+        sigma = np.array([4.0, 4.0, 4.0, 2.0, 1.0, 0.9, 0.8, 0.5, 0.3, 0.1])
+        a = SparseMatrix.from_dense(_spectrum_input(make_gen(31), 30, 10, sigma))
+        res = top_singular(a, 4)
+        assert sparse_calls["eigsh"] == 2 and sparse_calls["svd"] == 0
+        np.testing.assert_allclose(res.sigma, sigma[:4], rtol=1e-12)
+        assert_verified(a.to_dense(), res, 4)
+
+    def test_repeated_head_beyond_the_krylov_width(self, sparse_calls):
+        # d = 200 is well past ARPACK's default of 20 Lanczos vectors
+        d = 200
+        vals = np.concatenate([[3.0, 3.0, 2.0, 1.0], np.linspace(0.9, 0.1, d - 4)])
+        a = SparseMatrix(d, d, np.arange(d), np.arange(d), vals)
+        res = top_singular(a, 2)
+        reference = np.linalg.svd(a.to_dense(), compute_uv=False)[:2]
+        np.testing.assert_allclose(res.sigma, reference, rtol=1e-12)
+        assert_verified(a.to_dense(), res, 2)
+
+    @pytest.mark.parametrize(
+        "head, found, fallback_svd",
+        [
+            ([3.0, 3.0, 2.0, 1.0], [0, 2, 3], 0),  # skips the second sigma_1
+            ([3.0, 2.0, 2.0, 1.0], [0, 1, 3], 1),  # hides the tie of sigma_2
+        ],
+    )
+    def test_skipped_copy_of_a_repeated_value_is_caught(
+        self, head, found, fallback_svd, sparse_calls, monkeypatch
+    ):
+        # the first Lanczos run returns exact eigenpairs of the Gram matrix but
+        # holds one copy of a repeated eigenvalue, as a Krylov space does in
+        # exact arithmetic; every triplet verifies, so only the deflated second
+        # run can tell that the pairs are not the top k
+        d = 200
+        vals = np.concatenate([head, np.linspace(0.9, 0.1, d - 4)])
+        a = SparseMatrix(d, d, np.arange(d), np.arange(d), vals)
+        lanczos = matrixcore.eigsh  # the counting spy
+
+        def one_copy(op, k, **kwargs):
+            if sparse_calls["eigsh"] == 0:
+                sparse_calls["eigsh"] += 1
+                ascending = found[::-1]  # the order eigsh returns
+                return vals[ascending] ** 2, np.eye(d)[:, ascending]
+            return lanczos(op, k=k, **kwargs)
+
+        monkeypatch.setattr(matrixcore, "eigsh", one_copy)
+        res = top_singular(a, 2)
+        assert sparse_calls == {"eigsh": 2, "to_dense": 1, "svd": fallback_svd}
+        np.testing.assert_allclose(res.sigma, head[:2], rtol=1e-12)
+        assert_verified(a.to_dense(), res, 2)
+
+    def test_rerun_is_bit_identical(self):
+        a = random_sparse(make_gen(32), 70, 45, density=0.2)
+        r1, r2 = top_singular(a, 6), top_singular(a, 6)
+        for x, y in ((r1.u, r2.u), (r1.sigma, r2.sigma), (r1.v, r2.v)):
+            assert x.tobytes() == y.tobytes()
+
+    def test_tied_sigma_k_falls_back(self, sparse_calls):
+        sigma = np.array([5.0, 3.0, 3.0, 3.0, 1.0, 0.5, 0.4, 0.3])
+        a = SparseMatrix.from_dense(_spectrum_input(make_gen(33), 12, 8, sigma))
+        res = top_singular(a, 2)  # sigma_2 ties with sigma_3
+        assert sparse_calls == {"eigsh": 2, "to_dense": 1, "svd": 1}
+        np.testing.assert_allclose(res.sigma, [5.0, 3.0], rtol=1e-12)
+        assert_verified(a.to_dense(), res, 2)
+
+    def test_zero_sigma_k_falls_back(self, sparse_calls):
+        a = SparseMatrix.from_dense(random_rank_k(make_gen(34), 30, 20, 3))
+        res = top_singular(a, 4)  # sigma_4 = 0
+        assert sparse_calls == {"eigsh": 2, "to_dense": 1, "svd": 1}
+        assert res.sigma[3] <= 1e-12 * res.sigma[0]
+        assert_verified(a.to_dense(), res, 4)
+
+    def test_too_few_dimensions_for_arpack_use_the_dense_path(self, sparse_calls):
+        a = random_sparse(make_gen(35), 9, 4, density=0.9)
+        res = top_singular(a, 2)  # k + 1 = 3 >= d - 1 = 3
+        assert sparse_calls == {"eigsh": 0, "to_dense": 1, "svd": 0}
+        assert_verified(a.to_dense(), res, 2)
+        assert_matches_svd(a.to_dense(), res, 2)
+
+    def test_no_convergence_uses_the_dense_path(self, sparse_calls, monkeypatch):
+        def stalled(*_, **__):
+            sparse_calls["eigsh"] += 1
+            raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+        monkeypatch.setattr(matrixcore, "eigsh", stalled)
+        a = random_sparse(make_gen(36), 50, 30, density=0.3)
+        res = top_singular(a, 3)
+        assert sparse_calls == {"eigsh": 1, "to_dense": 1, "svd": 0}
+        assert_verified(a.to_dense(), res, 3)
+        assert_matches_svd(a.to_dense(), res, 3)
+
+    def test_zero_matrix_falls_back(self, sparse_calls):
+        a = SparseMatrix(8, 6, [], [], [])
+        res = top_singular(a, 2)
+        assert sparse_calls == {"eigsh": 0, "to_dense": 1, "svd": 1}
+        np.testing.assert_array_equal(res.sigma, [0.0, 0.0])
+
+    def test_fallback_above_guard_refuses_without_densifying(self, monkeypatch):
+        def stalled(*_, **__):
+            raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+        def densify(*_):
+            raise AssertionError("the fallback must not densify above the guard")
+
+        monkeypatch.setattr(matrixcore, "eigsh", stalled)
+        monkeypatch.setattr(SparseMatrix, "to_dense", densify)
+        n = DENSE_GUARD + 1
+        idx = np.arange(n)
+        a = SparseMatrix(n, n, idx, idx, 1.0 + idx)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConvergenceError, match="DENSE_GUARD"):
+                top_singular(a, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20  # a dense n x n array would take 200 MB
+
+    def test_k_out_of_range(self):
+        a = random_sparse(make_gen(37), 5, 3, density=0.8)
+        for k in (0, 4):
+            with pytest.raises(ValueError, match="out of range"):
+                top_singular(a, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 40),
+        n=st.integers(1, 40),
+        k_frac=st.floats(0.0, 1.0),
+        decay=st.floats(0.0, 8.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_verified_and_matches_svd(self, m, n, k_frac, decay, seed):
+        # the dense property's shapes and spectra, given as sparse inputs
+        gen = make_gen(seed)
+        d = min(m, n)
+        k = 1 + int(k_frac * (d - 1))
+        sigma = 10.0 ** (-decay * gen.random(d))
+        a = SparseMatrix.from_dense(_spectrum_input(gen, m, n, np.sort(sigma)[::-1]))
+        res = top_singular(a, k)
+        dense = a.to_dense()
+        assert_verified(dense, res, k)
+        assert_matches_svd(dense, res, k)
 
 
 class TestTruncateRank:

@@ -235,8 +235,32 @@ class TestColumnSampler:
         assert sk.source_dim == 15
         out = apply_row_sampler(a, sk)
         np.testing.assert_allclose(
-            out, a.to_dense()[sk.indices, :] * sk.weights[:, None], atol=1e-12
+            out.to_dense(), a.to_dense()[sk.indices, :] * sk.weights[:, None], atol=1e-12
         )
+
+    @pytest.mark.parametrize("c_s", [0.02, 8.0])  # sampled and clipped
+    def test_row_sampler_output_is_sparse_and_counted(self, c_s):
+        a = random_sparse(make_gen(53), 60, 20, density=0.3)
+        sk = build_row_sampler(a, 2, 0.5, 0.25, RandomStream(7), SketchConstants(c_s=c_s))
+        assert sk.clipped == (c_s == 8.0)
+        counter = MultiplyAddCounter()
+        out = apply_row_sampler(a, sk, counter)
+        assert isinstance(out, SparseMatrix)
+        assert out.shape == (sk.sample_count, 20)
+        want = a.to_dense()[sk.indices, :] * sk.weights[:, None]
+        np.testing.assert_array_equal(out.to_dense(), want)
+        assert counter.count == out.nnz == np.count_nonzero(want)
+        # a dense input is read as the sparse matrix of its nonzeros
+        counter = MultiplyAddCounter()
+        again = apply_row_sampler(a.to_dense(), sk, counter)
+        np.testing.assert_array_equal(again.to_dense(), want)
+        assert counter.count == out.nnz
+
+    def test_row_sampler_dimension_mismatch(self):
+        a = random_sparse(make_gen(54), 15, 9, density=0.4)
+        sk = build_row_sampler(a, 2, 0.5, 0.25, RandomStream(6))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            apply_row_sampler(a.transpose(), sk)
 
     def test_psd_sandwich_subsampled(self):
         # genuine sampling path (small c_s): two-sided Gram bound at >= 90/100
@@ -441,6 +465,18 @@ class TestRowSamplerT:
         with pytest.raises(ValueError):
             build_row_sampler_T(np.ones((2, 9)), 0.7, RandomStream(1))
 
+    def test_sparse_input_reads_only_the_shape(self):
+        sparse = SparseMatrix(1, 500, [0], [3], [2.0])
+        op = build_row_sampler_T(sparse, 0.3, RandomStream(7))
+        ref = build_row_sampler_T(np.ones((1, 500)), 0.3, RandomStream(7))
+        assert isinstance(op, CountSketchOperator)
+        assert op.sketch_dim == ref.sketch_dim and op.seed == ref.seed
+        np.testing.assert_array_equal(op.bucket, ref.bucket)
+        assert isinstance(
+            build_row_sampler_T(SparseMatrix(3, 10, [0], [0], [1.0]), 0.5, RandomStream(7)),
+            IdentitySketch,
+        )
+
 
 class TestSketchPlan:
     def test_p2_formulas(self):
@@ -474,6 +510,13 @@ class TestSketchPlan:
         assert plan.s_rows == min(sample_count(k, eps, plan.eta1, 8.0), m)
         assert plan.r_embed == math.ceil(4.0 * k / plan.eta2)
         assert plan.t_cols >= plan.s_rows
+
+    def test_regression_width_reaching_n_is_a_pass_through(self):
+        # ceil(4 k / eta2) = 144 for k=3, p=1: wider than n=90, not than n=400
+        assert make_sketch_plan(120, 90, 3, 0.5, 1.0).r_embed is None
+        assert make_sketch_plan(5000, 400, 3, 0.5, 1.0).r_embed == 144
+        assert make_sketch_plan(200, 144, 3, 0.5, 1.0).r_embed is None
+        assert make_sketch_plan(200, 145, 3, 0.5, 1.0).r_embed == 144
 
     def test_validation(self):
         with pytest.raises(ValueError):

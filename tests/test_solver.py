@@ -6,6 +6,8 @@ from conftest import lowrank_plus_noise, make_gen, random_orthonormal, random_ra
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sketchlr.matrixcore as matrixcore
+import sketchlr.solver as solver
 from sketchlr import (
     HuberLoss,
     L1L2Loss,
@@ -128,12 +130,31 @@ class TestOracleScorer:
     )
     def test_solve_schatten_error_unchanged(self, shape, p, mode):
         a = generate_synthetic(*shape, 0.1, RandomStream(1))
-        rep = solve_schatten(a, 3, p, 0.5, RandomStream(2), mode, oracle=True)
+        # the sampler clips here, so in full_pipeline only a real regression
+        # sketch R (r_embed < n) keeps the error away from 0
+        consts = SketchConstants(c_r=1.0)
+        rep = solve_schatten(
+            a, 3, p, 0.5, RandomStream(2), mode, oracle=True, constants=consts
+        )
+        assert rep.r_identity == (mode == "simplified_experiment")
         want = _dense_formula_error(
             a.to_dense(), rep.factors, lambda s: schatten_norm(s, p)
         )
         assert want > 1e-6  # a relative tolerance needs an error away from 0
         assert rep.relative_error == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(120, 90), (90, 120)])
+    def test_solve_schatten_error_with_default_constants(self, shape):
+        # default constants: the sampler clips and the regression width
+        # reaches n, so Y is the exact A Z and both scores read the optimum
+        a = generate_synthetic(*shape, 0.1, RandomStream(1))
+        rep = solve_schatten(a, 3, 3.0, 0.5, RandomStream(2), oracle=True)
+        assert rep.clipped and rep.r_identity
+        want = _dense_formula_error(
+            a.to_dense(), rep.factors, lambda s: schatten_norm(s, 3.0)
+        )
+        assert abs(want) <= 1e-12
+        assert rep.relative_error == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("shape", [(600, 40), (60, 800)])
     def test_solve_generalized_error_unchanged(self, shape):
@@ -173,6 +194,99 @@ class TestPassThroughFlags:
         gen_rep = solve_generalized(a, 3, HuberLoss(1.0), 0.5, RandomStream(2))
         assert gen_rep.r_identity
         assert gen_rep.t_identity == ("t" not in gen_rep.seeds)
+
+
+    def test_regression_width_reaching_n_is_exact(self):
+        # ceil(4 k / eta2) = 144 regression columns would exceed n = 90
+        a = generate_synthetic(120, 90, 0.1, RandomStream(1))
+        rep = solve_schatten(a, 3, 1.0, 0.5, RandomStream(2), "full_pipeline")
+        assert rep.plan.r_embed is None
+        assert rep.r_identity and "r" not in rep.seeds
+        assert "r_apply" not in rep.multiply_add_counts
+        assert rep.multiply_add_counts["regression"] == 3 * a.nnz
+
+
+def _align_signs(ref, got):
+    """``got``'s factors with each (y_i, z_i) column pair sign-matched to ``ref``."""
+    signs = np.where(np.sum(ref.z * got.z, axis=0) < 0, -1.0, 1.0)
+    return got.y * signs, got.z * signs
+
+
+def _full_solves(a, stream_seed, consts):
+    return [
+        solve_schatten(a, 3, p, 0.5, RandomStream(stream_seed), constants=consts)
+        for p in (1.0, 3.0)
+    ] + [solve_generalized(a, 3, HuberLoss(1.0), 0.5, RandomStream(stream_seed), constants=consts)]
+
+
+class TestSparseSketchedRowspace:
+    CLIPPED, SAMPLED, REAL_T = (True, True), (False, True), (False, False)
+
+    @pytest.mark.parametrize(
+        "shape, density, consts, kinds",
+        [
+            ((300, 200), 0.05, SketchConstants(), [CLIPPED] * 3),
+            ((200, 300), 0.05, SketchConstants(), [CLIPPED] * 3),
+            ((900, 40), 0.2, SketchConstants(), [CLIPPED, CLIPPED, SAMPLED]),
+            ((300, 200), 0.1, SketchConstants(c_s=0.05, c_t=0.05), [REAL_T] * 3),
+        ],
+    )
+    def test_factors_match_the_dense_kernels(self, shape, density, consts, kinds, monkeypatch):
+        # p=1, p=3 and Huber solves, each checked as (clipped, t_identity); the
+        # factors of one column pair may differ in sign between the kernels
+        a = generate_synthetic(*shape, density, RandomStream(1))
+        sparse = _full_solves(a, 5, consts)
+        sample = solver.apply_row_sampler  # rerun on a dense SA, as before
+        monkeypatch.setattr(
+            solver, "apply_row_sampler", lambda *args: sample(*args).to_dense()
+        )
+        dense = _full_solves(a, 5, consts)
+        assert [(rep.clipped, rep.t_identity) for rep in sparse] == kinds
+        for got, ref in zip(sparse, dense):
+            assert got.seeds == ref.seeds
+            assert (got.clipped, got.t_identity) == (ref.clipped, ref.t_identity)
+            y, z = _align_signs(ref.factors, got.factors)
+            scale = np.linalg.norm(ref.factors.y)
+            np.testing.assert_allclose(z, ref.factors.z, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(y, ref.factors.y, rtol=0, atol=1e-10 * scale)
+
+    def test_clipped_solve_neither_densifies_nor_factors_sa(self, monkeypatch):
+        a = generate_synthetic(300, 200, 0.05, RandomStream(1))
+        calls = {"to_dense": 0, "svd": [], "eigsh": 0}
+        full, lanczos = matrixcore.svd, matrixcore.eigsh
+
+        def densify(*_):
+            calls["to_dense"] += 1
+            raise AssertionError("a clipped solve must not densify")
+
+        def svd_spy(x):
+            calls["svd"].append(np.shape(x))
+            return full(x)
+
+        def eigsh_spy(*args, **kwargs):
+            calls["eigsh"] += 1
+            return lanczos(*args, **kwargs)
+
+        monkeypatch.setattr(SparseMatrix, "to_dense", densify)
+        monkeypatch.setattr(matrixcore, "svd", svd_spy)
+        monkeypatch.setattr(matrixcore, "eigsh", eigsh_spy)
+        for p in (1.0, 3.0):
+            rep = solve_schatten(a, 3, p, 0.5, RandomStream(9))
+            assert rep.clipped and rep.t_identity
+        # two Lanczos runs per solve: the top k + 1 and the deflated check
+        assert calls["to_dense"] == 0 and calls["eigsh"] == 4
+        # the only full SVDs left are the row-space bases of the 3 x 200 W^T SA
+        assert calls["svd"] == [(3, 200), (3, 200)]
+
+    def test_wsa_costs_k_per_stored_entry_of_sa(self):
+        a = generate_synthetic(900, 40, 0.2, RandomStream(1))
+        for c_s, clipped in ((8.0, True), (0.05, False)):
+            consts = SketchConstants(c_s=c_s)
+            rep = solve_schatten(a, 3, 1.0, 0.5, RandomStream(3), constants=consts)
+            assert rep.clipped == clipped
+            counts = rep.multiply_add_counts
+            assert (counts["s_apply"] == a.nnz) == clipped  # s_apply is nnz(SA)
+            assert counts["wsa"] == 3 * counts["s_apply"]
 
 
 class TestRelativeErrorConvention:
