@@ -78,11 +78,16 @@ class SolveReport:
     applications and explicit factor products; ``wsa`` is the width of W
     (``k``, or the smaller side of a thinner double sketch) times the stored
     entries of ``SA`` (``k nnz(SA)`` for a sparse row sample, ``k s n`` for a
-    dense CountSketch). Not counted: the factorizations (the
-    Gram eigendecomposition behind the leverage scores,
+    dense CountSketch); ``s_scores`` is the sparse work of the sketched
+    ridge leverage scores behind a sampled ``S``, ``(w + r) nnz(A)`` for the
+    score sketch ``A Omega`` and the projection ``U^T A`` (absent when ``S``
+    clipped or the scores were exact). Not counted: the factorizations (the
+    ``w x w`` and ``r x r`` Gram eigendecompositions of the sketched scores
+    or the full one of the exact scores,
     :func:`~sketchlr.matrixcore.top_singular` on the double sketch, whether
     by Lanczos on a sparse ``SA`` or by a partial dense ``eigh``, and the
-    row-space SVD) and the Gram products that feed them.
+    row-space SVD), the dense products and Gram products that feed them, and
+    the column norms read by the scores.
     ``relative_error`` is only present when the exact oracle was run.
     Pass-throughs are flagged: ``clipped`` when the row sampler ``S`` kept
     every nonzero row, ``t_identity`` when there was no right sketch ``T``
@@ -269,16 +274,19 @@ class _Stage:
         return False
 
 
+class _FoldingCounter(MultiplyAddCounter):
+    """A counter that folds every count into ``counters[key]`` as it is added."""
+
+    def __init__(self, counters: dict, key: str) -> None:
+        super().__init__()
+        self.counters, self.key = counters, key
+
+    def add(self, n: int) -> None:
+        self.counters[self.key] = self.counters.get(self.key, 0) + int(n)
+
+
 def _counter(counters: dict | None, key: str) -> MultiplyAddCounter | None:
-    """A counter that folds its total into ``counters[key]`` immediately."""
-    if counters is None:
-        return None
-
-    class _Folding(MultiplyAddCounter):
-        def add(inner, n: int) -> None:  # noqa: N805
-            counters[key] = counters.get(key, 0) + int(n)
-
-    return _Folding()
+    return None if counters is None else _FoldingCounter(counters, key)
 
 
 def _sketched_rowspace(
@@ -306,7 +314,9 @@ def _sketched_rowspace(
             seeds["s"] = s_op.seed
             sa = apply_countsketch_left(work, s_op, _counter(counters, "s_apply"))
         else:
-            s_sk = build_row_sampler(work, k, eps, plan.eta1, stream, constants)
+            s_sk = build_row_sampler(
+                work, k, eps, plan.eta1, stream, constants, _counter(counters, "s_scores")
+            )
             seeds["s"] = s_sk.seed
             report.clipped |= s_sk.clipped
             report.degenerate |= s_sk.degenerate

@@ -34,7 +34,7 @@ from sketchlr import (
 )
 from sketchlr.matrixcore import DENSE_GUARD
 from sketchlr.rng import generator_from_seed
-from sketchlr.sketches import ridge_leverage_scores
+from sketchlr.sketches import ridge_leverage_scores, sketched_ridge_leverage_scores
 
 
 def materialize(op: CountSketchOperator) -> np.ndarray:
@@ -359,6 +359,149 @@ class TestRidgeLeverage:
         np.testing.assert_allclose(sk.weights, 1.0 / np.sqrt(t * prob[idx]), rtol=1e-10)
 
 
+def score_width(k, eps, eta):
+    return math.ceil(SketchConstants().c_lev * (k + eps / eta))
+
+
+def sketched_scores(a, k, eps, eta, seed, counter=None):
+    width = score_width(k, eps, eta)
+    assert width < min(a.shape)
+    return sketched_ridge_leverage_scores(
+        a, k, eta / eps, width, generator_from_seed(seed), counter
+    )
+
+
+def scored_input(family, m, n, rank, seed):
+    gen = make_gen(seed)
+    if family == "noisy":
+        return lowrank_plus_noise(gen, m, n, rank)
+    if family == "exact":
+        return gen.standard_normal((m, rank)) @ gen.standard_normal((rank, n))
+    return random_sparse(gen, m, n, density=0.1)
+
+
+class TestSketchedRidgeLeverage:
+    # Worst sketched/exact probability ratios seen over 36,000 inputs drawn
+    # as in the property below: 0.87..1.19 on rank-1..40-plus-noise inputs,
+    # 0.97..1.05 on sparse inputs and on exact ranks above w, and 1 to
+    # rounding on exact ranks up to w. The bound leaves a margin on both.
+    RATIO_BOUNDS = (0.75, 4.0 / 3.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        orient=st.sampled_from(["tall", "wide", "square"]),
+        family=st.sampled_from(["noisy", "exact", "sparse"]),
+        small=st.integers(70, 100),
+        extra=st.integers(1, 60),
+        rank=st.integers(1, 40),
+        k=st.integers(1, 3),
+        eta=st.floats(0.1, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_probabilities_near_exact(
+        self, orient, family, small, extra, rank, k, eta, seed
+    ):
+        m, n = {
+            "tall": (small + extra, small),
+            "wide": (small, small + extra),
+            "square": (small, small),
+        }[orient]
+        a = scored_input(family, m, n, rank, seed)
+        eps = 0.5
+        exact = ridge_leverage_scores(a, k, eta / eps)
+        tau = sketched_scores(a, k, eps, eta, seed)
+        dense = a.to_dense() if isinstance(a, SparseMatrix) else a
+        live = np.any(dense != 0.0, axis=0)
+        assert np.all(tau[~live] == 0.0) and np.all(tau[live] > 0.0)
+        ratio = (tau[live] / tau.sum()) / (exact[live] / exact[live].sum())
+        lo, hi = self.RATIO_BOUNDS
+        assert lo <= ratio.min() and ratio.max() <= hi
+
+    def test_rank_at_most_k_has_zero_ridge(self):
+        gen = make_gen(70)
+        a = gen.standard_normal((90, 2)) @ gen.standard_normal((2, 70))
+        k = 3
+        taus = [
+            sketched_ridge_leverage_scores(a, k, scale, 40, generator_from_seed(5))
+            for scale in (0.2, 0.4)
+        ]
+        # a zero ridge makes the scores independent of the ridge scale
+        assert taus[0].tobytes() == taus[1].tobytes()
+        assert np.all(np.isfinite(taus[0]))
+        np.testing.assert_allclose(taus[0], ridge_leverage_scores(a, k, 0.2), rtol=1e-8)
+        assert taus[0].sum() == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_zero_columns_score_exactly_zero(self, sparse):
+        dense = lowrank_plus_noise(make_gen(71), 80, 90, 6)
+        dense[:, [0, 17, 89]] = 0.0
+        a = SparseMatrix.from_dense(dense) if sparse else dense
+        tau = sketched_scores(a, 2, 0.5, 0.2, 6)
+        np.testing.assert_array_equal(tau[[0, 17, 89]], 0.0)
+        assert np.delete(tau, [0, 17, 89]).min() > 0.0
+
+    def test_rerun_is_bit_identical(self):
+        a = random_sparse(make_gen(72), 120, 100, density=0.2)
+        first, again = (sketched_scores(a, 2, 0.5, 0.25, 7) for _ in range(2))
+        assert first.tobytes() == again.tobytes()
+        consts = SketchConstants(c_s=0.5)
+        sks = [build_column_sampler(a, 2, 0.5, 0.25, RandomStream(13), consts) for _ in range(2)]
+        assert not sks[0].clipped
+        assert sks[0].indices.tobytes() == sks[1].indices.tobytes()
+        assert sks[0].weights.tobytes() == sks[1].weights.tobytes()
+
+    def test_counter_is_w_plus_live_rank_times_nnz(self):
+        k, eps, eta = 2, 0.5, 0.25
+        width = score_width(k, eps, eta)
+        full = random_sparse(make_gen(73), 120, 100, density=0.2)
+        gen = make_gen(74)
+        rank2 = SparseMatrix.from_dense(
+            gen.standard_normal((120, 2)) @ gen.standard_normal((2, 100))
+        )
+        for a, live in ((full, width), (rank2, 2)):
+            counter = MultiplyAddCounter()
+            sketched_scores(a, k, eps, eta, 8, counter)
+            assert counter.count == (width + live) * a.nnz
+
+    @pytest.mark.parametrize("rows", [40, 41])
+    def test_width_reaching_min_dim_passes_through(self, rows, monkeypatch):
+        # w = 8 (3 + 0.5/0.25) = 40: exact scores on 40 rows, sketched on 41
+        k, eps, eta = 3, 0.5, 0.25
+        assert score_width(k, eps, eta) == 40
+        a, dense = random_input(rows, rows, 70, False)
+        calls = []
+        kernel = sketches.sketched_ridge_leverage_scores
+
+        def spy(*args, **kwargs):
+            calls.append(args[3])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(sketches, "sketched_ridge_leverage_scores", spy)
+        consts = SketchConstants(c_s=0.3)
+        sk = build_column_sampler(a, k, eps, eta, RandomStream(92), consts)
+        assert not sk.clipped
+        assert calls == ([] if rows == 40 else [40])
+        if rows == 41:
+            return
+        t = sample_count(k, eps, eta, consts.c_s)
+        prob = svd_ridge_leverage(dense, k, eta / eps)
+        prob /= prob.sum()
+        idx = np.sort(generator_from_seed(sk.seed).choice(70, size=t, replace=False, p=prob))
+        np.testing.assert_array_equal(sk.indices, idx)
+
+    def test_caller_stream_advances_as_on_the_exact_path(self):
+        a = lowrank_plus_noise(make_gen(75), 120, 100, 6)
+        consts = SketchConstants(c_s=0.5)
+        streams = RandomStream(14), RandomStream(14)
+        sketched = build_column_sampler(a, 2, 0.5, 0.25, streams[0], consts)
+        exact = build_column_sampler(
+            a, 2, 0.5, 0.25, streams[1], SketchConstants(c_s=0.5, c_lev=1e3)
+        )
+        assert not sketched.clipped and not exact.clipped
+        assert sketched.seed == exact.seed
+        assert streams[0].child_seed() == streams[1].child_seed()
+
+
 @pytest.fixture
 def no_factorization(monkeypatch):
     """Makes every densifying or factorizing helper of the sampler raise."""
@@ -407,16 +550,27 @@ class TestDenseGuard:
     def _diagonal(self, ncols):
         return SparseMatrix(self.n, ncols, np.arange(self.n), np.arange(self.n) % ncols, np.ones(self.n))
 
-    def test_small_budget_above_guard_raises_without_allocating(self):
+    def test_small_budget_above_guard_samples_in_sketch_memory(self, monkeypatch):
+        # the sketched scores build no Gram matrix of the input, so a min
+        # dimension above the guard is sampled in O((m + n) w) memory
         a = self._diagonal(self.n)
+        k, eps, eta = 1, 0.5, 0.1
+
+        def densify(*_):
+            raise AssertionError("the sketched scores must not densify the input")
+
+        monkeypatch.setattr(SparseMatrix, "to_dense", densify)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="guard"):
-                build_column_sampler(a, 1, 0.5, 0.1, RandomStream(11), SketchConstants(c_s=1.0))
+            sk = build_column_sampler(a, k, eps, eta, RandomStream(11), SketchConstants(c_s=1.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2**22  # a dense n x n array would take 200 MB
+        assert not sk.clipped and not sk.degenerate
+        assert sk.sample_count == sample_count(k, eps, eta, 1.0) < self.n
+        assert np.all(np.isfinite(sk.weights))
+        # about 1.5 (m + n) w doubles measured; a dense n x n array takes 200 MB
+        assert peak < 3 * (a.nrows + a.ncols) * score_width(k, eps, eta) * 8
 
     def test_large_budget_above_guard_is_clipped(self):
         a = self._diagonal(self.n + 1000)  # the last 1000 columns are empty

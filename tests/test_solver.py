@@ -1,7 +1,11 @@
 """Tests for the rank-k pipeline, baseline, generalized losses and oracle."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 from conftest import lowrank_plus_noise, make_gen, random_orthonormal, random_rank_k
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +24,7 @@ from sketchlr import (
     exact_oracle,
     kyfan_pr_norm,
     make_sketch_plan,
+    parse_loss,
     phi_objective,
     relative_error_from,
     schatten_norm,
@@ -287,6 +292,56 @@ class TestSparseSketchedRowspace:
             counts = rep.multiply_add_counts
             assert (counts["s_apply"] == a.nnz) == clipped  # s_apply is nnz(SA)
             assert counts["wsa"] == 3 * counts["s_apply"]
+
+
+def _score_width(k, eps, eta):
+    return math.ceil(SketchConstants().c_lev * (k + eps / eta))
+
+
+class TestSketchedScores:
+    @pytest.mark.parametrize("shape", [(400, 200), (200, 400)])
+    def test_s_scores_counts_the_score_sketch(self, shape):
+        a = generate_synthetic(*shape, 0.1, RandomStream(1))
+        rep = solve_generalized(a, 3, HuberLoss(1.0), 0.5, RandomStream(2))
+        assert not rep.clipped
+        # a full-rank input keeps all w directions of the sketch: r = w
+        width = _score_width(3, 0.5, rep.plan.eta1)
+        assert width < min(shape)
+        assert rep.multiply_add_counts["s_scores"] == 2 * width * a.nnz
+        clipped = solve_schatten(a, 3, 1.0, 0.5, RandomStream(2))
+        assert clipped.clipped and "s_scores" not in clipped.multiply_add_counts
+
+    def test_huber_on_20000_squared_runs_in_sketch_memory(self, monkeypatch):
+        m = n = 20_000
+        gen = make_gen(20_000)
+        flat = gen.choice(m * n, size=200_000, replace=False)
+        a = SparseMatrix(m, n, flat // n, flat % n, gen.uniform(0.5, 1.5, flat.size))
+        shapes = []
+        eigh = scipy.linalg.eigh
+
+        def eigh_spy(x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return eigh(x, *args, **kwargs)
+
+        def densify(*_):
+            raise AssertionError("a 20000^2 solve must not densify")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", eigh_spy)
+        monkeypatch.setattr(SparseMatrix, "to_dense", densify)
+        tracemalloc.start()
+        try:
+            rep = solve_generalized(a, 10, parse_loss("huber:1.0"), 0.5, RandomStream(5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        width = _score_width(10, 0.5, rep.plan.eta1)
+        assert not rep.clipped
+        assert rep.factors.y.shape == (m, 10) and rep.factors.z.shape == (n, 10)
+        np.testing.assert_allclose(rep.factors.z.T @ rep.factors.z, np.eye(10), atol=1e-10)
+        assert shapes and max(max(shape) for shape in shapes) <= width
+        assert rep.multiply_add_counts["s_scores"] == 2 * width * a.nnz
+        # about 1.6 (m + n) w doubles measured; a dense A would take 3.2 GB
+        assert peak < 3 * (m + n) * width * 8
 
 
 class TestRelativeErrorConvention:
