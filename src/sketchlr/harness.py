@@ -267,14 +267,7 @@ def run_experiment(
     if any(k >= min(a.shape) for k in cfg.k_list):
         raise ValueError(f"every k must be below min(shape) = {min(a.shape)}")
 
-    scorer = None
-    if cfg.oracle:
-        try:
-            scorer = OracleScorer(a)
-        except ValueError as exc:
-            raise ValueError(
-                f"{exc}; rerun without the oracle flag to skip exact scoring"
-            ) from exc
+    scorer = OracleScorer(a) if cfg.oracle else None
 
     def score(factors, p: float) -> float | None:
         if scorer is None:

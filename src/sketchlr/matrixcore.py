@@ -29,6 +29,13 @@ class ConvergenceError(RuntimeError):
         self.residual = float(residual)
 
 
+class ScaleLimitError(ValueError):
+    """An exact dense step refused an input above ``DENSE_GUARD``.
+
+    The message names the guard and the sketched alternative to run instead.
+    """
+
+
 class MultiplyAddCounter:
     """Accumulates exact scalar multiply-add counts of sparse-side kernels."""
 

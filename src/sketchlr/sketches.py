@@ -25,6 +25,7 @@ import scipy.sparse as sp
 from .matrixcore import (
     DENSE_GUARD,
     MultiplyAddCounter,
+    ScaleLimitError,
     SparseMatrix,
     _check_dense,
     svd,  # noqa: F401  (stays importable as sketches.svd; perfbench's tests read it)
@@ -196,15 +197,18 @@ def ridge_leverage_scores(a, k: int, ridge_scale: float) -> np.ndarray:
     the tail come from an eigendecomposition of the Gram matrix of the smaller
     side (``A A^T`` or ``A^T A``), formed from the sparse input. Eigenvalues
     below ``d * eps_mach * lambda_max`` count as null, which floors the
-    rounding tail at zero. Refuses, before building any dense array, when the
-    Gram matrix would exceed ``DENSE_GUARD``.
+    rounding tail at zero. Refuses with :class:`~sketchlr.matrixcore.ScaleLimitError`,
+    before building any dense array, when the Gram matrix would exceed
+    ``DENSE_GUARD``.
     """
     m, n = a.shape
     d = min(m, n)
     if d > DENSE_GUARD:
-        raise ValueError(
+        raise ScaleLimitError(
             f"exact leverage scores need a dense {d}x{d} Gram matrix; min dim {d} "
-            f"exceeds the guard {DENSE_GUARD}"
+            f"exceeds the guard DENSE_GUARD={DENSE_GUARD}; use the sketched scores "
+            "(build_column_sampler does when its width c_lev (k + eps/eta) is below "
+            "min(m, n)) or solve in simplified_experiment mode"
         )
     x = a.csr if isinstance(a, SparseMatrix) else _check_dense(a)
     gram = x @ x.T if m <= n else x.T @ x
@@ -317,7 +321,8 @@ def build_column_sampler(
     0.87..1.19, and were equal to rounding when ``rank(A) <= r``. When
     ``w >= min(m, n)`` the sketch would not be narrower than the input, so
     the exact :func:`ridge_leverage_scores` pass through instead and no
-    Gaussian is drawn. The zero matrix gets a uniform sample
+    Gaussian is drawn. Either way a structurally zero column scores exactly
+    0, so it is never drawn or kept. The zero matrix gets a uniform sample
     (``degenerate``).
     """
     if k < 1:
@@ -346,6 +351,8 @@ def build_column_sampler(
             tau = sketched_ridge_leverage_scores(a, k, eta / eps, width, gen, counter)
         else:
             tau = ridge_leverage_scores(a, k, eta / eps)
+        # the exact scores leave rounding (about 1e-30) on an empty column
+        tau[np.isin(np.arange(n), support, invert=True)] = 0.0
         support = np.flatnonzero(tau > 0.0)
     if t >= support.size:
         return SamplingSketch(n, support, np.ones(support.size), seed, clipped=True)

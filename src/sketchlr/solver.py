@@ -11,7 +11,9 @@ The pipeline for ``min_X ||A - X||_p`` over rank-k ``X``:
    (:func:`~sketchlr.matrixcore.top_singular`, by Lanczos when ``SA`` is the
    sparse row sample and T a pass-through) and an orthonormal basis ``Z`` of
    the row space it induces on ``SA``;
-5. recover ``Y`` by sketched Frobenius regression against ``Z``.
+5. recover ``Y`` by sketched Frobenius regression against ``Z``, computed
+   as ``A (R (Z^T R)^+)`` in ``k nnz(A) + n k`` multiply-adds, with no
+   ``m x r_embed`` array ``AR``.
 
 The returned pair never materializes ``Y @ Z.T``. Wide inputs are solved on
 the transpose and the factors swapped back.
@@ -28,6 +30,7 @@ from .matrixcore import (
     RANK_TOL,
     LowRankFactors,
     MultiplyAddCounter,
+    ScaleLimitError,
     SparseMatrix,
     _check_dense,
     complete_basis,
@@ -81,13 +84,17 @@ class SolveReport:
     dense CountSketch); ``s_scores`` is the sparse work of the sketched
     ridge leverage scores behind a sampled ``S``, ``(w + r) nnz(A)`` for the
     score sketch ``A Omega`` and the projection ``U^T A`` (absent when ``S``
-    clipped or the scores were exact). Not counted: the factorizations (the
-    ``w x w`` and ``r x r`` Gram eigendecompositions of the sketched scores
-    or the full one of the exact scores,
+    clipped or the scores were exact). With a regression sketch ``R``,
+    ``zr_apply`` is ``k n`` for ``Z^T R``, ``r_apply`` is ``n k`` for
+    ``R P`` with ``P = (Z^T R)^+``, and ``regression`` is ``k nnz(A)`` for
+    ``Y = A (R P)``, as for the exact ``A Z``. Not counted: the
+    factorizations (the ``w x w`` and ``r x r`` Gram eigendecompositions of
+    the sketched scores or the full one of the exact scores,
     :func:`~sketchlr.matrixcore.top_singular` on the double sketch, whether
-    by Lanczos on a sparse ``SA`` or by a partial dense ``eigh``, and the
-    row-space SVD), the dense products and Gram products that feed them, and
-    the column norms read by the scores.
+    by Lanczos on a sparse ``SA`` or by a partial dense ``eigh``, the
+    row-space SVD, and the ``k x r_embed`` SVD of ``Z^T R`` with the
+    ``r_embed k^2`` product that forms ``P``), the dense products and Gram
+    products that feed them, and the column norms read by the scores.
     ``relative_error`` is only present when the exact oracle was run.
     Pass-throughs are flagged: ``clipped`` when the row sampler ``S`` kept
     every nonzero row, ``t_identity`` when there was no right sketch ``T``
@@ -155,9 +162,10 @@ def _ensure_sparse(a) -> SparseMatrix:
 
 def _dense_guarded(a: SparseMatrix) -> np.ndarray:
     if min(a.shape) > DENSE_GUARD:
-        raise ValueError(
+        raise ScaleLimitError(
             f"dense factorization refused: min dimension {min(a.shape)} exceeds "
-            f"the guard {DENSE_GUARD}"
+            f"the guard DENSE_GUARD={DENSE_GUARD}; run full_pipeline without the "
+            "oracle flag (--oracle), which never densifies the input"
         )
     return a.to_dense()
 
@@ -230,7 +238,12 @@ def solve_regression_sketched(
 ) -> RegressionResult:
     """Minimize ``||(A - Y Z^T) R||_F`` over ``Y`` for a CountSketch ``R``.
 
-    ``Y`` is the least-squares minimizer ``(AR) (Z^T R)^+``; with
+    The minimizer ``(AR) (Z^T R)^+`` equals ``A (R (Z^T R)^+)``, so it is
+    computed in that order and no ``m x r_embed`` array ``AR`` is formed. One
+    thin SVD ``Z^T R = U diag(s) V^T`` of the ``k x r_embed`` sketch gives
+    the pseudo-inverse ``P = V diag(1/s) U^T``; ``R P`` has row
+    ``sign[i] P[bucket[i]]``, ``n k`` multiply-adds counted as ``r_apply``,
+    and ``Y = A (R P)`` costs ``k nnz(A)``, counted as ``regression``. With
     ``r_embed=None`` the sketch is the identity and the exact minimizer
     ``A @ Z`` is returned. Falls back to ``A @ Z`` (flagged) when the sketched
     row space ``Z^T R`` loses rank.
@@ -246,14 +259,18 @@ def solve_regression_sketched(
     if r_embed < k:
         raise ValueError(f"r_embed={r_embed} must be at least k={k}")
     r_op = build_countsketch(a.ncols, r_embed, stream)
-    ar = apply_countsketch_right(a, r_op, _counter(counters, "r_apply"))
     zr = apply_countsketch_right(z.T, r_op, _counter(counters, "zr_apply"))
-    sv = singular_values(zr)
-    if sv.size < k or sv[0] == 0.0 or np.sum(sv > RANK_TOL * sv[0]) < k:
-        yhat = sparse_dense_multiply(a, z, _counter(counters, "regression"))
-        return RegressionResult(yhat=yhat, seed=r_op.seed, fallback_used=True)
-    yhat = np.linalg.lstsq(zr.T, ar.T, rcond=None)[0].T
-    return RegressionResult(yhat=yhat, seed=r_op.seed, fallback_used=False)
+    u, s, vt = np.linalg.svd(zr, full_matrices=False)
+    fallback = bool(s[-1] <= RANK_TOL * s[0])  # s has k values, non-increasing
+    if fallback:
+        rp = z
+    else:
+        pinv = (vt.T / s) @ u.T
+        rp = r_op.sign[:, None] * pinv[r_op.bucket]
+        if counters is not None:
+            counters["r_apply"] = counters.get("r_apply", 0) + rp.size
+    yhat = sparse_dense_multiply(a, rp, _counter(counters, "regression"))
+    return RegressionResult(yhat=yhat, seed=r_op.seed, fallback_used=fallback)
 
 
 class _Stage:

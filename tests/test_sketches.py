@@ -18,6 +18,7 @@ from sketchlr import (
     IdentitySketch,
     MultiplyAddCounter,
     RandomStream,
+    ScaleLimitError,
     SketchConstants,
     SparseMatrix,
     apply_column_sampler,
@@ -359,6 +360,70 @@ class TestRidgeLeverage:
         np.testing.assert_allclose(sk.weights, 1.0 / np.sqrt(t * prob[idx]), rtol=1e-10)
 
 
+class TestEmptyColumnScores:
+    EMPTY = 17
+
+    def _spy(self, monkeypatch):
+        raw = []
+        kernel = sketches.ridge_leverage_scores
+
+        def spy(*args, **kwargs):
+            tau = kernel(*args, **kwargs)
+            raw.append(tau.copy())
+            return tau
+
+        monkeypatch.setattr(sketches, "ridge_leverage_scores", spy)
+        return raw
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("shape", [(71, 70), (70, 71)])
+    def test_exact_scores_give_an_empty_column_zero(self, shape, sparse, monkeypatch):
+        # 71x70 runs the A^T A branch, which leaves about 1e-30 on the empty
+        # column; 70x71 runs the A A^T branch
+        gen = make_gen(sum(shape) + sparse)
+        dense = random_sparse(gen, *shape, density=0.1).to_dense()
+        dense[:, self.EMPTY] = 0.0
+        a = SparseMatrix.from_dense(dense) if sparse else dense
+        raw = self._spy(monkeypatch)
+        k, eps, eta = 3, 0.5, 0.2
+        consts = SketchConstants(c_s=0.3, c_lev=1e3)
+        sk = build_column_sampler(a, k, eps, eta, RandomStream(93), consts)
+        assert len(raw) == 1 and not sk.clipped
+        assert abs(raw[0][self.EMPTY]) <= 1e-20 * raw[0].max()
+        assert self.EMPTY not in sk.indices
+        # the other scores feed the draw unchanged, bit for bit
+        tau = raw[0].copy()
+        tau[self.EMPTY] = 0.0
+        prob = tau / tau.sum()
+        t = sample_count(k, eps, eta, consts.c_s)
+        idx = np.sort(
+            generator_from_seed(sk.seed).choice(shape[1], size=t, replace=False, p=prob)
+        )
+        np.testing.assert_array_equal(sk.indices, idx)
+        np.testing.assert_array_equal(sk.weights, 1.0 / np.sqrt(t * prob[idx]))
+
+    def test_rounding_on_an_empty_column_never_enters_a_clipped_sample(self, monkeypatch):
+        # scores that are 0 on all but t nonzero columns clip the sample to
+        # those t; rounding on the empty column must not add it
+        dense = make_gen(94).standard_normal((50, 40))
+        dense[:, self.EMPTY] = 0.0
+        consts = SketchConstants(c_s=0.3, c_lev=1e3)
+        t = sample_count(3, 0.5, 0.2, consts.c_s)
+        keep = np.arange(20, 20 + t)
+        assert 20 + t <= 40
+
+        def scores(*_):
+            tau = np.zeros(40)
+            tau[keep] = 1.0
+            tau[self.EMPTY] = 7.6e-31
+            return tau
+
+        monkeypatch.setattr(sketches, "ridge_leverage_scores", scores)
+        sk = build_column_sampler(dense, 3, 0.5, 0.2, RandomStream(95), consts)
+        assert sk.clipped
+        np.testing.assert_array_equal(sk.indices, keep)
+
+
 def score_width(k, eps, eta):
     return math.ceil(SketchConstants().c_lev * (k + eps / eta))
 
@@ -571,6 +636,16 @@ class TestDenseGuard:
         assert np.all(np.isfinite(sk.weights))
         # about 1.5 (m + n) w doubles measured; a dense n x n array takes 200 MB
         assert peak < 3 * (a.nrows + a.ncols) * score_width(k, eps, eta) * 8
+
+    def test_exact_scores_above_guard_raise_scale_limit_error(self, monkeypatch):
+        def densify(*_):
+            raise AssertionError("the guard must refuse before densifying")
+
+        monkeypatch.setattr(SparseMatrix, "to_dense", densify)
+        with pytest.raises(ScaleLimitError, match="DENSE_GUARD=5000") as info:
+            ridge_leverage_scores(self._diagonal(self.n), 1, 1.0)
+        assert isinstance(info.value, ValueError)
+        assert "sketched scores" in str(info.value)
 
     def test_large_budget_above_guard_is_clipped(self):
         a = self._diagonal(self.n + 1000)  # the last 1000 columns are empty
