@@ -8,6 +8,9 @@ rank), and writes per-trial and median summary tables.
 """
 
 import csv
+import io
+import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -120,16 +123,59 @@ def generate_synthetic(
     )
 
 
-def _split_tokens(path, text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        yield lineno, line
+# Characters a plain file holds: printable ASCII, tab and newline. str.split
+# and str.splitlines break at some other control and non-ASCII characters
+# where np.loadtxt does not (and np.loadtxt stops at a NUL), so a file with
+# any of them is read by the per-line rules alone.
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n"
+
+
+@dataclass(frozen=True)
+class _Body:
+    """What a format's header says about the triplet lines that follow it."""
+
+    nrows: int
+    ncols: int
+    declared: int  # entries the header promises
+    size_line: int  # the line that declares them; the body starts after it
+    fields: tuple[str, ...]  # tokens of an entry; two mean a pattern entry of value 1
+    comments: bool = False  # lines starting with '%' are skipped
+    symmetric: bool = False  # entries lie on or below the diagonal and are mirrored
+
+
+def _is_plain(text: str) -> bool:
+    return text.isascii() and not text.encode("ascii").translate(None, _PLAIN_BYTES)
+
+
+def _newline_split(text: str):
+    start = 0
+    while (end := text.find("\n", start)) >= 0:
+        yield text[start:end]
+        start = end + 1
+    yield text[start:]
+
+
+def _numbered_lines(text: str, plain: bool):
+    """Stripped non-blank lines, numbered as ``str.splitlines`` numbers them.
+
+    Plain text breaks only at newlines, so it is split lazily: reading the
+    header does not split the body.
+    """
+    raw = _newline_split(text) if plain else text.splitlines()
+    for lineno, line in enumerate(raw, start=1):
+        line = line.strip()
+        if line:
+            yield lineno, line
+
+
+def _past_end(text: str) -> int:
+    # the line a missing header or size line would have been on
+    return len(text.splitlines()) + 1
 
 
 def _parse_matrix_market(path, text: str) -> SparseMatrix:
-    lines = _split_tokens(path, text)
+    plain = _is_plain(text)
+    lines = _numbered_lines(text, plain)
     try:
         lineno, header = next(lines)
     except StopIteration:
@@ -137,96 +183,162 @@ def _parse_matrix_market(path, text: str) -> SparseMatrix:
     tokens = header.lower().split()
     if len(tokens) != 5 or tokens[0] != "%%matrixmarket":
         raise ParseError(path, lineno, "missing %%MatrixMarket header")
-    if tokens[1:3] != ["matrix", "coordinate"] or tokens[4] != "general":
+    if tokens[1:3] != ["matrix", "coordinate"] or tokens[4] not in ("general", "symmetric"):
         raise ParseError(path, lineno, f"unsupported layout {header!r}")
-    if tokens[3] not in ("real", "integer"):
+    if tokens[3] not in ("real", "integer", "pattern"):
         raise ParseError(path, lineno, f"unsupported field type {tokens[3]!r}")
+    fields = ("row", "col") if tokens[3] == "pattern" else ("row", "col", "value")
+    symmetric = tokens[4] == "symmetric"
 
-    dims = None
-    rows, cols, vals = [], [], []
-    declared = 0
     for lineno, line in lines:
         if line.startswith("%"):
             continue
         parts = line.split()
-        if dims is None:
-            if len(parts) != 3:
-                raise ParseError(path, lineno, "expected 'nrows ncols nnz'")
-            try:
-                nrows, ncols, declared = (int(v) for v in parts)
-            except ValueError:
-                raise ParseError(path, lineno, "size line is not integral") from None
-            dims = (nrows, ncols)
-            continue
         if len(parts) != 3:
-            raise ParseError(path, lineno, "expected 'row col value'")
+            raise ParseError(path, lineno, "expected 'nrows ncols nnz'")
         try:
-            i, j = int(parts[0]), int(parts[1])
-            v = float(parts[2])
+            nrows, ncols, declared = (int(v) for v in parts)
         except ValueError:
-            raise ParseError(path, lineno, f"malformed entry {line!r}") from None
-        if not (1 <= i <= dims[0] and 1 <= j <= dims[1]):
-            raise ParseError(path, lineno, f"index ({i}, {j}) out of range")
-        rows.append(i - 1)
-        cols.append(j - 1)
-        vals.append(v)
-    if dims is None:
-        raise ParseError(path, None, "missing size line")
-    if len(rows) != declared:
-        raise ParseError(
-            path, None, f"declared {declared} entries but found {len(rows)}"
-        )
-    try:
-        return SparseMatrix(dims[0], dims[1], rows, cols, vals)
-    except ValueError as exc:
-        raise ParseError(path, None, str(exc)) from exc
+            raise ParseError(path, lineno, "size line is not integral") from None
+        if nrows < 1 or ncols < 1:
+            raise ParseError(path, lineno, f"matrix shape must be positive, got {nrows}x{ncols}")
+        if symmetric and nrows != ncols:
+            raise ParseError(path, lineno, f"symmetric matrix must be square, got {nrows}x{ncols}")
+        body = _Body(nrows, ncols, declared, lineno, fields, True, symmetric)
+        return _parse_triplets(path, text, plain, lines, body)
+    raise ParseError(path, _past_end(text), "missing size line")
 
 
 def _parse_bag_of_words(path, text: str) -> SparseMatrix:
-    lines = _split_tokens(path, text)
+    plain = _is_plain(text)
+    lines = _numbered_lines(text, plain)
     header = []
     for _ in range(3):
         try:
             lineno, line = next(lines)
         except StopIteration:
-            raise ParseError(path, None, "missing header (need D, W, NNZ lines)") from None
+            raise ParseError(
+                path, _past_end(text), "missing header (need D, W, NNZ lines)"
+            ) from None
         try:
             header.append(int(line))
         except ValueError:
             raise ParseError(path, lineno, f"header line is not an integer: {line!r}") from None
+        if len(header) < 3 and header[-1] < 1:
+            raise ParseError(path, lineno, "document and word counts must be positive")
     n_docs, n_words, declared = header
-    if n_docs < 1 or n_words < 1:
-        raise ParseError(path, None, "document and word counts must be positive")
-    rows, cols, vals = [], [], []
-    for lineno, line in lines:
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(path, lineno, "expected 'docID wordID count'")
-        try:
-            d, w = int(parts[0]), int(parts[1])
-            c = float(parts[2])
-        except ValueError:
-            raise ParseError(path, lineno, f"malformed entry {line!r}") from None
-        if not (1 <= d <= n_docs and 1 <= w <= n_words):
-            raise ParseError(path, lineno, f"index ({d}, {w}) out of range")
-        rows.append(d - 1)
-        cols.append(w - 1)
-        vals.append(c)
-    if len(rows) != declared:
-        raise ParseError(
-            path, None, f"declared {declared} entries but found {len(rows)}"
-        )
-    try:
-        mat = SparseMatrix(n_docs, n_words, rows, cols, vals)
-    except ValueError as exc:
-        raise ParseError(path, None, str(exc)) from exc
+    body = _Body(n_docs, n_words, declared, lineno, ("docID", "wordID", "count"))
+    mat = _parse_triplets(path, text, plain, lines, body)
     # keep the taller orientation so downstream solves see m >= n
     return mat.transpose() if n_docs < n_words else mat
 
 
+def _parse_triplets(path, text: str, plain: bool, lines, body: _Body) -> SparseMatrix:
+    """The entries after a header, as a :class:`SparseMatrix`.
+
+    A plain body is read by one ``np.loadtxt`` call and checked with whole
+    array operations. Where that call raises or a check fails, the per-line
+    pass reads the body instead, by the same rules, and names the line at
+    fault. ``lines`` continues just after the size line.
+    """
+    if plain:
+        rest = text.split("\n", body.size_line)
+        mat = _parse_whole_body(rest[-1] if len(rest) > body.size_line else "", body)
+        if mat is not None:
+            return mat
+    return _parse_per_line(path, lines, body)
+
+
+def _parse_whole_body(text: str, body: _Body) -> SparseMatrix | None:
+    """The matrix of a plain body, or None when only the per-line pass can tell."""
+    if not text or text.isspace():  # np.loadtxt warns on input without rows
+        return None
+    dtype = np.dtype(list(zip(body.fields, (np.int64, np.int64, np.float64))))
+    try:
+        entries = np.loadtxt(io.StringIO(text), dtype=dtype, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    rows, cols = entries[body.fields[0]], entries[body.fields[1]]
+    if (
+        entries.size != body.declared
+        or rows.min() < 1
+        or rows.max() > body.nrows
+        or cols.min() < 1
+        or cols.max() > body.ncols
+        or (body.symmetric and np.any(cols > rows))
+    ):
+        return None
+    vals = entries[body.fields[2]] if len(body.fields) == 3 else np.ones(entries.size)
+    try:
+        return _assemble(body, rows - 1, cols - 1, vals)
+    except (ValueError, OverflowError):
+        return None
+
+
+def _parse_per_line(path, lines, body: _Body) -> SparseMatrix:
+    """The body read one line at a time; raises at the first line at fault."""
+    pattern = len(body.fields) == 2
+    rows, cols, vals = [], [], []
+    seen = set()
+    for lineno, line in lines:
+        if body.comments and line.startswith("%"):
+            continue
+        parts = line.split()
+        if len(parts) != len(body.fields):
+            raise ParseError(path, lineno, f"expected '{' '.join(body.fields)}'")
+        try:
+            i, j = int(parts[0]), int(parts[1])
+            v = 1.0 if pattern else float(parts[2])
+        except ValueError:
+            raise ParseError(path, lineno, f"malformed entry {line!r}") from None
+        if not (1 <= i <= body.nrows and 1 <= j <= body.ncols):
+            raise ParseError(path, lineno, f"index ({i}, {j}) out of range")
+        if body.symmetric and j > i:
+            raise ParseError(path, lineno, f"entry ({i}, {j}) lies above the diagonal")
+        if not math.isfinite(v):
+            raise ParseError(path, lineno, "non-finite value in sparse matrix")
+        if v == 0.0:
+            raise ParseError(path, lineno, "explicitly stored zero in sparse matrix")
+        if (i, j) in seen:
+            raise ParseError(path, lineno, f"duplicate coordinate ({i - 1}, {j - 1})")
+        seen.add((i, j))
+        rows.append(i - 1)
+        cols.append(j - 1)
+        vals.append(v)
+    if len(rows) != body.declared:
+        raise ParseError(
+            path, body.size_line, f"declared {body.declared} entries but found {len(rows)}"
+        )
+    try:
+        return _assemble(
+            body,
+            np.asarray(rows, dtype=np.int64),
+            np.asarray(cols, dtype=np.int64),
+            np.asarray(vals, dtype=np.float64),
+        )
+    except (ValueError, OverflowError) as exc:
+        raise ParseError(path, body.size_line, str(exc)) from exc
+
+
+def _assemble(body: _Body, rows, cols, vals) -> SparseMatrix:
+    """Zero-based stored entries as a matrix, mirrored when symmetric."""
+    if body.symmetric:
+        off = rows != cols
+        rows, cols, vals = (
+            np.concatenate([rows, cols[off]]),
+            np.concatenate([cols, rows[off]]),
+            np.concatenate([vals, vals[off]]),
+        )
+    return SparseMatrix(body.nrows, body.ncols, rows, cols, vals)
+
+
 def load_matrix(path, fmt: str = "matrix_market") -> SparseMatrix:
-    """Read a sparse matrix from Matrix Market coordinate text or the UCI
-    bag-of-words triplet layout (transposed to m >= n when needed)."""
+    """Read a sparse matrix from Matrix Market coordinate text (``general``
+    or ``symmetric``; ``real``, ``integer`` or ``pattern``) or the UCI
+    bag-of-words triplet layout (transposed to m >= n when needed).
+
+    Malformed input raises :class:`ParseError` naming the line at fault.
+    """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
     with open(path, "r", encoding="utf-8") as fh:
@@ -239,11 +351,11 @@ def load_matrix(path, fmt: str = "matrix_market") -> SparseMatrix:
 def write_matrix_market(path, mat: SparseMatrix) -> None:
     """Write coordinate-format Matrix Market text (full float precision)."""
     rows, cols, vals = mat.triplets()
+    entries = zip((rows + 1).tolist(), (cols + 1).tolist(), vals.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("%%MatrixMarket matrix coordinate real general\n")
         fh.write(f"{mat.nrows} {mat.ncols} {mat.nnz}\n")
-        for i, j, v in zip(rows, cols, vals):
-            fh.write(f"{i + 1} {j + 1} {v:.17g}\n")
+        fh.write("%d %d %.17g\n" * mat.nnz % tuple(itertools.chain.from_iterable(entries)))
 
 
 def _load_source(cfg: ExperimentConfig, matrix_stream: RandomStream) -> SparseMatrix:

@@ -77,12 +77,17 @@ class SparseMatrix:
                 raise ValueError("non-finite value in sparse matrix")
             if np.any(values == 0.0):
                 raise ValueError("explicitly stored zero in sparse matrix")
-            order = np.lexsort((cols, rows))
-            rs, cs = rows[order], cols[order]
-            dup = (rs[1:] == rs[:-1]) & (cs[1:] == cs[:-1])
-            if np.any(dup):
-                i = int(np.argmax(dup))
-                raise ValueError(f"duplicate coordinate ({rs[i + 1]}, {cs[i + 1]})")
+            # row-major input (files, np.nonzero) is strictly increasing in
+            # (row, col) and so has no duplicates; compared by differences,
+            # which cannot overflow the way row * ncols + col can
+            dr = np.diff(rows)
+            if not np.all((dr > 0) | ((dr == 0) & (np.diff(cols) > 0))):
+                order = np.lexsort((cols, rows))
+                rs, cs = rows[order], cols[order]
+                dup = (rs[1:] == rs[:-1]) & (cs[1:] == cs[:-1])
+                if np.any(dup):
+                    i = int(np.argmax(dup))
+                    raise ValueError(f"duplicate coordinate ({rs[i + 1]}, {cs[i + 1]})")
         self.nrows = nrows
         self.ncols = ncols
         csr = sp.csr_array((values, (rows, cols)), shape=(nrows, ncols))

@@ -19,8 +19,10 @@ The returned pair never materializes ``Y @ Z.T``. Wide inputs are solved on
 the transpose and the factors swapped back.
 """
 
+import functools
 import math
 import time
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -479,6 +481,13 @@ def solve_frobenius_baseline(
     return report
 
 
+@functools.lru_cache(maxsize=32)
+def _default_grid_conditions(loss: ScalarLoss, eps: float) -> ConditionReport:
+    # the grid estimate depends on nothing but the loss and eps, and costs
+    # more than a solve's own regression, so solves of one loss share it
+    return check_phi_conditions(loss, eps)
+
+
 def solve_generalized(
     a,
     k: int,
@@ -497,6 +506,10 @@ def solve_generalized(
     checks (growth, perturbation, scaling, subadditivity); otherwise the
     solve refuses and names the violated condition. The additive split is
     ``eta1 = c3 (eps/r)^{1/alpha}`` and the output is ``(A Z, Z)`` directly.
+
+    On the default condition grid the regularity report of a hashable loss
+    is computed once per ``(loss, eps)`` and shared by later solves, so a
+    loss must not change once it has been solved with.
     """
     a = _ensure_sparse(a)
     if isinstance(loss, LossSpec):
@@ -516,7 +529,10 @@ def solve_generalized(
         warnings.append(f"eps={eps:g} clamped to 0.5")
         eps = 0.5
 
-    cond = check_phi_conditions(scalar, eps, grid=condition_grid)
+    if condition_grid is None and isinstance(scalar, Hashable):
+        cond = _default_grid_conditions(scalar, float(eps))
+    else:
+        cond = check_phi_conditions(scalar, eps, grid=condition_grid)
     if not cond.finite:
         raise ValueError(
             f"{scalar.describe()} fails loss condition(s): "

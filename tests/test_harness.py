@@ -1,10 +1,14 @@
 """Tests for synthetic generation, file ingestion, trial runs and CSV I/O."""
 
+import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import make_gen, random_rank_k, random_sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sketchlr.harness as harness
 import sketchlr.matrixcore as matrixcore
@@ -166,6 +170,305 @@ class TestLoadBagOfWords:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="format"):
             load_matrix(DATA / "tiny.mtx", "hdf5")
+
+
+MM_HEADER = "%%MatrixMarket matrix coordinate real general\n"
+
+
+class TestParseErrorLines:
+    """Every parse error names ``file:LINE``, also those the whole-array
+    checks find, which the per-line pass then places."""
+
+    @pytest.mark.parametrize(
+        "text, fmt, line, message",
+        [
+            (
+                MM_HEADER + "% note\n3 3 3\n1 2 1.0\n2 2 1.0\n\n1 2 5.0\n",
+                "matrix_market",
+                7,
+                r"duplicate coordinate \(0, 1\)",
+            ),
+            (MM_HEADER + "3 3 2\n1 1 1.0\n3 2 0.0\n", "matrix_market", 4, "explicitly stored zero"),
+            (MM_HEADER + "3 3 2\n1 1 1.0\n3 2 -inf\n", "matrix_market", 4, "non-finite value"),
+            (MM_HEADER + "3 3 2\n1 1 nan\n3 2 1.0\n", "matrix_market", 3, "non-finite value"),
+            (MM_HEADER + "% note\n3 3 4\n1 1 1.0\n3 2 1.0\n", "matrix_market", 3, "declared 4 entries but found 2"),
+            (MM_HEADER + "0 3 0\n", "matrix_market", 2, "shape must be positive"),
+            ("2\n3\n3\n1 1 1\n2 3 1\n", "bag_of_words_triplets", 3, "declared 3 entries but found 2"),
+            ("2\n3\n2\n1 1 1\n1 1 4\n", "bag_of_words_triplets", 5, "duplicate coordinate"),
+            ("2\n0\n1\n1 1 1\n", "bag_of_words_triplets", 2, "counts must be positive"),
+            ("2\n3\n", "bag_of_words_triplets", 3, "missing header"),
+            (MM_HEADER + "% no size line\n", "matrix_market", 3, "missing size line"),
+        ],
+    )
+    def test_message_names_its_line(self, tmp_path, text, fmt, line, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=rf"bad\.txt:{line}: .*{message}") as info:
+            load_matrix(path, fmt)
+        assert info.value.line == line
+
+    def test_control_character_splits_lines_as_the_per_line_rules_do(self, tmp_path):
+        # str.splitlines breaks at a form feed, where np.loadtxt sees a space
+        path = tmp_path / "ff.mtx"
+        path.write_text(MM_HEADER + "2 2 1\n1 1\x0c2.0\n")
+        with pytest.raises(ParseError, match=r"ff\.mtx:3: expected 'row col value'"):
+            load_matrix(path)
+
+
+class TestMatrixMarketHeaders:
+    def _load(self, tmp_path, text):
+        path = tmp_path / "m.mtx"
+        path.write_text(text)
+        return load_matrix(path)
+
+    @pytest.mark.parametrize(
+        "text, dense",
+        [
+            (
+                "%%MatrixMarket matrix coordinate pattern general\n3 2 3\n1 1\n2 2\n3 1\n",
+                [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]],
+            ),
+            (
+                "%%MatrixMarket matrix coordinate real symmetric\n"
+                "3 3 4\n1 1 2.0\n2 1 -1.5\n3 2 4.0\n3 3 1.0\n",
+                [[2.0, -1.5, 0.0], [-1.5, 0.0, 4.0], [0.0, 4.0, 1.0]],
+            ),
+            (
+                "%%MatrixMarket matrix coordinate integer symmetric\n3 3 2\n3 1 7\n2 2 -3\n",
+                [[0.0, 0.0, 7.0], [0.0, -3.0, 0.0], [7.0, 0.0, 0.0]],
+            ),
+            (
+                "%%MatrixMarket Matrix Coordinate Pattern Symmetric\n"
+                "% comment\n3 3 3\n2 1\n3 3\n3 2\n",
+                [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]],
+            ),
+        ],
+        ids=["pattern", "real-symmetric", "integer-symmetric", "pattern-symmetric"],
+    )
+    def test_against_dense(self, tmp_path, text, dense):
+        np.testing.assert_array_equal(self._load(tmp_path, text).to_dense(), dense)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n1 1 1.0\n1 3 2.0\n",
+                r"m\.mtx:4: entry \(1, 3\) lies above the diagonal",
+            ),
+            (
+                # the declared count is of stored entries, not of mirrored ones
+                "%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n1 1 1.0\n2 1 2.0\n",
+                r"m\.mtx:2: declared 3 entries but found 2",
+            ),
+            (
+                "%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n1 1 1.0\n",
+                r"m\.mtx:2: symmetric matrix must be square",
+            ),
+            (
+                "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 1 1.0\n",
+                r"m\.mtx:3: expected 'row col'",
+            ),
+            (
+                "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1\n",
+                r"m\.mtx:3: expected 'row col value'",
+            ),
+        ],
+    )
+    def test_rejected_with_line(self, tmp_path, text, message):
+        with pytest.raises(ParseError, match=message):
+            self._load(tmp_path, text)
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("matrix coordinate real skew-symmetric", "unsupported layout"),
+            ("matrix coordinate complex hermitian", "unsupported layout"),
+            ("matrix coordinate complex general", "unsupported field type"),
+            ("matrix array real general", "unsupported layout"),
+        ],
+    )
+    def test_unsupported_headers(self, tmp_path, header, message):
+        with pytest.raises(ParseError, match=rf"m\.mtx:1: {message}"):
+            self._load(tmp_path, f"%%MatrixMarket {header}\n2 2 1\n1 1 1.0\n")
+
+
+def _per_line_rules(text: str, fmt: str):
+    """Reference reader: applies the ingest rules one line at a time and
+    returns ``(line, None)`` at the first line they reject, else
+    ``(None, matrix)``. General real/integer Matrix Market and bag-of-words
+    only."""
+    raw = text.splitlines()
+    lines = iter([(n, s.strip()) for n, s in enumerate(raw, 1) if s.strip()])
+    past_end = len(raw) + 1
+    if fmt == "matrix_market":
+        first = next(lines, None)
+        if first is None:
+            return 1, None
+        t = first[1].lower().split()
+        if len(t) != 5 or t[:3] != ["%%matrixmarket", "matrix", "coordinate"]:
+            return first[0], None
+        if t[3] not in ("real", "integer") or t[4] != "general":
+            return first[0], None
+        size = next(((n, s) for n, s in lines if not s.startswith("%")), None)
+        if size is None:
+            return past_end, None
+        try:
+            m, n, declared = (int(v) for v in size[1].split())
+        except ValueError:
+            return size[0], None
+        if m < 1 or n < 1:
+            return size[0], None
+        count_line, comments = size[0], True
+    else:
+        head = []
+        for _ in range(3):
+            nxt = next(lines, None)
+            if nxt is None:
+                return past_end, None
+            try:
+                head.append(int(nxt[1]))
+            except ValueError:
+                return nxt[0], None
+            if len(head) < 3 and head[-1] < 1:
+                return nxt[0], None
+        (m, n, declared), count_line, comments = head, nxt[0], False
+    entries = {}
+    for lineno, line in lines:
+        if comments and line.startswith("%"):
+            continue
+        parts = line.split()
+        try:
+            i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
+        except (ValueError, IndexError):
+            return lineno, None
+        if (
+            len(parts) != 3
+            or not (1 <= i <= m and 1 <= j <= n)
+            or not math.isfinite(v)
+            or v == 0.0
+            or (i, j) in entries
+        ):
+            return lineno, None
+        entries[(i, j)] = v
+    if len(entries) != declared:
+        return count_line, None
+    rows, cols = (np.array([c[k] - 1 for c in entries], dtype=np.int64) for k in (0, 1))
+    try:
+        mat = SparseMatrix(m, n, rows, cols, np.array(list(entries.values())))
+    except OverflowError:  # a dimension past int64 fails the matrix as a whole
+        return count_line, None
+    return None, mat.transpose() if fmt != "matrix_market" and m < n else mat
+
+
+def _old_writer_text(mat: SparseMatrix) -> str:
+    # the per-entry f-string writer that write_matrix_market replaced
+    rows, cols, vals = mat.triplets()
+    out = ["%%MatrixMarket matrix coordinate real general\n", f"{mat.nrows} {mat.ncols} {mat.nnz}\n"]
+    out += [f"{i + 1} {j + 1} {v:.17g}\n" for i, j, v in zip(rows, cols, vals)]
+    return "".join(out)
+
+
+def _same_csr(a: SparseMatrix, b: SparseMatrix) -> bool:
+    x, y = a.csr, b.csr
+    return a.shape == b.shape and all(
+        u.dtype == v.dtype and u.tobytes() == v.tobytes()
+        for u, v in ((x.data, y.data), (x.indices, y.indices), (x.indptr, y.indptr))
+    )
+
+
+EXTREME = st.sampled_from(
+    [5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.7976931348623157e308, -8.98e307]
+)
+VALUES = st.one_of(
+    EXTREME, st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: v != 0.0)
+)
+MM_BASE = MM_HEADER + "4 3 5\n1 1 2.5\n1 3 -1e-3\n2 2 7\n3 1 4.9e-324\n4 3 1.7976931348623157e308\n"
+BOW_BASE = (DATA / "tiny_bow.txt").read_text()
+TOKENS = [
+    "", "0", "-1", "1", "2", "3", "4", "+2", "007", "99", "1.0", "-2.5", "1_0", "nan", "inf",
+    "1e400", "1e-400", "%", "%x", "abc", "0x1", "1 1", "2\t3", "-0", "9" * 20, "٣",
+]
+CHARS = list("\x00\t\n\x0b\x0c\r\x1c\x1f %0123456789.-+e_xnaif#") + ["\x85", " ", "\xa0"]
+
+
+class TestIngestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 9),
+        n=st.integers(1, 9),
+        cells=st.lists(st.tuples(st.integers(0, 80), VALUES), max_size=40),
+    )
+    def test_write_then_load_is_bit_identical(self, tmp_path_factory, m, n, cells):
+        coords = {(c // 9 % m, c % 9 % n): v for c, v in cells}
+        mat = SparseMatrix(
+            m, n, [r for r, _ in coords], [c for _, c in coords], list(coords.values())
+        )
+        path = tmp_path_factory.mktemp("rt") / "a.mtx"
+        write_matrix_market(path, mat)
+        assert path.read_bytes() == _old_writer_text(mat).encode()
+        assert _same_csr(load_matrix(path), mat)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        fmt=st.sampled_from(["matrix_market", "bag_of_words_triplets"]),
+        kind=st.sampled_from(["token", "replace", "insert", "delete"]),
+        where=st.integers(0, 10**6),
+        token=st.sampled_from(TOKENS),
+        char=st.sampled_from(CHARS),
+    )
+    def test_mutated_file_follows_the_per_line_rules(
+        self, tmp_path_factory, fmt, kind, where, token, char
+    ):
+        base = MM_BASE if fmt == "matrix_market" else BOW_BASE
+        if kind == "token":
+            pieces = re.split(r"(\s+)", base)
+            words = [k for k, p in enumerate(pieces) if p and not p.isspace()]
+            pieces[words[where % len(words)]] = token
+            text = "".join(pieces)
+        else:
+            at = where % len(base)
+            tail = base[at + 1 :] if kind != "insert" else base[at:]
+            text = base[:at] + ("" if kind == "delete" else char) + tail
+        path = tmp_path_factory.mktemp("mut") / "m.txt"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        with open(path, encoding="utf-8") as fh:
+            line, want = _per_line_rules(fh.read(), fmt)
+        if line is None:
+            assert _same_csr(load_matrix(path, fmt), want)
+        else:
+            with pytest.raises(ParseError) as info:
+                load_matrix(path, fmt)
+            assert info.value.line == line
+
+
+class TestWholeBodyParse:
+    def test_successful_loads_run_no_per_line_pass(self, tmp_path, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("per-line pass ran on a valid file")
+
+        path = tmp_path / "a.mtx"
+        write_matrix_market(path, random_sparse(make_gen(41), 60, 45, density=0.2))
+        sym = tmp_path / "s.mtx"
+        sym.write_text("%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n2 1\n3 3\n")
+        monkeypatch.setattr(harness, "_parse_per_line", forbidden)
+        for p, fmt in [
+            (DATA / "tiny.mtx", "matrix_market"),
+            (DATA / "tiny_bow.txt", "bag_of_words_triplets"),
+            (path, "matrix_market"),
+            (sym, "matrix_market"),
+        ]:
+            load_matrix(p, fmt)
+
+    @pytest.mark.parametrize(
+        "body",
+        ["1 1 1_0\n2 1 -2.5\n", "1 1 10\n% a comment among the entries\n2 1 -2.5\n"],
+        ids=["underscore", "comment"],
+    )
+    def test_what_loadtxt_refuses_still_loads(self, tmp_path, body):
+        path = tmp_path / "slow.mtx"
+        path.write_text(MM_HEADER + "2 2 2\n" + body)
+        np.testing.assert_array_equal(load_matrix(path).to_dense(), [[10.0, 0.0], [-2.5, 0.0]])
 
 
 class TestRunExperiment:

@@ -89,6 +89,18 @@ class TestSparseMatrix:
         with pytest.raises(ValueError, match="duplicate"):
             SparseMatrix(3, 3, [1, 1], [2, 2], [1.0, 2.0])
 
+    def test_unordered_input_reports_the_smallest_duplicate(self):
+        with pytest.raises(ValueError, match=r"duplicate coordinate \(1, 0\)"):
+            SparseMatrix(5, 5, [3, 1, 0, 3, 1], [2, 0, 4, 2, 0], [1.0, 2.0, 3.0, 4.0, 5.0])
+
+    def test_ordered_and_shuffled_input_build_the_same_storage(self):
+        a = random_sparse(make_gen(7), 30, 20)
+        rows, cols, vals = a.triplets()
+        perm = make_gen(8).permutation(a.nnz)
+        b = SparseMatrix(30, 20, rows[perm], cols[perm], vals[perm])
+        for x, y in ((a.csr.data, b.csr.data), (a.csr.indices, b.csr.indices), (a.csr.indptr, b.csr.indptr)):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
     def test_rejects_explicit_zero_and_nonfinite(self):
         with pytest.raises(ValueError, match="zero"):
             SparseMatrix(2, 2, [0], [0], [0.0])

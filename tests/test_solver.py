@@ -718,6 +718,24 @@ class TestSolveGeneralized:
         resid = dense - rep.factors.y @ rep.factors.z.T
         assert phi_objective(singular_values(resid), HuberLoss(1.0)) <= 1e-9
 
+    def test_condition_report_computed_once_per_loss_and_eps(self, monkeypatch):
+        real = solver.check_phi_conditions
+        calls = []
+
+        def spy(loss, eps, grid=None):
+            calls.append((loss, eps, grid is None))
+            return real(loss, eps, grid=grid)
+
+        monkeypatch.setattr(solver, "check_phi_conditions", spy)
+        solver._default_grid_conditions.cache_clear()
+        a = SparseMatrix.from_dense(random_rank_k(make_gen(100), 20, 15, 2))
+        first = solve_generalized(a, 2, HuberLoss(1.0), 0.9, RandomStream(3))  # eps clamped
+        second = solve_generalized(a, 2, HuberLoss(1.0), 0.5, RandomStream(5))
+        assert calls == [(HuberLoss(1.0), 0.5, True)]
+        assert second.condition_report == first.condition_report == real(HuberLoss(1.0), 0.5)
+        solve_generalized(a, 2, HuberLoss(1.0), 0.5, RandomStream(5), condition_grid=[1.0, 2.0])
+        assert len(calls) == 2
+
     def test_refuses_divergent_loss(self):
         class ExpLoss(ScalarLoss):
             name = "exp"
