@@ -5,7 +5,8 @@ evaluated on spectra, not matrices, so callers decide how the spectrum is
 computed (exactly or from a sketch).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -220,7 +221,14 @@ class ConditionReport:
     k1: float
     k2: float
     l_eps: float
-    grid: np.ndarray = field(repr=False)
+    grid: np.ndarray = field(repr=False, compare=False)
+
+    def __eq__(self, other):
+        # the generated == would compare the grids elementwise, with no truth value
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        numbers = attrgetter(*(f.name for f in fields(self) if f.compare))
+        return numbers(self) == numbers(other) and np.array_equal(self.grid, other.grid)
 
     @property
     def k(self) -> float:

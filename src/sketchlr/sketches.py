@@ -141,6 +141,18 @@ def _operand_nnz(a) -> int:
     return a.nnz if isinstance(a, SparseMatrix) else int(np.asarray(a).size)
 
 
+def _scatter(x: sp.csr_array, out_row, out_col, weight, shape) -> np.ndarray:
+    """Dense sum of ``weight * x.data`` at ``(out_row[row], out_col)`` per stored entry.
+
+    ``weight`` is overwritten. Entries add in storage order, bit for bit as a scipy product does.
+    """
+    index = np.repeat(out_row * shape[1], np.diff(x.indptr))
+    index += out_col
+    weight *= x.data
+    flat = np.bincount(index, weights=weight, minlength=shape[0] * shape[1])
+    return flat.reshape(shape).astype(np.float64, copy=False)  # no entries: bincount gives ints
+
+
 def apply_countsketch_right(
     a, op, counter: MultiplyAddCounter | None = None
 ) -> np.ndarray:
@@ -156,11 +168,11 @@ def apply_countsketch_right(
         )
     if counter is not None:
         counter.add(_operand_nnz(a))
-    r = op.matrix()
     if isinstance(a, SparseMatrix):
-        return (a.csr @ r).toarray()
+        x, cols, shape = a.csr, a.csr.indices, (a.nrows, op.sketch_dim)
+        return _scatter(x, np.arange(a.nrows), op.bucket[cols], op.sign[cols], shape)
     a = np.asarray(a, dtype=np.float64)
-    return (r.T @ a.T).T
+    return (op.matrix().T @ a.T).T
 
 
 def apply_countsketch_left(
@@ -178,10 +190,10 @@ def apply_countsketch_left(
         )
     if counter is not None:
         counter.add(_operand_nnz(a))
-    rt = op.matrix().T
     if isinstance(a, SparseMatrix):
-        return (rt @ a.csr).toarray()
-    return rt @ np.asarray(a, dtype=np.float64)
+        x, shape = a.csr, (op.sketch_dim, a.ncols)
+        return _scatter(x, op.bucket, x.indices, np.repeat(op.sign, np.diff(x.indptr)), shape)
+    return op.matrix().T @ np.asarray(a, dtype=np.float64)
 
 
 def sample_count(k: int, eps: float, eta: float, c_s: float) -> int:

@@ -7,10 +7,11 @@ The pipeline for ``min_X ||A - X||_p`` over rank-k ``X``:
 2. left-sketch ``A`` with a row sampler ``S`` whose Gram sandwich carries the
    eta1 additive term (a CountSketch of ``k^2`` rows in simplified mode);
 3. right-sketch ``SA`` with a subspace embedding ``T``;
-4. take the top-k left singular block of ``SAT``
+4. take the top-k singular triplets of ``SAT``
    (:func:`~sketchlr.matrixcore.top_singular`, by Lanczos when ``SA`` is the
-   sparse row sample and T a pass-through) and an orthonormal basis ``Z`` of
-   the row space it induces on ``SA``;
+   sparse row sample and T a pass-through). ``Z`` is an orthonormal basis of
+   the row space their left block induces on ``SA``: with T a pass-through
+   that is their right block V itself, with no further factorization;
 5. recover ``Y`` by sketched Frobenius regression against ``Z``, computed
    as ``A (R (Z^T R)^+)`` in ``k nnz(A) + n k`` multiply-adds, with no
    ``m x r_embed`` array ``AR``.
@@ -80,13 +81,15 @@ class SolveReport:
     """Factors plus the bookkeeping needed to audit one solve.
 
     ``multiply_add_counts`` holds exact per-stage counts for the sketch
-    applications and explicit factor products; ``wsa`` is the width of W
-    (``k``, or the smaller side of a thinner double sketch) times the stored
-    entries of ``SA`` (``k nnz(SA)`` for a sparse row sample, ``k s n`` for a
-    dense CountSketch); ``s_scores`` is the sparse work of the sketched
-    ridge leverage scores behind a sampled ``S``, ``(w + r) nnz(A)`` for the
-    score sketch ``A Omega`` and the projection ``U^T A`` (absent when ``S``
-    clipped or the scores were exact). With a regression sketch ``R``,
+    applications and explicit factor products; ``wsa`` is ``W^T SA``, the
+    width of W (``k``, or the smaller side of a thinner double sketch) times
+    the stored entries of ``SA`` (``k nnz(SA)`` for a sparse row sample,
+    ``k s n`` for a dense CountSketch); with T a pass-through it is the
+    ``U^T SA`` that ``top_singular`` forms or checks. ``s_scores`` is the
+    sparse work of the sketched ridge leverage scores behind a sampled
+    ``S``, ``(w + r) nnz(A)`` for the score sketch ``A Omega`` and the
+    projection ``U^T A`` (absent when ``S`` clipped or the scores were
+    exact). With a regression sketch ``R``,
     ``zr_apply`` is ``k n`` for ``Z^T R``, ``r_apply`` is ``n k`` for
     ``R P`` with ``P = (Z^T R)^+``, and ``regression`` is ``k nnz(A)`` for
     ``Y = A (R P)``, as for the exact ``A Z``. Not counted: the
@@ -94,10 +97,12 @@ class SolveReport:
     the sketched scores or the full one of the exact scores,
     :func:`~sketchlr.matrixcore.top_singular` on the double sketch, whether
     by Lanczos on a sparse ``SA`` or by a partial dense ``eigh``, the
-    row-space SVD, and the ``k x r_embed`` SVD of ``Z^T R`` with the
-    ``r_embed k^2`` product that forms ``P``), the dense products and Gram
-    products that feed them, and the column norms read by the scores.
-    ``relative_error`` is only present when the exact oracle was run.
+    row-space SVD behind a real T, and the ``k x r_embed`` SVD of ``Z^T R``
+    with the ``r_embed k^2`` product that forms ``P``), the dense products
+    and Gram products that feed them, and the column norms read by the
+    scores.
+    ``elapsed`` times the stages; ``rowspace`` is present only with a real
+    T. ``relative_error`` is only present when the exact oracle was run.
     Pass-throughs are flagged: ``clipped`` when the row sampler ``S`` kept
     every nonzero row, ``t_identity`` when there was no right sketch ``T``
     (simplified mode, or a width reaching the column count), and
@@ -322,11 +327,7 @@ def _sketched_rowspace(
     ``SA`` is a :class:`SparseMatrix` from the row sampler and a dense array
     from the simplified-mode CountSketch; every stage below takes either.
     """
-    counters, elapsed, seeds = (
-        report.multiply_add_counts,
-        report.elapsed,
-        report.seeds,
-    )
+    counters, elapsed, seeds = report.multiply_add_counts, report.elapsed, report.seeds
     with _Stage(elapsed, "s_apply"):
         if plan.mode == "simplified_experiment":
             s_op = build_countsketch(work.nrows, plan.s_rows, stream)
@@ -352,17 +353,16 @@ def _sketched_rowspace(
             sat = apply_countsketch_right(sa, t_op, _counter(counters, "t_apply"))
     with _Stage(elapsed, "svd_sat"):
         # a clipped sample of a matrix with fewer than k nonzero rows is thin
-        w_top = top_singular(sat, min(k, *sat.shape)).u
+        top = top_singular(sat, min(k, *sat.shape))
+    # W^T SA, k per stored entry of SA; with T the identity it is the
+    # U^T SA = diag(sigma) V^T that top_singular forms or checks, so Z is V
+    sparse = isinstance(sa, SparseMatrix)
+    counters["wsa"] = counters.get("wsa", 0) + top.u.shape[1] * (sa.nnz if sparse else sa.size)
+    if report.t_identity:  # cut at the rank orthonormal_rowspace would keep
+        return complete_basis(top.v[:, : int(np.sum(top.sigma > RANK_TOL * top.sigma[0]))], k)
     with _Stage(elapsed, "rowspace"):
-        if isinstance(sa, SparseMatrix):
-            wsa = dense_sparse_multiply(w_top.T, sa, _counter(counters, "wsa"))
-        else:
-            wsa = w_top.T @ sa
-            counters["wsa"] = counters.get("wsa", 0) + w_top.shape[1] * sa.size
-        z = orthonormal_rowspace(wsa)
-        if z.shape[1] < k:
-            z = complete_basis(z, k)
-    return z
+        wsa = dense_sparse_multiply(top.u.T, sa) if sparse else top.u.T @ sa
+        return complete_basis(orthonormal_rowspace(wsa), k)
 
 
 def _swap_transposed(factors: LowRankFactors) -> LowRankFactors:

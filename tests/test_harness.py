@@ -535,6 +535,7 @@ class TestRunExperiment:
         write_matrix_market(path, a)
         dense = a.to_dense()
         real_scorer, real_svd = harness.OracleScorer, matrixcore.svd
+        real_top = solver.top_singular
 
         built = []
 
@@ -545,11 +546,15 @@ class TestRunExperiment:
         def forbidden(*args, **kwargs):
             raise AssertionError("exact_oracle called during an oracle run")
 
-        svd_shapes = []
+        svd_shapes, factored = [], []
 
         def svd_spy(x):
             svd_shapes.append(np.shape(x))
             return real_svd(x)
+
+        def top_spy(x, k):
+            factored.append(np.shape(x))
+            return real_top(x, k)
 
         reports = []
 
@@ -564,6 +569,7 @@ class TestRunExperiment:
         monkeypatch.setattr(solver, "exact_oracle", forbidden)
         for module in (matrixcore, sketches, solver):
             monkeypatch.setattr(module, "svd", svd_spy)
+        monkeypatch.setattr(solver, "top_singular", top_spy)
         for name in ("solve_schatten", "solve_frobenius_baseline"):
             monkeypatch.setattr(harness, name, capture(getattr(harness, name)))
 
@@ -577,7 +583,8 @@ class TestRunExperiment:
         )
         records, _ = run_experiment(cfg)
         assert built == [a.shape]
-        assert svd_shapes  # the spy sees the row-space SVDs of the solves
+        # every solve factors its k^2 x n CountSketch SA once, never A itself
+        assert factored == [(rec.k * rec.k, a.shape[1]) for rec in records]
         assert a.shape not in svd_shapes and a.shape[::-1] not in svd_shapes
         # reference: dense spectra of A and of each residual
         sigma = singular_values(dense)

@@ -115,6 +115,36 @@ class TestCountSketchApply:
             atol=1e-12,
         )
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 40),
+        n=st.integers(1, 40),
+        sketch_dim=st.sampled_from([1, 2, 3, 7, 50]),
+        density=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+        empty=st.integers(0, 3),
+    )
+    def test_scatter_is_bit_identical_to_the_sparse_product(
+        self, seed, m, n, sketch_dim, density, empty
+    ):
+        # values spread over 20 decades make every summation order show in
+        # the last bits; sketch_dim 1 sends every entry to one output row
+        gen = make_gen(seed)
+        mag = 10.0 ** gen.integers(-10, 10, size=(m, n))
+        dense = np.where(gen.random((m, n)) < density, gen.standard_normal((m, n)) * mag, 0.0)
+        dense[gen.choice(m, size=min(empty, m), replace=False)] = 0.0
+        dense[:, gen.choice(n, size=min(empty, n), replace=False)] = 0.0
+        a = SparseMatrix.from_dense(dense)
+        left = build_countsketch(m, sketch_dim, RandomStream(seed))
+        right = build_countsketch(n, sketch_dim, RandomStream(seed + 1))
+        got_left, got_right = apply_countsketch_left(a, left), apply_countsketch_right(a, right)
+        ref_left = (left.matrix().T @ a.csr).toarray()
+        ref_right = (a.csr @ right.matrix()).toarray()
+        assert got_left.dtype == ref_left.dtype and got_left.shape == (sketch_dim, n)
+        assert got_right.dtype == ref_right.dtype and got_right.shape == (m, sketch_dim)
+        assert got_left.tobytes() == ref_left.tobytes()
+        assert got_right.tobytes() == ref_right.tobytes()
+
     def test_dense_operand(self):
         gen = make_gen(43)
         a = gen.standard_normal((9, 12))

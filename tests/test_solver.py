@@ -13,7 +13,7 @@ from conftest import (
     random_rank_k,
     random_sparse,
 )
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sketchlr.matrixcore as matrixcore
@@ -295,8 +295,8 @@ class TestSparseSketchedRowspace:
             assert rep.clipped and rep.t_identity
         # two Lanczos runs per solve: the top k + 1 and the deflated check
         assert calls["to_dense"] == 0 and calls["eigsh"] == 4
-        # the only full SVDs left are the row-space bases of the 3 x 200 W^T SA
-        assert calls["svd"] == [(3, 200), (3, 200)]
+        # with T a pass-through, Z is top_singular's V: no full SVD at all
+        assert calls["svd"] == []
 
     def test_wsa_costs_k_per_stored_entry_of_sa(self):
         a = generate_synthetic(900, 40, 0.2, RandomStream(1))
@@ -307,6 +307,93 @@ class TestSparseSketchedRowspace:
             counts = rep.multiply_add_counts
             assert (counts["s_apply"] == a.nnz) == clipped  # s_apply is nnz(SA)
             assert counts["wsa"] == 3 * counts["s_apply"]
+
+
+_PASS_THROUGH_SOLVES = {
+    "simplified": lambda a, k, s: solve_schatten(
+        a, k, 1.0, 0.5, RandomStream(s), mode="simplified_experiment"
+    ),
+    "clipped_p1": lambda a, k, s: solve_schatten(a, k, 1.0, 0.5, RandomStream(s)),
+    "clipped_p3": lambda a, k, s: solve_schatten(a, k, 3.0, 0.5, RandomStream(s)),
+    "huber": lambda a, k, s: solve_generalized(a, k, HuberLoss(1.0), 0.5, RandomStream(s)),
+}
+
+
+def _pass_through_input(gen, m, n, k, kind):
+    """A small input of one kind: sparse, with fewer than k nonzero rows, or of
+    rank below k up to noise 1e-13 of its scale (the sketch inherits it, far
+    below the ``RANK_TOL`` cut, so both bases drop the same directions)."""
+    r = int(gen.integers(1, max(k, 2)))  # 1 <= r < k when k > 1
+    if kind == "deficient":
+        dense = gen.standard_normal((m, r)) @ gen.standard_normal((r, n))
+        dense += 1e-13 * gen.standard_normal((m, n))
+        return SparseMatrix.from_dense(dense)
+    dense = np.where(gen.random((m, n)) < 0.3, gen.standard_normal((m, n)), 0.0)
+    if kind == "few_rows":
+        dense[gen.choice(m, size=m - r, replace=False)] = 0.0
+    return SparseMatrix.from_dense(dense)
+
+
+class TestPassThroughRowspace:
+    """With T a pass-through, Z is ``top_singular``'s V, rank-cut and padded."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(4, 40),
+        n=st.integers(4, 40),
+        k=st.integers(1, 5),
+        kind=st.sampled_from(["sparse", "few_rows", "deficient"]),
+        solve=st.sampled_from(sorted(_PASS_THROUGH_SOLVES)),
+    )
+    def test_z_spans_the_row_space_of_w_top_sa(self, seed, m, n, k, kind, solve):
+        k = min(k, min(m, n) - 1)
+        a = _pass_through_input(make_gen(seed), m, n, k, kind)
+        seen, made = [], []
+        real_top, real_complete = solver.top_singular, solver.complete_basis
+
+        def top_spy(x, kk):
+            seen.append((x, real_top(x, kk)))
+            return seen[-1][1]
+
+        def complete_spy(z, kk):
+            made.append(real_complete(z, kk))
+            return made[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "top_singular", top_spy)
+            mp.setattr(solver, "complete_basis", complete_spy)
+            rep = _PASS_THROUGH_SOLVES[solve](a, k, seed)
+        # one nonzero row of more than 16 columns gets a real T (t_cols = 16)
+        assume(rep.t_identity)
+        assert "rowspace" not in rep.elapsed
+        assert len(seen) == len(made) == 1
+        (sa, top), z = seen[0], made[0]
+        sa = sa.to_dense() if isinstance(sa, SparseMatrix) else sa
+        z_ref = real_complete(matrixcore.orthonormal_rowspace(top.u.T @ sa), k)
+        assert z.shape == z_ref.shape == (sa.shape[1], k)
+        assert np.linalg.norm(z @ z.T - z_ref @ z_ref.T) <= 1e-9
+        assert np.max(np.abs(z.T @ z - np.eye(k))) <= 1e-9
+        assert rep.multiply_add_counts["wsa"] == top.u.shape[1] * (
+            np.count_nonzero(sa) if solve != "simplified" else sa.size
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(4, 40),
+        n=st.integers(4, 40),
+        kind=st.sampled_from(["sparse", "few_rows", "deficient"]),
+        solve=st.sampled_from(sorted(_PASS_THROUGH_SOLVES)),
+    )
+    def test_reruns_are_bit_identical(self, seed, m, n, kind, solve):
+        k = min(3, min(m, n) - 1)
+        a = _pass_through_input(make_gen(seed), m, n, k, kind)
+        r1, r2 = (_PASS_THROUGH_SOLVES[solve](a, k, seed) for _ in range(2))
+        assert r1.factors.y.tobytes() == r2.factors.y.tobytes()
+        assert r1.factors.z.tobytes() == r2.factors.z.tobytes()
+        assert r1.seeds == r2.seeds
+        assert r1.multiply_add_counts == r2.multiply_add_counts
 
 
 def _score_width(k, eps, eta):
