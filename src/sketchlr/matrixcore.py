@@ -171,11 +171,11 @@ class LowRankFactors:
             raise ValueError("z does not have orthonormal columns")
 
 
-def _check_dense(a, name: str = "matrix") -> np.ndarray:
+def _check_dense(a, name: str = "matrix", finite: bool = True) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or min(a.shape) < 1:
         raise ValueError(f"{name} must be 2-D with positive dimensions")
-    if not np.all(np.isfinite(a)):
+    if finite and not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
@@ -219,13 +219,14 @@ def singular_values(a) -> np.ndarray:
         return scipy.linalg.svd(a, compute_uv=False, lapack_driver="gesvd")
 
 
-def _gram_triplets(x, lam, vecs, k: int, fro: float) -> SvdResult | None:
+def _gram_triplets(x, lam, vecs, k: int, fro: float, gram=None) -> SvdResult | None:
     """Verified top-k triplets of ``x`` from the leading Gram eigenpairs.
 
-    ``lam``/``vecs`` are the top eigenpairs of the Gram matrix of the smaller
-    side, non-increasing, with one pair past k when there is one. Returns
-    ``None`` when sigma_k is numerically zero, ties with sigma_(k+1), or a
-    triplet misses ``SVD_TOL``.
+    ``lam``/``vecs`` are the top eigenpairs of the Gram matrix ``gram`` of
+    the smaller side, non-increasing, with one pair past k when there is one;
+    without ``gram`` its product with the eigenvectors is formed from ``x``.
+    Returns ``None`` when sigma_k is numerically zero, ties with
+    sigma_(k+1), or a triplet misses ``SVD_TOL``.
     """
     m, n = x.shape
     d = min(m, n)
@@ -241,13 +242,16 @@ def _gram_triplets(x, lam, vecs, k: int, fro: float) -> SvdResult | None:
         return None
     sigma = np.sqrt(lam[:k])
     side = np.ascontiguousarray(vecs[:, :k])
-    other = (x.T @ side if wide else x @ side) / sigma
+    prod = x.T @ side if wide else x @ side
+    other = prod / sigma
+    # forming other leaves a rounding residual; the other product's residual,
+    # X other - side sigma (X^T other if tall), is (G side - side Lambda) / sigma
+    g_side = gram @ side if gram is not None else (x @ prod if wide else x.T @ prod)
     u, v = (side, other) if wide else (other, side)
     worst = max(
         float(np.max(np.abs(u.T @ u - np.eye(k)))),
         float(np.max(np.abs(v.T @ v - np.eye(k)))),
-        float(np.linalg.norm(x.T @ u - v * sigma)) / fro,
-        float(np.linalg.norm(x @ v - u * sigma)) / fro,
+        float(np.linalg.norm((g_side - side * lam[:k]) / sigma)) / fro,
     )
     return SvdResult(u=u, sigma=sigma, v=v) if worst <= SVD_TOL else None
 
@@ -294,28 +298,32 @@ def _lanczos_top(a: SparseMatrix, k: int) -> SvdResult | None:
 def top_singular(a, k: int) -> SvdResult:
     """Top-k singular triplets from the Gram matrix of the smaller side.
 
-    Takes the top eigenpairs of ``A^T A`` (``A A^T`` when A is wide) and
-    derives the other side by one product, which costs a fraction of a full
-    :func:`svd` when k is small. For a :class:`SparseMatrix` input, ARPACK's
-    Lanczos (``eigsh``) runs on the operator ``x -> A^T (A x)`` without
-    densifying A, so each step costs ``2 nnz(A)`` multiply-adds. A second
-    run on that operator deflated by the top k found checks that they are
-    the top k: one Krylov space misses a copy of a repeated eigenvalue. Both
-    start vectors come from the fixed ``LANCZOS_SEED``, so no caller's random
-    stream is consumed. A dense input gets a partial ``eigh`` of the Gram
-    matrix. Every triplet is verified at ``SVD_TOL``: both blocks
-    orthonormal, and ``||A^T U - V diag(sigma)||`` and
-    ``||A V - U diag(sigma)||`` small relative to ``||A||_F``. The Gram
-    matrix squares the conditioning, so when sigma_k is numerically zero,
-    when it ties with sigma_(k+1), or when a check fails, the sparse path
-    falls back to the dense one and the dense path to the k-column
+    Takes the top eigenpairs of ``G = A^T A`` (``A A^T`` when A is wide) and
+    derives the other side by one product, a fraction of a full :func:`svd`
+    when k is small. A dense input gets a partial ``eigh`` of G and is read
+    twice, by G and by that product: ``||A||_F^2`` is G's trace, whose
+    finiteness stands for A's (a NaN or inf entry spoils a diagonal entry;
+    finite entries that overflow G are refused too). For a
+    :class:`SparseMatrix`, ARPACK's Lanczos (``eigsh``) runs on
+    ``x -> A^T (A x)`` without densifying A, at ``2 nnz(A)`` multiply-adds a
+    step; a second run deflated by the top k found checks that they are the
+    top k (one Krylov space misses a copy of a repeated eigenvalue). Both
+    start vectors come from ``LANCZOS_SEED``, so no caller's stream is
+    consumed. Every triplet is verified at ``SVD_TOL``: both ``d x k``
+    blocks orthonormal, and the residual of the other product
+    (``A V - U diag(sigma)`` wide, ``A^T U - V diag(sigma)`` tall), read as
+    ``(G S - S Lambda) diag(sigma)^-1`` for the eigenvector block S (the
+    sparse path forms ``G S`` by one more product), small against
+    ``||A||_F``. The Gram matrix squares the conditioning, so when sigma_k
+    is numerically zero, ties with sigma_(k+1), or a check fails, the sparse
+    path falls back to the dense one and the dense one to the k-column
     truncation of the verified full :func:`svd`. A sparse input whose
     smaller side exceeds ``DENSE_GUARD`` is refused with
     :class:`ConvergenceError` instead of densified.
     """
     sparse = isinstance(a, SparseMatrix)
     if not sparse:
-        a = _check_dense(a)
+        a = _check_dense(a, finite=False)
     d = min(a.shape)
     if not 1 <= k <= d:
         raise ValueError(f"k={k} out of range 1..{d}")
@@ -332,13 +340,16 @@ def top_singular(a, k: int) -> SvdResult:
         a = a.to_dense()
     wide = a.shape[0] < a.shape[1]
     gram = a @ a.T if wide else a.T @ a
-    fro = math.sqrt(np.trace(gram))  # read before eigh overwrites the Gram
+    fro = math.sqrt(np.trace(gram))
+    if not math.isfinite(fro):  # a NaN or inf entry spoils its diagonal entry
+        _check_dense(a)
+        raise ValueError("matrix entries overflow its Gram matrix")
     # one eigenpair past k exposes the gap that separates the top-k subspace
     top = min(k + 1, d)
     lam, vecs = scipy.linalg.eigh(
-        gram, overwrite_a=True, subset_by_index=[d - top, d - 1]
+        gram, overwrite_a=False, subset_by_index=[d - top, d - 1]
     )
-    res = _gram_triplets(a, lam[::-1], vecs[:, ::-1], k, fro)
+    res = _gram_triplets(a, lam[::-1], vecs[:, ::-1], k, fro, gram)
     if res is not None:
         return res
     res = svd(a)

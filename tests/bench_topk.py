@@ -3,7 +3,8 @@
 ``top_singular`` is timed on the two shapes the benchmark workloads give it:
 the dense 100x20000 CountSketch ``SA`` of a seeded 20000x20000 matrix with
 200k nonzeros at k=10 (simplified mode), and a sparse 1200x900 ``SA`` with
-32400 nonzeros at k=5 (a clipped row sample). ``apply_countsketch_left`` is
+32400 nonzeros at k=5 (a clipped row sample); the tall 20000x100 ``SA^T``
+times the other dense branch. ``apply_countsketch_left`` is
 timed on the 20000x20000 input. The file name keeps it out of the test
 suite; run it with
 
@@ -40,6 +41,12 @@ def test_top_singular_dense_sa(benchmark, large):
     sa = apply_countsketch_left(*large)
     res = benchmark(top_singular, sa, 10)
     assert res.v.shape == (20000, 10)
+
+
+def test_top_singular_dense_tall_sa(benchmark, large):
+    sat = np.ascontiguousarray(apply_countsketch_left(*large).T)
+    res = benchmark(top_singular, sat, 10)
+    assert res.u.shape == (20000, 10)
 
 
 def test_top_singular_sparse_sa(benchmark):

@@ -12,7 +12,9 @@ from scipy.sparse.linalg import ArpackNoConvergence
 import sketchlr.matrixcore as matrixcore
 from sketchlr import (
     MultiplyAddCounter,
+    RandomStream,
     SparseMatrix,
+    build_countsketch,
     complete_basis,
     dense_sparse_multiply,
     orthonormal_rowspace,
@@ -23,6 +25,7 @@ from sketchlr import (
     truncate_rank,
 )
 from sketchlr.matrixcore import DENSE_GUARD, SVD_TOL, ConvergenceError, top_singular
+from sketchlr.sketches import apply_countsketch_left
 
 GOLDEN = np.array([[20.0, 20.0], [1.0, 2.0]])
 
@@ -259,6 +262,73 @@ class TestTopSingular:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
             top_singular(np.array([[1.0, np.nan], [0.0, 1.0]]), 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(6, 15), (15, 6)])
+    def test_rejects_nonfinite_on_either_side(self, bad, shape):
+        # finiteness is read from the Gram matrix, then named from A itself
+        a = make_gen(25).standard_normal(shape)
+        a[4, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            top_singular(a, 2)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("shape", [(6, 15), (15, 6)])
+    def test_rejects_finite_entries_that_overflow_the_gram(self, shape):
+        a = 1e200 * make_gen(26).random(shape)
+        with pytest.raises(ValueError, match="overflow"):
+            top_singular(a, 2)
+
+    @pytest.mark.parametrize("wide", [True, False])
+    def test_dense_input_is_never_scanned_for_finiteness(self, wide, monkeypatch, svd_calls):
+        # the 100x20000 CountSketch SA of a 20000x20000 input with 200k entries
+        gen = make_gen(27)
+        flat = np.unique(gen.integers(0, 20000 * 20000, 200_000))
+        a = SparseMatrix(20000, 20000, flat // 20000, flat % 20000, 1.0 - gen.random(flat.size))
+        sa = apply_countsketch_left(a, build_countsketch(20000, 100, RandomStream(7)))
+        sa = sa if wide else np.ascontiguousarray(sa.T)
+        sizes = []
+        isfinite = np.isfinite
+
+        def spy(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", spy)
+        res = top_singular(sa, 10)
+        assert svd_calls == []
+        assert sizes and max(sizes) < sa.size
+        monkeypatch.undo()
+        assert_verified(sa, res, 10)
+
+    @pytest.mark.parametrize("shape", [(30, 80), (80, 30)])
+    def test_gram_residual_refuses_a_rotated_eigenvector(self, shape, monkeypatch, svd_calls):
+        # Rotating the top eigenvector by 1e-6 toward the one past k keeps
+        # both blocks orthonormal to O(1e-12), so only the residual, read from
+        # the Gram matrix, can refuse the triplet.
+        gen = make_gen(28)
+        a = _spectrum_input(gen, *shape, np.array([10.0, 6.0, 4.0] + [1.0] * 27))
+        k, theta = 3, 1e-6
+        eigh = matrixcore.scipy.linalg.eigh
+        seen = {}
+
+        def rotated(gram, **kwargs):
+            lam, vecs = eigh(gram, **kwargs)
+            vecs = vecs.copy()  # ascending: column 0 is past k, the last is the top
+            vecs[:, -1] = np.cos(theta) * vecs[:, -1] + np.sin(theta) * vecs[:, 0]
+            seen.update(lam=lam[::-1], side=vecs[:, ::-1][:, :k])
+            return lam, vecs
+
+        monkeypatch.setattr(matrixcore.scipy.linalg, "eigh", rotated)
+        res = top_singular(a, k)
+        assert svd_calls == [shape]
+        sigma, side = np.sqrt(seen["lam"][:k]), seen["side"]
+        other = (a.T @ side if shape[0] < shape[1] else a @ side) / sigma
+        for block in (side, other):
+            assert np.max(np.abs(block.T @ block - np.eye(k))) <= SVD_TOL
+        monkeypatch.undo()
+        assert_verified(a, res, k)
+        assert_matches_svd(a, res, k)
 
     @settings(max_examples=60, deadline=None)
     @given(
