@@ -441,10 +441,11 @@ def solve_frobenius_baseline(
 ) -> SolveReport:
     """CountSketch-then-SVD Frobenius baseline.
 
-    Left-sketches with ``k^2`` CountSketch rows, takes the top-k right
-    singular vectors of ``SA`` as ``Z`` and returns ``Y = A @ Z``. The
-    reported relative error is measured in the Schatten 1-norm, the metric
-    the Schatten pipeline is compared against.
+    Runs the simplified-mode skeleton with ``k^2`` CountSketch rows: ``Z``
+    is the top-k right singular vectors of ``SA``, cut and padded as in
+    :func:`solve_schatten`, and ``Y = A @ Z``. The reported relative error
+    is measured in the Schatten 1-norm, the metric the Schatten pipeline is
+    compared against.
     """
     a = _ensure_sparse(a)
     if not 1 <= k < min(a.shape):
@@ -461,19 +462,11 @@ def solve_frobenius_baseline(
         mode="simplified_experiment",
     )
     report = SolveReport(factors=None, plan=plan, transposed=transposed)  # type: ignore[arg-type]
-    report.t_identity = report.r_identity = True  # SA is factored, Y = A Z exactly
-    with _Stage(report.elapsed, "s_apply"):
-        s_op = build_countsketch(work.nrows, plan.s_rows, stream)
-        report.seeds["s"] = s_op.seed
-        sa = apply_countsketch_left(
-            work, s_op, _counter(report.multiply_add_counts, "s_apply")
-        )
-    with _Stage(report.elapsed, "svd_sat"):
-        z = top_singular(sa, k).v
+    # simplified mode reads neither eps nor the constants
+    z = _sketched_rowspace(work, k, 1.0, plan, stream, DEFAULT_CONSTANTS, report)
     with _Stage(report.elapsed, "regression"):
-        y = sparse_dense_multiply(
-            work, z, _counter(report.multiply_add_counts, "regression")
-        )
+        y = solve_regression_sketched(work, z, None, stream, report.multiply_add_counts).yhat
+    report.r_identity = True
     factors = LowRankFactors(y=y, z=z, k=k)
     report.factors = _swap_transposed(factors) if transposed else factors
     if oracle:

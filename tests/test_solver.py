@@ -745,6 +745,27 @@ class TestFrobeniusBaseline:
         )
         assert rep.relative_error <= 0.5  # the sketch does not collapse to top-1
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(4, 40),
+        n=st.integers(4, 40),
+        k=st.integers(1, 5),
+        kind=st.sampled_from(["sparse", "few_rows", "deficient"]),
+    )
+    def test_same_factors_as_simplified_schatten(self, seed, m, n, k, kind):
+        # both run the skeleton on one k^2-row CountSketch plan, so a rank-
+        # deficient SA gets the RANK_TOL cut and the deterministic padding
+        k = min(k, min(m, n) - 1)
+        a = _pass_through_input(make_gen(seed), m, n, k, kind)
+        base = solve_frobenius_baseline(a, k, RandomStream(seed))
+        simp = solve_schatten(a, k, 1.0, 0.5, RandomStream(seed), "simplified_experiment")
+        assert base.factors.y.tobytes() == simp.factors.y.tobytes()
+        assert base.factors.z.tobytes() == simp.factors.z.tobytes()
+        assert base.seeds == simp.seeds
+        assert base.multiply_add_counts == simp.multiply_add_counts
+        assert (base.t_identity, base.r_identity) == (True, True)
+
     def test_wide_input(self):
         gen = make_gen(91)
         a = SparseMatrix.from_dense(gen.standard_normal((8, 30)))
