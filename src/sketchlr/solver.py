@@ -359,7 +359,10 @@ def _sketched_rowspace(
     sparse = isinstance(sa, SparseMatrix)
     counters["wsa"] = counters.get("wsa", 0) + top.u.shape[1] * (sa.nnz if sparse else sa.size)
     if report.t_identity:  # cut at the rank orthonormal_rowspace would keep
-        return complete_basis(top.v[:, : int(np.sum(top.sigma > RANK_TOL * top.sigma[0]))], k)
+        v = top.v[:, : int(np.sum(top.sigma > RANK_TOL * top.sigma[0]))]
+        # one Cholesky-QR step, V R^-1 for V^T V = R^T R: a V formed as
+        # SA^T U / sigma is orthonormal only to eps (sigma_1 / sigma_k)^2
+        return complete_basis(v @ np.linalg.inv(np.linalg.cholesky(v.T @ v)).T, k)
     with _Stage(elapsed, "rowspace"):
         wsa = dense_sparse_multiply(top.u.T, sa) if sparse else top.u.T @ sa
         return complete_basis(orthonormal_rowspace(wsa), k)

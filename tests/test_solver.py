@@ -378,6 +378,27 @@ class TestPassThroughRowspace:
             np.count_nonzero(sa) if solve != "simplified" else sa.size
         )
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 5),
+        extra=st.integers(10, 400),
+        log_ratio=st.floats(0.0, 3.0),
+    )
+    def test_z_orthonormal_on_ill_conditioned_wide_sa(self, seed, k, extra, log_ratio):
+        # k^2 dense rows of an (n+1) x n input, with sigma_1 / sigma_k up to
+        # 1000 over a 1e-3 tail, give the simplified CountSketch a wide SA
+        # whose top-k V is derived as SA^T U / sigma
+        gen = make_gen(seed)
+        r, n = k * k, k * k + extra
+        sigma = np.concatenate([np.geomspace(10.0**log_ratio, 1.0, k), 1e-3 * gen.random(r - k)])
+        block = (random_orthonormal(gen, r, r) * sigma) @ random_orthonormal(gen, n, r).T
+        rows = np.sort(gen.choice(n + 1, r, replace=False))
+        a = SparseMatrix(n + 1, n, np.repeat(rows, n), np.tile(np.arange(n), r), block.ravel())
+        rep = solve_schatten(a, k, 1.0, 0.5, RandomStream(seed), "simplified_experiment")
+        z = rep.factors.z
+        assert np.max(np.abs(z.T @ z - np.eye(k))) <= 1e-13
+
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
