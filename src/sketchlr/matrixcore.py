@@ -222,11 +222,11 @@ def singular_values(a) -> np.ndarray:
 def _gram_triplets(x, lam, vecs, k: int, fro: float, gram=None) -> SvdResult | None:
     """Verified top-k triplets of ``x`` from the leading Gram eigenpairs.
 
-    ``lam``/``vecs`` are the top eigenpairs of the Gram matrix ``gram`` of
-    the smaller side, non-increasing, with one pair past k when there is one;
-    without ``gram`` its product with the eigenvectors is formed from ``x``.
-    Returns ``None`` when sigma_k is numerically zero, ties with
-    sigma_(k+1), or a triplet misses ``SVD_TOL``.
+    ``lam``/``vecs`` are the top eigenpairs of the Gram matrix ``gram`` of the
+    smaller side (its products are formed from ``x`` when it is absent),
+    non-increasing, with one pair past k when there is one. Returns ``None``
+    when sigma_k is numerically zero, ties with sigma_(k+1), or a triplet
+    misses ``SVD_TOL``.
     """
     m, n = x.shape
     d = min(m, n)
@@ -243,11 +243,9 @@ def _gram_triplets(x, lam, vecs, k: int, fro: float, gram=None) -> SvdResult | N
     sigma = np.sqrt(lam[:k])
     side = np.ascontiguousarray(vecs[:, :k])
     prod = x.T @ side if wide else x @ side
-    other = prod / sigma
-    # forming other leaves a rounding residual; the other product's residual,
-    # X other - side sigma (X^T other if tall), is (G side - side Lambda) / sigma
+    # the other product's residual X other - side sigma is (G side - side Lambda) / sigma
     g_side = gram @ side if gram is not None else (x @ prod if wide else x.T @ prod)
-    u, v = (side, other) if wide else (other, side)
+    u, v = (side, prod / sigma) if wide else (prod / sigma, side)
     worst = max(
         float(np.max(np.abs(u.T @ u - np.eye(k)))),
         float(np.max(np.abs(v.T @ v - np.eye(k)))),
@@ -301,19 +299,17 @@ def top_singular(a, k: int) -> SvdResult:
     Takes the top eigenpairs of ``G = A^T A`` (``A A^T`` when A is wide) and
     derives the other side by one product, a fraction of a full :func:`svd`
     when k is small. A dense input gets a partial ``eigh`` of G and is read
-    twice, by G and by that product: ``||A||_F^2`` is G's trace, whose
-    finiteness stands for A's (a NaN or inf entry spoils a diagonal entry;
-    finite entries that overflow G are refused too). For a
-    :class:`SparseMatrix`, ARPACK's Lanczos (``eigsh``) runs on
-    ``x -> A^T (A x)`` without densifying A, at ``2 nnz(A)`` multiply-adds a
-    step; a second run deflated by the top k found checks that they are the
-    top k (one Krylov space misses a copy of a repeated eigenvalue). Both
-    start vectors come from ``LANCZOS_SEED``, so no caller's stream is
-    consumed. Every triplet is verified at ``SVD_TOL``: both ``d x k``
-    blocks orthonormal, and the residual of the other product
-    (``A V - U diag(sigma)`` wide, ``A^T U - V diag(sigma)`` tall), read as
-    ``(G S - S Lambda) diag(sigma)^-1`` for the eigenvector block S (the
-    sparse path forms ``G S`` by one more product), small against
+    twice, by G and by that product; G's trace ``||A||_F^2`` stands for A's
+    finiteness (a NaN or inf entry spoils it; so do entries that overflow
+    G, also refused). A :class:`SparseMatrix` gets ARPACK's Lanczos
+    (``eigsh``) on ``x -> A^T (A x)``, ``2 nnz(A)`` multiply-adds a step, and
+    a second run deflated by the top k found checks that they are the top k
+    (one Krylov space misses a copy of a repeated eigenvalue); both start
+    vectors come from ``LANCZOS_SEED``. Every triplet is verified at
+    ``SVD_TOL``: both ``d x k`` blocks orthonormal, and the residual of the
+    other product (``A V - U diag(sigma)`` wide, ``A^T U - V diag(sigma)``
+    tall), read as ``(G S - S Lambda) diag(sigma)^-1`` for the eigenvector
+    block S (formed by one more product on the sparse path), small against
     ``||A||_F``. The Gram matrix squares the conditioning, so when sigma_k
     is numerically zero, ties with sigma_(k+1), or a check fails, the sparse
     path falls back to the dense one and the dense one to the k-column
@@ -346,9 +342,7 @@ def top_singular(a, k: int) -> SvdResult:
         raise ValueError("matrix entries overflow its Gram matrix")
     # one eigenpair past k exposes the gap that separates the top-k subspace
     top = min(k + 1, d)
-    lam, vecs = scipy.linalg.eigh(
-        gram, overwrite_a=False, subset_by_index=[d - top, d - 1]
-    )
+    lam, vecs = scipy.linalg.eigh(gram, overwrite_a=False, subset_by_index=[d - top, d - 1])
     res = _gram_triplets(a, lam[::-1], vecs[:, ::-1], k, fro, gram)
     if res is not None:
         return res

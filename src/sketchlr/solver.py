@@ -11,7 +11,7 @@ The pipeline for ``min_X ||A - X||_p`` over rank-k ``X``:
    (:func:`~sketchlr.matrixcore.top_singular`, by Lanczos when ``SA`` is the
    sparse row sample and T a pass-through). ``Z`` is an orthonormal basis of
    the row space their left block induces on ``SA``: with T a pass-through
-   that is their right block V itself, with no further factorization;
+   that is their right block V itself, after one Cholesky-QR step;
 5. recover ``Y`` by sketched Frobenius regression against ``Z``, computed
    as ``A (R (Z^T R)^+)`` in ``k nnz(A) + n k`` multiply-adds, with no
    ``m x r_embed`` array ``AR``.
@@ -99,8 +99,9 @@ class SolveReport:
     by Lanczos on a sparse ``SA`` or by a partial dense ``eigh``, the
     row-space SVD behind a real T, and the ``k x r_embed`` SVD of ``Z^T R``
     with the ``r_embed k^2`` product that forms ``P``), the dense products
-    and Gram products that feed them, and the column norms read by the
-    scores.
+    and Gram products that feed them (``top_singular`` reads its checks from
+    a dense ``SA``'s), the ``n k^2`` Cholesky-QR step on a pass-through
+    ``Z``, and the column norms read by the scores.
     ``elapsed`` times the stages; ``rowspace`` is present only with a real
     T. ``relative_error`` is only present when the exact oracle was run.
     Pass-throughs are flagged: ``clipped`` when the row sampler ``S`` kept
@@ -360,8 +361,7 @@ def _sketched_rowspace(
     counters["wsa"] = counters.get("wsa", 0) + top.u.shape[1] * (sa.nnz if sparse else sa.size)
     if report.t_identity:  # cut at the rank orthonormal_rowspace would keep
         v = top.v[:, : int(np.sum(top.sigma > RANK_TOL * top.sigma[0]))]
-        # one Cholesky-QR step, V R^-1 for V^T V = R^T R: a V formed as
-        # SA^T U / sigma is orthonormal only to eps (sigma_1 / sigma_k)^2
+        # Cholesky-QR, V R^-1 for V^T V = R^T R: SA^T U / sigma drifts like eps (s1/sk)^2
         return complete_basis(v @ np.linalg.inv(np.linalg.cholesky(v.T @ v)).T, k)
     with _Stage(elapsed, "rowspace"):
         wsa = dense_sparse_multiply(top.u.T, sa) if sparse else top.u.T @ sa
@@ -444,11 +444,10 @@ def solve_frobenius_baseline(
 ) -> SolveReport:
     """CountSketch-then-SVD Frobenius baseline.
 
-    Runs the simplified-mode skeleton with ``k^2`` CountSketch rows: ``Z``
-    is the top-k right singular vectors of ``SA``, cut and padded as in
-    :func:`solve_schatten`, and ``Y = A @ Z``. The reported relative error
-    is measured in the Schatten 1-norm, the metric the Schatten pipeline is
-    compared against.
+    The simplified-mode skeleton on ``k^2`` CountSketch rows: ``Z`` is the
+    top-k right singular vectors of ``SA``, cut and padded, and ``Y = A @ Z``.
+    The reported relative error is measured in the Schatten 1-norm, the
+    metric the Schatten pipeline is compared against.
     """
     a = _ensure_sparse(a)
     if not 1 <= k < min(a.shape):
