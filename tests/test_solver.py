@@ -775,7 +775,7 @@ class TestFrobeniusBaseline:
         kind=st.sampled_from(["sparse", "few_rows", "deficient"]),
     )
     def test_same_factors_as_simplified_schatten(self, seed, m, n, k, kind):
-        # both run the skeleton on one k^2-row CountSketch plan, so a rank-
+        # the baseline is simplified-mode solve_schatten at p = 1, so a rank-
         # deficient SA gets the RANK_TOL cut and the deterministic padding
         k = min(k, min(m, n) - 1)
         a = _pass_through_input(make_gen(seed), m, n, k, kind)
