@@ -243,7 +243,7 @@ def _gram_triplets(x, lam, vecs, k: int, fro: float, gram=None) -> SvdResult | N
     sigma = np.sqrt(lam[:k])
     side = np.ascontiguousarray(vecs[:, :k])
     prod = x.T @ side if wide else x @ side
-    # the other product's residual X other - side sigma is (G side - side Lambda) / sigma
+    # the other product's residual X other - side sigma is (G side - side Lambda)/sigma
     g_side = gram @ side if gram is not None else (x @ prod if wide else x.T @ prod)
     u, v = (side, prod / sigma) if wide else (prod / sigma, side)
     worst = max(
@@ -300,12 +300,12 @@ def top_singular(a, k: int) -> SvdResult:
     derives the other side by one product, a fraction of a full :func:`svd`
     when k is small. A dense input gets a partial ``eigh`` of G and is read
     twice, by G and by that product; G's trace ``||A||_F^2`` stands for A's
-    finiteness (a NaN or inf entry spoils it; so do entries that overflow
-    G, also refused). A :class:`SparseMatrix` gets ARPACK's Lanczos
-    (``eigsh``) on ``x -> A^T (A x)``, ``2 nnz(A)`` multiply-adds a step, and
-    a second run deflated by the top k found checks that they are the top k
-    (one Krylov space misses a copy of a repeated eigenvalue); both start
-    vectors come from ``LANCZOS_SEED``. Every triplet is verified at
+    finiteness (a NaN or inf entry spoils it), and an ``||A||_F^2`` beyond
+    the double range is refused too. A :class:`SparseMatrix` gets ARPACK's
+    Lanczos (``eigsh``) on ``x -> A^T (A x)``, ``2 nnz(A)`` multiply-adds a
+    step, and a second run deflated by the top k found checks that they are
+    the top k (one Krylov space misses a copy of a repeated eigenvalue); both
+    start vectors come from ``LANCZOS_SEED``. Every triplet is verified at
     ``SVD_TOL``: both ``d x k`` blocks orthonormal, and the residual of the
     other product (``A V - U diag(sigma)`` wide, ``A^T U - V diag(sigma)``
     tall), read as ``(G S - S Lambda) diag(sigma)^-1`` for the eigenvector
@@ -339,10 +339,10 @@ def top_singular(a, k: int) -> SvdResult:
     fro = math.sqrt(np.trace(gram))
     if not math.isfinite(fro):  # a NaN or inf entry spoils its diagonal entry
         _check_dense(a)
-        raise ValueError("matrix entries overflow its Gram matrix")
+        raise ValueError("matrix Frobenius norm overflows: ||A||_F^2 is not a double")
     # one eigenpair past k exposes the gap that separates the top-k subspace
     top = min(k + 1, d)
-    lam, vecs = scipy.linalg.eigh(gram, overwrite_a=False, subset_by_index=[d - top, d - 1])
+    lam, vecs = scipy.linalg.eigh(gram, subset_by_index=[d - top, d - 1])
     res = _gram_triplets(a, lam[::-1], vecs[:, ::-1], k, fro, gram)
     if res is not None:
         return res

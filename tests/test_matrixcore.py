@@ -1,5 +1,6 @@
 """Tests for sparse storage, the SVD primitive and its derived operations."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -278,6 +279,20 @@ class TestTopSingular:
         a = 1e200 * make_gen(26).random(shape)
         with pytest.raises(ValueError, match="overflow"):
             top_singular(a, 2)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("wide", [True, False])
+    def test_frobenius_overflow_boundary(self, wide):
+        # every entry of G is finite here; only their sum ||A||_F^2 may not be
+        def pair(sq0, sq1):
+            a = np.zeros((2, 4))
+            a[0, 0], a[1, 1] = math.sqrt(sq0), math.sqrt(sq1)
+            return a if wide else a.T.copy()
+
+        res = top_singular(pair(0.8e308, 0.5e308), 1)  # ||A||_F^2 = 1.3e308
+        assert res.sigma[0] == pytest.approx(math.sqrt(0.8e308), rel=1e-12)
+        with pytest.raises(ValueError, match="Frobenius norm overflows"):
+            top_singular(pair(1e308, 1e308), 1)  # ||A||_F^2 = 2e308
 
     @pytest.mark.parametrize("wide", [True, False])
     def test_dense_input_is_never_scanned_for_finiteness(self, wide, monkeypatch, svd_calls):
