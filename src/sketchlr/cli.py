@@ -80,8 +80,8 @@ def _cmd_solve(args) -> int:
     print(
         "flags: "
         f"fallback={report.fallback_used} transposed={report.transposed} "
-        f"clipped={report.clipped} t_identity={report.t_identity} "
-        f"r_identity={report.r_identity} degenerate={report.degenerate}"
+        f"clipped={report.clipped} r_identity={report.r_identity} "
+        f"degenerate={report.degenerate}"
     )
     for w in report.warnings:
         print(f"warning: {w}")

@@ -1,4 +1,4 @@
-"""Matrix primitives: sparse storage, SVDs, rank truncation, row spaces.
+"""Matrix primitives: sparse storage, SVDs, rank truncation, orthonormal bases.
 
 Dense matrices are plain float64 numpy arrays (row-major) and spectra are 1-D
 arrays of singular values sorted non-increasing. The one wrapped type is
@@ -363,19 +363,6 @@ def truncate_rank(res: SvdResult, k: int) -> LowRankFactors:
     y = res.u[:, :k] * res.sigma[:k]
     z = res.v[:, :k].copy()
     return LowRankFactors(y=y, z=z, k=int(k))
-
-
-def orthonormal_rowspace(m) -> np.ndarray:
-    """Orthonormal basis (ncols x rank) of the row space of ``m``.
-
-    Rank is cut at ``RANK_TOL`` times the top singular value.
-    """
-    m = _check_dense(m)
-    res = svd(m)
-    if res.sigma.size == 0 or res.sigma[0] == 0.0:
-        return np.zeros((m.shape[1], 0))
-    rank = int(np.sum(res.sigma > RANK_TOL * res.sigma[0]))
-    return res.v[:, :rank].copy()
 
 
 def complete_basis(z: np.ndarray, k: int) -> np.ndarray:

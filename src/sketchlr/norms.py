@@ -150,55 +150,32 @@ def parse_loss(text: str) -> ScalarLoss:
     raise ValueError(f"unknown loss {name!r}")
 
 
-def phi_eval(loss: ScalarLoss, x) -> np.ndarray | float:
-    """Elementwise loss value; rejects negative inputs."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.size and arr.min() < 0:
-        raise ValueError("loss arguments must be non-negative")
-    out = loss(arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
-
-
 def phi_objective(sigma, loss: ScalarLoss) -> float:
     """Full objective: sum of the loss over all singular values."""
     sigma = _check_spectrum(sigma)
     return float(np.sum(loss(sigma)))
 
 
-def phi_head(sigma, loss: ScalarLoss, r: int) -> float:
-    """Head objective: sum of the loss over the top r singular values."""
-    sigma = _check_spectrum(sigma)
-    if not 1 <= r <= sigma.size:
-        raise ValueError(f"r={r} out of range 1..{sigma.size}")
-    return float(np.sum(loss(np.sort(sigma)[::-1][:r])))
-
-
 @dataclass(frozen=True)
 class LossSpec:
     """Objective selector: a Schatten order or a generalized scalar loss.
 
-    ``alpha`` and ``gamma`` may carry known growth/subadditivity constants for
-    a generalized loss; when absent they are estimated on a grid.
+    ``alpha`` may carry a known growth constant for a generalized loss; when
+    absent it is estimated on a grid.
     """
 
     kind: str
     p: float | None = None
     loss: ScalarLoss | None = None
     alpha: float | None = None
-    gamma: float | None = None
 
     @classmethod
     def schatten(cls, p: float) -> "LossSpec":
         return cls(kind="schatten", p=_check_p(p))
 
     @classmethod
-    def generalized(
-        cls,
-        loss: ScalarLoss,
-        alpha: float | None = None,
-        gamma: float | None = None,
-    ) -> "LossSpec":
-        return cls(kind="generalized", loss=loss, alpha=alpha, gamma=gamma)
+    def generalized(cls, loss: ScalarLoss, alpha: float | None = None) -> "LossSpec":
+        return cls(kind="generalized", loss=loss, alpha=alpha)
 
 
 DEFAULT_CONDITION_GRID = np.logspace(-6.0, 6.0, 241)

@@ -40,14 +40,13 @@ class SketchConstants:
     """Tunable constants behind the Theta(.) sketch-dimension formulas.
 
     Defaults are calibrated so the desk-scale acceptance suite passes. The
-    overall failure budget is split uniformly across the S, T and R sketches;
+    overall failure budget is split uniformly across the S and R sketches;
     the source analysis only fixes per-sketch constant success probabilities.
     """
 
     c1: float = 1.0  # eta1 scale
     c2: float = 1.0  # eta2 scale
     c_s: float = 8.0  # row/column sample count
-    c_t: float = 4.0  # subspace-embedding width
     c_r: float = 4.0  # regression embedding width
     c3: float = 1.0  # eta1 scale for generalized losses
     c_lev: float = 8.0  # ridge-score sketch width, in units of k + eps/eta
@@ -95,21 +94,6 @@ class CountSketchOperator:
 
 
 @dataclass(frozen=True)
-class IdentitySketch:
-    """Pass-through stand-in used when a sketch width reaches its input size."""
-
-    dim: int
-
-    @property
-    def input_dim(self) -> int:
-        return self.dim
-
-    @property
-    def sketch_dim(self) -> int:
-        return self.dim
-
-
-@dataclass(frozen=True)
 class SamplingSketch:
     """Weighted sample of rows or columns, drawn without replacement.
 
@@ -154,14 +138,10 @@ def _scatter(x: sp.csr_array, out_row, out_col, weight, shape) -> np.ndarray:
 
 
 def apply_countsketch_right(
-    a, op, counter: MultiplyAddCounter | None = None
+    a, op: CountSketchOperator, counter: MultiplyAddCounter | None = None
 ) -> np.ndarray:
     """``A @ R`` as a dense array; costs exactly one MAC per stored entry of A."""
     ncols = a.ncols if isinstance(a, SparseMatrix) else np.asarray(a).shape[1]
-    if isinstance(op, IdentitySketch):
-        if ncols != op.dim:
-            raise ValueError(f"dimension mismatch: {ncols} columns vs sketch {op.dim}")
-        return a.to_dense() if isinstance(a, SparseMatrix) else np.asarray(a, float)
     if ncols != op.input_dim:
         raise ValueError(
             f"dimension mismatch: {ncols} columns vs sketch input {op.input_dim}"
@@ -176,14 +156,10 @@ def apply_countsketch_right(
 
 
 def apply_countsketch_left(
-    a, op, counter: MultiplyAddCounter | None = None
+    a, op: CountSketchOperator, counter: MultiplyAddCounter | None = None
 ) -> np.ndarray:
     """``R^T @ A`` as a dense array (the left-sketch ``SA`` with ``S = R^T``)."""
     nrows = a.nrows if isinstance(a, SparseMatrix) else np.asarray(a).shape[0]
-    if isinstance(op, IdentitySketch):
-        if nrows != op.dim:
-            raise ValueError(f"dimension mismatch: {nrows} rows vs sketch {op.dim}")
-        return a.to_dense() if isinstance(a, SparseMatrix) else np.asarray(a, float)
     if nrows != op.input_dim:
         raise ValueError(
             f"dimension mismatch: {nrows} rows vs sketch input {op.input_dim}"
@@ -426,48 +402,19 @@ def apply_row_sampler(
     return SparseMatrix._wrap(sub)
 
 
-def build_row_sampler_T(
-    sa,
-    eps: float,
-    stream: RandomStream,
-    mode: str = "full_pipeline",
-    constants: SketchConstants = DEFAULT_CONSTANTS,
-):
-    """Right-applied subspace embedding for the row space of ``sa``.
-
-    Only the shape of ``sa`` is read; it may be dense or a :class:`SparseMatrix`.
-    Realized as a CountSketch of width ``ceil(c_t * s (1 + ln s) / eps^2)``
-    (any oblivious subspace embedding works here). Returns an
-    :class:`IdentitySketch` when the width reaches the number of columns,
-    or always in simplified-experiment mode.
-    """
-    if not 0.0 < eps <= 0.5:
-        raise ValueError(f"eps must lie in (0, 1/2], got {eps}")
-    if not isinstance(sa, SparseMatrix):
-        sa = _check_dense(sa, "sketched matrix")
-    s, n = sa.shape
-    if mode == "simplified_experiment":
-        return IdentitySketch(n)
-    t_cols = int(math.ceil(constants.c_t * s * (1.0 + math.log(s)) / (eps * eps)))
-    if t_cols >= n:
-        return IdentitySketch(n)
-    return build_countsketch(n, t_cols, stream)
-
-
 @dataclass(frozen=True)
 class SketchPlan:
     """Sketch dimensions and error splits for one solve.
 
-    ``t_cols``/``r_embed`` of ``None`` mark identity pass-throughs (always
-    the case in simplified-experiment mode). ``r_embed`` is also ``None``
-    when its width would reach the column count ``n``.
+    ``r_embed`` of ``None`` marks an identity pass-through: always in
+    simplified-experiment mode, and when its width would reach the column
+    count ``n``.
     """
 
     eta1: float
     eta2: float
     r_kyfan: int
     s_rows: int
-    t_cols: int | None
     r_embed: int | None
     mode: str
 
@@ -516,14 +463,10 @@ def make_sketch_plan(
             eta2=eta2,
             r_kyfan=r_kyfan,
             s_rows=k * k,
-            t_cols=None,
             r_embed=None,
             mode=mode,
         )
     s_rows = min(sample_count(k, eps, eta1, constants.c_s), m)
-    t_cols = int(
-        math.ceil(constants.c_t * s_rows * (1.0 + math.log(s_rows)) / (eps * eps))
-    )
     r_embed = int(math.ceil(constants.c_r * k / eta2))
     if r_embed >= n:
         r_embed = None  # no narrower than the input: regress exactly, Y = A Z
@@ -532,7 +475,6 @@ def make_sketch_plan(
         eta2=eta2,
         r_kyfan=r_kyfan,
         s_rows=s_rows,
-        t_cols=t_cols,
         r_embed=r_embed,
         mode=mode,
     )

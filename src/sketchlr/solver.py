@@ -6,15 +6,18 @@ The pipeline for ``min_X ||A - X||_p`` over rank-k ``X``:
    :func:`sketchlr.sketches.make_sketch_plan`;
 2. left-sketch ``A`` with a row sampler ``S`` whose Gram sandwich carries the
    eta1 additive term (a CountSketch of ``k^2`` rows in simplified mode);
-3. right-sketch ``SA`` with a subspace embedding ``T``;
-4. take the top-k singular triplets of ``SAT``
+3. take the top-k singular triplets of ``SA``
    (:func:`~sketchlr.matrixcore.top_singular`, by Lanczos when ``SA`` is the
-   sparse row sample and T a pass-through). ``Z`` is an orthonormal basis of
-   the row space their left block induces on ``SA``: with T a pass-through
-   that is their right block V itself, after one Cholesky-QR step;
-5. recover ``Y`` by sketched Frobenius regression against ``Z``, computed
+   sparse row sample). ``Z`` is their right block V, cut at ``RANK_TOL``,
+   put through one Cholesky-QR step and padded to k columns;
+4. recover ``Y`` by sketched Frobenius regression against ``Z``, computed
    as ``A (R (Z^T R)^+)`` in ``k nnz(A) + n k`` multiply-adds, with no
    ``m x r_embed`` array ``AR``.
+
+The source analysis right-sketches ``SA`` with a subspace embedding T so
+that the SVD is of a small matrix. Lanczos on the sparse ``SA`` costs
+``2 nnz(SA) <= 2 nnz(A)`` multiply-adds a step, so T saves nothing here and
+is not applied.
 
 The returned pair never materializes ``Y @ Z.T``. Wide inputs are solved on
 the transpose and the factors swapped back.
@@ -37,8 +40,6 @@ from .matrixcore import (
     SparseMatrix,
     _check_dense,
     complete_basis,
-    dense_sparse_multiply,
-    orthonormal_rowspace,
     singular_values,
     sparse_dense_multiply,
     svd,
@@ -58,7 +59,6 @@ from .norms import (
 from .rng import RandomStream
 from .sketches import (
     DEFAULT_CONSTANTS,
-    IdentitySketch,
     SketchConstants,
     SketchPlan,
     apply_countsketch_left,
@@ -66,7 +66,6 @@ from .sketches import (
     apply_row_sampler,
     build_countsketch,
     build_row_sampler,
-    build_row_sampler_T,
     make_sketch_plan,
     sample_count,
 )
@@ -81,34 +80,31 @@ class SolveReport:
     """Factors plus the bookkeeping needed to audit one solve.
 
     ``multiply_add_counts`` holds exact per-stage counts for the sketch
-    applications and explicit factor products; ``wsa`` is ``W^T SA``, the
-    width of W (``k``, or the smaller side of a thinner double sketch) times
-    the stored entries of ``SA`` (``k nnz(SA)`` for a sparse row sample,
-    ``k s n`` for a dense CountSketch); with T a pass-through it is the
-    ``U^T SA`` that ``top_singular`` forms or checks. ``s_scores`` is the
-    sparse work of the sketched ridge leverage scores behind a sampled
-    ``S``, ``(w + r) nnz(A)`` for the score sketch ``A Omega`` and the
-    projection ``U^T A`` (absent when ``S`` clipped or the scores were
-    exact). With a regression sketch ``R``,
-    ``zr_apply`` is ``k n`` for ``Z^T R``, ``r_apply`` is ``n k`` for
-    ``R P`` with ``P = (Z^T R)^+``, and ``regression`` is ``k nnz(A)`` for
+    applications and explicit factor products; ``wsa`` is ``U^T SA``, the
+    width of U (``k``, or the smaller side of a thinner ``SA``) times the
+    stored entries of ``SA`` (``k nnz(SA)`` for a sparse row sample,
+    ``k s n`` for a dense CountSketch), which ``top_singular`` forms or
+    checks. ``s_scores`` is the sparse work of the sketched ridge leverage
+    scores behind a sampled ``S``, ``(w + r) nnz(A)`` for the score sketch
+    ``A Omega`` and the projection ``U^T A`` (absent when ``S`` clipped or
+    the scores were exact). With a regression sketch ``R``, ``zr_apply`` is
+    ``k n`` for ``Z^T R``, ``r_apply`` is ``n k`` for ``R P`` with
+    ``P = (Z^T R)^+``, and ``regression`` is ``k nnz(A)`` for
     ``Y = A (R P)``, as for the exact ``A Z``. Not counted: the
     factorizations (the ``w x w`` and ``r x r`` Gram eigendecompositions of
     the sketched scores or the full one of the exact scores,
-    :func:`~sketchlr.matrixcore.top_singular` on the double sketch, whether
-    by Lanczos on a sparse ``SA`` or by a partial dense ``eigh``, the
-    row-space SVD behind a real T, and the ``k x r_embed`` SVD of ``Z^T R``
-    with the ``r_embed k^2`` product that forms ``P``), the dense products
-    and Gram products that feed them (``top_singular`` reads its checks from
-    a dense ``SA``'s), the ``n k^2`` Cholesky-QR step on a pass-through
-    ``Z``, and the column norms read by the scores.
-    ``elapsed`` times the stages; ``rowspace`` is present only with a real
-    T. ``relative_error`` is only present when the exact oracle was run.
+    :func:`~sketchlr.matrixcore.top_singular` on ``SA``, whether by Lanczos
+    on a sparse ``SA`` or by a partial dense ``eigh``, and the
+    ``k x r_embed`` SVD of ``Z^T R`` with the ``r_embed k^2`` product that
+    forms ``P``), the dense products and Gram products that feed them
+    (``top_singular`` reads its checks from a dense ``SA``'s), the
+    ``n k^2`` Cholesky-QR step on ``Z``, and the column norms read by the
+    scores. ``elapsed`` times the stages ``s_apply``, ``svd_sat`` (the
+    top-k of ``SA``), ``regression`` and, with the oracle, ``oracle``.
+    ``relative_error`` is only present when the exact oracle was run.
     Pass-throughs are flagged: ``clipped`` when the row sampler ``S`` kept
-    every nonzero row, ``t_identity`` when there was no right sketch ``T``
-    (simplified mode, or a width reaching the column count), and
-    ``r_identity`` when ``Y`` is the exact regression ``A Z`` with no sketch
-    ``R``.
+    every nonzero row, and ``r_identity`` when ``Y`` is the exact regression
+    ``A Z`` with no sketch ``R``.
     """
 
     factors: LowRankFactors
@@ -120,7 +116,6 @@ class SolveReport:
     fallback_used: bool = False
     transposed: bool = False
     clipped: bool = False
-    t_identity: bool = False
     r_identity: bool = False
     degenerate: bool = False
     warnings: tuple[str, ...] = ()
@@ -323,7 +318,7 @@ def _sketched_rowspace(
     constants: SketchConstants,
     report: SolveReport,
 ) -> np.ndarray:
-    """Stages 2-4: returns Z and fills the report bookkeeping.
+    """Stages 2-3: returns Z and fills the report bookkeeping.
 
     ``SA`` is a :class:`SparseMatrix` from the row sampler and a dense array
     from the simplified-mode CountSketch; every stage below takes either.
@@ -342,30 +337,35 @@ def _sketched_rowspace(
             report.clipped |= s_sk.clipped
             report.degenerate |= s_sk.degenerate
             sa = apply_row_sampler(work, s_sk, _counter(counters, "s_apply"))
-    with _Stage(elapsed, "t_apply"):
-        t_op = None
-        if plan.mode != "simplified_experiment":
-            t_op = build_row_sampler_T(sa, eps, stream, plan.mode, constants)
-        report.t_identity = t_op is None or isinstance(t_op, IdentitySketch)
-        if report.t_identity:
-            sat = sa
-        else:
-            seeds["t"] = t_op.seed
-            sat = apply_countsketch_right(sa, t_op, _counter(counters, "t_apply"))
     with _Stage(elapsed, "svd_sat"):
         # a clipped sample of a matrix with fewer than k nonzero rows is thin
-        top = top_singular(sat, min(k, *sat.shape))
-    # W^T SA, k per stored entry of SA; with T the identity it is the
-    # U^T SA = diag(sigma) V^T that top_singular forms or checks, so Z is V
+        top = top_singular(sa, min(k, *sa.shape))
+    # U^T SA = diag(sigma) V^T, k per stored entry of SA, is what top_singular
+    # forms or checks, so Z is V
     sparse = isinstance(sa, SparseMatrix)
     counters["wsa"] = counters.get("wsa", 0) + top.u.shape[1] * (sa.nnz if sparse else sa.size)
-    if report.t_identity:  # cut at the rank orthonormal_rowspace would keep
-        v = top.v[:, : int(np.sum(top.sigma > RANK_TOL * top.sigma[0]))]
-        # Cholesky-QR, V R^-1 for V^T V = R^T R: SA^T U / sigma drifts like eps (s1/sk)^2
-        return complete_basis(v @ np.linalg.inv(np.linalg.cholesky(v.T @ v)).T, k)
-    with _Stage(elapsed, "rowspace"):
-        wsa = dense_sparse_multiply(top.u.T, sa) if sparse else top.u.T @ sa
-        return complete_basis(orthonormal_rowspace(wsa), k)
+    v = top.v[:, : int(np.sum(top.sigma > RANK_TOL * top.sigma[0]))]
+    # Cholesky-QR, V R^-1 for V^T V = R^T R: SA^T U / sigma drifts like eps (s1/sk)^2
+    return complete_basis(v @ np.linalg.inv(np.linalg.cholesky(v.T @ v)).T, k)
+
+
+def _prologue(
+    a: SparseMatrix, k: int, eps: float
+) -> tuple[SparseMatrix, bool, float, tuple[str, ...]]:
+    """Check k and eps, clamp eps to 1/2, and solve a wide input on its transpose.
+
+    Returns ``(work, transposed, eps, warnings)`` with ``work`` the tall input.
+    """
+    if not 1 <= k < min(a.shape):
+        raise ValueError(f"k={k} out of range 1..{min(a.shape) - 1}")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    warnings: tuple[str, ...] = ()
+    if eps > 0.5:
+        warnings = (f"eps={eps:g} clamped to 0.5",)
+        eps = 0.5
+    transposed = a.nrows < a.ncols
+    return (a.transpose() if transposed else a), transposed, eps, warnings
 
 
 def _swap_transposed(factors: LowRankFactors) -> LowRankFactors:
@@ -402,17 +402,7 @@ def solve_schatten(
     p = float(p)
     if not np.isfinite(p) or p < 1:
         raise ValueError(f"p must be a finite value >= 1, got {p}")
-    if not 1 <= k < min(a.shape):
-        raise ValueError(f"k={k} out of range 1..{min(a.shape) - 1}")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    warnings: list[str] = []
-    if eps > 0.5:
-        warnings.append(f"eps={eps:g} clamped to 0.5")
-        eps = 0.5
-
-    transposed = a.nrows < a.ncols
-    work = a.transpose() if transposed else a
+    work, transposed, eps, warnings = _prologue(a, k, eps)
     m, n = work.shape
     plan = make_sketch_plan(m, n, k, eps, p, mode, constants)
     report = SolveReport(factors=None, plan=plan, transposed=transposed)  # type: ignore[arg-type]
@@ -428,7 +418,7 @@ def solve_schatten(
         report.fallback_used = reg.fallback_used
     factors = LowRankFactors(y=reg.yhat, z=z, k=k)
     report.factors = _swap_transposed(factors) if transposed else factors
-    report.warnings = tuple(warnings)
+    report.warnings = warnings
 
     if oracle:
         _score_oracle(report, a, lambda s: schatten_norm(s, p))
@@ -498,14 +488,7 @@ def solve_generalized(
         scalar, alpha_known = loss, None
     else:
         raise ValueError("loss must be a ScalarLoss or LossSpec")
-    if not 1 <= k < min(a.shape):
-        raise ValueError(f"k={k} out of range 1..{min(a.shape) - 1}")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    warnings: list[str] = []
-    if eps > 0.5:
-        warnings.append(f"eps={eps:g} clamped to 0.5")
-        eps = 0.5
+    work, transposed, eps, warnings = _prologue(a, k, eps)
 
     if condition_grid is None and isinstance(scalar, Hashable):
         cond = _default_grid_conditions(scalar, float(eps))
@@ -519,19 +502,13 @@ def solve_generalized(
     alpha = float(alpha_known) if alpha_known is not None else cond.alpha
     alpha = max(alpha, 1e-6)
 
-    transposed = a.nrows < a.ncols
-    work = a.transpose() if transposed else a
-    m, n = work.shape
     r_head = int(math.ceil(k / eps))
     eta1 = min(constants.c3 * (eps / r_head) ** (1.0 / alpha), eps)
-    s_rows = min(sample_count(k, eps, eta1, constants.c_s), m)
-    t_cols = int(math.ceil(constants.c_t * s_rows * (1.0 + math.log(s_rows)) / eps**2))
     plan = SketchPlan(
         eta1=eta1,
         eta2=1.0,
         r_kyfan=r_head,
-        s_rows=s_rows,
-        t_cols=t_cols,
+        s_rows=min(sample_count(k, eps, eta1, constants.c_s), work.nrows),
         r_embed=None,
         mode="full_pipeline",
     )
@@ -541,7 +518,7 @@ def solve_generalized(
         transposed=transposed,
         r_identity=True,
         condition_report=cond,
-        warnings=tuple(warnings),
+        warnings=warnings,
     )
     z = _sketched_rowspace(work, k, eps, plan, stream, constants, report)
     with _Stage(report.elapsed, "regression"):

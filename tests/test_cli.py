@@ -36,7 +36,7 @@ def test_solve_with_oracle_and_file(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "relative error" in out
-    assert "t_identity=True r_identity=True" in out
+    assert "r_identity=True" in out
 
 
 def test_solve_generalized_loss(capsys):

@@ -18,7 +18,6 @@ from sketchlr import (
     build_countsketch,
     complete_basis,
     dense_sparse_multiply,
-    orthonormal_rowspace,
     schatten_norm,
     singular_values,
     sparse_dense_multiply,
@@ -613,31 +612,7 @@ class TestGoldenCounterexample:
         np.testing.assert_allclose(eigs, [804.503, -0.0028], atol=1e-3)
 
 
-class TestOrthonormalRowspace:
-    def test_single_direction(self):
-        z = orthonormal_rowspace(np.array([[2.0, 0.0], [0.0, 0.0]]))
-        assert z.shape == (2, 1)
-        np.testing.assert_allclose(np.abs(z[:, 0]), [1.0, 0.0], atol=1e-12)
-
-    def test_idempotent_on_orthonormal_rows(self):
-        gen = make_gen(7)
-        q = random_orthonormal(gen, 6, 3).T  # 3x6 with orthonormal rows
-        z = orthonormal_rowspace(q)
-        assert z.shape == (6, 3)
-        np.testing.assert_allclose(z.T @ z, np.eye(3), atol=1e-10)
-        np.testing.assert_allclose(q @ z @ z.T, q, atol=1e-10)
-
-    def test_projection_residual(self):
-        gen = make_gen(9)
-        m = random_rank_k(gen, 4, 10, 4)
-        z = orthonormal_rowspace(m)
-        assert z.shape[1] == 4
-        assert np.linalg.norm(m - m @ z @ z.T) <= 1e-10 * np.linalg.norm(m)
-
-    def test_zero_matrix(self):
-        z = orthonormal_rowspace(np.zeros((3, 5)))
-        assert z.shape == (5, 0)
-
+class TestCompleteBasis:
     def test_complete_basis(self):
         gen = make_gen(13)
         z = random_orthonormal(gen, 8, 2)
@@ -648,7 +623,7 @@ class TestOrthonormalRowspace:
 
 
 class TestProducts:
-    def test_identity_times_dense(self):
+    def test_eye_times_dense(self):
         gen = make_gen(2)
         b = gen.standard_normal((4, 3))
         eye = SparseMatrix.from_dense(np.eye(4))

@@ -15,8 +15,6 @@ from sketchlr import (
     cpe_constant,
     kyfan_pr_norm,
     parse_loss,
-    phi_eval,
-    phi_head,
     phi_objective,
     schatten_norm,
     singular_values,
@@ -165,12 +163,12 @@ class TestCpeConstant:
 class TestScalarLosses:
     def test_huber_branches(self):
         h = HuberLoss(1.0)
-        assert phi_eval(h, 2.0) == pytest.approx(1.5)
-        assert phi_eval(h, 0.5) == pytest.approx(0.125)
-        assert phi_eval(h, 1.0) == pytest.approx(0.5)  # branches agree at tau
+        assert h(2.0) == pytest.approx(1.5)
+        assert h(0.5) == pytest.approx(0.125)
+        assert h(1.0) == pytest.approx(0.5)  # branches agree at tau
 
     def test_l1l2_at_zero(self):
-        assert phi_eval(L1L2Loss(), 0.0) == 0.0
+        assert L1L2Loss()(0.0) == 0.0
 
     def test_l1l2_matches_closed_form(self):
         x = np.linspace(0.0, 20.0, 101)
@@ -189,18 +187,6 @@ class TestScalarLosses:
             assert vals[0] == 0.0
             assert np.all(np.diff(vals) >= -1e-14)
             assert np.all(vals >= 0)
-
-    def test_rejects_negative_argument(self):
-        with pytest.raises(ValueError):
-            phi_eval(HuberLoss(1.0), -0.1)
-
-    def test_phi_head(self):
-        loss = HuberLoss(10.0)
-        sigma = [3.0, 2.0, 1.0]
-        assert phi_head(sigma, loss, 2) == pytest.approx(4.5 + 2.0)
-        assert phi_head(sigma, loss, 3) == pytest.approx(phi_objective(sigma, loss))
-        with pytest.raises(ValueError):
-            phi_head(sigma, loss, 4)
 
     def test_parse_loss(self):
         assert parse_loss("huber:2.5") == HuberLoss(2.5)

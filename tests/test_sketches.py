@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import lowrank_plus_noise, make_gen, random_orthonormal, random_sparse
+from conftest import lowrank_plus_noise, make_gen, random_sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -15,7 +15,6 @@ import sketchlr.matrixcore as matrixcore
 import sketchlr.sketches as sketches
 from sketchlr import (
     CountSketchOperator,
-    IdentitySketch,
     MultiplyAddCounter,
     RandomStream,
     ScaleLimitError,
@@ -28,7 +27,6 @@ from sketchlr import (
     build_column_sampler,
     build_countsketch,
     build_row_sampler,
-    build_row_sampler_T,
     make_sketch_plan,
     sample_count,
     singular_values,
@@ -88,7 +86,7 @@ class TestCountSketch:
 
 
 class TestCountSketchApply:
-    def test_identity_input_places_signs(self):
+    def test_eye_input_places_signs(self):
         op = build_countsketch(6, 4, RandomStream(8))
         out = apply_countsketch_right(SparseMatrix.from_dense(np.eye(6)), op)
         for i in range(6):
@@ -172,15 +170,6 @@ class TestCountSketchApply:
         with pytest.raises(ValueError, match="mismatch"):
             apply_countsketch_left(np.ones((6, 4)), op)
 
-    def test_identity_sketch_passthrough(self):
-        a = random_sparse(make_gen(45), 6, 5, density=0.4)
-        np.testing.assert_array_equal(
-            apply_countsketch_right(a, IdentitySketch(5)), a.to_dense()
-        )
-        np.testing.assert_array_equal(
-            apply_countsketch_left(a, IdentitySketch(6)), a.to_dense()
-        )
-
     def test_product_concentration(self):
         # Frobenius bilinear deviation within eps for >= 90 of 100 seeds
         gen = make_gen(99)
@@ -211,13 +200,13 @@ class TestColumnSampler:
         np.testing.assert_array_equal(sk.weights, [1.0])
         assert sk.clipped
 
-    def test_identity_uniform_weights(self):
+    def test_eye_gets_uniform_weights(self):
         sk = build_column_sampler(np.eye(8), 2, 0.5, 0.1, RandomStream(1))
         assert sk.clipped  # budget covers all columns at these parameters
         np.testing.assert_array_equal(sk.indices, np.arange(8))
         np.testing.assert_array_equal(sk.weights, np.ones(8))
 
-    def test_identity_uniform_weights_subsampled(self):
+    def test_eye_gets_uniform_weights_subsampled(self):
         # force genuine sampling; symmetric leverage means equal weights
         sk = build_column_sampler(
             np.eye(30), 2, 0.5, 0.1, RandomStream(2), SketchConstants(c_s=0.05)
@@ -690,53 +679,6 @@ class TestDenseGuard:
         assert peak < 2**22
 
 
-class TestRowSamplerT:
-    def test_width_formula_single_row(self):
-        op = build_row_sampler_T(np.ones((1, 500)), 0.3, RandomStream(7))
-        assert isinstance(op, CountSketchOperator)
-        assert op.sketch_dim == math.ceil(4.0 / 0.3**2)
-
-    def test_identity_when_width_reaches_columns(self):
-        op = build_row_sampler_T(np.ones((3, 10)), 0.5, RandomStream(7))
-        assert isinstance(op, IdentitySketch)
-
-    def test_simplified_mode_is_identity(self):
-        op = build_row_sampler_T(
-            np.ones((3, 10_000)), 0.5, RandomStream(7), mode="simplified_experiment"
-        )
-        assert isinstance(op, IdentitySketch)
-
-    def test_spectral_band(self):
-        # singular values of M T within 1 +/- eps for orthonormal-row M
-        stream = RandomStream(77)
-        eps = 0.3
-        hits = 0
-        for t in range(100):
-            gen = make_gen(1000 + t)
-            m = random_orthonormal(gen, 400, 3).T
-            op = build_row_sampler_T(m, eps, stream)
-            assert isinstance(op, CountSketchOperator)
-            sv = singular_values(apply_countsketch_right(m, op))
-            hits += sv.min() >= 1 - eps and sv.max() <= 1 + eps
-        assert hits >= 95
-
-    def test_rejects_bad_eps(self):
-        with pytest.raises(ValueError):
-            build_row_sampler_T(np.ones((2, 9)), 0.7, RandomStream(1))
-
-    def test_sparse_input_reads_only_the_shape(self):
-        sparse = SparseMatrix(1, 500, [0], [3], [2.0])
-        op = build_row_sampler_T(sparse, 0.3, RandomStream(7))
-        ref = build_row_sampler_T(np.ones((1, 500)), 0.3, RandomStream(7))
-        assert isinstance(op, CountSketchOperator)
-        assert op.sketch_dim == ref.sketch_dim and op.seed == ref.seed
-        np.testing.assert_array_equal(op.bucket, ref.bucket)
-        assert isinstance(
-            build_row_sampler_T(SparseMatrix(3, 10, [0], [0], [1.0]), 0.5, RandomStream(7)),
-            IdentitySketch,
-        )
-
-
 class TestSketchPlan:
     def test_p2_formulas(self):
         plan = make_sketch_plan(100, 80, 4, 0.5, 2.0)
@@ -761,14 +703,13 @@ class TestSketchPlan:
     def test_simplified_marks_identities(self):
         plan = make_sketch_plan(300, 200, 10, 0.5, 1.0, "simplified_experiment")
         assert plan.s_rows == 100
-        assert plan.t_cols is None and plan.r_embed is None
+        assert plan.r_embed is None
 
     def test_exact_dims_follow_sample_count(self):
         m, n, k, eps = 5000, 400, 3, 0.5
         plan = make_sketch_plan(m, n, k, eps, 1.0)
         assert plan.s_rows == min(sample_count(k, eps, plan.eta1, 8.0), m)
         assert plan.r_embed == math.ceil(4.0 * k / plan.eta2)
-        assert plan.t_cols >= plan.s_rows
 
     def test_regression_width_reaching_n_is_a_pass_through(self):
         # ceil(4 k / eta2) = 144 for k=3, p=1: wider than n=90, not than n=400

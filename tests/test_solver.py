@@ -13,7 +13,7 @@ from conftest import (
     random_rank_k,
     random_sparse,
 )
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sketchlr.matrixcore as matrixcore
@@ -190,30 +190,27 @@ class TestOracleScorer:
 
 
 class TestPassThroughFlags:
-    def test_simplified_mode_passes_t_and_r_through(self):
+    def test_simplified_mode_passes_r_through(self):
         a = generate_synthetic(120, 90, 0.1, RandomStream(1))
         rep = solve_schatten(a, 3, 1.0, 0.5, RandomStream(2), "simplified_experiment")
-        assert rep.t_identity and rep.r_identity
-        assert "t" not in rep.seeds and "r" not in rep.seeds
+        assert rep.r_identity
+        assert list(rep.seeds) == ["s"]
 
-    @pytest.mark.parametrize("c_t", [4.0, 0.05])
-    def test_full_pipeline_flags_match_drawn_seeds(self, c_t):
-        # default constants make T a pass-through at desk scale; a small c_t
-        # makes it a real CountSketch, so both values of the flag are seen
+    def test_full_pipeline_flags_match_drawn_seeds(self):
+        # S samples and R is real: one seed each, nothing else drawn
         a = generate_synthetic(300, 200, 0.1, RandomStream(1))
-        consts = SketchConstants(c_s=0.05, c_t=c_t)
+        consts = SketchConstants(c_s=0.05)
         rep = solve_schatten(a, 2, 1.0, 0.5, RandomStream(2), constants=consts)
-        assert rep.t_identity == ("t" not in rep.seeds)
-        assert rep.r_identity == ("r" not in rep.seeds)
-        assert rep.t_identity == (c_t == 4.0)
+        assert not rep.clipped and not rep.r_identity
+        assert list(rep.seeds) == ["s", "r"]
 
     def test_baseline_and_generalized_regress_exactly(self):
         a = generate_synthetic(120, 90, 0.1, RandomStream(1))
         base = solve_frobenius_baseline(a, 3, RandomStream(2))
-        assert base.t_identity and base.r_identity
+        assert base.r_identity
         gen_rep = solve_generalized(a, 3, HuberLoss(1.0), 0.5, RandomStream(2))
         assert gen_rep.r_identity
-        assert gen_rep.t_identity == ("t" not in gen_rep.seeds)
+        assert list(base.seeds) == list(gen_rep.seeds) == ["s"]
 
 
     def test_regression_width_reaching_n_is_exact(self):
@@ -240,7 +237,7 @@ def _full_solves(a, stream_seed, consts):
 
 
 class TestSparseSketchedRowspace:
-    CLIPPED, SAMPLED, REAL_T = (True, True), (False, True), (False, False)
+    CLIPPED, SAMPLED = True, False
 
     @pytest.mark.parametrize(
         "shape, density, consts, kinds",
@@ -248,11 +245,11 @@ class TestSparseSketchedRowspace:
             ((300, 200), 0.05, SketchConstants(), [CLIPPED] * 3),
             ((200, 300), 0.05, SketchConstants(), [CLIPPED] * 3),
             ((900, 40), 0.2, SketchConstants(), [CLIPPED, CLIPPED, SAMPLED]),
-            ((300, 200), 0.1, SketchConstants(c_s=0.05, c_t=0.05), [REAL_T] * 3),
+            ((300, 200), 0.1, SketchConstants(c_s=0.05), [SAMPLED] * 3),
         ],
     )
     def test_factors_match_the_dense_kernels(self, shape, density, consts, kinds, monkeypatch):
-        # p=1, p=3 and Huber solves, each checked as (clipped, t_identity); the
+        # p=1, p=3 and Huber solves, each checked for a clipped S; the
         # factors of one column pair may differ in sign between the kernels
         a = generate_synthetic(*shape, density, RandomStream(1))
         sparse = _full_solves(a, 5, consts)
@@ -261,10 +258,10 @@ class TestSparseSketchedRowspace:
             solver, "apply_row_sampler", lambda *args: sample(*args).to_dense()
         )
         dense = _full_solves(a, 5, consts)
-        assert [(rep.clipped, rep.t_identity) for rep in sparse] == kinds
+        assert [rep.clipped for rep in sparse] == kinds
         for got, ref in zip(sparse, dense):
             assert got.seeds == ref.seeds
-            assert (got.clipped, got.t_identity) == (ref.clipped, ref.t_identity)
+            assert got.clipped == ref.clipped
             y, z = _align_signs(ref.factors, got.factors)
             scale = np.linalg.norm(ref.factors.y)
             np.testing.assert_allclose(z, ref.factors.z, rtol=0, atol=1e-10)
@@ -292,10 +289,10 @@ class TestSparseSketchedRowspace:
         monkeypatch.setattr(matrixcore, "eigsh", eigsh_spy)
         for p in (1.0, 3.0):
             rep = solve_schatten(a, 3, p, 0.5, RandomStream(9))
-            assert rep.clipped and rep.t_identity
+            assert rep.clipped
         # two Lanczos runs per solve: the top k + 1 and the deflated check
         assert calls["to_dense"] == 0 and calls["eigsh"] == 4
-        # with T a pass-through, Z is top_singular's V: no full SVD at all
+        # Z is top_singular's V: no full SVD at all
         assert calls["svd"] == []
 
     def test_wsa_costs_k_per_stored_entry_of_sa(self):
@@ -335,7 +332,7 @@ def _pass_through_input(gen, m, n, k, kind):
 
 
 class TestPassThroughRowspace:
-    """With T a pass-through, Z is ``top_singular``'s V, rank-cut and padded."""
+    """Z is ``top_singular``'s V on ``SA``, rank-cut and padded."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -364,19 +361,33 @@ class TestPassThroughRowspace:
             mp.setattr(solver, "top_singular", top_spy)
             mp.setattr(solver, "complete_basis", complete_spy)
             rep = _PASS_THROUGH_SOLVES[solve](a, k, seed)
-        # one nonzero row of more than 16 columns gets a real T (t_cols = 16)
-        assume(rep.t_identity)
-        assert "rowspace" not in rep.elapsed
+        assert set(rep.elapsed) == {"s_apply", "svd_sat", "regression"}
         assert len(seen) == len(made) == 1
         (sa, top), z = seen[0], made[0]
         sa = sa.to_dense() if isinstance(sa, SparseMatrix) else sa
-        z_ref = real_complete(matrixcore.orthonormal_rowspace(top.u.T @ sa), k)
+        # the row space U^T SA spans, cut at RANK_TOL like Z
+        ref = matrixcore.svd(top.u.T @ sa)
+        rank = int(np.sum(ref.sigma > matrixcore.RANK_TOL * ref.sigma[0]))
+        z_ref = real_complete(ref.v[:, :rank], k)
         assert z.shape == z_ref.shape == (sa.shape[1], k)
         assert np.linalg.norm(z @ z.T - z_ref @ z_ref.T) <= 1e-9
         assert np.max(np.abs(z.T @ z - np.eye(k))) <= 1e-9
         assert rep.multiply_add_counts["wsa"] == top.u.shape[1] * (
             np.count_nonzero(sa) if solve != "simplified" else sa.size
         )
+
+    @pytest.mark.parametrize("solve", ["clipped_p1", "clipped_p3", "huber"])
+    def test_z_is_the_top_direction_of_two_nonzero_rows(self, solve):
+        # S keeps both rows, so SA is exact and Z is A's top right singular
+        # vector, whatever the loss
+        gen = make_gen(0)
+        dense = np.zeros((500, 150))
+        dense[gen.choice(500, 2, replace=False)] = gen.standard_normal((2, 150))
+        rep = _PASS_THROUGH_SOLVES[solve](SparseMatrix.from_dense(dense), 1, 3)
+        v1 = np.linalg.svd(dense)[2][:1].T
+        z = rep.factors.z
+        assert rep.clipped
+        assert np.linalg.norm(z @ z.T - v1 @ v1.T) <= 1e-9
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -434,10 +445,19 @@ class TestSketchedScores:
         clipped = solve_schatten(a, 3, 1.0, 0.5, RandomStream(2))
         assert clipped.clipped and "s_scores" not in clipped.multiply_add_counts
 
-    def test_huber_on_20000_squared_runs_in_sketch_memory(self, monkeypatch):
-        m = n = 20_000
-        gen = make_gen(20_000)
-        flat = gen.choice(m * n, size=200_000, replace=False)
+    @pytest.mark.parametrize(
+        "n, nnz, k, solve",
+        [
+            (20_000, 200_000, 10, lambda a, k: solve_generalized(
+                a, k, parse_loss("huber:1.0"), 0.5, RandomStream(5))),
+            (120_000, 240_000, 1, lambda a, k: solve_schatten(a, k, 1.0, 0.5, RandomStream(5))),
+        ],
+        ids=["huber_20000", "p1_120000"],
+    )
+    def test_large_square_solves_run_in_sketch_memory(self, n, nnz, k, solve, monkeypatch):
+        m = n
+        gen = make_gen(n)
+        flat = gen.choice(m * n, size=nnz, replace=False)
         a = SparseMatrix(m, n, flat // n, flat % n, gen.uniform(0.5, 1.5, flat.size))
         shapes = []
         eigh = scipy.linalg.eigh
@@ -447,23 +467,25 @@ class TestSketchedScores:
             return eigh(x, *args, **kwargs)
 
         def densify(*_):
-            raise AssertionError("a 20000^2 solve must not densify")
+            raise AssertionError(f"a {n}^2 solve must not densify")
 
         monkeypatch.setattr(scipy.linalg, "eigh", eigh_spy)
         monkeypatch.setattr(SparseMatrix, "to_dense", densify)
         tracemalloc.start()
         try:
-            rep = solve_generalized(a, 10, parse_loss("huber:1.0"), 0.5, RandomStream(5))
+            rep = solve(a, k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        width = _score_width(10, 0.5, rep.plan.eta1)
+        width = _score_width(k, 0.5, rep.plan.eta1)
         assert not rep.clipped
-        assert rep.factors.y.shape == (m, 10) and rep.factors.z.shape == (n, 10)
-        np.testing.assert_allclose(rep.factors.z.T @ rep.factors.z, np.eye(10), atol=1e-10)
+        assert rep.factors.y.shape == (m, k) and rep.factors.z.shape == (n, k)
+        np.testing.assert_allclose(rep.factors.z.T @ rep.factors.z, np.eye(k), atol=1e-10)
         assert shapes and max(max(shape) for shape in shapes) <= width
         assert rep.multiply_add_counts["s_scores"] == 2 * width * a.nnz
-        # about 1.6 (m + n) w doubles measured; a dense A would take 3.2 GB
+        # about 1.6 (m + n) w doubles measured at 20000^2 and 1.5 at 120000^2;
+        # a dense A would take 3.2 GB at 20000^2, a dense 921-row SA 0.8 GB
+        # at 120000^2
         assert peak < 3 * (m + n) * width * 8
 
 
@@ -480,7 +502,7 @@ class TestRelativeErrorConvention:
 
 
 class TestSketchedRegression:
-    def test_identity_mode_is_exact(self):
+    def test_no_sketch_is_exact(self):
         gen = make_gen(70)
         a = gen.standard_normal((12, 8))
         z = random_orthonormal(gen, 8, 3)
@@ -596,7 +618,7 @@ class TestReassociatedRegression:
         seen.clear()
         a = generate_synthetic(120, 90, 0.1, RandomStream(1))
         rep = solve_schatten(a, 2, 1.0, 0.5, RandomStream(2))
-        assert rep.t_identity and rep.plan.r_embed < 90 and "r" in rep.seeds
+        assert rep.plan.r_embed < 90 and "r" in rep.seeds
         assert seen == [(2, 90)]
 
     def test_20000_squared_needs_no_m_by_r_array(self):
@@ -785,7 +807,7 @@ class TestFrobeniusBaseline:
         assert base.factors.z.tobytes() == simp.factors.z.tobytes()
         assert base.seeds == simp.seeds
         assert base.multiply_add_counts == simp.multiply_add_counts
-        assert (base.t_identity, base.r_identity) == (True, True)
+        assert base.r_identity
 
     def test_wide_input(self):
         gen = make_gen(91)
@@ -887,7 +909,7 @@ class TestSolveGeneralized:
 
 
 class TestDiagnostics:
-    def test_identity_sketch_never_violates(self):
+    def test_unsketched_input_never_violates(self):
         gen = make_gen(97)
         dense = gen.standard_normal((20, 15))
         a = SparseMatrix.from_dense(dense)
