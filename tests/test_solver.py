@@ -908,6 +908,58 @@ class TestSolveGeneralized:
             solve_generalized(a, 2, LossSpec.schatten(1.0), 0.5, RandomStream(47))
 
 
+_PROLOGUE_SOLVES = {
+    "schatten": lambda a, k, eps, seed: solve_schatten(a, k, 1.0, eps, RandomStream(seed)),
+    "generalized": lambda a, k, eps, seed: solve_generalized(
+        a, k, HuberLoss(1.0), eps, RandomStream(seed)
+    ),
+}
+
+
+@pytest.mark.parametrize("solve", sorted(_PROLOGUE_SOLVES))
+class TestSharedPrologue:
+    """Both solvers check k and eps, clamp eps and orient the input alike."""
+
+    def test_k_out_of_range_message(self, solve):
+        a = SparseMatrix.from_dense(make_gen(88).standard_normal((20, 10)))
+        for k in (0, 10):
+            with pytest.raises(ValueError, match=rf"^k={k} out of range 1\.\.9$"):
+                _PROLOGUE_SOLVES[solve](a, k, 0.5, 1)
+        with pytest.raises(ValueError, match="^eps must be positive$"):
+            _PROLOGUE_SOLVES[solve](a, 2, -0.1, 1)
+
+    def test_k_is_checked_before_eps(self, solve):
+        a = SparseMatrix.from_dense(make_gen(89).standard_normal((20, 10)))
+        with pytest.raises(ValueError, match="out of range"):
+            _PROLOGUE_SOLVES[solve](a, 0, 0.0, 1)
+
+    def test_clamped_eps_solves_as_one_half(self, solve):
+        a = generate_synthetic(120, 90, 0.1, RandomStream(1))
+        clamped = _PROLOGUE_SOLVES[solve](a, 2, 0.9, 7)
+        half = _PROLOGUE_SOLVES[solve](a, 2, 0.5, 7)
+        assert clamped.warnings == ("eps=0.9 clamped to 0.5",)
+        assert half.warnings == ()
+        assert clamped.factors.y.tobytes() == half.factors.y.tobytes()
+        assert clamped.factors.z.tobytes() == half.factors.z.tobytes()
+        assert clamped.seeds == half.seeds
+
+    def test_wide_input_is_solved_on_its_transpose(self, solve):
+        tall = generate_synthetic(120, 90, 0.1, RandomStream(1))
+        wide = tall.transpose()
+        from_tall = _PROLOGUE_SOLVES[solve](tall, 2, 0.5, 7)
+        from_wide = _PROLOGUE_SOLVES[solve](wide, 2, 0.5, 7)
+        assert not from_tall.transposed and from_wide.transposed
+        assert from_wide.seeds == from_tall.seeds
+        # Z of the wide solve is orthonormal and spans the tall solve's Y
+        y, z = from_wide.factors.y, from_wide.factors.z
+        assert y.shape == (90, 2) and z.shape == (120, 2)
+        np.testing.assert_allclose(z.T @ z, np.eye(2), atol=1e-10)
+        ref = from_tall.factors.y @ from_tall.factors.z.T
+        np.testing.assert_allclose(
+            y @ z.T, ref.T, rtol=0, atol=1e-10 * np.linalg.norm(ref)
+        )
+
+
 class TestDiagnostics:
     def test_unsketched_input_never_violates(self):
         gen = make_gen(97)
