@@ -58,6 +58,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.loss is not None and args.mode != "full_pipeline":
+        raise ValueError(f"--loss solves in full_pipeline mode only, not --mode {args.mode}")
     stream = RandomStream(args.seed)
     mat = _source_matrix(args, stream)
     if args.loss is not None:
@@ -102,7 +104,6 @@ def _cmd_bench(args) -> int:
         seed=args.seed,
         mode=args.mode,
         oracle=args.oracle,
-        output=args.out,
         nrows=args.m if args.input is None else None,
         ncols=args.n if args.input is None else None,
         density=args.density if args.input is None else None,

@@ -45,7 +45,6 @@ class ExperimentConfig:
     seed: int = 0
     mode: str = "simplified_experiment"
     oracle: bool = False
-    output: str | None = None
     # synthetic source
     nrows: int | None = None
     ncols: int | None = None

@@ -156,29 +156,9 @@ def phi_objective(sigma, loss: ScalarLoss) -> float:
     return float(np.sum(loss(sigma)))
 
 
-@dataclass(frozen=True)
-class LossSpec:
-    """Objective selector: a Schatten order or a generalized scalar loss.
-
-    ``alpha`` may carry a known growth constant for a generalized loss; when
-    absent it is estimated on a grid.
-    """
-
-    kind: str
-    p: float | None = None
-    loss: ScalarLoss | None = None
-    alpha: float | None = None
-
-    @classmethod
-    def schatten(cls, p: float) -> "LossSpec":
-        return cls(kind="schatten", p=_check_p(p))
-
-    @classmethod
-    def generalized(cls, loss: ScalarLoss, alpha: float | None = None) -> "LossSpec":
-        return cls(kind="generalized", loss=loss, alpha=alpha)
-
-
 DEFAULT_CONDITION_GRID = np.logspace(-6.0, 6.0, 241)
+# points of the geometric grid of shifts y in [eps*x, x]
+_SHIFT_POINTS = 25
 
 
 @dataclass(frozen=True)
@@ -230,9 +210,7 @@ class ConditionReport:
         return out
 
 
-def check_phi_conditions(
-    loss: ScalarLoss, eps: float, grid=None, inner_points: int = 25
-) -> ConditionReport:
+def check_phi_conditions(loss: ScalarLoss, eps: float, grid=None) -> ConditionReport:
     """Estimate the loss-regularity constants by maximizing over a grid.
 
     The constants have no closed form for general losses, so the defining
@@ -256,7 +234,7 @@ def check_phi_conditions(
         lo = (1.0 - loss((1.0 - eps) * x) / fx) / eps
         alpha = float(max(up.max(), lo.max(), 0.0))
 
-        frac = np.geomspace(eps, 1.0, inner_points)
+        frac = np.geomspace(eps, 1.0, _SHIFT_POINTS)
         y = x[:, None] * frac[None, :]
         fy = loss(y)
         k1 = float(np.max((loss(x[:, None] + y) - fx[:, None]) / fy))

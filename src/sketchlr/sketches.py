@@ -37,18 +37,17 @@ MODES = ("full_pipeline", "simplified_experiment")
 
 @dataclass(frozen=True)
 class SketchConstants:
-    """Tunable constants behind the Theta(.) sketch-dimension formulas.
+    """Tunable constants behind the Theta(.) sketch sizes.
 
+    They scale the sample count of S, the width of R and the width of the
+    score sketch; the error splits eta1 and eta2 are taken at unit scale.
     Defaults are calibrated so the desk-scale acceptance suite passes. The
     overall failure budget is split uniformly across the S and R sketches;
     the source analysis only fixes per-sketch constant success probabilities.
     """
 
-    c1: float = 1.0  # eta1 scale
-    c2: float = 1.0  # eta2 scale
     c_s: float = 8.0  # row/column sample count
     c_r: float = 4.0  # regression embedding width
-    c3: float = 1.0  # eta1 scale for generalized losses
     c_lev: float = 8.0  # ridge-score sketch width, in units of k + eps/eta
 
 
@@ -261,7 +260,7 @@ def sketched_ridge_leverage_scores(
     mu, rot = mu[::-1], rot[:, ::-1]
     live = mu > floor * mu[0]
     mu = mu[live]
-    c2 = np.square(rot[:, live].T @ c)
+    c_sq = np.square(rot[:, live].T @ c)
     if isinstance(a, SparseMatrix):
         col_sq = np.bincount(x.indices, weights=np.square(x.data), minlength=n)
     else:
@@ -269,9 +268,9 @@ def sketched_ridge_leverage_scores(
     fro = float(col_sq.sum())
     tail = fro - float(mu[:k].sum())
     ridge = ridge_scale * tail if tail > floor * fro else 0.0
-    tau = (1.0 / (mu + ridge)) @ c2
+    tau = (1.0 / (mu + ridge)) @ c_sq
     if ridge > 0.0:
-        tau += np.maximum(col_sq - c2.sum(axis=0), 0.0) / ridge
+        tau += np.maximum(col_sq - c_sq.sum(axis=0), 0.0) / ridge
     return tau
 
 
@@ -430,10 +429,14 @@ def make_sketch_plan(
 ) -> SketchPlan:
     """Dimension plan for the rank-k pipeline at Schatten order ``p``.
 
-    The additive error splits are
-    ``eta1 = c1 (eps^2/k)^{2/p}``, ``eta2 = c2 eps^2 / k^{2/p-1}`` for p < 2 and
-    ``eta1 = c1 eps^{1+2/p} / (k^{2/p} n^{1-2/p})``,
-    ``eta2 = c2 eps^2 / n^{1-2/p}`` for p >= 2.
+    The additive error splits, each capped at 1, are
+    ``eta1 = (eps^2/k)^{2/p}``, ``eta2 = eps^2 / k^{2/p-1}`` for p < 2 and
+    ``eta1 = eps^{1+2/p} / (k^{2/p} n^{1-2/p})``,
+    ``eta2 = eps^2 / n^{1-2/p}`` for p >= 2; ``r_kyfan = ceil(k/eps)``.
+    In full_pipeline mode ``s_rows = min(sample_count(k, eps, eta1, c_s), m)``
+    and ``r_embed = ceil(c_r k / eta2)``, ``None`` once it reaches ``n``. In
+    simplified_experiment mode ``s_rows = k^2`` CountSketch rows and
+    ``r_embed`` is ``None``.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -446,13 +449,11 @@ def make_sketch_plan(
         raise ValueError(f"need 1 <= k <= n <= m, got k={k}, n={n}, m={m}")
 
     if p < 2.0:
-        eta1 = constants.c1 * (eps * eps / k) ** (2.0 / p)
-        eta2 = constants.c2 * eps * eps / k ** (2.0 / p - 1.0)
+        eta1 = (eps * eps / k) ** (2.0 / p)
+        eta2 = eps * eps / k ** (2.0 / p - 1.0)
     else:
-        eta1 = constants.c1 * eps ** (1.0 + 2.0 / p) / (
-            k ** (2.0 / p) * n ** (1.0 - 2.0 / p)
-        )
-        eta2 = constants.c2 * eps * eps / n ** (1.0 - 2.0 / p)
+        eta1 = eps ** (1.0 + 2.0 / p) / (k ** (2.0 / p) * n ** (1.0 - 2.0 / p))
+        eta2 = eps * eps / n ** (1.0 - 2.0 / p)
     eta1 = min(eta1, 1.0)
     eta2 = min(eta2, 1.0)
     r_kyfan = int(math.ceil(k / eps))

@@ -19,8 +19,10 @@ that the SVD is of a small matrix. Lanczos on the sparse ``SA`` costs
 ``2 nnz(SA) <= 2 nnz(A)`` multiply-adds a step, so T saves nothing here and
 is not applied.
 
-The returned pair never materializes ``Y @ Z.T``. Wide inputs are solved on
-the transpose and the factors swapped back.
+:func:`solve_generalized` runs the same steps 2-4 with its own ``eta1`` and
+an exact regression ``Y = A Z``. The returned pair never materializes
+``Y @ Z.T``. Wide inputs are solved on the transpose and the factors swapped
+back.
 """
 
 import functools
@@ -48,7 +50,6 @@ from .matrixcore import (
 )
 from .norms import (
     ConditionReport,
-    LossSpec,
     ScalarLoss,
     check_phi_conditions,
     cpe_constant,
@@ -79,6 +80,11 @@ DEGENERATE_OPTIMUM_RTOL = 1e-12
 class SolveReport:
     """Factors plus the bookkeeping needed to audit one solve.
 
+    Both solvers fill it in one shared body, so their reports have the same
+    keys for the same stages. ``plan`` is the solve's
+    :class:`~sketchlr.sketches.SketchPlan` (for :func:`solve_generalized`,
+    ``eta2 = 1`` and ``r_embed = None``), and ``condition_report`` is the
+    loss-regularity report of a generalized solve, ``None`` otherwise.
     ``multiply_add_counts`` holds exact per-stage counts for the sketch
     applications and explicit factor products; ``wsa`` is ``U^T SA``, the
     width of U (``k``, or the smaller side of a thinner ``SA``) times the
@@ -104,11 +110,12 @@ class SolveReport:
     ``relative_error`` is only present when the exact oracle was run.
     Pass-throughs are flagged: ``clipped`` when the row sampler ``S`` kept
     every nonzero row, and ``r_identity`` when ``Y`` is the exact regression
-    ``A Z`` with no sketch ``R``.
+    ``A Z`` with no sketch ``R`` (always in simplified mode and in a
+    generalized solve).
     """
 
     factors: LowRankFactors
-    plan: SketchPlan | None
+    plan: SketchPlan
     seeds: dict[str, int] = field(default_factory=dict)
     multiply_add_counts: dict[str, int] = field(default_factory=dict)
     elapsed: dict[str, float] = field(default_factory=dict)
@@ -147,7 +154,6 @@ class DiagnosticReport:
     r: int
     eta1: float
     eps: float
-    kp: float
     trials: int
     violations: int
     max_excess: float
@@ -313,17 +319,18 @@ def _sketched_rowspace(
     work: SparseMatrix,
     k: int,
     eps: float,
-    plan: SketchPlan,
     stream: RandomStream,
     constants: SketchConstants,
     report: SolveReport,
 ) -> np.ndarray:
-    """Stages 2-3: returns Z and fills the report bookkeeping.
+    """Stages 2-3 under ``report.plan``: returns Z and fills the report bookkeeping.
 
     ``SA`` is a :class:`SparseMatrix` from the row sampler and a dense array
     from the simplified-mode CountSketch; every stage below takes either.
+    ``SA`` and its top-k triplets are freed on return, before the regression.
     """
-    counters, elapsed, seeds = report.multiply_add_counts, report.elapsed, report.seeds
+    plan, counters = report.plan, report.multiply_add_counts
+    elapsed, seeds = report.elapsed, report.seeds
     with _Stage(elapsed, "s_apply"):
         if plan.mode == "simplified_experiment":
             s_op = build_countsketch(work.nrows, plan.s_rows, stream)
@@ -347,6 +354,39 @@ def _sketched_rowspace(
     v = top.v[:, : int(np.sum(top.sigma > RANK_TOL * top.sigma[0]))]
     # Cholesky-QR, V R^-1 for V^T V = R^T R: SA^T U / sigma drifts like eps (s1/sk)^2
     return complete_basis(v @ np.linalg.inv(np.linalg.cholesky(v.T @ v)).T, k)
+
+
+def _solve(
+    a: SparseMatrix,
+    work: SparseMatrix,
+    k: int,
+    eps: float,
+    stream: RandomStream,
+    constants: SketchConstants,
+    report: SolveReport,
+    objective,
+) -> SolveReport:
+    """Stages 2-4 on the oriented ``work``, then the factors of ``a``.
+
+    Both solvers call this once their plan is in ``report``. The regression
+    is exact when ``report.plan.r_embed`` is ``None``. With an ``objective``
+    of a spectrum, the exact oracle scores the factors against ``a``.
+    """
+    z = _sketched_rowspace(work, k, eps, stream, constants, report)
+    with _Stage(report.elapsed, "regression"):
+        reg = solve_regression_sketched(
+            work, z, report.plan.r_embed, stream, counters=report.multiply_add_counts
+        )
+    if reg.seed is not None:
+        report.seeds["r"] = reg.seed
+    report.r_identity = reg.seed is None
+    report.fallback_used = reg.fallback_used
+    factors = LowRankFactors(y=reg.yhat, z=z, k=k)
+    report.factors = _swap_transposed(factors) if report.transposed else factors
+    if objective is not None:
+        with _Stage(report.elapsed, "oracle"):
+            report.relative_error = OracleScorer(a).relative_error(report.factors, objective)
+    return report
 
 
 def _prologue(
@@ -374,11 +414,6 @@ def _swap_transposed(factors: LowRankFactors) -> LowRankFactors:
     return LowRankFactors(y=factors.z @ r.T, z=q, k=factors.k)
 
 
-def _score_oracle(report: SolveReport, a: SparseMatrix, objective) -> None:
-    with _Stage(report.elapsed, "oracle"):
-        report.relative_error = OracleScorer(a).relative_error(report.factors, objective)
-
-
 def solve_schatten(
     a,
     k: int,
@@ -403,26 +438,14 @@ def solve_schatten(
     if not np.isfinite(p) or p < 1:
         raise ValueError(f"p must be a finite value >= 1, got {p}")
     work, transposed, eps, warnings = _prologue(a, k, eps)
-    m, n = work.shape
-    plan = make_sketch_plan(m, n, k, eps, p, mode, constants)
-    report = SolveReport(factors=None, plan=plan, transposed=transposed)  # type: ignore[arg-type]
-
-    z = _sketched_rowspace(work, k, eps, plan, stream, constants, report)
-    with _Stage(report.elapsed, "regression"):
-        reg = solve_regression_sketched(
-            work, z, plan.r_embed, stream, counters=report.multiply_add_counts
-        )
-        if reg.seed is not None:
-            report.seeds["r"] = reg.seed
-        report.r_identity = reg.seed is None
-        report.fallback_used = reg.fallback_used
-    factors = LowRankFactors(y=reg.yhat, z=z, k=k)
-    report.factors = _swap_transposed(factors) if transposed else factors
-    report.warnings = warnings
-
-    if oracle:
-        _score_oracle(report, a, lambda s: schatten_norm(s, p))
-    return report
+    report = SolveReport(
+        factors=None,  # type: ignore[arg-type]
+        plan=make_sketch_plan(*work.shape, k, eps, p, mode, constants),
+        transposed=transposed,
+        warnings=warnings,
+    )
+    objective = (lambda s: schatten_norm(s, p)) if oracle else None
+    return _solve(a, work, k, eps, stream, constants, report, objective)
 
 
 _solve_schatten = solve_schatten
@@ -459,51 +482,45 @@ def _default_grid_conditions(loss: ScalarLoss, eps: float) -> ConditionReport:
 def solve_generalized(
     a,
     k: int,
-    loss,
+    loss: ScalarLoss,
     eps: float,
     stream: RandomStream,
     *,
     oracle: bool = False,
     constants: SketchConstants = DEFAULT_CONSTANTS,
-    condition_grid=None,
 ) -> SolveReport:
     """Rank-k approximation under an increasing singular-value loss.
 
-    Accepts a :class:`~sketchlr.norms.ScalarLoss` or a generalized
-    :class:`~sketchlr.norms.LossSpec`. The loss must pass the regularity
-    checks (growth, perturbation, scaling, subadditivity); otherwise the
-    solve refuses and names the violated condition. The additive split is
-    ``eta1 = c3 (eps/r)^{1/alpha}`` and the output is ``(A Z, Z)`` directly.
+    ``loss`` must be a :class:`~sketchlr.norms.ScalarLoss` that passes the
+    regularity checks (growth, perturbation, scaling, subadditivity) of
+    :func:`~sketchlr.norms.check_phi_conditions`; otherwise the solve
+    refuses and names the violated condition. With ``alpha`` the grid
+    estimate of the growth constant and ``r = ceil(k/eps)``, the additive
+    split is ``eta1 = min((eps/r)^{1/alpha}, eps)``. The row sample ``S``
+    and ``Z`` are those of :func:`solve_schatten`, and the output is
+    ``(A Z, Z)``: the regression is exact.
 
-    On the default condition grid the regularity report of a hashable loss
-    is computed once per ``(loss, eps)`` and shared by later solves, so a
-    loss must not change once it has been solved with.
+    The regularity report of a hashable loss is computed once per
+    ``(loss, eps)`` and shared by later solves, so a loss must not change
+    once it has been solved with.
     """
     a = _ensure_sparse(a)
-    if isinstance(loss, LossSpec):
-        if loss.kind != "generalized" or loss.loss is None:
-            raise ValueError("solve_generalized needs a generalized LossSpec")
-        scalar, alpha_known = loss.loss, loss.alpha
-    elif isinstance(loss, ScalarLoss):
-        scalar, alpha_known = loss, None
-    else:
-        raise ValueError("loss must be a ScalarLoss or LossSpec")
+    if not isinstance(loss, ScalarLoss):
+        raise ValueError(f"loss must be a ScalarLoss, got {type(loss).__name__}")
     work, transposed, eps, warnings = _prologue(a, k, eps)
 
-    if condition_grid is None and isinstance(scalar, Hashable):
-        cond = _default_grid_conditions(scalar, float(eps))
+    if isinstance(loss, Hashable):
+        cond = _default_grid_conditions(loss, float(eps))
     else:
-        cond = check_phi_conditions(scalar, eps, grid=condition_grid)
+        cond = check_phi_conditions(loss, eps)
     if not cond.finite:
         raise ValueError(
-            f"{scalar.describe()} fails loss condition(s): "
+            f"{loss.describe()} fails loss condition(s): "
             + "; ".join(cond.violated_conditions())
         )
-    alpha = float(alpha_known) if alpha_known is not None else cond.alpha
-    alpha = max(alpha, 1e-6)
-
+    alpha = max(cond.alpha, 1e-6)
     r_head = int(math.ceil(k / eps))
-    eta1 = min(constants.c3 * (eps / r_head) ** (1.0 / alpha), eps)
+    eta1 = min((eps / r_head) ** (1.0 / alpha), eps)
     plan = SketchPlan(
         eta1=eta1,
         eta2=1.0,
@@ -516,21 +533,11 @@ def solve_generalized(
         factors=None,  # type: ignore[arg-type]
         plan=plan,
         transposed=transposed,
-        r_identity=True,
-        condition_report=cond,
         warnings=warnings,
+        condition_report=cond,
     )
-    z = _sketched_rowspace(work, k, eps, plan, stream, constants, report)
-    with _Stage(report.elapsed, "regression"):
-        y = sparse_dense_multiply(
-            work, z, _counter(report.multiply_add_counts, "regression")
-        )
-    factors = LowRankFactors(y=y, z=z, k=k)
-    report.factors = _swap_transposed(factors) if transposed else factors
-
-    if oracle:
-        _score_oracle(report, a, lambda s: phi_objective(s, scalar))
-    return report
+    objective = (lambda s: phi_objective(s, loss)) if oracle else None
+    return _solve(a, work, k, eps, stream, constants, report, objective)
 
 
 def diagnose_kyfan_preservation(
@@ -544,7 +551,6 @@ def diagnose_kyfan_preservation(
     stream: RandomStream,
     *,
     eps: float = 0.5,
-    kp: float = 1.0,
 ) -> DiagnosticReport:
     """Check the two-sided Ky-Fan head inequality on random projections.
 
@@ -552,9 +558,8 @@ def diagnose_kyfan_preservation(
     ``||SA(I-Q)||_(p,r)^p`` must land inside the band
     ``(1 -/+ eps) ||A(I-Q)||_(p,r)^p -/+ slack`` where the additive slack is
     ``r eta1^{p/2} ||A-A_k||_p^p`` for p <= 2 and
-    ``C_{p/2,eps} r eta1^{p/2} ||A-A_k||_F^p`` for p > 2 (the multiplicative
-    band widens to ``kp * eps`` there). Reports the violation fraction; this
-    is a diagnostic, not an assertion. ``sa`` may be dense or the
+    ``C_{p/2,eps} r eta1^{p/2} ||A-A_k||_F^p`` for p > 2. Reports the
+    violation fraction; this is a diagnostic, not an assertion. ``sa`` may be dense or the
     :class:`SparseMatrix` that :func:`~sketchlr.sketches.apply_row_sampler`
     returns; both it and ``a`` are densified under the dense guard.
     """
@@ -573,10 +578,8 @@ def diagnose_kyfan_preservation(
     tail_f = float(np.sqrt(np.sum(sigma[k:] ** 2))) if k < sigma.size else 0.0
     if p <= 2.0:
         slack = r * eta1 ** (p / 2.0) * tail_p**p
-        mult = eps
     else:
         slack = cpe_constant(p / 2.0, eps) * r * eta1 ** (p / 2.0) * tail_f**p
-        mult = kp * eps
     r_eff = min(r, min(dense.shape), min(sa.shape))
 
     gen = stream.generator()
@@ -588,8 +591,8 @@ def diagnose_kyfan_preservation(
         res_s = sa - (sa @ q) @ q.T
         head_a = kyfan_pr_norm(singular_values(res_a), p, r_eff) ** p
         head_s = kyfan_pr_norm(singular_values(res_s), p, r_eff) ** p
-        lo = (1.0 - mult) * head_a - slack
-        hi = (1.0 + mult) * head_a + slack
+        lo = (1.0 - eps) * head_a - slack
+        hi = (1.0 + eps) * head_a + slack
         tol = 1e-9 * max(1.0, head_a)
         if not (lo - tol <= head_s <= hi + tol):
             violations += 1
@@ -599,7 +602,6 @@ def diagnose_kyfan_preservation(
         r=r,
         eta1=eta1,
         eps=eps,
-        kp=kp,
         trials=trials,
         violations=violations,
         max_excess=max_excess,

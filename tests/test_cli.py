@@ -47,6 +47,17 @@ def test_solve_generalized_loss(capsys):
     assert "generalized(huber:1.0)" in capsys.readouterr().out
 
 
+def test_loss_with_simplified_mode_is_refused(capsys):
+    code = main(
+        ["solve", "--m", "30", "--n", "20", "--k", "2", "--loss", "huber:1.0",
+         "--mode", "simplified_experiment"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--loss" in captured.err and "--mode simplified_experiment" in captured.err
+
+
 def test_bench_writes_csv(tmp_path, capsys):
     base = tmp_path / "bench"
     code = main(

@@ -116,6 +116,57 @@ class TestSparseMatrix:
         np.testing.assert_array_equal(mat.to_dense(), np.zeros((3, 4)))
 
 
+@st.composite
+def _coordinate_lists(draw):
+    """A shape and distinct (row, col, value) triplets in drawn order."""
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    cells = draw(st.lists(st.integers(0, m * n - 1), unique=True, max_size=m * n))
+    values = draw(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False).filter(bool),
+            min_size=len(cells),
+            max_size=len(cells),
+        )
+    )
+    rows, cols = np.divmod(np.array(cells, dtype=np.int64), n)
+    return m, n, rows, cols, np.array(values, dtype=np.float64)
+
+
+def _assert_same_storage(a, b):
+    assert a.shape == b.shape
+    assert a.csr.data.tobytes() == b.csr.data.tobytes()
+    np.testing.assert_array_equal(a.csr.indices, b.csr.indices)
+    np.testing.assert_array_equal(a.csr.indptr, b.csr.indptr)
+
+
+class TestSparseMatrixProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_coordinate_lists(), order=st.sampled_from(["drawn", "row_major"]))
+    def test_property_canonical_storage_and_round_trips(self, case, order):
+        m, n, rows, cols, values = case
+        if order == "row_major":
+            perm = np.lexsort((cols, rows))
+            rows, cols, values = rows[perm], cols[perm], values[perm]
+        dense = np.zeros((m, n))
+        dense[rows, cols] = values
+        mat = SparseMatrix(m, n, rows, cols, values)
+        for x, ref in ((mat, dense), (mat.transpose(), dense.T)):
+            c = x.csr
+            # column indices strictly increase within each row: sorted, no duplicates
+            for i in range(x.nrows):
+                assert np.all(np.diff(c.indices[c.indptr[i] : c.indptr[i + 1]]) > 0)
+            assert np.all(c.data != 0.0)
+            r, k, v = x.triplets()
+            assert x.nnz == c.data.size == r.size == np.count_nonzero(ref) == values.size
+            assert np.all(np.diff(r * x.ncols + k) > 0)  # row-major, distinct
+            assert v.tobytes() == ref[r, k].tobytes()
+            assert x.to_dense().tobytes() == ref.tobytes()
+            _assert_same_storage(SparseMatrix.from_dense(ref), x)
+            _assert_same_storage(SparseMatrix(*x.shape, r, k, v), x)
+            shuffled = np.random.default_rng(x.nnz).permutation(x.nnz)
+            _assert_same_storage(SparseMatrix(*x.shape, r[shuffled], k[shuffled], v[shuffled]), x)
+
+
 class TestSvd:
     def test_diagonal_sorted(self):
         res = svd(np.diag([3.0, 4.0]))

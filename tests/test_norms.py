@@ -9,7 +9,6 @@ from conftest import make_gen
 from sketchlr import (
     HuberLoss,
     L1L2Loss,
-    LossSpec,
     TukeyPLoss,
     check_phi_conditions,
     cpe_constant,
@@ -194,14 +193,6 @@ class TestScalarLosses:
         assert parse_loss("l1_l2") == L1L2Loss()
         with pytest.raises(ValueError):
             parse_loss("cauchy")
-
-    def test_loss_spec_factories(self):
-        s = LossSpec.schatten(1.5)
-        assert s.kind == "schatten" and s.p == 1.5
-        g = LossSpec.generalized(HuberLoss(1.0), alpha=2.0)
-        assert g.kind == "generalized" and g.alpha == 2.0
-        with pytest.raises(ValueError):
-            LossSpec.schatten(0.3)
 
 
 class TestConditionReport:

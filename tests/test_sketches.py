@@ -718,6 +718,28 @@ class TestSketchPlan:
         assert make_sketch_plan(200, 144, 3, 0.5, 1.0).r_embed is None
         assert make_sketch_plan(200, 145, 3, 0.5, 1.0).r_embed == 144
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p=st.floats(1.0, 20.0),
+        dims=st.lists(st.integers(1, 10**6), min_size=2, max_size=2).map(sorted),
+        ks=st.lists(st.integers(1, 100), min_size=2, max_size=2).map(sorted),
+        epss=st.lists(st.floats(1e-6, 0.5), min_size=2, max_size=2).map(sorted),
+        mode=st.sampled_from(sketches.MODES),
+    )
+    def test_property_monotone_in_k_and_eps(self, p, dims, ks, epss, mode):
+        n, m = dims
+
+        def sizes(k, eps):
+            plan = make_sketch_plan(m, n, min(k, n), eps, p, mode)
+            return plan.s_rows, n if plan.r_embed is None else plan.r_embed
+
+        for eps in epss:
+            few, many = sizes(ks[0], eps), sizes(ks[1], eps)
+            assert few[0] <= many[0] and few[1] <= many[1]
+        for k in ks:
+            tight, loose = sizes(k, epss[0]), sizes(k, epss[1])
+            assert tight[0] >= loose[0] and tight[1] >= loose[1]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             make_sketch_plan(10, 20, 2, 0.5, 1.0)  # m < n
