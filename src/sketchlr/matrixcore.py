@@ -13,12 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 SVD_TOL = 1e-9    # relative factorization / orthonormality tolerance
 RANK_TOL = 1e-10  # singular values below RANK_TOL * sigma_max count as zero
 DENSE_GUARD = 5000  # largest min-dimension any exact dense factorization accepts
-LANCZOS_SEED = 0x1A2C  # seeds every Lanczos start vector, so reruns are bit-identical
+KRYLOV_SEED = 0x1A2C  # seeds the block Krylov start block, so reruns are bit-identical
 
 
 class ConvergenceError(RuntimeError):
@@ -219,121 +218,91 @@ def singular_values(a) -> np.ndarray:
         return scipy.linalg.svd(a, compute_uv=False, lapack_driver="gesvd")
 
 
-def _gram_triplets(x, lam, vecs, k: int, fro: float, gram=None) -> SvdResult | None:
-    """Verified top-k triplets of ``x`` from the leading Gram eigenpairs.
+def _orthonormal(w: np.ndarray) -> np.ndarray:
+    """The Q factor of a thin Householder QR (orthonormal for any rank of ``w``)."""
+    return scipy.linalg.qr(w, mode="economic", check_finite=False)[0]
 
-    ``lam``/``vecs`` are the top eigenpairs of the Gram matrix ``gram`` of the
-    smaller side (its products are formed from ``x`` when it is absent),
-    non-increasing, with one pair past k when there is one. Returns ``None``
-    when sigma_k is numerically zero, ties with sigma_(k+1), or a triplet
-    misses ``SVD_TOL``.
+
+def block_krylov(
+    a, k: int, depth: int, counter: MultiplyAddCounter | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k right Ritz pairs of A from a block Krylov space of depth q.
+
+    The space, on the smaller side of A (``d = min(A.shape)``), is spanned
+    by ``X, G X, ..., G^q X`` for ``G = A^T A`` (``A A^T`` when A is wide)
+    and a ``d x k`` Gaussian X from ``KRYLOV_SEED``, so reruns are
+    bit-identical. Each ``G Q_j`` is projected off the basis Q, whose
+    coefficients fill column block j of ``H = Q^T G Q``, normalized by QR,
+    projected off twice more and normalized again: once the space is used
+    up, a new block is rounding noise (or QR's completion of a zero column)
+    largely inside span(Q), and those two projections keep Q orthonormal.
+    An ``eigh`` of H is the Rayleigh-Ritz step. The span needs no gap at k
+    to be near-optimal for rank-k approximation (Musco & Musco, 2015).
+
+    ``a`` is a :class:`SparseMatrix` or dense. Returns ``(sigma, v)``: the
+    k largest Ritz values as singular values, non-increasing (0 for a
+    ``theta`` at or below ``d eps theta_1``, as in :func:`top_singular`),
+    and the ``n x k`` right block, ``Q S_k`` for a tall A and
+    ``A^T U diag(sigma)^-1`` for the Ritz vectors U of a wide one (zero
+    where sigma is). ``counter`` gets ``2 k nnz(A)`` per product with G and
+    ``k nnz(A)`` for ``A^T U`` (a dense A counts every entry).
     """
-    m, n = x.shape
-    d = min(m, n)
-    wide = m < n
-    top = min(k + 1, d)
-    # dsyevr may return fewer pairs than asked for on a tight cluster
-    separated = (
-        lam.size == top
-        and lam[k - 1] > d * np.finfo(float).eps * lam[0]
-        and (top == k or lam[k - 1] - lam[k] > SVD_TOL * lam[0])
-    )
-    if not separated:
-        return None
-    sigma = np.sqrt(lam[:k])
-    side = np.ascontiguousarray(vecs[:, :k])
-    prod = x.T @ side if wide else x @ side
-    # the other product's residual X other - side sigma is (G side - side Lambda)/sigma
-    g_side = gram @ side if gram is not None else (x @ prod if wide else x.T @ prod)
-    u, v = (side, prod / sigma) if wide else (prod / sigma, side)
-    worst = max(
-        float(np.max(np.abs(u.T @ u - np.eye(k)))),
-        float(np.max(np.abs(v.T @ v - np.eye(k)))),
-        float(np.linalg.norm((g_side - side * lam[:k]) / sigma)) / fro,
-    )
-    return SvdResult(u=u, sigma=sigma, v=v) if worst <= SVD_TOL else None
-
-
-def _lanczos_top(a: SparseMatrix, k: int) -> SvdResult | None:
-    """Top-k triplets of sparse ``a`` by Lanczos on its smaller Gram operator."""
-    x = a.csr
-    m, n = x.shape
-    d = min(m, n)
-    top = k + 1
-    if top >= d - 1 or x.nnz == 0:  # ARPACK needs fewer pairs than d
-        return None
-    xt = x.T
-    gram = (lambda w: x @ (xt @ w)) if m < n else (lambda w: xt @ (x @ w))
-    op = LinearOperator((d, d), matvec=gram, dtype=np.float64)
-    starts = np.random.default_rng(LANCZOS_SEED)
-    try:
-        lam, vecs = eigsh(op, k=top, which="LA", tol=0, v0=starts.standard_normal(d))
-        lam, vecs = lam[::-1], vecs[:, ::-1]
-        # One Krylov space holds a single direction of each repeated
-        # eigenvalue (up to rounding), so the pairs found may skip a copy of
-        # one of the top k. Outside the span of the top k found, the largest
-        # eigenvalue is lambda_(k+1) exactly when they are the top k; a second
-        # start vector finds it on the deflated operator. Its Ritz value is
-        # within the residual, at most SVD_TOL times itself, of an eigenvalue,
-        # so a skipped copy fails the tie test of _gram_triplets.
-        basis = vecs[:, :k]
-
-        def deflated(w):
-            w = gram(w - basis @ (basis.T @ w))
-            return w - basis @ (basis.T @ w)
-
-        rest = LinearOperator((d, d), matvec=deflated, dtype=np.float64)
-        beyond = eigsh(
-            rest, k=1, which="LA", tol=SVD_TOL, v0=starts.standard_normal(d)
-        )[0]
-    except ArpackError:
-        return None
-    lam = np.append(lam[:k], max(lam[k], beyond[0]))
-    fro = float(np.linalg.norm(x.data))
-    return _gram_triplets(x, lam, vecs, k, fro)
+    sparse = isinstance(a, SparseMatrix)
+    x = a.csr if sparse else _check_dense(a)
+    d = min(x.shape)
+    wide = x.shape[0] < x.shape[1]
+    inner, outer = (x.T, x) if wide else (x, x.T)  # G w = outer @ (inner @ w)
+    width = (depth + 1) * k
+    if k < 1 or depth < 0 or width > d:
+        raise ValueError(f"a depth-{depth} Krylov space of k={k} does not fit dimension {d}")
+    basis = np.zeros((d, width), order="F")  # column-major: each block is contiguous
+    h = np.zeros((width, width))
+    basis[:, :k] = _orthonormal(np.random.default_rng(KRYLOV_SEED).standard_normal((d, k)))
+    for j in range(depth + 1):
+        lo, hi = j * k, (j + 1) * k
+        w = outer @ (inner @ basis[:, lo:hi])
+        done = basis[:, :hi]
+        h[:hi, lo:hi] = done.T @ w
+        if hi == width:
+            break
+        block = _orthonormal(w - done @ h[:hi, lo:hi])
+        for _ in range(2):
+            block -= done @ (done.T @ block)
+        basis[:, hi : hi + k] = _orthonormal(block)
+    theta, s = np.linalg.eigh(h, UPLO="U")  # ascending
+    theta = theta[: -k - 1 : -1]
+    # below the rounding floor of a Gram eigenvalue a Ritz value is noise
+    sigma = np.sqrt(np.where(theta > d * np.finfo(float).eps * theta[0], theta, 0.0))
+    side = basis @ s[:, : -k - 1 : -1]
+    if counter is not None:  # 2 k nnz(A) per product with G, k nnz(A) for A^T U
+        counter.add(k * (x.nnz if sparse else x.size) * (2 * (depth + 1) + wide))
+    if not wide:
+        return sigma, side
+    # U^T G U = diag(theta) for Ritz vectors U, so these columns are orthonormal
+    v = x.T @ side
+    return sigma, np.divide(v, sigma, out=np.zeros_like(v), where=sigma > 0)
 
 
 def top_singular(a, k: int) -> SvdResult:
-    """Top-k singular triplets from the Gram matrix of the smaller side.
+    """Top-k singular triplets of a dense matrix from the Gram matrix of its smaller side.
 
-    Takes the top eigenpairs of ``G = A^T A`` (``A A^T`` when A is wide) and
-    derives the other side by one product, a fraction of a full :func:`svd`
-    when k is small. A dense input gets a partial ``eigh`` of G and is read
-    twice, by G and by that product; G's trace ``||A||_F^2`` stands for A's
-    finiteness (a NaN or inf entry spoils it), and an ``||A||_F^2`` beyond
-    the double range is refused too. A :class:`SparseMatrix` gets ARPACK's
-    Lanczos (``eigsh``) on ``x -> A^T (A x)``, ``2 nnz(A)`` multiply-adds a
-    step, and a second run deflated by the top k found checks that they are
-    the top k (one Krylov space misses a copy of a repeated eigenvalue); both
-    start vectors come from ``LANCZOS_SEED``. Every triplet is verified at
-    ``SVD_TOL``: both ``d x k`` blocks orthonormal, and the residual of the
-    other product (``A V - U diag(sigma)`` wide, ``A^T U - V diag(sigma)``
-    tall), read as ``(G S - S Lambda) diag(sigma)^-1`` for the eigenvector
-    block S (formed by one more product on the sparse path), small against
-    ``||A||_F``. The Gram matrix squares the conditioning, so when sigma_k
-    is numerically zero, ties with sigma_(k+1), or a check fails, the sparse
-    path falls back to the dense one and the dense one to the k-column
-    truncation of the verified full :func:`svd`. A sparse input whose
-    smaller side exceeds ``DENSE_GUARD`` is refused with
-    :class:`ConvergenceError` instead of densified.
+    Takes the top eigenpairs of ``G = A^T A`` (``A A^T`` when A is wide) by
+    a partial ``eigh`` and derives the other side by one product, a fraction
+    of a full :func:`svd` when k is small. A is read twice, by G and by that
+    product; G's trace ``||A||_F^2`` stands for A's finiteness (a NaN or inf
+    entry spoils it), and an ``||A||_F^2`` beyond the double range is
+    refused too. Every triplet is verified at ``SVD_TOL``: both ``d x k``
+    blocks orthonormal, and the residual of the other product
+    (``A V - U diag(sigma)`` wide, ``A^T U - V diag(sigma)`` tall), read as
+    ``(G S - S Lambda) diag(sigma)^-1`` for the eigenvector block S, small
+    against ``||A||_F``. The Gram matrix squares the conditioning, so when
+    sigma_k is numerically zero, ties with sigma_(k+1), or a check fails,
+    the result is the k-column truncation of the verified full :func:`svd`.
     """
-    sparse = isinstance(a, SparseMatrix)
-    if not sparse:
-        a = _check_dense(a, finite=False)
+    a = _check_dense(a, finite=False)
     d = min(a.shape)
     if not 1 <= k <= d:
         raise ValueError(f"k={k} out of range 1..{d}")
-    if sparse:
-        res = _lanczos_top(a, k)
-        if res is not None:
-            return res
-        if d > DENSE_GUARD:
-            raise ConvergenceError(
-                f"Lanczos top-{k} triplets failed to verify, and the dense fallback "
-                f"refuses min dimension {d} above the guard DENSE_GUARD={DENSE_GUARD}",
-                np.inf,
-            )
-        a = a.to_dense()
     wide = a.shape[0] < a.shape[1]
     gram = a @ a.T if wide else a.T @ a
     fro = math.sqrt(np.trace(gram))
@@ -343,9 +312,25 @@ def top_singular(a, k: int) -> SvdResult:
     # one eigenpair past k exposes the gap that separates the top-k subspace
     top = min(k + 1, d)
     lam, vecs = scipy.linalg.eigh(gram, subset_by_index=[d - top, d - 1])
-    res = _gram_triplets(a, lam[::-1], vecs[:, ::-1], k, fro, gram)
-    if res is not None:
-        return res
+    lam, vecs = lam[::-1], vecs[:, ::-1]
+    # dsyevr may return fewer pairs than asked for on a tight cluster
+    if (
+        lam.size == top
+        and lam[k - 1] > d * np.finfo(float).eps * lam[0]
+        and (top == k or lam[k - 1] - lam[k] > SVD_TOL * lam[0])
+    ):
+        sigma = np.sqrt(lam[:k])
+        side = np.ascontiguousarray(vecs[:, :k])
+        prod = a.T @ side if wide else a @ side
+        # the other product's residual A other - side sigma is (G side - side Lambda)/sigma
+        u, v = (side, prod / sigma) if wide else (prod / sigma, side)
+        worst = max(
+            float(np.max(np.abs(u.T @ u - np.eye(k)))),
+            float(np.max(np.abs(v.T @ v - np.eye(k)))),
+            float(np.linalg.norm((gram @ side - side * lam[:k]) / sigma)) / fro,
+        )
+        if worst <= SVD_TOL:
+            return SvdResult(u=u, sigma=sigma, v=v)
     res = svd(a)
     return SvdResult(
         u=res.u[:, :k].copy(), sigma=res.sigma[:k].copy(), v=res.v[:, :k].copy()

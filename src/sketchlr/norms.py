@@ -5,8 +5,7 @@ evaluated on spectra, not matrices, so callers decide how the spectrum is
 computed (exactly or from a sketch).
 """
 
-from dataclasses import dataclass, field, fields
-from operator import attrgetter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,14 +177,6 @@ class ConditionReport:
     k1: float
     k2: float
     l_eps: float
-    grid: np.ndarray = field(repr=False, compare=False)
-
-    def __eq__(self, other):
-        # the generated == would compare the grids elementwise, with no truth value
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        numbers = attrgetter(*(f.name for f in fields(self) if f.compare))
-        return numbers(self) == numbers(other) and np.array_equal(self.grid, other.grid)
 
     @property
     def k(self) -> float:
@@ -210,19 +201,17 @@ class ConditionReport:
         return out
 
 
-def check_phi_conditions(loss: ScalarLoss, eps: float, grid=None) -> ConditionReport:
+def check_phi_conditions(loss: ScalarLoss, eps: float) -> ConditionReport:
     """Estimate the loss-regularity constants by maximizing over a grid.
 
     The constants have no closed form for general losses, so the defining
-    ratios are maximized over a logarithmic grid (and a geometric inner grid
-    for the shift variable y).
+    ratios are maximized over the logarithmic ``DEFAULT_CONDITION_GRID``
+    (and a geometric inner grid for the shift variable y).
     """
     eps = float(eps)
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
-    x = DEFAULT_CONDITION_GRID if grid is None else np.asarray(grid, dtype=np.float64)
-    if x.size == 0 or x.min() <= 0:
-        raise ValueError("grid must be finite and strictly positive")
+    x = DEFAULT_CONDITION_GRID
     fx = loss(x)
     if np.any(fx <= 0):
         raise ValueError("loss must be strictly positive on the grid")
@@ -258,5 +247,4 @@ def check_phi_conditions(loss: ScalarLoss, eps: float, grid=None) -> ConditionRe
         k1=k1,
         k2=k2,
         l_eps=l_eps,
-        grid=x,
     )

@@ -6,18 +6,20 @@ The pipeline for ``min_X ||A - X||_p`` over rank-k ``X``:
    :func:`sketchlr.sketches.make_sketch_plan`;
 2. left-sketch ``A`` with a row sampler ``S`` whose Gram sandwich carries the
    eta1 additive term (a CountSketch of ``k^2`` rows in simplified mode);
-3. take the top-k singular triplets of ``SA``
-   (:func:`~sketchlr.matrixcore.top_singular`, by Lanczos when ``SA`` is the
-   sparse row sample). ``Z`` is their right block V, cut at ``RANK_TOL``,
-   put through one Cholesky-QR step and padded to k columns;
+3. take the top-k right block V of ``SA``: the Ritz vectors of a block
+   Krylov space of depth ``q = ceil(ln d / sqrt(eps))``, ``d = min(SA.shape)``
+   (:func:`~sketchlr.matrixcore.block_krylov`) in full_pipeline mode, the
+   exact :func:`~sketchlr.matrixcore.top_singular` in simplified mode or
+   when ``(q + 1) k >= d``. ``Z`` is V cut at ``RANK_TOL``, put through one
+   Cholesky-QR step and padded to k columns;
 4. recover ``Y`` by sketched Frobenius regression against ``Z``, computed
    as ``A (R (Z^T R)^+)`` in ``k nnz(A) + n k`` multiply-adds, with no
    ``m x r_embed`` array ``AR``.
 
 The source analysis right-sketches ``SA`` with a subspace embedding T so
-that the SVD is of a small matrix. Lanczos on the sparse ``SA`` costs
-``2 nnz(SA) <= 2 nnz(A)`` multiply-adds a step, so T saves nothing here and
-is not applied.
+that the SVD is of a small matrix. Block Krylov on the sparse ``SA`` costs
+``2 k nnz(SA) <= 2 k nnz(A)`` multiply-adds a product with G, so T saves
+nothing here and is not applied.
 
 :func:`solve_generalized` runs the same steps 2-4 with its own ``eta1`` and
 an exact regression ``Y = A Z``. The returned pair never materializes
@@ -41,6 +43,7 @@ from .matrixcore import (
     ScaleLimitError,
     SparseMatrix,
     _check_dense,
+    block_krylov,
     complete_basis,
     singular_values,
     sparse_dense_multiply,
@@ -74,6 +77,9 @@ from .sketches import (
 # relative threshold below which the optimal residual counts as zero and the
 # reported error switches to residual / ||A|| instead of a 0/0 ratio
 DEGENERATE_OPTIMUM_RTOL = 1e-12
+_ORACLE_ADVICE = (
+    "run full_pipeline without the oracle flag (--oracle), which never densifies the input"
+)
 
 
 @dataclass
@@ -86,24 +92,28 @@ class SolveReport:
     ``eta2 = 1`` and ``r_embed = None``), and ``condition_report`` is the
     loss-regularity report of a generalized solve, ``None`` otherwise.
     ``multiply_add_counts`` holds exact per-stage counts for the sketch
-    applications and explicit factor products; ``wsa`` is ``U^T SA``, the
+    applications and explicit factor products. ``krylov`` is the block
+    Krylov top-k of ``SA``: ``2 k nnz(SA)`` for each of its ``q + 1``
+    products with the Gram matrix, plus ``k nnz(SA)`` for ``SA^T U`` when
+    ``SA`` is wide; ``krylov_depth`` is q and ``ritz_values`` the k Ritz
+    values as singular values. When the top-k is ``top_singular``
+    instead, ``krylov_depth`` is ``None`` and ``wsa`` is ``U^T SA``, the
     width of U (``k``, or the smaller side of a thinner ``SA``) times the
-    stored entries of ``SA`` (``k nnz(SA)`` for a sparse row sample,
-    ``k s n`` for a dense CountSketch), which ``top_singular`` forms or
-    checks. ``s_scores`` is the sparse work of the sketched ridge leverage
-    scores behind a sampled ``S``, ``(w + r) nnz(A)`` for the score sketch
-    ``A Omega`` and the projection ``U^T A`` (absent when ``S`` clipped or
-    the scores were exact). With a regression sketch ``R``, ``zr_apply`` is
-    ``k n`` for ``Z^T R``, ``r_apply`` is ``n k`` for ``R P`` with
-    ``P = (Z^T R)^+``, and ``regression`` is ``k nnz(A)`` for
-    ``Y = A (R P)``, as for the exact ``A Z``. Not counted: the
-    factorizations (the ``w x w`` and ``r x r`` Gram eigendecompositions of
-    the sketched scores or the full one of the exact scores,
-    :func:`~sketchlr.matrixcore.top_singular` on ``SA``, whether by Lanczos
-    on a sparse ``SA`` or by a partial dense ``eigh``, and the
-    ``k x r_embed`` SVD of ``Z^T R`` with the ``r_embed k^2`` product that
-    forms ``P``), the dense products and Gram products that feed them
-    (``top_singular`` reads its checks from a dense ``SA``'s), the
+    stored entries of ``SA`` (``k s n`` for a dense CountSketch), which
+    ``top_singular`` forms or checks. ``s_scores`` is the sparse work of
+    the sketched ridge leverage scores behind a sampled ``S``,
+    ``(w + r) nnz(A)`` for the score sketch ``A Omega`` and the projection
+    ``U^T A`` (absent when ``S`` clipped or the scores were exact). With a
+    regression sketch ``R``, ``zr_apply`` is ``k n`` for ``Z^T R``,
+    ``r_apply`` is ``n k`` for ``R P`` with ``P = (Z^T R)^+``, and
+    ``regression`` is ``k nnz(A)`` for ``Y = A (R P)``, as for the exact
+    ``A Z``. Not counted: the factorizations (the ``w x w`` and ``r x r``
+    Gram eigendecompositions of the sketched scores or the full one of the
+    exact scores, the ``eigh`` in ``top_singular`` and of the block Krylov
+    ``H``, and the ``k x r_embed`` SVD of ``Z^T R`` with the
+    ``r_embed k^2`` product that forms ``P``), the dense products that feed
+    them, the block Krylov basis work (three projections and two QRs a
+    block, about ``3 d k^2 q^2`` multiply-adds, and ``Q S_k``), the
     ``n k^2`` Cholesky-QR step on ``Z``, and the column norms read by the
     scores. ``elapsed`` times the stages ``s_apply``, ``svd_sat`` (the
     top-k of ``SA``), ``regression`` and, with the oracle, ``oracle``.
@@ -127,6 +137,8 @@ class SolveReport:
     degenerate: bool = False
     warnings: tuple[str, ...] = ()
     condition_report: ConditionReport | None = None
+    krylov_depth: int | None = None
+    ritz_values: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -169,12 +181,11 @@ def _ensure_sparse(a) -> SparseMatrix:
     return SparseMatrix.from_dense(np.asarray(a, dtype=np.float64))
 
 
-def _dense_guarded(a: SparseMatrix) -> np.ndarray:
+def _dense_guarded(a: SparseMatrix, advice: str = _ORACLE_ADVICE) -> np.ndarray:
     if min(a.shape) > DENSE_GUARD:
         raise ScaleLimitError(
             f"dense factorization refused: min dimension {min(a.shape)} exceeds "
-            f"the guard DENSE_GUARD={DENSE_GUARD}; run full_pipeline without the "
-            "oracle flag (--oracle), which never densifies the input"
+            f"the guard DENSE_GUARD={DENSE_GUARD}; {advice}"
         )
     return a.to_dense()
 
@@ -326,32 +337,48 @@ def _sketched_rowspace(
     """Stages 2-3 under ``report.plan``: returns Z and fills the report bookkeeping.
 
     ``SA`` is a :class:`SparseMatrix` from the row sampler and a dense array
-    from the simplified-mode CountSketch; every stage below takes either.
-    ``SA`` and its top-k triplets are freed on return, before the regression.
+    from the simplified-mode CountSketch. ``SA`` and its top-k are freed on
+    return, before the regression.
     """
     plan, counters = report.plan, report.multiply_add_counts
-    elapsed, seeds = report.elapsed, report.seeds
-    with _Stage(elapsed, "s_apply"):
+    with _Stage(report.elapsed, "s_apply"):
         if plan.mode == "simplified_experiment":
             s_op = build_countsketch(work.nrows, plan.s_rows, stream)
-            seeds["s"] = s_op.seed
+            report.seeds["s"] = s_op.seed
             sa = apply_countsketch_left(work, s_op, _counter(counters, "s_apply"))
         else:
             s_sk = build_row_sampler(
                 work, k, eps, plan.eta1, stream, constants, _counter(counters, "s_scores")
             )
-            seeds["s"] = s_sk.seed
+            report.seeds["s"] = s_sk.seed
             report.clipped |= s_sk.clipped
             report.degenerate |= s_sk.degenerate
             sa = apply_row_sampler(work, s_sk, _counter(counters, "s_apply"))
-    with _Stage(elapsed, "svd_sat"):
-        # a clipped sample of a matrix with fewer than k nonzero rows is thin
-        top = top_singular(sa, min(k, *sa.shape))
-    # U^T SA = diag(sigma) V^T, k per stored entry of SA, is what top_singular
-    # forms or checks, so Z is V
-    sparse = isinstance(sa, SparseMatrix)
-    counters["wsa"] = counters.get("wsa", 0) + top.u.shape[1] * (sa.nnz if sparse else sa.size)
-    v = top.v[:, : int(np.sum(top.sigma > RANK_TOL * top.sigma[0]))]
+    return _rowspace(sa, k, eps, report)
+
+
+def _rowspace(sa, k: int, eps: float, report: SolveReport) -> np.ndarray:
+    """Stage 3 (``svd_sat``): Z from the top-k right block V of ``SA``.
+
+    The kernel is chosen by mode and size (module docstring), not storage.
+    """
+    counters = report.multiply_add_counts
+    with _Stage(report.elapsed, "svd_sat"):
+        d = min(sa.shape)
+        depth = math.ceil(math.log(d) / math.sqrt(eps))
+        if report.plan.mode == "full_pipeline" and (depth + 1) * k < d:
+            sigma, v = block_krylov(sa, k, depth, _counter(counters, "krylov"))
+            report.krylov_depth, report.ritz_values = depth, tuple(sigma.tolist())
+        else:
+            sparse = isinstance(sa, SparseMatrix)
+            advice = f"a depth-{depth} Krylov space of k={k} would cover SA; lower k"
+            # a clipped sample of a matrix with fewer than k nonzero rows is thin
+            top = top_singular(_dense_guarded(sa, advice) if sparse else sa, min(k, d))
+            # U^T SA = diag(sigma) V^T, k per stored entry of SA, is what
+            # top_singular forms or checks, so Z is V
+            counters["wsa"] = top.u.shape[1] * (sa.nnz if sparse else sa.size)
+            sigma, v = top.sigma, top.v
+    v = v[:, : int(np.sum(sigma > RANK_TOL * sigma[0]))]
     # Cholesky-QR, V R^-1 for V^T V = R^T R: SA^T U / sigma drifts like eps (s1/sk)^2
     return complete_basis(v @ np.linalg.inv(np.linalg.cholesky(v.T @ v)).T, k)
 

@@ -1,21 +1,24 @@
-"""Stage microbenchmark: the top-k kernel and the CountSketch that feeds it.
+"""Stage microbenchmark: the top-k kernels and the CountSketch that feeds one.
 
-``top_singular`` is timed on the two shapes the benchmark workloads give it:
-the dense 100x20000 CountSketch ``SA`` of a seeded 20000x20000 matrix with
-200k nonzeros at k=10 (simplified mode), and a sparse 1200x900 ``SA`` with
-32400 nonzeros at k=5 (a clipped row sample); the tall 20000x100 ``SA^T``
-times the other dense branch. ``apply_countsketch_left`` is
-timed on the 20000x20000 input. The file name keeps it out of the test
-suite; run it with
+The two kernels are timed on the shapes the benchmark workloads give them:
+``top_singular`` on the dense 100x20000 CountSketch ``SA`` of a seeded
+20000x20000 matrix with 200k nonzeros at k=10 (simplified mode), and
+``block_krylov`` on a sparse 1200x900 ``SA`` with 32400 nonzeros at k=5 and
+the depth a full_pipeline solve at eps=0.5 gives it (a clipped row sample);
+the tall 20000x100 ``SA^T`` times the other dense branch.
+``apply_countsketch_left`` is timed on the 20000x20000 input. The file name
+keeps it out of the test suite; run it with
 
     PYTHONPATH=src python -m pytest tests/bench_topk.py --benchmark-only
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from sketchlr import RandomStream, SparseMatrix, build_countsketch
-from sketchlr.matrixcore import top_singular
+from sketchlr.matrixcore import block_krylov, top_singular
 from sketchlr.sketches import apply_countsketch_left
 
 
@@ -51,5 +54,6 @@ def test_top_singular_dense_tall_sa(benchmark, large):
 
 def test_top_singular_sparse_sa(benchmark):
     sa = _seeded(1200, 900, 32400, 1200)
-    res = benchmark(top_singular, sa, 5)
-    assert res.v.shape == (900, 5)
+    depth = math.ceil(math.log(900) / math.sqrt(0.5))  # q = 10
+    sigma, v = benchmark(block_krylov, sa, 5, depth)
+    assert v.shape == (900, 5)

@@ -1,7 +1,6 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import numpy as np
-import pytest
 
 import sketchlr.solver
 from sketchlr import ConvergenceError, load_matrix
@@ -110,7 +109,8 @@ def test_numerical_failure_exit_code(monkeypatch, capsys):
     def broken_top_singular(*_):
         raise ConvergenceError("did not converge", residual=np.inf)
 
-    # the sketched solve factors the double sketch through top_singular
+    # SA of a 20x10 input is too small for a block Krylov space, so the
+    # sketched solve takes its top-k through top_singular
     monkeypatch.setattr(sketchlr.solver, "top_singular", broken_top_singular)
     code = main(["solve", "--m", "20", "--n", "10", "--k", "2"])
     assert code == 3

@@ -1,14 +1,12 @@
 """Tests for sparse storage, the SVD primitive and its derived operations."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import make_gen, random_orthonormal, random_rank_k, random_sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import ArpackNoConvergence
 
 import sketchlr.matrixcore as matrixcore
 from sketchlr import (
@@ -24,7 +22,7 @@ from sketchlr import (
     svd,
     truncate_rank,
 )
-from sketchlr.matrixcore import DENSE_GUARD, SVD_TOL, ConvergenceError, top_singular
+from sketchlr.matrixcore import SVD_TOL, block_krylov, top_singular
 from sketchlr.sketches import apply_countsketch_left
 
 GOLDEN = np.array([[20.0, 20.0], [1.0, 2.0]])
@@ -421,184 +419,103 @@ def _spectrum_input(gen, m, n, sigma):
     return (random_orthonormal(gen, m, d) * sigma) @ random_orthonormal(gen, n, d).T
 
 
-@pytest.fixture
-def sparse_calls(monkeypatch):
-    """Counts the Lanczos runs, densifications and full SVDs of ``top_singular``."""
-    calls = {"eigsh": 0, "to_dense": 0, "svd": 0}
+def _krylov_input(gen, m, n, rank, log_ratio, sparse):
+    """An m x n input of the given rank with a top-k spread of ``10^log_ratio``."""
+    d = min(m, n)
+    sigma = np.zeros(d)
+    sigma[:rank] = np.geomspace(1.0, 10.0**-log_ratio, rank)
+    dense = _spectrum_input(gen, m, n, sigma)
+    return SparseMatrix.from_dense(dense) if sparse else dense
 
-    def counted(name, fn):
-        def spy(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
 
-        return spy
-
-    monkeypatch.setattr(matrixcore, "eigsh", counted("eigsh", matrixcore.eigsh))
-    monkeypatch.setattr(matrixcore, "svd", counted("svd", matrixcore.svd))
-    monkeypatch.setattr(
-        SparseMatrix, "to_dense", counted("to_dense", SparseMatrix.to_dense)
+class TestBlockKrylov:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 40),
+        n=st.integers(2, 40),
+        k=st.integers(1, 4),
+        depth=st.integers(0, 8),
+        rank_frac=st.floats(0.0, 1.0),
+        log_ratio=st.floats(0.0, 1.0),
+        sparse=st.booleans(),
     )
-    return calls
-
-
-class TestTopSingularSparse:
-    @pytest.mark.parametrize("shape", [(60, 40), (40, 60), (50, 50)])
-    @pytest.mark.parametrize("k", [1, 5, 20])
-    def test_lanczos_matches_svd_on_random_shapes(self, shape, k, sparse_calls):
-        a = random_sparse(make_gen(sum(shape) + k), *shape, density=0.3)
-        res = top_singular(a, k)
-        assert sparse_calls == {"eigsh": 2, "to_dense": 0, "svd": 0}
-        dense = a.to_dense()
-        assert_verified(dense, res, k)
-        assert_matches_svd(dense, res, k)
-        reference = np.linalg.svd(dense, compute_uv=False)[:k]
-        np.testing.assert_allclose(res.sigma, reference, rtol=1e-12)
-
-    def test_repeated_head_is_resolved(self, sparse_calls):
-        # a triple sigma_1 with a clear gap at k: Lanczos must find all copies
-        sigma = np.array([4.0, 4.0, 4.0, 2.0, 1.0, 0.9, 0.8, 0.5, 0.3, 0.1])
-        a = SparseMatrix.from_dense(_spectrum_input(make_gen(31), 30, 10, sigma))
-        res = top_singular(a, 4)
-        assert sparse_calls["eigsh"] == 2 and sparse_calls["svd"] == 0
-        np.testing.assert_allclose(res.sigma, sigma[:4], rtol=1e-12)
-        assert_verified(a.to_dense(), res, 4)
-
-    def test_repeated_head_beyond_the_krylov_width(self, sparse_calls):
-        # d = 200 is well past ARPACK's default of 20 Lanczos vectors
-        d = 200
-        vals = np.concatenate([[3.0, 3.0, 2.0, 1.0], np.linspace(0.9, 0.1, d - 4)])
-        a = SparseMatrix(d, d, np.arange(d), np.arange(d), vals)
-        res = top_singular(a, 2)
-        reference = np.linalg.svd(a.to_dense(), compute_uv=False)[:2]
-        np.testing.assert_allclose(res.sigma, reference, rtol=1e-12)
-        assert_verified(a.to_dense(), res, 2)
-
-    @pytest.mark.parametrize(
-        "head, found, fallback_svd",
-        [
-            ([3.0, 3.0, 2.0, 1.0], [0, 2, 3], 0),  # skips the second sigma_1
-            ([3.0, 2.0, 2.0, 1.0], [0, 1, 3], 1),  # hides the tie of sigma_2
-        ],
-    )
-    def test_skipped_copy_of_a_repeated_value_is_caught(
-        self, head, found, fallback_svd, sparse_calls, monkeypatch
+    def test_property_ritz_values_never_exceed_singular_values(
+        self, seed, m, n, k, depth, rank_frac, log_ratio, sparse
     ):
-        # the first Lanczos run returns exact eigenpairs of the Gram matrix but
-        # holds one copy of a repeated eigenvalue, as a Krylov space does in
-        # exact arithmetic; every triplet verifies, so only the deflated second
-        # run can tell that the pairs are not the top k
-        d = 200
-        vals = np.concatenate([head, np.linspace(0.9, 0.1, d - 4)])
-        a = SparseMatrix(d, d, np.arange(d), np.arange(d), vals)
-        lanczos = matrixcore.eigsh  # the counting spy
-
-        def one_copy(op, k, **kwargs):
-            if sparse_calls["eigsh"] == 0:
-                sparse_calls["eigsh"] += 1
-                ascending = found[::-1]  # the order eigsh returns
-                return vals[ascending] ** 2, np.eye(d)[:, ascending]
-            return lanczos(op, k=k, **kwargs)
-
-        monkeypatch.setattr(matrixcore, "eigsh", one_copy)
-        res = top_singular(a, 2)
-        assert sparse_calls == {"eigsh": 2, "to_dense": 1, "svd": fallback_svd}
-        np.testing.assert_allclose(res.sigma, head[:2], rtol=1e-12)
-        assert_verified(a.to_dense(), res, 2)
-
-    def test_rerun_is_bit_identical(self):
-        a = random_sparse(make_gen(32), 70, 45, density=0.2)
-        r1, r2 = top_singular(a, 6), top_singular(a, 6)
-        for x, y in ((r1.u, r2.u), (r1.sigma, r2.sigma), (r1.v, r2.v)):
-            assert x.tobytes() == y.tobytes()
-
-    def test_tied_sigma_k_falls_back(self, sparse_calls):
-        sigma = np.array([5.0, 3.0, 3.0, 3.0, 1.0, 0.5, 0.4, 0.3])
-        a = SparseMatrix.from_dense(_spectrum_input(make_gen(33), 12, 8, sigma))
-        res = top_singular(a, 2)  # sigma_2 ties with sigma_3
-        assert sparse_calls == {"eigsh": 2, "to_dense": 1, "svd": 1}
-        np.testing.assert_allclose(res.sigma, [5.0, 3.0], rtol=1e-12)
-        assert_verified(a.to_dense(), res, 2)
-
-    def test_zero_sigma_k_falls_back(self, sparse_calls):
-        a = SparseMatrix.from_dense(random_rank_k(make_gen(34), 30, 20, 3))
-        res = top_singular(a, 4)  # sigma_4 = 0
-        assert sparse_calls == {"eigsh": 2, "to_dense": 1, "svd": 1}
-        assert res.sigma[3] <= 1e-12 * res.sigma[0]
-        assert_verified(a.to_dense(), res, 4)
-
-    def test_too_few_dimensions_for_arpack_use_the_dense_path(self, sparse_calls):
-        a = random_sparse(make_gen(35), 9, 4, density=0.9)
-        res = top_singular(a, 2)  # k + 1 = 3 >= d - 1 = 3
-        assert sparse_calls == {"eigsh": 0, "to_dense": 1, "svd": 0}
-        assert_verified(a.to_dense(), res, 2)
-        assert_matches_svd(a.to_dense(), res, 2)
-
-    def test_no_convergence_uses_the_dense_path(self, sparse_calls, monkeypatch):
-        def stalled(*_, **__):
-            sparse_calls["eigsh"] += 1
-            raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
-
-        monkeypatch.setattr(matrixcore, "eigsh", stalled)
-        a = random_sparse(make_gen(36), 50, 30, density=0.3)
-        res = top_singular(a, 3)
-        assert sparse_calls == {"eigsh": 1, "to_dense": 1, "svd": 0}
-        assert_verified(a.to_dense(), res, 3)
-        assert_matches_svd(a.to_dense(), res, 3)
-
-    def test_zero_matrix_falls_back(self, sparse_calls):
-        a = SparseMatrix(8, 6, [], [], [])
-        res = top_singular(a, 2)
-        assert sparse_calls == {"eigsh": 0, "to_dense": 1, "svd": 1}
-        np.testing.assert_array_equal(res.sigma, [0.0, 0.0])
-
-    def test_fallback_above_guard_refuses_without_densifying(self, monkeypatch):
-        def stalled(*_, **__):
-            raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
-
-        def densify(*_):
-            raise AssertionError("the fallback must not densify above the guard")
-
-        monkeypatch.setattr(matrixcore, "eigsh", stalled)
-        monkeypatch.setattr(SparseMatrix, "to_dense", densify)
-        n = DENSE_GUARD + 1
-        idx = np.arange(n)
-        a = SparseMatrix(n, n, idx, idx, 1.0 + idx)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ConvergenceError, match="DENSE_GUARD"):
-                top_singular(a, 3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20  # a dense n x n array would take 200 MB
-
-    def test_k_out_of_range(self):
-        a = random_sparse(make_gen(37), 5, 3, density=0.8)
-        for k in (0, 4):
-            with pytest.raises(ValueError, match="out of range"):
-                top_singular(a, k)
+        # ranks from 1 to min(m, n) include spaces that are used up after a
+        # few blocks, whose later blocks are rounding noise. H is formed from
+        # the Gram matrix, so its rounding is relative to sigma_1^2: a
+        # relative bound at 1e-12 holds where sigma_k / sigma_1 >= 0.1.
+        d = min(m, n)
+        k = min(k, d)
+        depth = min(depth, d // k - 1)
+        rank = 1 + int(rank_frac * (d - 1))
+        a = _krylov_input(make_gen(seed), m, n, rank, log_ratio, sparse)
+        sigma, v = block_krylov(a, k, depth)
+        exact = np.linalg.svd(a.to_dense() if sparse else a, compute_uv=False)[:k]
+        assert sigma.shape == (k,) and v.shape == (n, k)
+        assert np.all(np.diff(sigma) <= 0)
+        head = min(k, rank)
+        assert np.all(sigma[:head] <= exact[:head] * (1.0 + 1e-12))
+        # past the rank the Ritz values are square roots of rounding
+        assert np.all(sigma[head:] <= 1e-7 * exact[0])
 
     @settings(max_examples=60, deadline=None)
     @given(
-        m=st.integers(1, 40),
-        n=st.integers(1, 40),
-        k_frac=st.floats(0.0, 1.0),
-        decay=st.floats(0.0, 8.0),
         seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 40),
+        n=st.integers(2, 40),
+        k=st.integers(1, 4),
+        sparse=st.booleans(),
     )
-    def test_property_verified_and_matches_svd(self, m, n, k_frac, decay, seed):
-        # the dense property's shapes and spectra, given as sparse inputs
-        gen = make_gen(seed)
-        d = min(m, n)
-        k = 1 + int(k_frac * (d - 1))
-        sigma = 10.0 ** (-decay * gen.random(d))
-        a = SparseMatrix.from_dense(_spectrum_input(gen, m, n, np.sort(sigma)[::-1]))
-        res = top_singular(a, k)
+    def test_property_reruns_are_bit_identical(self, seed, m, n, k, sparse):
+        a = random_sparse(make_gen(seed), m, n, density=0.3)
+        a = a if sparse else a.to_dense()
+        k = min(k, min(m, n))
+        depth = min(m, n) // k - 1
+        (s1, v1), (s2, v2) = block_krylov(a, k, depth), block_krylov(a, k, depth)
+        assert s1.tobytes() == s2.tobytes() and v1.tobytes() == v2.tobytes()
+
+    @pytest.mark.parametrize("shape", [(70, 45), (45, 70)])
+    def test_both_storage_forms_run_one_algorithm(self, shape):
+        a = random_sparse(make_gen(40), *shape, density=0.2)
+        (s_sp, v_sp), (s_de, v_de) = (block_krylov(x, 4, 5) for x in (a, a.to_dense()))
+        np.testing.assert_allclose(s_sp, s_de, rtol=1e-12)
+        np.testing.assert_allclose(v_sp @ v_sp.T, v_de @ v_de.T, atol=1e-10)
+
+    @pytest.mark.parametrize("shape", [(70, 45), (45, 70)])
+    def test_counts_every_product_with_a(self, shape):
+        a = random_sparse(make_gen(41), *shape, density=0.2)
+        counter = MultiplyAddCounter()
+        block_krylov(a, 4, 5, counter)
+        wide = shape[0] < shape[1]
+        # six products with the Gram matrix, and A^T U for a wide A
+        assert counter.count == 4 * a.nnz * (2 * 6 + wide)
+
+    @pytest.mark.parametrize("wide", [True, False])
+    def test_rank_below_k(self, wide):
+        # the space is used up after one block, and G Q_j has zero columns
+        a = SparseMatrix(30, 50, [0, 1], [3, 7], [2.0, 1.0])
+        a = a if wide else a.transpose()
+        sigma, v = block_krylov(a, 3, 4)
+        np.testing.assert_allclose(sigma[:2], [2.0, 1.0], rtol=1e-12)
+        assert sigma[2] <= 1e-7
         dense = a.to_dense()
-        assert_verified(dense, res, k)
-        assert_matches_svd(dense, res, k)
+        assert np.linalg.norm(dense - dense @ v[:, :2] @ v[:, :2].T) <= 1e-12
 
+    def test_zero_input_gives_zero_values_and_columns(self):
+        sigma, v = block_krylov(SparseMatrix(30, 50, [], [], []), 3, 4)
+        assert not np.any(sigma) and not np.any(v)
 
+    def test_space_wider_than_the_smaller_side_is_refused(self):
+        block_krylov(np.ones((30, 9)), 3, 2)  # (2 + 1) 3 = 9 columns fit
+        with pytest.raises(ValueError, match="does not fit"):
+            block_krylov(np.ones((30, 9)), 3, 3)
+
+    def test_top_singular_takes_dense_input_only(self):
+        with pytest.raises(TypeError):
+            top_singular(random_sparse(make_gen(42), 8, 6, density=0.5), 2)
 class TestTruncateRank:
     def test_top_direction(self):
         res = svd(np.diag([5.0, 3.0, 1.0]))

@@ -25,11 +25,11 @@ from sketchlr import (
     ScalarLoss,
     ScaleLimitError,
     SketchConstants,
+    SketchPlan,
     SparseMatrix,
     build_countsketch,
     diagnose_kyfan_preservation,
     exact_oracle,
-    kyfan_pr_norm,
     make_sketch_plan,
     parse_loss,
     phi_objective,
@@ -42,6 +42,7 @@ from sketchlr import (
     solve_schatten,
 )
 from sketchlr.harness import generate_synthetic
+from sketchlr.matrixcore import DENSE_GUARD
 from sketchlr.sketches import apply_row_sampler, build_row_sampler
 from sketchlr.solver import OracleScorer
 
@@ -165,14 +166,15 @@ class TestOracleScorer:
     @pytest.mark.parametrize("shape", [(120, 90), (90, 120)])
     def test_solve_schatten_error_with_default_constants(self, shape):
         # default constants: the sampler clips and the regression width
-        # reaches n, so Y is the exact A Z and both scores read the optimum
+        # reaches n, so Y is the exact A Z; Z is the block Krylov top-k of A,
+        # near the optimum, and both scores read the same small error
         a = generate_synthetic(*shape, 0.1, RandomStream(1))
         rep = solve_schatten(a, 3, 3.0, 0.5, RandomStream(2), oracle=True)
-        assert rep.clipped and rep.r_identity
+        assert rep.clipped and rep.r_identity and rep.krylov_depth is not None
         want = _dense_formula_error(
             a.to_dense(), rep.factors, lambda s: schatten_norm(s, 3.0)
         )
-        assert abs(want) <= 1e-12
+        assert 0.0 <= want <= 1e-4
         assert rep.relative_error == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("shape", [(600, 40), (60, 800)])
@@ -268,8 +270,8 @@ class TestSparseSketchedRowspace:
 
     def test_clipped_solve_neither_densifies_nor_factors_sa(self, monkeypatch):
         a = generate_synthetic(300, 200, 0.05, RandomStream(1))
-        calls = {"to_dense": 0, "svd": [], "eigsh": 0}
-        full, lanczos = matrixcore.svd, matrixcore.eigsh
+        calls = {"to_dense": 0, "svd": [], "block_krylov": 0}
+        full, krylov = matrixcore.svd, solver.block_krylov
 
         def densify(*_):
             calls["to_dense"] += 1
@@ -279,30 +281,42 @@ class TestSparseSketchedRowspace:
             calls["svd"].append(np.shape(x))
             return full(x)
 
-        def eigsh_spy(*args, **kwargs):
-            calls["eigsh"] += 1
-            return lanczos(*args, **kwargs)
+        def krylov_spy(*args, **kwargs):
+            calls["block_krylov"] += 1
+            return krylov(*args, **kwargs)
 
         monkeypatch.setattr(SparseMatrix, "to_dense", densify)
         monkeypatch.setattr(matrixcore, "svd", svd_spy)
-        monkeypatch.setattr(matrixcore, "eigsh", eigsh_spy)
+        monkeypatch.setattr(solver, "block_krylov", krylov_spy)
         for p in (1.0, 3.0):
             rep = solve_schatten(a, 3, p, 0.5, RandomStream(9))
             assert rep.clipped
-        # two Lanczos runs per solve: the top k + 1 and the deflated check
-        assert calls["to_dense"] == 0 and calls["eigsh"] == 4
-        # Z is top_singular's V: no full SVD at all
+        # one block Krylov run per solve, on the sparse SA
+        assert calls["to_dense"] == 0 and calls["block_krylov"] == 2
+        # Z is the Krylov Ritz block: no full SVD at all
         assert calls["svd"] == []
 
-    def test_wsa_costs_k_per_stored_entry_of_sa(self):
+    def test_krylov_costs_k_per_stored_entry_of_sa_a_product(self, monkeypatch):
         a = generate_synthetic(900, 40, 0.2, RandomStream(1))
-        for c_s, clipped in ((8.0, True), (0.05, False)):
+        shapes, krylov = [], solver.block_krylov
+
+        def spy(sa, *args):
+            shapes.append(sa.shape)
+            return krylov(sa, *args)
+
+        monkeypatch.setattr(solver, "block_krylov", spy)
+        # a clipped tall SA, a sampled tall SA and a sampled wide SA
+        for c_s, clipped, wide in ((8.0, True, False), (0.05, False, False), (0.02, False, True)):
             consts = SketchConstants(c_s=c_s)
             rep = solve_schatten(a, 3, 1.0, 0.5, RandomStream(3), constants=consts)
             assert rep.clipped == clipped
+            assert (shapes[-1][0] < shapes[-1][1]) == wide
             counts = rep.multiply_add_counts
             assert (counts["s_apply"] == a.nnz) == clipped  # s_apply is nnz(SA)
-            assert counts["wsa"] == 3 * counts["s_apply"]
+            # 2 k nnz(SA) per product with the Gram matrix, k nnz(SA) for SA^T U
+            products = 2 * (rep.krylov_depth + 1) + wide
+            assert counts["krylov"] == 3 * counts["s_apply"] * products
+            assert "wsa" not in counts
 
 
 _PASS_THROUGH_SOLVES = {
@@ -331,7 +345,7 @@ def _pass_through_input(gen, m, n, k, kind):
 
 
 class TestPassThroughRowspace:
-    """Z is ``top_singular``'s V on ``SA``, rank-cut and padded."""
+    """Z is the top-k kernel's V on ``SA``, rank-cut and padded."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -342,15 +356,21 @@ class TestPassThroughRowspace:
         kind=st.sampled_from(["sparse", "few_rows", "deficient"]),
         solve=st.sampled_from(sorted(_PASS_THROUGH_SOLVES)),
     )
-    def test_z_spans_the_row_space_of_w_top_sa(self, seed, m, n, k, kind, solve):
+    def test_z_spans_the_kernel_block_of_sa(self, seed, m, n, k, kind, solve):
         k = min(k, min(m, n) - 1)
         a = _pass_through_input(make_gen(seed), m, n, k, kind)
         seen, made = [], []
-        real_top, real_complete = solver.top_singular, solver.complete_basis
+        real_top, real_krylov = solver.top_singular, solver.block_krylov
+        real_complete = solver.complete_basis
 
         def top_spy(x, kk):
-            seen.append((x, real_top(x, kk)))
-            return seen[-1][1]
+            res = real_top(x, kk)
+            seen.append((x, res.sigma, res.v))
+            return res
+
+        def krylov_spy(x, *args):
+            seen.append((x, *real_krylov(x, *args)))
+            return seen[-1][1:]
 
         def complete_spy(z, kk):
             made.append(real_complete(z, kk))
@@ -358,22 +378,28 @@ class TestPassThroughRowspace:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "top_singular", top_spy)
+            mp.setattr(solver, "block_krylov", krylov_spy)
             mp.setattr(solver, "complete_basis", complete_spy)
             rep = _PASS_THROUGH_SOLVES[solve](a, k, seed)
         assert set(rep.elapsed) == {"s_apply", "svd_sat", "regression"}
         assert len(seen) == len(made) == 1
-        (sa, top), z = seen[0], made[0]
+        (sa, sigma, v), z = seen[0], made[0]
         sa = sa.to_dense() if isinstance(sa, SparseMatrix) else sa
-        # the row space U^T SA spans, cut at RANK_TOL like Z
-        ref = matrixcore.svd(top.u.T @ sa)
-        rank = int(np.sum(ref.sigma > matrixcore.RANK_TOL * ref.sigma[0]))
-        z_ref = real_complete(ref.v[:, :rank], k)
+        # the kernel's block, cut at RANK_TOL like Z
+        rank = int(np.sum(sigma > matrixcore.RANK_TOL * sigma[0]))
+        z_ref = real_complete(np.linalg.qr(v[:, :rank])[0], k)
         assert z.shape == z_ref.shape == (sa.shape[1], k)
         assert np.linalg.norm(z @ z.T - z_ref @ z_ref.T) <= 1e-9
         assert np.max(np.abs(z.T @ z - np.eye(k))) <= 1e-9
-        assert rep.multiply_add_counts["wsa"] == top.u.shape[1] * (
-            np.count_nonzero(sa) if solve != "simplified" else sa.size
-        )
+        counts = rep.multiply_add_counts
+        stored = np.count_nonzero(sa) if solve != "simplified" else sa.size
+        if rep.krylov_depth is None:
+            assert "krylov" not in counts and rep.ritz_values == ()
+            assert counts["wsa"] == min(k, *sa.shape) * stored
+        else:
+            assert "wsa" not in counts and rep.ritz_values == tuple(sigma)
+            wide = sa.shape[0] < sa.shape[1]
+            assert counts["krylov"] == k * stored * (2 * (rep.krylov_depth + 1) + wide)
 
     @pytest.mark.parametrize("solve", ["clipped_p1", "clipped_p3", "huber"])
     def test_z_is_the_top_direction_of_two_nonzero_rows(self, solve):
@@ -425,6 +451,121 @@ class TestPassThroughRowspace:
         assert r1.factors.z.tobytes() == r2.factors.z.tobytes()
         assert r1.seeds == r2.seeds
         assert r1.multiply_add_counts == r2.multiply_add_counts
+
+
+def _full_pipeline_report(k):
+    plan = SketchPlan(eta1=1.0, eta2=1.0, r_kyfan=k, s_rows=1, r_embed=None, mode="full_pipeline")
+    return solver.SolveReport(factors=None, plan=plan)
+
+
+def _spy_kernels(mp, seen):
+    """Record ``(kernel name, SA)`` for every top-k kernel call of the solver."""
+    for name in ("top_singular", "block_krylov"):
+        real = getattr(solver, name)
+
+        def spy(sa, *args, _name=name, _real=real):
+            seen.append((_name, sa.to_dense() if isinstance(sa, SparseMatrix) else sa))
+            return _real(sa, *args)
+
+        mp.setattr(solver, name, spy)
+
+
+class TestKrylovRowspace:
+    """Z from the block Krylov top-k of ``SA`` in full_pipeline solves."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(30, 80),
+        n=st.integers(30, 80),
+        k=st.integers(1, 3),
+        rank_frac=st.floats(0.0, 1.0),
+        solve=st.sampled_from(["clipped_p1", "clipped_p3", "huber"]),
+    )
+    def test_property_z_contains_the_row_space_of_a_rank_k_sa(
+        self, seed, m, n, k, rank_frac, solve
+    ):
+        # the Krylov space is used up after one block; its later blocks are noise
+        gen = make_gen(seed)
+        r = 1 + int(rank_frac * (k - 1))
+        a = SparseMatrix.from_dense(gen.standard_normal((m, r)) @ gen.standard_normal((r, n)))
+        seen, made = [], []
+        real_complete = solver.complete_basis
+
+        def complete_spy(z, kk):
+            made.append(real_complete(z, kk))
+            return made[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            _spy_kernels(mp, seen)
+            mp.setattr(solver, "complete_basis", complete_spy)
+            rep = _PASS_THROUGH_SOLVES[solve](a, k, seed)
+        [(kernel, sa)], [z] = seen, made
+        assert kernel == "block_krylov" and rep.krylov_depth is not None
+        assert np.linalg.norm(sa - (sa @ z) @ z.T) <= 1e-9 * np.linalg.norm(sa)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 5),
+        rows=st.integers(40, 200),
+        n=st.integers(40, 200),
+        log_ratio=st.floats(0.0, 3.0),
+        sparse=st.booleans(),
+    )
+    def test_property_z_orthonormal_on_ill_conditioned_sa(
+        self, seed, k, rows, n, log_ratio, sparse
+    ):
+        # sigma_1 / sigma_k up to 1000 over a 1e-3 tail; a wide SA gives its
+        # right block as SA^T U / sigma, which drifts like eps (s1/sk)^2
+        gen = make_gen(seed)
+        d = min(rows, n)
+        sigma = np.concatenate([np.geomspace(10.0**log_ratio, 1.0, k), 1e-3 * gen.random(d - k)])
+        sa = (random_orthonormal(gen, rows, d) * sigma) @ random_orthonormal(gen, n, d).T
+        report = _full_pipeline_report(k)
+        z = solver._rowspace(SparseMatrix.from_dense(sa) if sparse else sa, k, 0.5, report)
+        assert report.krylov_depth is not None
+        assert np.max(np.abs(z.T @ z - np.eye(k))) <= 1e-13
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 40),
+        n=st.integers(2, 40),
+        k=st.integers(1, 6),
+        eps=st.floats(0.05, 0.9),
+        mode=st.sampled_from(["full_pipeline", "simplified_experiment"]),
+    )
+    def test_property_small_sa_takes_the_exact_top_k(self, seed, m, n, k, eps, mode):
+        k = min(k, min(m, n) - 1)
+        a = random_sparse(make_gen(seed), m, n, density=0.5)
+        seen = []
+        with pytest.MonkeyPatch.context() as mp:
+            _spy_kernels(mp, seen)
+            rep = solve_schatten(a, k, 1.0, eps, RandomStream(seed), mode)
+        [(kernel, sa)] = seen
+        d = min(sa.shape)
+        depth = math.ceil(math.log(d) / math.sqrt(min(eps, 0.5)))
+        if mode == "full_pipeline" and (depth + 1) * k < d:
+            assert kernel == "block_krylov"
+            assert rep.krylov_depth == depth and len(rep.ritz_values) == k
+        else:
+            assert kernel == "top_singular"
+            assert rep.krylov_depth is None and rep.ritz_values == ()
+
+    def test_fallback_above_the_guard_is_a_scale_limit(self, monkeypatch):
+        # q = 13 at d = 5001, so a Krylov space of k = 360 would need 5040 columns
+        n, k = DENSE_GUARD + 1, 360
+        idx = np.arange(n)
+        sa = SparseMatrix(n, n, idx, idx, 1.0 + idx)
+        report = _full_pipeline_report(k)
+
+        def densify(*_):
+            raise AssertionError("the fallback must not densify above the guard")
+
+        monkeypatch.setattr(SparseMatrix, "to_dense", densify)
+        with pytest.raises(ScaleLimitError, match="DENSE_GUARD=5000.*lower k"):
+            solver._rowspace(sa, k, 0.5, report)
 
 
 def _score_width(k, eps, eta):
@@ -862,16 +1003,16 @@ class TestSolveGeneralized:
         real = solver.check_phi_conditions
         calls = []
 
-        def spy(loss, eps, grid=None):
-            calls.append((loss, eps, grid is None))
-            return real(loss, eps, grid=grid)
+        def spy(loss, eps):
+            calls.append((loss, eps))
+            return real(loss, eps)
 
         monkeypatch.setattr(solver, "check_phi_conditions", spy)
         solver._default_grid_conditions.cache_clear()
         a = SparseMatrix.from_dense(random_rank_k(make_gen(100), 20, 15, 2))
         first = solve_generalized(a, 2, HuberLoss(1.0), 0.9, RandomStream(3))  # eps clamped
         second = solve_generalized(a, 2, HuberLoss(1.0), 0.5, RandomStream(5))
-        assert calls == [(HuberLoss(1.0), 0.5, True)]
+        assert calls == [(HuberLoss(1.0), 0.5)]
         assert second.condition_report == first.condition_report == real(HuberLoss(1.0), 0.5)
 
     def test_refuses_divergent_loss(self):
