@@ -82,7 +82,7 @@ def _cmd_solve(args) -> int:
     print(
         "flags: "
         f"fallback={report.fallback_used} transposed={report.transposed} "
-        f"clipped={report.clipped} r_identity={report.r_identity} "
+        f"clipped={report.clipped} "
         f"degenerate={report.degenerate}"
     )
     for w in report.warnings:

@@ -171,6 +171,8 @@ class LowRankFactors:
 
 
 def _check_dense(a, name: str = "matrix", finite: bool = True) -> np.ndarray:
+    if isinstance(a, SparseMatrix):
+        raise TypeError(f"{name} must be a dense array, not a SparseMatrix; densify it first")
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or min(a.shape) < 1:
         raise ValueError(f"{name} must be 2-D with positive dimensions")

@@ -1,8 +1,8 @@
 """Randomized sketch operators: CountSketch embeddings and leverage samplers.
 
 All operators are immutable, record the 64-bit seed they were drawn from, and
-are rebuilt bit-exactly from (dims, seed). Applications are pure and report
-their exact multiply-add counts through an optional counter.
+are rebuilt bit-exactly from (dims, seed). Applications are pure; those a
+solve runs report their exact multiply-add counts through an optional counter.
 
 The sampling sketches draw by ridge leverage scores estimated in input-sparsity
 time: a Gaussian sketch ``B = A Omega`` of ``w`` columns spans the head of A,
@@ -39,15 +39,16 @@ MODES = ("full_pipeline", "simplified_experiment")
 class SketchConstants:
     """Tunable constants behind the Theta(.) sketch sizes.
 
-    They scale the sample count of S, the width of R and the width of the
-    score sketch; the error splits eta1 and eta2 are taken at unit scale.
-    Defaults are calibrated so the desk-scale acceptance suite passes. The
-    overall failure budget is split uniformly across the S and R sketches;
-    the source analysis only fixes per-sketch constant success probabilities.
+    They scale the sample count of S and the width of its score sketch; the
+    error split eta1 is taken at unit scale. Defaults are calibrated so the
+    desk-scale acceptance suite passes. The regression is exact, so S
+    (scores included) is the only sketch drawn from the solve's stream and
+    carries the whole failure budget; the block Krylov start block comes
+    from a fixed seed. The source analysis only fixes a constant success
+    probability per sketch.
     """
 
     c_s: float = 8.0  # row/column sample count
-    c_r: float = 4.0  # regression embedding width
     c_lev: float = 8.0  # ridge-score sketch width, in units of k + eps/eta
 
 
@@ -124,40 +125,24 @@ def _operand_nnz(a) -> int:
     return a.nnz if isinstance(a, SparseMatrix) else int(np.asarray(a).size)
 
 
-def _scatter(x: sp.csr_array, out_row, out_col, weight, shape) -> np.ndarray:
-    """Dense sum of ``weight * x.data`` at ``(out_row[row], out_col)`` per stored entry.
-
-    ``weight`` is overwritten. Entries add in storage order, bit for bit as a scipy product does.
-    """
-    index = np.repeat(out_row * shape[1], np.diff(x.indptr))
-    index += out_col
-    weight *= x.data
-    flat = np.bincount(index, weights=weight, minlength=shape[0] * shape[1])
-    return flat.reshape(shape).astype(np.float64, copy=False)  # no entries: bincount gives ints
-
-
-def apply_countsketch_right(
-    a, op: CountSketchOperator, counter: MultiplyAddCounter | None = None
-) -> np.ndarray:
-    """``A @ R`` as a dense array; costs exactly one MAC per stored entry of A."""
-    ncols = a.ncols if isinstance(a, SparseMatrix) else np.asarray(a).shape[1]
-    if ncols != op.input_dim:
+def apply_countsketch_right(a, op: CountSketchOperator) -> np.ndarray:
+    """``A @ R`` for a dense ``A``, one multiply-add per entry of A."""
+    a = _check_dense(a)
+    if a.shape[1] != op.input_dim:
         raise ValueError(
-            f"dimension mismatch: {ncols} columns vs sketch input {op.input_dim}"
+            f"dimension mismatch: {a.shape[1]} columns vs sketch input {op.input_dim}"
         )
-    if counter is not None:
-        counter.add(_operand_nnz(a))
-    if isinstance(a, SparseMatrix):
-        x, cols, shape = a.csr, a.csr.indices, (a.nrows, op.sketch_dim)
-        return _scatter(x, np.arange(a.nrows), op.bucket[cols], op.sign[cols], shape)
-    a = np.asarray(a, dtype=np.float64)
     return (op.matrix().T @ a.T).T
 
 
 def apply_countsketch_left(
     a, op: CountSketchOperator, counter: MultiplyAddCounter | None = None
 ) -> np.ndarray:
-    """``R^T @ A`` as a dense array (the left-sketch ``SA`` with ``S = R^T``)."""
+    """``R^T @ A`` as a dense array (the left-sketch ``SA`` with ``S = R^T``).
+
+    A sparse ``A`` is one scatter of its stored entries into the result; they
+    add in storage order, bit for bit as the scipy product does.
+    """
     nrows = a.nrows if isinstance(a, SparseMatrix) else np.asarray(a).shape[0]
     if nrows != op.input_dim:
         raise ValueError(
@@ -166,8 +151,14 @@ def apply_countsketch_left(
     if counter is not None:
         counter.add(_operand_nnz(a))
     if isinstance(a, SparseMatrix):
-        x, shape = a.csr, (op.sketch_dim, a.ncols)
-        return _scatter(x, op.bucket, x.indices, np.repeat(op.sign, np.diff(x.indptr)), shape)
+        x = a.csr
+        weight = np.repeat(op.sign, np.diff(x.indptr))
+        index = np.repeat(op.bucket * a.ncols, np.diff(x.indptr))
+        index += x.indices
+        weight *= x.data
+        flat = np.bincount(index, weights=weight, minlength=op.sketch_dim * a.ncols)
+        # with no stored entries bincount gives ints
+        return flat.reshape(op.sketch_dim, a.ncols).astype(np.float64, copy=False)
     return op.matrix().T @ np.asarray(a, dtype=np.float64)
 
 
@@ -403,18 +394,11 @@ def apply_row_sampler(
 
 @dataclass(frozen=True)
 class SketchPlan:
-    """Sketch dimensions and error splits for one solve.
-
-    ``r_embed`` of ``None`` marks an identity pass-through: always in
-    simplified-experiment mode, and when its width would reach the column
-    count ``n``.
-    """
+    """Sketch dimensions and the error split for one solve."""
 
     eta1: float
-    eta2: float
     r_kyfan: int
     s_rows: int
-    r_embed: int | None
     mode: str
 
 
@@ -429,14 +413,13 @@ def make_sketch_plan(
 ) -> SketchPlan:
     """Dimension plan for the rank-k pipeline at Schatten order ``p``.
 
-    The additive error splits, each capped at 1, are
-    ``eta1 = (eps^2/k)^{2/p}``, ``eta2 = eps^2 / k^{2/p-1}`` for p < 2 and
-    ``eta1 = eps^{1+2/p} / (k^{2/p} n^{1-2/p})``,
-    ``eta2 = eps^2 / n^{1-2/p}`` for p >= 2; ``r_kyfan = ceil(k/eps)``.
-    In full_pipeline mode ``s_rows = min(sample_count(k, eps, eta1, c_s), m)``
-    and ``r_embed = ceil(c_r k / eta2)``, ``None`` once it reaches ``n``. In
-    simplified_experiment mode ``s_rows = k^2`` CountSketch rows and
-    ``r_embed`` is ``None``.
+    The additive error split of the row sampler, capped at 1, is
+    ``eta1 = (eps^2/k)^{2/p}`` for p < 2 and
+    ``eta1 = eps^{1+2/p} / (k^{2/p} n^{1-2/p})`` for p >= 2;
+    ``r_kyfan = ceil(k/eps)``. In full_pipeline mode
+    ``s_rows = min(sample_count(k, eps, eta1, c_s), m)``; in
+    simplified_experiment mode ``s_rows = k^2`` CountSketch rows. The plan
+    has no regression width: every solve regresses exactly, ``Y = A Z``.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -450,32 +433,11 @@ def make_sketch_plan(
 
     if p < 2.0:
         eta1 = (eps * eps / k) ** (2.0 / p)
-        eta2 = eps * eps / k ** (2.0 / p - 1.0)
     else:
         eta1 = eps ** (1.0 + 2.0 / p) / (k ** (2.0 / p) * n ** (1.0 - 2.0 / p))
-        eta2 = eps * eps / n ** (1.0 - 2.0 / p)
     eta1 = min(eta1, 1.0)
-    eta2 = min(eta2, 1.0)
-    r_kyfan = int(math.ceil(k / eps))
-
     if mode == "simplified_experiment":
-        return SketchPlan(
-            eta1=eta1,
-            eta2=eta2,
-            r_kyfan=r_kyfan,
-            s_rows=k * k,
-            r_embed=None,
-            mode=mode,
-        )
-    s_rows = min(sample_count(k, eps, eta1, constants.c_s), m)
-    r_embed = int(math.ceil(constants.c_r * k / eta2))
-    if r_embed >= n:
-        r_embed = None  # no narrower than the input: regress exactly, Y = A Z
-    return SketchPlan(
-        eta1=eta1,
-        eta2=eta2,
-        r_kyfan=r_kyfan,
-        s_rows=s_rows,
-        r_embed=r_embed,
-        mode=mode,
-    )
+        s_rows = k * k
+    else:
+        s_rows = min(sample_count(k, eps, eta1, constants.c_s), m)
+    return SketchPlan(eta1=eta1, r_kyfan=int(math.ceil(k / eps)), s_rows=s_rows, mode=mode)

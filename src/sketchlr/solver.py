@@ -2,7 +2,7 @@
 
 The pipeline for ``min_X ||A - X||_p`` over rank-k ``X``:
 
-1. pick additive error splits (eta1, eta2) and sketch dimensions from
+1. pick the additive error split eta1 and the sketch dimensions from
    :func:`sketchlr.sketches.make_sketch_plan`;
 2. left-sketch ``A`` with a row sampler ``S`` whose Gram sandwich carries the
    eta1 additive term (a CountSketch of ``k^2`` rows in simplified mode);
@@ -12,19 +12,22 @@ The pipeline for ``min_X ||A - X||_p`` over rank-k ``X``:
    exact :func:`~sketchlr.matrixcore.top_singular` in simplified mode or
    when ``(q + 1) k >= d``. ``Z`` is V cut at ``RANK_TOL``, put through one
    Cholesky-QR step and padded to k columns;
-4. recover ``Y`` by sketched Frobenius regression against ``Z``, computed
-   as ``A (R (Z^T R)^+)`` in ``k nnz(A) + n k`` multiply-adds, with no
-   ``m x r_embed`` array ``AR``.
+4. regress exactly: ``Y = A Z``, ``k nnz(A)`` multiply-adds. With Z
+   orthonormal, ``A Z`` minimizes ``||A - Y Z^T||`` in every unitarily
+   invariant norm, the Schatten norms included, because
+   ``A - Y Z^T = A (I - Z Z^T) + (A Z - Y) Z^T`` and right-multiplying by
+   the projector ``I - Z Z^T`` is a contraction. A sketched regression
+   (:func:`solve_regression_sketched`) costs the same ``k nnz(A)`` for
+   ``A (R (Z^T R)^+)`` and only adds error.
 
 The source analysis right-sketches ``SA`` with a subspace embedding T so
 that the SVD is of a small matrix. Block Krylov on the sparse ``SA`` costs
 ``2 k nnz(SA) <= 2 k nnz(A)`` multiply-adds a product with G, so T saves
 nothing here and is not applied.
 
-:func:`solve_generalized` runs the same steps 2-4 with its own ``eta1`` and
-an exact regression ``Y = A Z``. The returned pair never materializes
-``Y @ Z.T``. Wide inputs are solved on the transpose and the factors swapped
-back.
+:func:`solve_generalized` runs the same steps 2-4 with its own ``eta1``.
+The returned pair never materializes ``Y @ Z.T``. Wide inputs are solved on
+the transpose and the factors swapped back.
 """
 
 import functools
@@ -88,8 +91,7 @@ class SolveReport:
 
     Both solvers fill it in one shared body, so their reports have the same
     keys for the same stages. ``plan`` is the solve's
-    :class:`~sketchlr.sketches.SketchPlan` (for :func:`solve_generalized`,
-    ``eta2 = 1`` and ``r_embed = None``), and ``condition_report`` is the
+    :class:`~sketchlr.sketches.SketchPlan`, and ``condition_report`` is the
     loss-regularity report of a generalized solve, ``None`` otherwise.
     ``multiply_add_counts`` holds exact per-stage counts for the sketch
     applications and explicit factor products. ``krylov`` is the block
@@ -103,25 +105,21 @@ class SolveReport:
     ``top_singular`` forms or checks. ``s_scores`` is the sparse work of
     the sketched ridge leverage scores behind a sampled ``S``,
     ``(w + r) nnz(A)`` for the score sketch ``A Omega`` and the projection
-    ``U^T A`` (absent when ``S`` clipped or the scores were exact). With a
-    regression sketch ``R``, ``zr_apply`` is ``k n`` for ``Z^T R``,
-    ``r_apply`` is ``n k`` for ``R P`` with ``P = (Z^T R)^+``, and
-    ``regression`` is ``k nnz(A)`` for ``Y = A (R P)``, as for the exact
-    ``A Z``. Not counted: the factorizations (the ``w x w`` and ``r x r``
-    Gram eigendecompositions of the sketched scores or the full one of the
-    exact scores, the ``eigh`` in ``top_singular`` and of the block Krylov
-    ``H``, and the ``k x r_embed`` SVD of ``Z^T R`` with the
-    ``r_embed k^2`` product that forms ``P``), the dense products that feed
-    them, the block Krylov basis work (three projections and two QRs a
-    block, about ``3 d k^2 q^2`` multiply-adds, and ``Q S_k``), the
-    ``n k^2`` Cholesky-QR step on ``Z``, and the column norms read by the
-    scores. ``elapsed`` times the stages ``s_apply``, ``svd_sat`` (the
+    ``U^T A`` (absent when ``S`` clipped or the scores were exact), and
+    ``regression`` is ``k nnz(A)`` for ``Y = A Z``. Not counted: the
+    factorizations (the ``w x w`` and ``r x r`` Gram eigendecompositions of
+    the sketched scores or the full one of the exact scores, and the
+    ``eigh`` in ``top_singular`` and of the block Krylov ``H``), the dense
+    products that feed them, the block Krylov basis work (three projections
+    and two QRs a block, about ``3 d k^2 q^2`` multiply-adds, and
+    ``Q S_k``), the ``n k^2`` Cholesky-QR step on ``Z``, and the column
+    norms read by the scores. ``elapsed`` times the stages ``s_apply``, ``svd_sat`` (the
     top-k of ``SA``), ``regression`` and, with the oracle, ``oracle``.
     ``relative_error`` is only present when the exact oracle was run.
-    Pass-throughs are flagged: ``clipped`` when the row sampler ``S`` kept
-    every nonzero row, and ``r_identity`` when ``Y`` is the exact regression
-    ``A Z`` with no sketch ``R`` (always in simplified mode and in a
-    generalized solve).
+    ``clipped`` flags a row sampler ``S`` that kept every nonzero row.
+    ``fallback_used`` is always ``False``: the regression is exact and has
+    no sketched row space to lose rank. It stays because benchmark records
+    and trial CSVs read it.
     """
 
     factors: LowRankFactors
@@ -133,7 +131,6 @@ class SolveReport:
     fallback_used: bool = False
     transposed: bool = False
     clipped: bool = False
-    r_identity: bool = False
     degenerate: bool = False
     warnings: tuple[str, ...] = ()
     condition_report: ConditionReport | None = None
@@ -151,10 +148,10 @@ class OracleResult:
 
 @dataclass(frozen=True)
 class RegressionResult:
-    """Output of the sketched regression step."""
+    """Output of :func:`solve_regression_sketched`."""
 
     yhat: np.ndarray
-    seed: int | None
+    seed: int
     fallback_used: bool
 
 
@@ -250,11 +247,7 @@ class OracleScorer:
 
 
 def solve_regression_sketched(
-    a,
-    z: np.ndarray,
-    r_embed: int | None,
-    stream: RandomStream,
-    counters: dict | None = None,
+    a, z: np.ndarray, r_embed: int, stream: RandomStream
 ) -> RegressionResult:
     """Minimize ``||(A - Y Z^T) R||_F`` over ``Y`` for a CountSketch ``R``.
 
@@ -262,34 +255,27 @@ def solve_regression_sketched(
     computed in that order and no ``m x r_embed`` array ``AR`` is formed. One
     thin SVD ``Z^T R = U diag(s) V^T`` of the ``k x r_embed`` sketch gives
     the pseudo-inverse ``P = V diag(1/s) U^T``; ``R P`` has row
-    ``sign[i] P[bucket[i]]``, ``n k`` multiply-adds counted as ``r_apply``,
-    and ``Y = A (R P)`` costs ``k nnz(A)``, counted as ``regression``. With
-    ``r_embed=None`` the sketch is the identity and the exact minimizer
-    ``A @ Z`` is returned. Falls back to ``A @ Z`` (flagged) when the sketched
-    row space ``Z^T R`` loses rank.
+    ``sign[i] P[bucket[i]]``, ``n k`` multiply-adds, and ``Y = A (R P)``
+    costs ``k nnz(A)``. Falls back to the exact minimizer ``A @ Z``
+    (flagged) when the sketched row space ``Z^T R`` loses rank. The solvers
+    do not call this: they regress exactly (module docstring).
     """
     a = _ensure_sparse(a)
     z = _check_dense(z, "z")
     k = z.shape[1]
     if z.shape[0] != a.ncols:
         raise ValueError(f"z has {z.shape[0]} rows, expected {a.ncols}")
-    if r_embed is None:
-        yhat = sparse_dense_multiply(a, z, _counter(counters, "regression"))
-        return RegressionResult(yhat=yhat, seed=None, fallback_used=False)
     if r_embed < k:
         raise ValueError(f"r_embed={r_embed} must be at least k={k}")
     r_op = build_countsketch(a.ncols, r_embed, stream)
-    zr = apply_countsketch_right(z.T, r_op, _counter(counters, "zr_apply"))
-    u, s, vt = np.linalg.svd(zr, full_matrices=False)
+    u, s, vt = np.linalg.svd(apply_countsketch_right(z.T, r_op), full_matrices=False)
     fallback = bool(s[-1] <= RANK_TOL * s[0])  # s has k values, non-increasing
     if fallback:
         rp = z
     else:
         pinv = (vt.T / s) @ u.T
         rp = r_op.sign[:, None] * pinv[r_op.bucket]
-        if counters is not None:
-            counters["r_apply"] = counters.get("r_apply", 0) + rp.size
-    yhat = sparse_dense_multiply(a, rp, _counter(counters, "regression"))
+    yhat = sparse_dense_multiply(a, rp)
     return RegressionResult(yhat=yhat, seed=r_op.seed, fallback_used=fallback)
 
 
@@ -395,20 +381,14 @@ def _solve(
 ) -> SolveReport:
     """Stages 2-4 on the oriented ``work``, then the factors of ``a``.
 
-    Both solvers call this once their plan is in ``report``. The regression
-    is exact when ``report.plan.r_embed`` is ``None``. With an ``objective``
-    of a spectrum, the exact oracle scores the factors against ``a``.
+    Both solvers call this once their plan is in ``report``. With an
+    ``objective`` of a spectrum, the exact oracle scores the factors
+    against ``a``.
     """
     z = _sketched_rowspace(work, k, eps, stream, constants, report)
     with _Stage(report.elapsed, "regression"):
-        reg = solve_regression_sketched(
-            work, z, report.plan.r_embed, stream, counters=report.multiply_add_counts
-        )
-    if reg.seed is not None:
-        report.seeds["r"] = reg.seed
-    report.r_identity = reg.seed is None
-    report.fallback_used = reg.fallback_used
-    factors = LowRankFactors(y=reg.yhat, z=z, k=k)
+        y = sparse_dense_multiply(work, z, _counter(report.multiply_add_counts, "regression"))
+    factors = LowRankFactors(y=y, z=z, k=k)
     report.factors = _swap_transposed(factors) if report.transposed else factors
     if objective is not None:
         with _Stage(report.elapsed, "oracle"):
@@ -525,7 +505,7 @@ def solve_generalized(
     estimate of the growth constant and ``r = ceil(k/eps)``, the additive
     split is ``eta1 = min((eps/r)^{1/alpha}, eps)``. The row sample ``S``
     and ``Z`` are those of :func:`solve_schatten`, and the output is
-    ``(A Z, Z)``: the regression is exact.
+    ``(A Z, Z)``.
 
     The regularity report of a hashable loss is computed once per
     ``(loss, eps)`` and shared by later solves, so a loss must not change
@@ -550,10 +530,8 @@ def solve_generalized(
     eta1 = min((eps / r_head) ** (1.0 / alpha), eps)
     plan = SketchPlan(
         eta1=eta1,
-        eta2=1.0,
         r_kyfan=r_head,
         s_rows=min(sample_count(k, eps, eta1, constants.c_s), work.nrows),
-        r_embed=None,
         mode="full_pipeline",
     )
     report = SolveReport(

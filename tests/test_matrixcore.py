@@ -514,7 +514,7 @@ class TestBlockKrylov:
             block_krylov(np.ones((30, 9)), 3, 3)
 
     def test_top_singular_takes_dense_input_only(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="dense array, not a SparseMatrix"):
             top_singular(random_sparse(make_gen(42), 8, 6, density=0.5), 2)
 class TestTruncateRank:
     def test_top_direction(self):

@@ -40,6 +40,7 @@ from sketchlr import (
     solve_generalized,
     solve_regression_sketched,
     solve_schatten,
+    sparse_dense_multiply,
 )
 from sketchlr.harness import generate_synthetic
 from sketchlr.matrixcore import DENSE_GUARD
@@ -150,13 +151,13 @@ class TestOracleScorer:
     )
     def test_solve_schatten_error_unchanged(self, shape, p, mode):
         a = generate_synthetic(*shape, 0.1, RandomStream(1))
-        # the sampler clips here, so in full_pipeline only a real regression
-        # sketch R (r_embed < n) keeps the error away from 0
-        consts = SketchConstants(c_r=1.0)
+        # at default constants the sampler clips here, so in full_pipeline
+        # only a sampled S keeps the error away from 0
+        consts = SketchConstants(c_s=0.2)
         rep = solve_schatten(
             a, 3, p, 0.5, RandomStream(2), mode, oracle=True, constants=consts
         )
-        assert rep.r_identity == (mode == "simplified_experiment")
+        assert not rep.clipped
         want = _dense_formula_error(
             a.to_dense(), rep.factors, lambda s: schatten_norm(s, p)
         )
@@ -165,12 +166,11 @@ class TestOracleScorer:
 
     @pytest.mark.parametrize("shape", [(120, 90), (90, 120)])
     def test_solve_schatten_error_with_default_constants(self, shape):
-        # default constants: the sampler clips and the regression width
-        # reaches n, so Y is the exact A Z; Z is the block Krylov top-k of A,
-        # near the optimum, and both scores read the same small error
+        # default constants: the sampler clips, so Z is the block Krylov
+        # top-k of A, near the optimum, and both scores read the same small error
         a = generate_synthetic(*shape, 0.1, RandomStream(1))
         rep = solve_schatten(a, 3, 3.0, 0.5, RandomStream(2), oracle=True)
-        assert rep.clipped and rep.r_identity and rep.krylov_depth is not None
+        assert rep.clipped and rep.krylov_depth is not None
         want = _dense_formula_error(
             a.to_dense(), rep.factors, lambda s: schatten_norm(s, 3.0)
         )
@@ -190,38 +190,56 @@ class TestOracleScorer:
         assert rep.relative_error == pytest.approx(want, rel=1e-12)
 
 
-class TestPassThroughFlags:
-    def test_simplified_mode_passes_r_through(self):
-        a = generate_synthetic(120, 90, 0.1, RandomStream(1))
-        rep = solve_schatten(a, 3, 1.0, 0.5, RandomStream(2), "simplified_experiment")
-        assert rep.r_identity
-        assert list(rep.seeds) == ["s"]
+class TestExactRegression:
+    @pytest.mark.parametrize("p", [1.0, 3.0])
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_y_is_exactly_a_z(self, p, wide, monkeypatch):
+        # 5000x400 at k=3 is where a sketched regression would be narrower
+        # than n (144 columns at p=1, 354 at p=3); S clips at p=1 and samples at p=3
+        tall = generate_synthetic(5000, 400, 0.05, RandomStream(1))
+        a = tall.transpose() if wide else tall
+        seen = []
+        swap = solver._swap_transposed
+
+        def spy(factors):
+            seen.append(factors)
+            return swap(factors)
+
+        monkeypatch.setattr(solver, "_swap_transposed", spy)
+        rep = solve_schatten(a, 3, p, 0.5, RandomStream(2))
+        assert rep.transposed == wide and len(seen) == wide
+        y, z = (seen[0].y, seen[0].z) if wide else (rep.factors.y, rep.factors.z)
+        assert y.tobytes() == sparse_dense_multiply(tall, z).tobytes()
+        assert list(rep.seeds) == ["s"] and not rep.fallback_used
+        assert rep.clipped == (p == 1.0)
+        scores = set() if rep.clipped else {"s_scores"}
+        assert set(rep.multiply_add_counts) == {"s_apply", "krylov", "regression"} | scores
+        assert rep.multiply_add_counts["regression"] == 3 * a.nnz
+        dense = tall.to_dense()
+        assert np.linalg.norm(dense - y @ z.T) <= np.linalg.norm(dense)
 
     def test_full_pipeline_flags_match_drawn_seeds(self):
-        # S samples and R is real: one seed each, nothing else drawn
+        # S samples: one seed, nothing drawn for the regression
         a = generate_synthetic(300, 200, 0.1, RandomStream(1))
         consts = SketchConstants(c_s=0.05)
         rep = solve_schatten(a, 2, 1.0, 0.5, RandomStream(2), constants=consts)
-        assert not rep.clipped and not rep.r_identity
-        assert list(rep.seeds) == ["s", "r"]
+        assert not rep.clipped and not rep.fallback_used
+        assert list(rep.seeds) == ["s"]
+        assert rep.factors.y.tobytes() == sparse_dense_multiply(a, rep.factors.z).tobytes()
+
+    def test_simplified_mode_draws_only_s(self):
+        a = generate_synthetic(120, 90, 0.1, RandomStream(1))
+        rep = solve_schatten(a, 3, 1.0, 0.5, RandomStream(2), "simplified_experiment")
+        assert list(rep.seeds) == ["s"]
 
     def test_baseline_and_generalized_regress_exactly(self):
         a = generate_synthetic(120, 90, 0.1, RandomStream(1))
         base = solve_frobenius_baseline(a, 3, RandomStream(2))
-        assert base.r_identity
         gen_rep = solve_generalized(a, 3, HuberLoss(1.0), 0.5, RandomStream(2))
-        assert gen_rep.r_identity
         assert list(base.seeds) == list(gen_rep.seeds) == ["s"]
-
-
-    def test_regression_width_reaching_n_is_exact(self):
-        # ceil(4 k / eta2) = 144 regression columns would exceed n = 90
-        a = generate_synthetic(120, 90, 0.1, RandomStream(1))
-        rep = solve_schatten(a, 3, 1.0, 0.5, RandomStream(2), "full_pipeline")
-        assert rep.plan.r_embed is None
-        assert rep.r_identity and "r" not in rep.seeds
-        assert "r_apply" not in rep.multiply_add_counts
-        assert rep.multiply_add_counts["regression"] == 3 * a.nnz
+        for rep in (base, gen_rep):
+            want = sparse_dense_multiply(a, rep.factors.z)
+            assert rep.factors.y.tobytes() == want.tobytes()
 
 
 def _align_signs(ref, got):
@@ -454,7 +472,7 @@ class TestPassThroughRowspace:
 
 
 def _full_pipeline_report(k):
-    plan = SketchPlan(eta1=1.0, eta2=1.0, r_kyfan=k, s_rows=1, r_embed=None, mode="full_pipeline")
+    plan = SketchPlan(eta1=1.0, r_kyfan=k, s_rows=1, mode="full_pipeline")
     return solver.SolveReport(factors=None, plan=plan)
 
 
@@ -642,14 +660,6 @@ class TestRelativeErrorConvention:
 
 
 class TestSketchedRegression:
-    def test_no_sketch_is_exact(self):
-        gen = make_gen(70)
-        a = gen.standard_normal((12, 8))
-        z = random_orthonormal(gen, 8, 3)
-        res = solve_regression_sketched(a, z, None, RandomStream(1))
-        np.testing.assert_allclose(res.yhat, a @ z, atol=1e-12)
-        assert res.seed is None and not res.fallback_used
-
     def test_consistent_system_zero_residual(self):
         gen = make_gen(71)
         z = random_orthonormal(gen, 10, 4)
@@ -730,18 +740,6 @@ class TestReassociatedRegression:
         tol = self.RTOL_PER_COND * s[0] / s[-1]
         assert np.linalg.norm(res.yhat - want) <= tol * np.linalg.norm(want)
 
-    @pytest.mark.parametrize("shape", [(60, 40), (40, 60)])
-    def test_counts_are_exact(self, shape):
-        gen = make_gen(75)
-        a = random_sparse(gen, *shape, density=0.2)
-        n, k = shape[1], 4
-        counters: dict = {}
-        res = solve_regression_sketched(
-            a, random_orthonormal(gen, n, k), 30, RandomStream(3), counters
-        )
-        assert not res.fallback_used
-        assert counters == {"zr_apply": k * n, "r_apply": n * k, "regression": k * a.nnz}
-
     def test_only_z_transpose_is_sketched(self, monkeypatch):
         seen = []
         kernel = solver.apply_countsketch_right
@@ -756,10 +754,9 @@ class TestReassociatedRegression:
         solve_regression_sketched(a, random_orthonormal(gen, 50, 3), 20, RandomStream(4))
         assert seen == [(3, 50)]
         seen.clear()
-        a = generate_synthetic(120, 90, 0.1, RandomStream(1))
-        rep = solve_schatten(a, 2, 1.0, 0.5, RandomStream(2))
-        assert rep.plan.r_embed < 90 and "r" in rep.seeds
-        assert seen == [(2, 90)]
+        # the solvers regress exactly and sketch nothing on the right
+        solve_schatten(generate_synthetic(120, 90, 0.1, RandomStream(1)), 2, 1.0, 0.5, RandomStream(2))
+        assert seen == []
 
     def test_20000_squared_needs_no_m_by_r_array(self):
         m = n = 20_000
@@ -768,15 +765,13 @@ class TestReassociatedRegression:
         flat = gen.choice(m * n, size=200_000, replace=False)
         a = SparseMatrix(m, n, flat // n, flat % n, gen.uniform(0.5, 1.5, flat.size))
         z = random_orthonormal(gen, n, k)
-        counters: dict = {}
         tracemalloc.start()
         try:
-            res = solve_regression_sketched(a, z, r_embed, RandomStream(6), counters)
+            res = solve_regression_sketched(a, z, r_embed, RandomStream(6))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert not res.fallback_used and res.yhat.shape == (m, k)
-        assert counters["regression"] == k * a.nnz
         # Y, R P and its gather are (m + n) k doubles, Z^T R and its SVD r k:
         # 4.4 MiB measured; the formed AR alone was m r_embed doubles, 663 MiB
         assert peak < 3 * (m + n + r_embed) * k * 8
@@ -853,8 +848,8 @@ class TestSolveSchatten:
             solve_schatten(a, 2, 1.0, 0.0, RandomStream(1))
 
     def test_regression_optimality_identity_mode(self):
-        # in simplified mode R is the identity: Y = A Z exactly, so the
-        # residual matches the projected residual in every norm
+        # Y = A Z exactly, so the residual matches the projected residual
+        # in every norm
         gen = make_gen(87)
         dense = gen.standard_normal((25, 18))
         a = SparseMatrix.from_dense(dense)
@@ -947,7 +942,6 @@ class TestFrobeniusBaseline:
         assert base.factors.z.tobytes() == simp.factors.z.tobytes()
         assert base.seeds == simp.seeds
         assert base.multiply_add_counts == simp.multiply_add_counts
-        assert base.r_identity
 
     def test_wide_input(self):
         gen = make_gen(91)
