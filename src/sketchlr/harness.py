@@ -340,8 +340,14 @@ def load_matrix(path, fmt: str = "matrix_market") -> SparseMatrix:
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file in one call, so exc.object is all of its bytes;
+        # the line is numbered as the per-line pass numbers it
+        line = len((exc.object[: exc.start].decode("utf-8") + ".").splitlines())
+        raise ParseError(path, line, f"byte 0x{exc.object[exc.start]:02x} is not UTF-8") from None
     if fmt == "matrix_market":
         return _parse_matrix_market(path, text)
     return _parse_bag_of_words(path, text)
@@ -500,45 +506,38 @@ def emit_csv(records, summary, path) -> None:
         raise OSError(f"failed to write CSV at {path!r}: {exc}") from exc
 
 
-def read_trials_csv(path) -> list[TrialRecord]:
-    """Parse a trials CSV back into records (inverse of :func:`emit_csv`)."""
-    out = []
+def _read_csv(path, header: list[str], record, fields) -> list:
+    """The rows of a CSV written by :func:`emit_csv`, field i read by ``fields[i]``."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header != TRIALS_HEADER:
-            raise ParseError(path, 1, f"unexpected header {header!r}")
+        first = next(reader, None)
+        if first != header:
+            found = "an empty file" if first is None else repr(first)
+            raise ParseError(path, 1, f"expected header {header!r}, found {found}")
+        out = []
         for row in reader:
-            out.append(
-                TrialRecord(
-                    k=int(row[0]),
-                    trial_index=int(row[1]),
-                    algo=row[2],
-                    rel_error=float(row[3]) if row[3] else None,
-                    wall_ms=float(row[4]),
-                    seed=int(row[5]),
-                    fallback_used=row[6] == "1",
+            if len(row) != len(header):
+                raise ParseError(
+                    path, reader.line_num, f"expected {len(header)} fields, found {len(row)}"
                 )
-            )
+            try:
+                out.append(record(*(read(v) for read, v in zip(fields, row))))
+            except ValueError as exc:
+                raise ParseError(path, reader.line_num, str(exc)) from None
     return out
+
+
+def _float_or_none(text: str) -> float | None:
+    return float(text) if text else None
+
+
+def read_trials_csv(path) -> list[TrialRecord]:
+    """Parse a trials CSV back into records (inverse of :func:`emit_csv`)."""
+    fields = (int, int, str, _float_or_none, float, int, lambda v: v == "1")
+    return _read_csv(path, TRIALS_HEADER, TrialRecord, fields)
 
 
 def read_summary_csv(path) -> list[SummaryRow]:
     """Parse a summary CSV back into rows (inverse of :func:`emit_csv`)."""
-    out = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != SUMMARY_HEADER:
-            raise ParseError(path, 1, f"unexpected header {header!r}")
-        for row in reader:
-            out.append(
-                SummaryRow(
-                    k=int(row[0]),
-                    algo=row[1],
-                    median_rel_error=float(row[2]) if row[2] else None,
-                    median_wall_ms=float(row[3]),
-                    n_trials=int(row[4]),
-                )
-            )
-    return out
+    fields = (int, str, _float_or_none, float, int)
+    return _read_csv(path, SUMMARY_HEADER, SummaryRow, fields)

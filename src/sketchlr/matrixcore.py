@@ -5,6 +5,10 @@ arrays of singular values sorted non-increasing. The one wrapped type is
 :class:`SparseMatrix`, which validates its triplets on construction and routes
 every product through an exact multiply-add count so nnz-proportionality can
 be asserted rather than estimated.
+
+A kernel that reads A by its stored entries converts a dense A once, on entry
+(``_ensure_sparse``), and runs and counts as on its nonzeros; a dense-only
+kernel refuses a :class:`SparseMatrix` (``_check_dense``).
 """
 
 import math
@@ -181,6 +185,13 @@ def _check_dense(a, name: str = "matrix", finite: bool = True) -> np.ndarray:
     return a
 
 
+def _ensure_sparse(a) -> SparseMatrix:
+    """``a`` itself when sparse, else the :class:`SparseMatrix` of its nonzeros."""
+    if isinstance(a, SparseMatrix):
+        return a
+    return SparseMatrix.from_dense(a)
+
+
 def svd(a) -> SvdResult:
     """Thin SVD with verified tolerances.
 
@@ -241,16 +252,15 @@ def block_krylov(
     An ``eigh`` of H is the Rayleigh-Ritz step. The span needs no gap at k
     to be near-optimal for rank-k approximation (Musco & Musco, 2015).
 
-    ``a`` is a :class:`SparseMatrix` or dense. Returns ``(sigma, v)``: the
+    A dense ``a`` is read as its :class:`SparseMatrix`. Returns ``(sigma, v)``: the
     k largest Ritz values as singular values, non-increasing (0 for a
     ``theta`` at or below ``d eps theta_1``, as in :func:`top_singular`),
     and the ``n x k`` right block, ``Q S_k`` for a tall A and
     ``A^T U diag(sigma)^-1`` for the Ritz vectors U of a wide one (zero
     where sigma is). ``counter`` gets ``2 k nnz(A)`` per product with G and
-    ``k nnz(A)`` for ``A^T U`` (a dense A counts every entry).
+    ``k nnz(A)`` for ``A^T U``.
     """
-    sparse = isinstance(a, SparseMatrix)
-    x = a.csr if sparse else _check_dense(a)
+    x = _ensure_sparse(a).csr
     d = min(x.shape)
     wide = x.shape[0] < x.shape[1]
     inner, outer = (x.T, x) if wide else (x, x.T)  # G w = outer @ (inner @ w)
@@ -277,7 +287,7 @@ def block_krylov(
     sigma = np.sqrt(np.where(theta > d * np.finfo(float).eps * theta[0], theta, 0.0))
     side = basis @ s[:, : -k - 1 : -1]
     if counter is not None:  # 2 k nnz(A) per product with G, k nnz(A) for A^T U
-        counter.add(k * (x.nnz if sparse else x.size) * (2 * (depth + 1) + wide))
+        counter.add(k * x.nnz * (2 * (depth + 1) + wide))
     if not wide:
         return sigma, side
     # U^T G U = diag(theta) for Ritz vectors U, so these columns are orthonormal
@@ -390,6 +400,7 @@ def sparse_dense_multiply(
     a: SparseMatrix, b: np.ndarray, counter: MultiplyAddCounter | None = None
 ) -> np.ndarray:
     """``A @ B`` for sparse A, dense B; exactly ``nnz(A) * ncols(B)`` MACs."""
+    a = _ensure_sparse(a)
     b = np.asarray(b, dtype=np.float64)
     if b.ndim != 2:
         raise ValueError("dense factor must be 2-D")
@@ -404,6 +415,7 @@ def dense_sparse_multiply(
     b: np.ndarray, a: SparseMatrix, counter: MultiplyAddCounter | None = None
 ) -> np.ndarray:
     """``B @ A`` for dense B, sparse A; exactly ``nnz(A) * nrows(B)`` MACs."""
+    a = _ensure_sparse(a)
     b = np.asarray(b, dtype=np.float64)
     if b.ndim != 2:
         raise ValueError("dense factor must be 2-D")

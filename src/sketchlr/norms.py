@@ -85,8 +85,8 @@ class HuberLoss(ScalarLoss):
     name = "huber"
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not self.tau > 0:  # NaN too
+            raise ValueError(f"tau must be positive, got {self.tau}")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -105,10 +105,10 @@ class TukeyPLoss(ScalarLoss):
     name = "tukey_p"
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not self.p >= 1:  # NaN too
+            raise ValueError(f"p must be >= 1, got {self.p}")
+        if not self.tau > 0:
+            raise ValueError(f"tau must be positive, got {self.tau}")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -136,17 +136,14 @@ class L1L2Loss(ScalarLoss):
 
 def parse_loss(text: str) -> ScalarLoss:
     """Parse a loss id like ``huber:1.5``, ``tukey_p:2:1.0`` or ``l1_l2``."""
-    parts = text.split(":")
-    name, args = parts[0], [float(v) for v in parts[1:]]
-    if name == "huber":
-        return HuberLoss(*args) if args else HuberLoss()
-    if name == "tukey_p":
-        return TukeyPLoss(*args) if args else TukeyPLoss()
-    if name == "l1_l2":
-        if args:
-            raise ValueError("l1_l2 takes no parameters")
-        return L1L2Loss()
-    raise ValueError(f"unknown loss {name!r}")
+    name, *args = text.split(":")
+    losses = {"huber": (HuberLoss, 1), "tukey_p": (TukeyPLoss, 2), "l1_l2": (L1L2Loss, 0)}
+    if name not in losses:
+        raise ValueError(f"unknown loss {name!r}")
+    loss, most = losses[name]
+    if len(args) > most:
+        raise ValueError(f"{name} takes at most {most} parameter(s), got {len(args)}")
+    return loss(*(float(v) for v in args))
 
 
 def phi_objective(sigma, loss: ScalarLoss) -> float:

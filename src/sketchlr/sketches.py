@@ -12,7 +12,8 @@ and the scores come from a Rayleigh-Ritz projection of A onto it, at
 exact scores of :func:`ridge_leverage_scores`. A sampler whose budget covers
 every nonzero column needs no scores at all and factorizes nothing. Applying
 the row sampler keeps the sample sparse: ``SA`` is a :class:`SparseMatrix` of
-``nnz(SA)`` entries, never a dense copy of the rows it keeps.
+``nnz(SA)`` entries, never a dense copy of the rows it keeps. Every sketch
+reads a dense A as the :class:`SparseMatrix` of its nonzeros, counts included.
 """
 
 import math
@@ -28,6 +29,7 @@ from .matrixcore import (
     ScaleLimitError,
     SparseMatrix,
     _check_dense,
+    _ensure_sparse,
     svd,  # noqa: F401  (stays importable as sketches.svd; perfbench's tests read it)
 )
 from .rng import RandomStream, generator_from_seed
@@ -121,10 +123,6 @@ def build_countsketch(
     return CountSketchOperator.from_seed(input_dim, sketch_dim, stream.child_seed())
 
 
-def _operand_nnz(a) -> int:
-    return a.nnz if isinstance(a, SparseMatrix) else int(np.asarray(a).size)
-
-
 def apply_countsketch_right(a, op: CountSketchOperator) -> np.ndarray:
     """``A @ R`` for a dense ``A``, one multiply-add per entry of A."""
     a = _check_dense(a)
@@ -140,26 +138,25 @@ def apply_countsketch_left(
 ) -> np.ndarray:
     """``R^T @ A`` as a dense array (the left-sketch ``SA`` with ``S = R^T``).
 
-    A sparse ``A`` is one scatter of its stored entries into the result; they
-    add in storage order, bit for bit as the scipy product does.
+    One scatter of the stored entries of A (a dense A's nonzeros) into the
+    result, one multiply-add each; they add in storage order, bit for bit
+    as the scipy product does.
     """
-    nrows = a.nrows if isinstance(a, SparseMatrix) else np.asarray(a).shape[0]
-    if nrows != op.input_dim:
+    a = _ensure_sparse(a)
+    if a.nrows != op.input_dim:
         raise ValueError(
-            f"dimension mismatch: {nrows} rows vs sketch input {op.input_dim}"
+            f"dimension mismatch: {a.nrows} rows vs sketch input {op.input_dim}"
         )
     if counter is not None:
-        counter.add(_operand_nnz(a))
-    if isinstance(a, SparseMatrix):
-        x = a.csr
-        weight = np.repeat(op.sign, np.diff(x.indptr))
-        index = np.repeat(op.bucket * a.ncols, np.diff(x.indptr))
-        index += x.indices
-        weight *= x.data
-        flat = np.bincount(index, weights=weight, minlength=op.sketch_dim * a.ncols)
-        # with no stored entries bincount gives ints
-        return flat.reshape(op.sketch_dim, a.ncols).astype(np.float64, copy=False)
-    return op.matrix().T @ np.asarray(a, dtype=np.float64)
+        counter.add(a.nnz)
+    x = a.csr
+    weight = np.repeat(op.sign, np.diff(x.indptr))
+    index = np.repeat(op.bucket * a.ncols, np.diff(x.indptr))
+    index += x.indices
+    weight *= x.data
+    flat = np.bincount(index, weights=weight, minlength=op.sketch_dim * a.ncols)
+    # with no stored entries bincount gives ints
+    return flat.reshape(op.sketch_dim, a.ncols).astype(np.float64, copy=False)
 
 
 def sample_count(k: int, eps: float, eta: float, c_s: float) -> int:
@@ -179,6 +176,7 @@ def ridge_leverage_scores(a, k: int, ridge_scale: float) -> np.ndarray:
     before building any dense array, when the Gram matrix would exceed
     ``DENSE_GUARD``.
     """
+    a = _ensure_sparse(a)
     m, n = a.shape
     d = min(m, n)
     if d > DENSE_GUARD:
@@ -188,10 +186,8 @@ def ridge_leverage_scores(a, k: int, ridge_scale: float) -> np.ndarray:
             "(build_column_sampler does when its width c_lev (k + eps/eta) is below "
             "min(m, n)) or solve in simplified_experiment mode"
         )
-    x = a.csr if isinstance(a, SparseMatrix) else _check_dense(a)
-    gram = x @ x.T if m <= n else x.T @ x
-    if sp.issparse(gram):
-        gram = gram.toarray()
+    x = a.csr
+    gram = (x @ x.T if m <= n else x.T @ x).toarray()
     lam, vecs = scipy.linalg.eigh(gram, overwrite_a=True, driver="evd")
     lam, vecs = lam[::-1], vecs[:, ::-1]
     lam = np.where(lam > d * np.finfo(float).eps * lam[0], lam, 0.0)
@@ -235,7 +231,8 @@ def sketched_ridge_leverage_scores(
     ``O((m + n) width^2)`` dense work on arrays of at most
     ``max(m, n) x width`` entries.
     """
-    x = a.csr if isinstance(a, SparseMatrix) else _check_dense(a)
+    a = _ensure_sparse(a)
+    x = a.csr
     n = a.shape[1]
     floor = min(a.shape) * np.finfo(float).eps
     b = x @ (gen.standard_normal((n, width)) / math.sqrt(width))
@@ -245,17 +242,14 @@ def sketched_ridge_leverage_scores(
     del b
     c = (x.T @ u).T
     if counter is not None:
-        counter.add((width + u.shape[1]) * _operand_nnz(a))
+        counter.add((width + u.shape[1]) * a.nnz)
     del u
     mu, rot = scipy.linalg.eigh(c @ c.T, overwrite_a=True, driver="evd")
     mu, rot = mu[::-1], rot[:, ::-1]
     live = mu > floor * mu[0]
     mu = mu[live]
     c_sq = np.square(rot[:, live].T @ c)
-    if isinstance(a, SparseMatrix):
-        col_sq = np.bincount(x.indices, weights=np.square(x.data), minlength=n)
-    else:
-        col_sq = np.einsum("ij,ij->j", x, x)
+    col_sq = np.bincount(x.indices, weights=np.square(x.data), minlength=n)
     fro = float(col_sq.sum())
     tail = fro - float(mu[:k].sum())
     ridge = ridge_scale * tail if tail > floor * fro else 0.0
@@ -263,12 +257,6 @@ def sketched_ridge_leverage_scores(
     if ridge > 0.0:
         tau += np.maximum(col_sq - c_sq.sum(axis=0), 0.0) / ridge
     return tau
-
-
-def _nonzero_columns(a) -> np.ndarray:
-    if isinstance(a, SparseMatrix):
-        return np.flatnonzero(np.bincount(a.csr.indices, minlength=a.ncols))
-    return np.flatnonzero(np.any(a != 0.0, axis=0))
 
 
 def build_column_sampler(
@@ -307,14 +295,13 @@ def build_column_sampler(
         raise ValueError("k must be >= 1")
     if not (0.0 < eta <= eps <= 1.0):
         raise ValueError(f"need 0 < eta <= eps <= 1, got eta={eta}, eps={eps}")
-    if not isinstance(a, SparseMatrix):
-        a = _check_dense(a)
+    a = _ensure_sparse(a)
     n = a.shape[1]
     t = min(sample_count(k, eps, eta, constants.c_s), n)
     seed = stream.child_seed()
     gen = generator_from_seed(seed)
 
-    support = _nonzero_columns(a)
+    support = np.flatnonzero(np.bincount(a.csr.indices, minlength=n))
     if support.size == 0:
         # zero matrix: leverage is undefined, fall back to a uniform sample
         prob = np.full(n, 1.0 / n)
@@ -350,26 +337,21 @@ def build_row_sampler(
     counter: MultiplyAddCounter | None = None,
 ) -> SamplingSketch:
     """Row sampler: the column sampler applied to the transposed matrix."""
-    at = a.transpose() if isinstance(a, SparseMatrix) else np.asarray(a, float).T
+    at = _ensure_sparse(a).transpose()
     return build_column_sampler(at, k, eps, eta, stream, constants, counter)
 
 
 def apply_column_sampler(
     a, sk: SamplingSketch, counter: MultiplyAddCounter | None = None
 ) -> np.ndarray:
-    """Select and rescale the sampled columns; one MAC per retained entry."""
-    ncols = a.ncols if isinstance(a, SparseMatrix) else np.asarray(a).shape[1]
-    if ncols != sk.source_dim:
-        raise ValueError(f"dimension mismatch: {ncols} columns vs sampler {sk.source_dim}")
-    if isinstance(a, SparseMatrix):
-        sub = a.csr[:, sk.indices]
-        if counter is not None:
-            counter.add(sub.nnz)
-        return sub.toarray() * sk.weights[None, :]
-    a = np.asarray(a, dtype=np.float64)
+    """Select and rescale the sampled columns; one MAC per retained stored entry."""
+    a = _ensure_sparse(a)
+    if a.ncols != sk.source_dim:
+        raise ValueError(f"dimension mismatch: {a.ncols} columns vs sampler {sk.source_dim}")
+    sub = a.csr[:, sk.indices]
     if counter is not None:
-        counter.add(a.shape[0] * sk.sample_count)
-    return a[:, sk.indices] * sk.weights[None, :]
+        counter.add(sub.nnz)
+    return sub.toarray() * sk.weights[None, :]
 
 
 def apply_row_sampler(
@@ -377,11 +359,9 @@ def apply_row_sampler(
 ) -> SparseMatrix:
     """Select and rescale the sampled rows, kept sparse.
 
-    Costs one multiply-add per retained stored entry, ``nnz(SA)`` in all; a
-    dense input is read as the sparse matrix of its nonzeros.
+    Costs one multiply-add per retained stored entry, ``nnz(SA)`` in all.
     """
-    if not isinstance(a, SparseMatrix):
-        a = SparseMatrix.from_dense(_check_dense(a))
+    a = _ensure_sparse(a)
     if a.nrows != sk.source_dim:
         raise ValueError(f"dimension mismatch: {a.nrows} rows vs sampler {sk.source_dim}")
     sub = a.csr[sk.indices, :]

@@ -46,6 +46,7 @@ from .matrixcore import (
     ScaleLimitError,
     SparseMatrix,
     _check_dense,
+    _ensure_sparse,
     block_krylov,
     complete_basis,
     singular_values,
@@ -170,12 +171,6 @@ class DiagnosticReport:
     @property
     def violation_fraction(self) -> float:
         return self.violations / self.trials if self.trials else 0.0
-
-
-def _ensure_sparse(a) -> SparseMatrix:
-    if isinstance(a, SparseMatrix):
-        return a
-    return SparseMatrix.from_dense(np.asarray(a, dtype=np.float64))
 
 
 def _dense_guarded(a: SparseMatrix, advice: str = _ORACLE_ADVICE) -> np.ndarray:
@@ -569,10 +564,7 @@ def diagnose_kyfan_preservation(
     returns; both it and ``a`` are densified under the dense guard.
     """
     dense = _dense_guarded(_ensure_sparse(a))
-    if isinstance(sa, SparseMatrix):
-        sa = _dense_guarded(sa)
-    else:
-        sa = _check_dense(sa, "sketched matrix")
+    sa = _dense_guarded(_ensure_sparse(sa))
     if sa.shape[1] != dense.shape[1]:
         raise ValueError("sketched matrix must keep the column dimension")
     if trials < 1:

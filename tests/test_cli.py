@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import numpy as np
+import pytest
 
 import sketchlr.solver
 from sketchlr import ConvergenceError, load_matrix
@@ -55,6 +56,13 @@ def test_loss_with_simplified_mode_is_refused(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--loss" in captured.err and "--mode simplified_experiment" in captured.err
+
+
+@pytest.mark.parametrize("loss", ["huber:1:2", "tukey_p:1:2:3", "huber:nan"])
+def test_bad_loss_is_config_error(loss, capsys):
+    code = main(["solve", "--m", "50", "--n", "40", "--k", "2", "--loss", loss])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_bench_writes_csv(tmp_path, capsys):

@@ -214,6 +214,15 @@ class TestParseErrorLines:
         with pytest.raises(ParseError, match=r"ff\.mtx:3: expected 'row col value'"):
             load_matrix(path)
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path, newline):
+        path = tmp_path / "bin.mtx"
+        lines = [MM_HEADER.strip().encode(), b"2 2 1", b"1 1 \xff1.0", b""]
+        path.write_bytes(newline.join(lines))
+        with pytest.raises(ParseError, match=r"bin\.mtx:3: byte 0xff is not UTF-8") as info:
+            load_matrix(path)
+        assert info.value.line == 3
+
 
 class TestMatrixMarketHeaders:
     def _load(self, tmp_path, text):
@@ -695,3 +704,32 @@ class TestCsvEmission:
     def test_write_failure_has_path_context(self):
         with pytest.raises(OSError, match="no/such/dir"):
             emit_csv([], [], "/no/such/dir/base")
+
+
+class TestCsvParseErrors:
+    TABLES = {
+        "trials": (read_trials_csv, harness.TRIALS_HEADER, "2,0,schatten_p,0.1,1.5,7,0"),
+        "summary": (read_summary_csv, harness.SUMMARY_HEADER, "2,schatten_p,0.1,1.5,3"),
+    }
+
+    @pytest.mark.parametrize("table", sorted(TABLES))
+    @pytest.mark.parametrize(
+        "case", ["empty file", "short row", "bad int", "bad float", "no header"]
+    )
+    def test_error_names_its_line(self, tmp_path, table, case):
+        read, header, row = self.TABLES[table]
+        head = ",".join(header)
+        text, line, message = {
+            "empty file": ("", 1, "expected header .*, found an empty file"),
+            "short row": (f"{head}\n{row}\n2,0\n", 3, f"expected {len(header)} fields, found 2"),
+            "bad int": (f"{head}\n{row}\nx{row[1:]}\n", 3, "invalid literal for int"),
+            "bad float": (f"{head}\n{row.replace('1.5', 'fast')}\n", 2, "could not convert"),
+            "no header": (f"{row}\n", 1, "expected header"),
+        }[case]
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=rf"t\.csv:{line}: {message}") as info:
+            read(path)
+        assert info.value.line == line
+        path.write_text(f"{head}\n{row}\n")
+        assert len(read(path)) == 1

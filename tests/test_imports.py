@@ -7,7 +7,9 @@ read somewhere in the module, be listed in its ``__all__``, or be marked
 :class:`~sketchlr.sketches.SketchConstants` and
 :class:`~sketchlr.sketches.SketchPlan` must be read as an attribute somewhere
 in ``src/`` outside its own class, so that a constant nothing uses is deleted
-rather than kept settable.
+rather than kept settable. In ``matrixcore`` and ``sketches`` only the two
+storage helpers, ``_ensure_sparse`` and ``_check_dense``, may test an operand
+for :class:`~sketchlr.matrixcore.SparseMatrix`, so each kernel keeps one body.
 """
 
 import ast
@@ -19,6 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src").rglob("*.py"))
 MODULES = sorted([*SRC, *(ROOT / "tests").glob("*.py")])
 SETTINGS = ("SketchConstants", "SketchPlan")
+STORAGE_HELPERS = ("_ensure_sparse", "_check_dense")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -89,3 +92,39 @@ def test_detects_an_unread_field():
     source += "    def total(self):\n        return self.b\n"
     other = "def f(plan):\n    return Plan(a=1, b=2, c=plan.c)\n"
     assert unread_fields([source, other], ("Plan",)) == ["Plan.a", "Plan.b"]
+
+
+def storage_branches(source: str) -> list[str]:
+    """Functions of ``source``, the storage helpers aside, that call
+    ``isinstance(..., SparseMatrix)``, a tuple of types included."""
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, ast.FunctionDef) or func.name in STORAGE_HELPERS:
+            continue
+        for node in ast.walk(func):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+                and any(
+                    isinstance(sub, ast.Name) and sub.id == "SparseMatrix"
+                    for arg in node.args[1:]
+                    for sub in ast.walk(arg)
+                )
+            ):
+                found.add(func.name)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", ["matrixcore.py", "sketches.py"])
+def test_only_the_storage_helpers_test_for_sparse(name):
+    source = (ROOT / "src" / "sketchlr" / name).read_text(encoding="utf-8")
+    assert storage_branches(source) == []
+
+
+def test_detects_a_storage_branch():
+    source = "def _ensure_sparse(a):\n    return isinstance(a, SparseMatrix)\n"
+    source += "def f(a):\n    return isinstance(a, (np.ndarray, SparseMatrix))\n"
+    source += "def g(a):\n    return isinstance(a, np.ndarray)\n"
+    source += "def h(a):\n    def inner(b):\n        return isinstance(b, SparseMatrix)\n"
+    assert storage_branches(source) == ["f", "h", "inner"]

@@ -194,6 +194,23 @@ class TestScalarLosses:
         with pytest.raises(ValueError):
             parse_loss("cauchy")
 
+    @pytest.mark.parametrize(
+        "text, most", [("huber:1:2", 1), ("tukey_p:1:2:3", 2), ("l1_l2:1", 0)]
+    )
+    def test_parse_loss_refuses_extra_parameters(self, text, most):
+        name = text.split(":")[0]
+        with pytest.raises(ValueError, match=f"^{name} takes at most {most} parameter"):
+            parse_loss(text)
+
+    @pytest.mark.parametrize(
+        "loss, args", [(HuberLoss, ["nan"]), (TukeyPLoss, ["nan"]), (TukeyPLoss, ["2", "nan"])]
+    )
+    def test_nan_parameter_is_refused_when_built(self, loss, args):
+        with pytest.raises(ValueError, match="got nan$"):
+            loss(*map(float, args))
+        with pytest.raises(ValueError, match="got nan$"):
+            parse_loss(":".join([loss.name, *args]))
+
 
 class TestConditionReport:
     def test_huber_constants(self):

@@ -27,9 +27,11 @@ from sketchlr import (
     build_column_sampler,
     build_countsketch,
     build_row_sampler,
+    dense_sparse_multiply,
     make_sketch_plan,
     sample_count,
     singular_values,
+    sparse_dense_multiply,
 )
 from sketchlr.matrixcore import DENSE_GUARD
 from sketchlr.rng import generator_from_seed
@@ -732,3 +734,90 @@ class TestSketchPlan:
             for k in (1, 5, 20):
                 plan = make_sketch_plan(500, 300, k, 0.5, p)
                 assert 0 < plan.eta1 <= 1
+
+
+def _bytes_of(x):
+    """A comparable image of a kernel's output, down to dtype and bytes."""
+    if isinstance(x, SparseMatrix):
+        x = (x.shape, x.csr.data, x.csr.indices, x.csr.indptr)
+    elif isinstance(x, sketches.SamplingSketch):
+        x = (x.source_dim, x.indices, x.weights, x.seed, x.clipped, x.degenerate)
+    if isinstance(x, tuple):
+        return tuple(_bytes_of(v) for v in x)
+    if isinstance(x, np.ndarray):
+        return (x.dtype.str, x.shape, x.tobytes())
+    return x
+
+
+class TestDenseOperand:
+    """A dense A runs as the SparseMatrix of its nonzeros: same bytes, same counts."""
+
+    # c_s=0.3 draws 5 of the columns at k=1, eps=eta=0.5; c_lev=1 sketches
+    # the scores at width 2, c_lev=100 passes through to the exact scores
+    CONSTANTS = {
+        "sketched": SketchConstants(c_s=0.3, c_lev=1.0),
+        "exact": SketchConstants(c_s=0.3, c_lev=100.0),
+    }
+
+    @classmethod
+    def kernels(cls, a, seed):
+        """Each kernel that takes either storage, as a function of ``(a, counter)``."""
+        m, n = a.shape
+        gen = make_gen(seed)
+        right, left = gen.standard_normal((n, 2)), gen.standard_normal((2, m))
+
+        def sampler(build, consts):
+            return lambda x, c: build(x, 1, 0.5, 0.5, RandomStream(seed), consts, c)
+
+        out = {
+            f"{build.__name__}[{name}]": sampler(build, consts)
+            for name, consts in cls.CONSTANTS.items()
+            for build in (build_column_sampler, build_row_sampler)
+        }
+        sparse = SparseMatrix.from_dense(a)
+        cols = out["build_column_sampler[sketched]"](sparse, None)
+        rows = out["build_row_sampler[exact]"](sparse, None)
+        op = build_countsketch(m, 3, RandomStream(seed))
+        return out | {
+            "apply_column_sampler": lambda x, c: apply_column_sampler(x, cols, c),
+            "apply_row_sampler": lambda x, c: apply_row_sampler(x, rows, c),
+            "apply_countsketch_left": lambda x, c: apply_countsketch_left(x, op, c),
+            "ridge_leverage_scores": lambda x, c: ridge_leverage_scores(x, 1, 0.5),
+            "sketched_ridge_leverage_scores": lambda x, c: sketched_ridge_leverage_scores(
+                x, 1, 0.5, 2, generator_from_seed(seed), c
+            ),
+            "block_krylov": lambda x, c: matrixcore.block_krylov(x, 1, 1, c),
+            "sparse_dense_multiply": lambda x, c: sparse_dense_multiply(x, right, c),
+            "dense_sparse_multiply": lambda x, c: dense_sparse_multiply(left, x, c),
+        }
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(8, 40),
+        n=st.integers(8, 40),
+        density=st.floats(0.2, 1.0),
+        empty=st.integers(0, 4),
+    )
+    def test_property_bit_identical_to_its_sparse_matrix(self, seed, m, n, density, empty):
+        # values spread over 8 decades make every summation order show in
+        # the last bits; one entry is kept so the input is never all zero
+        gen = make_gen(seed)
+        mag = 10.0 ** gen.integers(-4, 4, size=(m, n))
+        dense = np.where(gen.random((m, n)) < density, gen.standard_normal((m, n)) * mag, 0.0)
+        dense[gen.choice(np.arange(1, m), size=empty, replace=False)] = 0.0
+        dense[:, gen.choice(np.arange(1, n), size=empty, replace=False)] = 0.0
+        dense[0, 0] = 1.0
+        sparse = SparseMatrix.from_dense(dense)
+        for name, kernel in self.kernels(dense, seed).items():
+            got, want = MultiplyAddCounter(), MultiplyAddCounter()
+            assert _bytes_of(kernel(dense, got)) == _bytes_of(kernel(sparse, want)), name
+            assert got.count == want.count, name
+
+    def test_counted_by_its_nonzeros(self):
+        gen = make_gen(120)
+        dense = np.where(gen.random((120, 100)) < 0.3, gen.standard_normal((120, 100)), 0.0)
+        counter = MultiplyAddCounter()
+        matrixcore.block_krylov(dense, 3, 4, counter)
+        nnz = int(np.count_nonzero(dense))
+        assert counter.count == 3 * nnz * (2 * 5) < 3 * dense.size * (2 * 5)
