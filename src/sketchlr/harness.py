@@ -348,6 +348,7 @@ def load_matrix(path, fmt: str = "matrix_market") -> SparseMatrix:
         # the line is numbered as the per-line pass numbers it
         line = len((exc.object[: exc.start].decode("utf-8") + ".").splitlines())
         raise ParseError(path, line, f"byte 0x{exc.object[exc.start]:02x} is not UTF-8") from None
+    text = text.removeprefix("\ufeff")  # a UTF-8 byte-order mark
     if fmt == "matrix_market":
         return _parse_matrix_market(path, text)
     return _parse_bag_of_words(path, text)

@@ -224,7 +224,8 @@ def sketched_ridge_leverage_scores(
     ridge ``lam = ridge_scale * tail`` the scores are
     ``sum_i C_ij^2 / (mu_i + lam) + max(||a_j||^2 - sum_i C_ij^2, 0) / lam``,
     the second term dropped when ``lam`` is 0. They are exact when
-    ``rank(A) <= r``, and zero columns score exactly 0.
+    ``rank(A) <= r``, and zero columns score exactly 0 (all of them when A
+    has no stored entries).
 
     The sparse work, ``B`` and ``C``, is exactly ``(width + r) nnz(A)``
     multiply-adds and is reported through ``counter``; the rest is
@@ -246,7 +247,7 @@ def sketched_ridge_leverage_scores(
     del u
     mu, rot = scipy.linalg.eigh(c @ c.T, overwrite_a=True, driver="evd")
     mu, rot = mu[::-1], rot[:, ::-1]
-    live = mu > floor * mu[0]
+    live = mu > floor * mu[:1]  # mu is empty when the sketch of A is all zero
     mu = mu[live]
     c_sq = np.square(rot[:, live].T @ c)
     col_sq = np.bincount(x.indices, weights=np.square(x.data), minlength=n)

@@ -37,6 +37,7 @@ from collections.abc import Hashable
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import blas, lapack
 
 from .matrixcore import (
     DENSE_GUARD,
@@ -48,6 +49,7 @@ from .matrixcore import (
     _check_dense,
     _ensure_sparse,
     block_krylov,
+    compact_qr,
     complete_basis,
     singular_values,
     sparse_dense_multiply,
@@ -210,29 +212,48 @@ def exact_oracle(a, k: int) -> OracleResult:
 
 
 class OracleScorer:
-    """Exact singular-value scores against one input, from one thin QR of it.
+    """Exact singular-value scores against one input, from one compact QR of it.
 
-    The input is densified under the dense guard and turned tall, ``A = Q R``.
-    With ``B = Q^T Y`` and ``Y - Q B = Q2 C``, ``A - Y Z^T`` equals
-    ``[Q Q2] [[R - B Z^T], [-C Z^T]]``: the residual spectrum is that of the
-    ``(n + k) x n`` stack, exact to rounding (Chan's R-SVD), and no singular
-    vectors of the input are computed.
+    The input is densified under the dense guard, turned tall (``m x n``,
+    ``m >= n``) and factored in place, ``A = Q R`` (:func:`compact_qr`). The
+    scorer holds that one ``m x n`` array, R above its diagonal and Q's
+    Householder reflectors below it, with their ``tau`` and a mask of R's
+    triangle; Q is never formed. A trial gets ``[B; Y2] = Q^T Y`` from one
+    ``dormqr`` and the R factor C of ``Y2``. Then ``A - Y Z^T`` equals
+    ``Q [[R - B Z^T], [-Y2 Z^T]]``, and ``Y2 = P C`` for orthonormal P, so
+    the residual spectrum is that of the ``(n + rows(C)) x n`` stack
+    ``[[R - B Z^T], [-C Z^T]]``, exact to rounding (Chan's R-SVD): one
+    singular-value computation a trial, and no singular vectors of the input.
     """
 
     def __init__(self, a):
         a = _ensure_sparse(a)
-        dense = _dense_guarded(a)
         self.transposed = a.nrows < a.ncols
-        self.q, self.r = np.linalg.qr(dense.T if self.transposed else dense)
-        self.spectrum = singular_values(self.r)
+        # the row-major dense wide orientation, transposed, is the tall one column-major
+        dense = _dense_guarded(a if self.transposed else a.transpose()).T
+        self._reflectors, self._tau, r = compact_qr(dense)
+        self.spectrum = singular_values(r)
+        self._upper = np.tri(r.shape[0], dtype=bool).T
 
     def residual_spectrum(self, y: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Singular values of ``A - y @ z.T``, non-increasing."""
         if self.transposed:
             y, z = z, y
-        b = self.q.T @ y
-        c = np.linalg.qr(y - self.q @ b, mode="r")
-        return singular_values(np.vstack([self.r - b @ z.T, -(c @ z.T)]))
+        qr, tau = self._reflectors, self._tau
+        n = qr.shape[1]
+        qty = np.array(y, dtype=np.float64, order="F")
+        # dormqr runs unblocked at its minimal workspace, so ask for the optimal one
+        lwork = int(lapack.dormqr("L", "T", qr, tau, qty, -1, overwrite_c=1)[1][0])
+        qty = lapack.dormqr("L", "T", qr, tau, qty, lwork, overwrite_c=1)[0]
+        c = np.linalg.qr(qty[n:], mode="r")
+        stack = np.zeros((n + c.shape[0], n))
+        top = stack[:n]
+        np.copyto(top, qr[:n], where=self._upper)
+        # top is row-major, so top.T is a column-major view: top.T -= Z B^T in place
+        blas.dgemm(-1.0, z, qty[:n], beta=1.0, c=top.T, trans_b=1, overwrite_c=1)
+        # C Z^T for -C Z^T: negating a block of rows keeps the singular values
+        np.matmul(c, z.T, out=stack[n:])
+        return singular_values(stack)
 
     def relative_error(self, factors: LowRankFactors, objective) -> float:
         """:func:`relative_error_from` for ``objective`` of a spectrum."""

@@ -470,6 +470,20 @@ class TestWholeBodyParse:
             load_matrix(p, fmt)
 
     @pytest.mark.parametrize(
+        "name, fmt",
+        [("tiny.mtx", "matrix_market"), ("tiny_bow.txt", "bag_of_words_triplets")],
+    )
+    def test_byte_order_mark_is_skipped(self, tmp_path, monkeypatch, name, fmt):
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + (DATA / name).read_bytes())
+        want = load_matrix(DATA / name, fmt)
+        monkeypatch.setattr(harness, "_parse_per_line", None)  # the whole-body parse reads it
+        got = load_matrix(path, fmt)
+        assert got.shape == want.shape
+        for g, w in zip(got.triplets(), want.triplets()):
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize(
         "body",
         ["1 1 1_0\n2 1 -2.5\n", "1 1 10\n% a comment among the entries\n2 1 -2.5\n"],
         ids=["underscore", "comment"],

@@ -516,6 +516,14 @@ class TestSketchedRidgeLeverage:
         np.testing.assert_array_equal(tau[[0, 17, 89]], 0.0)
         assert np.delete(tau, [0, 17, 89]).min() > 0.0
 
+    @pytest.mark.parametrize(
+        "a", [np.zeros((5, 4)), SparseMatrix(5, 4, [], [], [])], ids=["dense", "sparse"]
+    )
+    def test_no_stored_entries_score_zero(self, a):
+        tau = sketched_ridge_leverage_scores(a, 1, 1.0, 2, generator_from_seed(8))
+        np.testing.assert_array_equal(tau, ridge_leverage_scores(a, 1, 1.0))
+        np.testing.assert_array_equal(tau, np.zeros(4))
+
     def test_rerun_is_bit_identical(self):
         a = random_sparse(make_gen(72), 120, 100, density=0.2)
         first, again = (sketched_scores(a, 2, 0.5, 0.25, 7) for _ in range(2))

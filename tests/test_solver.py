@@ -116,6 +116,34 @@ class TestOracleScorer:
         with pytest.raises(ValueError, match="guard"):
             OracleScorer(SparseMatrix(5001, 5001, [0], [0], [1.0]))
 
+    @pytest.mark.parametrize("shape", [(600, 400), (400, 600)])
+    def test_memory_is_one_dense_copy(self, shape):
+        # the tall orientation is factored in place and Q is never formed: the
+        # build peaks at that m x n array, the R it returns and np.triu's mask
+        gen = make_gen(23)
+        a = random_sparse(gen, *shape, density=0.05)
+        m, n = max(shape), min(shape)
+        k = 10
+        z = random_orthonormal(gen, shape[1], k)
+        y = gen.standard_normal((shape[0], k))
+        tracemalloc.start()
+        try:
+            scorer = OracleScorer(a)
+            build_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            scorer.residual_spectrum(y, z)
+            trial_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert build_peak <= 1.1 * (8 * m * n + 9 * n * n)
+        # the (n + k) x n stack, the m x k copy of Y that Q^T overwrites and
+        # the rows of it below n that the QR of Y2 copies
+        assert trial_peak <= 1.1 * 8 * ((n + k) * n + 2 * m * k)
+        # the reflectors, the mask of R's triangle, tau and the spectrum
+        arrays = [v for v in vars(scorer).values() if isinstance(v, np.ndarray)]
+        assert sum(v.nbytes for v in arrays) <= 8 * m * n + n * n + 16 * n
+
     @settings(max_examples=80, deadline=None)
     @given(
         m=st.integers(1, 30),
