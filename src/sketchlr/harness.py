@@ -172,6 +172,12 @@ def _past_end(text: str) -> int:
     return len(text.splitlines()) + 1
 
 
+_MM_SUPPORTED = (
+    "supported: 'matrix coordinate' with field real, integer or pattern "
+    "and symmetry general or symmetric"
+)
+
+
 def _parse_matrix_market(path, text: str) -> SparseMatrix:
     plain = _is_plain(text)
     lines = _numbered_lines(text, plain)
@@ -183,9 +189,9 @@ def _parse_matrix_market(path, text: str) -> SparseMatrix:
     if len(tokens) != 5 or tokens[0] != "%%matrixmarket":
         raise ParseError(path, lineno, "missing %%MatrixMarket header")
     if tokens[1:3] != ["matrix", "coordinate"] or tokens[4] not in ("general", "symmetric"):
-        raise ParseError(path, lineno, f"unsupported layout {header!r}")
+        raise ParseError(path, lineno, f"unsupported layout {header!r}; {_MM_SUPPORTED}")
     if tokens[3] not in ("real", "integer", "pattern"):
-        raise ParseError(path, lineno, f"unsupported field type {tokens[3]!r}")
+        raise ParseError(path, lineno, f"unsupported field type {tokens[3]!r}; {_MM_SUPPORTED}")
     fields = ("row", "col") if tokens[3] == "pattern" else ("row", "col", "value")
     symmetric = tokens[4] == "symmetric"
 

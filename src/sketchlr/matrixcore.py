@@ -169,8 +169,12 @@ class LowRankFactors:
     def __post_init__(self):
         if self.z.shape[1] != self.k or self.y.shape[1] != self.k:
             raise ValueError("factor width does not match k")
+        if not np.all(np.isfinite(self.y)):
+            raise ValueError("y contains non-finite entries")
         gram = self.z.T @ self.z
-        if np.max(np.abs(gram - np.eye(self.k))) > 1e-9:
+        # written so that a NaN gap, from a non-finite z or an overflowing
+        # Gram matrix, fails the check too
+        if not np.max(np.abs(gram - np.eye(self.k))) <= 1e-9:
             raise ValueError("z does not have orthonormal columns")
 
 

@@ -5,15 +5,20 @@ are rebuilt bit-exactly from (dims, seed). Applications are pure; those a
 solve runs report their exact multiply-add counts through an optional counter.
 
 The sampling sketches draw by ridge leverage scores estimated in input-sparsity
-time: a Gaussian sketch ``B = A Omega`` of ``w`` columns spans the head of A,
-and the scores come from a Rayleigh-Ritz projection of A onto it, at
-``(w + r) nnz(A)`` sparse multiply-adds with no dense array larger than
-``max(m, n) x w``. A sketch no narrower than the input passes through to the
-exact scores of :func:`ridge_leverage_scores`. A sampler whose budget covers
-every nonzero column needs no scores at all and factorizes nothing. Applying
-the row sampler keeps the sample sparse: ``SA`` is a :class:`SparseMatrix` of
-``nnz(SA)`` entries, never a dense copy of the rows it keeps. Every sketch
-reads a dense A as the :class:`SparseMatrix` of its nonzeros, counts included.
+time: for the row sampler, a Gaussian sketch ``B = A^T Omega`` of ``w``
+columns spans the head of A's row space, and the scores come from a
+Rayleigh-Ritz projection ``A U`` of A onto it, at ``(w + r) nnz(A)`` sparse
+multiply-adds. The row sampler reads A in place through its CSR and that
+array's CSC view: no copy of A, and on the tall inputs the solvers pass it,
+one ``max(m, n) x w`` array at a time. A sketch no narrower than the input
+passes through to the exact scores of :func:`ridge_leverage_scores`, whose
+sparse Gram product converts one operand inside scipy. A
+sampler whose budget covers every nonzero row needs no scores at all and
+factorizes nothing, and applying one that keeps every row returns A itself.
+Otherwise ``SA`` is a :class:`SparseMatrix` of ``nnz(SA)`` entries, never a
+dense copy of the rows it keeps. The column sampler is the row sampler on an
+explicit transpose. Every sketch reads a dense A as the :class:`SparseMatrix`
+of its nonzeros, counts included.
 """
 
 import math
@@ -35,6 +40,7 @@ from .matrixcore import (
 from .rng import RandomStream, generator_from_seed
 
 MODES = ("full_pipeline", "simplified_experiment")
+SCORE_BLOCK = 256  # scored rows (of A U for the row sampler) rotated and squared at a time
 
 
 @dataclass(frozen=True)
@@ -176,17 +182,25 @@ def ridge_leverage_scores(a, k: int, ridge_scale: float) -> np.ndarray:
     before building any dense array, when the Gram matrix would exceed
     ``DENSE_GUARD``.
     """
-    a = _ensure_sparse(a)
-    m, n = a.shape
+    return _exact_scores(_ensure_sparse(a).csr, k, ridge_scale)
+
+
+def _exact_scores(x, k: int, ridge_scale: float) -> np.ndarray:
+    """:func:`ridge_leverage_scores` of the columns of the scipy sparse ``x``.
+
+    ``x`` is a CSR array or the CSC view ``.T`` of one, so the row sampler
+    scores the rows of A without transposing it first (scipy converts one
+    operand of the sparse Gram product).
+    """
+    m, n = x.shape
     d = min(m, n)
     if d > DENSE_GUARD:
         raise ScaleLimitError(
             f"exact leverage scores need a dense {d}x{d} Gram matrix; min dim {d} "
             f"exceeds the guard DENSE_GUARD={DENSE_GUARD}; use the sketched scores "
-            "(build_column_sampler does when its width c_lev (k + eps/eta) is below "
+            "(the samplers do when their width c_lev (k + eps/eta) is below "
             "min(m, n)) or solve in simplified_experiment mode"
         )
-    x = a.csr
     gram = (x @ x.T if m <= n else x.T @ x).toarray()
     lam, vecs = scipy.linalg.eigh(gram, overwrite_a=True, driver="evd")
     lam, vecs = lam[::-1], vecs[:, ::-1]
@@ -229,34 +243,59 @@ def sketched_ridge_leverage_scores(
 
     The sparse work, ``B`` and ``C``, is exactly ``(width + r) nnz(A)``
     multiply-adds and is reported through ``counter``; the rest is
-    ``O((m + n) width^2)`` dense work on arrays of at most
-    ``max(m, n) x width`` entries.
+    ``O((m + n) width^2)`` dense work. Of the ``n x width`` arrays, one is
+    live at a time: ``Omega`` is scaled in place and freed once ``B`` is
+    formed, and ``C`` is rotated, squared and reduced ``SCORE_BLOCK``
+    columns at a time. ``B`` and ``U`` are ``m x width`` each.
     """
-    a = _ensure_sparse(a)
-    x = a.csr
-    n = a.shape[1]
-    floor = min(a.shape) * np.finfo(float).eps
-    b = x @ (gen.standard_normal((n, width)) / math.sqrt(width))
+    return _sketched_scores(_ensure_sparse(a).csr, k, ridge_scale, width, gen, counter)
+
+
+def _sketched_scores(
+    x,
+    k: int,
+    ridge_scale: float,
+    width: int,
+    gen: np.random.Generator,
+    counter: MultiplyAddCounter | None,
+) -> np.ndarray:
+    """:func:`sketched_ridge_leverage_scores` of the columns of the scipy sparse ``x``.
+
+    ``x`` is a CSR array or the CSC view ``.T`` of one, as in :func:`_exact_scores`.
+    """
+    n = x.shape[1]
+    floor = min(x.shape) * np.finfo(float).eps
+    # the column of each stored entry, an O(nnz) temporary freed before Omega
+    col = x.indices if x.format == "csr" else np.repeat(np.arange(n), np.diff(x.indptr))
+    col_sq = np.bincount(col, weights=np.square(x.data), minlength=n)
+    del col
+    omega = gen.standard_normal((n, width))
+    omega /= math.sqrt(width)
+    b = x @ omega
+    del omega
     lam, vecs = scipy.linalg.eigh(b.T @ b, overwrite_a=True, driver="evd")
     live = lam > floor * lam[-1]
     u = b @ (vecs[:, live] / np.sqrt(lam[live]))
     del b
     c = (x.T @ u).T
     if counter is not None:
-        counter.add((width + u.shape[1]) * a.nnz)
+        counter.add((width + u.shape[1]) * x.nnz)
     del u
     mu, rot = scipy.linalg.eigh(c @ c.T, overwrite_a=True, driver="evd")
     mu, rot = mu[::-1], rot[:, ::-1]
     live = mu > floor * mu[:1]  # mu is empty when the sketch of A is all zero
-    mu = mu[live]
-    c_sq = np.square(rot[:, live].T @ c)
-    col_sq = np.bincount(x.indices, weights=np.square(x.data), minlength=n)
+    mu, rot = mu[live], rot[:, live]
     fro = float(col_sq.sum())
     tail = fro - float(mu[:k].sum())
     ridge = ridge_scale * tail if tail > floor * fro else 0.0
-    tau = (1.0 / (mu + ridge)) @ c_sq
-    if ridge > 0.0:
-        tau += np.maximum(col_sq - c_sq.sum(axis=0), 0.0) / ridge
+    inv = 1.0 / (mu + ridge)
+    tau = np.empty(n)
+    for lo in range(0, n, SCORE_BLOCK):
+        cols = slice(lo, lo + SCORE_BLOCK)
+        c_sq = np.square(rot.T @ c[:, cols])
+        tau[cols] = inv @ c_sq
+        if ridge > 0.0:
+            tau[cols] += np.maximum(col_sq[cols] - c_sq.sum(axis=0), 0.0) / ridge
     return tau
 
 
@@ -269,63 +308,13 @@ def build_column_sampler(
     constants: SketchConstants = DEFAULT_CONSTANTS,
     counter: MultiplyAddCounter | None = None,
 ) -> SamplingSketch:
-    """Column sampler whose rescaled samples C satisfy the two-sided bound
+    """Column sampler: the row sampler applied to an explicit transpose of A.
+
+    Its rescaled samples C satisfy the two-sided bound
     ``(1-eps) A A^T - eta * ||A - A_k||_F^2 I <= C C^T <= (1+eps) A A^T + ...``.
-
-    When the sample budget covers every structurally nonzero column, the
-    sketch keeps all of them with unit weight (``clipped``), which satisfies
-    the bound exactly; this path densifies and factorizes nothing. Otherwise
-    the ``sample_count(k, eps, eta, c_s)`` samples are drawn without
-    replacement with probabilities proportional to ridge leverage scores
-    with ridge ``(eta/eps) * tail``, whose total mass is at most
-    ``k + eps/eta``. The scores come from
-    :func:`sketched_ridge_leverage_scores` on a Gaussian sketch of
-    ``w = ceil(c_lev (k + eps/eta))`` columns, drawn from this sampler's own
-    seed before the indices; its sparse work, ``(w + r) nnz(A)``, goes to
-    ``counter``. The sample count does not depend on ``w``. Over 36,000
-    tall, wide, square, sparse and rank-deficient inputs of 70 to 160 rows
-    and columns, sketched over exact normalized probabilities ranged
-    0.87..1.19, and were equal to rounding when ``rank(A) <= r``. When
-    ``w >= min(m, n)`` the sketch would not be narrower than the input, so
-    the exact :func:`ridge_leverage_scores` pass through instead and no
-    Gaussian is drawn. Either way a structurally zero column scores exactly
-    0, so it is never drawn or kept. The zero matrix gets a uniform sample
-    (``degenerate``).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not (0.0 < eta <= eps <= 1.0):
-        raise ValueError(f"need 0 < eta <= eps <= 1, got eta={eta}, eps={eps}")
-    a = _ensure_sparse(a)
-    n = a.shape[1]
-    t = min(sample_count(k, eps, eta, constants.c_s), n)
-    seed = stream.child_seed()
-    gen = generator_from_seed(seed)
-
-    support = np.flatnonzero(np.bincount(a.csr.indices, minlength=n))
-    if support.size == 0:
-        # zero matrix: leverage is undefined, fall back to a uniform sample
-        prob = np.full(n, 1.0 / n)
-        if t >= n:
-            return SamplingSketch(n, np.arange(n), np.ones(n), seed, True, True)
-        idx = np.sort(gen.choice(n, size=t, replace=False, p=prob))
-        w = 1.0 / np.sqrt(t * prob[idx])
-        return SamplingSketch(n, idx, w, seed, False, True)
-    if t < support.size:
-        width = int(math.ceil(constants.c_lev * (k + eps / eta)))
-        if width < min(a.shape):
-            tau = sketched_ridge_leverage_scores(a, k, eta / eps, width, gen, counter)
-        else:
-            tau = ridge_leverage_scores(a, k, eta / eps)
-        # the exact scores leave rounding (about 1e-30) on an empty column
-        tau[np.isin(np.arange(n), support, invert=True)] = 0.0
-        support = np.flatnonzero(tau > 0.0)
-    if t >= support.size:
-        return SamplingSketch(n, support, np.ones(support.size), seed, clipped=True)
-    prob = tau / tau.sum()
-    idx = np.sort(gen.choice(n, size=t, replace=False, p=prob))
-    w = 1.0 / np.sqrt(t * prob[idx])
-    return SamplingSketch(n, idx, w, seed)
+    at = _ensure_sparse(a).transpose()
+    return build_row_sampler(at, k, eps, eta, stream, constants, counter)
 
 
 def build_row_sampler(
@@ -337,9 +326,67 @@ def build_row_sampler(
     constants: SketchConstants = DEFAULT_CONSTANTS,
     counter: MultiplyAddCounter | None = None,
 ) -> SamplingSketch:
-    """Row sampler: the column sampler applied to the transposed matrix."""
-    at = _ensure_sparse(a).transpose()
-    return build_column_sampler(at, k, eps, eta, stream, constants, counter)
+    """Row sampler whose rescaled samples ``SA`` satisfy the two-sided bound
+    ``(1-eps) A^T A - eta * ||A - A_k||_F^2 I <= (SA)^T SA <= (1+eps) A^T A + ...``.
+
+    A is read in place, through its CSR and that array's CSC view ``.T``:
+    nothing here transposes or copies it. When the sample budget covers
+    every structurally nonzero row (found from the row pointers), the
+    sketch keeps all of them with unit weight (``clipped``), which
+    satisfies the bound exactly; this path densifies and factorizes
+    nothing. Otherwise the ``sample_count(k, eps, eta, c_s)`` samples are
+    drawn without replacement with probabilities proportional to ridge
+    leverage scores with ridge ``(eta/eps) * tail``, whose total mass is at
+    most ``k + eps/eta``. The scores come from
+    :func:`sketched_ridge_leverage_scores` of the columns of ``A^T`` (a
+    sketch ``A^T Omega``, then ``A U`` and the row sums of squares) on
+    ``w = ceil(c_lev (k + eps/eta))`` columns, drawn from this sampler's
+    own seed before the indices; its sparse work, ``(w + r) nnz(A)``, goes
+    to ``counter``. The sample count does not depend on ``w``. Over 36,000
+    tall, wide, square, sparse and rank-deficient inputs of 70 to 160 rows
+    and columns, sketched over exact normalized probabilities ranged
+    0.87..1.19, and were equal to rounding when ``rank(A) <= r``. When
+    ``w >= min(m, n)`` the sketch would not be narrower than the input, so
+    the exact :func:`ridge_leverage_scores` (from the Gram matrix of A's
+    smaller side) pass through instead and no Gaussian is drawn. Either way
+    a structurally zero row scores exactly 0, so it is never drawn or kept.
+    The zero matrix gets a uniform sample (``degenerate``).
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not (0.0 < eta <= eps <= 1.0):
+        raise ValueError(f"need 0 < eta <= eps <= 1, got eta={eta}, eps={eps}")
+    a = _ensure_sparse(a)
+    m = a.nrows
+    t = min(sample_count(k, eps, eta, constants.c_s), m)
+    seed = stream.child_seed()
+    gen = generator_from_seed(seed)
+
+    row_nnz = np.diff(a.csr.indptr)
+    support = np.flatnonzero(row_nnz)
+    if support.size == 0:
+        # zero matrix: leverage is undefined, fall back to a uniform sample
+        prob = np.full(m, 1.0 / m)
+        if t >= m:
+            return SamplingSketch(m, np.arange(m), np.ones(m), seed, True, True)
+        idx = np.sort(gen.choice(m, size=t, replace=False, p=prob))
+        w = 1.0 / np.sqrt(t * prob[idx])
+        return SamplingSketch(m, idx, w, seed, False, True)
+    if t < support.size:
+        width = int(math.ceil(constants.c_lev * (k + eps / eta)))
+        if width < min(a.shape):
+            tau = _sketched_scores(a.csr.T, k, eta / eps, width, gen, counter)
+        else:
+            tau = _exact_scores(a.csr.T, k, eta / eps)
+        # the exact scores leave rounding (about 1e-30) on an empty row
+        tau[row_nnz == 0] = 0.0
+        support = np.flatnonzero(tau > 0.0)
+    if t >= support.size:
+        return SamplingSketch(m, support, np.ones(support.size), seed, clipped=True)
+    prob = tau / tau.sum()
+    idx = np.sort(gen.choice(m, size=t, replace=False, p=prob))
+    w = 1.0 / np.sqrt(t * prob[idx])
+    return SamplingSketch(m, idx, w, seed)
 
 
 def apply_column_sampler(
@@ -360,11 +407,17 @@ def apply_row_sampler(
 ) -> SparseMatrix:
     """Select and rescale the sampled rows, kept sparse.
 
-    Costs one multiply-add per retained stored entry, ``nnz(SA)`` in all.
+    Costs one multiply-add per retained stored entry, ``nnz(SA)`` in all. A
+    clipped sample that keeps every row has unit weights, so ``SA`` is A:
+    it is returned itself, not copied, and still counted as ``nnz(A)``.
     """
     a = _ensure_sparse(a)
     if a.nrows != sk.source_dim:
         raise ValueError(f"dimension mismatch: {a.nrows} rows vs sampler {sk.source_dim}")
+    if sk.clipped and sk.sample_count == a.nrows:
+        if counter is not None:
+            counter.add(a.nnz)
+        return a
     sub = a.csr[sk.indices, :]
     if counter is not None:
         counter.add(sub.nnz)

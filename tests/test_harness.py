@@ -297,8 +297,13 @@ class TestMatrixMarketHeaders:
         ],
     )
     def test_unsupported_headers(self, tmp_path, header, message):
-        with pytest.raises(ParseError, match=rf"m\.mtx:1: {message}"):
+        with pytest.raises(ParseError, match=rf"m\.mtx:1: {message}") as info:
             self._load(tmp_path, f"%%MatrixMarket {header}\n2 2 1\n1 1 1.0\n")
+        # the message names what is read
+        assert str(info.value).endswith(
+            "supported: 'matrix coordinate' with field real, integer or pattern "
+            "and symmetry general or symmetric"
+        )
 
 
 def _per_line_rules(text: str, fmt: str):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import sketchlr.matrixcore as matrixcore
 from sketchlr import (
+    LowRankFactors,
     MultiplyAddCounter,
     RandomStream,
     SparseMatrix,
@@ -551,6 +552,26 @@ class TestTruncateRank:
                 q = random_orthonormal(gen, n, k)
                 cand = schatten_norm(singular_values(a - (a @ q) @ q.T), p)
                 assert opt <= cand + 1e-9 * max(1.0, cand)
+
+
+class TestLowRankFactors:
+    def _valid(self):
+        gen = make_gen(140)
+        return gen.standard_normal((6, 2)), random_orthonormal(gen, 5, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_y(self, bad):
+        y, z = self._valid()
+        y[3, 1] = bad
+        with pytest.raises(ValueError, match="y contains non-finite entries"):
+            LowRankFactors(y=y, z=z, k=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_z(self, bad):
+        y, z = self._valid()
+        # an all-NaN z has a NaN gap |Z^T Z - I|, which no "gap > tol" rejects
+        with pytest.raises(ValueError, match="z does not have orthonormal columns"):
+            LowRankFactors(y=y, z=np.full_like(z, bad), k=2)
 
 
 def _best(a, k):

@@ -376,14 +376,14 @@ class TestEmptyColumnScores:
 
     def _spy(self, monkeypatch):
         raw = []
-        kernel = sketches.ridge_leverage_scores
+        kernel = sketches._exact_scores
 
         def spy(*args, **kwargs):
             tau = kernel(*args, **kwargs)
             raw.append(tau.copy())
             return tau
 
-        monkeypatch.setattr(sketches, "ridge_leverage_scores", spy)
+        monkeypatch.setattr(sketches, "_exact_scores", spy)
         return raw
 
     @pytest.mark.parametrize("sparse", [False, True])
@@ -429,7 +429,7 @@ class TestEmptyColumnScores:
             tau[self.EMPTY] = 7.6e-31
             return tau
 
-        monkeypatch.setattr(sketches, "ridge_leverage_scores", scores)
+        monkeypatch.setattr(sketches, "_exact_scores", scores)
         sk = build_column_sampler(dense, 3, 0.5, 0.2, RandomStream(95), consts)
         assert sk.clipped
         np.testing.assert_array_equal(sk.indices, keep)
@@ -554,13 +554,13 @@ class TestSketchedRidgeLeverage:
         assert score_width(k, eps, eta) == 40
         a, dense = random_input(rows, rows, 70, False)
         calls = []
-        kernel = sketches.sketched_ridge_leverage_scores
+        kernel = sketches._sketched_scores
 
         def spy(*args, **kwargs):
             calls.append(args[3])
             return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(sketches, "sketched_ridge_leverage_scores", spy)
+        monkeypatch.setattr(sketches, "_sketched_scores", spy)
         consts = SketchConstants(c_s=0.3)
         sk = build_column_sampler(a, k, eps, eta, RandomStream(92), consts)
         assert not sk.clipped
@@ -593,7 +593,7 @@ def no_factorization(monkeypatch):
     def boom(*_, **__):
         raise AssertionError("the clipped path must not densify or factorize")
 
-    monkeypatch.setattr(sketches, "ridge_leverage_scores", boom)
+    monkeypatch.setattr(sketches, "_exact_scores", boom)
     monkeypatch.setattr(matrixcore, "svd", boom)
     monkeypatch.setattr(np.linalg, "svd", boom)
     monkeypatch.setattr(scipy.linalg, "eigh", boom)
@@ -626,6 +626,105 @@ class TestClippedShortCircuit:
         assert clipped.clipped and not sampled.clipped
         assert clipped.seed == sampled.seed
         assert streams[0].child_seed() == streams[1].child_seed()
+
+
+def tall_sparse(seed, m, n, nnz):
+    gen = make_gen(seed)
+    flat = np.sort(gen.choice(m * n, size=nnz, replace=False))
+    return SparseMatrix(m, n, flat // n, flat % n, 1.0 - gen.random(nnz))
+
+
+class TestRowSamplerReadsAInPlace:
+    # the default c_s clips, c_s=0.3 samples by sketched scores (w=32 < 40 columns),
+    # and c_lev=1e3 passes through to the exact scores
+    PATHS = {
+        "clipped": SketchConstants(),
+        "sketched": SketchConstants(c_s=0.3),
+        "exact": SketchConstants(c_s=0.3, c_lev=1e3),
+    }
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    @pytest.mark.parametrize("empty", [False, True], ids=["nonzero", "zero"])
+    def test_no_path_transposes(self, path, empty, monkeypatch):
+        a = SparseMatrix(90, 40, [], [], []) if empty else random_sparse(make_gen(64), 90, 40, 0.3)
+
+        def transpose(*_):
+            raise AssertionError("the row sampler must read A in place")
+
+        monkeypatch.setattr(SparseMatrix, "transpose", transpose)
+        sk = build_row_sampler(a, 2, 0.5, 0.25, RandomStream(15), self.PATHS[path])
+        assert sk.clipped == (path == "clipped") and sk.degenerate == empty
+        out = apply_row_sampler(a, sk)
+        assert out.shape == (sk.sample_count, 40)
+
+    def test_clipped_sample_of_every_row_is_a_itself(self):
+        a = random_sparse(make_gen(65), 30, 20, density=0.3)
+        assert np.all(np.diff(a.csr.indptr) > 0)
+        sk = build_row_sampler(a, 2, 0.5, 0.1, RandomStream(16))
+        assert sk.clipped and sk.sample_count == a.nrows
+        counter = MultiplyAddCounter()
+        assert apply_row_sampler(a, sk, counter) is a
+        assert counter.count == a.nnz
+        # a clipped sample that leaves out an empty row is a new, smaller matrix
+        dense = a.to_dense()
+        dense[7] = 0.0
+        b = SparseMatrix.from_dense(dense)
+        sk = build_row_sampler(b, 2, 0.5, 0.1, RandomStream(16))
+        assert sk.clipped and sk.sample_count == b.nrows - 1
+        counter = MultiplyAddCounter()
+        out = apply_row_sampler(b, sk, counter)
+        np.testing.assert_array_equal(out.to_dense(), np.delete(dense, 7, axis=0))
+        assert counter.count == out.nnz == b.nnz
+
+    def test_peak_memory_is_one_m_by_w_array(self):
+        m, n, nnz = 20000, 100, 60000
+        k, eps, eta = 2, 0.5, 0.25
+        a = tall_sparse(66, m, n, nnz)
+        width = score_width(k, eps, eta)
+        tracemalloc.start()
+        try:
+            sk = build_row_sampler(a, k, eps, eta, RandomStream(17))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not sk.clipped and width < n
+        # Omega, m x w, is the largest array; the O(nnz) part is each stored
+        # entry's row index and squared value, freed before Omega is drawn.
+        # A transposed copy of A and a second Omega would take 2 m w doubles.
+        assert peak <= 1.25 * 8 * m * width + 16 * nnz
+
+    @pytest.mark.parametrize("path", ["sketched", "exact"])
+    @pytest.mark.parametrize("shape", [(200, 60), (60, 200)])
+    def test_row_scores_bit_identical_to_the_column_kernel_on_the_transpose(
+        self, shape, path, monkeypatch
+    ):
+        a = random_sparse(make_gen(sum(shape)), *shape, density=0.2)
+        assert max(shape) <= sketches.SCORE_BLOCK
+        k, eps, eta = 2, 0.5, 0.25
+        kernel = getattr(sketches, "_sketched_scores" if path == "sketched" else "_exact_scores")
+        raw = []
+
+        def spy(*args):
+            raw.append(kernel(*args))
+            return raw[-1]
+
+        monkeypatch.setattr(sketches, kernel.__name__, spy)
+        sk = build_row_sampler(a, k, eps, eta, RandomStream(18), self.PATHS[path])
+        assert len(raw) == 1 and not sk.clipped
+        if path == "sketched":
+            want = sketched_ridge_leverage_scores(
+                a.transpose(), k, eta / eps, score_width(k, eps, eta), generator_from_seed(sk.seed)
+            )
+        else:
+            want = ridge_leverage_scores(a.transpose(), k, eta / eps)
+        assert raw[0].tobytes() == want.tobytes()
+
+    def test_score_blocks_agree_with_one_block_to_rounding(self, monkeypatch):
+        a = random_sparse(make_gen(67), 150, 90, density=0.2).transpose()
+        assert a.ncols <= sketches.SCORE_BLOCK
+        one = sketched_scores(a, 2, 0.5, 0.25, 9)
+        monkeypatch.setattr(sketches, "SCORE_BLOCK", 16)
+        np.testing.assert_allclose(sketched_scores(a, 2, 0.5, 0.25, 9), one, rtol=1e-13)
 
 
 class TestDenseGuard:
