@@ -12,7 +12,7 @@ import io
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -476,39 +476,21 @@ SUMMARY_HEADER = ["k", "algo", "median_rel_error", "median_wall_ms", "n_trials"]
 def emit_csv(records, summary, path) -> None:
     """Write ``<path>.trials.csv`` and ``<path>.summary.csv``.
 
+    A row is its record's fields in order, the order of the header.
     Floats are serialized at 6 significant digits; rows are sorted by
     (k, algo, trial) so output is bit-stable for a fixed seed.
     """
     path = str(path)
+    tables = (
+        ("trials", TRIALS_HEADER, sorted(records, key=lambda r: (r.k, r.algo, r.trial_index))),
+        ("summary", SUMMARY_HEADER, sorted(summary, key=lambda r: (r.k, r.algo))),
+    )
     try:
-        with open(path + ".trials.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRIALS_HEADER)
-            for rec in sorted(records, key=lambda r: (r.k, r.algo, r.trial_index)):
-                writer.writerow(
-                    [
-                        rec.k,
-                        rec.trial_index,
-                        rec.algo,
-                        _fmt(rec.rel_error),
-                        _fmt(rec.wall_ms),
-                        rec.seed,
-                        _fmt(rec.fallback_used),
-                    ]
-                )
-        with open(path + ".summary.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(SUMMARY_HEADER)
-            for row in sorted(summary, key=lambda r: (r.k, r.algo)):
-                writer.writerow(
-                    [
-                        row.k,
-                        row.algo,
-                        _fmt(row.median_rel_error),
-                        _fmt(row.median_wall_ms),
-                        row.n_trials,
-                    ]
-                )
+        for suffix, header, rows in tables:
+            with open(f"{path}.{suffix}.csv", "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows([_fmt(v) for v in astuple(row)] for row in rows)
     except OSError as exc:
         raise OSError(f"failed to write CSV at {path!r}: {exc}") from exc
 

@@ -429,17 +429,3 @@ def sparse_dense_multiply(
         counter.add(a.nnz * b.shape[1])
     return a.csr @ b
 
-
-def dense_sparse_multiply(
-    b: np.ndarray, a: SparseMatrix, counter: MultiplyAddCounter | None = None
-) -> np.ndarray:
-    """``B @ A`` for dense B, sparse A; exactly ``nnz(A) * nrows(B)`` MACs."""
-    a = _ensure_sparse(a)
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim != 2:
-        raise ValueError("dense factor must be 2-D")
-    if b.shape[1] != a.nrows:
-        raise ValueError(f"inner dimensions disagree: {b.shape} @ {a.shape}")
-    if counter is not None:
-        counter.add(a.nnz * b.shape[0])
-    return (a.csr.T @ b.T).T

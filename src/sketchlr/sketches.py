@@ -1,4 +1,4 @@
-"""Randomized sketch operators: CountSketch embeddings and leverage samplers.
+"""Randomized sketch operators: CountSketch embeddings and the leverage row sampler.
 
 All operators are immutable, record the 64-bit seed they were drawn from, and
 are rebuilt bit-exactly from (dims, seed). Applications are pure; those a
@@ -16,9 +16,14 @@ sparse Gram product converts one operand inside scipy. A
 sampler whose budget covers every nonzero row needs no scores at all and
 factorizes nothing, and applying one that keeps every row returns A itself.
 Otherwise ``SA`` is a :class:`SparseMatrix` of ``nnz(SA)`` entries, never a
-dense copy of the rows it keeps. The column sampler is the row sampler on an
-explicit transpose. Every sketch reads a dense A as the :class:`SparseMatrix`
-of its nonzeros, counts included.
+dense copy of the rows it keeps. Every sketch reads a dense A as the
+:class:`SparseMatrix` of its nonzeros, counts included.
+
+Every kernel here is one a solve runs; the two public score functions wrap
+the ones the row sampler calls, as references for the tests. The acceptance
+checks C6-C8 test the CountSketch product bound, the sampler's Gram sandwich
+and the sketched regression bound through these kernels: a column sample of
+A is the row sampler on ``A^T``, and ``A R`` is ``(R^T A^T)^T``.
 """
 
 import math
@@ -33,7 +38,6 @@ from .matrixcore import (
     MultiplyAddCounter,
     ScaleLimitError,
     SparseMatrix,
-    _check_dense,
     _ensure_sparse,
     svd,  # noqa: F401  (stays importable as sketches.svd; perfbench's tests read it)
 )
@@ -56,7 +60,7 @@ class SketchConstants:
     probability per sketch.
     """
 
-    c_s: float = 8.0  # row/column sample count
+    c_s: float = 8.0  # row sample count
     c_lev: float = 8.0  # ridge-score sketch width, in units of k + eps/eta
 
 
@@ -103,7 +107,7 @@ class CountSketchOperator:
 
 @dataclass(frozen=True)
 class SamplingSketch:
-    """Weighted sample of rows or columns, drawn without replacement.
+    """Weighted sample of rows, drawn without replacement.
 
     ``indices`` are distinct source positions and ``weights`` the positive
     rescaling factors. When every retained position is kept (``clipped``),
@@ -127,16 +131,6 @@ def build_countsketch(
 ) -> CountSketchOperator:
     """Draw a CountSketch with i.i.d. uniform buckets and signs."""
     return CountSketchOperator.from_seed(input_dim, sketch_dim, stream.child_seed())
-
-
-def apply_countsketch_right(a, op: CountSketchOperator) -> np.ndarray:
-    """``A @ R`` for a dense ``A``, one multiply-add per entry of A."""
-    a = _check_dense(a)
-    if a.shape[1] != op.input_dim:
-        raise ValueError(
-            f"dimension mismatch: {a.shape[1]} columns vs sketch input {op.input_dim}"
-        )
-    return (op.matrix().T @ a.T).T
 
 
 def apply_countsketch_left(
@@ -198,7 +192,7 @@ def _exact_scores(x, k: int, ridge_scale: float) -> np.ndarray:
         raise ScaleLimitError(
             f"exact leverage scores need a dense {d}x{d} Gram matrix; min dim {d} "
             f"exceeds the guard DENSE_GUARD={DENSE_GUARD}; use the sketched scores "
-            "(the samplers do when their width c_lev (k + eps/eta) is below "
+            "(the row sampler does when its width c_lev (k + eps/eta) is below "
             "min(m, n)) or solve in simplified_experiment mode"
         )
     gram = (x @ x.T if m <= n else x.T @ x).toarray()
@@ -299,24 +293,6 @@ def _sketched_scores(
     return tau
 
 
-def build_column_sampler(
-    a,
-    k: int,
-    eps: float,
-    eta: float,
-    stream: RandomStream,
-    constants: SketchConstants = DEFAULT_CONSTANTS,
-    counter: MultiplyAddCounter | None = None,
-) -> SamplingSketch:
-    """Column sampler: the row sampler applied to an explicit transpose of A.
-
-    Its rescaled samples C satisfy the two-sided bound
-    ``(1-eps) A A^T - eta * ||A - A_k||_F^2 I <= C C^T <= (1+eps) A A^T + ...``.
-    """
-    at = _ensure_sparse(a).transpose()
-    return build_row_sampler(at, k, eps, eta, stream, constants, counter)
-
-
 def build_row_sampler(
     a,
     k: int,
@@ -389,19 +365,6 @@ def build_row_sampler(
     return SamplingSketch(m, idx, w, seed)
 
 
-def apply_column_sampler(
-    a, sk: SamplingSketch, counter: MultiplyAddCounter | None = None
-) -> np.ndarray:
-    """Select and rescale the sampled columns; one MAC per retained stored entry."""
-    a = _ensure_sparse(a)
-    if a.ncols != sk.source_dim:
-        raise ValueError(f"dimension mismatch: {a.ncols} columns vs sampler {sk.source_dim}")
-    sub = a.csr[:, sk.indices]
-    if counter is not None:
-        counter.add(sub.nnz)
-    return sub.toarray() * sk.weights[None, :]
-
-
 def apply_row_sampler(
     a, sk: SamplingSketch, counter: MultiplyAddCounter | None = None
 ) -> SparseMatrix:
@@ -458,8 +421,8 @@ def make_sketch_plan(
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     p = float(p)
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not 1.0 <= p < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"p must be a finite value >= 1, got {p}")
     if not 0.0 < eps <= 0.5:
         raise ValueError(f"eps must lie in (0, 1/2], got {eps}")
     if not 1 <= k <= n <= m:

@@ -19,10 +19,8 @@ from sketchlr import (
     SparseMatrix,
     TrialRecord,
     TukeyPLoss,
-    build_column_sampler,
-    apply_column_sampler,
+    apply_countsketch_left,
     build_countsketch,
-    apply_countsketch_right,
     cpe_constant,
     diagnose_kyfan_preservation,
     emit_csv,
@@ -34,7 +32,6 @@ from sketchlr import (
     run_experiment,
     schatten_norm,
     singular_values,
-    solve_regression_sketched,
     solve_schatten,
     svd,
     summarize,
@@ -160,9 +157,9 @@ def test_c06_countsketch_concentration():
         b = gen.standard_normal((100, 20))
         b /= np.linalg.norm(b)
         op = build_countsketch(100, r, stream)
-        ar = apply_countsketch_right(a.T, op)
-        br = apply_countsketch_right(b.T, op)
-        hits += np.linalg.norm(ar @ br.T - a.T @ b) <= eps
+        ra = apply_countsketch_left(a, op)
+        rb = apply_countsketch_left(b, op)
+        hits += np.linalg.norm(ra.T @ rb - a.T @ b) <= eps
     _verdict(
         "C6 CountSketch concentration",
         hits >= 90,
@@ -178,8 +175,10 @@ def test_c07_column_sampler_psd_sandwich():
         g = make_gen(3000 + t)
         a = g.standard_normal((120, 20)) @ g.standard_normal((20, 100)) / np.sqrt(20)
         a += 0.05 * g.standard_normal((120, 100))
-        sk = build_column_sampler(a, k, eps, eta, stream)
-        c = apply_column_sampler(a, sk)
+        # a column sample of A is a row sample of A^T
+        at = a.T
+        sk = build_row_sampler(at, k, eps, eta, stream)
+        c = apply_row_sampler(at, sk).to_dense().T
         sig = singular_values(a)
         slack = eta * float(np.sum(sig[k:] ** 2))
         aat = a @ a.T
@@ -202,8 +201,11 @@ def test_c08_sketched_regression_bound():
     for _ in range(100):
         a = gen.standard_normal((60, 40))
         z = random_orthonormal(gen, 40, 5)
-        res = solve_regression_sketched(a, z, 400, stream)
-        lhs = np.linalg.norm(a @ z - res.yhat)
+        # min_Y ||(A - Y Z^T) R||_F for a CountSketch R: Y^T = (R^T Z)^+ R^T A^T
+        op = build_countsketch(40, 400, stream)
+        rz = apply_countsketch_left(z, op)
+        yhat = np.linalg.lstsq(rz, apply_countsketch_left(a.T, op), rcond=None)[0].T
+        lhs = np.linalg.norm(a @ z - yhat)
         rhs = 0.25 * np.linalg.norm(a - (a @ z) @ z.T)
         hits += lhs <= rhs
     _verdict(

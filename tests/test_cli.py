@@ -94,6 +94,14 @@ def test_diagnose_runs(capsys):
     assert "violations:" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["diagnose", "solve"])
+@pytest.mark.parametrize("p", ["nan", "inf"])
+def test_non_finite_p_is_config_error(command, p, capsys):
+    code = main([command, "--m", "60", "--n", "40", "--k", "2", "--p", p])
+    assert code == 2
+    assert f"error: p must be a finite value >= 1, got {p}" in capsys.readouterr().err
+
+
 def test_missing_source_is_config_error(capsys):
     code = main(["solve", "--k", "3"])
     assert code == 2

@@ -19,6 +19,7 @@ from sketchlr import (
     ParseError,
     RandomStream,
     SparseMatrix,
+    SummaryRow,
     TrialRecord,
     emit_csv,
     generate_synthetic,
@@ -707,6 +708,20 @@ class TestCsvEmission:
             assert row.median_rel_error == pytest.approx(
                 _independent_median(vals), rel=1e-12
             )
+
+    def test_rows_are_byte_exact(self, tmp_path):
+        # None is an empty field, True is 1, a float has 6 significant digits
+        rec = TrialRecord(3, 7, "schatten_p", None, 1234.56789, 2**40, True)
+        row = SummaryRow(3, "schatten_p", 0.000123456789, 2.0, 5)
+        emit_csv([rec], [row], tmp_path / "b")
+        assert (tmp_path / "b.trials.csv").read_bytes() == (
+            b"k,trial,algo,rel_error,wall_ms,seed,fallback\r\n"
+            b"3,7,schatten_p,,1234.57,1099511627776,1\r\n"
+        )
+        assert (tmp_path / "b.summary.csv").read_bytes() == (
+            b"k,algo,median_rel_error,median_wall_ms,n_trials\r\n"
+            b"3,schatten_p,0.000123457,2,5\r\n"
+        )
 
     def test_deterministic_row_order(self, tmp_path):
         recs = [

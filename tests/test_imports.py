@@ -10,6 +10,9 @@ in ``src/`` outside its own class, so that a constant nothing uses is deleted
 rather than kept settable. In ``matrixcore`` and ``sketches`` only the two
 storage helpers, ``_ensure_sparse`` and ``_check_dense``, may test an operand
 for :class:`~sketchlr.matrixcore.SparseMatrix`, so each kernel keeps one body.
+Every public top-level function in ``src/`` is read somewhere in ``src/``
+outside ``__init__``, or is on a named keep-list, so that a helper only the
+tests call is deleted rather than kept up.
 """
 
 import ast
@@ -22,6 +25,15 @@ SRC = sorted((ROOT / "src").rglob("*.py"))
 MODULES = sorted([*SRC, *(ROOT / "tests").glob("*.py")])
 SETTINGS = ("SketchConstants", "SketchPlan")
 STORAGE_HELPERS = ("_ensure_sparse", "_check_dense")
+# public functions nothing in src/ calls: the reference implementations the
+# tests compare against, and the inverses of emit_csv
+UNREAD_KEEP = (
+    "exact_oracle",
+    "ridge_leverage_scores",
+    "sketched_ridge_leverage_scores",
+    "read_trials_csv",
+    "read_summary_csv",
+)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -128,3 +140,39 @@ def test_detects_a_storage_branch():
     source += "def g(a):\n    return isinstance(a, np.ndarray)\n"
     source += "def h(a):\n    def inner(b):\n        return isinstance(b, SparseMatrix)\n"
     assert storage_branches(source) == ["f", "h", "inner"]
+
+
+def unread_functions(sources: list[str]) -> list[str]:
+    """Public top-level functions of ``sources`` that no source reads, by name
+    or as an attribute; a function's reads of itself are not counted."""
+    defined, read = [], set()
+    for source in sources:
+        tree = ast.parse(source)
+        own = {}
+        for func in tree.body:
+            if isinstance(func, ast.FunctionDef) and not func.name.startswith("_"):
+                defined.append(func.name)
+                own[func.name] = {id(sub) for sub in ast.walk(func)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                name = node.attr
+            else:
+                continue
+            if id(node) not in own.get(name, ()):
+                read.add(name)
+    return sorted(name for name in defined if name not in read)
+
+
+def test_every_public_function_is_read_or_kept():
+    sources = [path.read_text(encoding="utf-8") for path in SRC if path.name != "__init__.py"]
+    assert unread_functions(sources) == sorted(UNREAD_KEEP)
+
+
+def test_detects_an_unread_function():
+    source = "def used():\n    return 1\ndef unused():\n    return used()\n"
+    source += "def recursive(n):\n    return recursive(n - 1)\ndef _private():\n    pass\n"
+    source += "class Holder:\n    def method(self):\n        pass\ndef by_attribute():\n    pass\n"
+    other = "import mod\ndef main():\n    return mod.by_attribute()\nmain()\n"
+    assert unread_functions([source, other]) == ["recursive", "unused"]

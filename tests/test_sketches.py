@@ -20,14 +20,10 @@ from sketchlr import (
     ScaleLimitError,
     SketchConstants,
     SparseMatrix,
-    apply_column_sampler,
     apply_countsketch_left,
-    apply_countsketch_right,
     apply_row_sampler,
-    build_column_sampler,
     build_countsketch,
     build_row_sampler,
-    dense_sparse_multiply,
     make_sketch_plan,
     sample_count,
     singular_values,
@@ -44,6 +40,11 @@ def materialize(op: CountSketchOperator) -> np.ndarray:
     for i in range(op.input_dim):
         dense[i, op.bucket[i]] = op.sign[i]
     return dense
+
+
+def transposed(a):
+    """``A^T`` of a dense or sparse A: the row sampler on it samples A's columns."""
+    return a.transpose() if isinstance(a, SparseMatrix) else a.T
 
 
 class TestCountSketch:
@@ -88,19 +89,6 @@ class TestCountSketch:
 
 
 class TestCountSketchApply:
-    def test_eye_input_places_signs(self):
-        op = build_countsketch(6, 4, RandomStream(8))
-        out = apply_countsketch_right(np.eye(6), op)
-        for i in range(6):
-            expected = np.zeros(4)
-            expected[op.bucket[i]] = op.sign[i]
-            np.testing.assert_array_equal(out[i], expected)
-
-    def test_zero_matrix(self):
-        op = build_countsketch(5, 3, RandomStream(8))
-        out = apply_countsketch_right(np.zeros((4, 5)), op)
-        np.testing.assert_array_equal(out, np.zeros((4, 3)))
-
     def test_matches_dense_materialization(self):
         gen = make_gen(42)
         a = random_sparse(gen, 50, 40, density=0.2)
@@ -137,16 +125,6 @@ class TestCountSketchApply:
         assert got_left.dtype == ref_left.dtype and got_left.shape == (sketch_dim, n)
         assert got_left.tobytes() == ref_left.tobytes()
 
-    def test_dense_operand(self):
-        gen = make_gen(43)
-        a = gen.standard_normal((9, 12))
-        op = build_countsketch(12, 5, RandomStream(13))
-        np.testing.assert_allclose(
-            apply_countsketch_right(a, op), a @ materialize(op), atol=1e-12
-        )
-        with pytest.raises(TypeError, match="dense array, not a SparseMatrix"):
-            apply_countsketch_right(SparseMatrix.from_dense(a), op)
-
     def test_counter_equals_nnz(self):
         gen = make_gen(44)
         a = random_sparse(gen, 30, 25, density=0.15)
@@ -158,49 +136,31 @@ class TestCountSketchApply:
     def test_dimension_mismatch(self):
         op = build_countsketch(7, 3, RandomStream(16))
         with pytest.raises(ValueError, match="mismatch"):
-            apply_countsketch_right(np.ones((4, 6)), op)
-        with pytest.raises(ValueError, match="mismatch"):
             apply_countsketch_left(np.ones((6, 4)), op)
-
-    def test_product_concentration(self):
-        # Frobenius bilinear deviation within eps for >= 90 of 100 seeds
-        gen = make_gen(99)
-        eps = 0.25
-        r = math.ceil(4.0 / eps**2)
-        stream = RandomStream(1234)
-        hits = 0
-        for _ in range(100):
-            a = gen.standard_normal((100, 20))
-            a /= np.linalg.norm(a)
-            b = gen.standard_normal((100, 20))
-            b /= np.linalg.norm(b)
-            op = build_countsketch(100, r, stream)
-            ar = apply_countsketch_right(a.T, op)
-            br = apply_countsketch_right(b.T, op)
-            hits += np.linalg.norm(ar @ br.T - a.T @ b) <= eps
-        assert hits >= 90
 
 
 class TestColumnSampler:
+    """Column samples of A, drawn by the row sampler on ``A^T``."""
+
     def test_single_nonzero_column_always_chosen(self):
         dense = np.zeros((5, 4))
         dense[:, 2] = [1.0, 2.0, 0.5, 0.0, 1.5]
-        sk = build_column_sampler(
-            SparseMatrix.from_dense(dense), 1, 0.5, 0.1, RandomStream(0)
+        sk = build_row_sampler(
+            transposed(SparseMatrix.from_dense(dense)), 1, 0.5, 0.1, RandomStream(0)
         )
         np.testing.assert_array_equal(sk.indices, [2])
         np.testing.assert_array_equal(sk.weights, [1.0])
         assert sk.clipped
 
     def test_eye_gets_uniform_weights(self):
-        sk = build_column_sampler(np.eye(8), 2, 0.5, 0.1, RandomStream(1))
+        sk = build_row_sampler(np.eye(8), 2, 0.5, 0.1, RandomStream(1))
         assert sk.clipped  # budget covers all columns at these parameters
         np.testing.assert_array_equal(sk.indices, np.arange(8))
         np.testing.assert_array_equal(sk.weights, np.ones(8))
 
     def test_eye_gets_uniform_weights_subsampled(self):
         # force genuine sampling; symmetric leverage means equal weights
-        sk = build_column_sampler(
+        sk = build_row_sampler(
             np.eye(30), 2, 0.5, 0.1, RandomStream(2), SketchConstants(c_s=0.05)
         )
         assert not sk.clipped
@@ -209,7 +169,7 @@ class TestColumnSampler:
         np.testing.assert_allclose(sk.weights, sk.weights[0])
 
     def test_degenerate_zero_matrix(self):
-        sk = build_column_sampler(
+        sk = build_row_sampler(
             SparseMatrix(6, 6, [], [], []), 1, 0.5, 0.1, RandomStream(3)
         )
         assert sk.degenerate
@@ -217,24 +177,25 @@ class TestColumnSampler:
 
     def test_rejects_bad_eps_eta(self):
         with pytest.raises(ValueError):
-            build_column_sampler(np.eye(4), 1, 0.1, 0.5, RandomStream(4))
+            build_row_sampler(np.eye(4), 1, 0.1, 0.5, RandomStream(4))
         with pytest.raises(ValueError):
-            build_column_sampler(np.eye(4), 0, 0.5, 0.1, RandomStream(4))
+            build_row_sampler(np.eye(4), 0, 0.5, 0.1, RandomStream(4))
 
     def test_reproducible_from_stream_seed(self):
         gen = make_gen(50)
         a = lowrank_plus_noise(gen, 40, 30, 8)
-        sk1 = build_column_sampler(a, 3, 0.5, 0.2, RandomStream(77))
-        sk2 = build_column_sampler(a, 3, 0.5, 0.2, RandomStream(77))
+        sk1 = build_row_sampler(transposed(a), 3, 0.5, 0.2, RandomStream(77))
+        sk2 = build_row_sampler(transposed(a), 3, 0.5, 0.2, RandomStream(77))
         np.testing.assert_array_equal(sk1.indices, sk2.indices)
         np.testing.assert_array_equal(sk1.weights, sk2.weights)
 
     def test_apply_and_counter(self):
         gen = make_gen(51)
         a = random_sparse(gen, 12, 10, density=0.5)
-        sk = build_column_sampler(a, 2, 0.5, 0.25, RandomStream(5))
+        at = a.transpose()
+        sk = build_row_sampler(at, 2, 0.5, 0.25, RandomStream(5))
         counter = MultiplyAddCounter()
-        c = apply_column_sampler(a, sk, counter)
+        c = apply_row_sampler(at, sk, counter).to_dense().T
         assert c.shape == (12, sk.sample_count)
         sub = a.to_dense()[:, sk.indices]
         np.testing.assert_allclose(c, sub * sk.weights[None, :], atol=1e-12)
@@ -283,9 +244,9 @@ class TestColumnSampler:
         for t in range(100):
             gen = make_gen(2000 + t)
             a = lowrank_plus_noise(gen, 120, 100, 20)
-            sk = build_column_sampler(a, k, eps, eta, stream, consts)
+            sk = build_row_sampler(a.T, k, eps, eta, stream, consts)
             assert not sk.clipped
-            c = apply_column_sampler(a, sk)
+            c = apply_row_sampler(a.T, sk).to_dense().T
             sig = singular_values(a)
             slack = eta * float(np.sum(sig[k:] ** 2))
             aat = a @ a.T
@@ -361,7 +322,7 @@ class TestRidgeLeverage:
         a, dense = random_input(7 * sum(shape) + sparse, *shape, sparse)
         k, eps, eta = 3, 0.5, 0.2
         consts = SketchConstants(c_s=0.3)
-        sk = build_column_sampler(a, k, eps, eta, RandomStream(91), consts)
+        sk = build_row_sampler(transposed(a), k, eps, eta, RandomStream(91), consts)
         t = sample_count(k, eps, eta, consts.c_s)
         assert not sk.clipped and t < shape[1]
         prob = svd_ridge_leverage(dense, k, eta / eps)
@@ -398,7 +359,7 @@ class TestEmptyColumnScores:
         raw = self._spy(monkeypatch)
         k, eps, eta = 3, 0.5, 0.2
         consts = SketchConstants(c_s=0.3, c_lev=1e3)
-        sk = build_column_sampler(a, k, eps, eta, RandomStream(93), consts)
+        sk = build_row_sampler(transposed(a), k, eps, eta, RandomStream(93), consts)
         assert len(raw) == 1 and not sk.clipped
         assert abs(raw[0][self.EMPTY]) <= 1e-20 * raw[0].max()
         assert self.EMPTY not in sk.indices
@@ -430,7 +391,7 @@ class TestEmptyColumnScores:
             return tau
 
         monkeypatch.setattr(sketches, "_exact_scores", scores)
-        sk = build_column_sampler(dense, 3, 0.5, 0.2, RandomStream(95), consts)
+        sk = build_row_sampler(transposed(dense), 3, 0.5, 0.2, RandomStream(95), consts)
         assert sk.clipped
         np.testing.assert_array_equal(sk.indices, keep)
 
@@ -529,7 +490,8 @@ class TestSketchedRidgeLeverage:
         first, again = (sketched_scores(a, 2, 0.5, 0.25, 7) for _ in range(2))
         assert first.tobytes() == again.tobytes()
         consts = SketchConstants(c_s=0.5)
-        sks = [build_column_sampler(a, 2, 0.5, 0.25, RandomStream(13), consts) for _ in range(2)]
+        at = a.transpose()
+        sks = [build_row_sampler(at, 2, 0.5, 0.25, RandomStream(13), consts) for _ in range(2)]
         assert not sks[0].clipped
         assert sks[0].indices.tobytes() == sks[1].indices.tobytes()
         assert sks[0].weights.tobytes() == sks[1].weights.tobytes()
@@ -562,7 +524,7 @@ class TestSketchedRidgeLeverage:
 
         monkeypatch.setattr(sketches, "_sketched_scores", spy)
         consts = SketchConstants(c_s=0.3)
-        sk = build_column_sampler(a, k, eps, eta, RandomStream(92), consts)
+        sk = build_row_sampler(transposed(a), k, eps, eta, RandomStream(92), consts)
         assert not sk.clipped
         assert calls == ([] if rows == 40 else [40])
         if rows == 41:
@@ -577,9 +539,9 @@ class TestSketchedRidgeLeverage:
         a = lowrank_plus_noise(make_gen(75), 120, 100, 6)
         consts = SketchConstants(c_s=0.5)
         streams = RandomStream(14), RandomStream(14)
-        sketched = build_column_sampler(a, 2, 0.5, 0.25, streams[0], consts)
-        exact = build_column_sampler(
-            a, 2, 0.5, 0.25, streams[1], SketchConstants(c_s=0.5, c_lev=1e3)
+        sketched = build_row_sampler(transposed(a), 2, 0.5, 0.25, streams[0], consts)
+        exact = build_row_sampler(
+            transposed(a), 2, 0.5, 0.25, streams[1], SketchConstants(c_s=0.5, c_lev=1e3)
         )
         assert not sketched.clipped and not exact.clipped
         assert sketched.seed == exact.seed
@@ -603,7 +565,7 @@ def no_factorization(monkeypatch):
 class TestClippedShortCircuit:
     def test_runs_no_factorization(self, no_factorization):
         a = random_sparse(make_gen(60), 30, 20, density=0.3)
-        sk = build_column_sampler(a, 2, 0.5, 0.1, RandomStream(8))
+        sk = build_row_sampler(transposed(a), 2, 0.5, 0.1, RandomStream(8))
         assert sk.clipped and not sk.degenerate
         np.testing.assert_array_equal(sk.indices, np.arange(20))
         np.testing.assert_array_equal(sk.weights, np.ones(20))
@@ -612,7 +574,7 @@ class TestClippedShortCircuit:
         dense = make_gen(61).standard_normal((12, 9))
         dense[:, [0, 4, 8]] = 0.0
         for a in (SparseMatrix.from_dense(dense), dense):
-            sk = build_column_sampler(a, 2, 0.5, 0.1, RandomStream(9))
+            sk = build_row_sampler(transposed(a), 2, 0.5, 0.1, RandomStream(9))
             assert sk.clipped and not sk.degenerate
             np.testing.assert_array_equal(sk.indices, [1, 2, 3, 5, 6, 7])
             np.testing.assert_array_equal(sk.weights, np.ones(6))
@@ -621,8 +583,9 @@ class TestClippedShortCircuit:
         # the child seed is drawn before the path is chosen, so later seeds agree
         a = random_sparse(make_gen(62), 40, 30, density=0.3)
         streams = RandomStream(10), RandomStream(10)
-        clipped = build_column_sampler(a, 2, 0.5, 0.1, streams[0])
-        sampled = build_column_sampler(a, 2, 0.5, 0.1, streams[1], SketchConstants(c_s=0.05))
+        at = a.transpose()
+        clipped = build_row_sampler(at, 2, 0.5, 0.1, streams[0])
+        sampled = build_row_sampler(at, 2, 0.5, 0.1, streams[1], SketchConstants(c_s=0.05))
         assert clipped.clipped and not sampled.clipped
         assert clipped.seed == sampled.seed
         assert streams[0].child_seed() == streams[1].child_seed()
@@ -745,7 +708,9 @@ class TestDenseGuard:
         monkeypatch.setattr(SparseMatrix, "to_dense", densify)
         tracemalloc.start()
         try:
-            sk = build_column_sampler(a, k, eps, eta, RandomStream(11), SketchConstants(c_s=1.0))
+            sk = build_row_sampler(
+                transposed(a), k, eps, eta, RandomStream(11), SketchConstants(c_s=1.0)
+            )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -769,7 +734,7 @@ class TestDenseGuard:
         a = self._diagonal(self.n + 1000)  # the last 1000 columns are empty
         tracemalloc.start()
         try:
-            sk = build_column_sampler(a, 5, 0.5, 0.01, RandomStream(12))
+            sk = build_row_sampler(transposed(a), 5, 0.5, 0.01, RandomStream(12))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -836,6 +801,12 @@ class TestSketchPlan:
         with pytest.raises(ValueError):
             make_sketch_plan(20, 10, 2, 0.5, 1.0, "fast_mode")
 
+    @pytest.mark.parametrize("mode", sketches.MODES)
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    def test_non_finite_p_is_refused(self, p, mode):
+        with pytest.raises(ValueError, match=rf"^p must be a finite value >= 1, got {p}$"):
+            make_sketch_plan(100, 50, 2, 0.5, p, mode)
+
     def test_etas_in_unit_interval(self):
         for p in (1.0, 1.5, 2.0, 3.0, 6.0):
             for k in (1, 5, 20):
@@ -869,24 +840,15 @@ class TestDenseOperand:
     @classmethod
     def kernels(cls, a, seed):
         """Each kernel that takes either storage, as a function of ``(a, counter)``."""
-        m, n = a.shape
-        gen = make_gen(seed)
-        right, left = gen.standard_normal((n, 2)), gen.standard_normal((2, m))
+        right = make_gen(seed).standard_normal((a.shape[1], 2))
 
-        def sampler(build, consts):
-            return lambda x, c: build(x, 1, 0.5, 0.5, RandomStream(seed), consts, c)
+        def sampler(consts):
+            return lambda x, c: build_row_sampler(x, 1, 0.5, 0.5, RandomStream(seed), consts, c)
 
-        out = {
-            f"{build.__name__}[{name}]": sampler(build, consts)
-            for name, consts in cls.CONSTANTS.items()
-            for build in (build_column_sampler, build_row_sampler)
-        }
-        sparse = SparseMatrix.from_dense(a)
-        cols = out["build_column_sampler[sketched]"](sparse, None)
-        rows = out["build_row_sampler[exact]"](sparse, None)
-        op = build_countsketch(m, 3, RandomStream(seed))
+        out = {f"build_row_sampler[{name}]": sampler(c) for name, c in cls.CONSTANTS.items()}
+        rows = out["build_row_sampler[exact]"](SparseMatrix.from_dense(a), None)
+        op = build_countsketch(a.shape[0], 3, RandomStream(seed))
         return out | {
-            "apply_column_sampler": lambda x, c: apply_column_sampler(x, cols, c),
             "apply_row_sampler": lambda x, c: apply_row_sampler(x, rows, c),
             "apply_countsketch_left": lambda x, c: apply_countsketch_left(x, op, c),
             "ridge_leverage_scores": lambda x, c: ridge_leverage_scores(x, 1, 0.5),
@@ -895,7 +857,6 @@ class TestDenseOperand:
             ),
             "block_krylov": lambda x, c: matrixcore.block_krylov(x, 1, 1, c),
             "sparse_dense_multiply": lambda x, c: sparse_dense_multiply(x, right, c),
-            "dense_sparse_multiply": lambda x, c: dense_sparse_multiply(left, x, c),
         }
 
     @settings(max_examples=40, deadline=None)

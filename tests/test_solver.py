@@ -27,7 +27,6 @@ from sketchlr import (
     SketchConstants,
     SketchPlan,
     SparseMatrix,
-    build_countsketch,
     diagnose_kyfan_preservation,
     exact_oracle,
     make_sketch_plan,
@@ -38,7 +37,6 @@ from sketchlr import (
     singular_values,
     solve_frobenius_baseline,
     solve_generalized,
-    solve_regression_sketched,
     solve_schatten,
     sparse_dense_multiply,
 )
@@ -685,124 +683,6 @@ class TestRelativeErrorConvention:
 
     def test_zero_matrix(self):
         assert relative_error_from(0.0, 0.0, 0.0) == 0.0
-
-
-class TestSketchedRegression:
-    def test_consistent_system_zero_residual(self):
-        gen = make_gen(71)
-        z = random_orthonormal(gen, 10, 4)
-        a = gen.standard_normal((9, 4)) @ z.T  # rows already in span(z)
-        res = solve_regression_sketched(a, z, 40, RandomStream(2))
-        assert np.linalg.norm(a - res.yhat @ z.T) <= 1e-9 * np.linalg.norm(a)
-
-    def test_sqrt_eta2_bound(self):
-        gen = make_gen(72)
-        stream = RandomStream(999)
-        hits = 0
-        for _ in range(30):
-            a = gen.standard_normal((60, 40))
-            z = random_orthonormal(gen, 40, 5)
-            res = solve_regression_sketched(a, z, 400, stream)
-            lhs = np.linalg.norm(a @ z - res.yhat)
-            rhs = 0.25 * np.linalg.norm(a - (a @ z) @ z.T)
-            hits += lhs <= rhs
-        assert hits >= 27
-
-    def test_rank_deficient_falls_back(self):
-        # with two basis columns and two buckets a collision kills the rank
-        gen = make_gen(73)
-        a = gen.standard_normal((7, 5))
-        z = np.eye(5)[:, :2]
-        res = solve_regression_sketched(a, z, 2, RandomStream(0))
-        assert res.fallback_used
-        np.testing.assert_allclose(res.yhat, a @ z, atol=1e-12)
-
-    def test_r_embed_below_k_rejected(self):
-        gen = make_gen(74)
-        z = random_orthonormal(gen, 6, 3)
-        with pytest.raises(ValueError):
-            solve_regression_sketched(gen.standard_normal((5, 6)), z, 2, RandomStream(1))
-
-
-class TestReassociatedRegression:
-    # The reference is the old formula, lstsq((Z^T R)^T, (A R)^T)^T with AR
-    # formed. Over 3000 random cases drawn as below, the reassociated Y
-    # differed from it by at most 2.7e-14 relative, and by at most 5.1e-15
-    # times the condition number of Z^T R.
-    RTOL_PER_COND = 1e-13
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        orient=st.sampled_from(["tall", "wide", "square"]),
-        sparse=st.booleans(),
-        small=st.integers(2, 40),
-        extra=st.integers(1, 30),
-        k=st.integers(1, 6),
-        r_extra=st.integers(0, 60),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_property_equals_formed_ar_lstsq(
-        self, orient, sparse, small, extra, k, r_extra, seed
-    ):
-        m, n = {
-            "tall": (small + extra, small),
-            "wide": (small, small + extra),
-            "square": (small, small),
-        }[orient]
-        gen = make_gen(seed)
-        k = min(k, n)
-        r_embed = k + r_extra  # from k to past n
-        if sparse:
-            a = random_sparse(gen, m, n, density=0.3)
-            dense = a.to_dense()
-        else:
-            a = dense = gen.standard_normal((m, n))
-        z = random_orthonormal(gen, n, k)
-        res = solve_regression_sketched(a, z, r_embed, RandomStream(seed))
-        if res.fallback_used:
-            np.testing.assert_allclose(res.yhat, dense @ z, rtol=1e-12, atol=1e-12)
-            return
-        r = build_countsketch(n, r_embed, RandomStream(seed)).matrix().toarray()
-        want = np.linalg.lstsq((z.T @ r).T, (dense @ r).T, rcond=None)[0].T
-        s = singular_values(z.T @ r)
-        tol = self.RTOL_PER_COND * s[0] / s[-1]
-        assert np.linalg.norm(res.yhat - want) <= tol * np.linalg.norm(want)
-
-    def test_only_z_transpose_is_sketched(self, monkeypatch):
-        seen = []
-        kernel = solver.apply_countsketch_right
-
-        def spy(x, *args, **kwargs):
-            seen.append(x.shape)
-            return kernel(x, *args, **kwargs)
-
-        monkeypatch.setattr(solver, "apply_countsketch_right", spy)
-        gen = make_gen(76)
-        a = random_sparse(gen, 70, 50, density=0.2)
-        solve_regression_sketched(a, random_orthonormal(gen, 50, 3), 20, RandomStream(4))
-        assert seen == [(3, 50)]
-        seen.clear()
-        # the solvers regress exactly and sketch nothing on the right
-        solve_schatten(generate_synthetic(120, 90, 0.1, RandomStream(1)), 2, 1.0, 0.5, RandomStream(2))
-        assert seen == []
-
-    def test_20000_squared_needs_no_m_by_r_array(self):
-        m = n = 20_000
-        k, r_embed = 10, 4344
-        gen = make_gen(20_001)
-        flat = gen.choice(m * n, size=200_000, replace=False)
-        a = SparseMatrix(m, n, flat // n, flat % n, gen.uniform(0.5, 1.5, flat.size))
-        z = random_orthonormal(gen, n, k)
-        tracemalloc.start()
-        try:
-            res = solve_regression_sketched(a, z, r_embed, RandomStream(6))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert not res.fallback_used and res.yhat.shape == (m, k)
-        # Y, R P and its gather are (m + n) k doubles, Z^T R and its SVD r k:
-        # 4.4 MiB measured; the formed AR alone was m r_embed doubles, 663 MiB
-        assert peak < 3 * (m + n + r_embed) * k * 8
 
 
 class TestSolveSchatten:
