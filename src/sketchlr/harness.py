@@ -56,6 +56,9 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.k_list:
             raise ValueError("k_list must not be empty")
+        repeated = [k for i, k in enumerate(self.k_list) if k in self.k_list[:i]]
+        if repeated:
+            raise ValueError(f"k_list repeats rank {repeated[0]}: each rank is one set of trials")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         synthetic = self.nrows is not None or self.ncols is not None

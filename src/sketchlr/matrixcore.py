@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg import blas, lapack
 
 SVD_TOL = 1e-9    # relative factorization / orthonormality tolerance
 RANK_TOL = 1e-10  # singular values below RANK_TOL * sigma_max count as zero
@@ -236,8 +237,19 @@ def singular_values(a) -> np.ndarray:
 
 
 def _orthonormal(w: np.ndarray) -> np.ndarray:
-    """The Q factor of a thin Householder QR (orthonormal for any rank of ``w``)."""
-    return scipy.linalg.qr(w, mode="economic", check_finite=False)[0]
+    """The Q factor of a thin Householder QR of a tall ``w`` (orthonormal for any rank).
+
+    ``dgeqrf`` and ``dorgqr`` are called directly, at the workspace each
+    queries, and R is never formed: byte for byte the Q of
+    ``scipy.linalg.qr(w, mode="economic")``, whose wrapper (a copy of ``w``
+    for the workspace query, routine lookups, a ``triu`` of the unused R)
+    costs several times the factorization of the ``d x k`` blocks
+    :func:`block_krylov` passes it.
+    """
+    lwork = int(lapack.dgeqrf_lwork(*w.shape)[0])
+    qr, tau = lapack.dgeqrf(w, lwork=lwork)[:2]
+    lwork = int(lapack.dorgqr(qr, tau, lwork=-1, overwrite_a=1)[1][0])
+    return lapack.dorgqr(qr, tau, lwork=lwork, overwrite_a=1)[0]
 
 
 def compact_qr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -297,8 +309,8 @@ def block_krylov(
         if hi == width:
             break
         block = _orthonormal(w - done @ h[:hi, lo:hi])
-        for _ in range(2):
-            block -= done @ (done.T @ block)
+        for _ in range(2):  # block -= done @ (done.T @ block), in place on the column-major Q
+            block = blas.dgemm(-1.0, done, done.T @ block, beta=1.0, c=block, overwrite_c=True)
         basis[:, hi : hi + k] = _orthonormal(block)
     theta, s = np.linalg.eigh(h, UPLO="U")  # ascending
     theta = theta[: -k - 1 : -1]
@@ -310,7 +322,7 @@ def block_krylov(
     if not wide:
         return sigma, side
     # U^T G U = diag(theta) for Ritz vectors U, so these columns are orthonormal
-    v = x.T @ side
+    v = inner @ side
     return sigma, np.divide(v, sigma, out=np.zeros_like(v), where=sigma > 0)
 
 
@@ -352,7 +364,8 @@ def top_singular(a, k: int) -> SvdResult:
     ):
         sigma = np.sqrt(lam[:k])
         side = np.ascontiguousarray(vecs[:, :k])
-        prod = a.T @ side if wide else a @ side
+        # (side^T A)^T reads the row-major A along its rows, as a.T @ side does not
+        prod = (side.T @ a).T if wide else a @ side
         # the other product's residual A other - side sigma is (G side - side Lambda)/sigma
         u, v = (side, prod / sigma) if wide else (prod / sigma, side)
         worst = max(

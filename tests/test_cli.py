@@ -86,6 +86,17 @@ def test_bench_writes_csv(tmp_path, capsys):
     assert "schatten_p" in out and "frobenius_baseline" in out
 
 
+def test_repeated_rank_is_config_error(tmp_path, capsys):
+    base = tmp_path / "bench"
+    argv = ["bench", "--m", "30", "--n", "20", "--k", "2,2", "--trials", "1", "--out", str(base)]
+    code = main(argv)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error: k_list repeats rank 2" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "bench.trials.csv").exists()
+
+
 def test_diagnose_runs(capsys):
     code = main(
         ["diagnose", "--m", "30", "--n", "20", "--density", "0.5", "--k", "2", "--trials", "10"]

@@ -647,6 +647,14 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="density"):
             ExperimentConfig(k_list=[2], nrows=5, ncols=5, density=1.5).validate()
 
+    @pytest.mark.parametrize("k_list, rank", [([2, 2], 2), ([3, 2, 3], 3), ([2, 5, 4, 5, 4], 5)])
+    def test_repeated_rank_is_refused(self, k_list, rank):
+        cfg = self._config(k_list=k_list)
+        with pytest.raises(ValueError, match=f"k_list repeats rank {rank}:"):
+            cfg.validate()
+        with pytest.raises(ValueError, match="repeats rank"):
+            run_experiment(cfg)
+
 
 def _independent_median(values):
     ordered = sorted(values)

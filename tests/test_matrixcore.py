@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from conftest import make_gen, random_orthonormal, random_rank_k, random_sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -426,6 +427,35 @@ def _krylov_input(gen, m, n, rank, log_ratio, sparse):
     sigma[:rank] = np.geomspace(1.0, 10.0**-log_ratio, rank)
     dense = _spectrum_input(gen, m, n, sigma)
     return SparseMatrix.from_dense(dense) if sparse else dense
+
+
+def _qr_input(name):
+    gen = make_gen(43)
+    if name == "all_zero":
+        return np.zeros((900, 5))
+    w = gen.standard_normal({"617x5": (617, 5), "900x40": (900, 40)}.get(name, (900, 5)))
+    if name == "zero_column":
+        w[:, 2] = 0.0
+    elif name == "repeated_column":
+        w[:, 3] = w[:, 1]
+    return w
+
+
+class TestOrthonormal:
+    # 900x40 is wider than LAPACK's block size of 32
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize(
+        "name", ["900x5", "617x5", "900x40", "zero_column", "repeated_column", "all_zero"]
+    )
+    def test_q_is_scipy_economic_qr_byte_for_byte(self, name, order):
+        w = np.asarray(_qr_input(name), order=order)
+        before = w.copy()
+        q = matrixcore._orthonormal(w)
+        want = scipy.linalg.qr(w, mode="economic", check_finite=False)[0]
+        assert q.shape == want.shape == w.shape
+        assert q.tobytes() == want.tobytes()
+        assert w.tobytes() == before.tobytes()  # the input is not overwritten
+        assert np.max(np.abs(q.T @ q - np.eye(w.shape[1]))) <= 1e-13
 
 
 class TestBlockKrylov:
