@@ -22,6 +22,7 @@ from .norms import parse_loss, schatten_norm
 from .rng import RandomStream
 from .sketches import make_sketch_plan, build_row_sampler, apply_row_sampler
 from .solver import (
+    clamp_eps,
     diagnose_kyfan_preservation,
     solve_generalized,
     solve_schatten,
@@ -83,7 +84,8 @@ def _cmd_solve(args) -> int:
         "flags: "
         f"fallback={report.fallback_used} transposed={report.transposed} "
         f"clipped={report.clipped} "
-        f"degenerate={report.degenerate}"
+        f"degenerate={report.degenerate} "
+        f"scores={report.score_kernel}"
     )
     for w in report.warnings:
         print(f"warning: {w}")
@@ -126,14 +128,15 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    eps, warnings = clamp_eps(args.eps)
     stream = RandomStream(args.seed)
     mat = _source_matrix(args, stream)
     m, n = mat.shape
     work = mat.transpose() if m < n else mat
     plan = make_sketch_plan(
-        max(work.shape), min(work.shape), args.k, args.eps, args.p, "full_pipeline"
+        max(work.shape), min(work.shape), args.k, eps, args.p, "full_pipeline"
     )
-    sampler = build_row_sampler(work, args.k, args.eps, plan.eta1, stream)
+    sampler = build_row_sampler(work, args.k, eps, plan.eta1, stream)
     sa = apply_row_sampler(work, sampler)
     report = diagnose_kyfan_preservation(
         work,
@@ -144,7 +147,7 @@ def _cmd_diagnose(args) -> int:
         plan.eta1,
         args.trials,
         stream,
-        eps=args.eps,
+        eps=eps,
     )
     print(
         f"head preservation at p={report.p:g}, r={report.r}, eta1={report.eta1:.3g}, "
@@ -152,12 +155,14 @@ def _cmd_diagnose(args) -> int:
     )
     print(
         f"sampler rows: {sampler.sample_count}/{sampler.source_dim} "
-        f"(clipped={sampler.clipped})"
+        f"(clipped={sampler.clipped}, scores={sampler.score_kernel})"
     )
     print(
         f"violations: {report.violations}/{report.trials} "
         f"(fraction {report.violation_fraction:.3f}, max excess {report.max_excess:.3g})"
     )
+    for w in warnings:
+        print(f"warning: {w}")
     return 0
 
 

@@ -4,13 +4,18 @@ All operators are immutable, record the 64-bit seed they were drawn from, and
 are rebuilt bit-exactly from (dims, seed). Applications are pure; those a
 solve runs report their exact multiply-add counts through an optional counter.
 
-The sampling sketches draw by ridge leverage scores estimated in input-sparsity
-time: for the row sampler, a Gaussian sketch ``B = A^T Omega`` of ``w``
-columns spans the head of A's row space, and the scores come from a
-Rayleigh-Ritz projection ``A U`` of A onto it, at ``(w + r) nnz(A)`` sparse
-multiply-adds. The row sampler reads A in place through its CSR and that
-array's CSC view: no copy of A, and on the tall inputs the solvers pass it,
-one ``max(m, n) x w`` array at a time. A sketch no narrower than the input
+The row sampler draws by overestimates of A's ridge leverage scores. It
+first tries the cheapest, squared row norms, in ``3 nnz(A)`` multiply-adds:
+every ridge score is at most ``||a_i||^2 / lam``, and a bound
+``beta >= sigma_1(A)^2`` read off ``|A|`` gives a lower bound on ``lam``, so
+the norms are certified whenever their sum fits the sample budget
+(:func:`build_row_sampler`). Otherwise the scores are estimated in
+input-sparsity time: a Gaussian sketch ``B = A^T Omega`` of ``w`` columns
+spans the head of A's row space, and the scores come from a Rayleigh-Ritz
+projection ``A U`` of A onto it, at ``(w + r) nnz(A)`` sparse multiply-adds
+more. The row sampler reads A in place through its CSR and that array's
+CSC view: no copy of A, and on the tall inputs the solvers pass it, one
+``max(m, n) x w`` array at a time. A sketch no narrower than the input
 passes through to the exact scores of :func:`ridge_leverage_scores`, whose
 sparse Gram product converts one operand inside scipy. A
 sampler whose budget covers every nonzero row needs no scores at all and
@@ -112,6 +117,10 @@ class SamplingSketch:
     ``indices`` are distinct source positions and ``weights`` the positive
     rescaling factors. When every retained position is kept (``clipped``),
     the weights are exactly one and the sketch is lossless.
+    ``score_kernel`` names the kernel that scored the rows: ``"norms"``
+    (certified squared row norms), ``"sketched"`` or ``"exact"`` ridge
+    leverage scores, or ``None`` when none ran (a budget that covers every
+    nonzero row, or the zero matrix).
     """
 
     source_dim: int
@@ -120,6 +129,7 @@ class SamplingSketch:
     seed: int
     clipped: bool = False
     degenerate: bool = False
+    score_kernel: str | None = None
 
     @property
     def sample_count(self) -> int:
@@ -242,7 +252,16 @@ def sketched_ridge_leverage_scores(
     formed, and ``C`` is rotated, squared and reduced ``SCORE_BLOCK``
     columns at a time. ``B`` and ``U`` are ``m x width`` each.
     """
-    return _sketched_scores(_ensure_sparse(a).csr, k, ridge_scale, width, gen, counter)
+    x = _ensure_sparse(a).csr
+    return _sketched_scores(x, k, ridge_scale, width, gen, counter, _col_sq(x))
+
+
+def _col_sq(x) -> np.ndarray:
+    """Squared column norms of the scipy sparse ``x``, a CSR array or the CSC view of one."""
+    n = x.shape[1]
+    # the column of each stored entry, an O(nnz) temporary
+    col = x.indices if x.format == "csr" else np.repeat(np.arange(n), np.diff(x.indptr))
+    return np.bincount(col, weights=np.square(x.data), minlength=n)
 
 
 def _sketched_scores(
@@ -252,17 +271,15 @@ def _sketched_scores(
     width: int,
     gen: np.random.Generator,
     counter: MultiplyAddCounter | None,
+    col_sq: np.ndarray,
 ) -> np.ndarray:
     """:func:`sketched_ridge_leverage_scores` of the columns of the scipy sparse ``x``.
 
-    ``x`` is a CSR array or the CSC view ``.T`` of one, as in :func:`_exact_scores`.
+    ``x`` is a CSR array or the CSC view ``.T`` of one, as in
+    :func:`_exact_scores`, and ``col_sq`` its :func:`_col_sq`.
     """
     n = x.shape[1]
     floor = min(x.shape) * np.finfo(float).eps
-    # the column of each stored entry, an O(nnz) temporary freed before Omega
-    col = x.indices if x.format == "csr" else np.repeat(np.arange(n), np.diff(x.indptr))
-    col_sq = np.bincount(col, weights=np.square(x.data), minlength=n)
-    del col
     omega = gen.standard_normal((n, width))
     omega /= math.sqrt(width)
     b = x @ omega
@@ -293,6 +310,21 @@ def _sketched_scores(
     return tau
 
 
+def _norm_bound(x) -> tuple[np.ndarray, float]:
+    """Squared column norms of the scipy sparse ``x`` and ``beta >= ||x||_2^2``.
+
+    ``beta = max_j (|x| (|x|^T 1))_j`` is the largest row sum of the
+    nonnegative ``|x| |x|^T``, so it bounds that matrix's spectral radius,
+    which bounds ``sigma_1(x)^2`` because ``|v^T x x^T v| <= |v|^T |x| |x|^T
+    |v|``. ``3 nnz(x)`` multiply-adds: the squares and the two products
+    with ``|x|``, which shares ``x``'s index arrays.
+    """
+    abs_x = type(x)((np.abs(x.data), x.indices, x.indptr), shape=x.shape)
+    beta = float(np.max(abs_x @ (abs_x.T @ np.ones(x.shape[0]))))
+    del abs_x  # before the O(nnz) temporaries of the squares
+    return _col_sq(x), beta
+
+
 def build_row_sampler(
     a,
     k: int,
@@ -310,10 +342,29 @@ def build_row_sampler(
     every structurally nonzero row (found from the row pointers), the
     sketch keeps all of them with unit weight (``clipped``), which
     satisfies the bound exactly; this path densifies and factorizes
-    nothing. Otherwise the ``sample_count(k, eps, eta, c_s)`` samples are
-    drawn without replacement with probabilities proportional to ridge
-    leverage scores with ridge ``(eta/eps) * tail``, whose total mass is at
-    most ``k + eps/eta``. The scores come from
+    nothing. Otherwise the ``t = sample_count(k, eps, eta, c_s)`` samples
+    are drawn without replacement with probabilities ``p_i`` proportional
+    to overestimates of the ridge leverage scores ``tau_i`` with ridge
+    ``lam = (eta/eps) ||A - A_k||_F^2``, whose total mass is at most
+    ``K = k + eps/eta``; ``t`` is sized for ``p_i >= tau_i / K``.
+
+    The first overestimates tried are squared row norms (``score_kernel``
+    ``"norms"``). Since ``A^T A + lam I >= lam I``, ``tau_i <= ||a_i||^2 /
+    lam``. Let ``beta = max_j (|A|^T (|A| 1))_j``, the largest row sum of
+    the nonnegative ``|A|^T |A|``: it bounds that matrix's spectral radius,
+    which bounds ``sigma_1(A)^2``. So ``T = ||A||_F^2 - k beta`` is at most
+    ``||A - A_k||_F^2``, and if ``T > 0`` then ``||a_i||^2 / ((eta/eps) T)``
+    overestimates every ``tau_i``. Their sum is ``K' = ||A||_F^2 / ((eta/eps)
+    T)``; when ``K' <= K``, ``p_i = ||a_i||^2 / ||A||_F^2 >= tau_i / K'``
+    ``>= tau_i / K``, so the same ``t`` rows are drawn by squared row norm,
+    and nothing else is drawn from the sampler's generator first. The
+    certificate costs ``3 nnz(A)`` multiply-adds (the squares and the two
+    products with ``|A|``), which go to ``counter`` whether or not it holds.
+    Cohen, Lee, Musco, Musco, Peng & Sidford (*Uniform Sampling for Matrix
+    Approximation*, ITCS 2015) give the overestimate argument. A dominant
+    head (``k beta`` near ``||A||_F^2``) fails it.
+
+    When it fails, the scores come from
     :func:`sketched_ridge_leverage_scores` of the columns of ``A^T`` (a
     sketch ``A^T Omega``, then ``A U`` and the row sums of squares) on
     ``w = ceil(c_lev (k + eps/eta))`` columns, drawn from this sampler's
@@ -324,7 +375,7 @@ def build_row_sampler(
     0.87..1.19, and were equal to rounding when ``rank(A) <= r``. When
     ``w >= min(m, n)`` the sketch would not be narrower than the input, so
     the exact :func:`ridge_leverage_scores` (from the Gram matrix of A's
-    smaller side) pass through instead and no Gaussian is drawn. Either way
+    smaller side) pass through instead and no Gaussian is drawn. On every path,
     a structurally zero row scores exactly 0, so it is never drawn or kept.
     The zero matrix gets a uniform sample (``degenerate``).
     """
@@ -348,21 +399,34 @@ def build_row_sampler(
         idx = np.sort(gen.choice(m, size=t, replace=False, p=prob))
         w = 1.0 / np.sqrt(t * prob[idx])
         return SamplingSketch(m, idx, w, seed, False, True)
+    kernel = None
     if t < support.size:
+        x = a.csr.T
+        tau, beta = _norm_bound(x)
+        if counter is not None:
+            counter.add(3 * x.nnz)
+        fro = float(tau.sum())
+        tail = fro - k * beta  # at most ||A - A_k||_F^2
         width = int(math.ceil(constants.c_lev * (k + eps / eta)))
-        if width < min(a.shape):
-            tau = _sketched_scores(a.csr.T, k, eta / eps, width, gen, counter)
+        if tail > 0.0 and fro / (eta / eps * tail) <= k + eps / eta:
+            kernel = "norms"
+        elif width < min(a.shape):
+            kernel = "sketched"
+            tau = _sketched_scores(x, k, eta / eps, width, gen, counter, tau)
         else:
-            tau = _exact_scores(a.csr.T, k, eta / eps)
+            kernel = "exact"
+            tau = _exact_scores(x, k, eta / eps)
         # the exact scores leave rounding (about 1e-30) on an empty row
         tau[row_nnz == 0] = 0.0
         support = np.flatnonzero(tau > 0.0)
     if t >= support.size:
-        return SamplingSketch(m, support, np.ones(support.size), seed, clipped=True)
+        return SamplingSketch(
+            m, support, np.ones(support.size), seed, clipped=True, score_kernel=kernel
+        )
     prob = tau / tau.sum()
     idx = np.sort(gen.choice(m, size=t, replace=False, p=prob))
     w = 1.0 / np.sqrt(t * prob[idx])
-    return SamplingSketch(m, idx, w, seed)
+    return SamplingSketch(m, idx, w, seed, score_kernel=kernel)
 
 
 def apply_row_sampler(

@@ -106,18 +106,25 @@ class SolveReport:
     width of U (``k``, or the smaller side of a thinner ``SA``) times the
     stored entries of ``SA`` (``k s n`` for a dense CountSketch), which
     ``top_singular`` forms or checks. ``s_scores`` is the sparse work of
-    the sketched ridge leverage scores behind a sampled ``S``,
-    ``(w + r) nnz(A)`` for the score sketch ``A Omega`` and the projection
-    ``U^T A`` (absent when ``S`` clipped or the scores were exact), and
+    the scores behind a sampled ``S`` (absent when none ran: ``S`` clipped
+    on its row count, A is zero, or the solve is in simplified mode):
+    ``3 nnz(A)`` for the squared row norms and the two
+    products with ``|A|`` that test whether the norms certify the ridge
+    scores, plus, when they do not, ``(w + r) nnz(A)`` for the score
+    sketch ``A Omega`` and the projection ``U^T A`` of the sketched scores
+    (nothing more for the exact ones). ``score_kernel`` names the kernel
+    that scored the rows (:class:`~sketchlr.sketches.SamplingSketch`):
+    ``"norms"``, ``"sketched"``, ``"exact"``, or ``None`` when none ran.
     ``regression`` is ``k nnz(A)`` for ``Y = A Z``. Not counted: the
     factorizations (the ``w x w`` and ``r x r`` Gram eigendecompositions of
     the sketched scores or the full one of the exact scores, and the
-    ``eigh`` in ``top_singular`` and of the block Krylov ``H``), the dense
-    products that feed them, the block Krylov basis work (three projections
-    and two QRs a block, about ``3 d k^2 q^2`` multiply-adds, and
-    ``Q S_k``), the ``n k^2`` Cholesky-QR step on ``Z``, and the column
-    norms read by the scores. ``elapsed`` times the stages ``s_apply``, ``svd_sat`` (the
-    top-k of ``SA``), ``regression`` and, with the oracle, ``oracle``.
+    ``eigh`` in ``top_singular`` and of the block Krylov ``H``), the
+    products that feed them (the sparse Gram product of the exact scores
+    included), the block Krylov basis work (three projections and two QRs
+    a block, about ``3 d k^2 q^2`` multiply-adds, and ``Q S_k``) and the
+    ``n k^2`` Cholesky-QR step on ``Z``. ``elapsed`` times the stages
+    ``s_apply`` (scores included), ``svd_sat`` (the top-k of ``SA``),
+    ``regression`` and, with the oracle, ``oracle``.
     ``relative_error`` is only present when the exact oracle was run.
     ``clipped`` flags a row sampler ``S`` that kept every nonzero row.
     ``fallback_used`` is always ``False``: the regression is exact and has
@@ -139,6 +146,7 @@ class SolveReport:
     condition_report: ConditionReport | None = None
     krylov_depth: int | None = None
     ritz_values: tuple[float, ...] = ()
+    score_kernel: str | None = None
 
 
 @dataclass(frozen=True)
@@ -313,6 +321,7 @@ def _sketched_rowspace(
             report.seeds["s"] = s_sk.seed
             report.clipped |= s_sk.clipped
             report.degenerate |= s_sk.degenerate
+            report.score_kernel = s_sk.score_kernel
             sa = apply_row_sampler(work, s_sk, _counter(counters, "s_apply"))
     return _rowspace(sa, k, eps, report)
 
@@ -370,6 +379,19 @@ def _solve(
     return report
 
 
+def clamp_eps(eps: float) -> tuple[float, tuple[str, ...]]:
+    """``eps`` clamped to 1/2, the largest the sketch guarantees assume, and the warnings.
+
+    Refuses a non-positive ``eps``. Every command that sizes a sketch from a
+    user's ``eps`` goes through here, so each clamps it the same way.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if eps > 0.5:
+        return 0.5, (f"eps={eps:g} clamped to 0.5",)
+    return eps, ()
+
+
 def _prologue(
     a: SparseMatrix, k: int, eps: float
 ) -> tuple[SparseMatrix, bool, float, tuple[str, ...]]:
@@ -379,12 +401,7 @@ def _prologue(
     """
     if not 1 <= k < min(a.shape):
         raise ValueError(f"k={k} out of range 1..{min(a.shape) - 1}")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    warnings: tuple[str, ...] = ()
-    if eps > 0.5:
-        warnings = (f"eps={eps:g} clamped to 0.5",)
-        eps = 0.5
+    eps, warnings = clamp_eps(eps)
     transposed = a.nrows < a.ncols
     return (a.transpose() if transposed else a), transposed, eps, warnings
 

@@ -35,6 +35,26 @@ def lowrank_plus_noise(
     return core + noise * gen.standard_normal((m, n))
 
 
+def plant_head(a: SparseMatrix) -> SparseMatrix:
+    """``a`` with its leading 5x5 block set to 100.
+
+    The block is a dominant rank-one part, so the squared row norms no longer
+    certify the ridge leverage scores (``sketches.build_row_sampler``) and the
+    row sampler scores by the sketched or the exact kernel.
+    """
+    size, scale = 5, 100.0
+    rows, cols, vals = a.triplets()
+    keep = (rows >= size) | (cols >= size)
+    head_rows, head_cols = np.divmod(np.arange(size * size), size)
+    return SparseMatrix(
+        a.nrows,
+        a.ncols,
+        np.concatenate([rows[keep], head_rows]),
+        np.concatenate([cols[keep], head_cols]),
+        np.concatenate([vals[keep], np.full(size * size, scale)]),
+    )
+
+
 @pytest.fixture
 def gen() -> np.random.Generator:
     return make_gen()

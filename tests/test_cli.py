@@ -105,6 +105,20 @@ def test_diagnose_runs(capsys):
     assert "violations:" in capsys.readouterr().out
 
 
+def test_diagnose_clamps_eps_like_solve(capsys):
+    source = ["--m", "2000", "--n", "400", "--density", "0.01", "--k", "1", "--eps", "0.8"]
+    assert main(["diagnose", *source, "--trials", "5"]) == 0
+    diagnose = capsys.readouterr().out
+    assert main(["solve", *source, "--loss", "huber:1.0"]) == 0
+    solve = capsys.readouterr().out
+    for out in (diagnose, solve):
+        assert "warning: eps=0.8 clamped to 0.5" in out
+    assert "eps=0.5\n" in diagnose
+    # both name the kernel that scored the rows the sampler drew
+    assert "(clipped=False, scores=norms)" in diagnose
+    assert "clipped=False degenerate=False scores=norms" in solve
+
+
 @pytest.mark.parametrize("command", ["diagnose", "solve"])
 @pytest.mark.parametrize("p", ["nan", "inf"])
 def test_non_finite_p_is_config_error(command, p, capsys):

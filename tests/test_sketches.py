@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import lowrank_plus_noise, make_gen, random_sparse
+from conftest import lowrank_plus_noise, make_gen, plant_head, random_sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -351,9 +351,10 @@ class TestEmptyColumnScores:
     @pytest.mark.parametrize("shape", [(71, 70), (70, 71)])
     def test_exact_scores_give_an_empty_column_zero(self, shape, sparse, monkeypatch):
         # 71x70 runs the A^T A branch, which leaves about 1e-30 on the empty
-        # column; 70x71 runs the A A^T branch
+        # column; 70x71 runs the A A^T branch. The planted head keeps the
+        # column norms from certifying the scores, so the exact kernel runs
         gen = make_gen(sum(shape) + sparse)
-        dense = random_sparse(gen, *shape, density=0.1).to_dense()
+        dense = plant_head(random_sparse(gen, *shape, density=0.1)).to_dense()
         dense[:, self.EMPTY] = 0.0
         a = SparseMatrix.from_dense(dense) if sparse else dense
         raw = self._spy(monkeypatch)
@@ -361,6 +362,7 @@ class TestEmptyColumnScores:
         consts = SketchConstants(c_s=0.3, c_lev=1e3)
         sk = build_row_sampler(transposed(a), k, eps, eta, RandomStream(93), consts)
         assert len(raw) == 1 and not sk.clipped
+        assert sk.score_kernel == "exact"
         assert abs(raw[0][self.EMPTY]) <= 1e-20 * raw[0].max()
         assert self.EMPTY not in sk.indices
         # the other scores feed the draw unchanged, bit for bit
@@ -415,6 +417,76 @@ def scored_input(family, m, n, rank, seed):
     if family == "exact":
         return gen.standard_normal((m, rank)) @ gen.standard_normal((rank, n))
     return random_sparse(gen, m, n, density=0.1)
+
+
+class TestNormCertificate:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.integers(1, 200),
+        n=st.integers(1, 60),
+        log_density=st.floats(-2.5, 0.0),
+        sign=st.sampled_from([1.0, -1.0, 0.0]),  # 0.0: either sign
+        k=st.integers(1, 4),
+        eps=st.floats(0.05, 0.5),
+        eta_frac=st.floats(0.05, 1.0),
+        c_s=st.floats(1e-9, 0.005),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_certified_norms_overestimate_the_ridge_scores(
+        self, m, n, log_density, sign, k, eps, eta_frac, c_s, seed
+    ):
+        # the norms certify on flat spectra: sparse inputs with many rows
+        gen = make_gen(seed)
+        vals = gen.standard_normal((m, n))
+        if sign:
+            vals = sign * np.abs(vals)
+        mask = gen.random((m, n)) < 10.0**log_density
+        dense = np.where(mask & (vals != 0.0), vals, 0.0)
+        a = SparseMatrix.from_dense(dense)
+        eta = eta_frac * eps
+        consts = SketchConstants(c_s=c_s)
+        sk = build_row_sampler(a, k, eps, eta, RandomStream(seed), consts)
+        if sk.clipped or sk.degenerate:
+            assert sk.score_kernel is None
+        if sk.score_kernel != "norms":
+            return
+        col_sq, beta = sketches._norm_bound(a.csr.T)
+        sigma = np.linalg.svd(dense, compute_uv=False)
+        assert beta >= sigma[0] ** 2 * (1.0 - 1e-12)
+        # (eta/eps) T is at most the ridge lam; it gives the overestimates
+        lam_low = (eta / eps) * (col_sq.sum() - k * beta)
+        tau_tilde = col_sq / lam_low
+        # the exact scores (at most 1) leave rounding on an empty row
+        tau = ridge_leverage_scores(a.transpose(), k, eta / eps)
+        assert np.all(tau <= tau_tilde * (1.0 + 1e-9) + 1e-12)
+        assert tau_tilde.sum() <= (k + eps / eta) * (1.0 + 1e-12)
+        # the draw is by squared row norm, and the first one from the seed
+        prob = col_sq / col_sq.sum()
+        t = sk.sample_count
+        idx = np.sort(generator_from_seed(sk.seed).choice(m, size=t, replace=False, p=prob))
+        np.testing.assert_array_equal(sk.indices, idx)
+        np.testing.assert_array_equal(sk.weights, 1.0 / np.sqrt(t * prob[idx]))
+
+    def test_planted_head_falls_back_to_the_sketch(self):
+        a = random_sparse(make_gen(68), 200, 60, density=0.2)
+        k, eps, eta = 2, 0.5, 0.25
+        consts = SketchConstants(c_s=0.3)
+        kernels = []
+        for b in (a, plant_head(a)):
+            counter = MultiplyAddCounter()
+            sk = build_row_sampler(b, k, eps, eta, RandomStream(19), consts, counter)
+            assert not sk.clipped
+            kernels.append(sk.score_kernel)
+            col_sq, beta = sketches._norm_bound(b.csr.T)
+            fro = col_sq.sum()
+            if sk.score_kernel == "norms":
+                assert counter.count == 3 * b.nnz
+                assert fro / ((eta / eps) * (fro - k * beta)) <= k + eps / eta
+            else:
+                # a dominant rank-one head: k beta exceeds ||A||_F^2
+                assert fro - k * beta <= 0.0
+                assert counter.count == (3 + 2 * score_width(k, eps, eta)) * b.nnz
+        assert kernels == ["norms", "sketched"]
 
 
 class TestSketchedRidgeLeverage:
@@ -642,7 +714,7 @@ class TestRowSamplerReadsAInPlace:
     def test_peak_memory_is_one_m_by_w_array(self):
         m, n, nnz = 20000, 100, 60000
         k, eps, eta = 2, 0.5, 0.25
-        a = tall_sparse(66, m, n, nnz)
+        a = plant_head(tall_sparse(66, m, n, nnz))
         width = score_width(k, eps, eta)
         tracemalloc.start()
         try:
@@ -651,6 +723,7 @@ class TestRowSamplerReadsAInPlace:
         finally:
             tracemalloc.stop()
         assert not sk.clipped and width < n
+        assert sk.score_kernel == "sketched"
         # Omega, m x w, is the largest array; the O(nnz) part is each stored
         # entry's row index and squared value, freed before Omega is drawn.
         # A transposed copy of A and a second Omega would take 2 m w doubles.
@@ -661,7 +734,8 @@ class TestRowSamplerReadsAInPlace:
     def test_row_scores_bit_identical_to_the_column_kernel_on_the_transpose(
         self, shape, path, monkeypatch
     ):
-        a = random_sparse(make_gen(sum(shape)), *shape, density=0.2)
+        # the planted head keeps the row norms from certifying the scores
+        a = plant_head(random_sparse(make_gen(sum(shape)), *shape, density=0.2))
         assert max(shape) <= sketches.SCORE_BLOCK
         k, eps, eta = 2, 0.5, 0.25
         kernel = getattr(sketches, "_sketched_scores" if path == "sketched" else "_exact_scores")
@@ -674,6 +748,7 @@ class TestRowSamplerReadsAInPlace:
         monkeypatch.setattr(sketches, kernel.__name__, spy)
         sk = build_row_sampler(a, k, eps, eta, RandomStream(18), self.PATHS[path])
         assert len(raw) == 1 and not sk.clipped
+        assert sk.score_kernel == path
         if path == "sketched":
             want = sketched_ridge_leverage_scores(
                 a.transpose(), k, eta / eps, score_width(k, eps, eta), generator_from_seed(sk.seed)
@@ -696,14 +771,18 @@ class TestDenseGuard:
     def _diagonal(self, ncols):
         return SparseMatrix(self.n, ncols, np.arange(self.n), np.arange(self.n) % ncols, np.ones(self.n))
 
-    def test_small_budget_above_guard_samples_in_sketch_memory(self, monkeypatch):
-        # the sketched scores build no Gram matrix of the input, so a min
-        # dimension above the guard is sampled in O((m + n) w) memory
+    @pytest.mark.parametrize("kernel", ["norms", "sketched"])
+    def test_small_budget_above_guard_samples_in_sketch_memory(self, kernel, monkeypatch):
+        # neither the certified norms nor the sketched scores build a Gram
+        # matrix of the input, so a min dimension above the guard is sampled
+        # in O((m + n) w) memory; a planted head fails the norm certificate
         a = self._diagonal(self.n)
+        if kernel == "sketched":
+            a = plant_head(a)
         k, eps, eta = 1, 0.5, 0.1
 
         def densify(*_):
-            raise AssertionError("the sketched scores must not densify the input")
+            raise AssertionError("the row scores must not densify the input")
 
         monkeypatch.setattr(SparseMatrix, "to_dense", densify)
         tracemalloc.start()
@@ -714,7 +793,7 @@ class TestDenseGuard:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert not sk.clipped and not sk.degenerate
+        assert not sk.clipped and not sk.degenerate and sk.score_kernel == kernel
         assert sk.sample_count == sample_count(k, eps, eta, 1.0) < self.n
         assert np.all(np.isfinite(sk.weights))
         # about 1.5 (m + n) w doubles measured; a dense n x n array takes 200 MB

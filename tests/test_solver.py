@@ -9,6 +9,7 @@ import scipy.linalg
 from conftest import (
     lowrank_plus_noise,
     make_gen,
+    plant_head,
     random_orthonormal,
     random_rank_k,
     random_sparse,
@@ -616,61 +617,97 @@ def _score_width(k, eps, eta):
     return math.ceil(SketchConstants().c_lev * (k + eps / eta))
 
 
+LARGE_SQUARE_SOLVES = pytest.mark.parametrize(
+    "n, nnz, k, solve",
+    [
+        (20_000, 200_000, 10, lambda a, k: solve_generalized(
+            a, k, parse_loss("huber:1.0"), 0.5, RandomStream(5))),
+        (120_000, 240_000, 1, lambda a, k: solve_schatten(a, k, 1.0, 0.5, RandomStream(5))),
+    ],
+    ids=["huber_20000", "p1_120000"],
+)
+
+
+def _large_square(n, nnz):
+    gen = make_gen(n)
+    flat = gen.choice(n * n, size=nnz, replace=False)
+    return SparseMatrix(n, n, flat // n, flat % n, gen.uniform(0.5, 1.5, flat.size))
+
+
+def _traced_solve(solve, a, k, monkeypatch):
+    """``solve(a, k)``, its tracemalloc peak and the shapes given to ``scipy.linalg.eigh``."""
+    shapes = []
+    eigh = scipy.linalg.eigh
+
+    def eigh_spy(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return eigh(x, *args, **kwargs)
+
+    def densify(*_):
+        raise AssertionError(f"a {a.nrows}^2 solve must not densify")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", eigh_spy)
+    monkeypatch.setattr(SparseMatrix, "to_dense", densify)
+    tracemalloc.start()
+    try:
+        rep = solve(a, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.factors.y.shape == a.shape[:1] + (k,) and rep.factors.z.shape == (a.ncols, k)
+    np.testing.assert_allclose(rep.factors.z.T @ rep.factors.z, np.eye(k), atol=1e-10)
+    return rep, peak, shapes
+
+
 class TestSketchedScores:
+    # the planted head fails the norm certificate, so these score by the sketch;
+    # the failed certificate's 3 nnz(A) multiply-adds are counted too
     @pytest.mark.parametrize("shape", [(400, 200), (200, 400)])
     def test_s_scores_counts_the_score_sketch(self, shape):
-        a = generate_synthetic(*shape, 0.1, RandomStream(1))
+        a = plant_head(generate_synthetic(*shape, 0.1, RandomStream(1)))
         rep = solve_generalized(a, 3, HuberLoss(1.0), 0.5, RandomStream(2))
-        assert not rep.clipped
+        assert not rep.clipped and rep.score_kernel == "sketched"
         # a full-rank input keeps all w directions of the sketch: r = w
         width = _score_width(3, 0.5, rep.plan.eta1)
         assert width < min(shape)
-        assert rep.multiply_add_counts["s_scores"] == 2 * width * a.nnz
+        assert rep.multiply_add_counts["s_scores"] == (3 + 2 * width) * a.nnz
         clipped = solve_schatten(a, 3, 1.0, 0.5, RandomStream(2))
         assert clipped.clipped and "s_scores" not in clipped.multiply_add_counts
+        assert clipped.score_kernel is None
 
-    @pytest.mark.parametrize(
-        "n, nnz, k, solve",
-        [
-            (20_000, 200_000, 10, lambda a, k: solve_generalized(
-                a, k, parse_loss("huber:1.0"), 0.5, RandomStream(5))),
-            (120_000, 240_000, 1, lambda a, k: solve_schatten(a, k, 1.0, 0.5, RandomStream(5))),
-        ],
-        ids=["huber_20000", "p1_120000"],
-    )
+    @pytest.mark.parametrize("shape", [(400, 200), (200, 400)])
+    def test_s_scores_counts_the_certified_norms(self, shape):
+        a = generate_synthetic(*shape, 0.1, RandomStream(1))
+        rep = solve_generalized(a, 3, HuberLoss(1.0), 0.5, RandomStream(2))
+        assert not rep.clipped and rep.score_kernel == "norms"
+        assert rep.multiply_add_counts["s_scores"] == 3 * a.nnz
+
+    @LARGE_SQUARE_SOLVES
     def test_large_square_solves_run_in_sketch_memory(self, n, nnz, k, solve, monkeypatch):
         m = n
-        gen = make_gen(n)
-        flat = gen.choice(m * n, size=nnz, replace=False)
-        a = SparseMatrix(m, n, flat // n, flat % n, gen.uniform(0.5, 1.5, flat.size))
-        shapes = []
-        eigh = scipy.linalg.eigh
-
-        def eigh_spy(x, *args, **kwargs):
-            shapes.append(np.shape(x))
-            return eigh(x, *args, **kwargs)
-
-        def densify(*_):
-            raise AssertionError(f"a {n}^2 solve must not densify")
-
-        monkeypatch.setattr(scipy.linalg, "eigh", eigh_spy)
-        monkeypatch.setattr(SparseMatrix, "to_dense", densify)
-        tracemalloc.start()
-        try:
-            rep = solve(a, k)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        a = plant_head(_large_square(n, nnz))
+        rep, peak, shapes = _traced_solve(solve, a, k, monkeypatch)
         width = _score_width(k, 0.5, rep.plan.eta1)
-        assert not rep.clipped
-        assert rep.factors.y.shape == (m, k) and rep.factors.z.shape == (n, k)
-        np.testing.assert_allclose(rep.factors.z.T @ rep.factors.z, np.eye(k), atol=1e-10)
+        assert not rep.clipped and rep.score_kernel == "sketched"
         assert shapes and max(max(shape) for shape in shapes) <= width
-        assert rep.multiply_add_counts["s_scores"] == 2 * width * a.nnz
+        assert rep.multiply_add_counts["s_scores"] == (3 + 2 * width) * a.nnz
         # about 1.6 (m + n) w doubles measured at 20000^2 and 1.5 at 120000^2;
         # a dense A would take 3.2 GB at 20000^2, a dense 921-row SA 0.8 GB
         # at 120000^2
         assert peak < 3 * (m + n) * width * 8
+
+    @LARGE_SQUARE_SOLVES
+    def test_large_square_solves_certify_the_row_norms(self, n, nnz, k, solve, monkeypatch):
+        a = _large_square(n, nnz)
+        rep, peak, shapes = _traced_solve(solve, a, k, monkeypatch)
+        assert not rep.clipped and rep.score_kernel == "norms"
+        assert shapes == []  # no score factorization at all
+        assert rep.multiply_add_counts["s_scores"] == 3 * a.nnz
+        # about 3.4 nnz doubles measured at either size: the row norms'
+        # index and square temporaries (2 nnz), then SA's Krylov space and
+        # the factors; the sketched scores of the planted inputs above peak
+        # at 20 and 73 nnz doubles
+        assert peak < 4 * 8 * nnz + 2 * 8 * (a.nrows + a.ncols) * k
 
 
 class TestRelativeErrorConvention:
