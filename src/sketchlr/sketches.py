@@ -9,23 +9,21 @@ first tries the cheapest, squared row norms, in ``3 nnz(A)`` multiply-adds:
 every ridge score is at most ``||a_i||^2 / lam``, and a bound
 ``beta >= sigma_1(A)^2`` read off ``|A|`` gives a lower bound on ``lam``, so
 the norms are certified whenever their sum fits the sample budget
-(:func:`build_row_sampler`). Otherwise the scores are estimated in
-input-sparsity time: a Gaussian sketch ``B = A^T Omega`` of ``w`` columns
-spans the head of A's row space, and the scores come from a Rayleigh-Ritz
-projection ``A U`` of A onto it, at ``(w + r) nnz(A)`` sparse multiply-adds
-more. The row sampler reads A in place through its CSR and that array's
-CSC view: no copy of A, and on the tall inputs the solvers pass it, one
-``max(m, n) x w`` array at a time. A sketch no narrower than the input
-passes through to the exact scores of :func:`ridge_leverage_scores`, whose
-sparse Gram product converts one operand inside scipy. A
-sampler whose budget covers every nonzero row needs no scores at all and
+(:func:`build_row_sampler`). Otherwise the overestimates come from a
+Krylov basis of A's range: ``r = min(k, d)`` block Krylov directions ``Z``,
+``W = orth(A Z)`` and ``B = W^T A`` give ``B^T B <= A^T A``, whose ridge
+scores overestimate A's and sum to at most ``k + eps/eta`` whatever the
+basis, in ``O(k nnz(A))`` multiply-adds more. The row sampler reads A in
+place through its CSR and that array's CSC view: no copy of A, and arrays
+of ``m x k`` and ``n x k`` besides the ``O(nnz)`` temporaries of the norms.
+A sampler whose budget covers every nonzero row needs no scores at all and
 factorizes nothing, and applying one that keeps every row returns A itself.
 Otherwise ``SA`` is a :class:`SparseMatrix` of ``nnz(SA)`` entries, never a
 dense copy of the rows it keeps. Every sketch reads a dense A as the
 :class:`SparseMatrix` of its nonzeros, counts included.
 
-Every kernel here is one a solve runs; the two public score functions wrap
-the ones the row sampler calls, as references for the tests. The acceptance
+Every kernel here is one a solve runs, except :func:`ridge_leverage_scores`,
+the exact scores the tests compare the overestimates against. The acceptance
 checks C6-C8 test the CountSketch product bound, the sampler's Gram sandwich
 and the sketched regression bound through these kernels: a column sample of
 A is the row sampler on ``A^T``, and ``A R`` is ``(R^T A^T)^T``.
@@ -44,29 +42,34 @@ from .matrixcore import (
     ScaleLimitError,
     SparseMatrix,
     _ensure_sparse,
+    _orthonormal,
+    block_krylov,
     svd,  # noqa: F401  (stays importable as sketches.svd; perfbench's tests read it)
 )
 from .rng import RandomStream, generator_from_seed
 
 MODES = ("full_pipeline", "simplified_experiment")
-SCORE_BLOCK = 256  # scored rows (of A U for the row sampler) rotated and squared at a time
+# Krylov depth of the score kernel's basis of A's range. The depth moves only
+# the ridge, never the validity of the overestimates. On six planted-head
+# inputs with 400 columns, the overestimates fell to 0.68 of the exact scores
+# at the paper's ridge at depth 0 and to 0.97 at depth 1; at depth 2 they
+# were at least 1.002 of them everywhere, and depth 3 changed nothing.
+SCORE_DEPTH = 2
 
 
 @dataclass(frozen=True)
 class SketchConstants:
-    """Tunable constants behind the Theta(.) sketch sizes.
+    """Tunable constant behind the Theta(.) sketch sizes.
 
-    They scale the sample count of S and the width of its score sketch; the
-    error split eta1 is taken at unit scale. Defaults are calibrated so the
-    desk-scale acceptance suite passes. The regression is exact, so S
-    (scores included) is the only sketch drawn from the solve's stream and
-    carries the whole failure budget; the block Krylov start block comes
-    from a fixed seed. The source analysis only fixes a constant success
-    probability per sketch.
+    It scales the sample count of S; the error split eta1 is taken at unit
+    scale. The default is calibrated so the desk-scale acceptance suite
+    passes. The regression is exact, so S is the only sketch drawn from the
+    solve's stream and carries the whole failure budget; every block Krylov
+    start block, the scores' included, comes from a fixed seed. The source
+    analysis only fixes a constant success probability per sketch.
     """
 
     c_s: float = 8.0  # row sample count
-    c_lev: float = 8.0  # ridge-score sketch width, in units of k + eps/eta
 
 
 DEFAULT_CONSTANTS = SketchConstants()
@@ -118,9 +121,9 @@ class SamplingSketch:
     rescaling factors. When every retained position is kept (``clipped``),
     the weights are exactly one and the sketch is lossless.
     ``score_kernel`` names the kernel that scored the rows: ``"norms"``
-    (certified squared row norms), ``"sketched"`` or ``"exact"`` ridge
-    leverage scores, or ``None`` when none ran (a budget that covers every
-    nonzero row, or the zero matrix).
+    (certified squared row norms), ``"krylov"`` (overestimates from a Krylov
+    basis of A's range), or ``None`` when none ran (a budget that covers
+    every nonzero row, or the zero matrix).
     """
 
     source_dim: int
@@ -184,26 +187,18 @@ def ridge_leverage_scores(a, k: int, ridge_scale: float) -> np.ndarray:
     below ``d * eps_mach * lambda_max`` count as null, which floors the
     rounding tail at zero. Refuses with :class:`~sketchlr.matrixcore.ScaleLimitError`,
     before building any dense array, when the Gram matrix would exceed
-    ``DENSE_GUARD``.
+    ``DENSE_GUARD``. No solve runs it: it is the tests' reference for the
+    overestimates :func:`build_row_sampler` draws by.
     """
-    return _exact_scores(_ensure_sparse(a).csr, k, ridge_scale)
-
-
-def _exact_scores(x, k: int, ridge_scale: float) -> np.ndarray:
-    """:func:`ridge_leverage_scores` of the columns of the scipy sparse ``x``.
-
-    ``x`` is a CSR array or the CSC view ``.T`` of one, so the row sampler
-    scores the rows of A without transposing it first (scipy converts one
-    operand of the sparse Gram product).
-    """
+    x = _ensure_sparse(a).csr
     m, n = x.shape
     d = min(m, n)
     if d > DENSE_GUARD:
         raise ScaleLimitError(
             f"exact leverage scores need a dense {d}x{d} Gram matrix; min dim {d} "
-            f"exceeds the guard DENSE_GUARD={DENSE_GUARD}; use the sketched scores "
-            "(the row sampler does when its width c_lev (k + eps/eta) is below "
-            "min(m, n)) or solve in simplified_experiment mode"
+            f"exceeds the guard DENSE_GUARD={DENSE_GUARD}; build_row_sampler scores "
+            "rows from a Krylov basis of A, with no Gram matrix of A, or solve in "
+            "simplified_experiment mode"
         )
     gram = (x @ x.T if m <= n else x.T @ x).toarray()
     lam, vecs = scipy.linalg.eigh(gram, overwrite_a=True, driver="evd")
@@ -219,99 +214,63 @@ def _exact_scores(x, k: int, ridge_scale: float) -> np.ndarray:
     return (vecs**2) @ (lam / (lam + ridge))
 
 
-def sketched_ridge_leverage_scores(
-    a,
+def _krylov_scores(
+    a: SparseMatrix,
     k: int,
     ridge_scale: float,
-    width: int,
-    gen: np.random.Generator,
-    counter: MultiplyAddCounter | None = None,
-) -> np.ndarray:
-    """Column ridge leverage scores estimated from a Gaussian sketch of the range of A.
-
-    ``B = A Omega`` with ``Omega`` an ``n x width`` Gaussian drawn from
-    ``gen`` (variance ``1/width``). The eigenpairs of the ``width x width``
-    Gram matrix ``B^T B``, with the null floor of
-    :func:`ridge_leverage_scores`, give an orthonormal basis
-    ``U = B V Lambda^{-1/2}`` of its r live directions, and ``C = U^T A``.
-    ``C`` is rotated onto the eigenbasis of ``C C^T`` (Rayleigh-Ritz), so
-    the squared row norms ``mu_i`` of C are the Ritz values of ``A A^T`` on
-    that span. The tail ``||A||_F^2 - sum_{i<=k} mu_i`` is the cost of
-    projecting A onto its best k directions within the span, never below
-    ``||A - A_k||_F^2``; it is floored to 0 at ``d eps_mach ||A||_F^2``. With
-    ridge ``lam = ridge_scale * tail`` the scores are
-    ``sum_i C_ij^2 / (mu_i + lam) + max(||a_j||^2 - sum_i C_ij^2, 0) / lam``,
-    the second term dropped when ``lam`` is 0. They are exact when
-    ``rank(A) <= r``, and zero columns score exactly 0 (all of them when A
-    has no stored entries).
-
-    The sparse work, ``B`` and ``C``, is exactly ``(width + r) nnz(A)``
-    multiply-adds and is reported through ``counter``; the rest is
-    ``O((m + n) width^2)`` dense work. Of the ``n x width`` arrays, one is
-    live at a time: ``Omega`` is scaled in place and freed once ``B`` is
-    formed, and ``C`` is rotated, squared and reduced ``SCORE_BLOCK``
-    columns at a time. ``B`` and ``U`` are ``m x width`` each.
-    """
-    x = _ensure_sparse(a).csr
-    return _sketched_scores(x, k, ridge_scale, width, gen, counter, _col_sq(x))
-
-
-def _col_sq(x) -> np.ndarray:
-    """Squared column norms of the scipy sparse ``x``, a CSR array or the CSC view of one."""
-    n = x.shape[1]
-    # the column of each stored entry, an O(nnz) temporary
-    col = x.indices if x.format == "csr" else np.repeat(np.arange(n), np.diff(x.indptr))
-    return np.bincount(col, weights=np.square(x.data), minlength=n)
-
-
-def _sketched_scores(
-    x,
-    k: int,
-    ridge_scale: float,
-    width: int,
-    gen: np.random.Generator,
     counter: MultiplyAddCounter | None,
-    col_sq: np.ndarray,
-) -> np.ndarray:
-    """:func:`sketched_ridge_leverage_scores` of the columns of the scipy sparse ``x``.
+    row_sq: np.ndarray,
+) -> tuple[np.ndarray, float]:
+    """Overestimates of the row ridge leverage scores of A from a Krylov basis of its range.
 
-    ``x`` is a CSR array or the CSC view ``.T`` of one, as in
-    :func:`_exact_scores`, and ``col_sq`` its :func:`_col_sq`.
+    ``row_sq`` holds A's squared row norms. With ``r = min(k, d)``, ``Z`` is
+    the right block of :func:`~sketchlr.matrixcore.block_krylov` at depth
+    ``min(SCORE_DEPTH, d // r - 1)``, ``W = orth(A Z)`` and ``B = W^T A``,
+    whose Gram matrix ``B^T B = V diag(mu) V^T`` comes from the ``r x r``
+    ``B B^T``. For any orthonormal W, ``B^T B <= A^T A``, so with any ridge
+    ``lam`` every ``tau_i(lam) <= a_i^T (B^T B + lam I)^-1 a_i``, which is
+    ``sum_j (A v_j)_i^2 / (mu_j + lam) + (||a_i||^2 - sum_j (A v_j)_i^2) / lam``
+    (Cohen, Lee, Musco, Musco, Peng & Sidford, ITCS 2015). The ridge is
+    ``lam' = ridge_scale (||A||_F^2 - ||B||_F^2)``, ``ridge_scale`` times
+    ``||(I - W W^T) A||_F^2 >= ||A - A_r||_F^2``, so it is at least the
+    ridge of rank r; the overestimates then sum to at most
+    ``r + 1 / ridge_scale``, whatever W is. A tail at or below
+    ``d eps_mach ||A||_F^2`` is rounding: ``lam'`` is 0 and the second term
+    is dropped (A lies in ``range(W)``), so the scores are A's leverage
+    scores. Eigenvalues ``mu_j`` at or below ``d eps_mach mu_1`` count as
+    null, and an empty row scores exactly 0 (its ``A v_j`` and
+    ``||a_i||^2`` are).
+
+    Returns the scores and ``lam'``. The sparse work, ``A Z``, ``W^T A`` and
+    ``A V``, is ``3 r nnz(A)`` multiply-adds (fewer columns of V when B has
+    null directions) and goes to ``counter`` with the Krylov products. The
+    arrays are ``m x r`` and ``n x r``.
     """
-    n = x.shape[1]
-    floor = min(x.shape) * np.finfo(float).eps
-    omega = gen.standard_normal((n, width))
-    omega /= math.sqrt(width)
-    b = x @ omega
-    del omega
-    lam, vecs = scipy.linalg.eigh(b.T @ b, overwrite_a=True, driver="evd")
-    live = lam > floor * lam[-1]
-    u = b @ (vecs[:, live] / np.sqrt(lam[live]))
-    del b
-    c = (x.T @ u).T
+    x = a.csr
+    d = min(x.shape)
+    r = min(k, d)
+    floor = d * np.finfo(float).eps
+    _, z = block_krylov(a, r, min(SCORE_DEPTH, d // r - 1), counter)
+    w = _orthonormal(x @ z)
+    bt = x.T @ w  # B^T, n x r
+    del w
+    mu, rot = np.linalg.eigh(bt.T @ bt)  # ascending
+    live = mu > floor * mu[-1]
+    mu = mu[live]
+    av_sq = np.square(x @ (bt @ (rot[:, live] / np.sqrt(mu))))  # (A V)^2, m x r
     if counter is not None:
-        counter.add((width + u.shape[1]) * x.nnz)
-    del u
-    mu, rot = scipy.linalg.eigh(c @ c.T, overwrite_a=True, driver="evd")
-    mu, rot = mu[::-1], rot[:, ::-1]
-    live = mu > floor * mu[:1]  # mu is empty when the sketch of A is all zero
-    mu, rot = mu[live], rot[:, live]
-    fro = float(col_sq.sum())
-    tail = fro - float(mu[:k].sum())
+        counter.add((2 * r + mu.size) * x.nnz)
+    fro = float(row_sq.sum())
+    tail = fro - float(np.square(bt).sum())
     ridge = ridge_scale * tail if tail > floor * fro else 0.0
-    inv = 1.0 / (mu + ridge)
-    tau = np.empty(n)
-    for lo in range(0, n, SCORE_BLOCK):
-        cols = slice(lo, lo + SCORE_BLOCK)
-        c_sq = np.square(rot.T @ c[:, cols])
-        tau[cols] = inv @ c_sq
-        if ridge > 0.0:
-            tau[cols] += np.maximum(col_sq[cols] - c_sq.sum(axis=0), 0.0) / ridge
-    return tau
+    tau = av_sq @ (1.0 / (mu + ridge))
+    if ridge > 0.0:
+        tau += np.maximum(row_sq - av_sq.sum(axis=1), 0.0) / ridge
+    return tau, ridge
 
 
 def _norm_bound(x) -> tuple[np.ndarray, float]:
-    """Squared column norms of the scipy sparse ``x`` and ``beta >= ||x||_2^2``.
+    """Squared column norms of ``x``, the CSC view ``A.csr.T``, and ``beta >= ||x||_2^2``.
 
     ``beta = max_j (|x| (|x|^T 1))_j`` is the largest row sum of the
     nonnegative ``|x| |x|^T``, so it bounds that matrix's spectral radius,
@@ -322,7 +281,9 @@ def _norm_bound(x) -> tuple[np.ndarray, float]:
     abs_x = type(x)((np.abs(x.data), x.indices, x.indptr), shape=x.shape)
     beta = float(np.max(abs_x @ (abs_x.T @ np.ones(x.shape[0]))))
     del abs_x  # before the O(nnz) temporaries of the squares
-    return _col_sq(x), beta
+    n = x.shape[1]
+    col = np.repeat(np.arange(n), np.diff(x.indptr))  # each stored entry's column, O(nnz)
+    return np.bincount(col, weights=np.square(x.data), minlength=n), beta
 
 
 def build_row_sampler(
@@ -364,20 +325,22 @@ def build_row_sampler(
     Approximation*, ITCS 2015) give the overestimate argument. A dominant
     head (``k beta`` near ``||A||_F^2``) fails it.
 
-    When it fails, the scores come from
-    :func:`sketched_ridge_leverage_scores` of the columns of ``A^T`` (a
-    sketch ``A^T Omega``, then ``A U`` and the row sums of squares) on
-    ``w = ceil(c_lev (k + eps/eta))`` columns, drawn from this sampler's
-    own seed before the indices; its sparse work, ``(w + r) nnz(A)``, goes
-    to ``counter``. The sample count does not depend on ``w``. Over 36,000
-    tall, wide, square, sparse and rank-deficient inputs of 70 to 160 rows
-    and columns, sketched over exact normalized probabilities ranged
-    0.87..1.19, and were equal to rounding when ``rank(A) <= r``. When
-    ``w >= min(m, n)`` the sketch would not be narrower than the input, so
-    the exact :func:`ridge_leverage_scores` (from the Gram matrix of A's
-    smaller side) pass through instead and no Gaussian is drawn. On every path,
-    a structurally zero row scores exactly 0, so it is never drawn or kept.
-    The zero matrix gets a uniform sample (``degenerate``).
+    When it fails, the overestimates come from a Krylov basis of A's range
+    (``score_kernel`` ``"krylov"``, :func:`_krylov_scores`): ``r = min(k,
+    d)`` directions of a depth-``SCORE_DEPTH`` block Krylov space give
+    ``B = W^T A`` with ``B^T B <= A^T A``, so the ridge scores of ``B^T B``
+    overestimate A's. They sum to at most ``r + eps/eta <= K``, always, and
+    their ridge ``lam' = (eta/eps) ||(I - W W^T) A||_F^2`` is at least
+    ``lam``, so the sandwich holds with ``eta ||(I - W W^T) A||_F^2`` in
+    place of ``eta ||A - A_k||_F^2``; a good basis makes the two close.
+    (Cohen, Musco & Musco, *Input Sparsity Time Low-Rank Approximation via
+    Ridge Leverage Score Sampling*, SODA 2017.) Its sparse work,
+    ``2 r (depth + 1) nnz(A)`` for the Krylov space (``r nnz(A)`` more on a
+    wide A) and ``3 r nnz(A)`` for the scores, goes to ``counter``; it
+    starts from the fixed ``KRYLOV_SEED``, so nothing is drawn from the
+    sampler's generator before the indices. A structurally zero row scores
+    exactly 0, so it is never drawn or kept. The zero matrix gets a uniform
+    sample (``degenerate``).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -407,16 +370,12 @@ def build_row_sampler(
             counter.add(3 * x.nnz)
         fro = float(tau.sum())
         tail = fro - k * beta  # at most ||A - A_k||_F^2
-        width = int(math.ceil(constants.c_lev * (k + eps / eta)))
         if tail > 0.0 and fro / (eta / eps * tail) <= k + eps / eta:
             kernel = "norms"
-        elif width < min(a.shape):
-            kernel = "sketched"
-            tau = _sketched_scores(x, k, eta / eps, width, gen, counter, tau)
         else:
-            kernel = "exact"
-            tau = _exact_scores(x, k, eta / eps)
-        # the exact scores leave rounding (about 1e-30) on an empty row
+            kernel = "krylov"
+            tau, _ = _krylov_scores(a, k, eta / eps, counter, tau)
+        # an empty row is never drawn or kept, whatever rounding a kernel leaves on it
         tau[row_nnz == 0] = 0.0
         support = np.flatnonzero(tau > 0.0)
     if t >= support.size:
@@ -479,8 +438,10 @@ def make_sketch_plan(
     ``eta1 = eps^{1+2/p} / (k^{2/p} n^{1-2/p})`` for p >= 2;
     ``r_kyfan = ceil(k/eps)``. In full_pipeline mode
     ``s_rows = min(sample_count(k, eps, eta1, c_s), m)``; in
-    simplified_experiment mode ``s_rows = k^2`` CountSketch rows. The plan
-    has no regression width: every solve regresses exactly, ``Y = A Z``.
+    simplified_experiment mode ``s_rows = k^2`` CountSketch rows
+    (:func:`_sized_plan`, which :func:`~sketchlr.solver.solve_generalized`
+    calls with its own ``eta1``). The plan has no regression width: every
+    solve regresses exactly, ``Y = A Z``.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -496,7 +457,17 @@ def make_sketch_plan(
         eta1 = (eps * eps / k) ** (2.0 / p)
     else:
         eta1 = eps ** (1.0 + 2.0 / p) / (k ** (2.0 / p) * n ** (1.0 - 2.0 / p))
-    eta1 = min(eta1, 1.0)
+    return _sized_plan(m, k, eps, min(eta1, 1.0), mode, constants)
+
+
+def _sized_plan(
+    m: int, k: int, eps: float, eta1: float, mode: str, constants: SketchConstants
+) -> SketchPlan:
+    """The plan of a solve of an m-row input at error split ``eta1``.
+
+    ``r_kyfan = ceil(k/eps)``, and ``s_rows`` is ``k^2`` CountSketch rows in
+    simplified_experiment mode, else ``min(sample_count(k, eps, eta1, c_s), m)``.
+    """
     if mode == "simplified_experiment":
         s_rows = k * k
     else:

@@ -72,12 +72,12 @@ from .sketches import (
     DEFAULT_CONSTANTS,
     SketchConstants,
     SketchPlan,
+    _sized_plan,
     apply_countsketch_left,
     apply_row_sampler,
     build_countsketch,
     build_row_sampler,
     make_sketch_plan,
-    sample_count,
 )
 
 # relative threshold below which the optimal residual counts as zero and the
@@ -110,21 +110,22 @@ class SolveReport:
     on its row count, A is zero, or the solve is in simplified mode):
     ``3 nnz(A)`` for the squared row norms and the two
     products with ``|A|`` that test whether the norms certify the ridge
-    scores, plus, when they do not, ``(w + r) nnz(A)`` for the score
-    sketch ``A Omega`` and the projection ``U^T A`` of the sketched scores
-    (nothing more for the exact ones). ``score_kernel`` names the kernel
-    that scored the rows (:class:`~sketchlr.sketches.SamplingSketch`):
-    ``"norms"``, ``"sketched"``, ``"exact"``, or ``None`` when none ran.
+    scores, plus, when they do not, the Krylov overestimates: ``2 k (q' +
+    1) nnz(A)`` for a block Krylov space of A at depth
+    ``q' = min(SCORE_DEPTH, n // k - 1)`` and ``3 k nnz(A)`` for ``A Z``,
+    ``W^T A`` and ``A V`` (:func:`~sketchlr.sketches.build_row_sampler`).
+    ``score_kernel`` names the kernel that scored the rows
+    (:class:`~sketchlr.sketches.SamplingSketch`): ``"norms"``,
+    ``"krylov"``, or ``None`` when none ran.
     ``regression`` is ``k nnz(A)`` for ``Y = A Z``. Not counted: the
-    factorizations (the ``w x w`` and ``r x r`` Gram eigendecompositions of
-    the sketched scores or the full one of the exact scores, and the
-    ``eigh`` in ``top_singular`` and of the block Krylov ``H``), the
-    products that feed them (the sparse Gram product of the exact scores
-    included), the block Krylov basis work (three projections and two QRs
-    a block, about ``3 d k^2 q^2`` multiply-adds, and ``Q S_k``) and the
-    ``n k^2`` Cholesky-QR step on ``Z``. ``elapsed`` times the stages
-    ``s_apply`` (scores included), ``svd_sat`` (the top-k of ``SA``),
-    ``regression`` and, with the oracle, ``oracle``.
+    factorizations (the ``eigh`` in ``top_singular``, of each block Krylov
+    ``H`` and of the scores' ``k x k`` ``B B^T``, and the QR of ``A Z``),
+    the products that feed them, the block Krylov basis work (three
+    projections and two QRs a block, about ``3 d k^2 q^2`` multiply-adds,
+    and ``Q S_k``) and the ``n k^2`` Cholesky-QR step on ``Z``.
+    ``elapsed`` times the stages ``s_apply`` (scores included),
+    ``svd_sat`` (the top-k of ``SA``), ``regression`` and, with the
+    oracle, ``oracle``.
     ``relative_error`` is only present when the exact oracle was run.
     ``clipped`` flags a row sampler ``S`` that kept every nonzero row.
     ``fallback_used`` is always ``False``: the regression is exact and has
@@ -515,17 +516,10 @@ def solve_generalized(
             + "; ".join(cond.violated_conditions())
         )
     alpha = max(cond.alpha, 1e-6)
-    r_head = int(math.ceil(k / eps))
-    eta1 = min((eps / r_head) ** (1.0 / alpha), eps)
-    plan = SketchPlan(
-        eta1=eta1,
-        r_kyfan=r_head,
-        s_rows=min(sample_count(k, eps, eta1, constants.c_s), work.nrows),
-        mode="full_pipeline",
-    )
+    eta1 = min((eps / math.ceil(k / eps)) ** (1.0 / alpha), eps)
     report = SolveReport(
         factors=None,  # type: ignore[arg-type]
-        plan=plan,
+        plan=_sized_plan(work.nrows, k, eps, eta1, "full_pipeline", constants),
         transposed=transposed,
         warnings=warnings,
         condition_report=cond,

@@ -40,7 +40,7 @@ def plant_head(a: SparseMatrix) -> SparseMatrix:
 
     The block is a dominant rank-one part, so the squared row norms no longer
     certify the ridge leverage scores (``sketches.build_row_sampler``) and the
-    row sampler scores by the sketched or the exact kernel.
+    row sampler scores by the Krylov kernel.
     """
     size, scale = 5, 100.0
     rows, cols, vals = a.triplets()

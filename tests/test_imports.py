@@ -30,7 +30,6 @@ STORAGE_HELPERS = ("_ensure_sparse", "_check_dense")
 UNREAD_KEEP = (
     "exact_oracle",
     "ridge_leverage_scores",
-    "sketched_ridge_leverage_scores",
     "read_trials_csv",
     "read_summary_csv",
 )

@@ -31,7 +31,7 @@ from sketchlr import (
 )
 from sketchlr.matrixcore import DENSE_GUARD
 from sketchlr.rng import generator_from_seed
-from sketchlr.sketches import ridge_leverage_scores, sketched_ridge_leverage_scores
+from sketchlr.sketches import ridge_leverage_scores
 
 
 def materialize(op: CountSketchOperator) -> np.ndarray:
@@ -315,73 +315,57 @@ class TestRidgeLeverage:
             atol=0,
         )
 
-    @pytest.mark.parametrize("sparse", [False, True])
-    @pytest.mark.parametrize("shape", [(40, 70), (70, 40)])
-    def test_samples_equal_svd_formula_samples(self, shape, sparse):
-        # the scores feed the same draw: same indices, weights to rounding
-        a, dense = random_input(7 * sum(shape) + sparse, *shape, sparse)
-        k, eps, eta = 3, 0.5, 0.2
-        consts = SketchConstants(c_s=0.3)
-        sk = build_row_sampler(transposed(a), k, eps, eta, RandomStream(91), consts)
-        t = sample_count(k, eps, eta, consts.c_s)
-        assert not sk.clipped and t < shape[1]
-        prob = svd_ridge_leverage(dense, k, eta / eps)
-        prob /= prob.sum()
-        idx = np.sort(generator_from_seed(sk.seed).choice(shape[1], size=t, replace=False, p=prob))
-        np.testing.assert_array_equal(sk.indices, idx)
-        np.testing.assert_allclose(sk.weights, 1.0 / np.sqrt(t * prob[idx]), rtol=1e-10)
+
+def spy_on_krylov_scores(monkeypatch):
+    """A list that gets a copy of each ``(scores, ridge)`` the Krylov kernel returns."""
+    out = []
+    kernel = sketches._krylov_scores
+
+    def spy(*args, **kwargs):
+        tau, ridge = kernel(*args, **kwargs)
+        out.append((tau.copy(), ridge))
+        return tau, ridge
+
+    monkeypatch.setattr(sketches, "_krylov_scores", spy)
+    return out
 
 
-class TestEmptyColumnScores:
+class TestEmptyRowScores:
     EMPTY = 17
-
-    def _spy(self, monkeypatch):
-        raw = []
-        kernel = sketches._exact_scores
-
-        def spy(*args, **kwargs):
-            tau = kernel(*args, **kwargs)
-            raw.append(tau.copy())
-            return tau
-
-        monkeypatch.setattr(sketches, "_exact_scores", spy)
-        return raw
 
     @pytest.mark.parametrize("sparse", [False, True])
     @pytest.mark.parametrize("shape", [(71, 70), (70, 71)])
-    def test_exact_scores_give_an_empty_column_zero(self, shape, sparse, monkeypatch):
-        # 71x70 runs the A^T A branch, which leaves about 1e-30 on the empty
-        # column; 70x71 runs the A A^T branch. The planted head keeps the
-        # column norms from certifying the scores, so the exact kernel runs
+    def test_krylov_scores_give_an_empty_row_zero(self, shape, sparse, monkeypatch):
+        # the planted head keeps the row norms from certifying the scores,
+        # so the Krylov kernel runs, on a wide and on a tall A
         gen = make_gen(sum(shape) + sparse)
         dense = plant_head(random_sparse(gen, *shape, density=0.1)).to_dense()
-        dense[:, self.EMPTY] = 0.0
+        dense[self.EMPTY] = 0.0
         a = SparseMatrix.from_dense(dense) if sparse else dense
-        raw = self._spy(monkeypatch)
+        out = spy_on_krylov_scores(monkeypatch)
         k, eps, eta = 3, 0.5, 0.2
-        consts = SketchConstants(c_s=0.3, c_lev=1e3)
-        sk = build_row_sampler(transposed(a), k, eps, eta, RandomStream(93), consts)
-        assert len(raw) == 1 and not sk.clipped
-        assert sk.score_kernel == "exact"
-        assert abs(raw[0][self.EMPTY]) <= 1e-20 * raw[0].max()
+        consts = SketchConstants(c_s=0.3)
+        sk = build_row_sampler(a, k, eps, eta, RandomStream(93), consts)
+        [(tau, _)] = out
+        assert not sk.clipped and sk.score_kernel == "krylov"
+        assert tau[self.EMPTY] == 0.0
         assert self.EMPTY not in sk.indices
-        # the other scores feed the draw unchanged, bit for bit
-        tau = raw[0].copy()
-        tau[self.EMPTY] = 0.0
+        # the scores feed the draw unchanged, bit for bit
         prob = tau / tau.sum()
         t = sample_count(k, eps, eta, consts.c_s)
         idx = np.sort(
-            generator_from_seed(sk.seed).choice(shape[1], size=t, replace=False, p=prob)
+            generator_from_seed(sk.seed).choice(shape[0], size=t, replace=False, p=prob)
         )
         np.testing.assert_array_equal(sk.indices, idx)
         np.testing.assert_array_equal(sk.weights, 1.0 / np.sqrt(t * prob[idx]))
 
-    def test_rounding_on_an_empty_column_never_enters_a_clipped_sample(self, monkeypatch):
-        # scores that are 0 on all but t nonzero columns clip the sample to
-        # those t; rounding on the empty column must not add it
-        dense = make_gen(94).standard_normal((50, 40))
-        dense[:, self.EMPTY] = 0.0
-        consts = SketchConstants(c_s=0.3, c_lev=1e3)
+    def test_rounding_on_an_empty_row_never_enters_a_clipped_sample(self, monkeypatch):
+        # scores that are 0 on all but t nonzero rows clip the sample to
+        # those t; rounding on the empty row must not add it. A Gaussian
+        # fails the norm certificate, so the score kernel runs
+        dense = make_gen(94).standard_normal((40, 50))
+        dense[self.EMPTY] = 0.0
+        consts = SketchConstants(c_s=0.3)
         t = sample_count(3, 0.5, 0.2, consts.c_s)
         keep = np.arange(20, 20 + t)
         assert 20 + t <= 40
@@ -390,33 +374,20 @@ class TestEmptyColumnScores:
             tau = np.zeros(40)
             tau[keep] = 1.0
             tau[self.EMPTY] = 7.6e-31
-            return tau
+            return tau, 1.0
 
-        monkeypatch.setattr(sketches, "_exact_scores", scores)
-        sk = build_row_sampler(transposed(dense), 3, 0.5, 0.2, RandomStream(95), consts)
-        assert sk.clipped
+        monkeypatch.setattr(sketches, "_krylov_scores", scores)
+        sk = build_row_sampler(dense, 3, 0.5, 0.2, RandomStream(95), consts)
+        assert sk.clipped and sk.score_kernel == "krylov"
         np.testing.assert_array_equal(sk.indices, keep)
 
 
-def score_width(k, eps, eta):
-    return math.ceil(SketchConstants().c_lev * (k + eps / eta))
-
-
-def sketched_scores(a, k, eps, eta, seed, counter=None):
-    width = score_width(k, eps, eta)
-    assert width < min(a.shape)
-    return sketched_ridge_leverage_scores(
-        a, k, eta / eps, width, generator_from_seed(seed), counter
-    )
-
-
-def scored_input(family, m, n, rank, seed):
-    gen = make_gen(seed)
-    if family == "noisy":
-        return lowrank_plus_noise(gen, m, n, rank)
-    if family == "exact":
-        return gen.standard_normal((m, rank)) @ gen.standard_normal((rank, n))
-    return random_sparse(gen, m, n, density=0.1)
+def krylov_counts(k, a):
+    """``s_scores`` of a Krylov-scored sample: the norms, the Krylov space and the scores."""
+    d = min(a.shape)
+    depth = min(sketches.SCORE_DEPTH, d // k - 1)
+    wide = a.shape[0] < a.shape[1]
+    return (3 + 2 * k * (depth + 1) + k * wide + 3 * k) * a.nnz
 
 
 class TestNormCertificate:
@@ -467,7 +438,7 @@ class TestNormCertificate:
         np.testing.assert_array_equal(sk.indices, idx)
         np.testing.assert_array_equal(sk.weights, 1.0 / np.sqrt(t * prob[idx]))
 
-    def test_planted_head_falls_back_to_the_sketch(self):
+    def test_planted_head_falls_back_to_the_krylov_scores(self):
         a = random_sparse(make_gen(68), 200, 60, density=0.2)
         k, eps, eta = 2, 0.5, 0.25
         consts = SketchConstants(c_s=0.3)
@@ -485,138 +456,106 @@ class TestNormCertificate:
             else:
                 # a dominant rank-one head: k beta exceeds ||A||_F^2
                 assert fro - k * beta <= 0.0
-                assert counter.count == (3 + 2 * score_width(k, eps, eta)) * b.nnz
-        assert kernels == ["norms", "sketched"]
+                assert counter.count == krylov_counts(k, b)
+        assert kernels == ["norms", "krylov"]
 
 
-class TestSketchedRidgeLeverage:
-    # Worst sketched/exact probability ratios seen over 36,000 inputs drawn
-    # as in the property below: 0.87..1.19 on rank-1..40-plus-noise inputs,
-    # 0.97..1.05 on sparse inputs and on exact ranks above w, and 1 to
-    # rounding on exact ranks up to w. The bound leaves a margin on both.
-    RATIO_BOUNDS = (0.75, 4.0 / 3.0)
+def headed_input(m, n, density, empty, seed):
+    """A random sparse A under a planted head, with ``empty`` of its rows zeroed."""
+    gen = make_gen(seed)
+    dense = plant_head(random_sparse(gen, m, n, density)).to_dense()
+    dense[gen.choice(np.arange(5, m), size=min(empty, m - 5), replace=False)] = 0.0
+    return dense
 
-    @settings(max_examples=40, deadline=None)
+
+class TestKrylovScores:
+    """The overestimates the row sampler draws by when the norms do not certify."""
+
+    @settings(max_examples=60, deadline=None)
     @given(
-        orient=st.sampled_from(["tall", "wide", "square"]),
-        family=st.sampled_from(["noisy", "exact", "sparse"]),
-        small=st.integers(70, 100),
-        extra=st.integers(1, 60),
-        rank=st.integers(1, 40),
-        k=st.integers(1, 3),
-        eta=st.floats(0.1, 0.5),
+        m=st.integers(12, 150),
+        n=st.integers(6, 60),
+        density=st.floats(0.05, 0.6),
+        empty=st.integers(0, 4),
+        k=st.integers(1, 4),
+        eps=st.floats(0.05, 0.5),
+        eta_frac=st.floats(0.05, 1.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_property_probabilities_near_exact(
-        self, orient, family, small, extra, rank, k, eta, seed
+    def test_property_overestimates_fit_the_budget(
+        self, m, n, density, empty, k, eps, eta_frac, seed
     ):
-        m, n = {
-            "tall": (small + extra, small),
-            "wide": (small, small + extra),
-            "square": (small, small),
-        }[orient]
-        a = scored_input(family, m, n, rank, seed)
-        eps = 0.5
-        exact = ridge_leverage_scores(a, k, eta / eps)
-        tau = sketched_scores(a, k, eps, eta, seed)
-        dense = a.to_dense() if isinstance(a, SparseMatrix) else a
-        live = np.any(dense != 0.0, axis=0)
-        assert np.all(tau[~live] == 0.0) and np.all(tau[live] > 0.0)
-        ratio = (tau[live] / tau.sum()) / (exact[live] / exact[live].sum())
-        lo, hi = self.RATIO_BOUNDS
-        assert lo <= ratio.min() and ratio.max() <= hi
+        # hypothesis cannot hold a monkeypatch fixture across examples
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            out = spy_on_krylov_scores(monkeypatch)
+            dense = headed_input(m, n, density, empty, seed)
+            eta = eta_frac * eps
+            consts = SketchConstants(c_s=1e-3)
+            sk = build_row_sampler(dense, k, eps, eta, RandomStream(seed), consts)
+        if sk.score_kernel != "krylov":
+            return
+        [(tau_tilde, ridge)] = out
+        assert tau_tilde.sum() <= (k + eps / eta) * (1.0 + 1e-12)
+        zero = ~np.any(dense != 0.0, axis=1)
+        assert np.all(tau_tilde[zero] == 0.0) and np.all(tau_tilde[~zero] > 0.0)
+        # the exact scores at the kernel's ridge, lam' = (eta/eps) ||(I - W W^T) A||_F^2
+        s2 = np.linalg.svd(dense, compute_uv=False) ** 2
+        tail = float(np.sum(s2[k:]))
+        if ridge > 0.0:
+            assert ridge >= (eta / eps) * tail * (1.0 - 1e-9)
+        else:
+            assert tail <= 1e-9 * s2.sum()  # A lies in the Krylov basis's span
+        tau = ridge_leverage_scores(dense.T, k, ridge / tail if tail > 0.0 else 0.0)
+        assert np.all(tau <= tau_tilde * (1.0 + 1e-9) + 1e-12)
+        # the draw is by the overestimates, and the first one from the seed
+        prob = tau_tilde / tau_tilde.sum()
+        t = sk.sample_count
+        idx = np.sort(generator_from_seed(sk.seed).choice(m, size=t, replace=False, p=prob))
+        np.testing.assert_array_equal(sk.indices, idx)
+        np.testing.assert_array_equal(sk.weights, 1.0 / np.sqrt(t * prob[idx]))
 
     def test_rank_at_most_k_has_zero_ridge(self):
         gen = make_gen(70)
-        a = gen.standard_normal((90, 2)) @ gen.standard_normal((2, 70))
+        a = SparseMatrix.from_dense(gen.standard_normal((90, 2)) @ gen.standard_normal((2, 70)))
         k = 3
-        taus = [
-            sketched_ridge_leverage_scores(a, k, scale, 40, generator_from_seed(5))
-            for scale in (0.2, 0.4)
-        ]
-        # a zero ridge makes the scores independent of the ridge scale
-        assert taus[0].tobytes() == taus[1].tobytes()
-        assert np.all(np.isfinite(taus[0]))
-        np.testing.assert_allclose(taus[0], ridge_leverage_scores(a, k, 0.2), rtol=1e-8)
-        assert taus[0].sum() == pytest.approx(2.0)
-
-    @pytest.mark.parametrize("sparse", [False, True])
-    def test_zero_columns_score_exactly_zero(self, sparse):
-        dense = lowrank_plus_noise(make_gen(71), 80, 90, 6)
-        dense[:, [0, 17, 89]] = 0.0
-        a = SparseMatrix.from_dense(dense) if sparse else dense
-        tau = sketched_scores(a, 2, 0.5, 0.2, 6)
-        np.testing.assert_array_equal(tau[[0, 17, 89]], 0.0)
-        assert np.delete(tau, [0, 17, 89]).min() > 0.0
-
-    @pytest.mark.parametrize(
-        "a", [np.zeros((5, 4)), SparseMatrix(5, 4, [], [], [])], ids=["dense", "sparse"]
-    )
-    def test_no_stored_entries_score_zero(self, a):
-        tau = sketched_ridge_leverage_scores(a, 1, 1.0, 2, generator_from_seed(8))
-        np.testing.assert_array_equal(tau, ridge_leverage_scores(a, 1, 1.0))
-        np.testing.assert_array_equal(tau, np.zeros(4))
+        row_sq = np.sum(a.to_dense() ** 2, axis=1)
+        (tau, ridge), (again, _) = (
+            sketches._krylov_scores(a, k, scale, None, row_sq) for scale in (0.2, 0.4)
+        )
+        # A lies in range(W), so the ridge is 0 at any scale: A's leverage scores
+        assert ridge == 0.0
+        assert tau.tobytes() == again.tobytes()
+        np.testing.assert_allclose(tau, ridge_leverage_scores(a.transpose(), k, 0.2), rtol=1e-8)
+        assert tau.sum() == pytest.approx(2.0)
 
     def test_rerun_is_bit_identical(self):
-        a = random_sparse(make_gen(72), 120, 100, density=0.2)
-        first, again = (sketched_scores(a, 2, 0.5, 0.25, 7) for _ in range(2))
-        assert first.tobytes() == again.tobytes()
+        a = plant_head(random_sparse(make_gen(72), 120, 100, density=0.2))
         consts = SketchConstants(c_s=0.5)
-        at = a.transpose()
-        sks = [build_row_sampler(at, 2, 0.5, 0.25, RandomStream(13), consts) for _ in range(2)]
-        assert not sks[0].clipped
+        sks = [build_row_sampler(a, 2, 0.5, 0.25, RandomStream(13), consts) for _ in range(2)]
+        assert not sks[0].clipped and sks[0].score_kernel == "krylov"
         assert sks[0].indices.tobytes() == sks[1].indices.tobytes()
         assert sks[0].weights.tobytes() == sks[1].weights.tobytes()
 
-    def test_counter_is_w_plus_live_rank_times_nnz(self):
-        k, eps, eta = 2, 0.5, 0.25
-        width = score_width(k, eps, eta)
-        full = random_sparse(make_gen(73), 120, 100, density=0.2)
-        gen = make_gen(74)
-        rank2 = SparseMatrix.from_dense(
-            gen.standard_normal((120, 2)) @ gen.standard_normal((2, 100))
-        )
-        for a, live in ((full, width), (rank2, 2)):
-            counter = MultiplyAddCounter()
-            sketched_scores(a, k, eps, eta, 8, counter)
-            assert counter.count == (width + live) * a.nnz
+    @pytest.mark.parametrize("shape", [(120, 100), (100, 120), (40, 300)])
+    @pytest.mark.parametrize("k", [1, 3, 40])
+    def test_counter_is_exact(self, shape, k):
+        # tall and wide; k = 40 at d = 40 is a depth-0 space of all d directions
+        a = plant_head(random_sparse(make_gen(sum(shape) + k), *shape, density=0.2))
+        counter = MultiplyAddCounter()
+        sk = build_row_sampler(a, k, 0.5, 0.25, RandomStream(8), SketchConstants(c_s=1e-3), counter)
+        assert not sk.clipped and sk.score_kernel == "krylov"
+        r = min(k, min(shape))
+        assert counter.count == krylov_counts(r, a)
 
-    @pytest.mark.parametrize("rows", [40, 41])
-    def test_width_reaching_min_dim_passes_through(self, rows, monkeypatch):
-        # w = 8 (3 + 0.5/0.25) = 40: exact scores on 40 rows, sketched on 41
-        k, eps, eta = 3, 0.5, 0.25
-        assert score_width(k, eps, eta) == 40
-        a, dense = random_input(rows, rows, 70, False)
-        calls = []
-        kernel = sketches._sketched_scores
-
-        def spy(*args, **kwargs):
-            calls.append(args[3])
-            return kernel(*args, **kwargs)
-
-        monkeypatch.setattr(sketches, "_sketched_scores", spy)
-        consts = SketchConstants(c_s=0.3)
-        sk = build_row_sampler(transposed(a), k, eps, eta, RandomStream(92), consts)
-        assert not sk.clipped
-        assert calls == ([] if rows == 40 else [40])
-        if rows == 41:
-            return
-        t = sample_count(k, eps, eta, consts.c_s)
-        prob = svd_ridge_leverage(dense, k, eta / eps)
-        prob /= prob.sum()
-        idx = np.sort(generator_from_seed(sk.seed).choice(70, size=t, replace=False, p=prob))
-        np.testing.assert_array_equal(sk.indices, idx)
-
-    def test_caller_stream_advances_as_on_the_exact_path(self):
-        a = lowrank_plus_noise(make_gen(75), 120, 100, 6)
-        consts = SketchConstants(c_s=0.5)
+    def test_caller_stream_advances_one_child_seed(self):
+        # the Krylov start block comes from KRYLOV_SEED, not from the stream
+        a = plant_head(random_sparse(make_gen(75), 120, 100, density=0.2))
         streams = RandomStream(14), RandomStream(14)
-        sketched = build_row_sampler(transposed(a), 2, 0.5, 0.25, streams[0], consts)
-        exact = build_row_sampler(
-            transposed(a), 2, 0.5, 0.25, streams[1], SketchConstants(c_s=0.5, c_lev=1e3)
-        )
-        assert not sketched.clipped and not exact.clipped
-        assert sketched.seed == exact.seed
+        krylov = build_row_sampler(a, 2, 0.5, 0.25, streams[0], SketchConstants(c_s=0.5))
+        clipped = build_row_sampler(a, 2, 0.5, 0.25, streams[1])
+        assert krylov.score_kernel == "krylov" and not krylov.clipped
+        assert clipped.clipped and clipped.score_kernel is None
+        assert krylov.seed == clipped.seed
         assert streams[0].child_seed() == streams[1].child_seed()
 
 
@@ -627,7 +566,7 @@ def no_factorization(monkeypatch):
     def boom(*_, **__):
         raise AssertionError("the clipped path must not densify or factorize")
 
-    monkeypatch.setattr(sketches, "_exact_scores", boom)
+    monkeypatch.setattr(sketches, "_krylov_scores", boom)
     monkeypatch.setattr(matrixcore, "svd", boom)
     monkeypatch.setattr(np.linalg, "svd", boom)
     monkeypatch.setattr(scipy.linalg, "eigh", boom)
@@ -670,27 +609,25 @@ def tall_sparse(seed, m, n, nnz):
 
 
 class TestRowSamplerReadsAInPlace:
-    # the default c_s clips, c_s=0.3 samples by sketched scores (w=32 < 40 columns),
-    # and c_lev=1e3 passes through to the exact scores
-    PATHS = {
-        "clipped": SketchConstants(),
-        "sketched": SketchConstants(c_s=0.3),
-        "exact": SketchConstants(c_s=0.3, c_lev=1e3),
-    }
-
-    @pytest.mark.parametrize("path", sorted(PATHS))
+    # the default c_s clips; c_s=0.3 samples, by the certified row norms, or
+    # by the Krylov scores under a planted head
+    @pytest.mark.parametrize("path", ["clipped", "norms", "krylov"])
     @pytest.mark.parametrize("empty", [False, True], ids=["nonzero", "zero"])
     def test_no_path_transposes(self, path, empty, monkeypatch):
-        a = SparseMatrix(90, 40, [], [], []) if empty else random_sparse(make_gen(64), 90, 40, 0.3)
+        a = SparseMatrix(200, 60, [], [], []) if empty else random_sparse(make_gen(64), 200, 60)
+        if path == "krylov" and not empty:
+            a = plant_head(a)
 
         def transpose(*_):
             raise AssertionError("the row sampler must read A in place")
 
         monkeypatch.setattr(SparseMatrix, "transpose", transpose)
-        sk = build_row_sampler(a, 2, 0.5, 0.25, RandomStream(15), self.PATHS[path])
+        consts = SketchConstants() if path == "clipped" else SketchConstants(c_s=0.3)
+        sk = build_row_sampler(a, 2, 0.5, 0.25, RandomStream(15), consts)
         assert sk.clipped == (path == "clipped") and sk.degenerate == empty
+        assert sk.score_kernel == (None if empty or path == "clipped" else path)
         out = apply_row_sampler(a, sk)
-        assert out.shape == (sk.sample_count, 40)
+        assert out.shape == (sk.sample_count, 60)
 
     def test_clipped_sample_of_every_row_is_a_itself(self):
         a = random_sparse(make_gen(65), 30, 20, density=0.3)
@@ -711,58 +648,23 @@ class TestRowSamplerReadsAInPlace:
         np.testing.assert_array_equal(out.to_dense(), np.delete(dense, 7, axis=0))
         assert counter.count == out.nnz == b.nnz
 
-    def test_peak_memory_is_one_m_by_w_array(self):
+    def test_peak_memory_is_a_few_m_by_k_arrays(self):
         m, n, nnz = 20000, 100, 60000
         k, eps, eta = 2, 0.5, 0.25
         a = plant_head(tall_sparse(66, m, n, nnz))
-        width = score_width(k, eps, eta)
         tracemalloc.start()
         try:
             sk = build_row_sampler(a, k, eps, eta, RandomStream(17))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert not sk.clipped and width < n
-        assert sk.score_kernel == "sketched"
-        # Omega, m x w, is the largest array; the O(nnz) part is each stored
-        # entry's row index and squared value, freed before Omega is drawn.
-        # A transposed copy of A and a second Omega would take 2 m w doubles.
-        assert peak <= 1.25 * 8 * m * width + 16 * nnz
-
-    @pytest.mark.parametrize("path", ["sketched", "exact"])
-    @pytest.mark.parametrize("shape", [(200, 60), (60, 200)])
-    def test_row_scores_bit_identical_to_the_column_kernel_on_the_transpose(
-        self, shape, path, monkeypatch
-    ):
-        # the planted head keeps the row norms from certifying the scores
-        a = plant_head(random_sparse(make_gen(sum(shape)), *shape, density=0.2))
-        assert max(shape) <= sketches.SCORE_BLOCK
-        k, eps, eta = 2, 0.5, 0.25
-        kernel = getattr(sketches, "_sketched_scores" if path == "sketched" else "_exact_scores")
-        raw = []
-
-        def spy(*args):
-            raw.append(kernel(*args))
-            return raw[-1]
-
-        monkeypatch.setattr(sketches, kernel.__name__, spy)
-        sk = build_row_sampler(a, k, eps, eta, RandomStream(18), self.PATHS[path])
-        assert len(raw) == 1 and not sk.clipped
-        assert sk.score_kernel == path
-        if path == "sketched":
-            want = sketched_ridge_leverage_scores(
-                a.transpose(), k, eta / eps, score_width(k, eps, eta), generator_from_seed(sk.seed)
-            )
-        else:
-            want = ridge_leverage_scores(a.transpose(), k, eta / eps)
-        assert raw[0].tobytes() == want.tobytes()
-
-    def test_score_blocks_agree_with_one_block_to_rounding(self, monkeypatch):
-        a = random_sparse(make_gen(67), 150, 90, density=0.2).transpose()
-        assert a.ncols <= sketches.SCORE_BLOCK
-        one = sketched_scores(a, 2, 0.5, 0.25, 9)
-        monkeypatch.setattr(sketches, "SCORE_BLOCK", 16)
-        np.testing.assert_allclose(sketched_scores(a, 2, 0.5, 0.25, 9), one, rtol=1e-13)
+        assert not sk.clipped and sk.score_kernel == "krylov"
+        # 1.44 MB measured: the norm certificate's O(nnz) temporaries, each
+        # stored entry's row index and squared value (16 nnz bytes), and the
+        # row counts and support (2 m doubles); the Krylov scores after them
+        # peak at 2.5 m k doubles. A transposed copy of A would add 12 nnz
+        # bytes; the Gaussian score sketch these scores replace took 6.0 MB
+        assert peak <= 1.25 * (16 * nnz + 8 * m * 2 * k)
 
 
 class TestDenseGuard:
@@ -771,13 +673,13 @@ class TestDenseGuard:
     def _diagonal(self, ncols):
         return SparseMatrix(self.n, ncols, np.arange(self.n), np.arange(self.n) % ncols, np.ones(self.n))
 
-    @pytest.mark.parametrize("kernel", ["norms", "sketched"])
+    @pytest.mark.parametrize("kernel", ["norms", "krylov"])
     def test_small_budget_above_guard_samples_in_sketch_memory(self, kernel, monkeypatch):
-        # neither the certified norms nor the sketched scores build a Gram
+        # neither the certified norms nor the Krylov scores build a Gram
         # matrix of the input, so a min dimension above the guard is sampled
-        # in O((m + n) w) memory; a planted head fails the norm certificate
+        # in O(nnz + (m + n) k) memory; a planted head fails the norm certificate
         a = self._diagonal(self.n)
-        if kernel == "sketched":
+        if kernel == "krylov":
             a = plant_head(a)
         k, eps, eta = 1, 0.5, 0.1
 
@@ -796,8 +698,9 @@ class TestDenseGuard:
         assert not sk.clipped and not sk.degenerate and sk.score_kernel == kernel
         assert sk.sample_count == sample_count(k, eps, eta, 1.0) < self.n
         assert np.all(np.isfinite(sk.weights))
-        # about 1.5 (m + n) w doubles measured; a dense n x n array takes 200 MB
-        assert peak < 3 * (a.nrows + a.ncols) * score_width(k, eps, eta) * 8
+        # 5.1 (m + n) k doubles measured for the norms and 6.6 for the Krylov
+        # scores (k = 1, nnz = n + 20); a dense n x n array takes 200 MB
+        assert peak < 8 * (8 * (a.nrows + a.ncols) * k + 2 * a.nnz)
 
     def test_exact_scores_above_guard_raise_scale_limit_error(self, monkeypatch):
         def densify(*_):
@@ -807,7 +710,7 @@ class TestDenseGuard:
         with pytest.raises(ScaleLimitError, match="DENSE_GUARD=5000") as info:
             ridge_leverage_scores(self._diagonal(self.n), 1, 1.0)
         assert isinstance(info.value, ValueError)
-        assert "sketched scores" in str(info.value)
+        assert "build_row_sampler" in str(info.value)
 
     def test_large_budget_above_guard_is_clipped(self):
         a = self._diagonal(self.n + 1000)  # the last 1000 columns are empty
@@ -909,31 +812,24 @@ def _bytes_of(x):
 class TestDenseOperand:
     """A dense A runs as the SparseMatrix of its nonzeros: same bytes, same counts."""
 
-    # c_s=0.3 draws 5 of the columns at k=1, eps=eta=0.5; c_lev=1 sketches
-    # the scores at width 2, c_lev=100 passes through to the exact scores
-    CONSTANTS = {
-        "sketched": SketchConstants(c_s=0.3, c_lev=1.0),
-        "exact": SketchConstants(c_s=0.3, c_lev=100.0),
-    }
-
     @classmethod
     def kernels(cls, a, seed):
         """Each kernel that takes either storage, as a function of ``(a, counter)``."""
         right = make_gen(seed).standard_normal((a.shape[1], 2))
+        # c_s=0.3 draws 5 of the rows at k=1, eps=eta=0.5, by the certified
+        # norms or by the Krylov scores
+        consts = SketchConstants(c_s=0.3)
 
-        def sampler(consts):
-            return lambda x, c: build_row_sampler(x, 1, 0.5, 0.5, RandomStream(seed), consts, c)
+        def sampler(x, c):
+            return build_row_sampler(x, 1, 0.5, 0.5, RandomStream(seed), consts, c)
 
-        out = {f"build_row_sampler[{name}]": sampler(c) for name, c in cls.CONSTANTS.items()}
-        rows = out["build_row_sampler[exact]"](SparseMatrix.from_dense(a), None)
+        rows = sampler(SparseMatrix.from_dense(a), None)
         op = build_countsketch(a.shape[0], 3, RandomStream(seed))
-        return out | {
+        return {
+            "build_row_sampler": sampler,
             "apply_row_sampler": lambda x, c: apply_row_sampler(x, rows, c),
             "apply_countsketch_left": lambda x, c: apply_countsketch_left(x, op, c),
             "ridge_leverage_scores": lambda x, c: ridge_leverage_scores(x, 1, 0.5),
-            "sketched_ridge_leverage_scores": lambda x, c: sketched_ridge_leverage_scores(
-                x, 1, 0.5, 2, generator_from_seed(seed), c
-            ),
             "block_krylov": lambda x, c: matrixcore.block_krylov(x, 1, 1, c),
             "sparse_dense_multiply": lambda x, c: sparse_dense_multiply(x, right, c),
         }

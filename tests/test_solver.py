@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sketchlr.matrixcore as matrixcore
+import sketchlr.sketches as sketches
 import sketchlr.solver as solver
 from sketchlr import (
     HuberLoss,
@@ -34,6 +35,7 @@ from sketchlr import (
     parse_loss,
     phi_objective,
     relative_error_from,
+    sample_count,
     schatten_norm,
     singular_values,
     solve_frobenius_baseline,
@@ -613,8 +615,10 @@ class TestKrylovRowspace:
             solver._rowspace(sa, k, 0.5, report)
 
 
-def _score_width(k, eps, eta):
-    return math.ceil(SketchConstants().c_lev * (k + eps / eta))
+def _krylov_s_scores(k, a):
+    """``s_scores`` of a Krylov-scored solve of A: its oriented work is tall, ``d = min(A.shape)``."""
+    depth = min(sketches.SCORE_DEPTH, min(a.shape) // k - 1)
+    return (3 + 2 * k * (depth + 1) + 3 * k) * a.nnz
 
 
 LARGE_SQUARE_SOLVES = pytest.mark.parametrize(
@@ -660,17 +664,14 @@ def _traced_solve(solve, a, k, monkeypatch):
 
 
 class TestSketchedScores:
-    # the planted head fails the norm certificate, so these score by the sketch;
-    # the failed certificate's 3 nnz(A) multiply-adds are counted too
+    # the planted head fails the norm certificate, so these score by the
+    # Krylov kernel; the failed certificate's 3 nnz(A) multiply-adds are counted too
     @pytest.mark.parametrize("shape", [(400, 200), (200, 400)])
-    def test_s_scores_counts_the_score_sketch(self, shape):
+    def test_s_scores_counts_the_krylov_scores(self, shape):
         a = plant_head(generate_synthetic(*shape, 0.1, RandomStream(1)))
         rep = solve_generalized(a, 3, HuberLoss(1.0), 0.5, RandomStream(2))
-        assert not rep.clipped and rep.score_kernel == "sketched"
-        # a full-rank input keeps all w directions of the sketch: r = w
-        width = _score_width(3, 0.5, rep.plan.eta1)
-        assert width < min(shape)
-        assert rep.multiply_add_counts["s_scores"] == (3 + 2 * width) * a.nnz
+        assert not rep.clipped and rep.score_kernel == "krylov"
+        assert rep.multiply_add_counts["s_scores"] == _krylov_s_scores(3, a)
         clipped = solve_schatten(a, 3, 1.0, 0.5, RandomStream(2))
         assert clipped.clipped and "s_scores" not in clipped.multiply_add_counts
         assert clipped.score_kernel is None
@@ -682,19 +683,29 @@ class TestSketchedScores:
         assert not rep.clipped and rep.score_kernel == "norms"
         assert rep.multiply_add_counts["s_scores"] == 3 * a.nnz
 
+    @pytest.mark.parametrize("p", [1.0, 3.0])
+    def test_sampled_solve_under_a_planted_head_is_within_one_plus_eps(self, p):
+        # S samples at default constants (921 and 589 of the 3000 rows) by
+        # the Krylov scores, and the exact Schatten error meets the bound;
+        # Y = 0 would miss it, by the head's weight
+        a = plant_head(random_sparse(make_gen(41), 3000, 40, density=0.05))
+        rep = solve_schatten(a, 1, p, 0.5, RandomStream(3), oracle=True)
+        assert not rep.clipped and rep.score_kernel == "krylov"
+        assert rep.plan.s_rows < a.nrows
+        assert 0.0 <= rep.relative_error <= 0.5
+
     @LARGE_SQUARE_SOLVES
     def test_large_square_solves_run_in_sketch_memory(self, n, nnz, k, solve, monkeypatch):
         m = n
         a = plant_head(_large_square(n, nnz))
         rep, peak, shapes = _traced_solve(solve, a, k, monkeypatch)
-        width = _score_width(k, 0.5, rep.plan.eta1)
-        assert not rep.clipped and rep.score_kernel == "sketched"
-        assert shapes and max(max(shape) for shape in shapes) <= width
-        assert rep.multiply_add_counts["s_scores"] == (3 + 2 * width) * a.nnz
-        # about 1.6 (m + n) w doubles measured at 20000^2 and 1.5 at 120000^2;
-        # a dense A would take 3.2 GB at 20000^2, a dense 921-row SA 0.8 GB
-        # at 120000^2
-        assert peak < 3 * (m + n) * width * 8
+        assert not rep.clipped and rep.score_kernel == "krylov"
+        assert shapes == []  # the scores factor k x k matrices only, and not by scipy
+        assert rep.multiply_add_counts["s_scores"] == _krylov_s_scores(k, a)
+        # 11.7 MB measured at 20000^2 (7.3 nnz doubles) and 9.5 MB at
+        # 120000^2 (4.9); the Gaussian score sketch these scores replace
+        # took 32.0 and 141.1 MB, a dense A 3.2 GB at 20000^2
+        assert peak < 8 * (4 * nnz + 3 * (m + n) * k)
 
     @LARGE_SQUARE_SOLVES
     def test_large_square_solves_certify_the_row_norms(self, n, nnz, k, solve, monkeypatch):
@@ -705,8 +716,7 @@ class TestSketchedScores:
         assert rep.multiply_add_counts["s_scores"] == 3 * a.nnz
         # about 3.4 nnz doubles measured at either size: the row norms'
         # index and square temporaries (2 nnz), then SA's Krylov space and
-        # the factors; the sketched scores of the planted inputs above peak
-        # at 20 and 73 nnz doubles
+        # the factors
         assert peak < 4 * 8 * nnz + 2 * 8 * (a.nrows + a.ncols) * k
 
 
@@ -967,6 +977,14 @@ class TestSolveGeneralized:
         a = SparseMatrix.from_dense(gen.standard_normal((10, 8)))
         with pytest.raises(ValueError, match=r"condition"):
             solve_generalized(a, 2, ExpLoss(), 0.5, RandomStream(43))
+
+    def test_plan_is_sized_as_make_sketch_plan_sizes_it(self):
+        # its own eta1, then the rows and Ky-Fan rank of make_sketch_plan
+        a = generate_synthetic(900, 40, 0.2, RandomStream(1))
+        for k, eps in ((1, 0.5), (3, 0.3), (5, 0.5)):
+            plan = solve_generalized(a, k, HuberLoss(1.0), eps, RandomStream(2)).plan
+            assert plan.r_kyfan == math.ceil(k / eps) and plan.mode == "full_pipeline"
+            assert plan.s_rows == min(sample_count(k, eps, plan.eta1, 8.0), a.nrows)
 
     @pytest.mark.parametrize("loss", ["huber:1.0", 1.0, np.abs], ids=["text", "number", "ufunc"])
     def test_rejects_a_loss_that_is_not_a_scalar_loss(self, loss):
