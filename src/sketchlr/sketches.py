@@ -234,7 +234,10 @@ def _krylov_scores(
     ``lam' = ridge_scale (||A||_F^2 - ||B||_F^2)``, ``ridge_scale`` times
     ``||(I - W W^T) A||_F^2 >= ||A - A_r||_F^2``, so it is at least the
     ridge of rank r; the overestimates then sum to at most
-    ``r + 1 / ridge_scale``, whatever W is. A tail at or below
+    ``r + 1 / ridge_scale``, whatever W is. The difference loses about
+    ``eps_mach ||A||_F^2`` to cancellation, so ``lam'`` takes
+    ``(m + n) eps_mach ||A||_F^2`` more to stay at least that ridge when
+    ``A`` is nearly rank r. A tail at or below
     ``d eps_mach ||A||_F^2`` is rounding: ``lam'`` is 0 and the second term
     is dropped (A lies in ``range(W)``), so the scores are A's leverage
     scores. Eigenvalues ``mu_j`` at or below ``d eps_mach mu_1`` count as
@@ -262,7 +265,8 @@ def _krylov_scores(
         counter.add((2 * r + mu.size) * x.nnz)
     fro = float(row_sq.sum())
     tail = fro - float(np.square(bt).sum())
-    ridge = ridge_scale * tail if tail > floor * fro else 0.0
+    slack = sum(x.shape) * np.finfo(float).eps * fro  # the rounding in ``tail``
+    ridge = ridge_scale * (tail + slack) if tail > floor * fro else 0.0
     tau = av_sq @ (1.0 / (mu + ridge))
     if ridge > 0.0:
         tau += np.maximum(row_sq - av_sq.sum(axis=1), 0.0) / ridge

@@ -528,6 +528,31 @@ class TestKrylovScores:
         np.testing.assert_allclose(tau, ridge_leverage_scores(a.transpose(), k, 0.2), rtol=1e-8)
         assert tau.sum() == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("shape", [(70, 40), (40, 70)])
+    def test_k_reaching_min_dim_gives_the_leverage_scores(self, shape, extra):
+        # r = d: W spans range(A), so the ridge is 0 and the scores are exact
+        a = random_sparse(make_gen(sum(shape) + extra), *shape, density=0.3)
+        d = min(shape)
+        k = d + extra
+        row_sq = np.sum(a.to_dense() ** 2, axis=1)
+        tau, ridge = sketches._krylov_scores(a, k, 0.5, None, row_sq)
+        assert ridge == 0.0
+        np.testing.assert_allclose(tau, ridge_leverage_scores(a.transpose(), k, 0.5), rtol=1e-8)
+        assert tau.sum() == pytest.approx(d)
+
+    @pytest.mark.parametrize("shape", [(120, 100), (100, 120)])
+    def test_counter_skips_null_directions(self, shape):
+        # rank 2 under r = 3: V has 2 columns, so A V costs 2 nnz, not 3
+        gen = make_gen(sum(shape))
+        a = SparseMatrix.from_dense(
+            gen.standard_normal((shape[0], 2)) @ gen.standard_normal((2, shape[1]))
+        )
+        counter = MultiplyAddCounter()
+        sk = build_row_sampler(a, 3, 0.5, 0.25, RandomStream(8), SketchConstants(c_s=1e-3), counter)
+        assert not sk.clipped and sk.score_kernel == "krylov"
+        assert counter.count == krylov_counts(3, a) - a.nnz
+
     def test_rerun_is_bit_identical(self):
         a = plant_head(random_sparse(make_gen(72), 120, 100, density=0.2))
         consts = SketchConstants(c_s=0.5)
