@@ -58,6 +58,11 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _mass(mass: float | None) -> str:
+    """The certified mass of a sample's overestimates, or ``None`` when no scores ran."""
+    return "None" if mass is None else f"{mass:.4g}"
+
+
 def _cmd_solve(args) -> int:
     if args.loss is not None and args.mode != "full_pipeline":
         raise ValueError(f"--loss solves in full_pipeline mode only, not --mode {args.mode}")
@@ -85,7 +90,8 @@ def _cmd_solve(args) -> int:
         f"fallback={report.fallback_used} transposed={report.transposed} "
         f"clipped={report.clipped} "
         f"degenerate={report.degenerate} "
-        f"scores={report.score_kernel}"
+        f"scores={report.score_kernel} "
+        f"rows={report.rows_drawn}/{report.plan.s_rows} mass={_mass(report.score_mass)}"
     )
     for w in report.warnings:
         print(f"warning: {w}")
@@ -155,7 +161,8 @@ def _cmd_diagnose(args) -> int:
     )
     print(
         f"sampler rows: {sampler.sample_count}/{sampler.source_dim} "
-        f"(clipped={sampler.clipped}, scores={sampler.score_kernel})"
+        f"(clipped={sampler.clipped}, scores={sampler.score_kernel}) "
+        f"mass={_mass(sampler.mass)}"
     )
     print(
         f"violations: {report.violations}/{report.trials} "

@@ -236,7 +236,7 @@ def singular_values(a) -> np.ndarray:
         return scipy.linalg.svd(a, compute_uv=False, lapack_driver="gesvd")
 
 
-def _orthonormal(w: np.ndarray) -> np.ndarray:
+def _orthonormal(w: np.ndarray, lwork: list[int] | None = None) -> np.ndarray:
     """The Q factor of a thin Householder QR of a tall ``w`` (orthonormal for any rank).
 
     ``dgeqrf`` and ``dorgqr`` are called directly, at the workspace each
@@ -244,12 +244,17 @@ def _orthonormal(w: np.ndarray) -> np.ndarray:
     ``scipy.linalg.qr(w, mode="economic")``, whose wrapper (a copy of ``w``
     for the workspace query, routine lookups, a ``triu`` of the unused R)
     costs several times the factorization of the ``d x k`` blocks
-    :func:`block_krylov` passes it.
+    :func:`block_krylov` passes it. The workspaces depend only on the
+    shape, so a caller that factors many blocks of one shape passes one
+    ``lwork`` list to every call: the first fills it, the rest reuse it.
     """
-    lwork = int(lapack.dgeqrf_lwork(*w.shape)[0])
-    qr, tau = lapack.dgeqrf(w, lwork=lwork)[:2]
-    lwork = int(lapack.dorgqr(qr, tau, lwork=-1, overwrite_a=1)[1][0])
-    return lapack.dorgqr(qr, tau, lwork=lwork, overwrite_a=1)[0]
+    lwork = [] if lwork is None else lwork
+    if not lwork:
+        lwork.append(int(lapack.dgeqrf_lwork(*w.shape)[0]))
+    qr, tau = lapack.dgeqrf(w, lwork=lwork[0])[:2]
+    if len(lwork) == 1:
+        lwork.append(int(lapack.dorgqr(qr, tau, lwork=-1, overwrite_a=1)[1][0]))
+    return lapack.dorgqr(qr, tau, lwork=lwork[1], overwrite_a=1)[0]
 
 
 def compact_qr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -300,7 +305,10 @@ def block_krylov(
         raise ValueError(f"a depth-{depth} Krylov space of k={k} does not fit dimension {d}")
     basis = np.zeros((d, width), order="F")  # column-major: each block is contiguous
     h = np.zeros((width, width))
-    basis[:, :k] = _orthonormal(np.random.default_rng(KRYLOV_SEED).standard_normal((d, k)))
+    lwork = []  # every QR here is of a d x k block: one pair of workspace queries
+    basis[:, :k] = _orthonormal(
+        np.random.default_rng(KRYLOV_SEED).standard_normal((d, k)), lwork
+    )
     for j in range(depth + 1):
         lo, hi = j * k, (j + 1) * k
         w = outer @ (inner @ basis[:, lo:hi])
@@ -308,10 +316,10 @@ def block_krylov(
         h[:hi, lo:hi] = done.T @ w
         if hi == width:
             break
-        block = _orthonormal(w - done @ h[:hi, lo:hi])
+        block = _orthonormal(w - done @ h[:hi, lo:hi], lwork)
         for _ in range(2):  # block -= done @ (done.T @ block), in place on the column-major Q
             block = blas.dgemm(-1.0, done, done.T @ block, beta=1.0, c=block, overwrite_c=True)
-        basis[:, hi : hi + k] = _orthonormal(block)
+        basis[:, hi : hi + k] = _orthonormal(block, lwork)
     theta, s = np.linalg.eigh(h, UPLO="U")  # ascending
     theta = theta[: -k - 1 : -1]
     # below the rounding floor of a Gram eigenvalue a Ritz value is noise

@@ -13,7 +13,8 @@ the norms are certified whenever their sum fits the sample budget
 Krylov basis of A's range: ``r = min(k, d)`` block Krylov directions ``Z``,
 ``W = orth(A Z)`` and ``B = W^T A`` give ``B^T B <= A^T A``, whose ridge
 scores overestimate A's and sum to at most ``k + eps/eta`` whatever the
-basis, in ``O(k nnz(A))`` multiply-adds more. The row sampler reads A in
+basis, in ``O(k nnz(A))`` multiply-adds more. Either way the sample is
+sized by the sum the overestimates certify, not by its worst case. The row sampler reads A in
 place through its CSR and that array's CSC view: no copy of A, and arrays
 of ``m x k`` and ``n x k`` besides the ``O(nnz)`` temporaries of the norms.
 A sampler whose budget covers every nonzero row needs no scores at all and
@@ -123,7 +124,10 @@ class SamplingSketch:
     ``score_kernel`` names the kernel that scored the rows: ``"norms"``
     (certified squared row norms), ``"krylov"`` (overestimates from a Krylov
     basis of A's range), or ``None`` when none ran (a budget that covers
-    every nonzero row, or the zero matrix).
+    every nonzero row, or the zero matrix). ``mass`` is the sum ``K*`` the
+    kernel's overestimates certify, ``K'`` for the norms and ``K''`` for
+    the Krylov scores, or ``None`` when none ran; the sample was sized at
+    ``t(min(K, K*))`` rows (:func:`build_row_sampler`).
     """
 
     source_dim: int
@@ -133,6 +137,7 @@ class SamplingSketch:
     clipped: bool = False
     degenerate: bool = False
     score_kernel: str | None = None
+    mass: float | None = None
 
     @property
     def sample_count(self) -> int:
@@ -173,9 +178,18 @@ def apply_countsketch_left(
 
 
 def sample_count(k: int, eps: float, eta: float, c_s: float) -> int:
-    """Number of leverage samples: ``ceil(c_s * K (1 + ln K) / eps^2)``, K = k + eps/eta."""
-    big_k = k + eps / eta
-    return int(math.ceil(c_s * big_k * (1.0 + math.log(big_k)) / (eps * eps)))
+    """The sample budget ``t(K)`` at the worst-case mass ``K = k + eps/eta``.
+
+    It is the plan's ``s_rows`` (before the cap at m). A sampler whose
+    overestimates certify a smaller mass ``K*`` draws only
+    ``t(min(K, K*))`` rows (:func:`build_row_sampler`).
+    """
+    return _mass_count(k + eps / eta, eps, c_s)
+
+
+def _mass_count(mass: float, eps: float, c_s: float) -> int:
+    """``t(K) = ceil(c_s * K (1 + ln K) / eps^2)`` samples by overestimates of mass ``K >= 1``."""
+    return int(math.ceil(c_s * mass * (1.0 + math.log(mass)) / (eps * eps)))
 
 
 def ridge_leverage_scores(a, k: int, ridge_scale: float) -> np.ndarray:
@@ -307,11 +321,17 @@ def build_row_sampler(
     every structurally nonzero row (found from the row pointers), the
     sketch keeps all of them with unit weight (``clipped``), which
     satisfies the bound exactly; this path densifies and factorizes
-    nothing. Otherwise the ``t = sample_count(k, eps, eta, c_s)`` samples
-    are drawn without replacement with probabilities ``p_i`` proportional
-    to overestimates of the ridge leverage scores ``tau_i`` with ridge
-    ``lam = (eta/eps) ||A - A_k||_F^2``, whose total mass is at most
-    ``K = k + eps/eta``; ``t`` is sized for ``p_i >= tau_i / K``.
+    nothing. That budget is ``t(K) = sample_count(k, eps, eta, c_s)``, sized
+    for the worst-case mass ``K = k + eps/eta``. Otherwise samples are drawn
+    without replacement with probabilities ``p_i`` proportional to
+    overestimates of the ridge leverage scores ``tau_i`` with ridge
+    ``lam = (eta/eps) ||A - A_k||_F^2``. The overestimates ``tau~_i`` sum
+    to a mass ``K*`` (``mass``) of at most ``K``, and ``p_i = tau~_i / K*
+    >= tau_i / K*``, so matrix-Chernoff sampling needs only ``t(K*)``
+    samples (Cohen, Lee, Musco, Musco, Peng & Sidford, ITCS 2015; Cohen,
+    Musco & Musco, SODA 2017). So ``t = min(t(K), t(K*))``: the same
+    ``ceil(c_s K (1 + ln K) / eps^2)`` at ``min(K, K*)``, with ``K*``
+    floored at 1 so that ``1 + ln K* > 0`` and ``t >= 1``.
 
     The first overestimates tried are squared row norms (``score_kernel``
     ``"norms"``). Since ``A^T A + lam I >= lam I``, ``tau_i <= ||a_i||^2 /
@@ -320,11 +340,11 @@ def build_row_sampler(
     which bounds ``sigma_1(A)^2``. So ``T = ||A||_F^2 - k beta`` is at most
     ``||A - A_k||_F^2``, and if ``T > 0`` then ``||a_i||^2 / ((eta/eps) T)``
     overestimates every ``tau_i``. Their sum is ``K' = ||A||_F^2 / ((eta/eps)
-    T)``; when ``K' <= K``, ``p_i = ||a_i||^2 / ||A||_F^2 >= tau_i / K'``
-    ``>= tau_i / K``, so the same ``t`` rows are drawn by squared row norm,
-    and nothing else is drawn from the sampler's generator first. The
-    certificate costs ``3 nnz(A)`` multiply-adds (the squares and the two
-    products with ``|A|``), which go to ``counter`` whether or not it holds.
+    T)``; when ``K' <= K``, ``p_i = ||a_i||^2 / ||A||_F^2 >= tau_i / K'``,
+    so ``t(K')`` rows are drawn by squared row norm, and nothing else is
+    drawn from the sampler's generator first. The certificate costs
+    ``3 nnz(A)`` multiply-adds (the squares and the two products with
+    ``|A|``), which go to ``counter`` whether or not it holds.
     Cohen, Lee, Musco, Musco, Peng & Sidford (*Uniform Sampling for Matrix
     Approximation*, ITCS 2015) give the overestimate argument. A dominant
     head (``k beta`` near ``||A||_F^2``) fails it.
@@ -333,9 +353,10 @@ def build_row_sampler(
     (``score_kernel`` ``"krylov"``, :func:`_krylov_scores`): ``r = min(k,
     d)`` directions of a depth-``SCORE_DEPTH`` block Krylov space give
     ``B = W^T A`` with ``B^T B <= A^T A``, so the ridge scores of ``B^T B``
-    overestimate A's. They sum to at most ``r + eps/eta <= K``, always, and
-    their ridge ``lam' = (eta/eps) ||(I - W W^T) A||_F^2`` is at least
-    ``lam``, so the sandwich holds with ``eta ||(I - W W^T) A||_F^2`` in
+    overestimate A's. Their sum ``K''`` sizes the sample; it is at most
+    ``r + eps/eta <= K``, always, and their ridge
+    ``lam' = (eta/eps) ||(I - W W^T) A||_F^2`` is at least ``lam``, so the
+    sandwich holds with ``eta ||(I - W W^T) A||_F^2`` in
     place of ``eta ||A - A_k||_F^2``; a good basis makes the two close.
     (Cohen, Musco & Musco, *Input Sparsity Time Low-Rank Approximation via
     Ridge Leverage Score Sampling*, SODA 2017.) Its sparse work,
@@ -366,7 +387,7 @@ def build_row_sampler(
         idx = np.sort(gen.choice(m, size=t, replace=False, p=prob))
         w = 1.0 / np.sqrt(t * prob[idx])
         return SamplingSketch(m, idx, w, seed, False, True)
-    kernel = None
+    kernel = mass = None
     if t < support.size:
         x = a.csr.T
         tau, beta = _norm_bound(x)
@@ -374,22 +395,25 @@ def build_row_sampler(
             counter.add(3 * x.nnz)
         fro = float(tau.sum())
         tail = fro - k * beta  # at most ||A - A_k||_F^2
-        if tail > 0.0 and fro / (eta / eps * tail) <= k + eps / eta:
+        mass = fro / (eta / eps * tail) if tail > 0.0 else math.inf
+        if mass <= k + eps / eta:
             kernel = "norms"
         else:
             kernel = "krylov"
             tau, _ = _krylov_scores(a, k, eta / eps, counter, tau)
         # an empty row is never drawn or kept, whatever rounding a kernel leaves on it
         tau[row_nnz == 0] = 0.0
+        if kernel == "krylov":
+            mass = float(tau.sum())
+        t = min(t, _mass_count(max(mass, 1.0), eps, constants.c_s))
         support = np.flatnonzero(tau > 0.0)
     if t >= support.size:
-        return SamplingSketch(
-            m, support, np.ones(support.size), seed, clipped=True, score_kernel=kernel
-        )
+        ones = np.ones(support.size)
+        return SamplingSketch(m, support, ones, seed, clipped=True, score_kernel=kernel, mass=mass)
     prob = tau / tau.sum()
     idx = np.sort(gen.choice(m, size=t, replace=False, p=prob))
     w = 1.0 / np.sqrt(t * prob[idx])
-    return SamplingSketch(m, idx, w, seed, score_kernel=kernel)
+    return SamplingSketch(m, idx, w, seed, score_kernel=kernel, mass=mass)
 
 
 def apply_row_sampler(

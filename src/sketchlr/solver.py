@@ -116,7 +116,11 @@ class SolveReport:
     ``W^T A`` and ``A V`` (:func:`~sketchlr.sketches.build_row_sampler`).
     ``score_kernel`` names the kernel that scored the rows
     (:class:`~sketchlr.sketches.SamplingSketch`): ``"norms"``,
-    ``"krylov"``, or ``None`` when none ran.
+    ``"krylov"``, or ``None`` when none ran. ``score_mass`` is the total
+    ``K*`` of its overestimates, which sized the sample at
+    ``t(min(K, K*))`` rows, ``None`` when none ran. ``rows_drawn`` is the
+    row count of ``SA``: the rows the sampler kept, at most the budget
+    ``plan.s_rows = t(K)`` (capped at m), or ``s_rows`` in simplified mode.
     ``regression`` is ``k nnz(A)`` for ``Y = A Z``. Not counted: the
     factorizations (the ``eigh`` in ``top_singular``, of each block Krylov
     ``H`` and of the scores' ``k x k`` ``B B^T``, and the QR of ``A Z``),
@@ -148,6 +152,8 @@ class SolveReport:
     krylov_depth: int | None = None
     ritz_values: tuple[float, ...] = ()
     score_kernel: str | None = None
+    score_mass: float | None = None
+    rows_drawn: int = 0
 
 
 @dataclass(frozen=True)
@@ -314,6 +320,7 @@ def _sketched_rowspace(
         if plan.mode == "simplified_experiment":
             s_op = build_countsketch(work.nrows, plan.s_rows, stream)
             report.seeds["s"] = s_op.seed
+            report.rows_drawn = plan.s_rows
             sa = apply_countsketch_left(work, s_op, _counter(counters, "s_apply"))
         else:
             s_sk = build_row_sampler(
@@ -323,6 +330,8 @@ def _sketched_rowspace(
             report.clipped |= s_sk.clipped
             report.degenerate |= s_sk.degenerate
             report.score_kernel = s_sk.score_kernel
+            report.score_mass = s_sk.mass
+            report.rows_drawn = s_sk.sample_count
             sa = apply_row_sampler(work, s_sk, _counter(counters, "s_apply"))
     return _rowspace(sa, k, eps, report)
 

@@ -2,12 +2,14 @@
 
 ``build_row_sampler`` is timed at default constants on the matrix the solver
 passes it, read in place: full_desk's 1200x900 with 32400 nonzeros at k=5,
-eps=0.5, eta=0.3 (619 rows drawn), and perfbench's 100000x400 with 1M
-nonzeros (generator seed 900) at k=2, eps=0.5 and the p=1 plan's eta. On
-both the squared row norms certify the ridge scores. The third input is
-the 100000x400 one under a planted head (``conftest.plant_head``), which
-fails the norm certificate, so the Krylov scores run. The kernel that
-scored the rows goes to ``benchmark.extra_info["scores"]``, and the
+eps=0.5, eta=0.3 (a 619-row budget; the norms certify a mass of 2.05, so
+113 rows are drawn), and perfbench's 100000x400 with 1M nonzeros
+(generator seed 900) at k=2, eps=0.5 and the p=1 plan's eta. On both the
+squared row norms certify the ridge scores. The third input is the
+100000x400 one under a planted head (``conftest.plant_head``), which fails
+the norm certificate, so the Krylov scores run. The kernel that scored the
+rows goes to ``benchmark.extra_info["scores"]``, the rows it drew and the
+mass that sized them to ``"rows_drawn"`` and ``"mass"``, and the
 tracemalloc peak of one more call, apart from the timed ones, to
 ``benchmark.extra_info["peak_mib"]``. The file name keeps it out of the
 test suite; run it with
@@ -59,6 +61,7 @@ def test_build_row_sampler(benchmark, case):
 
     sk, benchmark.extra_info["peak_mib"] = _peak_mib(build)
     benchmark.extra_info["rows_drawn"] = sk.sample_count
+    benchmark.extra_info["mass"] = sk.mass
     benchmark.extra_info["scores"] = sk.score_kernel
     assert not sk.clipped and sk.score_kernel == kernel
     assert benchmark(build).indices.tobytes() == sk.indices.tobytes()

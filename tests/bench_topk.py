@@ -3,11 +3,12 @@
 The two kernels are timed on the shapes the benchmark workloads give them:
 ``top_singular`` on the dense 100x20000 CountSketch ``SA`` of a seeded
 20000x20000 matrix with 200k nonzeros at k=10 (simplified mode), and
-``block_krylov`` at k=5 and the depth q=10 a full_pipeline solve at eps=0.5
-gives it, on two inputs: the sparse 1200x900 ``SA`` with 32400 nonzeros
-that a clipped row sample passes through (the p=1 and p=3 solves), and the
-wide 617x900 row sample of it that a Huber solve passes (about 17000
-nonzeros; taken from the solve itself). The tall 20000x100 ``SA^T`` times
+``block_krylov`` at k=5 and the depth ``q = ceil(ln d / sqrt(eps))`` a
+full_pipeline solve at eps=0.5 gives it, on two inputs: the sparse 1200x900
+``SA`` with 32400 nonzeros that a clipped row sample passes through (the p=1
+and p=3 solves, q=10), and the wide 112x900 row sample of it that a Huber
+solve passes (taken from the solve itself, q=7): the norms certify a mass of
+2.04, so the sampler draws 112 of its 617-row budget. The tall 20000x100 ``SA^T`` times
 the other dense branch of ``top_singular``. ``apply_countsketch_left`` is
 timed on the 20000x20000 input. The file name keeps it out of the test
 suite; run it with
@@ -25,7 +26,8 @@ from sketchlr import RandomStream, SparseMatrix, build_countsketch, parse_loss, 
 from sketchlr.matrixcore import block_krylov, top_singular
 from sketchlr.sketches import apply_countsketch_left
 
-DEPTH = math.ceil(math.log(900) / math.sqrt(0.5))  # q = 10, also for d = 617
+def _depth(d):
+    return math.ceil(math.log(d) / math.sqrt(0.5))
 
 
 def _seeded(m, n, nnz, seed):
@@ -60,15 +62,17 @@ def test_top_singular_dense_tall_sa(benchmark, large):
 
 def test_block_krylov_sparse_sa(benchmark):
     sa = _seeded(1200, 900, 32400, 1200)
-    sigma, v = benchmark(block_krylov, sa, 5, DEPTH)
+    sigma, v = benchmark(block_krylov, sa, 5, _depth(900))
     assert v.shape == (900, 5)
 
 
 def test_block_krylov_wide_huber_sample(benchmark):
     a = _seeded(1200, 900, 32400, 1200)
     with mock.patch.object(solver, "block_krylov", wraps=block_krylov) as spy:
-        solver.solve_generalized(a, 5, parse_loss("huber:1.0"), 0.5, RandomStream(19))
+        rep = solver.solve_generalized(a, 5, parse_loss("huber:1.0"), 0.5, RandomStream(19))
     sa, k, depth = spy.call_args.args[:3]
-    assert sa.shape == (617, 900) and (k, depth) == (5, DEPTH)
+    assert rep.plan.s_rows == 617 and rep.score_kernel == "norms"
+    assert sa.shape == (rep.rows_drawn, 900) == (112, 900)
+    assert (k, depth) == (5, _depth(112))
     sigma, v = benchmark(block_krylov, sa, k, depth)
     assert v.shape == (900, 5)

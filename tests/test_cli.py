@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 import sketchlr.solver
-from sketchlr import ConvergenceError, load_matrix
+from sketchlr import (
+    ConvergenceError,
+    RandomStream,
+    build_row_sampler,
+    generate_synthetic,
+    load_matrix,
+    make_sketch_plan,
+    parse_loss,
+    solve_generalized,
+)
 from sketchlr.cli import main
 
 
@@ -117,6 +126,35 @@ def test_diagnose_clamps_eps_like_solve(capsys):
     # both name the kernel that scored the rows the sampler drew
     assert "(clipped=False, scores=norms)" in diagnose
     assert "clipped=False degenerate=False scores=norms" in solve
+
+
+def test_solve_and_diagnose_report_the_rows_drawn_and_their_mass(capsys):
+    # the row norms certify a mass below K = k + eps/eta, so both commands
+    # draw fewer rows than the plan's budget and print the mass that sized them
+    m, n, density, k, eps = 2000, 400, 0.01, 1, 0.5
+    source = ["--m", str(m), "--n", str(n), "--density", str(density), "--k", str(k)]
+    assert main(["solve", *source, "--loss", "huber:1.0"]) == 0
+    [flags] = [line for line in capsys.readouterr().out.splitlines() if line.startswith("flags:")]
+    stream = RandomStream(0)
+    a = generate_synthetic(m, n, density, stream)
+    report = solve_generalized(a, k, parse_loss("huber:1.0"), eps, stream)
+    assert report.score_kernel == "norms" and report.rows_drawn < report.plan.s_rows
+    assert flags.endswith(
+        f" scores=norms rows={report.rows_drawn}/{report.plan.s_rows} "
+        f"mass={report.score_mass:.4g}"
+    )
+
+    assert main(["diagnose", *source, "--trials", "2"]) == 0
+    [rows] = [line for line in capsys.readouterr().out.splitlines() if "sampler rows:" in line]
+    stream = RandomStream(0)
+    a = generate_synthetic(m, n, density, stream)
+    plan = make_sketch_plan(m, n, k, eps, 1.0)
+    sampler = build_row_sampler(a, k, eps, plan.eta1, stream)
+    assert sampler.sample_count < plan.s_rows
+    assert rows == (
+        f"sampler rows: {sampler.sample_count}/{m} (clipped=False, scores=norms) "
+        f"mass={sampler.mass:.4g}"
+    )
 
 
 @pytest.mark.parametrize("command", ["diagnose", "solve"])

@@ -523,6 +523,29 @@ class TestBlockKrylov:
         # six products with the Gram matrix, and A^T U for a wide A
         assert counter.count == 4 * a.nnz * (2 * 6 + wide)
 
+    @pytest.mark.parametrize("shape", [(70, 45), (45, 70)])
+    def test_one_workspace_query_serves_every_qr(self, shape, monkeypatch):
+        # every QR is of a d x k block, so one dgeqrf query (and one dorgqr
+        # query) serves the call; each Q stays byte for byte scipy's
+        a = random_sparse(make_gen(43), *shape, density=0.2)
+        queries = []
+        query, orthonormal = matrixcore.lapack.dgeqrf_lwork, matrixcore._orthonormal
+
+        def counted(*args):
+            queries.append(args)
+            return query(*args)
+
+        def checked(w, lwork=None):
+            want = scipy.linalg.qr(w, mode="economic")[0]
+            q = orthonormal(w, lwork)
+            assert q.tobytes() == want.tobytes()
+            return q
+
+        monkeypatch.setattr(matrixcore.lapack, "dgeqrf_lwork", counted)
+        monkeypatch.setattr(matrixcore, "_orthonormal", checked)
+        block_krylov(a, 4, 5)
+        assert queries == [(min(shape), 4)]
+
     @pytest.mark.parametrize("wide", [True, False])
     def test_rank_below_k(self, wide):
         # the space is used up after one block, and G Q_j has zero columns

@@ -27,11 +27,15 @@ from sketchlr import (
     make_sketch_plan,
     sample_count,
     singular_values,
+    solve_schatten,
     sparse_dense_multiply,
 )
 from sketchlr.matrixcore import DENSE_GUARD
 from sketchlr.rng import generator_from_seed
 from sketchlr.sketches import ridge_leverage_scores
+
+
+DEFAULT_C_S = SketchConstants().c_s
 
 
 def materialize(op: CountSketchOperator) -> np.ndarray:
@@ -261,6 +265,31 @@ class TestColumnSampler:
             hits += upper_ok and lower_ok
         assert hits >= 90
 
+    def test_psd_sandwich_at_the_certified_mass(self):
+        # default c_s on flat, sparse inputs whose column norms certify a
+        # mass K' < K: the t(K') columns drawn (about 680, against
+        # t(K) = 1222) keep the two-sided Gram bound at >= 90/100. At
+        # eps = 0.25 the slack eta ||A - A_k||_F^2 (1.0-2.8 sigma_1^2 here)
+        # does not imply the lower side; at c_s = 0.125 (11 columns) the
+        # bound held in 10 of these 100 draws, at c_s = 0.25 in 95
+        eps, eta, k = 0.25, 0.125, 2
+        stream = RandomStream(4343)
+        hits = 0
+        for t in range(100):
+            gen = make_gen(3000 + t)
+            a = random_sparse(gen, 1500, 40, density=0.1).to_dense().T
+            a *= np.exp(0.5 * gen.standard_normal(1500))  # uneven column norms
+            sk = build_row_sampler(a.T, k, eps, eta, stream)
+            assert not sk.clipped and sk.score_kernel == "norms"
+            assert sk.sample_count < sample_count(k, eps, eta, DEFAULT_C_S)
+            c = apply_row_sampler(a.T, sk).to_dense().T
+            slack = eta * float(np.sum(singular_values(a)[k:] ** 2))
+            aat, cct, eye = a @ a.T, c @ c.T, np.eye(40)
+            upper_ok = np.linalg.eigvalsh((1 + eps) * aat + slack * eye - cct).min() >= -1e-8
+            lower_ok = np.linalg.eigvalsh(cct - (1 - eps) * aat + slack * eye).min() >= -1e-8
+            hits += upper_ok and lower_ok
+        assert hits >= 90
+
 
 def svd_ridge_leverage(dense, k, ridge_scale):
     """Reference scores ``(V^2) (sigma^2 / (sigma^2 + lam))`` through a full SVD."""
@@ -316,6 +345,12 @@ class TestRidgeLeverage:
         )
 
 
+def drawn_count(k, eps, eta, c_s, mass):
+    """``t(min(K, K*))``, ``K = k + eps/eta``: the rows drawn at certified mass ``K* >= 1``."""
+    big_k = min(k + eps / eta, max(mass, 1.0))
+    return math.ceil(c_s * big_k * (1.0 + math.log(big_k)) / (eps * eps))
+
+
 def spy_on_krylov_scores(monkeypatch):
     """A list that gets a copy of each ``(scores, ridge)`` the Krylov kernel returns."""
     out = []
@@ -350,9 +385,10 @@ class TestEmptyRowScores:
         assert not sk.clipped and sk.score_kernel == "krylov"
         assert tau[self.EMPTY] == 0.0
         assert self.EMPTY not in sk.indices
-        # the scores feed the draw unchanged, bit for bit
+        # the scores feed the draw unchanged, bit for bit, and their sum sizes it
+        assert sk.mass == tau.sum()
         prob = tau / tau.sum()
-        t = sample_count(k, eps, eta, consts.c_s)
+        t = drawn_count(k, eps, eta, consts.c_s, sk.mass)
         idx = np.sort(
             generator_from_seed(sk.seed).choice(shape[0], size=t, replace=False, p=prob)
         )
@@ -380,6 +416,74 @@ class TestEmptyRowScores:
         sk = build_row_sampler(dense, 3, 0.5, 0.2, RandomStream(95), consts)
         assert sk.clipped and sk.score_kernel == "krylov"
         np.testing.assert_array_equal(sk.indices, keep)
+
+
+class TestCertifiedMass:
+    """The sample is sized at ``min(K, K*)`` for the mass ``K*`` its scores certify."""
+
+    K, EPS, ETA = 2, 0.5, 0.25
+
+    @pytest.mark.parametrize("c_s", [0.3, 1.0])
+    @pytest.mark.parametrize("kernel", ["norms", "krylov"])
+    def test_count_is_the_sample_count_at_the_smaller_mass(self, kernel, c_s, monkeypatch):
+        # as in TestNormCertificate: the plain input certifies its norms, the
+        # planted head sends it to the Krylov kernel
+        a = random_sparse(make_gen(68), 200, 60, density=0.2)
+        if kernel == "krylov":
+            a = plant_head(a)
+        out = spy_on_krylov_scores(monkeypatch)
+        k, eps, eta = self.K, self.EPS, self.ETA
+        sk = build_row_sampler(a, k, eps, eta, RandomStream(19), SketchConstants(c_s=c_s))
+        assert not sk.clipped and sk.score_kernel == kernel
+        if kernel == "norms":
+            col_sq, beta = sketches._norm_bound(a.csr.T)
+            fro = col_sq.sum()
+            assert sk.mass == pytest.approx(fro / ((eta / eps) * (fro - k * beta)), rel=1e-12)
+        else:
+            [(tau, _)] = out
+            assert sk.mass == tau.sum()
+        assert 1.0 <= sk.mass <= (k + eps / eta) * (1.0 + 1e-12)
+        budget = sample_count(k, eps, eta, c_s)
+        assert sk.sample_count == drawn_count(k, eps, eta, c_s, sk.mass) <= budget
+        # both kernels certify well below K = 4 on these inputs
+        assert sk.sample_count < budget
+
+    def test_a_mass_below_one_over_e_still_draws(self, monkeypatch):
+        # 1 + ln K* <= 0 below K* = 1/e: the floor at 1 keeps t = t(1) >= 1
+        dense = make_gen(94).standard_normal((40, 50))  # fails the norm certificate
+
+        def scores(*_):
+            return np.full(40, 1e-3), 1.0
+
+        monkeypatch.setattr(sketches, "_krylov_scores", scores)
+        c_s = 0.3
+        consts = SketchConstants(c_s=c_s)
+        sk = build_row_sampler(dense, self.K, self.EPS, self.ETA, RandomStream(95), consts)
+        assert sk.score_kernel == "krylov" and not sk.clipped
+        assert sk.mass == pytest.approx(0.04) and sk.mass < 1.0 / math.e
+        assert sk.sample_count == math.ceil(c_s / self.EPS**2) == 2
+        np.testing.assert_allclose(sk.weights, 1.0 / np.sqrt(2 / 40))
+
+    def test_clipped_budget_computes_no_certificate(self, monkeypatch):
+        # a budget covering every nonzero row never scores, so the mass
+        # cannot move it: any larger c_s solves to the same bytes
+        def boom(*_):
+            raise AssertionError("a clipped sample computes no certificate")
+
+        monkeypatch.setattr(sketches, "_norm_bound", boom)
+        monkeypatch.setattr(sketches, "_krylov_scores", boom)
+        a = random_sparse(make_gen(97), 60, 30, density=0.3)
+        reports = [
+            solve_schatten(a, 2, 1.0, 0.5, RandomStream(21), constants=SketchConstants(c_s=c_s))
+            for c_s in (DEFAULT_C_S, 10 * DEFAULT_C_S)
+        ]
+        for rep in reports:
+            assert rep.clipped and rep.score_kernel is None and rep.score_mass is None
+            assert "s_scores" not in rep.multiply_add_counts
+            assert rep.rows_drawn == a.nrows <= rep.plan.s_rows
+        first, second = (r.factors for r in reports)
+        assert first.y.tobytes() == second.y.tobytes()
+        assert first.z.tobytes() == second.z.tobytes()
 
 
 def krylov_counts(k, a):
@@ -721,7 +825,7 @@ class TestDenseGuard:
         finally:
             tracemalloc.stop()
         assert not sk.clipped and not sk.degenerate and sk.score_kernel == kernel
-        assert sk.sample_count == sample_count(k, eps, eta, 1.0) < self.n
+        assert sk.sample_count == drawn_count(k, eps, eta, 1.0, sk.mass) < self.n
         assert np.all(np.isfinite(sk.weights))
         # 5.1 (m + n) k doubles measured for the norms and 6.6 for the Krylov
         # scores (k = 1, nnz = n + 20); a dense n x n array takes 200 MB
