@@ -50,10 +50,8 @@ from .norms import (
 )
 from .rng import RandomStream, generator_from_seed
 from .sketches import (
-    DEFAULT_CONSTANTS,
     CountSketchOperator,
     SamplingSketch,
-    SketchConstants,
     SketchPlan,
     apply_countsketch_left,
     apply_row_sampler,
@@ -69,7 +67,6 @@ from .solver import (
     diagnose_kyfan_preservation,
     exact_oracle,
     relative_error_from,
-    solve_frobenius_baseline,
     solve_generalized,
     solve_schatten,
 )
@@ -80,7 +77,6 @@ __all__ = [
     "ConditionReport",
     "ConvergenceError",
     "CountSketchOperator",
-    "DEFAULT_CONSTANTS",
     "DiagnosticReport",
     "ExperimentConfig",
     "HuberLoss",
@@ -93,7 +89,6 @@ __all__ = [
     "SamplingSketch",
     "ScaleLimitError",
     "ScalarLoss",
-    "SketchConstants",
     "SketchPlan",
     "SolveReport",
     "SparseMatrix",
@@ -125,7 +120,6 @@ __all__ = [
     "sample_count",
     "schatten_norm",
     "singular_values",
-    "solve_frobenius_baseline",
     "solve_generalized",
     "solve_schatten",
     "sparse_dense_multiply",

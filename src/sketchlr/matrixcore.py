@@ -405,35 +405,18 @@ def truncate_rank(res: SvdResult, k: int) -> LowRankFactors:
 def complete_basis(z: np.ndarray, k: int) -> np.ndarray:
     """Pad an orthonormal column block to exactly ``k`` columns.
 
-    Padding directions come from Gram-Schmidt over the standard basis, so the
-    completion is deterministic. Used when a sketched row space has rank < k.
+    ``z``'s columns are kept, and the padding is the rest of the Householder
+    Q of ``[z, e_1 .. e_{k - have}]``, which is orthonormal and orthogonal
+    to ``z`` even when some ``e_i`` lies in its span, so the completion is
+    deterministic. Used when a sketched row space has rank < k.
     """
     n, have = z.shape
     if have >= k:
         return z[:, :k]
     if k > n:
         raise ValueError(f"cannot pick {k} orthonormal columns in dimension {n}")
-    cols = [z]
-    width = have
-    basis = z
-    for i in range(n):
-        if width == k:
-            break
-        e = np.zeros(n)
-        e[i] = 1.0
-        w = e - basis @ (basis.T @ e)
-        nw = np.linalg.norm(w)
-        if nw > 1e-8:
-            w = w / nw
-            # re-orthogonalize once against accumulated columns for stability
-            w = w - basis @ (basis.T @ w)
-            w = w / np.linalg.norm(w)
-            cols.append(w[:, None])
-            basis = np.hstack(cols)
-            width += 1
-    if width < k:
-        raise ValueError("failed to complete orthonormal basis")
-    return basis
+    q = _orthonormal(np.hstack([z, np.eye(n, k - have)]))
+    return np.hstack([z, q[:, have:]])
 
 
 def sparse_dense_multiply(

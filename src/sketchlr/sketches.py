@@ -58,22 +58,15 @@ MODES = ("full_pipeline", "simplified_experiment")
 SCORE_DEPTH = 2
 
 
-@dataclass(frozen=True)
-class SketchConstants:
-    """Tunable constant behind the Theta(.) sketch sizes.
-
-    It scales the sample count of S; the error split eta1 is taken at unit
-    scale. The default is calibrated so the desk-scale acceptance suite
-    passes. The regression is exact, so S is the only sketch drawn from the
-    solve's stream and carries the whole failure budget; every block Krylov
-    start block, the scores' included, comes from a fixed seed. The source
-    analysis only fixes a constant success probability per sketch.
-    """
-
-    c_s: float = 8.0  # row sample count
-
-
-DEFAULT_CONSTANTS = SketchConstants()
+# The constant behind the Theta(K log K / eps^2) row sample count of S; the
+# error split eta1 is taken at unit scale. It is calibrated so the desk-scale
+# acceptance suite passes. The regression is exact, so S is the only sketch
+# drawn from the solve's stream and carries the whole failure budget; every
+# block Krylov start block, the scores' included, comes from a fixed seed.
+# The source analysis only fixes a constant success probability per sketch.
+# The sample counts read it at call time, so a test or a sweep that patches
+# it reaches every sizing.
+C_S = 8.0
 
 
 @dataclass(frozen=True)
@@ -177,19 +170,20 @@ def apply_countsketch_left(
     return flat.reshape(op.sketch_dim, a.ncols).astype(np.float64, copy=False)
 
 
-def sample_count(k: int, eps: float, eta: float, c_s: float) -> int:
+def sample_count(k: int, eps: float, eta: float) -> int:
     """The sample budget ``t(K)`` at the worst-case mass ``K = k + eps/eta``.
 
-    It is the plan's ``s_rows`` (before the cap at m). A sampler whose
+    ``t(K) = ceil(c_s K (1 + ln K) / eps^2)`` with the fixed ``c_s = C_S =
+    8``. It is the plan's ``s_rows`` (before the cap at m). A sampler whose
     overestimates certify a smaller mass ``K*`` draws only
     ``t(min(K, K*))`` rows (:func:`build_row_sampler`).
     """
-    return _mass_count(k + eps / eta, eps, c_s)
+    return _mass_count(k + eps / eta, eps)
 
 
-def _mass_count(mass: float, eps: float, c_s: float) -> int:
-    """``t(K) = ceil(c_s * K (1 + ln K) / eps^2)`` samples by overestimates of mass ``K >= 1``."""
-    return int(math.ceil(c_s * mass * (1.0 + math.log(mass)) / (eps * eps)))
+def _mass_count(mass: float, eps: float) -> int:
+    """``t(K) = ceil(C_S * K (1 + ln K) / eps^2)`` samples by overestimates of mass ``K >= 1``."""
+    return int(math.ceil(C_S * mass * (1.0 + math.log(mass)) / (eps * eps)))
 
 
 def ridge_leverage_scores(a, k: int, ridge_scale: float) -> np.ndarray:
@@ -310,7 +304,6 @@ def build_row_sampler(
     eps: float,
     eta: float,
     stream: RandomStream,
-    constants: SketchConstants = DEFAULT_CONSTANTS,
     counter: MultiplyAddCounter | None = None,
 ) -> SamplingSketch:
     """Row sampler whose rescaled samples ``SA`` satisfy the two-sided bound
@@ -321,16 +314,16 @@ def build_row_sampler(
     every structurally nonzero row (found from the row pointers), the
     sketch keeps all of them with unit weight (``clipped``), which
     satisfies the bound exactly; this path densifies and factorizes
-    nothing. That budget is ``t(K) = sample_count(k, eps, eta, c_s)``, sized
-    for the worst-case mass ``K = k + eps/eta``. Otherwise samples are drawn
-    without replacement with probabilities ``p_i`` proportional to
+    nothing. That budget is ``t(K) = sample_count(k, eps, eta)``, sized
+    for the worst-case mass ``K = k + eps/eta`` at the fixed ``c_s = C_S``.
+    Otherwise samples are drawn without replacement with probabilities ``p_i`` proportional to
     overestimates of the ridge leverage scores ``tau_i`` with ridge
     ``lam = (eta/eps) ||A - A_k||_F^2``. The overestimates ``tau~_i`` sum
     to a mass ``K*`` (``mass``) of at most ``K``, and ``p_i = tau~_i / K*
     >= tau_i / K*``, so matrix-Chernoff sampling needs only ``t(K*)``
     samples (Cohen, Lee, Musco, Musco, Peng & Sidford, ITCS 2015; Cohen,
     Musco & Musco, SODA 2017). So ``t = min(t(K), t(K*))``: the same
-    ``ceil(c_s K (1 + ln K) / eps^2)`` at ``min(K, K*)``, with ``K*``
+    ``ceil(C_S K (1 + ln K) / eps^2)`` at ``min(K, K*)``, with ``K*``
     floored at 1 so that ``1 + ln K* > 0`` and ``t >= 1``.
 
     The first overestimates tried are squared row norms (``score_kernel``
@@ -373,7 +366,7 @@ def build_row_sampler(
         raise ValueError(f"need 0 < eta <= eps <= 1, got eta={eta}, eps={eps}")
     a = _ensure_sparse(a)
     m = a.nrows
-    t = min(sample_count(k, eps, eta, constants.c_s), m)
+    t = min(sample_count(k, eps, eta), m)
     seed = stream.child_seed()
     gen = generator_from_seed(seed)
 
@@ -405,7 +398,7 @@ def build_row_sampler(
         tau[row_nnz == 0] = 0.0
         if kernel == "krylov":
             mass = float(tau.sum())
-        t = min(t, _mass_count(max(mass, 1.0), eps, constants.c_s))
+        t = min(t, _mass_count(max(mass, 1.0), eps))
         support = np.flatnonzero(tau > 0.0)
     if t >= support.size:
         ones = np.ones(support.size)
@@ -457,7 +450,6 @@ def make_sketch_plan(
     eps: float,
     p: float,
     mode: str = "full_pipeline",
-    constants: SketchConstants = DEFAULT_CONSTANTS,
 ) -> SketchPlan:
     """Dimension plan for the rank-k pipeline at Schatten order ``p``.
 
@@ -465,7 +457,8 @@ def make_sketch_plan(
     ``eta1 = (eps^2/k)^{2/p}`` for p < 2 and
     ``eta1 = eps^{1+2/p} / (k^{2/p} n^{1-2/p})`` for p >= 2;
     ``r_kyfan = ceil(k/eps)``. In full_pipeline mode
-    ``s_rows = min(sample_count(k, eps, eta1, c_s), m)``; in
+    ``s_rows = min(sample_count(k, eps, eta1), m)``, at the fixed
+    ``c_s = C_S = 8``; in
     simplified_experiment mode ``s_rows = k^2`` CountSketch rows
     (:func:`_sized_plan`, which :func:`~sketchlr.solver.solve_generalized`
     calls with its own ``eta1``). The plan has no regression width: every
@@ -485,19 +478,17 @@ def make_sketch_plan(
         eta1 = (eps * eps / k) ** (2.0 / p)
     else:
         eta1 = eps ** (1.0 + 2.0 / p) / (k ** (2.0 / p) * n ** (1.0 - 2.0 / p))
-    return _sized_plan(m, k, eps, min(eta1, 1.0), mode, constants)
+    return _sized_plan(m, k, eps, min(eta1, 1.0), mode)
 
 
-def _sized_plan(
-    m: int, k: int, eps: float, eta1: float, mode: str, constants: SketchConstants
-) -> SketchPlan:
+def _sized_plan(m: int, k: int, eps: float, eta1: float, mode: str) -> SketchPlan:
     """The plan of a solve of an m-row input at error split ``eta1``.
 
     ``r_kyfan = ceil(k/eps)``, and ``s_rows`` is ``k^2`` CountSketch rows in
-    simplified_experiment mode, else ``min(sample_count(k, eps, eta1, c_s), m)``.
+    simplified_experiment mode, else ``min(sample_count(k, eps, eta1), m)``.
     """
     if mode == "simplified_experiment":
         s_rows = k * k
     else:
-        s_rows = min(sample_count(k, eps, eta1, constants.c_s), m)
+        s_rows = min(sample_count(k, eps, eta1), m)
     return SketchPlan(eta1=eta1, r_kyfan=int(math.ceil(k / eps)), s_rows=s_rows, mode=mode)

@@ -69,8 +69,6 @@ from .norms import (
 )
 from .rng import RandomStream
 from .sketches import (
-    DEFAULT_CONSTANTS,
-    SketchConstants,
     SketchPlan,
     _sized_plan,
     apply_countsketch_left,
@@ -306,7 +304,6 @@ def _sketched_rowspace(
     k: int,
     eps: float,
     stream: RandomStream,
-    constants: SketchConstants,
     report: SolveReport,
 ) -> np.ndarray:
     """Stages 2-3 under ``report.plan``: returns Z and fills the report bookkeeping.
@@ -323,9 +320,8 @@ def _sketched_rowspace(
             report.rows_drawn = plan.s_rows
             sa = apply_countsketch_left(work, s_op, _counter(counters, "s_apply"))
         else:
-            s_sk = build_row_sampler(
-                work, k, eps, plan.eta1, stream, constants, _counter(counters, "s_scores")
-            )
+            scores = _counter(counters, "s_scores")
+            s_sk = build_row_sampler(work, k, eps, plan.eta1, stream, scores)
             report.seeds["s"] = s_sk.seed
             report.clipped |= s_sk.clipped
             report.degenerate |= s_sk.degenerate
@@ -368,7 +364,6 @@ def _solve(
     k: int,
     eps: float,
     stream: RandomStream,
-    constants: SketchConstants,
     report: SolveReport,
     objective,
 ) -> SolveReport:
@@ -378,7 +373,7 @@ def _solve(
     ``objective`` of a spectrum, the exact oracle scores the factors
     against ``a``.
     """
-    z = _sketched_rowspace(work, k, eps, stream, constants, report)
+    z = _sketched_rowspace(work, k, eps, stream, report)
     with _Stage(report.elapsed, "regression"):
         y = sparse_dense_multiply(work, z, _counter(report.multiply_add_counts, "regression"))
     factors = LowRankFactors(y=y, z=z, k=k)
@@ -395,7 +390,7 @@ def clamp_eps(eps: float) -> tuple[float, tuple[str, ...]]:
     Refuses a non-positive ``eps``. Every command that sizes a sketch from a
     user's ``eps`` goes through here, so each clamps it the same way.
     """
-    if eps <= 0:
+    if not eps > 0:  # NaN fails it too
         raise ValueError("eps must be positive")
     if eps > 0.5:
         return 0.5, (f"eps={eps:g} clamped to 0.5",)
@@ -409,6 +404,8 @@ def _prologue(
 
     Returns ``(work, transposed, eps, warnings)`` with ``work`` the tall input.
     """
+    if not isinstance(k, (int, np.integer)):  # k sizes arrays; a float fails deep inside
+        raise ValueError(f"k must be an integer, got k={k!r}")
     if not 1 <= k < min(a.shape):
         raise ValueError(f"k={k} out of range 1..{min(a.shape) - 1}")
     eps, warnings = clamp_eps(eps)
@@ -431,7 +428,6 @@ def solve_schatten(
     mode: str = "full_pipeline",
     *,
     oracle: bool = False,
-    constants: SketchConstants = DEFAULT_CONSTANTS,
 ) -> SolveReport:
     """Rank-k approximation of ``a`` under the Schatten p-norm.
 
@@ -446,36 +442,12 @@ def solve_schatten(
     work, transposed, eps, warnings = _prologue(a, k, eps)
     report = SolveReport(
         factors=None,  # type: ignore[arg-type]
-        plan=make_sketch_plan(*work.shape, k, eps, p, mode, constants),
+        plan=make_sketch_plan(*work.shape, k, eps, p, mode),
         transposed=transposed,
         warnings=warnings,
     )
     objective = (lambda s: schatten_norm(s, p)) if oracle else None
-    return _solve(a, work, k, eps, stream, constants, report, objective)
-
-
-_solve_schatten = solve_schatten
-
-
-def solve_frobenius_baseline(
-    a,
-    k: int,
-    stream: RandomStream,
-    *,
-    oracle: bool = False,
-) -> SolveReport:
-    """CountSketch-then-SVD Frobenius baseline.
-
-    Simplified-mode :func:`solve_schatten` at p = 1: ``Z`` is the top-k right
-    singular vectors of a ``k^2``-row CountSketch ``SA``, cut and padded, and
-    ``Y = A @ Z``. The reported relative error is measured in the Schatten
-    1-norm, the metric the Schatten pipeline is compared against.
-    """
-    # the private alias keeps a tracer that rebinds public functions (see
-    # perfbench/tracing.py) from nesting a solve_schatten span in this one
-    return _solve_schatten(
-        a, k, 1.0, 0.5, stream, "simplified_experiment", oracle=oracle
-    )
+    return _solve(a, work, k, eps, stream, report, objective)
 
 
 @functools.lru_cache(maxsize=32)
@@ -493,7 +465,6 @@ def solve_generalized(
     stream: RandomStream,
     *,
     oracle: bool = False,
-    constants: SketchConstants = DEFAULT_CONSTANTS,
 ) -> SolveReport:
     """Rank-k approximation under an increasing singular-value loss.
 
@@ -528,13 +499,13 @@ def solve_generalized(
     eta1 = min((eps / math.ceil(k / eps)) ** (1.0 / alpha), eps)
     report = SolveReport(
         factors=None,  # type: ignore[arg-type]
-        plan=_sized_plan(work.nrows, k, eps, eta1, "full_pipeline", constants),
+        plan=_sized_plan(work.nrows, k, eps, eta1, "full_pipeline"),
         transposed=transposed,
         warnings=warnings,
         condition_report=cond,
     )
     objective = (lambda s: phi_objective(s, loss)) if oracle else None
-    return _solve(a, work, k, eps, stream, constants, report, objective)
+    return _solve(a, work, k, eps, stream, report, objective)
 
 
 def diagnose_kyfan_preservation(

@@ -1,6 +1,6 @@
 """Stage microbenchmark: the row sampler as the solver calls it.
 
-``build_row_sampler`` is timed at default constants on the matrix the solver
+``build_row_sampler`` is timed at the default ``c_s`` on the matrix the solver
 passes it, read in place: full_desk's 1200x900 with 32400 nonzeros at k=5,
 eps=0.5, eta=0.3 (a 619-row budget; the norms certify a mass of 2.05, so
 113 rows are drawn), and perfbench's 100000x400 with 1M nonzeros

@@ -1,8 +1,11 @@
 """Shared helpers for the test suite: seeded generators and random matrices."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import sketchlr.sketches as sketches
 from sketchlr import SparseMatrix
 
 
@@ -53,6 +56,17 @@ def plant_head(a: SparseMatrix) -> SparseMatrix:
         np.concatenate([cols[keep], head_cols]),
         np.concatenate([vals[keep], np.full(size * size, scale)]),
     )
+
+
+def sample_constant(c_s: float):
+    """A context manager that sets the row sample constant ``sketches.C_S`` to ``c_s``.
+
+    A small ``c_s`` makes the row sampler draw on inputs small enough for a
+    test, where the default clips. It patches with ``mock.patch.object``
+    rather than the ``monkeypatch`` fixture, which hypothesis refuses inside
+    ``@given``.
+    """
+    return mock.patch.object(sketches, "C_S", c_s)
 
 
 @pytest.fixture

@@ -128,6 +128,17 @@ def test_diagnose_clamps_eps_like_solve(capsys):
     assert "clipped=False degenerate=False scores=norms" in solve
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["solve"], ["solve", "--loss", "huber:1.0"], ["diagnose", "--trials", "2"]],
+    ids=["schatten", "generalized", "diagnose"],
+)
+def test_nan_eps_is_refused_alike(command, capsys):
+    # NaN fails every comparison, so it must be refused before any sizing
+    assert main([*command, "--m", "30", "--n", "20", "--k", "2", "--eps", "nan"]) == 2
+    assert capsys.readouterr().err == "error: eps must be positive\n"
+
+
 def test_solve_and_diagnose_report_the_rows_drawn_and_their_mass(capsys):
     # the row norms certify a mass below K = k + eps/eta, so both commands
     # draw fewer rows than the plan's budget and print the mass that sized them

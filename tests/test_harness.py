@@ -599,8 +599,7 @@ class TestRunExperiment:
         for module in (matrixcore, sketches, solver):
             monkeypatch.setattr(module, "svd", svd_spy)
         monkeypatch.setattr(solver, "top_singular", top_spy)
-        for name in ("solve_schatten", "solve_frobenius_baseline"):
-            monkeypatch.setattr(harness, name, capture(getattr(harness, name)))
+        monkeypatch.setattr(harness, "solve_schatten", capture(harness.solve_schatten))
 
         cfg = self._config(
             k_list=[2, 4, 6],

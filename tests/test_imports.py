@@ -4,10 +4,9 @@ There is no linter in the toolchain, so this walks each module's syntax tree:
 a name bound by ``import`` or ``from ... import`` must appear as a name
 read somewhere in the module, be listed in its ``__all__``, or be marked
 ``# noqa: F401`` on its line as a deliberate re-export. Every field of
-:class:`~sketchlr.sketches.SketchConstants` and
 :class:`~sketchlr.sketches.SketchPlan` must be read as an attribute somewhere
-in ``src/`` outside its own class, so that a constant nothing uses is deleted
-rather than kept settable. In ``matrixcore`` and ``sketches`` only the two
+in ``src/`` outside its own class, so that a setting nothing uses is deleted
+rather than kept. In ``matrixcore`` and ``sketches`` only the two
 storage helpers, ``_ensure_sparse`` and ``_check_dense``, may test an operand
 for :class:`~sketchlr.matrixcore.SparseMatrix`, so each kernel keeps one body.
 Every public top-level function in ``src/`` is read somewhere in ``src/``
@@ -23,7 +22,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src").rglob("*.py"))
 MODULES = sorted([*SRC, *(ROOT / "tests").glob("*.py")])
-SETTINGS = ("SketchConstants", "SketchPlan")
+SETTINGS = ("SketchPlan",)
 STORAGE_HELPERS = ("_ensure_sparse", "_check_dense")
 # public functions nothing in src/ calls: the reference implementations the
 # tests compare against, and the inverses of emit_csv

@@ -657,10 +657,16 @@ class TestCompleteBasis:
     def test_complete_basis(self):
         gen = make_gen(13)
         z = random_orthonormal(gen, 8, 2)
-        full = complete_basis(z, 5)
-        assert full.shape == (8, 5)
-        np.testing.assert_allclose(full.T @ full, np.eye(5), atol=1e-10)
-        np.testing.assert_allclose(full[:, :2], z)
+        # a random block, then blocks holding the first standard basis
+        # vectors the padding starts from, and a zero-width block
+        eye = np.eye(8)
+        for block in (z, eye[:, :1], eye[:, :3], eye[:, :0]):
+            full = complete_basis(block, 5)
+            assert full.shape == (8, 5)
+            np.testing.assert_allclose(full.T @ full, np.eye(5), atol=1e-10)
+            np.testing.assert_allclose(full[:, : block.shape[1]], block)
+        with pytest.raises(ValueError, match="cannot pick 9 orthonormal columns"):
+            complete_basis(z, 9)
 
 
 class TestProducts:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import lowrank_plus_noise, make_gen, plant_head, random_sparse
+from conftest import lowrank_plus_noise, make_gen, plant_head, random_sparse, sample_constant
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -18,7 +18,6 @@ from sketchlr import (
     MultiplyAddCounter,
     RandomStream,
     ScaleLimitError,
-    SketchConstants,
     SparseMatrix,
     apply_countsketch_left,
     apply_row_sampler,
@@ -33,9 +32,6 @@ from sketchlr import (
 from sketchlr.matrixcore import DENSE_GUARD
 from sketchlr.rng import generator_from_seed
 from sketchlr.sketches import ridge_leverage_scores
-
-
-DEFAULT_C_S = SketchConstants().c_s
 
 
 def materialize(op: CountSketchOperator) -> np.ndarray:
@@ -164,9 +160,8 @@ class TestColumnSampler:
 
     def test_eye_gets_uniform_weights_subsampled(self):
         # force genuine sampling; symmetric leverage means equal weights
-        sk = build_row_sampler(
-            np.eye(30), 2, 0.5, 0.1, RandomStream(2), SketchConstants(c_s=0.05)
-        )
+        with sample_constant(0.05):
+            sk = build_row_sampler(np.eye(30), 2, 0.5, 0.1, RandomStream(2))
         assert not sk.clipped
         assert sk.sample_count < 30
         assert len(set(sk.indices.tolist())) == sk.sample_count
@@ -218,7 +213,8 @@ class TestColumnSampler:
     @pytest.mark.parametrize("c_s", [0.02, 8.0])  # sampled and clipped
     def test_row_sampler_output_is_sparse_and_counted(self, c_s):
         a = random_sparse(make_gen(53), 60, 20, density=0.3)
-        sk = build_row_sampler(a, 2, 0.5, 0.25, RandomStream(7), SketchConstants(c_s=c_s))
+        with sample_constant(c_s):
+            sk = build_row_sampler(a, 2, 0.5, 0.25, RandomStream(7))
         assert sk.clipped == (c_s == 8.0)
         counter = MultiplyAddCounter()
         out = apply_row_sampler(a, sk, counter)
@@ -242,13 +238,13 @@ class TestColumnSampler:
     def test_psd_sandwich_subsampled(self):
         # genuine sampling path (small c_s): two-sided Gram bound at >= 90/100
         eps, eta, k = 0.5, 0.1, 5
-        consts = SketchConstants(c_s=0.5)
         stream = RandomStream(4242)
         hits = 0
         for t in range(100):
             gen = make_gen(2000 + t)
             a = lowrank_plus_noise(gen, 120, 100, 20)
-            sk = build_row_sampler(a.T, k, eps, eta, stream, consts)
+            with sample_constant(0.5):
+                sk = build_row_sampler(a.T, k, eps, eta, stream)
             assert not sk.clipped
             c = apply_row_sampler(a.T, sk).to_dense().T
             sig = singular_values(a)
@@ -281,7 +277,7 @@ class TestColumnSampler:
             a *= np.exp(0.5 * gen.standard_normal(1500))  # uneven column norms
             sk = build_row_sampler(a.T, k, eps, eta, stream)
             assert not sk.clipped and sk.score_kernel == "norms"
-            assert sk.sample_count < sample_count(k, eps, eta, DEFAULT_C_S)
+            assert sk.sample_count < sample_count(k, eps, eta)
             c = apply_row_sampler(a.T, sk).to_dense().T
             slack = eta * float(np.sum(singular_values(a)[k:] ** 2))
             aat, cct, eye = a @ a.T, c @ c.T, np.eye(40)
@@ -379,8 +375,8 @@ class TestEmptyRowScores:
         a = SparseMatrix.from_dense(dense) if sparse else dense
         out = spy_on_krylov_scores(monkeypatch)
         k, eps, eta = 3, 0.5, 0.2
-        consts = SketchConstants(c_s=0.3)
-        sk = build_row_sampler(a, k, eps, eta, RandomStream(93), consts)
+        with sample_constant(0.3):
+            sk = build_row_sampler(a, k, eps, eta, RandomStream(93))
         [(tau, _)] = out
         assert not sk.clipped and sk.score_kernel == "krylov"
         assert tau[self.EMPTY] == 0.0
@@ -388,7 +384,7 @@ class TestEmptyRowScores:
         # the scores feed the draw unchanged, bit for bit, and their sum sizes it
         assert sk.mass == tau.sum()
         prob = tau / tau.sum()
-        t = drawn_count(k, eps, eta, consts.c_s, sk.mass)
+        t = drawn_count(k, eps, eta, 0.3, sk.mass)
         idx = np.sort(
             generator_from_seed(sk.seed).choice(shape[0], size=t, replace=False, p=prob)
         )
@@ -401,8 +397,8 @@ class TestEmptyRowScores:
         # fails the norm certificate, so the score kernel runs
         dense = make_gen(94).standard_normal((40, 50))
         dense[self.EMPTY] = 0.0
-        consts = SketchConstants(c_s=0.3)
-        t = sample_count(3, 0.5, 0.2, consts.c_s)
+        with sample_constant(0.3):
+            t = sample_count(3, 0.5, 0.2)
         keep = np.arange(20, 20 + t)
         assert 20 + t <= 40
 
@@ -413,7 +409,8 @@ class TestEmptyRowScores:
             return tau, 1.0
 
         monkeypatch.setattr(sketches, "_krylov_scores", scores)
-        sk = build_row_sampler(dense, 3, 0.5, 0.2, RandomStream(95), consts)
+        with sample_constant(0.3):
+            sk = build_row_sampler(dense, 3, 0.5, 0.2, RandomStream(95))
         assert sk.clipped and sk.score_kernel == "krylov"
         np.testing.assert_array_equal(sk.indices, keep)
 
@@ -433,7 +430,9 @@ class TestCertifiedMass:
             a = plant_head(a)
         out = spy_on_krylov_scores(monkeypatch)
         k, eps, eta = self.K, self.EPS, self.ETA
-        sk = build_row_sampler(a, k, eps, eta, RandomStream(19), SketchConstants(c_s=c_s))
+        with sample_constant(c_s):
+            sk = build_row_sampler(a, k, eps, eta, RandomStream(19))
+            budget = sample_count(k, eps, eta)
         assert not sk.clipped and sk.score_kernel == kernel
         if kernel == "norms":
             col_sq, beta = sketches._norm_bound(a.csr.T)
@@ -443,7 +442,6 @@ class TestCertifiedMass:
             [(tau, _)] = out
             assert sk.mass == tau.sum()
         assert 1.0 <= sk.mass <= (k + eps / eta) * (1.0 + 1e-12)
-        budget = sample_count(k, eps, eta, c_s)
         assert sk.sample_count == drawn_count(k, eps, eta, c_s, sk.mass) <= budget
         # both kernels certify well below K = 4 on these inputs
         assert sk.sample_count < budget
@@ -457,8 +455,8 @@ class TestCertifiedMass:
 
         monkeypatch.setattr(sketches, "_krylov_scores", scores)
         c_s = 0.3
-        consts = SketchConstants(c_s=c_s)
-        sk = build_row_sampler(dense, self.K, self.EPS, self.ETA, RandomStream(95), consts)
+        with sample_constant(c_s):
+            sk = build_row_sampler(dense, self.K, self.EPS, self.ETA, RandomStream(95))
         assert sk.score_kernel == "krylov" and not sk.clipped
         assert sk.mass == pytest.approx(0.04) and sk.mass < 1.0 / math.e
         assert sk.sample_count == math.ceil(c_s / self.EPS**2) == 2
@@ -473,10 +471,10 @@ class TestCertifiedMass:
         monkeypatch.setattr(sketches, "_norm_bound", boom)
         monkeypatch.setattr(sketches, "_krylov_scores", boom)
         a = random_sparse(make_gen(97), 60, 30, density=0.3)
-        reports = [
-            solve_schatten(a, 2, 1.0, 0.5, RandomStream(21), constants=SketchConstants(c_s=c_s))
-            for c_s in (DEFAULT_C_S, 10 * DEFAULT_C_S)
-        ]
+        reports = []
+        for c_s in (sketches.C_S, 10 * sketches.C_S):
+            with sample_constant(c_s):
+                reports.append(solve_schatten(a, 2, 1.0, 0.5, RandomStream(21)))
         for rep in reports:
             assert rep.clipped and rep.score_kernel is None and rep.score_mass is None
             assert "s_scores" not in rep.multiply_add_counts
@@ -519,8 +517,8 @@ class TestNormCertificate:
         dense = np.where(mask & (vals != 0.0), vals, 0.0)
         a = SparseMatrix.from_dense(dense)
         eta = eta_frac * eps
-        consts = SketchConstants(c_s=c_s)
-        sk = build_row_sampler(a, k, eps, eta, RandomStream(seed), consts)
+        with sample_constant(c_s):
+            sk = build_row_sampler(a, k, eps, eta, RandomStream(seed))
         if sk.clipped or sk.degenerate:
             assert sk.score_kernel is None
         if sk.score_kernel != "norms":
@@ -545,11 +543,11 @@ class TestNormCertificate:
     def test_planted_head_falls_back_to_the_krylov_scores(self):
         a = random_sparse(make_gen(68), 200, 60, density=0.2)
         k, eps, eta = 2, 0.5, 0.25
-        consts = SketchConstants(c_s=0.3)
         kernels = []
         for b in (a, plant_head(a)):
             counter = MultiplyAddCounter()
-            sk = build_row_sampler(b, k, eps, eta, RandomStream(19), consts, counter)
+            with sample_constant(0.3):
+                sk = build_row_sampler(b, k, eps, eta, RandomStream(19), counter)
             assert not sk.clipped
             kernels.append(sk.score_kernel)
             col_sq, beta = sketches._norm_bound(b.csr.T)
@@ -594,8 +592,8 @@ class TestKrylovScores:
             out = spy_on_krylov_scores(monkeypatch)
             dense = headed_input(m, n, density, empty, seed)
             eta = eta_frac * eps
-            consts = SketchConstants(c_s=1e-3)
-            sk = build_row_sampler(dense, k, eps, eta, RandomStream(seed), consts)
+            with sample_constant(1e-3):
+                sk = build_row_sampler(dense, k, eps, eta, RandomStream(seed))
         if sk.score_kernel != "krylov":
             return
         [(tau_tilde, ridge)] = out
@@ -653,14 +651,15 @@ class TestKrylovScores:
             gen.standard_normal((shape[0], 2)) @ gen.standard_normal((2, shape[1]))
         )
         counter = MultiplyAddCounter()
-        sk = build_row_sampler(a, 3, 0.5, 0.25, RandomStream(8), SketchConstants(c_s=1e-3), counter)
+        with sample_constant(1e-3):
+            sk = build_row_sampler(a, 3, 0.5, 0.25, RandomStream(8), counter)
         assert not sk.clipped and sk.score_kernel == "krylov"
         assert counter.count == krylov_counts(3, a) - a.nnz
 
     def test_rerun_is_bit_identical(self):
         a = plant_head(random_sparse(make_gen(72), 120, 100, density=0.2))
-        consts = SketchConstants(c_s=0.5)
-        sks = [build_row_sampler(a, 2, 0.5, 0.25, RandomStream(13), consts) for _ in range(2)]
+        with sample_constant(0.5):
+            sks = [build_row_sampler(a, 2, 0.5, 0.25, RandomStream(13)) for _ in range(2)]
         assert not sks[0].clipped and sks[0].score_kernel == "krylov"
         assert sks[0].indices.tobytes() == sks[1].indices.tobytes()
         assert sks[0].weights.tobytes() == sks[1].weights.tobytes()
@@ -671,7 +670,8 @@ class TestKrylovScores:
         # tall and wide; k = 40 at d = 40 is a depth-0 space of all d directions
         a = plant_head(random_sparse(make_gen(sum(shape) + k), *shape, density=0.2))
         counter = MultiplyAddCounter()
-        sk = build_row_sampler(a, k, 0.5, 0.25, RandomStream(8), SketchConstants(c_s=1e-3), counter)
+        with sample_constant(1e-3):
+            sk = build_row_sampler(a, k, 0.5, 0.25, RandomStream(8), counter)
         assert not sk.clipped and sk.score_kernel == "krylov"
         r = min(k, min(shape))
         assert counter.count == krylov_counts(r, a)
@@ -680,7 +680,8 @@ class TestKrylovScores:
         # the Krylov start block comes from KRYLOV_SEED, not from the stream
         a = plant_head(random_sparse(make_gen(75), 120, 100, density=0.2))
         streams = RandomStream(14), RandomStream(14)
-        krylov = build_row_sampler(a, 2, 0.5, 0.25, streams[0], SketchConstants(c_s=0.5))
+        with sample_constant(0.5):
+            krylov = build_row_sampler(a, 2, 0.5, 0.25, streams[0])
         clipped = build_row_sampler(a, 2, 0.5, 0.25, streams[1])
         assert krylov.score_kernel == "krylov" and not krylov.clipped
         assert clipped.clipped and clipped.score_kernel is None
@@ -725,7 +726,8 @@ class TestClippedShortCircuit:
         streams = RandomStream(10), RandomStream(10)
         at = a.transpose()
         clipped = build_row_sampler(at, 2, 0.5, 0.1, streams[0])
-        sampled = build_row_sampler(at, 2, 0.5, 0.1, streams[1], SketchConstants(c_s=0.05))
+        with sample_constant(0.05):
+            sampled = build_row_sampler(at, 2, 0.5, 0.1, streams[1])
         assert clipped.clipped and not sampled.clipped
         assert clipped.seed == sampled.seed
         assert streams[0].child_seed() == streams[1].child_seed()
@@ -751,8 +753,8 @@ class TestRowSamplerReadsAInPlace:
             raise AssertionError("the row sampler must read A in place")
 
         monkeypatch.setattr(SparseMatrix, "transpose", transpose)
-        consts = SketchConstants() if path == "clipped" else SketchConstants(c_s=0.3)
-        sk = build_row_sampler(a, 2, 0.5, 0.25, RandomStream(15), consts)
+        with sample_constant(sketches.C_S if path == "clipped" else 0.3):
+            sk = build_row_sampler(a, 2, 0.5, 0.25, RandomStream(15))
         assert sk.clipped == (path == "clipped") and sk.degenerate == empty
         assert sk.score_kernel == (None if empty or path == "clipped" else path)
         out = apply_row_sampler(a, sk)
@@ -818,9 +820,8 @@ class TestDenseGuard:
         monkeypatch.setattr(SparseMatrix, "to_dense", densify)
         tracemalloc.start()
         try:
-            sk = build_row_sampler(
-                transposed(a), k, eps, eta, RandomStream(11), SketchConstants(c_s=1.0)
-            )
+            with sample_constant(1.0):
+                sk = build_row_sampler(transposed(a), k, eps, eta, RandomStream(11))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -879,7 +880,23 @@ class TestSketchPlan:
     def test_exact_dims_follow_sample_count(self):
         m, n, k, eps = 5000, 400, 3, 0.5
         plan = make_sketch_plan(m, n, k, eps, 1.0)
-        assert plan.s_rows == min(sample_count(k, eps, plan.eta1, 8.0), m)
+        assert sketches.C_S == 8.0
+        assert plan.s_rows == min(sample_count(k, eps, plan.eta1), m)
+
+    def test_sizing_reads_the_patched_constant(self):
+        # the counts read C_S at call time: were it bound at import, every
+        # test that patches it would silently run at the default
+        a = random_sparse(make_gen(99), 300, 40, density=0.2)
+        k, eps = 2, 0.5
+        eta1 = make_sketch_plan(300, 40, k, eps, 1.0).eta1
+        for c_s in (0.01, 0.05, sketches.C_S):
+            with sample_constant(c_s):
+                want = drawn_count(k, eps, eta1, c_s, math.inf)
+                assert sample_count(k, eps, eta1) == want
+                rep = solve_schatten(a, k, 1.0, eps, RandomStream(3))
+            assert rep.plan.s_rows == min(want, 300)
+        assert [min(drawn_count(k, eps, eta1, c, math.inf), 300) for c in (0.01, 0.05)] == [7, 31]
+        assert sample_count(k, eps, eta1) == drawn_count(k, eps, eta1, 8.0, math.inf)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -947,10 +964,9 @@ class TestDenseOperand:
         right = make_gen(seed).standard_normal((a.shape[1], 2))
         # c_s=0.3 draws 5 of the rows at k=1, eps=eta=0.5, by the certified
         # norms or by the Krylov scores
-        consts = SketchConstants(c_s=0.3)
-
         def sampler(x, c):
-            return build_row_sampler(x, 1, 0.5, 0.5, RandomStream(seed), consts, c)
+            with sample_constant(0.3):
+                return build_row_sampler(x, 1, 0.5, 0.5, RandomStream(seed), c)
 
         rows = sampler(SparseMatrix.from_dense(a), None)
         op = build_countsketch(a.shape[0], 3, RandomStream(seed))

@@ -13,6 +13,7 @@ from conftest import (
     random_orthonormal,
     random_rank_k,
     random_sparse,
+    sample_constant,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +27,6 @@ from sketchlr import (
     RandomStream,
     ScalarLoss,
     ScaleLimitError,
-    SketchConstants,
     SketchPlan,
     SparseMatrix,
     diagnose_kyfan_preservation,
@@ -38,7 +38,6 @@ from sketchlr import (
     sample_count,
     schatten_norm,
     singular_values,
-    solve_frobenius_baseline,
     solve_generalized,
     solve_schatten,
     sparse_dense_multiply,
@@ -180,12 +179,10 @@ class TestOracleScorer:
     )
     def test_solve_schatten_error_unchanged(self, shape, p, mode):
         a = generate_synthetic(*shape, 0.1, RandomStream(1))
-        # at default constants the sampler clips here, so in full_pipeline
+        # at the default c_s the sampler clips here, so in full_pipeline
         # only a sampled S keeps the error away from 0
-        consts = SketchConstants(c_s=0.2)
-        rep = solve_schatten(
-            a, 3, p, 0.5, RandomStream(2), mode, oracle=True, constants=consts
-        )
+        with sample_constant(0.2):
+            rep = solve_schatten(a, 3, p, 0.5, RandomStream(2), mode, oracle=True)
         assert not rep.clipped
         want = _dense_formula_error(
             a.to_dense(), rep.factors, lambda s: schatten_norm(s, p)
@@ -195,7 +192,7 @@ class TestOracleScorer:
 
     @pytest.mark.parametrize("shape", [(120, 90), (90, 120)])
     def test_solve_schatten_error_with_default_constants(self, shape):
-        # default constants: the sampler clips, so Z is the block Krylov
+        # the default c_s: the sampler clips, so Z is the block Krylov
         # top-k of A, near the optimum, and both scores read the same small error
         a = generate_synthetic(*shape, 0.1, RandomStream(1))
         rep = solve_schatten(a, 3, 3.0, 0.5, RandomStream(2), oracle=True)
@@ -250,8 +247,8 @@ class TestExactRegression:
     def test_full_pipeline_flags_match_drawn_seeds(self):
         # S samples: one seed, nothing drawn for the regression
         a = generate_synthetic(300, 200, 0.1, RandomStream(1))
-        consts = SketchConstants(c_s=0.05)
-        rep = solve_schatten(a, 2, 1.0, 0.5, RandomStream(2), constants=consts)
+        with sample_constant(0.05):
+            rep = solve_schatten(a, 2, 1.0, 0.5, RandomStream(2))
         assert not rep.clipped and not rep.fallback_used
         assert list(rep.seeds) == ["s"]
         assert rep.factors.y.tobytes() == sparse_dense_multiply(a, rep.factors.z).tobytes()
@@ -263,7 +260,7 @@ class TestExactRegression:
 
     def test_baseline_and_generalized_regress_exactly(self):
         a = generate_synthetic(120, 90, 0.1, RandomStream(1))
-        base = solve_frobenius_baseline(a, 3, RandomStream(2))
+        base = solve_schatten(a, 3, 1.0, 0.5, RandomStream(2), "simplified_experiment")
         gen_rep = solve_generalized(a, 3, HuberLoss(1.0), 0.5, RandomStream(2))
         assert list(base.seeds) == list(gen_rep.seeds) == ["s"]
         for rep in (base, gen_rep):
@@ -277,35 +274,35 @@ def _align_signs(ref, got):
     return got.y * signs, got.z * signs
 
 
-def _full_solves(a, stream_seed, consts):
-    return [
-        solve_schatten(a, 3, p, 0.5, RandomStream(stream_seed), constants=consts)
-        for p in (1.0, 3.0)
-    ] + [solve_generalized(a, 3, HuberLoss(1.0), 0.5, RandomStream(stream_seed), constants=consts)]
+def _full_solves(a, stream_seed, c_s):
+    with sample_constant(c_s):
+        return [
+            solve_schatten(a, 3, p, 0.5, RandomStream(stream_seed)) for p in (1.0, 3.0)
+        ] + [solve_generalized(a, 3, HuberLoss(1.0), 0.5, RandomStream(stream_seed))]
 
 
 class TestSparseSketchedRowspace:
     CLIPPED, SAMPLED = True, False
 
     @pytest.mark.parametrize(
-        "shape, density, consts, kinds",
+        "shape, density, c_s, kinds",
         [
-            ((300, 200), 0.05, SketchConstants(), [CLIPPED] * 3),
-            ((200, 300), 0.05, SketchConstants(), [CLIPPED] * 3),
-            ((900, 40), 0.2, SketchConstants(), [CLIPPED, CLIPPED, SAMPLED]),
-            ((300, 200), 0.1, SketchConstants(c_s=0.05), [SAMPLED] * 3),
+            ((300, 200), 0.05, sketches.C_S, [CLIPPED] * 3),
+            ((200, 300), 0.05, sketches.C_S, [CLIPPED] * 3),
+            ((900, 40), 0.2, sketches.C_S, [CLIPPED, CLIPPED, SAMPLED]),
+            ((300, 200), 0.1, 0.05, [SAMPLED] * 3),
         ],
     )
-    def test_factors_match_the_dense_kernels(self, shape, density, consts, kinds, monkeypatch):
+    def test_factors_match_the_dense_kernels(self, shape, density, c_s, kinds, monkeypatch):
         # p=1, p=3 and Huber solves, each checked for a clipped S; the
         # factors of one column pair may differ in sign between the kernels
         a = generate_synthetic(*shape, density, RandomStream(1))
-        sparse = _full_solves(a, 5, consts)
+        sparse = _full_solves(a, 5, c_s)
         sample = solver.apply_row_sampler  # rerun on a dense SA, as before
         monkeypatch.setattr(
             solver, "apply_row_sampler", lambda *args: sample(*args).to_dense()
         )
-        dense = _full_solves(a, 5, consts)
+        dense = _full_solves(a, 5, c_s)
         assert [rep.clipped for rep in sparse] == kinds
         for got, ref in zip(sparse, dense):
             assert got.seeds == ref.seeds
@@ -354,8 +351,8 @@ class TestSparseSketchedRowspace:
         monkeypatch.setattr(solver, "block_krylov", spy)
         # a clipped tall SA, a sampled tall SA and a sampled wide SA
         for c_s, clipped, wide in ((8.0, True, False), (0.05, False, False), (0.02, False, True)):
-            consts = SketchConstants(c_s=c_s)
-            rep = solve_schatten(a, 3, 1.0, 0.5, RandomStream(3), constants=consts)
+            with sample_constant(c_s):
+                rep = solve_schatten(a, 3, 1.0, 0.5, RandomStream(3))
             assert rep.clipped == clipped
             assert (shapes[-1][0] < shapes[-1][1]) == wide
             counts = rep.multiply_add_counts
@@ -685,7 +682,7 @@ class TestSketchedScores:
 
     @pytest.mark.parametrize("p", [1.0, 3.0])
     def test_sampled_solve_under_a_planted_head_is_within_one_plus_eps(self, p):
-        # S samples at default constants (921 and 589 of the 3000 rows) by
+        # S samples at the default c_s (921 and 589 of the 3000 rows) by
         # the Krylov scores, and the exact Schatten error meets the bound;
         # Y = 0 would miss it, by the head's weight
         a = plant_head(random_sparse(make_gen(41), 3000, 40, density=0.05))
@@ -846,11 +843,13 @@ class TestSolveSchatten:
 
 
 class TestFrobeniusBaseline:
+    """The harness's Frobenius baseline: simplified-mode ``solve_schatten`` at p = 1."""
+
     def test_exact_rank_k(self):
         gen = make_gen(90)
         dense = random_rank_k(gen, 50, 30, 5)
         a = SparseMatrix.from_dense(dense)
-        rep = solve_frobenius_baseline(a, 5, RandomStream(17), oracle=True)
+        rep = solve_schatten(a, 5, 1.0, 0.5, RandomStream(17), "simplified_experiment", oracle=True)
         assert rep.relative_error <= 1e-6  # Schatten-1 metric
         resid = dense - rep.factors.y @ rep.factors.z.T
         assert np.linalg.norm(resid) <= 1e-6 * np.linalg.norm(dense)
@@ -873,35 +872,16 @@ class TestFrobeniusBaseline:
         cand_f = schatten_norm(singular_values(a - top_only), 2.0)
         assert cand_f <= 1.5 * opt_f  # acceptable in Frobenius
         assert cand_1 >= 1.5 * opt_1  # bad in the nuclear norm
-        rep = solve_frobenius_baseline(
-            SparseMatrix.from_dense(a), k, RandomStream(23), oracle=True
+        rep = solve_schatten(
+            SparseMatrix.from_dense(a), k, 1.0, 0.5, RandomStream(23), "simplified_experiment",
+            oracle=True,
         )
         assert rep.relative_error <= 0.5  # the sketch does not collapse to top-1
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        m=st.integers(4, 40),
-        n=st.integers(4, 40),
-        k=st.integers(1, 5),
-        kind=st.sampled_from(["sparse", "few_rows", "deficient"]),
-    )
-    def test_same_factors_as_simplified_schatten(self, seed, m, n, k, kind):
-        # the baseline is simplified-mode solve_schatten at p = 1, so a rank-
-        # deficient SA gets the RANK_TOL cut and the deterministic padding
-        k = min(k, min(m, n) - 1)
-        a = _pass_through_input(make_gen(seed), m, n, k, kind)
-        base = solve_frobenius_baseline(a, k, RandomStream(seed))
-        simp = solve_schatten(a, k, 1.0, 0.5, RandomStream(seed), "simplified_experiment")
-        assert base.factors.y.tobytes() == simp.factors.y.tobytes()
-        assert base.factors.z.tobytes() == simp.factors.z.tobytes()
-        assert base.seeds == simp.seeds
-        assert base.multiply_add_counts == simp.multiply_add_counts
 
     def test_wide_input(self):
         gen = make_gen(91)
         a = SparseMatrix.from_dense(gen.standard_normal((8, 30)))
-        rep = solve_frobenius_baseline(a, 2, RandomStream(19), oracle=True)
+        rep = solve_schatten(a, 2, 1.0, 0.5, RandomStream(19), "simplified_experiment", oracle=True)
         assert rep.transposed
         assert rep.factors.y.shape == (8, 2)
         assert rep.relative_error >= -1e-9
@@ -984,7 +964,7 @@ class TestSolveGeneralized:
         for k, eps in ((1, 0.5), (3, 0.3), (5, 0.5)):
             plan = solve_generalized(a, k, HuberLoss(1.0), eps, RandomStream(2)).plan
             assert plan.r_kyfan == math.ceil(k / eps) and plan.mode == "full_pipeline"
-            assert plan.s_rows == min(sample_count(k, eps, plan.eta1, 8.0), a.nrows)
+            assert plan.s_rows == min(sample_count(k, eps, plan.eta1), a.nrows)
 
     @pytest.mark.parametrize("loss", ["huber:1.0", 1.0, np.abs], ids=["text", "number", "ufunc"])
     def test_rejects_a_loss_that_is_not_a_scalar_loss(self, loss):
@@ -1013,6 +993,16 @@ class TestSharedPrologue:
                 _PROLOGUE_SOLVES[solve](a, k, 0.5, 1)
         with pytest.raises(ValueError, match="^eps must be positive$"):
             _PROLOGUE_SOLVES[solve](a, 2, -0.1, 1)
+
+    def test_non_integral_k_is_refused(self, solve):
+        a = SparseMatrix.from_dense(make_gen(87).standard_normal((20, 10)))
+        for k in (2.0, 2.5):
+            with pytest.raises(ValueError, match=rf"^k must be an integer, got k={k}$"):
+                _PROLOGUE_SOLVES[solve](a, k, 0.5, 1)
+        # a numpy integer is an integer
+        want = _PROLOGUE_SOLVES[solve](a, 2, 0.5, 1).factors
+        got = _PROLOGUE_SOLVES[solve](a, np.int64(2), 0.5, 1).factors
+        assert got.z.tobytes() == want.z.tobytes()
 
     def test_k_is_checked_before_eps(self, solve):
         a = SparseMatrix.from_dense(make_gen(89).standard_normal((20, 10)))
