@@ -9,6 +9,7 @@ import sys
 import numpy as np
 
 from .harness import (
+    FORMATS,
     ExperimentConfig,
     ParseError,
     emit_csv,
@@ -20,8 +21,9 @@ from .harness import (
 from .matrixcore import ConvergenceError
 from .norms import parse_loss, schatten_norm
 from .rng import RandomStream
-from .sketches import make_sketch_plan, build_row_sampler, apply_row_sampler
+from .sketches import MODES, make_sketch_plan, build_row_sampler, apply_row_sampler
 from .solver import (
+    _prologue,
     clamp_eps,
     diagnose_kyfan_preservation,
     solve_generalized,
@@ -31,12 +33,7 @@ from .solver import (
 
 def _add_source_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", help="path to a matrix file")
-    p.add_argument(
-        "--format",
-        default="matrix_market",
-        choices=("matrix_market", "bag_of_words_triplets"),
-        help="input file layout",
-    )
+    p.add_argument("--format", default="matrix_market", choices=FORMATS, help="input file layout")
     p.add_argument("--m", type=int, help="synthetic row count")
     p.add_argument("--n", type=int, help="synthetic column count")
     p.add_argument("--density", type=float, default=0.05, help="synthetic fill fraction")
@@ -104,10 +101,11 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    eps, warnings = clamp_eps(args.eps)
     cfg = ExperimentConfig(
         k_list=[int(v) for v in args.k.split(",")],
         p=args.p,
-        eps=args.eps,
+        eps=eps,
         trials=args.trials,
         seed=args.seed,
         mode=args.mode,
@@ -130,18 +128,16 @@ def _cmd_bench(args) -> int:
             f"{row.k:>4} {row.algo:>20} {err:>18} "
             f"{row.median_wall_ms:>15.3f} {row.n_trials:>7}"
         )
+    for w in warnings:
+        print(f"warning: {w}")
     return 0
 
 
 def _cmd_diagnose(args) -> int:
-    eps, warnings = clamp_eps(args.eps)
     stream = RandomStream(args.seed)
     mat = _source_matrix(args, stream)
-    m, n = mat.shape
-    work = mat.transpose() if m < n else mat
-    plan = make_sketch_plan(
-        max(work.shape), min(work.shape), args.k, eps, args.p, "full_pipeline"
-    )
+    work, _, eps, warnings = _prologue(mat, args.k, args.eps)
+    plan = make_sketch_plan(*work.shape, args.k, eps, args.p, "full_pipeline")
     sampler = build_row_sampler(work, args.k, eps, plan.eta1, stream)
     sa = apply_row_sampler(work, sampler)
     report = diagnose_kyfan_preservation(
@@ -194,11 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--p", type=float, default=1.0)
     p_solve.add_argument("--eps", type=float, default=0.5)
     p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument(
-        "--mode",
-        default="full_pipeline",
-        choices=("full_pipeline", "simplified_experiment"),
-    )
+    p_solve.add_argument("--mode", default="full_pipeline", choices=MODES)
     p_solve.add_argument(
         "--loss", help="generalized loss instead of a Schatten norm (e.g. huber:1.0)"
     )
@@ -216,11 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--eps", type=float, default=0.5)
     p_bench.add_argument("--trials", type=int, default=50)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument(
-        "--mode",
-        default="simplified_experiment",
-        choices=("full_pipeline", "simplified_experiment"),
-    )
+    p_bench.add_argument("--mode", default="simplified_experiment", choices=MODES)
     p_bench.add_argument("--oracle", action="store_true")
     p_bench.add_argument("--out", help="CSV basename")
     p_bench.set_defaults(func=_cmd_bench)

@@ -395,48 +395,25 @@ def run_experiment(
         raise ValueError(f"every k must be below min(shape) = {min(a.shape)}")
 
     scorer = OracleScorer(a) if cfg.oracle else None
-
-    def score(factors, p: float) -> float | None:
-        if scorer is None:
-            return None
-        return scorer.relative_error(factors, lambda s: schatten_norm(s, p))
-
+    # the Frobenius baseline is simplified mode at p = 1: Z from the
+    # top-k of a k^2-row CountSketch of A, and Y = A Z
+    algos = (
+        ("schatten_p", cfg.p, cfg.eps, cfg.mode),
+        ("frobenius_baseline", 1.0, 0.5, "simplified_experiment"),
+    )
     records: list[TrialRecord] = []
     for k in cfg.k_list:
         for trial in range(cfg.trials):
-            ours_stream, base_stream = trial_root.split(2)
-
-            t0 = time.perf_counter()
-            ours = solve_schatten(a, k, cfg.p, cfg.eps, ours_stream, cfg.mode)
-            wall_ours = (time.perf_counter() - t0) * 1e3
-            records.append(
-                TrialRecord(
-                    k=k,
-                    trial_index=trial,
-                    algo="schatten_p",
-                    rel_error=score(ours.factors, cfg.p),
-                    wall_ms=wall_ours,
-                    seed=ours_stream.seed,
-                    fallback_used=ours.fallback_used,
+            for (algo, p, eps, mode), stream in zip(algos, trial_root.split(2)):
+                t0 = time.perf_counter()
+                rep = solve_schatten(a, k, p, eps, stream, mode)
+                wall_ms = (time.perf_counter() - t0) * 1e3
+                rel_error = None
+                if scorer is not None:
+                    rel_error = scorer.relative_error(rep.factors, lambda s: schatten_norm(s, p))
+                records.append(
+                    TrialRecord(k, trial, algo, rel_error, wall_ms, stream.seed, rep.fallback_used)
                 )
-            )
-
-            # the Frobenius baseline is simplified mode at p = 1: Z from the
-            # top-k of a k^2-row CountSketch of A, and Y = A Z
-            t0 = time.perf_counter()
-            base = solve_schatten(a, k, 1.0, 0.5, base_stream, "simplified_experiment")
-            wall_base = (time.perf_counter() - t0) * 1e3
-            records.append(
-                TrialRecord(
-                    k=k,
-                    trial_index=trial,
-                    algo="frobenius_baseline",
-                    rel_error=score(base.factors, 1.0),
-                    wall_ms=wall_base,
-                    seed=base_stream.seed,
-                    fallback_used=base.fallback_used,
-                )
-            )
 
     summary = summarize(records)
     return records, summary

@@ -405,18 +405,28 @@ def truncate_rank(res: SvdResult, k: int) -> LowRankFactors:
 def complete_basis(z: np.ndarray, k: int) -> np.ndarray:
     """Pad an orthonormal column block to exactly ``k`` columns.
 
-    ``z``'s columns are kept, and the padding is the rest of the Householder
-    Q of ``[z, e_1 .. e_{k - have}]``, which is orthonormal and orthogonal
-    to ``z`` even when some ``e_i`` lies in its span, so the completion is
-    deterministic. Used when a sketched row space has rank < k.
+    ``z``'s columns are kept, and the padding is Gram-Schmidt over the
+    standard basis in order, ``e_1, e_2, ...``, each projected off the
+    columns so far; an ``e_i`` whose residual is below ``1e-8``, the
+    rounding left on a vector in their span, is skipped. The projector
+    ``I - z z^T`` depends only on span(z), so the padding does too, not on
+    z's basis of it. Used when a sketched row space has rank < k.
     """
     n, have = z.shape
     if have >= k:
         return z[:, :k]
     if k > n:
         raise ValueError(f"cannot pick {k} orthonormal columns in dimension {n}")
-    q = _orthonormal(np.hstack([z, np.eye(n, k - have)]))
-    return np.hstack([z, q[:, have:]])
+    basis = z
+    for i in range(n):
+        w = -(basis @ basis[i])  # e_i - basis basis^T e_i
+        w[i] += 1.0
+        if np.linalg.norm(w) > 1e-8:
+            w -= basis @ (basis.T @ w)  # re-orthogonalize once
+            basis = np.hstack([basis, (w / np.linalg.norm(w))[:, None]])
+            if basis.shape[1] == k:
+                return basis
+    raise ValueError("failed to complete orthonormal basis")
 
 
 def sparse_dense_multiply(

@@ -130,9 +130,6 @@ class L1L2Loss(ScalarLoss):
         # catastrophic cancellation that rounds tiny inputs to exactly 0
         return x * x / (np.sqrt(1.0 + 0.5 * x * x) + 1.0)
 
-    def describe(self) -> str:
-        return "l1_l2"
-
 
 def parse_loss(text: str) -> ScalarLoss:
     """Parse a loss id like ``huber:1.5``, ``tukey_p:2:1.0`` or ``l1_l2``."""

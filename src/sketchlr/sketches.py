@@ -372,16 +372,12 @@ def build_row_sampler(
 
     row_nnz = np.diff(a.csr.indptr)
     support = np.flatnonzero(row_nnz)
-    if support.size == 0:
-        # zero matrix: leverage is undefined, fall back to a uniform sample
-        prob = np.full(m, 1.0 / m)
-        if t >= m:
-            return SamplingSketch(m, np.arange(m), np.ones(m), seed, True, True)
-        idx = np.sort(gen.choice(m, size=t, replace=False, p=prob))
-        w = 1.0 / np.sqrt(t * prob[idx])
-        return SamplingSketch(m, idx, w, seed, False, True)
     kernel = mass = None
-    if t < support.size:
+    degenerate = support.size == 0
+    if degenerate:
+        # zero matrix: leverage is undefined, so every row scores 1, a uniform sample
+        support, tau = np.arange(m), np.ones(m)
+    elif t < support.size:
         x = a.csr.T
         tau, beta = _norm_bound(x)
         if counter is not None:
@@ -402,11 +398,11 @@ def build_row_sampler(
         support = np.flatnonzero(tau > 0.0)
     if t >= support.size:
         ones = np.ones(support.size)
-        return SamplingSketch(m, support, ones, seed, clipped=True, score_kernel=kernel, mass=mass)
+        return SamplingSketch(m, support, ones, seed, True, degenerate, kernel, mass)
     prob = tau / tau.sum()
     idx = np.sort(gen.choice(m, size=t, replace=False, p=prob))
     w = 1.0 / np.sqrt(t * prob[idx])
-    return SamplingSketch(m, idx, w, seed, score_kernel=kernel, mass=mass)
+    return SamplingSketch(m, idx, w, seed, False, degenerate, kernel, mass)
 
 
 def apply_row_sampler(

@@ -295,10 +295,6 @@ class _FoldingCounter(MultiplyAddCounter):
         self.counters[self.key] = self.counters.get(self.key, 0) + int(n)
 
 
-def _counter(counters: dict | None, key: str) -> MultiplyAddCounter | None:
-    return None if counters is None else _FoldingCounter(counters, key)
-
-
 def _sketched_rowspace(
     work: SparseMatrix,
     k: int,
@@ -318,9 +314,9 @@ def _sketched_rowspace(
             s_op = build_countsketch(work.nrows, plan.s_rows, stream)
             report.seeds["s"] = s_op.seed
             report.rows_drawn = plan.s_rows
-            sa = apply_countsketch_left(work, s_op, _counter(counters, "s_apply"))
+            sa = apply_countsketch_left(work, s_op, _FoldingCounter(counters, "s_apply"))
         else:
-            scores = _counter(counters, "s_scores")
+            scores = _FoldingCounter(counters, "s_scores")
             s_sk = build_row_sampler(work, k, eps, plan.eta1, stream, scores)
             report.seeds["s"] = s_sk.seed
             report.clipped |= s_sk.clipped
@@ -328,7 +324,7 @@ def _sketched_rowspace(
             report.score_kernel = s_sk.score_kernel
             report.score_mass = s_sk.mass
             report.rows_drawn = s_sk.sample_count
-            sa = apply_row_sampler(work, s_sk, _counter(counters, "s_apply"))
+            sa = apply_row_sampler(work, s_sk, _FoldingCounter(counters, "s_apply"))
     return _rowspace(sa, k, eps, report)
 
 
@@ -342,7 +338,7 @@ def _rowspace(sa, k: int, eps: float, report: SolveReport) -> np.ndarray:
         d = min(sa.shape)
         depth = math.ceil(math.log(d) / math.sqrt(eps))
         if report.plan.mode == "full_pipeline" and (depth + 1) * k < d:
-            sigma, v = block_krylov(sa, k, depth, _counter(counters, "krylov"))
+            sigma, v = block_krylov(sa, k, depth, _FoldingCounter(counters, "krylov"))
             report.krylov_depth, report.ritz_values = depth, tuple(sigma.tolist())
         else:
             sparse = isinstance(sa, SparseMatrix)
@@ -375,7 +371,8 @@ def _solve(
     """
     z = _sketched_rowspace(work, k, eps, stream, report)
     with _Stage(report.elapsed, "regression"):
-        y = sparse_dense_multiply(work, z, _counter(report.multiply_add_counts, "regression"))
+        counter = _FoldingCounter(report.multiply_add_counts, "regression")
+        y = sparse_dense_multiply(work, z, counter)
     factors = LowRankFactors(y=y, z=z, k=k)
     report.factors = _swap_transposed(factors) if report.transposed else factors
     if objective is not None:

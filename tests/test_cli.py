@@ -1,8 +1,11 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import sketchlr.cli
 import sketchlr.solver
 from sketchlr import (
     ConvergenceError,
@@ -12,6 +15,7 @@ from sketchlr import (
     load_matrix,
     make_sketch_plan,
     parse_loss,
+    run_experiment,
     solve_generalized,
 )
 from sketchlr.cli import main
@@ -95,6 +99,24 @@ def test_bench_writes_csv(tmp_path, capsys):
     assert "schatten_p" in out and "frobenius_baseline" in out
 
 
+def test_bench_clamps_eps_like_solve(monkeypatch, capsys):
+    runs = []
+
+    def spy(cfg):
+        runs.append(run_experiment(cfg))
+        return runs[-1]
+
+    monkeypatch.setattr(sketchlr.cli, "run_experiment", spy)
+    source = ["--m", "40", "--n", "30", "--density", "0.3", "--k", "2", "--trials", "2"]
+    for eps in ("0.9", "0.5"):
+        assert main(["bench", *source, "--mode", "full_pipeline", "--oracle", "--eps", eps]) == 0
+        warned = "warning: eps=0.9 clamped to 0.5\n" in capsys.readouterr().out
+        assert warned == (eps == "0.9")
+    # the solves clamp to the same eps, so only the wall times differ
+    clamped, plain = ([replace(r, wall_ms=0.0) for r in records] for records, _ in runs)
+    assert clamped == plain
+
+
 def test_repeated_rank_is_config_error(tmp_path, capsys):
     base = tmp_path / "bench"
     argv = ["bench", "--m", "30", "--n", "20", "--k", "2,2", "--trials", "1", "--out", str(base)]
@@ -174,6 +196,13 @@ def test_non_finite_p_is_config_error(command, p, capsys):
     code = main([command, "--m", "60", "--n", "40", "--k", "2", "--p", p])
     assert code == 2
     assert f"error: p must be a finite value >= 1, got {p}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["solve"], ["diagnose", "--trials", "3"]])
+def test_k_at_min_shape_is_refused_alike(command, capsys):
+    # at k = min(shape) the head check is vacuous, so diagnose refuses it as solve does
+    assert main([*command, "--m", "30", "--n", "20", "--density", "0.5", "--k", "20"]) == 2
+    assert capsys.readouterr().err == "error: k=20 out of range 1..19\n"
 
 
 def test_missing_source_is_config_error(capsys):

@@ -2,6 +2,8 @@
 
 import math
 import tracemalloc
+from collections.abc import Hashable
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from conftest import (
     random_sparse,
     sample_constant,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sketchlr.matrixcore as matrixcore
@@ -400,6 +402,8 @@ class TestPassThroughRowspace:
         kind=st.sampled_from(["sparse", "few_rows", "deficient"]),
         solve=st.sampled_from(sorted(_PASS_THROUGH_SOLVES)),
     )
+    # fewer than k nonzero columns: some e_i the padding walks lies in span(V)
+    @example(seed=0, m=31, n=38, k=4, kind="few_rows", solve="clipped_p1")
     def test_z_spans_the_kernel_block_of_sa(self, seed, m, n, k, kind, solve):
         k = min(k, min(m, n) - 1)
         a = _pass_through_input(make_gen(seed), m, n, k, kind)
@@ -943,6 +947,23 @@ class TestSolveGeneralized:
         second = solve_generalized(a, 2, HuberLoss(1.0), 0.5, RandomStream(5))
         assert calls == [(HuberLoss(1.0), 0.5)]
         assert second.condition_report == first.condition_report == real(HuberLoss(1.0), 0.5)
+
+    def test_unhashable_loss_is_checked_on_every_solve(self):
+        @dataclass  # not frozen, so its __hash__ is None
+        class MutableHuber(ScalarLoss):
+            tau: float = 1.0
+            name = "mutable_huber"
+
+            def __call__(self, x):
+                return HuberLoss(self.tau)(x)
+
+        loss = MutableHuber()
+        assert not isinstance(loss, Hashable)
+        a = SparseMatrix.from_dense(random_rank_k(make_gen(101), 20, 15, 2))
+        before = solver._default_grid_conditions.cache_info()
+        rep = solve_generalized(a, 2, loss, 0.5, RandomStream(3))
+        assert solver._default_grid_conditions.cache_info() == before
+        assert rep.condition_report == solver.check_phi_conditions(loss, 0.5)
 
     def test_refuses_divergent_loss(self):
         class ExpLoss(ScalarLoss):
