@@ -245,7 +245,10 @@ def _krylov_scores(
     ``r + 1 / ridge_scale``, whatever W is. The difference loses about
     ``eps_mach ||A||_F^2`` to cancellation, so ``lam'`` takes
     ``(m + n) eps_mach ||A||_F^2`` more to stay at least that ridge when
-    ``A`` is nearly rank r. A tail at or below
+    ``A`` is nearly rank r. The second term's difference cancels on rows of
+    a dominant head, so its ``||a_i||^2`` takes ``d eps_mach ||a_i||^2``
+    more; that adds at most ``d / (m + n)`` of what the slack in ``lam'``
+    takes off the sum, which stays within budget. A tail at or below
     ``d eps_mach ||A||_F^2`` is rounding: ``lam'`` is 0 and the second term
     is dropped (A lies in ``range(W)``), so the scores are A's leverage
     scores. Eigenvalues ``mu_j`` at or below ``d eps_mach mu_1`` count as
@@ -277,7 +280,7 @@ def _krylov_scores(
     ridge = ridge_scale * (tail + slack) if tail > floor * fro else 0.0
     tau = av_sq @ (1.0 / (mu + ridge))
     if ridge > 0.0:
-        tau += np.maximum(row_sq - av_sq.sum(axis=1), 0.0) / ridge
+        tau += np.maximum(row_sq * (1.0 + floor) - av_sq.sum(axis=1), 0.0) / ridge
     return tau, ridge
 
 

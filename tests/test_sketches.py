@@ -600,14 +600,18 @@ class TestKrylovScores:
         assert tau_tilde.sum() <= (k + eps / eta) * (1.0 + 1e-12)
         zero = ~np.any(dense != 0.0, axis=1)
         assert np.all(tau_tilde[zero] == 0.0) and np.all(tau_tilde[~zero] > 0.0)
-        # the exact scores at the kernel's ridge, lam' = (eta/eps) ||(I - W W^T) A||_F^2
-        s2 = np.linalg.svd(dense, compute_uv=False) ** 2
+        # the exact scores at the kernel's ridge, lam' = (eta/eps) ||(I - W W^T) A||_F^2,
+        # from A's SVD: the Gram path of ridge_leverage_scores resolves them
+        # only to about eps_mach cond(A^T A), which a planted head makes 1e-8
+        u, sigma, _ = np.linalg.svd(dense, full_matrices=False)
+        s2 = sigma**2
         tail = float(np.sum(s2[k:]))
         if ridge > 0.0:
             assert ridge >= (eta / eps) * tail * (1.0 - 1e-9)
         else:
             assert tail <= 1e-9 * s2.sum()  # A lies in the Krylov basis's span
-        tau = ridge_leverage_scores(dense.T, k, ridge / tail if tail > 0.0 else 0.0)
+        live = s2 > min(m, n) * np.finfo(float).eps * s2[0]
+        tau = np.square(u[:, live]) @ (s2[live] / (s2[live] + ridge))
         assert np.all(tau <= tau_tilde * (1.0 + 1e-9) + 1e-12)
         # the draw is by the overestimates, and the first one from the seed
         prob = tau_tilde / tau_tilde.sum()
