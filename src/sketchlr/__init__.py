@@ -4,8 +4,8 @@ The pipeline sketches the input, extracts a candidate row space from the
 sketch, and recovers the left factor by exact regression onto it, giving factors
 ``(Y, Z)`` with ``||A - Y Z^T||_p`` close to the best rank-k error for every
 Schatten p-norm (and a family of generalized singular-value losses). A dense
-SVD oracle, a Frobenius baseline and an experiment harness round out the
-package.
+SVD oracle, the exact error scorer ``OracleScorer``, a Frobenius baseline and
+an experiment harness round out the package.
 """
 
 from .harness import (
@@ -63,6 +63,7 @@ from .sketches import (
 from .solver import (
     DiagnosticReport,
     OracleResult,
+    OracleScorer,
     SolveReport,
     diagnose_kyfan_preservation,
     exact_oracle,
@@ -84,6 +85,7 @@ __all__ = [
     "LowRankFactors",
     "MultiplyAddCounter",
     "OracleResult",
+    "OracleScorer",
     "ParseError",
     "RandomStream",
     "SamplingSketch",

@@ -19,7 +19,8 @@ import numpy as np
 from .matrixcore import SparseMatrix
 from .norms import schatten_norm
 from .rng import RandomStream
-from .solver import OracleScorer, solve_schatten
+from .sketches import MODES
+from .solver import OracleScorer, clamp_eps, solve_schatten
 
 FORMATS = ("matrix_market", "bag_of_words_triplets")
 
@@ -61,6 +62,12 @@ class ExperimentConfig:
             raise ValueError(f"k_list repeats rank {repeated[0]}: each rank is one set of trials")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        # the solve's own refusals, made before the matrix is read or densified
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}")
+        if not 1.0 <= self.p < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"p must be a finite value >= 1, got {float(self.p)}")
+        clamp_eps(self.eps)
         synthetic = self.nrows is not None or self.ncols is not None
         if synthetic and self.input_path is not None:
             raise ValueError("choose either a synthetic source or an input file")

@@ -257,21 +257,6 @@ def _orthonormal(w: np.ndarray, lwork: list[int] | None = None) -> np.ndarray:
     return lapack.dorgqr(qr, tau, lwork=lwork[1], overwrite_a=1)[0]
 
 
-def compact_qr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Householder QR ``x = Q R`` of a tall ``x``, kept in LAPACK's compact form.
-
-    Returns ``(reflectors, tau, r)``: R on and above the diagonal of
-    ``reflectors`` and the Householder vectors below it, which with ``tau``
-    define Q for ``?ormqr``; ``r`` is a copy of R. A column-major float64
-    ``x`` is factored in place and returned as ``reflectors``, so Q is never
-    formed and ``x`` must not be read as the input afterwards.
-    """
-    (reflectors, tau), r = scipy.linalg.qr(
-        x, mode="raw", overwrite_a=True, check_finite=False
-    )
-    return reflectors, tau, r
-
-
 def block_krylov(
     a, k: int, depth: int, counter: MultiplyAddCounter | None = None
 ) -> tuple[np.ndarray, np.ndarray]:

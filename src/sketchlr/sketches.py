@@ -31,6 +31,7 @@ A is the row sampler on ``A^T``, and ``A R`` is ``(R^T A^T)^T``.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,14 +177,24 @@ def sample_count(k: int, eps: float, eta: float) -> int:
     ``t(K) = ceil(c_s K (1 + ln K) / eps^2)`` with the fixed ``c_s = C_S =
     8``. It is the plan's ``s_rows`` (before the cap at m). A sampler whose
     overestimates certify a smaller mass ``K*`` draws only
-    ``t(min(K, K*))`` rows (:func:`build_row_sampler`).
+    ``t(min(K, K*))`` rows (:func:`build_row_sampler`). Refuses an
+    ``eta`` that is not positive, as a tiny ``eps`` makes it underflow.
     """
+    if not eta > 0.0:
+        raise ValueError(f"eps={eps:g} is too small: the error split eta={eta:g} is not positive")
     return _mass_count(k + eps / eta, eps)
 
 
 def _mass_count(mass: float, eps: float) -> int:
     """``t(K) = ceil(C_S * K (1 + ln K) / eps^2)`` samples by overestimates of mass ``K >= 1``."""
-    return int(math.ceil(C_S * mass * (1.0 + math.log(mass)) / (eps * eps)))
+    return _ceil_count(C_S * mass * (1.0 + math.log(mass)), eps * eps)
+
+
+def _ceil_count(num: float, den: float) -> int:
+    """``ceil(num / den)``, or ``sys.maxsize`` past the float range (``den`` 0 included):
+    every count is capped at a dimension, so one too large to form is all of it."""
+    count = num / den if den > 0.0 else math.inf
+    return math.ceil(count) if count < math.inf else sys.maxsize
 
 
 def ridge_leverage_scores(a, k: int, ridge_scale: float) -> np.ndarray:
@@ -490,4 +501,4 @@ def _sized_plan(m: int, k: int, eps: float, eta1: float, mode: str) -> SketchPla
         s_rows = k * k
     else:
         s_rows = min(sample_count(k, eps, eta1), m)
-    return SketchPlan(eta1=eta1, r_kyfan=int(math.ceil(k / eps)), s_rows=s_rows, mode=mode)
+    return SketchPlan(eta1=eta1, r_kyfan=_ceil_count(k, eps), s_rows=s_rows, mode=mode)

@@ -32,6 +32,7 @@ The returned pair never materializes ``Y @ Z.T``. Wide inputs are solved on
 the transpose and the factors swapped back.
 """
 
+import contextlib
 import functools
 import math
 import time
@@ -39,6 +40,7 @@ from collections.abc import Hashable
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg import blas, lapack
 
 from .matrixcore import (
@@ -50,7 +52,6 @@ from .matrixcore import (
     SparseMatrix,
     _ensure_sparse,
     block_krylov,
-    compact_qr,
     complete_basis,
     singular_values,
     sparse_dense_multiply,
@@ -64,12 +65,12 @@ from .norms import (
     check_phi_conditions,
     cpe_constant,
     kyfan_pr_norm,
-    phi_objective,
     schatten_norm,
 )
 from .rng import RandomStream
 from .sketches import (
     SketchPlan,
+    _ceil_count,
     _sized_plan,
     apply_countsketch_left,
     apply_row_sampler,
@@ -126,9 +127,8 @@ class SolveReport:
     projections and two QRs a block, about ``3 d k^2 q^2`` multiply-adds,
     and ``Q S_k``) and the ``n k^2`` Cholesky-QR step on ``Z``.
     ``elapsed`` times the stages ``s_apply`` (scores included),
-    ``svd_sat`` (the top-k of ``SA``), ``regression`` and, with the
-    oracle, ``oracle``.
-    ``relative_error`` is only present when the exact oracle was run.
+    ``svd_sat`` (the top-k of ``SA``) and ``regression``. The report holds
+    no error: :class:`OracleScorer` scores the factors against the input.
     ``clipped`` flags a row sampler ``S`` that kept every nonzero row.
     ``fallback_used`` is always ``False``: the regression is exact and has
     no sketched row space to lose rank. It stays because benchmark records
@@ -140,7 +140,6 @@ class SolveReport:
     seeds: dict[str, int] = field(default_factory=dict)
     multiply_add_counts: dict[str, int] = field(default_factory=dict)
     elapsed: dict[str, float] = field(default_factory=dict)
-    relative_error: float | None = None
     fallback_used: bool = False
     transposed: bool = False
     clipped: bool = False
@@ -219,7 +218,7 @@ class OracleScorer:
     """Exact singular-value scores against one input, from one compact QR of it.
 
     The input is densified under the dense guard, turned tall (``m x n``,
-    ``m >= n``) and factored in place, ``A = Q R`` (:func:`compact_qr`). The
+    ``m >= n``) and factored in place, ``A = Q R`` (raw ``scipy.linalg.qr``). The
     scorer holds that one ``m x n`` array, R above its diagonal and Q's
     Householder reflectors below it, with their ``tau`` and a mask of R's
     triangle; Q is never formed. A trial gets ``[B; Y2] = Q^T Y`` from one
@@ -235,7 +234,9 @@ class OracleScorer:
         self.transposed = a.nrows < a.ncols
         # the row-major dense wide orientation, transposed, is the tall one column-major
         dense = _dense_guarded(a if self.transposed else a.transpose()).T
-        self._reflectors, self._tau, r = compact_qr(dense)
+        (self._reflectors, self._tau), r = scipy.linalg.qr(
+            dense, mode="raw", overwrite_a=True, check_finite=False
+        )
         self.spectrum = singular_values(r)
         self._upper = np.tri(r.shape[0], dtype=bool).T
 
@@ -266,22 +267,14 @@ class OracleScorer:
         return relative_error_from(resid, objective(sigma[factors.k :]), objective(sigma))
 
 
-class _Stage:
-    """Context manager recording wall time for one pipeline stage."""
-
-    def __init__(self, elapsed: dict, name: str):
-        self.elapsed = elapsed
-        self.name = name
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.elapsed[self.name] = self.elapsed.get(self.name, 0.0) + (
-            time.perf_counter() - self.t0
-        )
-        return False
+@contextlib.contextmanager
+def _stage(elapsed: dict, name: str):
+    """Add the block's wall time to ``elapsed[name]``, a block that raises included."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        elapsed[name] = elapsed.get(name, 0.0) + (time.perf_counter() - t0)
 
 
 class _FoldingCounter(MultiplyAddCounter):
@@ -309,7 +302,7 @@ def _sketched_rowspace(
     return, before the regression.
     """
     plan, counters = report.plan, report.multiply_add_counts
-    with _Stage(report.elapsed, "s_apply"):
+    with _stage(report.elapsed, "s_apply"):
         if plan.mode == "simplified_experiment":
             s_op = build_countsketch(work.nrows, plan.s_rows, stream)
             report.seeds["s"] = s_op.seed
@@ -334,7 +327,7 @@ def _rowspace(sa, k: int, eps: float, report: SolveReport) -> np.ndarray:
     The kernel is chosen by mode and size (module docstring), not storage.
     """
     counters = report.multiply_add_counts
-    with _Stage(report.elapsed, "svd_sat"):
+    with _stage(report.elapsed, "svd_sat"):
         d = min(sa.shape)
         depth = math.ceil(math.log(d) / math.sqrt(eps))
         if report.plan.mode == "full_pipeline" and (depth + 1) * k < d:
@@ -355,29 +348,18 @@ def _rowspace(sa, k: int, eps: float, report: SolveReport) -> np.ndarray:
 
 
 def _solve(
-    a: SparseMatrix,
-    work: SparseMatrix,
-    k: int,
-    eps: float,
-    stream: RandomStream,
-    report: SolveReport,
-    objective,
+    work: SparseMatrix, k: int, eps: float, stream: RandomStream, report: SolveReport
 ) -> SolveReport:
-    """Stages 2-4 on the oriented ``work``, then the factors of ``a``.
+    """Stages 2-4 on the oriented ``work``, then the factors of the input.
 
-    Both solvers call this once their plan is in ``report``. With an
-    ``objective`` of a spectrum, the exact oracle scores the factors
-    against ``a``.
+    Both solvers call this once their plan is in ``report``.
     """
     z = _sketched_rowspace(work, k, eps, stream, report)
-    with _Stage(report.elapsed, "regression"):
+    with _stage(report.elapsed, "regression"):
         counter = _FoldingCounter(report.multiply_add_counts, "regression")
         y = sparse_dense_multiply(work, z, counter)
     factors = LowRankFactors(y=y, z=z, k=k)
     report.factors = _swap_transposed(factors) if report.transposed else factors
-    if objective is not None:
-        with _Stage(report.elapsed, "oracle"):
-            report.relative_error = OracleScorer(a).relative_error(report.factors, objective)
     return report
 
 
@@ -423,16 +405,14 @@ def solve_schatten(
     eps: float,
     stream: RandomStream,
     mode: str = "full_pipeline",
-    *,
-    oracle: bool = False,
 ) -> SolveReport:
     """Rank-k approximation of ``a`` under the Schatten p-norm.
 
     Returns factors ``(Y, Z)`` with ``Z`` orthonormal such that
     ``||A - Y Z^T||_p <= (1 + O(eps)) ||A - A_k||_p`` with high probability.
-    ``eps`` above 1/2 is clamped (the sketch guarantees assume it); with
-    ``oracle=True`` the report carries the measured relative error, at the
-    cost of densifying ``a``.
+    ``eps`` above 1/2 is clamped (the sketch guarantees assume it).
+    :class:`OracleScorer` measures the relative error, at the cost of
+    densifying ``a``.
     """
     a = _ensure_sparse(a)
     p = float(p)
@@ -443,8 +423,7 @@ def solve_schatten(
         transposed=transposed,
         warnings=warnings,
     )
-    objective = (lambda s: schatten_norm(s, p)) if oracle else None
-    return _solve(a, work, k, eps, stream, report, objective)
+    return _solve(work, k, eps, stream, report)
 
 
 @functools.lru_cache(maxsize=32)
@@ -460,8 +439,6 @@ def solve_generalized(
     loss: ScalarLoss,
     eps: float,
     stream: RandomStream,
-    *,
-    oracle: bool = False,
 ) -> SolveReport:
     """Rank-k approximation under an increasing singular-value loss.
 
@@ -493,7 +470,7 @@ def solve_generalized(
             + "; ".join(cond.violated_conditions())
         )
     alpha = max(cond.alpha, 1e-6)
-    eta1 = min((eps / math.ceil(k / eps)) ** (1.0 / alpha), eps)
+    eta1 = min((eps / _ceil_count(k, eps)) ** (1.0 / alpha), eps)
     report = SolveReport(
         factors=None,  # type: ignore[arg-type]
         plan=_sized_plan(work.nrows, k, eps, eta1, "full_pipeline"),
@@ -501,8 +478,7 @@ def solve_generalized(
         warnings=warnings,
         condition_report=cond,
     )
-    objective = (lambda s: phi_objective(s, loss)) if oracle else None
-    return _solve(a, work, k, eps, stream, report, objective)
+    return _solve(work, k, eps, stream, report)
 
 
 def diagnose_kyfan_preservation(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import sketchlr.sketches as sketches
-from sketchlr import SparseMatrix
+from sketchlr import OracleScorer, ScalarLoss, SparseMatrix, phi_objective, schatten_norm
 
 
 def make_gen(seed: int = 20240817) -> np.random.Generator:
@@ -67,6 +67,17 @@ def sample_constant(c_s: float):
     ``@given``.
     """
     return mock.patch.object(sketches, "C_S", c_s)
+
+
+def oracle_error(a, rep, objective) -> float:
+    """The exact relative error of a solve's factors against ``a``, as the harness scores it.
+
+    ``objective`` is a Schatten order p or a :class:`~sketchlr.ScalarLoss`.
+    """
+    scorer = OracleScorer(a)
+    if isinstance(objective, ScalarLoss):
+        return scorer.relative_error(rep.factors, lambda s: phi_objective(s, objective))
+    return scorer.relative_error(rep.factors, lambda s: schatten_norm(s, objective))
 
 
 @pytest.fixture

@@ -190,6 +190,24 @@ def test_solve_and_diagnose_report_the_rows_drawn_and_their_mass(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "args", [["--loss", "huber:1", "--eps", "1e-17"], ["--eps", "1e-81"]], ids=["loss", "p1"]
+)
+def test_an_eps_too_small_to_size_is_config_error(args, capsys):
+    # at 1e-17, 1 + eps == 1 reads the growth constant alpha as 0, whose
+    # floor underflows eta1; at 1e-81, (eps^2 / k)^2 does
+    assert main(["solve", "--m", "50", "--n", "40", "--k", "2", *args]) == 2
+    eps = args[-1]
+    assert capsys.readouterr().err.startswith(f"error: eps={eps} is too small: ")
+
+
+def test_an_eps_whose_count_overflows_solves_on_every_row(capsys):
+    source = ["--m", "50", "--n", "40", "--density", "0.5"]
+    assert main(["solve", *source, "--k", "2", "--eps", "1e-66"]) == 0
+    out = capsys.readouterr().out
+    assert " clipped=True " in out and " rows=50/50 " in out
+
+
 @pytest.mark.parametrize("command", ["diagnose", "solve"])
 @pytest.mark.parametrize("p", ["nan", "inf"])
 def test_non_finite_p_is_config_error(command, p, capsys):

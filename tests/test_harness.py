@@ -646,6 +646,36 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="density"):
             ExperimentConfig(k_list=[2], nrows=5, ncols=5, density=1.5).validate()
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"mode": "bogus"}, "unknown mode 'bogus'"),
+            ({"p": 0.5}, "p must be a finite value >= 1, got 0.5"),
+            ({"eps": -1.0}, "eps must be positive"),
+            ({"eps": math.nan}, "eps must be positive"),
+        ],
+        ids=["mode", "p", "eps_negative", "eps_nan"],
+    )
+    def test_a_bad_solve_setting_is_refused_before_the_matrix_is_read(
+        self, setting, message, monkeypatch
+    ):
+        # the solve refuses each of these too, but only after the matrix is
+        # drawn and the oracle has densified and factored it
+        called = []
+
+        def spy(name, real):
+            def wrapped(*args, **kwargs):
+                called.append(name)
+                return real(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(harness, "generate_synthetic", spy("read", harness.generate_synthetic))
+        monkeypatch.setattr(harness, "OracleScorer", spy("oracle", harness.OracleScorer))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_experiment(self._config(**setting))
+        assert called == []
+
     @pytest.mark.parametrize("k_list, rank", [([2, 2], 2), ([3, 2, 3], 3), ([2, 5, 4, 5, 4], 5)])
     def test_repeated_rank_is_refused(self, k_list, rank):
         cfg = self._config(k_list=k_list)
@@ -774,3 +804,41 @@ class TestCsvParseErrors:
         assert info.value.line == line
         path.write_text(f"{head}\n{row}\n")
         assert len(read(path)) == 1
+
+
+def _empty_file(tmp_path):
+    path = tmp_path / "empty.mtx"
+    path.write_text("")
+    return load_matrix(path)
+
+
+_SYNTHETIC = {"k_list": [2], "nrows": 5, "ncols": 5, "density": 0.5}
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda _: ExperimentConfig(**_SYNTHETIC, trials=0).validate(), "trials must be >= 1"),
+        (
+            lambda _: ExperimentConfig(**_SYNTHETIC, input_path="a.mtx").validate(),
+            "choose either a synthetic source or an input file",
+        ),
+        (
+            lambda _: ExperimentConfig(k_list=[2], nrows=5).validate(),
+            "synthetic source needs nrows, ncols and density",
+        ),
+        (
+            lambda _: ExperimentConfig([2], input_path="a.mtx", input_format="csv").validate(),
+            "unknown format 'csv'",
+        ),
+        (
+            lambda _: generate_synthetic(0, 5, 0.5, RandomStream(0)),
+            "matrix shape must be positive",
+        ),
+        (_empty_file, "empty.mtx:1: empty file"),
+    ],
+    ids=["trials", "two_sources", "partial_shape", "format", "synthetic_shape", "empty_file"],
+)
+def test_refusals_name_what_is_wrong(call, message, tmp_path):
+    with pytest.raises(ValueError, match=f"{re.escape(message)}$"):
+        call(tmp_path)

@@ -1,6 +1,7 @@
 """Tests for sparse storage, the SVD primitive and its derived operations."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -701,3 +702,28 @@ class TestProducts:
         a = SparseMatrix.from_dense(np.eye(3))
         with pytest.raises(ValueError, match="dimensions"):
             sparse_dense_multiply(a, np.ones((4, 2)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SparseMatrix(0, 3, [], [], []), "matrix shape must be positive, got 0x3"),
+        (
+            lambda: SparseMatrix(3, 3, [0, 1], [0], [1.0]),
+            "rows, cols and values must have equal length",
+        ),
+        (lambda: SparseMatrix.from_dense(np.ones(3)), "expected a 2-D array"),
+        (
+            lambda: LowRankFactors(y=np.ones((4, 2)), z=np.eye(3, 2), k=3),
+            "factor width does not match k",
+        ),
+        (
+            lambda: sparse_dense_multiply(SparseMatrix.from_dense(np.eye(3)), np.ones(3)),
+            "dense factor must be 2-D",
+        ),
+    ],
+    ids=["shape", "lengths", "from_dense_1d", "factor_width", "multiply_1d"],
+)
+def test_refusals_name_what_is_wrong(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

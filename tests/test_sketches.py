@@ -1,6 +1,7 @@
 """Tests for CountSketch operators, leverage samplers and the sketch plan."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -944,6 +945,35 @@ class TestSketchPlan:
             for k in (1, 5, 20):
                 plan = make_sketch_plan(500, 300, k, 0.5, p)
                 assert 0 < plan.eta1 <= 1
+
+    @pytest.mark.parametrize(
+        "eps, p, mode",
+        [
+            (1e-66, 1.0, "full_pipeline"),  # t(K) overflows the float range
+            (1e-160, 3.0, "full_pipeline"),
+            (1e-200, 100.0, "full_pipeline"),  # eps^2 underflows to 0
+            (1e-310, 100.0, "full_pipeline"),
+            (1e-310, 1.0, "simplified_experiment"),  # k / eps overflows
+            (5e-324, 3.0, "simplified_experiment"),
+        ],
+    )
+    def test_a_count_past_the_float_range_is_every_row(self, eps, p, mode):
+        plan = make_sketch_plan(100, 50, 2, eps, p, mode)
+        assert plan.s_rows == (100 if mode == "full_pipeline" else 4)
+        assert plan.r_kyfan == (math.ceil(2 / eps) if 2 / eps < math.inf else sys.maxsize)
+
+    @pytest.mark.parametrize("eps, p", [(1e-81, 1.0), (1e-200, 3.0), (5e-324, 100.0)])
+    def test_an_error_split_that_underflows_names_eps(self, eps, p):
+        refusal = rf"^eps={eps:g} is too small: the error split eta=0 is not positive$"
+        with pytest.raises(ValueError, match=refusal):
+            make_sketch_plan(100, 50, 2, eps, p)
+        with pytest.raises(ValueError, match=rf"^eps={eps:g} is too small"):
+            sample_count(2, eps, 0.0)
+
+    def test_a_tiny_eps_sampler_keeps_every_row(self):
+        a = random_sparse(make_gen(5), 100, 50, density=0.2)
+        sk = build_row_sampler(a, 2, 1e-300, 1e-300, RandomStream(3))
+        assert sk.clipped and sk.sample_count == 100
 
 
 def _bytes_of(x):
