@@ -229,7 +229,15 @@ def svd(a) -> SvdResult:
 
 def singular_values(a) -> np.ndarray:
     """Singular values only (non-increasing); cheaper than :func:`svd`."""
-    a = _check_dense(a)
+    return _singular_values(_check_dense(a))
+
+
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """:func:`singular_values` of a 2-D float64 array, with no scan for finiteness.
+
+    For a caller whose array is finite by construction, such as one built
+    from inputs it checked: the scan reads every entry once more.
+    """
     try:
         return np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError:
@@ -334,6 +342,9 @@ def top_singular(a, k: int) -> SvdResult:
     against ``||A||_F``. The Gram matrix squares the conditioning, so when
     sigma_k is numerically zero, ties with sigma_(k+1), or a check fails,
     the result is the k-column truncation of the verified full :func:`svd`.
+    Besides A, the Gram matrix and the eigenvector block, it holds one more
+    ``d' x k`` block, the other side, divided by sigma in place (``d'`` the
+    larger dimension).
     """
     a = _check_dense(a, finite=False)
     d = min(a.shape)
@@ -359,8 +370,9 @@ def top_singular(a, k: int) -> SvdResult:
         side = np.ascontiguousarray(vecs[:, :k])
         # (side^T A)^T reads the row-major A along its rows, as a.T @ side does not
         prod = (side.T @ a).T if wide else a @ side
+        prod /= sigma  # in place: the other side is the one d x k block besides side
         # the other product's residual A other - side sigma is (G side - side Lambda)/sigma
-        u, v = (side, prod / sigma) if wide else (prod / sigma, side)
+        u, v = (side, prod) if wide else (prod, side)
         worst = max(
             float(np.max(np.abs(u.T @ u - np.eye(k)))),
             float(np.max(np.abs(v.T @ v - np.eye(k)))),

@@ -16,7 +16,10 @@ scores overestimate A's and sum to at most ``k + eps/eta`` whatever the
 basis, in ``O(k nnz(A))`` multiply-adds more. Either way the sample is
 sized by the sum the overestimates certify, not by its worst case. The row sampler reads A in
 place through its CSR and that array's CSC view: no copy of A, and arrays
-of ``m x k`` and ``n x k`` besides the ``O(nnz)`` temporaries of the norms.
+of ``m x k`` and ``n x k`` besides the norm certificate's one array of
+``nnz`` values. The CountSketch scatters A's entries a bounded block at a
+time, so its working memory past the ``s x n`` result does not grow with
+``nnz``.
 A sampler whose budget covers every nonzero row needs no scores at all and
 factorizes nothing, and applying one that keeps every row returns A itself.
 Otherwise ``SA`` is a :class:`SparseMatrix` of ``nnz(SA)`` entries, never a
@@ -57,6 +60,12 @@ MODES = ("full_pipeline", "simplified_experiment")
 # at the paper's ridge at depth 0 and to 0.97 at depth 1; at depth 2 they
 # were at least 1.002 of them everywhere, and depth 3 changed nothing.
 SCORE_DEPTH = 2
+# Stored entries a CountSketch scatter takes at a time. Its index and weight
+# arrays cost 16 bytes an entry, so a block holds 1 MiB of them however many
+# entries A has. Smaller blocks pay numpy's per-call cost more often: a
+# 400-row sketch of 5M entries took 1.4x the time of one unblocked scatter
+# in blocks of 4096 entries, 1.1x in blocks of 16384 and 1.0x in these.
+_SCATTER_BLOCK = 1 << 16
 
 
 # The constant behind the Theta(K log K / eps^2) row sample count of S; the
@@ -152,7 +161,10 @@ def apply_countsketch_left(
 
     One scatter of the stored entries of A (a dense A's nonzeros) into the
     result, one multiply-add each; they add in storage order, bit for bit
-    as the scipy product does.
+    as the scipy product does. The entries go in blocks of at most
+    ``_SCATTER_BLOCK``, so besides the ``s x n`` result the scatter holds
+    only one block's index and weight arrays and the row counts of the
+    rows it spans, whatever ``nnz(A)`` is.
     """
     a = _ensure_sparse(a)
     if a.nrows != op.input_dim:
@@ -162,13 +174,25 @@ def apply_countsketch_left(
     if counter is not None:
         counter.add(a.nnz)
     x = a.csr
-    weight = np.repeat(op.sign, np.diff(x.indptr))
-    index = np.repeat(op.bucket * a.ncols, np.diff(x.indptr))
-    index += x.indices
-    weight *= x.data
-    flat = np.bincount(index, weights=weight, minlength=op.sketch_dim * a.ncols)
-    # with no stored entries bincount gives ints
-    return flat.reshape(op.sketch_dim, a.ncols).astype(np.float64, copy=False)
+    out = np.zeros((op.sketch_dim, a.ncols))
+    key = x.indptr.dtype.type  # a search key of another type would cast all of indptr
+    for lo in range(0, x.nnz, _SCATTER_BLOCK):
+        _scatter_block(out.reshape(-1), x, op, key(lo), key(min(lo + _SCATTER_BLOCK, x.nnz)))
+    return out
+
+
+def _scatter_block(flat: np.ndarray, x, op: CountSketchOperator, lo, hi) -> None:
+    """Add the stored entries ``lo..hi-1`` of the CSR ``x`` into ``flat``, ``R^T A`` row-major."""
+    ptr = x.indptr
+    # rows r0..r1-1 hold the entries; the first and the last may hold others too
+    r0 = np.searchsorted(ptr, lo, "right") - 1
+    r1 = np.searchsorted(ptr, hi, "left")
+    counts = np.diff(np.clip(ptr[r0 : r1 + 1], lo, hi))
+    index = np.repeat(op.bucket[r0:r1] * x.shape[1], counts)
+    index += x.indices[lo:hi]
+    weight = np.repeat(op.sign[r0:r1], counts)
+    weight *= x.data[lo:hi]
+    np.add.at(flat, index, weight)  # unbuffered: adds in index order, repeats included
 
 
 def sample_count(k: int, eps: float, eta: float) -> int:
@@ -180,9 +204,14 @@ def sample_count(k: int, eps: float, eta: float) -> int:
     ``t(min(K, K*))`` rows (:func:`build_row_sampler`). Refuses an
     ``eta`` that is not positive, as a tiny ``eps`` makes it underflow.
     """
+    return _mass_count(k + eps / _positive_split(eps, eta), eps)
+
+
+def _positive_split(eps: float, eta: float) -> float:
+    """``eta``, refused by naming ``eps`` unless positive: a tiny ``eps`` underflows it."""
     if not eta > 0.0:
         raise ValueError(f"eps={eps:g} is too small: the error split eta={eta:g} is not positive")
-    return _mass_count(k + eps / eta, eps)
+    return eta
 
 
 def _mass_count(mass: float, eps: float) -> int:
@@ -301,15 +330,18 @@ def _norm_bound(x) -> tuple[np.ndarray, float]:
     ``beta = max_j (|x| (|x|^T 1))_j`` is the largest row sum of the
     nonnegative ``|x| |x|^T``, so it bounds that matrix's spectral radius,
     which bounds ``sigma_1(x)^2`` because ``|v^T x x^T v| <= |v|^T |x| |x|^T
-    |v|``. ``3 nnz(x)`` multiply-adds: the squares and the two products
-    with ``|x|``, which shares ``x``'s index arrays.
+    |v|``. The squared norms are one product of A's CSR, with its values
+    squared, and a vector of ones: each sums its row's squares in storage
+    order. ``3 nnz(x)`` multiply-adds: the squares and the two products
+    with ``|x|``. Both share ``x``'s index arrays, so besides vectors of
+    ``m`` and ``n`` the bound holds one ``nnz``-long array.
     """
-    abs_x = type(x)((np.abs(x.data), x.indices, x.indptr), shape=x.shape)
+    vals = np.abs(x.data)
+    abs_x = type(x)((vals, x.indices, x.indptr), shape=x.shape)
     beta = float(np.max(abs_x @ (abs_x.T @ np.ones(x.shape[0]))))
-    del abs_x  # before the O(nnz) temporaries of the squares
-    n = x.shape[1]
-    col = np.repeat(np.arange(n), np.diff(x.indptr))  # each stored entry's column, O(nnz)
-    return np.bincount(col, weights=np.square(x.data), minlength=n), beta
+    # the squares overwrite |x|'s values: one nnz-long array, its pages touched once
+    sq = type(x)((np.square(x.data, out=vals), x.indices, x.indptr), shape=x.shape)
+    return sq.T @ np.ones(x.shape[0]), beta
 
 
 def build_row_sampler(

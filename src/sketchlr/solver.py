@@ -50,7 +50,9 @@ from .matrixcore import (
     MultiplyAddCounter,
     ScaleLimitError,
     SparseMatrix,
+    _check_dense,
     _ensure_sparse,
+    _singular_values,
     block_krylov,
     complete_basis,
     singular_values,
@@ -71,6 +73,7 @@ from .rng import RandomStream
 from .sketches import (
     SketchPlan,
     _ceil_count,
+    _positive_split,
     _sized_plan,
     apply_countsketch_left,
     apply_row_sampler,
@@ -237,11 +240,17 @@ class OracleScorer:
         (self._reflectors, self._tau), r = scipy.linalg.qr(
             dense, mode="raw", overwrite_a=True, check_finite=False
         )
-        self.spectrum = singular_values(r)
+        self.spectrum = _singular_values(r)  # R of a SparseMatrix, whose entries are finite
         self._upper = np.tri(r.shape[0], dtype=bool).T
 
     def residual_spectrum(self, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Singular values of ``A - y @ z.T``, non-increasing."""
+        """Singular values of ``A - y @ z.T``, non-increasing.
+
+        Refuses a ``y`` or ``z`` with a NaN or inf entry, by name. That scan
+        of the factors stands for one of the ``(n + k) x n`` stack built from
+        them, which a trial would otherwise read once more.
+        """
+        y, z = _check_dense(y, "y"), _check_dense(z, "z")
         if self.transposed:
             y, z = z, y
         qr, tau = self._reflectors, self._tau
@@ -258,7 +267,7 @@ class OracleScorer:
         blas.dgemm(-1.0, z, qty[:n], beta=1.0, c=top.T, trans_b=1, overwrite_c=1)
         # C Z^T for -C Z^T: negating a block of rows keeps the singular values
         np.matmul(c, z.T, out=stack[n:])
-        return singular_values(stack)
+        return _singular_values(stack)
 
     def relative_error(self, factors: LowRankFactors, objective) -> float:
         """:func:`relative_error_from` for ``objective`` of a spectrum."""
@@ -294,12 +303,12 @@ def _sketched_rowspace(
     eps: float,
     stream: RandomStream,
     report: SolveReport,
-) -> np.ndarray:
-    """Stages 2-3 under ``report.plan``: returns Z and fills the report bookkeeping.
+) -> SparseMatrix | np.ndarray:
+    """Stage 2 under ``report.plan``: returns ``SA`` and fills the report bookkeeping.
 
     ``SA`` is a :class:`SparseMatrix` from the row sampler and a dense array
-    from the simplified-mode CountSketch. ``SA`` and its top-k are freed on
-    return, before the regression.
+    from the simplified-mode CountSketch. The caller hands it straight to
+    :func:`_rowspace`, so no other frame holds it.
     """
     plan, counters = report.plan, report.multiply_add_counts
     with _stage(report.elapsed, "s_apply"):
@@ -307,24 +316,23 @@ def _sketched_rowspace(
             s_op = build_countsketch(work.nrows, plan.s_rows, stream)
             report.seeds["s"] = s_op.seed
             report.rows_drawn = plan.s_rows
-            sa = apply_countsketch_left(work, s_op, _FoldingCounter(counters, "s_apply"))
-        else:
-            scores = _FoldingCounter(counters, "s_scores")
-            s_sk = build_row_sampler(work, k, eps, plan.eta1, stream, scores)
-            report.seeds["s"] = s_sk.seed
-            report.clipped |= s_sk.clipped
-            report.degenerate |= s_sk.degenerate
-            report.score_kernel = s_sk.score_kernel
-            report.score_mass = s_sk.mass
-            report.rows_drawn = s_sk.sample_count
-            sa = apply_row_sampler(work, s_sk, _FoldingCounter(counters, "s_apply"))
-    return _rowspace(sa, k, eps, report)
+            return apply_countsketch_left(work, s_op, _FoldingCounter(counters, "s_apply"))
+        scores = _FoldingCounter(counters, "s_scores")
+        s_sk = build_row_sampler(work, k, eps, plan.eta1, stream, scores)
+        report.seeds["s"] = s_sk.seed
+        report.clipped |= s_sk.clipped
+        report.degenerate |= s_sk.degenerate
+        report.score_kernel = s_sk.score_kernel
+        report.score_mass = s_sk.mass
+        report.rows_drawn = s_sk.sample_count
+        return apply_row_sampler(work, s_sk, _FoldingCounter(counters, "s_apply"))
 
 
 def _rowspace(sa, k: int, eps: float, report: SolveReport) -> np.ndarray:
     """Stage 3 (``svd_sat``): Z from the top-k right block V of ``SA``.
 
     The kernel is chosen by mode and size (module docstring), not storage.
+    ``SA`` is released once its top-k is taken, before the Cholesky-QR.
     """
     counters = report.multiply_add_counts
     with _stage(report.elapsed, "svd_sat"):
@@ -342,6 +350,9 @@ def _rowspace(sa, k: int, eps: float, report: SolveReport) -> np.ndarray:
             # top_singular forms or checks, so Z is V
             counters["wsa"] = top.u.shape[1] * (sa.nnz if sparse else sa.size)
             sigma, v = top.sigma, top.v
+        # a dense simplified-mode SA is the largest array of the solve: the
+        # caller holds no reference, so this frees it for the steps below
+        del sa
     v = v[:, : int(np.sum(sigma > RANK_TOL * sigma[0]))]
     # Cholesky-QR, V R^-1 for V^T V = R^T R: SA^T U / sigma drifts like eps (s1/sk)^2
     return complete_basis(v @ np.linalg.inv(np.linalg.cholesky(v.T @ v)).T, k)
@@ -354,7 +365,7 @@ def _solve(
 
     Both solvers call this once their plan is in ``report``.
     """
-    z = _sketched_rowspace(work, k, eps, stream, report)
+    z = _rowspace(_sketched_rowspace(work, k, eps, stream, report), k, eps, report)
     with _stage(report.elapsed, "regression"):
         counter = _FoldingCounter(report.multiply_add_counts, "regression")
         y = sparse_dense_multiply(work, z, counter)
@@ -459,7 +470,10 @@ def solve_generalized(
     if not isinstance(loss, ScalarLoss):
         raise ValueError(f"loss must be a ScalarLoss, got {type(loss).__name__}")
     work, transposed, eps, warnings = _prologue(a, k, eps)
-
+    # eta1 = min(base^(1/alpha), eps) is 0 for every alpha once base
+    # underflows, so eps is sized first: the grid estimate fails at such an
+    # eps too, and would be blamed on the loss
+    base = _positive_split(eps, eps / _ceil_count(k, eps))
     if isinstance(loss, Hashable):
         cond = _default_grid_conditions(loss, float(eps))
     else:
@@ -470,7 +484,7 @@ def solve_generalized(
             + "; ".join(cond.violated_conditions())
         )
     alpha = max(cond.alpha, 1e-6)
-    eta1 = min((eps / _ceil_count(k, eps)) ** (1.0 / alpha), eps)
+    eta1 = min(base ** (1.0 / alpha), eps)
     report = SolveReport(
         factors=None,  # type: ignore[arg-type]
         plan=_sized_plan(work.nrows, k, eps, eta1, "full_pipeline"),

@@ -10,13 +10,16 @@ and p=3 solves, q=10), and the wide 112x900 row sample of it that a Huber
 solve passes (taken from the solve itself, q=7): the norms certify a mass of
 2.04, so the sampler draws 112 of its 617-row budget. The tall 20000x100 ``SA^T`` times
 the other dense branch of ``top_singular``. ``apply_countsketch_left`` is
-timed on the 20000x20000 input. The file name keeps it out of the test
-suite; run it with
+timed on the 20000x20000 input. For it and the simplified-mode top-k of
+the 100x20000 ``SA``, the tracemalloc peak of one more call, apart from the
+timed ones, goes to ``benchmark.extra_info["peak_mib"]``. The file name
+keeps it out of the test suite; run it with
 
     PYTHONPATH=src python -m pytest tests/bench_topk.py --benchmark-only
 """
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -28,6 +31,15 @@ from sketchlr.sketches import apply_countsketch_left
 
 def _depth(d):
     return math.ceil(math.log(d) / math.sqrt(0.5))
+
+
+def _peak_mib(call):
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def _seeded(m, n, nnz, seed):
@@ -44,12 +56,14 @@ def large():
 
 def test_countsketch_left(benchmark, large):
     a, op = large
-    sa = benchmark(apply_countsketch_left, a, op)
+    sa, benchmark.extra_info["peak_mib"] = _peak_mib(lambda: apply_countsketch_left(a, op))
+    assert benchmark(apply_countsketch_left, a, op).tobytes() == sa.tobytes()
     assert sa.shape == (100, 20000)
 
 
 def test_top_singular_dense_sa(benchmark, large):
     sa = apply_countsketch_left(*large)
+    _, benchmark.extra_info["peak_mib"] = _peak_mib(lambda: top_singular(sa, 10))
     res = benchmark(top_singular, sa, 10)
     assert res.v.shape == (20000, 10)
 

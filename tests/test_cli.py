@@ -191,11 +191,19 @@ def test_solve_and_diagnose_report_the_rows_drawn_and_their_mass(capsys):
 
 
 @pytest.mark.parametrize(
-    "args", [["--loss", "huber:1", "--eps", "1e-17"], ["--eps", "1e-81"]], ids=["loss", "p1"]
+    "args",
+    [
+        ["--loss", "huber:1", "--eps", "1e-17"],
+        ["--loss", "huber:1", "--eps", "1e-310"],
+        ["--eps", "1e-81"],
+    ],
+    ids=["loss", "loss-subnormal", "p1"],
 )
 def test_an_eps_too_small_to_size_is_config_error(args, capsys):
     # at 1e-17, 1 + eps == 1 reads the growth constant alpha as 0, whose
-    # floor underflows eta1; at 1e-81, (eps^2 / k)^2 does
+    # floor underflows eta1; at 1e-310, eps / ceil(k / eps) underflows
+    # before the loss's grid estimate, which diverges there, is taken; at
+    # 1e-81, (eps^2 / k)^2 underflows
     assert main(["solve", "--m", "50", "--n", "40", "--k", "2", *args]) == 2
     eps = args[-1]
     assert capsys.readouterr().err.startswith(f"error: eps={eps} is too small: ")

@@ -126,6 +126,23 @@ class TestCountSketchApply:
         assert got_left.dtype == ref_left.dtype and got_left.shape == (sketch_dim, n)
         assert got_left.tobytes() == ref_left.tobytes()
 
+    def test_scatter_memory_does_not_grow_with_nnz(self):
+        # tall inputs with nnz far above s n: besides the s x n result the
+        # scatter holds one block's index and weight arrays and the row
+        # counts of the rows it spans (17.1 bytes per entry of a block
+        # measured, at 8 entries a row), not 16 bytes per stored entry
+        for m in (20_000, 80_000):
+            a = tall_sparse(45, m, 20, 8 * m)
+            op = build_countsketch(m, 4, RandomStream(17))
+            apply_countsketch_left(a, op)  # a first call's lazy imports are not the scatter's
+            tracemalloc.start()
+            try:
+                out = apply_countsketch_left(a, op)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - out.nbytes <= 24 * sketches._SCATTER_BLOCK < 16 * a.nnz
+
     def test_counter_equals_nnz(self):
         gen = make_gen(44)
         a = random_sparse(gen, 30, 25, density=0.15)
@@ -541,6 +558,29 @@ class TestNormCertificate:
         np.testing.assert_array_equal(sk.indices, idx)
         np.testing.assert_array_equal(sk.weights, 1.0 / np.sqrt(t * prob[idx]))
 
+    def test_certificate_holds_one_nnz_long_array(self):
+        # |A|'s values, then their squares in the same array; besides it the
+        # sampler holds vectors of m (row counts, support, row sums of |A|)
+        m, n, nnz = 20_000, 50, 200_000
+        gen = make_gen(46)
+        flat = np.sort(gen.choice(m * n, size=nnz, replace=False))
+        a = SparseMatrix(m, n, flat // n, flat % n, gen.standard_normal(nnz))
+
+        def build():
+            return build_row_sampler(a, 2, 0.5, 0.25, RandomStream(18))
+
+        build()  # a first call's lazy imports are not the sampler's
+        tracemalloc.start()
+        try:
+            sk = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not sk.clipped and sk.score_kernel == "norms"
+        # 8 nnz + 3.0 (m + n) doubles measured; each stored entry's row index
+        # and squared value at once took 16 nnz + 13 (m + n)
+        assert peak <= 1.25 * 8 * (nnz + 3 * (m + n))
+
     def test_planted_head_falls_back_to_the_krylov_scores(self):
         a = random_sparse(make_gen(68), 200, 60, density=0.2)
         k, eps, eta = 2, 0.5, 0.25
@@ -795,10 +835,9 @@ class TestRowSamplerReadsAInPlace:
         finally:
             tracemalloc.stop()
         assert not sk.clipped and sk.score_kernel == "krylov"
-        # 1.44 MB measured: the norm certificate's O(nnz) temporaries, each
-        # stored entry's row index and squared value (16 nnz bytes), and the
-        # row counts and support (2 m doubles); the Krylov scores after them
-        # peak at 2.5 m k doubles. A transposed copy of A would add 12 nnz
+        # 1.44 MB measured: the norm certificate's one nnz-long array (8 nnz
+        # bytes) and the row counts and support (2 m doubles); the Krylov
+        # scores after them peak at 2.5 m k doubles. A transposed copy of A would add 12 nnz
         # bytes; the Gaussian score sketch these scores replace took 6.0 MB
         assert peak <= 1.25 * (16 * nnz + 8 * m * 2 * k)
 

@@ -147,6 +147,21 @@ class TestOracleScorer:
         arrays = [v for v in vars(scorer).values() if isinstance(v, np.ndarray)]
         assert sum(v.nbytes for v in arrays) <= 8 * m * n + n * n + 16 * n
 
+    @pytest.mark.parametrize("transposed", [False, True], ids=["tall", "wide"])
+    def test_non_finite_factors_are_refused_by_name(self, transposed):
+        gen = make_gen(24)
+        shape = (20, 12)[:: -1 if transposed else 1]
+        scorer = OracleScorer(random_sparse(gen, *shape, density=0.3))
+        y = gen.standard_normal((shape[0], 2))
+        z = random_orthonormal(gen, shape[1], 2)
+        y[3, 1] = np.nan
+        with pytest.raises(ValueError, match="^y contains non-finite entries$"):
+            scorer.residual_spectrum(y, z)
+        y[3, 1] = 0.0
+        z[5, 0] = np.inf
+        with pytest.raises(ValueError, match="^z contains non-finite entries$"):
+            scorer.residual_spectrum(y, z)
+
     @settings(max_examples=80, deadline=None)
     @given(
         m=st.integers(1, 30),
@@ -773,6 +788,30 @@ class TestSolveSchatten:
         assert -1e-9 <= oracle_error(a, rep, 1.0) <= 0.5
         assert rep.plan.s_rows == 25
 
+    def test_simplified_mode_frees_sa_before_the_cholesky_qr(self):
+        # the dense k^2 x n SA is the largest array; the top-k's n x k block
+        # is the one array besides it, and SA is gone before Z's Cholesky-QR
+        # and the regression allocate theirs (1.047 of the bound's base
+        # measured; 1.157 with SA held through the Cholesky-QR)
+        m = n = 4000
+        k = 10
+        gen = make_gen(93)
+        flat = np.sort(gen.choice(m * n, size=20_000, replace=False))
+        a = SparseMatrix(m, n, flat // n, flat % n, 1.0 - gen.random(flat.size))
+
+        def solve():
+            return solve_schatten(a, k, 1.0, 0.5, RandomStream(12), "simplified_experiment")
+
+        solve()  # a first call's lazy imports are not the solve's
+        tracemalloc.start()
+        try:
+            rep = solve()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.rows_drawn == k * k and not rep.transposed
+        assert peak <= 1.1 * 8 * (k * k * n + n * k)
+
     def test_wide_matrix_transposed(self):
         gen = make_gen(83)
         a = SparseMatrix.from_dense(gen.standard_normal((10, 25)))
@@ -899,6 +938,16 @@ class TestFrobeniusBaseline:
 
 
 class TestSolveGeneralized:
+    @pytest.mark.parametrize("loss", [HuberLoss(1.0), L1L2Loss()], ids=["huber", "l1_l2"])
+    @pytest.mark.parametrize("eps", [1e-310, 5e-324])
+    def test_an_eps_too_small_to_size_is_blamed_on_eps(self, loss, eps):
+        # the grid estimate diverges at such an eps too (the loss of its
+        # smallest shifts underflows), but eps is sized first
+        a = random_sparse(make_gen(94), 100, 50, density=0.2)
+        refusal = rf"^eps={eps:g} is too small: the error split eta=0 is not positive$"
+        with pytest.raises(ValueError, match=refusal):
+            solve_generalized(a, 2, loss, eps, RandomStream(30))
+
     def test_exact_rank_k_huber(self):
         gen = make_gen(92)
         dense = random_rank_k(gen, 30, 20, 3)
