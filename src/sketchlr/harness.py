@@ -57,9 +57,11 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.k_list:
             raise ValueError("k_list must not be empty")
-        repeated = [k for i, k in enumerate(self.k_list) if k in self.k_list[:i]]
-        if repeated:
-            raise ValueError(f"k_list repeats rank {repeated[0]}: each rank is one set of trials")
+        for i, k in enumerate(self.k_list):
+            if not isinstance(k, (int, np.integer)) or k < 1:  # the solve refuses it only later
+                raise ValueError(f"k_list holds rank {k!r}: each rank must be an integer >= 1")
+            if k in self.k_list[:i]:
+                raise ValueError(f"k_list repeats rank {k}: each rank is one set of trials")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         # the solve's own refusals, made before the matrix is read or densified

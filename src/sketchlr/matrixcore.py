@@ -255,6 +255,7 @@ def _orthonormal(w: np.ndarray, lwork: list[int] | None = None) -> np.ndarray:
     :func:`block_krylov` passes it. The workspaces depend only on the
     shape, so a caller that factors many blocks of one shape passes one
     ``lwork`` list to every call: the first fills it, the rest reuse it.
+    They grow with the width, so they serve a narrower block too.
     """
     lwork = [] if lwork is None else lwork
     if not lwork:
@@ -268,58 +269,70 @@ def _orthonormal(w: np.ndarray, lwork: list[int] | None = None) -> np.ndarray:
 def block_krylov(
     a, k: int, depth: int, counter: MultiplyAddCounter | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k right Ritz pairs of A from a block Krylov space of depth q.
+    """Top-k right Ritz pairs of A from a block Krylov space of depth q, capped at A's side.
 
     The space, on the smaller side of A (``d = min(A.shape)``), is spanned
     by ``X, G X, ..., G^q X`` for ``G = A^T A`` (``A A^T`` when A is wide)
-    and a ``d x k`` Gaussian X from ``KRYLOV_SEED``, so reruns are
-    bit-identical. Each ``G Q_j`` is projected off the basis Q, whose
+    and a ``d x r`` Gaussian X from ``KRYLOV_SEED``, ``r = min(k, d)``, so
+    reruns are bit-identical. Its basis stops at ``min((q + 1) r, d)``
+    columns, the last block cut short: a space that reaches d is all of
+    that side, so its Rayleigh-Ritz step is exact. Each ``G Q_j`` is
+    projected off the basis Q, whose
     coefficients fill column block j of ``H = Q^T G Q``, normalized by QR,
     projected off twice more and normalized again: once the space is used
     up, a new block is rounding noise (or QR's completion of a zero column)
     largely inside span(Q), and those two projections keep Q orthonormal.
     An ``eigh`` of H is the Rayleigh-Ritz step. The span needs no gap at k
     to be near-optimal for rank-k approximation (Musco & Musco, 2015).
+    A space that covers a side above ``DENSE_GUARD`` would hold a dense
+    ``d x d`` basis and H, and is refused with :class:`ScaleLimitError`.
 
     A dense ``a`` is read as its :class:`SparseMatrix`. Returns ``(sigma, v)``: the
-    k largest Ritz values as singular values, non-increasing (0 for a
+    r largest Ritz values as singular values, non-increasing (0 for a
     ``theta`` at or below ``d eps theta_1``, as in :func:`top_singular`),
-    and the ``n x k`` right block, ``Q S_k`` for a tall A and
+    and the ``n x r`` right block, ``Q S_r`` for a tall A and
     ``A^T U diag(sigma)^-1`` for the Ritz vectors U of a wide one (zero
-    where sigma is). ``counter`` gets ``2 k nnz(A)`` per product with G and
-    ``k nnz(A)`` for ``A^T U``.
+    where sigma is). ``counter`` gets ``2 nnz(A)`` per basis column, the
+    products with G, and ``r nnz(A)`` for ``A^T U``.
     """
+    if k < 1 or depth < 0:
+        raise ValueError(f"a Krylov space needs k >= 1 and depth >= 0, got k={k}, depth={depth}")
     x = _ensure_sparse(a).csr
     d = min(x.shape)
     wide = x.shape[0] < x.shape[1]
     inner, outer = (x.T, x) if wide else (x, x.T)  # G w = outer @ (inner @ w)
-    width = (depth + 1) * k
-    if k < 1 or depth < 0 or width > d:
-        raise ValueError(f"a depth-{depth} Krylov space of k={k} does not fit dimension {d}")
+    k, width = min(k, d), min((depth + 1) * k, d)
+    if width == d > DENSE_GUARD:  # a dense d x d basis
+        raise ScaleLimitError(
+            f"a Krylov space of k={k} covers d={d} > DENSE_GUARD={DENSE_GUARD}; lower k"
+        )
     basis = np.zeros((d, width), order="F")  # column-major: each block is contiguous
     h = np.zeros((width, width))
-    lwork = []  # every QR here is of a d x k block: one pair of workspace queries
+    # every QR is of a d x k block, or a narrower last one that a d x k
+    # block's workspaces serve too: one pair of workspace queries
+    lwork = []
     basis[:, :k] = _orthonormal(
         np.random.default_rng(KRYLOV_SEED).standard_normal((d, k)), lwork
     )
-    for j in range(depth + 1):
-        lo, hi = j * k, (j + 1) * k
+    for lo in range(0, width, k):
+        hi = min(lo + k, width)
         w = outer @ (inner @ basis[:, lo:hi])
         done = basis[:, :hi]
         h[:hi, lo:hi] = done.T @ w
         if hi == width:
             break
-        block = _orthonormal(w - done @ h[:hi, lo:hi], lwork)
+        cols = min(k, width - hi)  # the block that reaches d is cut short
+        block = _orthonormal(w[:, :cols] - done @ h[:hi, lo : lo + cols], lwork)
         for _ in range(2):  # block -= done @ (done.T @ block), in place on the column-major Q
             block = blas.dgemm(-1.0, done, done.T @ block, beta=1.0, c=block, overwrite_c=True)
-        basis[:, hi : hi + k] = _orthonormal(block, lwork)
+        basis[:, hi : hi + cols] = _orthonormal(block, lwork)
     theta, s = np.linalg.eigh(h, UPLO="U")  # ascending
     theta = theta[: -k - 1 : -1]
     # below the rounding floor of a Gram eigenvalue a Ritz value is noise
     sigma = np.sqrt(np.where(theta > d * np.finfo(float).eps * theta[0], theta, 0.0))
     side = basis @ s[:, : -k - 1 : -1]
-    if counter is not None:  # 2 k nnz(A) per product with G, k nnz(A) for A^T U
-        counter.add(k * x.nnz * (2 * (depth + 1) + wide))
+    if counter is not None:  # 2 nnz(A) per basis column, k nnz(A) for A^T U
+        counter.add(x.nnz * (2 * width + k * wide))
     if not wide:
         return sigma, side
     # U^T G U = diag(theta) for Ritz vectors U, so these columns are orthonormal

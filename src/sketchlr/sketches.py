@@ -10,8 +10,9 @@ every ridge score is at most ``||a_i||^2 / lam``, and a bound
 ``beta >= sigma_1(A)^2`` read off ``|A|`` gives a lower bound on ``lam``, so
 the norms are certified whenever their sum fits the sample budget
 (:func:`build_row_sampler`). Otherwise the overestimates come from a
-Krylov basis of A's range: ``r = min(k, d)`` block Krylov directions ``Z``,
-``W = orth(A Z)`` and ``B = W^T A`` give ``B^T B <= A^T A``, whose ridge
+Krylov basis of A's range: ``r = min(k, d)`` block Krylov directions ``Z``
+from a space capped at ``d``, ``W = orth(A Z)`` and ``B = W^T A`` give
+``B^T B <= A^T A``, whose ridge
 scores overestimate A's and sum to at most ``k + eps/eta`` whatever the
 basis, in ``O(k nnz(A))`` multiply-adds more. Either way the sample is
 sized by the sum the overestimates certify, not by its worst case. The row sampler reads A in
@@ -271,9 +272,10 @@ def _krylov_scores(
 ) -> tuple[np.ndarray, float]:
     """Overestimates of the row ridge leverage scores of A from a Krylov basis of its range.
 
-    ``row_sq`` holds A's squared row norms. With ``r = min(k, d)``, ``Z`` is
-    the right block of :func:`~sketchlr.matrixcore.block_krylov` at depth
-    ``min(SCORE_DEPTH, d // r - 1)``, ``W = orth(A Z)`` and ``B = W^T A``,
+    ``row_sq`` holds A's squared row norms. ``Z`` is the right block of
+    :func:`~sketchlr.matrixcore.block_krylov` at depth ``SCORE_DEPTH``, of
+    ``r = min(k, d)`` columns, from a space that ``block_krylov`` caps at
+    ``d = min(A.shape)``; ``W = orth(A Z)`` and ``B = W^T A``,
     whose Gram matrix ``B^T B = V diag(mu) V^T`` comes from the ``r x r``
     ``B B^T``. For any orthonormal W, ``B^T B <= A^T A``, so with any ridge
     ``lam`` every ``tau_i(lam) <= a_i^T (B^T B + lam I)^-1 a_i``, which is
@@ -301,10 +303,9 @@ def _krylov_scores(
     arrays are ``m x r`` and ``n x r``.
     """
     x = a.csr
-    d = min(x.shape)
-    r = min(k, d)
-    floor = d * np.finfo(float).eps
-    _, z = block_krylov(a, r, min(SCORE_DEPTH, d // r - 1), counter)
+    floor = min(x.shape) * np.finfo(float).eps
+    _, z = block_krylov(a, k, SCORE_DEPTH, counter)
+    r = z.shape[1]
     w = _orthonormal(x @ z)
     bt = x.T @ w  # B^T, n x r
     del w
@@ -390,7 +391,8 @@ def build_row_sampler(
 
     When it fails, the overestimates come from a Krylov basis of A's range
     (``score_kernel`` ``"krylov"``, :func:`_krylov_scores`): ``r = min(k,
-    d)`` directions of a depth-``SCORE_DEPTH`` block Krylov space give
+    d)`` directions of a depth-``SCORE_DEPTH`` block Krylov space, capped
+    at ``d`` columns, give
     ``B = W^T A`` with ``B^T B <= A^T A``, so the ridge scores of ``B^T B``
     overestimate A's. Their sum ``K''`` sizes the sample; it is at most
     ``r + eps/eta <= K``, always, and their ridge
@@ -399,8 +401,9 @@ def build_row_sampler(
     place of ``eta ||A - A_k||_F^2``; a good basis makes the two close.
     (Cohen, Musco & Musco, *Input Sparsity Time Low-Rank Approximation via
     Ridge Leverage Score Sampling*, SODA 2017.) Its sparse work,
-    ``2 r (depth + 1) nnz(A)`` for the Krylov space (``r nnz(A)`` more on a
-    wide A) and ``3 r nnz(A)`` for the scores, goes to ``counter``; it
+    ``2 min((SCORE_DEPTH + 1) r, d) nnz(A)`` for the Krylov space
+    (``r nnz(A)`` more on a wide A) and ``3 r nnz(A)`` for the scores, goes
+    to ``counter``; it
     starts from the fixed ``KRYLOV_SEED``, so nothing is drawn from the
     sampler's generator before the indices. A structurally zero row scores
     exactly 0, so it is never drawn or kept. The zero matrix gets a uniform

@@ -8,9 +8,11 @@ The pipeline for ``min_X ||A - X||_p`` over rank-k ``X``:
    eta1 additive term (a CountSketch of ``k^2`` rows in simplified mode);
 3. take the top-k right block V of ``SA``: the Ritz vectors of a block
    Krylov space of depth ``q = ceil(ln d / sqrt(eps))``, ``d = min(SA.shape)``
-   (:func:`~sketchlr.matrixcore.block_krylov`) in full_pipeline mode, the
-   exact :func:`~sketchlr.matrixcore.top_singular` in simplified mode or
-   when ``(q + 1) k >= d``. ``Z`` is V cut at ``RANK_TOL``, put through one
+   (:func:`~sketchlr.matrixcore.block_krylov`) in full_pipeline mode, on
+   the sparse ``SA``, the exact :func:`~sketchlr.matrixcore.top_singular`
+   on the dense CountSketch ``SA`` of simplified mode. The Krylov space
+   stops at d, where its Rayleigh-Ritz step is exact, so no solve densifies
+   its input or its sketch. ``Z`` is V cut at ``RANK_TOL``, put through one
    Cholesky-QR step and padded to k columns;
 4. regress exactly: ``Y = A Z``, ``k nnz(A)`` multiply-adds. With Z
    orthonormal, ``A Z`` minimizes ``||A - Y Z^T||`` in every unitarily
@@ -85,9 +87,6 @@ from .sketches import (
 # relative threshold below which the optimal residual counts as zero and the
 # reported error switches to residual / ||A|| instead of a 0/0 ratio
 DEGENERATE_OPTIMUM_RTOL = 1e-12
-_ORACLE_ADVICE = (
-    "run full_pipeline without the oracle flag (--oracle), which never densifies the input"
-)
 
 
 @dataclass
@@ -100,22 +99,26 @@ class SolveReport:
     loss-regularity report of a generalized solve, ``None`` otherwise.
     ``multiply_add_counts`` holds exact per-stage counts for the sketch
     applications and explicit factor products. ``krylov`` is the block
-    Krylov top-k of ``SA``: ``2 k nnz(SA)`` for each of its ``q + 1``
-    products with the Gram matrix, plus ``k nnz(SA)`` for ``SA^T U`` when
-    ``SA`` is wide; ``krylov_depth`` is q and ``ritz_values`` the k Ritz
-    values as singular values. When the top-k is ``top_singular``
-    instead, ``krylov_depth`` is ``None`` and ``wsa`` is ``U^T SA``, the
-    width of U (``k``, or the smaller side of a thinner ``SA``) times the
-    stored entries of ``SA`` (``k s n`` for a dense CountSketch), which
-    ``top_singular`` forms or checks. ``s_scores`` is the sparse work of
+    Krylov top-k of a full_pipeline ``SA``, the products that ran:
+    ``2 nnz(SA)`` for each basis column's product with the Gram matrix,
+    ``2 k nnz(SA)`` for each of the ``q + 1`` blocks of a space that stops
+    short of ``d = min(SA.shape)`` and ``2 d nnz(SA)`` in all for one that
+    reaches it, plus ``min(k, d) nnz(SA)`` for ``SA^T U`` when ``SA`` is
+    wide; ``krylov_depth`` is the rule's q, also for a space that reached
+    d first, and ``ritz_values`` the ``min(k, d)`` Ritz values as singular
+    values. In simplified mode the top-k is ``top_singular``:
+    ``krylov_depth`` is ``None`` and ``wsa`` is ``U^T SA``, ``k s n`` for
+    the dense ``s x n`` CountSketch ``SA``, which ``top_singular`` forms or
+    checks. ``s_scores`` is the sparse work of
     the scores behind a sampled ``S`` (absent when none ran: ``S`` clipped
     on its row count, A is zero, or the solve is in simplified mode):
     ``3 nnz(A)`` for the squared row norms and the two
     products with ``|A|`` that test whether the norms certify the ridge
-    scores, plus, when they do not, the Krylov overestimates: ``2 k (q' +
-    1) nnz(A)`` for a block Krylov space of A at depth
-    ``q' = min(SCORE_DEPTH, n // k - 1)`` and ``3 k nnz(A)`` for ``A Z``,
-    ``W^T A`` and ``A V`` (:func:`~sketchlr.sketches.build_row_sampler`).
+    scores, plus, when they do not, the Krylov overestimates:
+    ``2 min((q' + 1) k, n) nnz(A)`` for a block Krylov space of A at depth
+    ``q' = SCORE_DEPTH``, capped at its side n, and ``3 k nnz(A)`` for
+    ``A Z``, ``W^T A`` and ``A V``
+    (:func:`~sketchlr.sketches.build_row_sampler`).
     ``score_kernel`` names the kernel that scored the rows
     (:class:`~sketchlr.sketches.SamplingSketch`): ``"norms"``,
     ``"krylov"``, or ``None`` when none ran. ``score_mass`` is the total
@@ -181,11 +184,12 @@ class DiagnosticReport:
         return self.violations / self.trials if self.trials else 0.0
 
 
-def _dense_guarded(a: SparseMatrix, advice: str = _ORACLE_ADVICE) -> np.ndarray:
+def _dense_guarded(a: SparseMatrix) -> np.ndarray:
     if min(a.shape) > DENSE_GUARD:
         raise ScaleLimitError(
             f"dense factorization refused: min dimension {min(a.shape)} exceeds "
-            f"the guard DENSE_GUARD={DENSE_GUARD}; {advice}"
+            f"the guard DENSE_GUARD={DENSE_GUARD}; run full_pipeline without the "
+            "oracle flag (--oracle), which never densifies the input"
         )
     return a.to_dense()
 
@@ -331,24 +335,20 @@ def _sketched_rowspace(
 def _rowspace(sa, k: int, eps: float, report: SolveReport) -> np.ndarray:
     """Stage 3 (``svd_sat``): Z from the top-k right block V of ``SA``.
 
-    The kernel is chosen by mode and size (module docstring), not storage.
-    ``SA`` is released once its top-k is taken, before the Cholesky-QR.
+    The kernel is chosen by mode (module docstring), and neither densifies
+    ``SA``. ``SA`` is released once its top-k is taken, before the Cholesky-QR.
     """
     counters = report.multiply_add_counts
     with _stage(report.elapsed, "svd_sat"):
-        d = min(sa.shape)
-        depth = math.ceil(math.log(d) / math.sqrt(eps))
-        if report.plan.mode == "full_pipeline" and (depth + 1) * k < d:
+        if report.plan.mode == "full_pipeline":
+            depth = math.ceil(math.log(min(sa.shape)) / math.sqrt(eps))
             sigma, v = block_krylov(sa, k, depth, _FoldingCounter(counters, "krylov"))
             report.krylov_depth, report.ritz_values = depth, tuple(sigma.tolist())
         else:
-            sparse = isinstance(sa, SparseMatrix)
-            advice = f"a depth-{depth} Krylov space of k={k} would cover SA; lower k"
-            # a clipped sample of a matrix with fewer than k nonzero rows is thin
-            top = top_singular(_dense_guarded(sa, advice) if sparse else sa, min(k, d))
-            # U^T SA = diag(sigma) V^T, k per stored entry of SA, is what
+            top = top_singular(sa, k)
+            # U^T SA = diag(sigma) V^T, k per entry of the dense SA, is what
             # top_singular forms or checks, so Z is V
-            counters["wsa"] = top.u.shape[1] * (sa.nnz if sparse else sa.size)
+            counters["wsa"] = k * sa.size
             sigma, v = top.sigma, top.v
         # a dense simplified-mode SA is the largest array of the solve: the
         # caller holds no reference, so this frees it for the steps below
@@ -518,13 +518,12 @@ def diagnose_kyfan_preservation(
     :class:`SparseMatrix` that :func:`~sketchlr.sketches.apply_row_sampler`
     returns; both it and ``a`` are densified under the dense guard.
     """
-    dense = _dense_guarded(_ensure_sparse(a))
-    sa = _dense_guarded(_ensure_sparse(sa))
-    if sa.shape[1] != dense.shape[1]:
+    a, sa = _ensure_sparse(a), _ensure_sparse(sa)
+    if sa.ncols != a.ncols:
         raise ValueError("sketched matrix must keep the column dimension")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    n = dense.shape[1]
+    dense, sa = _dense_guarded(a), _dense_guarded(sa)
     sigma = singular_values(dense)
     tail_p = schatten_norm(sigma[k:], p) if k < sigma.size else 0.0
     tail_f = float(np.sqrt(np.sum(sigma[k:] ** 2))) if k < sigma.size else 0.0
@@ -538,7 +537,7 @@ def diagnose_kyfan_preservation(
     violations = 0
     max_excess = 0.0
     for _ in range(trials):
-        q, _ = np.linalg.qr(gen.standard_normal((n, k)))
+        q, _ = np.linalg.qr(gen.standard_normal((a.ncols, k)))
         res_a = dense - (dense @ q) @ q.T
         res_s = sa - (sa @ q) @ q.T
         head_a = kyfan_pr_norm(singular_values(res_a), p, r_eff) ** p

@@ -8,12 +8,18 @@ full_pipeline solve at eps=0.5 gives it, on two inputs: the sparse 1200x900
 ``SA`` with 32400 nonzeros that a clipped row sample passes through (the p=1
 and p=3 solves, q=10), and the wide 112x900 row sample of it that a Huber
 solve passes (taken from the solve itself, q=7): the norms certify a mass of
-2.04, so the sampler draws 112 of its 617-row budget. The tall 20000x100 ``SA^T`` times
+2.04, so the sampler draws 112 of its 617-row budget. A third
+``block_krylov`` input is the clipped 199998x150 ``SA`` of a tall-skinny
+200000x150 input with 2M nonzeros at k=20 (p=1, q=8): its ``(q + 1) k =
+180`` columns reach the side ``d = 150``, so the space stops at all 150 and
+its top-k is exact, from sparse products only; ``extra_info["solve_peak_mib"]``
+holds the tracemalloc peak of that whole solve. The tall 20000x100 ``SA^T`` times
 the other dense branch of ``top_singular``. ``apply_countsketch_left`` is
-timed on the 20000x20000 input. For it and the simplified-mode top-k of
-the 100x20000 ``SA``, the tracemalloc peak of one more call, apart from the
-timed ones, goes to ``benchmark.extra_info["peak_mib"]``. The file name
-keeps it out of the test suite; run it with
+timed on the 20000x20000 input. For it, the simplified-mode top-k of
+the 100x20000 ``SA`` and the clipped tall-skinny ``SA``, the tracemalloc
+peak of one more call, apart from the timed ones, goes to
+``benchmark.extra_info["peak_mib"]``. The file name keeps it out of the
+test suite; run it with
 
     PYTHONPATH=src python -m pytest tests/bench_topk.py --benchmark-only
 """
@@ -25,6 +31,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from perfbench.inputs import sparse_triplets
 from sketchlr import RandomStream, SparseMatrix, build_countsketch, parse_loss, solver
 from sketchlr.matrixcore import block_krylov, top_singular
 from sketchlr.sketches import apply_countsketch_left
@@ -90,3 +97,17 @@ def test_block_krylov_wide_huber_sample(benchmark):
     assert (k, depth) == (5, _depth(112))
     sigma, v = benchmark(block_krylov, sa, k, depth)
     assert v.shape == (900, 5)
+
+
+def test_block_krylov_clipped_tall_skinny_sa(benchmark):
+    a = SparseMatrix(200000, 150, *sparse_triplets(200000, 150, 2_000_000, 900))
+    with mock.patch.object(solver, "block_krylov", wraps=block_krylov) as spy:
+        rep, benchmark.extra_info["solve_peak_mib"] = _peak_mib(
+            lambda: solver.solve_schatten(a, 20, 1.0, 0.5, RandomStream(1))
+        )
+    sa, k, depth = spy.call_args.args[:3]
+    assert rep.clipped and sa.shape == (rep.rows_drawn, 150) == (199998, 150)
+    assert (k, depth) == (20, _depth(150))
+    _, benchmark.extra_info["peak_mib"] = _peak_mib(lambda: block_krylov(sa, k, depth))
+    sigma, v = benchmark(block_krylov, sa, k, depth)
+    assert v.shape == (150, 20)

@@ -254,9 +254,8 @@ def test_numerical_failure_exit_code(monkeypatch, capsys):
     def broken_top_singular(*_):
         raise ConvergenceError("did not converge", residual=np.inf)
 
-    # SA of a 20x10 input is too small for a block Krylov space, so the
-    # sketched solve takes its top-k through top_singular
+    # a simplified-mode solve takes the top-k of its dense SA through top_singular
     monkeypatch.setattr(sketchlr.solver, "top_singular", broken_top_singular)
-    code = main(["solve", "--m", "20", "--n", "10", "--k", "2"])
+    code = main(["solve", "--m", "20", "--n", "10", "--k", "2", "--mode", "simplified_experiment"])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err

@@ -676,6 +676,33 @@ class TestRunExperiment:
             run_experiment(self._config(**setting))
         assert called == []
 
+    @pytest.mark.parametrize(
+        "k_list, rank", [([0], "0"), ([2.5], "2.5"), ([2, -1], "-1"), ([3, "4"], "'4'")]
+    )
+    def test_a_rank_not_an_integer_of_at_least_one_is_refused_before_the_matrix_is_read(
+        self, k_list, rank, tmp_path, monkeypatch
+    ):
+        # the solve refuses it too, but only after the file is read and the
+        # oracle has densified and factored it
+        path = tmp_path / "a.mtx"
+        write_matrix_market(path, random_sparse(make_gen(7), 12, 10, density=0.5))
+        called = []
+
+        def spy(name, real):
+            def wrapped(*args, **kwargs):
+                called.append(name)
+                return real(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(harness, "load_matrix", spy("read", harness.load_matrix))
+        monkeypatch.setattr(harness, "OracleScorer", spy("oracle", harness.OracleScorer))
+        cfg = ExperimentConfig(k_list=k_list, oracle=True, input_path=str(path))
+        message = f"k_list holds rank {rank}: each rank must be an integer >= 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_experiment(cfg)
+        assert called == []
+
     @pytest.mark.parametrize("k_list, rank", [([2, 2], 2), ([3, 2, 3], 3), ([2, 5, 4, 5, 4], 5)])
     def test_repeated_rank_is_refused(self, k_list, rank):
         cfg = self._config(k_list=k_list)

@@ -562,10 +562,23 @@ class TestBlockKrylov:
         sigma, v = block_krylov(SparseMatrix(30, 50, [], [], []), 3, 4)
         assert not np.any(sigma) and not np.any(v)
 
-    def test_space_wider_than_the_smaller_side_is_refused(self):
-        block_krylov(np.ones((30, 9)), 3, 2)  # (2 + 1) 3 = 9 columns fit
-        with pytest.raises(ValueError, match="does not fit"):
-            block_krylov(np.ones((30, 9)), 3, 3)
+    @pytest.mark.parametrize("shape", [(30, 9), (9, 30)])
+    @pytest.mark.parametrize("k, depth", [(3, 2), (3, 3), (4, 2), (12, 0)])
+    def test_space_wider_than_the_smaller_side_is_capped_and_exact(self, shape, k, depth):
+        # (2 + 1) 3 = 9 columns fit d = 9; wider spaces stop at all 9, the
+        # last block cut short, and k = 12 is cut to a block of 9
+        a = random_sparse(make_gen(44), *shape, density=0.5)
+        counter = MultiplyAddCounter()
+        sigma, v = block_krylov(a, k, depth, counter)
+        r = min(k, 9)
+        exact = svd(a.to_dense())
+        assert sigma.shape == (r,) and v.shape == (shape[1], r)
+        np.testing.assert_allclose(sigma, exact.sigma[:r], rtol=1e-12)
+        # the top-r right singular subspace, compared by its projector
+        ref = exact.v[:, :r]
+        assert np.linalg.norm(v @ v.T - ref @ ref.T) <= 1e-9
+        wide = shape[0] < shape[1]
+        assert counter.count == a.nnz * (2 * 9 + r * wide)
 
     def test_top_singular_takes_dense_input_only(self):
         with pytest.raises(TypeError, match="dense array, not a SparseMatrix"):

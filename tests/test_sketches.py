@@ -503,11 +503,15 @@ class TestCertifiedMass:
 
 
 def krylov_counts(k, a):
-    """``s_scores`` of a Krylov-scored sample: the norms, the Krylov space and the scores."""
+    """``s_scores`` of a Krylov-scored sample: the norms, the Krylov space and the scores.
+
+    The space's basis stops at ``d = min(a.shape)`` columns, and its block at d.
+    """
     d = min(a.shape)
-    depth = min(sketches.SCORE_DEPTH, d // k - 1)
+    r = min(k, d)
+    width = min((sketches.SCORE_DEPTH + 1) * r, d)
     wide = a.shape[0] < a.shape[1]
-    return (3 + 2 * k * (depth + 1) + k * wide + 3 * k) * a.nnz
+    return (3 + 2 * width + r * wide + 3 * r) * a.nnz
 
 
 class TestNormCertificate:
@@ -712,14 +716,14 @@ class TestKrylovScores:
     @pytest.mark.parametrize("shape", [(120, 100), (100, 120), (40, 300)])
     @pytest.mark.parametrize("k", [1, 3, 40])
     def test_counter_is_exact(self, shape, k):
-        # tall and wide; k = 40 at d = 40 is a depth-0 space of all d directions
+        # tall and wide; k = 40 is a space capped at d: 100 of its 120
+        # columns at d = 100, a single block of all d directions at d = 40
         a = plant_head(random_sparse(make_gen(sum(shape) + k), *shape, density=0.2))
         counter = MultiplyAddCounter()
         with sample_constant(1e-3):
             sk = build_row_sampler(a, k, 0.5, 0.25, RandomStream(8), counter)
         assert not sk.clipped and sk.score_kernel == "krylov"
-        r = min(k, min(shape))
-        assert counter.count == krylov_counts(r, a)
+        assert counter.count == krylov_counts(k, a)
 
     def test_caller_stream_advances_one_child_seed(self):
         # the Krylov start block comes from KRYLOV_SEED, not from the stream

@@ -20,6 +20,7 @@ from conftest import (
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from perfbench.inputs import sparse_triplets
 
 import sketchlr.matrixcore as matrixcore
 import sketchlr.sketches as sketches
@@ -462,8 +463,11 @@ class TestPassThroughRowspace:
             assert counts["wsa"] == min(k, *sa.shape) * stored
         else:
             assert "wsa" not in counts and rep.ritz_values == tuple(sigma)
-            wide = sa.shape[0] < sa.shape[1]
-            assert counts["krylov"] == k * stored * (2 * (rep.krylov_depth + 1) + wide)
+            # 2 per stored entry and basis column, capped at d; r for SA^T U of a wide SA
+            d, wide = min(sa.shape), sa.shape[0] < sa.shape[1]
+            r = min(k, d)
+            width = min((rep.krylov_depth + 1) * r, d)
+            assert counts["krylov"] == stored * (2 * width + r * wide)
 
     @pytest.mark.parametrize("solve", ["clipped_p1", "clipped_p3", "huber"])
     def test_z_is_the_top_direction_of_two_nonzero_rows(self, solve):
@@ -603,19 +607,49 @@ class TestKrylovRowspace:
     def test_property_small_sa_takes_the_exact_top_k(self, seed, m, n, k, eps, mode):
         k = min(k, min(m, n) - 1)
         a = random_sparse(make_gen(seed), m, n, density=0.5)
-        seen = []
+        seen, made = [], []
+        real_complete = solver.complete_basis
+
+        def complete_spy(z, kk):
+            made.append(real_complete(z, kk))
+            return made[-1]
+
         with pytest.MonkeyPatch.context() as mp:
             _spy_kernels(mp, seen)
+            mp.setattr(solver, "complete_basis", complete_spy)
             rep = solve_schatten(a, k, 1.0, eps, RandomStream(seed), mode)
-        [(kernel, sa)] = seen
+        [(kernel, sa)], [z] = seen, made
         d = min(sa.shape)
         depth = math.ceil(math.log(d) / math.sqrt(min(eps, 0.5)))
-        if mode == "full_pipeline" and (depth + 1) * k < d:
+        if mode == "full_pipeline":
             assert kernel == "block_krylov"
-            assert rep.krylov_depth == depth and len(rep.ritz_values) == k
+            assert rep.krylov_depth == depth and len(rep.ritz_values) == min(k, d)
         else:
             assert kernel == "top_singular"
             assert rep.krylov_depth is None and rep.ritz_values == ()
+        if mode == "simplified_experiment" or (depth + 1) * k >= d:
+            # the exact top-k, or a Krylov space capped at all of SA's side:
+            # Z leaves SA exactly its tail spectrum, whatever ties sigma has
+            exact = np.linalg.svd(sa, compute_uv=False)
+            resid = np.linalg.svd(sa - (sa @ z) @ z.T, compute_uv=False)
+            tail = np.concatenate([exact[k:], np.zeros(min(k, d))])
+            np.testing.assert_allclose(resid, tail, atol=1e-9 * max(exact[0], 1.0))
+
+    def test_clipped_tall_skinny_solve_never_densifies(self, monkeypatch):
+        # the clipped SA is the 19156 nonzero rows of A, and (q + 1) k = 30 at
+        # q = 5 covers its 30 columns: an exact top-5 from sparse products only
+        rows, cols, vals = sparse_triplets(20000, 30, 60000, 5)
+        a = SparseMatrix(20000, 30, rows, cols, vals)
+        v5 = np.linalg.svd(a.to_dense())[2][:5].T
+
+        def densify(*_):
+            raise AssertionError("a full_pipeline solve must not densify")
+
+        monkeypatch.setattr(SparseMatrix, "to_dense", densify)
+        rep = solve_schatten(a, 5, 1.0, 0.5, RandomStream(5))
+        z = rep.factors.z
+        assert rep.clipped and rep.rows_drawn == 19156 and rep.krylov_depth == 5
+        assert np.linalg.norm(z @ z.T - v5 @ v5.T) <= 1e-9
 
     def test_fallback_above_the_guard_is_a_scale_limit(self, monkeypatch):
         # q = 13 at d = 5001, so a Krylov space of k = 360 would need 5040 columns
@@ -633,9 +667,10 @@ class TestKrylovRowspace:
 
 
 def _krylov_s_scores(k, a):
-    """``s_scores`` of a Krylov-scored solve of A: its oriented work is tall, ``d = min(A.shape)``."""
-    depth = min(sketches.SCORE_DEPTH, min(a.shape) // k - 1)
-    return (3 + 2 * k * (depth + 1) + 3 * k) * a.nnz
+    """``s_scores`` of a Krylov-scored solve of A: its oriented work is tall,
+    and the space's basis stops at ``d = min(A.shape)`` columns."""
+    width = min((sketches.SCORE_DEPTH + 1) * k, min(a.shape))
+    return (3 + 2 * width + 3 * k) * a.nnz
 
 
 LARGE_SQUARE_SOLVES = pytest.mark.parametrize(
@@ -1122,6 +1157,29 @@ class TestDiagnostics:
     )
     def test_refusals_name_what_is_wrong(self, sa, trials, message):
         a = SparseMatrix.from_dense(make_gen(96).standard_normal((20, 15)))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            diagnose_kyfan_preservation(a, sa, 2, 1.0, 4, 0.01, trials, RandomStream(53))
+
+    @pytest.mark.parametrize(
+        "cols, trials, message",
+        [
+            (DENSE_GUARD, 5, "sketched matrix must keep the column dimension"),
+            (DENSE_GUARD + 1, 0, "trials must be >= 1"),
+        ],
+        ids=["columns", "trials"],
+    )
+    def test_refusals_come_before_any_densify(self, cols, trials, message, monkeypatch):
+        # read off the sparse inputs, so even above the guard the refusal
+        # names the bad argument, and neither A nor SA is densified
+        n = DENSE_GUARD + 1
+        idx = np.arange(n)
+        a = SparseMatrix(n, n, idx, idx, 1.0 + idx)
+        sa = SparseMatrix(4, cols, [0], [0], [1.0])
+
+        def densify(*_):
+            raise AssertionError("a refused diagnosis must not densify")
+
+        monkeypatch.setattr(SparseMatrix, "to_dense", densify)
         with pytest.raises(ValueError, match=f"^{message}$"):
             diagnose_kyfan_preservation(a, sa, 2, 1.0, 4, 0.01, trials, RandomStream(53))
 
