@@ -16,7 +16,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .matrixcore import SparseMatrix
+from .matrixcore import ScaleLimitError, SparseMatrix
 from .norms import schatten_norm
 from .rng import RandomStream
 from .sketches import MODES
@@ -245,25 +245,31 @@ def _parse_bag_of_words(path, text: str) -> SparseMatrix:
             raise ParseError(path, lineno, "document and word counts must be positive")
     n_docs, n_words, declared = header
     body = _Body(n_docs, n_words, declared, lineno, ("docID", "wordID", "count"))
-    mat = _parse_triplets(path, text, plain, lines, body)
     # keep the taller orientation so downstream solves see m >= n
-    return mat.transpose() if n_docs < n_words else mat
+    return _parse_triplets(path, text, plain, lines, body, transpose=n_docs < n_words)
 
 
-def _parse_triplets(path, text: str, plain: bool, lines, body: _Body) -> SparseMatrix:
-    """The entries after a header, as a :class:`SparseMatrix`.
+def _parse_triplets(
+    path, text: str, plain: bool, lines, body: _Body, transpose: bool = False
+) -> SparseMatrix:
+    """The entries after a header, as a :class:`SparseMatrix` (transposed if asked).
 
     A plain body is read by one ``np.loadtxt`` call and checked with whole
     array operations. Where that call raises or a check fails, the per-line
     pass reads the body instead, by the same rules, and names the line at
-    fault. ``lines`` continues just after the size line.
+    fault. ``lines`` continues just after the size line. A shape that cannot
+    be stored is refused at the size line, in either pass.
     """
-    if plain:
-        rest = text.split("\n", body.size_line)
-        mat = _parse_whole_body(rest[-1] if len(rest) > body.size_line else "", body)
-        if mat is not None:
-            return mat
-    return _parse_per_line(path, lines, body)
+    try:
+        mat = None
+        if plain:
+            rest = text.split("\n", body.size_line)
+            mat = _parse_whole_body(rest[-1] if len(rest) > body.size_line else "", body)
+        if mat is None:
+            mat = _parse_per_line(path, lines, body)
+        return mat.transpose() if transpose else mat
+    except ScaleLimitError as exc:
+        raise ParseError(path, body.size_line, str(exc)) from None
 
 
 def _parse_whole_body(text: str, body: _Body) -> SparseMatrix | None:
@@ -288,6 +294,8 @@ def _parse_whole_body(text: str, body: _Body) -> SparseMatrix | None:
     vals = entries[body.fields[2]] if len(body.fields) == 3 else np.ones(entries.size)
     try:
         return _assemble(body, rows - 1, cols - 1, vals)
+    except ScaleLimitError:
+        raise  # the shape is at fault, not a line
     except (ValueError, OverflowError):
         return None
 

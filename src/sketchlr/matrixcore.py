@@ -11,6 +11,7 @@ A kernel that reads A by its stored entries converts a dense A once, on entry
 kernel refuses a :class:`SparseMatrix` (``_check_dense``).
 """
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -34,10 +35,25 @@ class ConvergenceError(RuntimeError):
 
 
 class ScaleLimitError(ValueError):
-    """An exact dense step refused an input above ``DENSE_GUARD``.
+    """An input too large for a step: a side above ``DENSE_GUARD`` for an exact
+    dense step, or a sparse shape whose storage cannot be allocated.
 
-    The message names the guard and the sketched alternative to run instead.
+    The message names the guard and the sketched alternative to run instead,
+    or the shape.
     """
+
+
+@contextlib.contextmanager
+def _storable(nrows: int, ncols: int):
+    """Turn a ``MemoryError`` from building sparse storage into a :class:`ScaleLimitError`.
+
+    scipy allocates ``nrows + 1`` row pointers whatever the entries, so a
+    shape alone can exhaust memory.
+    """
+    try:
+        yield
+    except MemoryError as exc:
+        raise ScaleLimitError(f"a {nrows}x{ncols} matrix cannot be stored: {exc}") from None
 
 
 class MultiplyAddCounter:
@@ -67,6 +83,8 @@ class SparseMatrix:
         nrows, ncols = int(nrows), int(ncols)
         if nrows < 1 or ncols < 1:
             raise ValueError(f"matrix shape must be positive, got {nrows}x{ncols}")
+        if max(nrows, ncols) >= np.iinfo(np.int64).max:
+            raise ScaleLimitError(f"matrix shape {nrows}x{ncols} exceeds the int64 index range")
         rows = np.asarray(rows, dtype=np.int64).ravel()
         cols = np.asarray(cols, dtype=np.int64).ravel()
         values = np.asarray(values, dtype=np.float64).ravel()
@@ -94,7 +112,8 @@ class SparseMatrix:
                     raise ValueError(f"duplicate coordinate ({rs[i + 1]}, {cs[i + 1]})")
         self.nrows = nrows
         self.ncols = ncols
-        csr = sp.csr_array((values, (rows, cols)), shape=(nrows, ncols))
+        with _storable(nrows, ncols):
+            csr = sp.csr_array((values, (rows, cols)), shape=(nrows, ncols))
         csr.sort_indices()
         self._csr = csr
 
@@ -138,7 +157,8 @@ class SparseMatrix:
         return self._csr.toarray()
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix._wrap(self._csr.T.tocsr())
+        with _storable(self.ncols, self.nrows):
+            return SparseMatrix._wrap(self._csr.T.tocsr())
 
     def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, cols, values) in row-major coordinate order."""
@@ -355,7 +375,9 @@ def top_singular(a, k: int) -> SvdResult:
     against ``||A||_F``. The Gram matrix squares the conditioning, so when
     sigma_k is numerically zero, ties with sigma_(k+1), or a check fails,
     the result is the k-column truncation of the verified full :func:`svd`.
-    Besides A, the Gram matrix and the eigenvector block, it holds one more
+    G is the one ``d x d`` array: ``eigh`` factors it in place, and the
+    residual's ``G S`` is read from the triangle it leaves and the saved
+    diagonal. Besides A, G and the eigenvector block, it holds one more
     ``d' x k`` block, the other side, divided by sigma in place (``d'`` the
     larger dimension).
     """
@@ -371,7 +393,10 @@ def top_singular(a, k: int) -> SvdResult:
         raise ValueError("matrix Frobenius norm overflows: ||A||_F^2 is not a double")
     # one eigenpair past k exposes the gap that separates the top-k subspace
     top = min(k + 1, d)
-    lam, vecs = scipy.linalg.eigh(gram, subset_by_index=[d - top, d - 1])
+    diag = gram.diagonal().copy()
+    # G is exactly symmetric, so its column-major view is G itself: dsyevr factors
+    # it in place, destroying the view's lower triangle and the diagonal
+    lam, vecs = scipy.linalg.eigh(gram.T, overwrite_a=True, subset_by_index=[d - top, d - 1])
     lam, vecs = lam[::-1], vecs[:, ::-1]
     # dsyevr may return fewer pairs than asked for on a tight cluster
     if (
@@ -384,12 +409,17 @@ def top_singular(a, k: int) -> SvdResult:
         # (side^T A)^T reads the row-major A along its rows, as a.T @ side does not
         prod = (side.T @ a).T if wide else a @ side
         prod /= sigma  # in place: the other side is the one d x k block besides side
-        # the other product's residual A other - side sigma is (G side - side Lambda)/sigma
+        # the other product's residual A other - side sigma is (G side - side Lambda)/sigma;
+        # G side from the view's upper triangle, which dsyevr left, and the saved diagonal,
+        # as (side^T G)^T: side.T is column-major, so dsymm takes it without a copy
+        np.fill_diagonal(gram, diag)
         u, v = (side, prod) if wide else (prod, side)
         worst = max(
             float(np.max(np.abs(u.T @ u - np.eye(k)))),
             float(np.max(np.abs(v.T @ v - np.eye(k)))),
-            float(np.linalg.norm((gram @ side - side * lam[:k]) / sigma)) / fro,
+            float(np.linalg.norm(
+                (blas.dsymm(1.0, gram.T, side.T, side=1, lower=0).T - side * lam[:k]) / sigma
+            )) / fro,
         )
         if worst <= SVD_TOL:
             return SvdResult(u=u, sigma=sigma, v=v)

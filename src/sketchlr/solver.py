@@ -227,13 +227,14 @@ class OracleScorer:
     The input is densified under the dense guard, turned tall (``m x n``,
     ``m >= n``) and factored in place, ``A = Q R`` (raw ``scipy.linalg.qr``). The
     scorer holds that one ``m x n`` array, R above its diagonal and Q's
-    Householder reflectors below it, with their ``tau`` and a mask of R's
-    triangle; Q is never formed. A trial gets ``[B; Y2] = Q^T Y`` from one
-    ``dormqr`` and the R factor C of ``Y2``. Then ``A - Y Z^T`` equals
-    ``Q [[R - B Z^T], [-Y2 Z^T]]``, and ``Y2 = P C`` for orthonormal P, so
-    the residual spectrum is that of the ``(n + rows(C)) x n`` stack
-    ``[[R - B Z^T], [-C Z^T]]``, exact to rounding (Chan's R-SVD): one
-    singular-value computation a trial, and no singular vectors of the input.
+    Householder reflectors below it, with their ``tau``; Q is never formed.
+    A trial gets ``[B; Y2] = Q^T Y`` from one ``dormqr`` and the R factor C
+    of ``Y2``, and copies R's triangle into its stack row by row. Then
+    ``A - Y Z^T`` equals ``Q [[R - B Z^T], [-Y2 Z^T]]``, and ``Y2 = P C``
+    for orthonormal P, so the residual spectrum is that of the
+    ``(n + rows(C)) x n`` stack ``[[R - B Z^T], [-C Z^T]]``, exact to
+    rounding (Chan's R-SVD): one singular-value computation a trial, and no
+    singular vectors of the input.
     """
 
     def __init__(self, a):
@@ -245,7 +246,6 @@ class OracleScorer:
             dense, mode="raw", overwrite_a=True, check_finite=False
         )
         self.spectrum = _singular_values(r)  # R of a SparseMatrix, whose entries are finite
-        self._upper = np.tri(r.shape[0], dtype=bool).T
 
     def residual_spectrum(self, y: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Singular values of ``A - y @ z.T``, non-increasing.
@@ -266,7 +266,8 @@ class OracleScorer:
         c = np.linalg.qr(qty[n:], mode="r")
         stack = np.zeros((n + c.shape[0], n))
         top = stack[:n]
-        np.copyto(top, qr[:n], where=self._upper)
+        for i in range(n):  # R's triangle, row by row, over the zeros below it
+            top[i, i:] = qr[i, i:]
         # top is row-major, so top.T is a column-major view: top.T -= Z B^T in place
         blas.dgemm(-1.0, z, qty[:n], beta=1.0, c=top.T, trans_b=1, overwrite_c=1)
         # C Z^T for -C Z^T: negating a block of rows keeps the singular values

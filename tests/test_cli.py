@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sketchlr.cli
+import sketchlr.matrixcore
 import sketchlr.solver
 from sketchlr import (
     ConvergenceError,
@@ -248,6 +249,20 @@ def test_parse_error_exit_code(tmp_path, capsys):
     code = main(["solve", "--input", str(bad), "--k", "1"])
     assert code == 2
     assert "bad.mtx:3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows", [10**13, 10**20])
+def test_unstorable_size_line_exit_code(tmp_path, monkeypatch, capsys, rows):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 72.8 TiB")
+
+    # injected: scipy's row pointers of 10^13 rows would ask for 72.8 TiB
+    monkeypatch.setattr(sketchlr.matrixcore.sp, "csr_array", out_of_memory)
+    big = tmp_path / "big.mtx"
+    big.write_text(f"%%MatrixMarket matrix coordinate real general\n{rows} 3 1\n1 1 1.0\n")
+    assert main(["solve", "--input", str(big), "--k", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "big.mtx:2: " in err and f"{rows}x3" in err
 
 
 def test_numerical_failure_exit_code(monkeypatch, capsys):

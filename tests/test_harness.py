@@ -194,9 +194,21 @@ class TestParseErrorLines:
             (MM_HEADER + "3 3 2\n1 1 nan\n3 2 1.0\n", "matrix_market", 3, "non-finite value"),
             (MM_HEADER + "% note\n3 3 4\n1 1 1.0\n3 2 1.0\n", "matrix_market", 3, "declared 4 entries but found 2"),
             (MM_HEADER + "0 3 0\n", "matrix_market", 2, "shape must be positive"),
+            (
+                MM_HEADER + "100000000000000000000 3 1\n1 1 1.0\n",
+                "matrix_market",
+                2,
+                "matrix shape 100000000000000000000x3 exceeds the int64 index range",
+            ),
             ("2\n3\n3\n1 1 1\n2 3 1\n", "bag_of_words_triplets", 3, "declared 3 entries but found 2"),
             ("2\n3\n2\n1 1 1\n1 1 4\n", "bag_of_words_triplets", 5, "duplicate coordinate"),
             ("2\n0\n1\n1 1 1\n", "bag_of_words_triplets", 2, "counts must be positive"),
+            (
+                "3\n100000000000000000000\n1\n1 1 2\n",
+                "bag_of_words_triplets",
+                3,
+                "matrix shape 3x100000000000000000000 exceeds the int64 index range",
+            ),
             ("2\n3\n", "bag_of_words_triplets", 3, "missing header"),
             (MM_HEADER + "% no size line\n", "matrix_market", 3, "missing size line"),
         ],
@@ -223,6 +235,39 @@ class TestParseErrorLines:
         with pytest.raises(ParseError, match=r"bin\.mtx:3: byte 0xff is not UTF-8") as info:
             load_matrix(path)
         assert info.value.line == 3
+
+
+class TestUnstorableShape:
+    """A shape the size line declares whose storage cannot be allocated is
+    refused at that line, by shape, in either pass. scipy allocates a row
+    pointer per row, so a 10^13-row shape asks for 72.8 TiB; here that
+    failure is injected, not provoked."""
+
+    @pytest.fixture
+    def out_of_memory(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 72.8 TiB")
+
+        return lambda owner, name: monkeypatch.setattr(owner, name, refuse)
+
+    @pytest.mark.parametrize(
+        "comment, line", [("", 2), ("% caf\u00e9\n", 3)], ids=["whole-body", "per-line"]
+    )
+    def test_matrix_market_storage_out_of_memory(self, tmp_path, out_of_memory, comment, line):
+        path = tmp_path / "big.mtx"
+        path.write_text(MM_HEADER + comment + "10000000000000 3 1\n1 1 1.0\n", encoding="utf-8")
+        out_of_memory(matrixcore.sp, "csr_array")
+        message = rf"big\.mtx:{line}: a 10000000000000x3 matrix cannot be stored: Unable"
+        with pytest.raises(ParseError, match=message) as info:
+            load_matrix(path)
+        assert info.value.line == line
+
+    def test_bag_of_words_transpose_out_of_memory(self, tmp_path, out_of_memory):
+        path = tmp_path / "big.txt"
+        path.write_text("3\n10000000000000\n1\n1 1 2\n")
+        out_of_memory(matrixcore.sp.csc_array, "tocsr")  # the 3-row matrix itself is small
+        with pytest.raises(ParseError, match=r"big\.txt:3: a 10000000000000x3 matrix cannot"):
+            load_matrix(path, "bag_of_words_triplets")
 
 
 class TestMatrixMarketHeaders:

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from sketchlr import (
     svd,
     truncate_rank,
 )
-from sketchlr.matrixcore import SVD_TOL, block_krylov, top_singular
+from sketchlr.matrixcore import SVD_TOL, ScaleLimitError, block_krylov, top_singular
 from sketchlr.sketches import apply_countsketch_left
 
 GOLDEN = np.array([[20.0, 20.0], [1.0, 2.0]])
@@ -114,6 +115,24 @@ class TestSparseMatrix:
         mat = SparseMatrix(3, 4, [], [], [])
         assert mat.nnz == 0
         np.testing.assert_array_equal(mat.to_dense(), np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("shape", [(10**20, 3), (3, 2**63 - 1)])
+    def test_shape_past_int64_is_refused_by_shape(self, shape):
+        with pytest.raises(ScaleLimitError, match=rf"shape {shape[0]}x{shape[1]} exceeds the int64"):
+            SparseMatrix(*shape, [0], [0], [1.0])
+
+    def test_storage_that_cannot_be_allocated_is_refused_by_shape(self, monkeypatch):
+        # a stand-in for scipy's row pointers of a 10^13-row shape (72.8 TiB)
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 72.8 TiB")
+
+        wide = SparseMatrix(3, 10**13, [0], [10**13 - 1], [1.0])  # four row pointers
+        monkeypatch.setattr(matrixcore.sp, "csr_array", out_of_memory)
+        with pytest.raises(ScaleLimitError, match="a 10000000000000x3 matrix cannot be stored: Unable"):
+            SparseMatrix(10**13, 3, [0], [0], [1.0])
+        monkeypatch.setattr(matrixcore.sp.csc_array, "tocsr", out_of_memory)
+        with pytest.raises(ScaleLimitError, match="a 10000000000000x3 matrix cannot be stored"):
+            wide.transpose()
 
 
 @st.composite
@@ -365,6 +384,33 @@ class TestTopSingular:
         assert sizes and max(sizes) < sa.size
         monkeypatch.undo()
         assert_verified(sa, res, 10)
+
+    @pytest.mark.parametrize("shape", [(400, 600), (600, 400)])
+    def test_gram_is_factored_in_place(self, shape, svd_calls):
+        # eigh overwrites G and G S is read from what it leaves, so the working
+        # set stays below one and a half d x d arrays, and the triplets are
+        # those of an eigh of a copy of G
+        a = make_gen(29).standard_normal(shape)
+        d, k = 400, 20
+        top_singular(a, k)  # the first call's one-time allocations are not the kernel's
+        tracemalloc.start()
+        try:
+            res = top_singular(a, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * d * d
+        assert svd_calls == []
+        wide = shape[0] < shape[1]
+        gram = a @ a.T if wide else a.T @ a
+        lam, vecs = scipy.linalg.eigh(gram.copy(), subset_by_index=[d - k - 1, d - 1])
+        side = np.ascontiguousarray(vecs[:, : -k - 1 : -1])
+        sigma = np.sqrt(lam[: -k - 1 : -1])
+        other = ((side.T @ a).T if wide else a @ side) / sigma
+        u, v = (side, other) if wide else (other, side)
+        assert np.array_equal(res.u, u)
+        assert np.array_equal(res.sigma, sigma)
+        assert np.array_equal(res.v, v)
 
     @pytest.mark.parametrize("shape", [(30, 80), (80, 30)])
     def test_gram_residual_refuses_a_rotated_eigenvector(self, shape, monkeypatch, svd_calls):

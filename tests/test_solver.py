@@ -144,9 +144,22 @@ class TestOracleScorer:
         # the (n + k) x n stack, the m x k copy of Y that Q^T overwrites and
         # the rows of it below n that the QR of Y2 copies
         assert trial_peak <= 1.1 * 8 * ((n + k) * n + 2 * m * k)
-        # the reflectors, the mask of R's triangle, tau and the spectrum
+        # the reflectors, tau and the spectrum
         arrays = [v for v in vars(scorer).values() if isinstance(v, np.ndarray)]
         assert sum(v.nbytes for v in arrays) <= 8 * m * n + n * n + 16 * n
+
+    def test_keeps_no_mask_of_the_triangle(self):
+        # each trial copies R's triangle into its stack row by row, so the
+        # scorer keeps only the factored m x n input and two n-vectors
+        a = random_sparse(make_gen(30), 800, 600, density=0.05)
+        tracemalloc.start()
+        try:
+            scorer = OracleScorer(a)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert scorer.spectrum.size == 600
+        assert held <= 8 * 800 * 600 + 64 * 1024
 
     @pytest.mark.parametrize("transposed", [False, True], ids=["tall", "wide"])
     def test_non_finite_factors_are_refused_by_name(self, transposed):
