@@ -8,9 +8,10 @@ rank), and writes per-trial and median summary tables.
 """
 
 import csv
-import io
 import itertools
+import lzma
 import math
+import os
 import time
 from dataclasses import astuple, dataclass
 
@@ -113,6 +114,9 @@ def generate_synthetic(
         raise ValueError(f"density must lie in (0, 1], got {density}")
     if nrows < 1 or ncols < 1:
         raise ValueError("matrix shape must be positive")
+    # the empty matrix of the shape runs its refusals (past the int64 index
+    # range, row pointers that cannot be allocated) before any block is drawn
+    SparseMatrix(nrows, ncols, [], [], [])
     gen = stream.generator()
     rows_acc, cols_acc, vals_acc = [], [], []
     block = max(1, min(nrows, 4_000_000 // max(ncols, 1)))
@@ -222,7 +226,7 @@ def _parse_matrix_market(path, text: str) -> SparseMatrix:
         if symmetric and nrows != ncols:
             raise ParseError(path, lineno, f"symmetric matrix must be square, got {nrows}x{ncols}")
         body = _Body(nrows, ncols, declared, lineno, fields, True, symmetric)
-        return _parse_triplets(path, text, plain, lines, body)
+        return _parse_triplets(path, plain, lines, body)
     raise ParseError(path, _past_end(text), "missing size line")
 
 
@@ -246,25 +250,26 @@ def _parse_bag_of_words(path, text: str) -> SparseMatrix:
     n_docs, n_words, declared = header
     body = _Body(n_docs, n_words, declared, lineno, ("docID", "wordID", "count"))
     # keep the taller orientation so downstream solves see m >= n
-    return _parse_triplets(path, text, plain, lines, body, transpose=n_docs < n_words)
+    return _parse_triplets(path, plain, lines, body, transpose=n_docs < n_words)
 
 
 def _parse_triplets(
-    path, text: str, plain: bool, lines, body: _Body, transpose: bool = False
+    path, plain: bool, lines, body: _Body, transpose: bool = False
 ) -> SparseMatrix:
     """The entries after a header, as a :class:`SparseMatrix` (transposed if asked).
 
-    A plain body is read by one ``np.loadtxt`` call and checked with whole
-    array operations. Where that call raises or a check fails, the per-line
-    pass reads the body instead, by the same rules, and names the line at
-    fault. ``lines`` continues just after the size line. A shape that cannot
-    be stored is refused at the size line, in either pass.
+    A plain body is read by one ``np.loadtxt`` call on ``path`` and checked
+    with whole array operations. Where that call raises or a check fails,
+    the per-line pass reads the body instead, by the same rules, and names
+    the line at fault. ``lines`` continues just after the size line. A shape
+    that cannot be stored is refused at the size line, in either pass.
     """
     try:
         mat = None
-        if plain:
-            rest = text.split("\n", body.size_line)
-            mat = _parse_whole_body(rest[-1] if len(rest) > body.size_line else "", body)
+        # np.loadtxt warns on a body without rows; the per-line pass reads it at once
+        if plain and (first := next(lines, None)) is not None:
+            lines = itertools.chain([first], lines)
+            mat = _parse_whole_body(path, body)
         if mat is None:
             mat = _parse_per_line(path, lines, body)
         return mat.transpose() if transpose else mat
@@ -272,14 +277,31 @@ def _parse_triplets(
         raise ParseError(path, body.size_line, str(exc)) from None
 
 
-def _parse_whole_body(text: str, body: _Body) -> SparseMatrix | None:
-    """The matrix of a plain body, or None when only the per-line pass can tell."""
-    if not text or text.isspace():  # np.loadtxt warns on input without rows
-        return None
+def _parse_whole_body(path, body: _Body) -> SparseMatrix | None:
+    """The matrix of a plain body, or None when only the per-line pass can tell.
+
+    numpy parses a path with its chunked C reader, but any file object, even
+    one over bytes already in memory, one Python line at a time, which is
+    slower. So a plain file is read twice: once as text, for the header and
+    the per-line rules, and once here. It holds only printable ASCII, tab
+    and newline, so the lines numpy skips are the lines ``_numbered_lines``
+    numbers. numpy picks a decompressor by the path's extension (``.gz``,
+    ``.bz2``, ``.xz``, ``.lzma``); a plain file of such a name fails to
+    decompress, and the per-line pass reads it.
+    """
     dtype = np.dtype(list(zip(body.fields, (np.int64, np.int64, np.float64))))
     try:
-        entries = np.loadtxt(io.StringIO(text), dtype=dtype, comments=None, ndmin=1)
-    except ValueError:
+        entries = np.loadtxt(
+            os.fsdecode(path),  # numpy iterates a bytes path as a file object
+            dtype=dtype,
+            comments=None,
+            ndmin=1,
+            skiprows=body.size_line,
+            encoding="latin-1",
+        )
+    except (TypeError, ValueError, OSError, lzma.LZMAError):
+        # a file descriptor the text read closed, a line numpy refuses, or a
+        # plain file named like a compressed one
         return None
     rows, cols = entries[body.fields[0]], entries[body.fields[1]]
     if (
@@ -291,9 +313,12 @@ def _parse_whole_body(text: str, body: _Body) -> SparseMatrix | None:
         or (body.symmetric and np.any(cols > rows))
     ):
         return None
-    vals = entries[body.fields[2]] if len(body.fields) == 3 else np.ones(entries.size)
+    # contiguous columns, so the structured array is freed before assembly
+    vals = entries[body.fields[2]].copy() if len(body.fields) == 3 else np.ones(entries.size)
+    rows, cols = rows - 1, cols - 1
+    del entries
     try:
-        return _assemble(body, rows - 1, cols - 1, vals)
+        return _assemble(body, rows, cols, vals)
     except ScaleLimitError:
         raise  # the shape is at fault, not a line
     except (ValueError, OverflowError):

@@ -57,7 +57,6 @@ from .matrixcore import (
     _singular_values,
     block_krylov,
     complete_basis,
-    singular_values,
     sparse_dense_multiply,
     svd,
     top_singular,
@@ -517,32 +516,31 @@ def diagnose_kyfan_preservation(
     ``C_{p/2,eps} r eta1^{p/2} ||A-A_k||_F^p`` for p > 2. Reports the
     violation fraction; this is a diagnostic, not an assertion. ``sa`` may be dense or the
     :class:`SparseMatrix` that :func:`~sketchlr.sketches.apply_row_sampler`
-    returns; both it and ``a`` are densified under the dense guard.
+    returns. Both it and ``a`` are scored by an :class:`OracleScorer`, which
+    densifies its input under the dense guard.
     """
     a, sa = _ensure_sparse(a), _ensure_sparse(sa)
     if sa.ncols != a.ncols:
         raise ValueError("sketched matrix must keep the column dimension")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    dense, sa = _dense_guarded(a), _dense_guarded(sa)
-    sigma = singular_values(dense)
+    scorer_a, scorer_s = OracleScorer(a), OracleScorer(sa)
+    sigma = scorer_a.spectrum
     tail_p = schatten_norm(sigma[k:], p) if k < sigma.size else 0.0
     tail_f = float(np.sqrt(np.sum(sigma[k:] ** 2))) if k < sigma.size else 0.0
     if p <= 2.0:
         slack = r * eta1 ** (p / 2.0) * tail_p**p
     else:
         slack = cpe_constant(p / 2.0, eps) * r * eta1 ** (p / 2.0) * tail_f**p
-    r_eff = min(r, min(dense.shape), min(sa.shape))
+    r_eff = min(r, min(a.shape), min(sa.shape))
 
     gen = stream.generator()
     violations = 0
     max_excess = 0.0
     for _ in range(trials):
         q, _ = np.linalg.qr(gen.standard_normal((a.ncols, k)))
-        res_a = dense - (dense @ q) @ q.T
-        res_s = sa - (sa @ q) @ q.T
-        head_a = kyfan_pr_norm(singular_values(res_a), p, r_eff) ** p
-        head_s = kyfan_pr_norm(singular_values(res_s), p, r_eff) ** p
+        head_a = kyfan_pr_norm(scorer_a.residual_spectrum(a.csr @ q, q), p, r_eff) ** p
+        head_s = kyfan_pr_norm(scorer_s.residual_spectrum(sa.csr @ q, q), p, r_eff) ** p
         lo = (1.0 - eps) * head_a - slack
         hi = (1.0 + eps) * head_a + slack
         tol = 1e-9 * max(1.0, head_a)

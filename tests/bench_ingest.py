@@ -2,11 +2,14 @@
 
 The same seeded matrix is written once as Matrix Market (values at 17
 significant digits) and once as bag-of-words triplets (integer counts), the
-row-major layout both writers produce. The file name keeps it out of the
-test suite; run it with
+row-major layout both writers produce. The tracemalloc peak of one more
+call, apart from the timed ones, goes to ``benchmark.extra_info["peak_mib"]``.
+The file name keeps it out of the test suite; run it with
 
     PYTHONPATH=src python -m pytest tests/bench_ingest.py --benchmark-only
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +35,17 @@ def files(tmp_path_factory):
     return {"matrix_market": mtx, "bag_of_words_triplets": bow}
 
 
+def _peak_mib(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("fmt", ["matrix_market", "bag_of_words_triplets"])
 def test_load_matrix(benchmark, files, fmt):
     mat = benchmark(load_matrix, files[fmt], fmt)
     assert mat.shape == (M, N) and mat.nnz == NNZ
+    benchmark.extra_info["peak_mib"] = _peak_mib(lambda: load_matrix(files[fmt], fmt))

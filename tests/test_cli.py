@@ -265,6 +265,20 @@ def test_unstorable_size_line_exit_code(tmp_path, monkeypatch, capsys, rows):
     assert "big.mtx:2: " in err and f"{rows}x3" in err
 
 
+@pytest.mark.parametrize("rows", [10**13, 10**20])
+def test_unstorable_gen_shape_exit_code(tmp_path, monkeypatch, capsys, rows):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 72.8 TiB")
+
+    # injected, as above; the refusal comes before the first row block is drawn
+    monkeypatch.setattr(sketchlr.matrixcore.sp, "csr_array", out_of_memory)
+    out = tmp_path / "big.mtx"
+    assert main(["gen", "--m", str(rows), "--n", "3", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and f"{rows}x3" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_numerical_failure_exit_code(monkeypatch, capsys):
     def broken_top_singular(*_):
         raise ConvergenceError("did not converge", residual=np.inf)

@@ -2,12 +2,13 @@
 
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import make_gen, random_rank_k, random_sparse
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sketchlr.harness as harness
@@ -18,6 +19,7 @@ from sketchlr import (
     ExperimentConfig,
     ParseError,
     RandomStream,
+    ScaleLimitError,
     SparseMatrix,
     SummaryRow,
     TrialRecord,
@@ -60,6 +62,27 @@ class TestGenerateSynthetic:
         a = generate_synthetic(20, 15, 0.3, RandomStream(11))
         b = generate_synthetic(20, 15, 0.3, RandomStream(11))
         np.testing.assert_array_equal(a.to_dense(), b.to_dense())
+
+    @pytest.mark.parametrize(
+        "nrows, message",
+        [
+            (2**63, "matrix shape 9223372036854775808x3 exceeds the int64 index range"),
+            (10**13, "a 10000000000000x3 matrix cannot be stored: Unable"),
+        ],
+    )
+    def test_unstorable_shape_is_refused_before_any_block(self, monkeypatch, nrows, message):
+        # scipy's row pointers of 10^13 rows would ask for 72.8 TiB; that
+        # failure is injected, and the stream refuses every draw
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 72.8 TiB")
+
+        class NoDraws(RandomStream):
+            def generator(self):
+                raise AssertionError("a refused shape must not draw a block")
+
+        monkeypatch.setattr(matrixcore.sp, "csr_array", out_of_memory)
+        with pytest.raises(ScaleLimitError, match=f"^{message}"):
+            generate_synthetic(nrows, 3, 0.5, NoDraws(0))
 
     def test_matrix_seed_gives_identical_matrix(self):
         # the harness derives the matrix from its own split of the run seed,
@@ -415,7 +438,7 @@ def _per_line_rules(text: str, fmt: str):
     rows, cols = (np.array([c[k] - 1 for c in entries], dtype=np.int64) for k in (0, 1))
     try:
         mat = SparseMatrix(m, n, rows, cols, np.array(list(entries.values())))
-    except OverflowError:  # a dimension past int64 fails the matrix as a whole
+    except (OverflowError, ScaleLimitError):  # a dimension past int64 fails the matrix as a whole
         return count_line, None
     return None, mat.transpose() if fmt != "matrix_market" and m < n else mat
 
@@ -476,6 +499,8 @@ class TestIngestProperties:
         token=st.sampled_from(TOKENS),
         char=st.sampled_from(CHARS),
     )
+    # the size line's row count past int64: refused at that line, by shape
+    @example(fmt="matrix_market", kind="token", where=5, token="9" * 20, char="\x00")
     def test_mutated_file_follows_the_per_line_rules(
         self, tmp_path_factory, fmt, kind, where, token, char
     ):
@@ -543,6 +568,42 @@ class TestWholeBodyParse:
         path = tmp_path / "slow.mtx"
         path.write_text(MM_HEADER + "2 2 2\n" + body)
         np.testing.assert_array_equal(load_matrix(path).to_dense(), [[10.0, 0.0], [-2.5, 0.0]])
+
+    @pytest.fixture(scope="class")
+    def megabyte(self, tmp_path_factory):
+        # about 1 MB of Matrix Market text, and the same entries as bag-of-words triplets
+        gen = make_gen(20000)
+        m = n = 20000
+        flat = np.sort(gen.choice(m * n, size=33_000, replace=False))
+        mat = SparseMatrix(m, n, flat // n, flat % n, 1.0 - gen.random(flat.size))
+        base = tmp_path_factory.mktemp("ingest")
+        mtx, bow = base / "a.mtx", base / "a.bow"
+        write_matrix_market(mtx, mat)
+        bow.write_text(f"{m}\n{n}\n{mat.nnz}\n" + mtx.read_text().split("\n", 2)[2])
+        return mat, {"matrix_market": mtx, "bag_of_words_triplets": bow}
+
+    @pytest.mark.parametrize("fmt", ["matrix_market", "bag_of_words_triplets"])
+    def test_traced_peak_stays_below_five_times_the_file(self, megabyte, fmt):
+        # numpy reads the body from the path, so no copy of the text is made for it
+        mat, paths = megabyte
+        path = paths[fmt]
+        load_matrix(path, fmt)  # the imports a first read makes are not the read's memory
+        tracemalloc.start()
+        try:
+            got = load_matrix(path, fmt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _same_csr(got, mat)
+        assert peak < 5 * path.stat().st_size
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_plain_file_named_like_a_compressed_one_loads(self, megabyte, tmp_path, suffix):
+        # numpy opens such a path with a decompressor, which fails on plain text
+        mat, paths = megabyte
+        path = tmp_path / f"x.mtx{suffix}"
+        path.write_bytes(paths["matrix_market"].read_bytes())
+        assert _same_csr(load_matrix(path), mat)
 
 
 class TestRunExperiment:

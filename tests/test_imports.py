@@ -31,6 +31,7 @@ UNREAD_KEEP = (
     "ridge_leverage_scores",
     "read_trials_csv",
     "read_summary_csv",
+    "singular_values",
 )
 
 

@@ -33,8 +33,10 @@ from sketchlr import (
     ScaleLimitError,
     SketchPlan,
     SparseMatrix,
+    cpe_constant,
     diagnose_kyfan_preservation,
     exact_oracle,
+    kyfan_pr_norm,
     make_sketch_plan,
     parse_loss,
     phi_objective,
@@ -1213,6 +1215,39 @@ class TestDiagnostics:
             a, np.zeros((4, 15)), 2, 1.0, 4, 1e-8, 20, RandomStream(59), eps=0.1
         )
         assert rep.violation_fraction == 1.0
+
+    @pytest.mark.parametrize("p, rows, eps", [(1.0, 20, 0.05), (3.0, 40, 0.3)])
+    def test_counts_match_dense_residual_svds(self, p, rows, eps):
+        # the band recomputed from the m x n residuals A(I - QQ^T) and
+        # SA(I - QQ^T), with the projections the diagnosis draws from its stream
+        dense = make_gen(101).standard_normal((60, 40))
+        kept = np.linspace(0, 59, rows).astype(int)
+        sa = dense[kept] * np.sqrt(60 / rows)  # a uniform row sample, rescaled
+        k, r, eta1, trials = 2, 4, 1e-4, 30
+        rep = diagnose_kyfan_preservation(
+            SparseMatrix.from_dense(dense), sa, k, p, r, eta1, trials, RandomStream(71), eps=eps
+        )
+        tail = np.linalg.svd(dense, compute_uv=False)[k:]
+        if p <= 2.0:
+            slack = r * eta1 ** (p / 2) * schatten_norm(tail, p) ** p
+        else:
+            slack = cpe_constant(p / 2, eps) * r * eta1 ** (p / 2) * np.linalg.norm(tail) ** p
+        gen = RandomStream(71).generator()
+        violations, max_excess = 0, 0.0
+        for _ in range(trials):
+            q, _ = np.linalg.qr(gen.standard_normal((40, k)))
+            head_a, head_s = (
+                kyfan_pr_norm(np.linalg.svd(x - x @ q @ q.T, compute_uv=False), p, r) ** p
+                for x in (dense, sa)
+            )
+            lo, hi = (1 - eps) * head_a - slack, (1 + eps) * head_a + slack
+            tol = 1e-9 * max(1.0, head_a)
+            if not lo - tol <= head_s <= hi + tol:
+                violations += 1
+                max_excess = max(max_excess, lo - head_s, head_s - hi)
+        assert violations > 0
+        assert rep.violations == violations
+        assert rep.max_excess == pytest.approx(max_excess, rel=1e-9)
 
     @pytest.mark.parametrize("p", [1.0, 3.0])
     def test_proper_sampler_small(self, p):
