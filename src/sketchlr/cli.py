@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--oracle",
         action="store_true",
-        help="also run the dense oracle and report the relative error",
+        help="also score the factors exactly against the input and report the relative error",
     )
     p_solve.set_defaults(func=_cmd_solve)
 

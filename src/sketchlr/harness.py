@@ -7,6 +7,7 @@ times per requested rank, optionally scores both against the exact oracle
 rank), and writes per-trial and median summary tables.
 """
 
+import codecs
 import csv
 import itertools
 import lzma
@@ -138,11 +139,12 @@ def generate_synthetic(
     )
 
 
-# Characters a plain file holds: printable ASCII, tab and newline. str.split
-# and str.splitlines break at some other control and non-ASCII characters
-# where np.loadtxt does not (and np.loadtxt stops at a NUL), so a file with
-# any of them is read by the per-line rules alone.
-_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n"
+# Bytes a plain file holds: printable ASCII, tab and newline, and carriage
+# return, which universal newlines turn into a newline. str.split and
+# str.splitlines break at some other control and non-ASCII characters where
+# np.loadtxt does not (and np.loadtxt stops at a NUL), so a file with any of
+# them is read by the per-line rules alone.
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n\r"
 
 
 @dataclass(frozen=True)
@@ -156,10 +158,6 @@ class _Body:
     fields: tuple[str, ...]  # tokens of an entry; two mean a pattern entry of value 1
     comments: bool = False  # lines starting with '%' are skipped
     symmetric: bool = False  # entries lie on or below the diagonal and are mirrored
-
-
-def _is_plain(text: str) -> bool:
-    return text.isascii() and not text.encode("ascii").translate(None, _PLAIN_BYTES)
 
 
 def _newline_split(text: str):
@@ -194,8 +192,7 @@ _MM_SUPPORTED = (
 )
 
 
-def _parse_matrix_market(path, text: str) -> SparseMatrix:
-    plain = _is_plain(text)
+def _parse_matrix_market(path, text: str, plain: bool) -> SparseMatrix:
     lines = _numbered_lines(text, plain)
     try:
         lineno, header = next(lines)
@@ -230,8 +227,7 @@ def _parse_matrix_market(path, text: str) -> SparseMatrix:
     raise ParseError(path, _past_end(text), "missing size line")
 
 
-def _parse_bag_of_words(path, text: str) -> SparseMatrix:
-    plain = _is_plain(text)
+def _parse_bag_of_words(path, text: str, plain: bool) -> SparseMatrix:
     lines = _numbered_lines(text, plain)
     header = []
     for _ in range(3):
@@ -391,18 +387,22 @@ def load_matrix(path, fmt: str = "matrix_market") -> SparseMatrix:
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
+    with open(path, "rb") as fh:
+        raw = fh.read().removeprefix(codecs.BOM_UTF8)
+    # tested as bytes, before decoding: the decoded text is not copied
+    plain = not raw.translate(None, _PLAIN_BYTES)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # read() decodes the whole file in one call, so exc.object is all of its bytes;
         # the line is numbered as the per-line pass numbers it
-        line = len((exc.object[: exc.start].decode("utf-8") + ".").splitlines())
-        raise ParseError(path, line, f"byte 0x{exc.object[exc.start]:02x} is not UTF-8") from None
-    text = text.removeprefix("\ufeff")  # a UTF-8 byte-order mark
+        line = len((raw[: exc.start].decode("utf-8") + ".").splitlines())
+        raise ParseError(path, line, f"byte 0x{raw[exc.start]:02x} is not UTF-8") from None
+    del raw  # the parse holds the text alone
+    if "\r" in text:  # the universal newlines of a file read as text
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     if fmt == "matrix_market":
-        return _parse_matrix_market(path, text)
-    return _parse_bag_of_words(path, text)
+        return _parse_matrix_market(path, text, plain)
+    return _parse_bag_of_words(path, text, plain)
 
 
 def write_matrix_market(path, mat: SparseMatrix) -> None:

@@ -42,12 +42,12 @@ from collections.abc import Hashable
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import blas, lapack
 
 from .matrixcore import (
     DENSE_GUARD,
     RANK_TOL,
+    SVD_TOL,
     LowRankFactors,
     MultiplyAddCounter,
     ScaleLimitError,
@@ -86,6 +86,8 @@ from .sketches import (
 # relative threshold below which the optimal residual counts as zero and the
 # reported error switches to residual / ||A|| instead of a 0/0 ratio
 DEGENERATE_OPTIMUM_RTOL = 1e-12
+# rows of the tall input densified at a time while OracleScorer builds its R
+R_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -183,14 +185,13 @@ class DiagnosticReport:
         return self.violations / self.trials if self.trials else 0.0
 
 
-def _dense_guarded(a: SparseMatrix) -> np.ndarray:
-    if min(a.shape) > DENSE_GUARD:
+def _guard_dense(shape: tuple[int, int]) -> None:
+    if min(shape) > DENSE_GUARD:
         raise ScaleLimitError(
-            f"dense factorization refused: min dimension {min(a.shape)} exceeds "
+            f"dense factorization refused: min dimension {min(shape)} exceeds "
             f"the guard DENSE_GUARD={DENSE_GUARD}; run full_pipeline without the "
             "oracle flag (--oracle), which never densifies the input"
         )
-    return a.to_dense()
 
 
 def relative_error_from(resid_norm: float, opt_norm: float, matrix_norm: float) -> float:
@@ -216,62 +217,84 @@ def exact_oracle(a, k: int) -> OracleResult:
     a = _ensure_sparse(a)
     if not 1 <= k <= min(a.shape):
         raise ValueError(f"k={k} out of range 1..{min(a.shape)}")
-    res = svd(_dense_guarded(a))
+    _guard_dense(a.shape)
+    res = svd(a.to_dense())
     return OracleResult(factors=truncate_rank(res, k), spectrum=res.sigma)
 
 
 class OracleScorer:
-    """Exact singular-value scores against one input, from one compact QR of it.
+    """Exact singular-value scores of projections of one input, from its R factor.
 
-    The input is densified under the dense guard, turned tall (``m x n``,
-    ``m >= n``) and factored in place, ``A = Q R`` (raw ``scipy.linalg.qr``). The
-    scorer holds that one ``m x n`` array, R above its diagonal and Q's
-    Householder reflectors below it, with their ``tau``; Q is never formed.
-    A trial gets ``[B; Y2] = Q^T Y`` from one ``dormqr`` and the R factor C
-    of ``Y2``, and copies R's triangle into its stack row by row. Then
-    ``A - Y Z^T`` equals ``Q [[R - B Z^T], [-Y2 Z^T]]``, and ``Y2 = P C``
-    for orthonormal P, so the residual spectrum is that of the
-    ``(n + rows(C)) x n`` stack ``[[R - B Z^T], [-C Z^T]]``, exact to
-    rounding (Chan's R-SVD): one singular-value computation a trial, and no
-    singular vectors of the input.
+    The input is turned tall, ``T`` (``m x n``, ``m >= n``: A, or A^T when
+    A is wide), and never densified: its ``n x n`` R factor, ``T = Q R``, is
+    built by a streamed TSQR (Demmel, Grigori, Hoemmen & Langou, 2012). Each
+    block of ``R_BLOCK_ROWS`` rows of T's CSR is densified alone and folded
+    into R in place by ``dtpqrt``, and Q is never formed. A block with no
+    stored entries is skipped: its reflectors would be the identity. So the
+    build peaks at R and one block (and, for a wide A, the CSR of A^T), and
+    the scorer holds R, the spectrum and its reference to the input: about
+    ``8 n^2`` bytes for any m. The dense guard bounds n, R's side.
+
+    A trial scores a projection of T on its short side, the form of every
+    solve's factors (:meth:`residual_spectrum`): ``T(I - W W^T)`` has the
+    singular values of ``R(I - W W^T)`` (Chan's R-SVD), one ``n x n``
+    singular-value computation a trial, and no singular vectors of the input.
     """
 
     def __init__(self, a):
         a = _ensure_sparse(a)
+        _guard_dense(a.shape)
+        self._a = a
         self.transposed = a.nrows < a.ncols
-        # the row-major dense wide orientation, transposed, is the tall one column-major
-        dense = _dense_guarded(a if self.transposed else a.transpose()).T
-        (self._reflectors, self._tau), r = scipy.linalg.qr(
-            dense, mode="raw", overwrite_a=True, check_finite=False
-        )
+        csr = (a.transpose() if self.transposed else a).csr
+        n, ptr = csr.shape[1], csr.indptr
+        r = np.zeros((n, n), order="F")
+        for lo in range(0, csr.shape[0], R_BLOCK_ROWS):
+            hi = min(lo + R_BLOCK_ROWS, csr.shape[0])
+            if ptr[lo] < ptr[hi]:
+                # the block is the call's temporary, freed before the next is densified
+                lapack.dtpqrt(
+                    0, min(n, 16), r, csr[lo:hi].toarray(order="F"), overwrite_a=1, overwrite_b=1
+                )
+        self._r = r
         self.spectrum = _singular_values(r)  # R of a SparseMatrix, whose entries are finite
 
     def residual_spectrum(self, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Singular values of ``A - y @ z.T``, non-increasing.
+        """Singular values of ``A - y @ z.T`` for a projection pair, non-increasing.
 
-        Refuses a ``y`` or ``z`` with a NaN or inf entry, by name. That scan
-        of the factors stands for one of the ``(n + k) x n`` stack built from
-        them, which a trial would otherwise read once more.
+        The pair is ``(P, V)`` in the tall orientation: ``(y, z)``, or
+        ``(z, y)`` when A is wide. Every solve returns ``(T Z, Z)`` there, a
+        wide one through its factor swap. With ``V = W D X^T`` the thin SVD
+        of V and ``B = P X D``, ``P V^T = sum_j b_j w_j^T``, so for any set J
+        of W's columns ``T - P V^T = T(I - W_J W_J^T) + E_J W^T``, where E_J's
+        column j is ``T w_j - b_j`` for j in J and ``-b_j`` otherwise. J takes
+        each column at the smaller of the two, so a V of lower rank than its
+        width (a wide solve of an input of rank below k) drops the singular
+        vectors past its rank, whose ``b_j`` are rounding. The pair is
+        refused by name unless ``||E_J||_F <= SVD_TOL ||A||_F``, from one
+        ``k nnz(A)`` product. Then, by Weyl's inequality, the singular values
+        returned, those of ``M = R - (R W_J) W_J^T``, are within that bound
+        of the pair's own. Refuses a ``y`` or ``z`` with a NaN or inf entry,
+        by name.
         """
         y, z = _check_dense(y, "y"), _check_dense(z, "z")
-        if self.transposed:
-            y, z = z, y
-        qr, tau = self._reflectors, self._tau
-        n = qr.shape[1]
-        qty = np.array(y, dtype=np.float64, order="F")
-        # dormqr runs unblocked at its minimal workspace, so ask for the optimal one
-        lwork = int(lapack.dormqr("L", "T", qr, tau, qty, -1, overwrite_c=1)[1][0])
-        qty = lapack.dormqr("L", "T", qr, tau, qty, lwork, overwrite_c=1)[0]
-        c = np.linalg.qr(qty[n:], mode="r")
-        stack = np.zeros((n + c.shape[0], n))
-        top = stack[:n]
-        for i in range(n):  # R's triangle, row by row, over the zeros below it
-            top[i, i:] = qr[i, i:]
-        # top is row-major, so top.T is a column-major view: top.T -= Z B^T in place
-        blas.dgemm(-1.0, z, qty[:n], beta=1.0, c=top.T, trans_b=1, overwrite_c=1)
-        # C Z^T for -C Z^T: negating a block of rows keeps the singular values
-        np.matmul(c, z.T, out=stack[n:])
-        return _singular_values(stack)
+        p, v = (z, y) if self.transposed else (y, z)
+        w, d, xt = np.linalg.svd(v, full_matrices=False)
+        b = (p @ xt.T) * d
+        dropped = np.linalg.norm(b, axis=0)
+        b -= (self._a.csr.T if self.transposed else self._a.csr) @ w
+        kept = np.linalg.norm(b, axis=0)
+        gap = float(np.linalg.norm(np.minimum(kept, dropped)))
+        bound = SVD_TOL * float(np.linalg.norm(self.spectrum))
+        if not gap <= bound:
+            raise ValueError(
+                f"y z^T is not a projection of the input: its gap {gap:.3e} "
+                f"exceeds SVD_TOL * ||A||_F = {bound:.3e}"
+            )
+        w = w[:, kept <= dropped]
+        m = self._r.copy(order="F")
+        blas.dgemm(-1.0, self._r @ w, w, beta=1.0, c=m, trans_b=1, overwrite_c=1)
+        return _singular_values(m)
 
     def relative_error(self, factors: LowRankFactors, objective) -> float:
         """:func:`relative_error_from` for ``objective`` of a spectrum."""
@@ -422,8 +445,8 @@ def solve_schatten(
     Returns factors ``(Y, Z)`` with ``Z`` orthonormal such that
     ``||A - Y Z^T||_p <= (1 + O(eps)) ||A - A_k||_p`` with high probability.
     ``eps`` above 1/2 is clamped (the sketch guarantees assume it).
-    :class:`OracleScorer` measures the relative error, at the cost of
-    densifying ``a``.
+    :class:`OracleScorer` measures the relative error from the ``n x n`` R
+    factor of ``a``, built a block of rows at a time.
     """
     a = _ensure_sparse(a)
     p = float(p)
@@ -495,6 +518,22 @@ def solve_generalized(
     return _solve(work, k, eps, stream, report)
 
 
+def _square_of_rows(a: SparseMatrix) -> SparseMatrix:
+    """A wide ``a`` as the square matrix of its rows over empty ones, else ``a`` itself.
+
+    Its right projections then have the short side the scorer takes, and
+    its empty row blocks cost the scorer nothing.
+    """
+    if a.nrows >= a.ncols:
+        return a
+    _guard_dense((a.ncols, a.ncols))
+    csr = a.csr
+    indptr = np.concatenate([csr.indptr, np.full(a.ncols - a.nrows, csr.indptr[-1])])
+    return SparseMatrix._wrap(
+        type(csr)((csr.data, csr.indices, indptr), shape=(a.ncols, a.ncols))
+    )
+
+
 def diagnose_kyfan_preservation(
     a,
     sa,
@@ -516,14 +555,18 @@ def diagnose_kyfan_preservation(
     ``C_{p/2,eps} r eta1^{p/2} ||A-A_k||_F^p`` for p > 2. Reports the
     violation fraction; this is a diagnostic, not an assertion. ``sa`` may be dense or the
     :class:`SparseMatrix` that :func:`~sketchlr.sketches.apply_row_sampler`
-    returns. Both it and ``a`` are scored by an :class:`OracleScorer`, which
-    densifies its input under the dense guard.
+    returns. Both it and ``a`` are scored by an :class:`OracleScorer` of
+    their columns' side: one with fewer rows than columns as the square
+    matrix of its rows, padded with empty rows, so the column count is held
+    to the dense guard.
     """
     a, sa = _ensure_sparse(a), _ensure_sparse(sa)
     if sa.ncols != a.ncols:
         raise ValueError("sketched matrix must keep the column dimension")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    r_eff = min(r, min(a.shape), min(sa.shape))
+    a, sa = _square_of_rows(a), _square_of_rows(sa)
     scorer_a, scorer_s = OracleScorer(a), OracleScorer(sa)
     sigma = scorer_a.spectrum
     tail_p = schatten_norm(sigma[k:], p) if k < sigma.size else 0.0
@@ -532,7 +575,6 @@ def diagnose_kyfan_preservation(
         slack = r * eta1 ** (p / 2.0) * tail_p**p
     else:
         slack = cpe_constant(p / 2.0, eps) * r * eta1 ** (p / 2.0) * tail_f**p
-    r_eff = min(r, min(a.shape), min(sa.shape))
 
     gen = stream.generator()
     violations = 0

@@ -7,6 +7,7 @@ import pytest
 
 import sketchlr.cli
 import sketchlr.matrixcore
+import sketchlr.sketches
 import sketchlr.solver
 from sketchlr import (
     ConvergenceError,
@@ -51,6 +52,37 @@ def test_solve_with_oracle_and_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "relative error" in out
     assert "flags: fallback=False transposed=False clipped=False degenerate=False" in out
+
+
+@pytest.mark.parametrize("mode", ["simplified_experiment", "full_pipeline"])
+def test_solve_oracle_on_a_wide_input_matches_a_dense_reference(tmp_path, capsys, mode):
+    # a wide solve runs on the transpose and swaps its factors back; its
+    # error is scored from the R of the tall orientation, and must equal the
+    # one from the dense residual's singular values
+    out = tmp_path / "wide.mtx"
+    assert main(["gen", "--m", "30", "--n", "70", "--density", "0.2", "--out", str(out)]) == 0
+    reports = []
+    real = sketchlr.cli.solve_schatten
+
+    def capture(*args, **kwargs):
+        reports.append(real(*args, **kwargs))
+        return reports[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sketchlr.cli, "solve_schatten", capture)
+        mp.setattr(sketchlr.sketches, "C_S", 0.2)  # a sampled S, not a clipped one
+        argv = ["solve", "--input", str(out), "--k", "3", "--p", "1", "--oracle", "--mode", mode]
+        assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert "transposed=True" in printed
+    error = float(printed.split("relative error vs exact rank-3: ")[1].split()[0])
+    a = load_matrix(out).to_dense()
+    f = reports[0].factors
+    sigma = np.linalg.svd(a, compute_uv=False)
+    resid = np.linalg.svd(a - f.y @ f.z.T, compute_uv=False).sum()
+    want = resid / sigma[3:].sum() - 1.0
+    assert want > 1e-5  # a relative tolerance needs an error away from 0
+    assert error == pytest.approx(want, rel=1e-5)
 
 
 def test_solve_generalized_loss(capsys):

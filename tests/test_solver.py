@@ -49,7 +49,7 @@ from sketchlr import (
     sparse_dense_multiply,
 )
 from sketchlr.harness import generate_synthetic
-from sketchlr.matrixcore import DENSE_GUARD
+from sketchlr.matrixcore import DENSE_GUARD, LowRankFactors
 from sketchlr.sketches import apply_row_sampler, build_row_sampler
 from sketchlr.solver import OracleScorer
 
@@ -110,6 +110,16 @@ def _dense_formula_error(dense, factors, objective):
     return relative_error_from(resid, objective(sigma[k:]), objective(sigma))
 
 
+def _projection_pair(gen, dense, k):
+    """The short-side projection a solve returns: ``(A z, z)`` when tall, ``(W, A^T W)`` when wide."""
+    m, n = dense.shape
+    if m >= n:
+        z = random_orthonormal(gen, n, k)
+        return dense @ z, z
+    w = random_orthonormal(gen, m, k)
+    return w, dense.T @ w
+
+
 class TestOracleScorer:
     @pytest.mark.parametrize("shape", [(30, 20), (20, 30), (25, 25)])
     def test_spectrum_matches_dense(self, shape):
@@ -124,14 +134,15 @@ class TestOracleScorer:
 
     @pytest.mark.parametrize("shape", [(600, 400), (400, 600)])
     def test_memory_is_one_dense_copy(self, shape):
-        # the tall orientation is factored in place and Q is never formed: the
-        # build peaks at that m x n array, the R it returns and np.triu's mask
+        # R is built from one densified block of rows at a time, so the build
+        # peaks at R and a block (with the sliced rows and dtpqrt's T and
+        # workspace), plus the transposed storage of a wide input; a trial
+        # copies R once, beside O((m + n) k) of factor products
         gen = make_gen(23)
         a = random_sparse(gen, *shape, density=0.05)
         m, n = max(shape), min(shape)
         k = 10
-        z = random_orthonormal(gen, shape[1], k)
-        y = gen.standard_normal((shape[0], k))
+        y, z = _projection_pair(gen, a.to_dense(), k)
         tracemalloc.start()
         try:
             scorer = OracleScorer(a)
@@ -142,17 +153,15 @@ class TestOracleScorer:
             trial_peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        assert build_peak <= 1.1 * (8 * m * n + 9 * n * n)
-        # the (n + k) x n stack, the m x k copy of Y that Q^T overwrites and
-        # the rows of it below n that the QR of Y2 copies
-        assert trial_peak <= 1.1 * 8 * ((n + k) * n + 2 * m * k)
-        # the reflectors, tau and the spectrum
+        transposed = a.nbytes if shape[0] < shape[1] else 0
+        assert build_peak <= 1.1 * 8 * (n * n + 2 * solver.R_BLOCK_ROWS * n) + transposed
+        assert trial_peak <= 1.1 * 8 * (n * n + 3 * (m + n) * k)
+        # R and the spectrum
         arrays = [v for v in vars(scorer).values() if isinstance(v, np.ndarray)]
-        assert sum(v.nbytes for v in arrays) <= 8 * m * n + n * n + 16 * n
+        assert sum(v.nbytes for v in arrays) <= 8 * n * n + 8 * n
 
     def test_keeps_no_mask_of_the_triangle(self):
-        # each trial copies R's triangle into its stack row by row, so the
-        # scorer keeps only the factored m x n input and two n-vectors
+        # the scorer keeps only the n x n R of the input and its spectrum
         a = random_sparse(make_gen(30), 800, 600, density=0.05)
         tracemalloc.start()
         try:
@@ -161,7 +170,103 @@ class TestOracleScorer:
         finally:
             tracemalloc.stop()
         assert scorer.spectrum.size == 600
-        assert held <= 8 * 800 * 600 + 64 * 1024
+        assert held <= 8 * 600 * 600 + 64 * 1024
+
+    def test_tall_build_peak_does_not_grow_with_m(self):
+        # a dense copy of this 20000x50 input would be 8 MB, and R with one
+        # block of rows is 120 KB
+        gen = make_gen(31)
+        a = random_sparse(gen, 20000, 50, density=0.05)
+        tracemalloc.start()
+        try:
+            scorer = OracleScorer(a)
+            build_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert build_peak <= 1.1 * 8 * (50 * 50 + 2 * solver.R_BLOCK_ROWS * 50)
+        dense = a.to_dense()
+        y, z = _projection_pair(gen, dense, 5)
+        np.testing.assert_allclose(
+            scorer.residual_spectrum(y, z),
+            singular_values(dense - y @ z.T),
+            rtol=0.0,
+            atol=1e-12 * np.linalg.norm(dense),
+        )
+
+    @pytest.mark.parametrize(
+        "shape, rank, empty",
+        [
+            ((300, 40), 5, None),
+            ((4 * solver.R_BLOCK_ROWS, 30), None, (solver.R_BLOCK_ROWS, 3 * solver.R_BLOCK_ROWS)),
+            ((2 * solver.R_BLOCK_ROWS + 1, 20), None, None),
+            ((600, 1), None, None),
+            ((1, 600), None, None),
+        ],
+        ids=["exact-rank", "empty-blocks", "last-block-one-row", "n1-tall", "n1-wide"],
+    )
+    def test_streamed_r_matches_dense_qr(self, shape, rank, empty, monkeypatch):
+        gen = make_gen(sum(shape))
+        dense = random_rank_k(gen, *shape, rank) if rank else gen.standard_normal(shape)
+        if empty is not None:
+            dense[slice(*empty)] = 0.0
+        tall = dense if shape[0] >= shape[1] else dense.T
+        folds = []
+
+        def dtpqrt(*args, **kwargs):
+            folds.append(args[3].shape[0])
+            return real(*args, **kwargs)
+
+        real = solver.lapack.dtpqrt
+        monkeypatch.setattr(solver.lapack, "dtpqrt", dtpqrt)
+        scorer = OracleScorer(dense)
+        # one fold per block that holds an entry: the two empty blocks are
+        # skipped, and a last block of one row is folded
+        assert folds == [
+            min(solver.R_BLOCK_ROWS, tall.shape[0] - lo)
+            for lo in range(0, tall.shape[0], solver.R_BLOCK_ROWS)
+            if np.any(tall[lo : lo + solver.R_BLOCK_ROWS])
+        ]
+        want = singular_values(np.linalg.qr(tall, mode="r"))
+        tol = 1e-13 * np.linalg.norm(dense)
+        np.testing.assert_allclose(scorer.spectrum, want, rtol=0.0, atol=tol)
+        np.testing.assert_allclose(scorer.spectrum, singular_values(dense), rtol=0.0, atol=tol)
+        if rank:
+            assert np.all(scorer.spectrum[rank:] <= tol)
+
+    @pytest.mark.parametrize("transposed", [False, True], ids=["tall", "wide"])
+    def test_zero_factor_scores_the_input_spectrum(self, transposed):
+        # Y Z^T = 0 is the projection on no columns: its residual is A
+        gen = make_gen(26)
+        dense = gen.standard_normal((30, 20))
+        z = random_orthonormal(gen, 20, 3)
+        y = np.zeros((30, 3))
+        if transposed:
+            dense, y, z = dense.T, z, y
+        np.testing.assert_allclose(
+            OracleScorer(dense).residual_spectrum(y, z),
+            singular_values(dense),
+            rtol=0.0,
+            atol=1e-12 * np.linalg.norm(dense),
+        )
+
+    def test_rank_deficient_wide_swap_is_scored(self):
+        # a wide solve whose Z has a column in the null space of T = A^T:
+        # T Z = q r has a singular r, so the swapped factor y = Z r^T has a
+        # zero column, and a QR of it would add a direction outside range(y)
+        gen = make_gen(27)
+        dense = random_rank_k(gen, 12, 30, 6)
+        dense[11] = 0.0
+        head = random_orthonormal(gen, 11, 3)
+        z = np.zeros((12, 4))
+        z[:11, :3], z[11, 3] = head, 1.0
+        factors = solver._swap_transposed(LowRankFactors(y=dense.T @ z, z=z, k=4))
+        assert not np.any(factors.y[:, 3])
+        np.testing.assert_allclose(
+            OracleScorer(dense).residual_spectrum(factors.y, factors.z),
+            singular_values(dense - factors.y @ factors.z.T),
+            rtol=0.0,
+            atol=1e-12 * np.linalg.norm(dense),
+        )
 
     @pytest.mark.parametrize("transposed", [False, True], ids=["tall", "wide"])
     def test_non_finite_factors_are_refused_by_name(self, transposed):
@@ -188,8 +293,10 @@ class TestOracleScorer:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_property_residual_spectrum(self, m, n, rank_frac, k, y_kind, seed):
-        # tall, wide and square inputs, rank-deficient ones included; Y in
-        # range(A), outside it, or both; "exact" makes A = Y Z^T, residual 0
+        # tall, wide and square inputs, rank-deficient ones included, scored
+        # at their short-side projection; then a pair of the drawn kind: Y in
+        # range(A), outside it, or both, which is no projection and is
+        # refused, or "exact", A = Y Z^T, whose residual is 0
         gen = make_gen(seed)
         k = min(k, n)
         z = random_orthonormal(gen, n, k)
@@ -201,11 +308,21 @@ class TestOracleScorer:
             inside = dense @ gen.standard_normal((n, k))
             outside = gen.standard_normal((m, k))
             y = {"inside": inside, "outside": outside, "mixed": inside + outside}[y_kind]
-        got = OracleScorer(dense).residual_spectrum(y, z)
-        want = singular_values(dense - y @ z.T)
-        tol = 1e-12 * (np.linalg.norm(dense) + np.linalg.norm(y))
+        scorer = OracleScorer(dense)
+        py, pz = _projection_pair(gen, dense, min(k, m))
+        got = scorer.residual_spectrum(py, pz)
+        want = singular_values(dense - py @ pz.T)
+        tol = 1e-12 * (np.linalg.norm(dense) + np.linalg.norm(py))
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0.0, atol=tol)
+        if y_kind != "exact" and np.any(y):
+            with pytest.raises(ValueError, match="^y z\\^T is not a projection of the input: "):
+                scorer.residual_spectrum(y, z)
+            return
+        # A = Y Z^T, or A = 0 scored at Y = 0
+        got = scorer.residual_spectrum(y, z)
+        tol = 1e-12 * (np.linalg.norm(dense) + np.linalg.norm(y))
+        np.testing.assert_allclose(got, singular_values(dense - y @ z.T), rtol=0.0, atol=tol)
 
     @pytest.mark.parametrize("shape", [(120, 90), (90, 120)])
     @pytest.mark.parametrize(
@@ -655,7 +772,7 @@ class TestKrylovRowspace:
         # q = 5 covers its 30 columns: an exact top-5 from sparse products only
         rows, cols, vals = sparse_triplets(20000, 30, 60000, 5)
         a = SparseMatrix(20000, 30, rows, cols, vals)
-        v5 = np.linalg.svd(a.to_dense())[2][:5].T
+        v5 = np.linalg.svd(a.to_dense(), full_matrices=False)[2][:5].T
 
         def densify(*_):
             raise AssertionError("a full_pipeline solve must not densify")
@@ -1197,6 +1314,19 @@ class TestDiagnostics:
         monkeypatch.setattr(SparseMatrix, "to_dense", densify)
         with pytest.raises(ValueError, match=f"^{message}$"):
             diagnose_kyfan_preservation(a, sa, 2, 1.0, 4, 0.01, trials, RandomStream(53))
+
+    def test_wide_side_above_the_guard_is_a_scale_limit(self, monkeypatch):
+        # a wide matrix is scored as the square matrix of its rows, so its
+        # long side is held to the guard, refused before any block is densified
+        n = DENSE_GUARD + 1
+        a = SparseMatrix(4, n, [0, 3], [0, n - 1], [1.0, 2.0])
+
+        def densify(*_):
+            raise AssertionError("a refused diagnosis must not densify")
+
+        monkeypatch.setattr(solver.lapack, "dtpqrt", densify)
+        with pytest.raises(ScaleLimitError, match=f"min dimension {n} exceeds the guard"):
+            diagnose_kyfan_preservation(a, a, 2, 1.0, 4, 0.01, 1, RandomStream(53))
 
     def test_unsketched_input_never_violates(self):
         gen = make_gen(97)
