@@ -3,9 +3,9 @@
 The pipeline sketches the input, extracts a candidate row space from the
 sketch, and recovers the left factor by exact regression onto it, giving factors
 ``(Y, Z)`` with ``||A - Y Z^T||_p`` close to the best rank-k error for every
-Schatten p-norm (and a family of generalized singular-value losses). A dense
-SVD oracle, the exact error scorer ``OracleScorer``, a Frobenius baseline and
-an experiment harness round out the package.
+Schatten p-norm (and a family of generalized singular-value losses). The exact
+error scorer ``OracleScorer``, a Frobenius baseline and an experiment harness
+round out the package.
 """
 
 from .harness import (
@@ -30,10 +30,8 @@ from .matrixcore import (
     SparseMatrix,
     SvdResult,
     complete_basis,
-    singular_values,
     sparse_dense_multiply,
     svd,
-    truncate_rank,
 )
 from .norms import (
     ConditionReport,
@@ -62,11 +60,9 @@ from .sketches import (
 )
 from .solver import (
     DiagnosticReport,
-    OracleResult,
     OracleScorer,
     SolveReport,
     diagnose_kyfan_preservation,
-    exact_oracle,
     relative_error_from,
     solve_generalized,
     solve_schatten,
@@ -84,7 +80,6 @@ __all__ = [
     "L1L2Loss",
     "LowRankFactors",
     "MultiplyAddCounter",
-    "OracleResult",
     "OracleScorer",
     "ParseError",
     "RandomStream",
@@ -107,7 +102,6 @@ __all__ = [
     "cpe_constant",
     "diagnose_kyfan_preservation",
     "emit_csv",
-    "exact_oracle",
     "generate_synthetic",
     "generator_from_seed",
     "kyfan_pr_norm",
@@ -121,12 +115,10 @@ __all__ = [
     "run_experiment",
     "sample_count",
     "schatten_norm",
-    "singular_values",
     "solve_generalized",
     "solve_schatten",
     "sparse_dense_multiply",
     "summarize",
     "svd",
-    "truncate_rank",
     "write_matrix_market",
 ]

@@ -160,19 +160,20 @@ class _Body:
     symmetric: bool = False  # entries lie on or below the diagonal and are mirrored
 
 
-def _newline_split(text: str):
+def _newline_split(data: bytes):
+    """The lines of plain bytes, each decoded only when it is reached."""
     start = 0
-    while (end := text.find("\n", start)) >= 0:
-        yield text[start:end]
+    while (end := data.find(b"\n", start)) >= 0:
+        yield data[start:end].decode("ascii")
         start = end + 1
-    yield text[start:]
+    yield data[start:].decode("ascii")
 
 
-def _numbered_lines(text: str, plain: bool):
+def _numbered_lines(text: str | bytes, plain: bool):
     """Stripped non-blank lines, numbered as ``str.splitlines`` numbers them.
 
-    Plain text breaks only at newlines, so it is split lazily: reading the
-    header does not split the body.
+    A plain file stays bytes that break only at newlines, so it is split and
+    decoded lazily: reading the header neither splits nor decodes the body.
     """
     raw = _newline_split(text) if plain else text.splitlines()
     for lineno, line in enumerate(raw, start=1):
@@ -181,7 +182,7 @@ def _numbered_lines(text: str, plain: bool):
             yield lineno, line
 
 
-def _past_end(text: str) -> int:
+def _past_end(text: str | bytes) -> int:
     # the line a missing header or size line would have been on
     return len(text.splitlines()) + 1
 
@@ -192,7 +193,7 @@ _MM_SUPPORTED = (
 )
 
 
-def _parse_matrix_market(path, text: str, plain: bool) -> SparseMatrix:
+def _parse_matrix_market(path, text: str | bytes, plain: bool) -> SparseMatrix:
     lines = _numbered_lines(text, plain)
     try:
         lineno, header = next(lines)
@@ -227,7 +228,7 @@ def _parse_matrix_market(path, text: str, plain: bool) -> SparseMatrix:
     raise ParseError(path, _past_end(text), "missing size line")
 
 
-def _parse_bag_of_words(path, text: str, plain: bool) -> SparseMatrix:
+def _parse_bag_of_words(path, text: str | bytes, plain: bool) -> SparseMatrix:
     lines = _numbered_lines(text, plain)
     header = []
     for _ in range(3):
@@ -278,7 +279,7 @@ def _parse_whole_body(path, body: _Body) -> SparseMatrix | None:
 
     numpy parses a path with its chunked C reader, but any file object, even
     one over bytes already in memory, one Python line at a time, which is
-    slower. So a plain file is read twice: once as text, for the header and
+    slower. So a plain file is read twice: once as bytes, for the header and
     the per-line rules, and once here. It holds only printable ASCII, tab
     and newline, so the lines numpy skips are the lines ``_numbered_lines``
     numbers. numpy picks a decompressor by the path's extension (``.gz``,
@@ -388,18 +389,20 @@ def load_matrix(path, fmt: str = "matrix_market") -> SparseMatrix:
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
     with open(path, "rb") as fh:
-        raw = fh.read().removeprefix(codecs.BOM_UTF8)
-    # tested as bytes, before decoding: the decoded text is not copied
-    plain = not raw.translate(None, _PLAIN_BYTES)
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # the line is numbered as the per-line pass numbers it
-        line = len((raw[: exc.start].decode("utf-8") + ".").splitlines())
-        raise ParseError(path, line, f"byte 0x{raw[exc.start]:02x} is not UTF-8") from None
-    del raw  # the parse holds the text alone
-    if "\r" in text:  # the universal newlines of a file read as text
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
+        text = fh.read().removeprefix(codecs.BOM_UTF8)
+    plain = not text.translate(None, _PLAIN_BYTES)
+    if not plain:
+        # decoded whole: str.splitlines breaks at "\r\n" and "\r" as universal newlines do
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the line is numbered as the per-line pass numbers it
+            line = len((text[: exc.start].decode("utf-8") + ".").splitlines())
+            raise ParseError(path, line, f"byte 0x{text[exc.start]:02x} is not UTF-8") from None
+    elif b"\r" in text:
+        # a plain file stays bytes, a line decoded when it is read (_newline_split),
+        # with the universal newlines of a file read as text
+        text = text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if fmt == "matrix_market":
         return _parse_matrix_market(path, text, plain)
     return _parse_bag_of_words(path, text, plain)

@@ -1,4 +1,4 @@
-"""Matrix primitives: sparse storage, SVDs, rank truncation, orthonormal bases.
+"""Matrix primitives: sparse storage, SVDs, orthonormal bases.
 
 Dense matrices are plain float64 numpy arrays (row-major) and spectra are 1-D
 arrays of singular values sorted non-increasing. The one wrapped type is
@@ -247,13 +247,8 @@ def svd(a) -> SvdResult:
     return SvdResult(u=u, sigma=sigma, v=vt.T)
 
 
-def singular_values(a) -> np.ndarray:
-    """Singular values only (non-increasing); cheaper than :func:`svd`."""
-    return _singular_values(_check_dense(a))
-
-
 def _singular_values(a: np.ndarray) -> np.ndarray:
-    """:func:`singular_values` of a 2-D float64 array, with no scan for finiteness.
+    """Singular values only (non-increasing) of a 2-D float64 array, with no scan for finiteness.
 
     For a caller whose array is finite by construction, such as one built
     from inputs it checked: the scan reads every entry once more.
@@ -427,19 +422,6 @@ def top_singular(a, k: int) -> SvdResult:
     return SvdResult(
         u=res.u[:, :k].copy(), sigma=res.sigma[:k].copy(), v=res.v[:, :k].copy()
     )
-
-
-def truncate_rank(res: SvdResult, k: int) -> LowRankFactors:
-    """Best rank-k factors from a thin SVD: ``y = u_k sigma_k``, ``z = v_k``.
-
-    By rotational invariance of singular-value norms this pair is optimal for
-    every Schatten p-norm, not only Frobenius.
-    """
-    if not 1 <= k <= res.sigma.size:
-        raise ValueError(f"k={k} out of range 1..{res.sigma.size}")
-    y = res.u[:, :k] * res.sigma[:k]
-    z = res.v[:, :k].copy()
-    return LowRankFactors(y=y, z=z, k=int(k))
 
 
 def complete_basis(z: np.ndarray, k: int) -> np.ndarray:

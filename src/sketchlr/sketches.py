@@ -27,11 +27,10 @@ Otherwise ``SA`` is a :class:`SparseMatrix` of ``nnz(SA)`` entries, never a
 dense copy of the rows it keeps. Every sketch reads a dense A as the
 :class:`SparseMatrix` of its nonzeros, counts included.
 
-Every kernel here is one a solve runs, except :func:`ridge_leverage_scores`,
-the exact scores the tests compare the overestimates against. The acceptance
-checks C6-C8 test the CountSketch product bound, the sampler's Gram sandwich
-and the sketched regression bound through these kernels: a column sample of
-A is the row sampler on ``A^T``, and ``A R`` is ``(R^T A^T)^T``.
+Every kernel here is one a solve runs. The acceptance checks C6-C8 test the
+CountSketch product bound, the sampler's Gram sandwich and the sketched
+regression bound through these kernels: a column sample of A is the row
+sampler on ``A^T``, and ``A R`` is ``(R^T A^T)^T``.
 """
 
 import math
@@ -39,13 +38,9 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
 
 from .matrixcore import (
-    DENSE_GUARD,
     MultiplyAddCounter,
-    ScaleLimitError,
     SparseMatrix,
     _ensure_sparse,
     _orthonormal,
@@ -108,13 +103,6 @@ class CountSketchOperator:
             bucket=bucket,
             sign=sign,
             seed=int(seed),
-        )
-
-    def matrix(self) -> sp.csr_array:
-        """The operator as a scipy sparse matrix (input_dim x sketch_dim)."""
-        return sp.csr_array(
-            (self.sign, (np.arange(self.input_dim), self.bucket)),
-            shape=(self.input_dim, self.sketch_dim),
         )
 
 
@@ -225,42 +213,6 @@ def _ceil_count(num: float, den: float) -> int:
     every count is capped at a dimension, so one too large to form is all of it."""
     count = num / den if den > 0.0 else math.inf
     return math.ceil(count) if count < math.inf else sys.maxsize
-
-
-def ridge_leverage_scores(a, k: int, ridge_scale: float) -> np.ndarray:
-    """Exact column ridge leverage scores ``a_j^T (A A^T + lam I)^+ a_j``.
-
-    The ridge is ``lam = ridge_scale * ||A - A_k||_F^2``. Both the scores and
-    the tail come from an eigendecomposition of the Gram matrix of the smaller
-    side (``A A^T`` or ``A^T A``), formed from the sparse input. Eigenvalues
-    below ``d * eps_mach * lambda_max`` count as null, which floors the
-    rounding tail at zero. Refuses with :class:`~sketchlr.matrixcore.ScaleLimitError`,
-    before building any dense array, when the Gram matrix would exceed
-    ``DENSE_GUARD``. No solve runs it: it is the tests' reference for the
-    overestimates :func:`build_row_sampler` draws by.
-    """
-    x = _ensure_sparse(a).csr
-    m, n = x.shape
-    d = min(m, n)
-    if d > DENSE_GUARD:
-        raise ScaleLimitError(
-            f"exact leverage scores need a dense {d}x{d} Gram matrix; min dim {d} "
-            f"exceeds the guard DENSE_GUARD={DENSE_GUARD}; build_row_sampler scores "
-            "rows from a Krylov basis of A, with no Gram matrix of A, or solve in "
-            "simplified_experiment mode"
-        )
-    gram = (x @ x.T if m <= n else x.T @ x).toarray()
-    lam, vecs = scipy.linalg.eigh(gram, overwrite_a=True, driver="evd")
-    lam, vecs = lam[::-1], vecs[:, ::-1]
-    lam = np.where(lam > d * np.finfo(float).eps * lam[0], lam, 0.0)
-    ridge = ridge_scale * float(np.sum(lam[k:]))
-    live = lam > 0.0
-    lam, vecs = lam[live], vecs[:, live]
-    if m <= n:
-        # A A^T = U diag(lam) U^T: tau_j = sum_i (u_i^T a_j)^2 / (lam_i + ridge)
-        return ((x.T @ vecs) ** 2) @ (1.0 / (lam + ridge))
-    # A^T A = V diag(lam) V^T: tau_j = sum_i v_ji^2 lam_i / (lam_i + ridge)
-    return (vecs**2) @ (lam / (lam + ridge))
 
 
 def _krylov_scores(

@@ -58,9 +58,8 @@ from .matrixcore import (
     block_krylov,
     complete_basis,
     sparse_dense_multiply,
-    svd,
+    svd,  # noqa: F401  (stays importable as solver.svd; perfbench's tests read it)
     top_singular,
-    truncate_rank,
 )
 from .norms import (
     ConditionReport,
@@ -86,7 +85,8 @@ from .sketches import (
 # relative threshold below which the optimal residual counts as zero and the
 # reported error switches to residual / ||A|| instead of a 0/0 ratio
 DEGENERATE_OPTIMUM_RTOL = 1e-12
-# rows of the tall input densified at a time while OracleScorer builds its R
+# rows of the tall input OracleScorer densifies at a time to build its R, and
+# rows of a trial's factor it multiplies at a time to score a pair
 R_BLOCK_ROWS = 256
 
 
@@ -161,14 +161,6 @@ class SolveReport:
 
 
 @dataclass(frozen=True)
-class OracleResult:
-    """Exact best rank-k factors and the full spectrum of the input."""
-
-    factors: LowRankFactors
-    spectrum: np.ndarray
-
-
-@dataclass(frozen=True)
 class DiagnosticReport:
     """Empirical check of the sketched Ky-Fan head preservation inequality."""
 
@@ -208,20 +200,6 @@ def relative_error_from(resid_norm: float, opt_norm: float, matrix_norm: float) 
     return resid_norm / opt_norm - 1.0
 
 
-def exact_oracle(a, k: int) -> OracleResult:
-    """Best rank-k factors by dense SVD; ground truth for every p.
-
-    Desk-scale only: refuses when the smaller dimension exceeds the dense
-    guard (the sketched path never needs this call).
-    """
-    a = _ensure_sparse(a)
-    if not 1 <= k <= min(a.shape):
-        raise ValueError(f"k={k} out of range 1..{min(a.shape)}")
-    _guard_dense(a.shape)
-    res = svd(a.to_dense())
-    return OracleResult(factors=truncate_rank(res, k), spectrum=res.sigma)
-
-
 class OracleScorer:
     """Exact singular-value scores of projections of one input, from its R factor.
 
@@ -239,6 +217,8 @@ class OracleScorer:
     solve's factors (:meth:`residual_spectrum`): ``T(I - W W^T)`` has the
     singular values of ``R(I - W W^T)`` (Chan's R-SVD), one ``n x n``
     singular-value computation a trial, and no singular vectors of the input.
+    Besides the pair, a trial holds the ``n x n`` M it factors, one ``m x k``
+    array and one block of ``R_BLOCK_ROWS`` rows.
     """
 
     def __init__(self, a):
@@ -280,10 +260,16 @@ class OracleScorer:
         y, z = _check_dense(y, "y"), _check_dense(z, "z")
         p, v = (z, y) if self.transposed else (y, z)
         w, d, xt = np.linalg.svd(v, full_matrices=False)
-        b = (p @ xt.T) * d
-        dropped = np.linalg.norm(b, axis=0)
-        b -= (self._a.csr.T if self.transposed else self._a.csr) @ w
-        kept = np.linalg.norm(b, axis=0)
+        xd = xt.T * d  # B = P X D
+        dropped = np.zeros(d.size)  # B's squared column norms, a block of rows at a time
+        for lo in range(0, p.shape[0], R_BLOCK_ROWS):
+            block = p[lo : lo + R_BLOCK_ROWS] @ xd
+            dropped += np.einsum("ij,ij->j", block, block)
+        # E = T W - B in place on T W, through its column-major transpose:
+        # the one m x k array a trial holds
+        e = (self._a.csr.T if self.transposed else self._a.csr) @ w
+        e = blas.dgemm(-1.0, xd, p.T, beta=1.0, c=e.T, trans_a=1, overwrite_c=1).T
+        dropped, kept = np.sqrt(dropped), np.sqrt(np.einsum("ij,ij->j", e, e))
         gap = float(np.linalg.norm(np.minimum(kept, dropped)))
         bound = SVD_TOL * float(np.linalg.norm(self.spectrum))
         if not gap <= bound:

@@ -1,12 +1,25 @@
-"""Shared helpers for the test suite: seeded generators and random matrices."""
+"""Shared helpers for the test suite: seeded generators, random matrices and the
+dense references (spectra, best rank-k factors, exact ridge leverage scores)
+that the tests compare the package's kernels against."""
 
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 
 import sketchlr.sketches as sketches
-from sketchlr import OracleScorer, ScalarLoss, SparseMatrix, phi_objective, schatten_norm
+from sketchlr import (
+    CountSketchOperator,
+    LowRankFactors,
+    OracleScorer,
+    ScalarLoss,
+    SparseMatrix,
+    phi_objective,
+    schatten_norm,
+    svd,
+)
 
 
 def make_gen(seed: int = 20240817) -> np.random.Generator:
@@ -78,6 +91,56 @@ def oracle_error(a, rep, objective) -> float:
     if isinstance(objective, ScalarLoss):
         return scorer.relative_error(rep.factors, lambda s: phi_objective(s, objective))
     return scorer.relative_error(rep.factors, lambda s: schatten_norm(s, objective))
+
+
+def singular_values(a) -> np.ndarray:
+    """The singular values of a dense array, non-increasing: the exact reference spectrum."""
+    return np.linalg.svd(np.asarray(a, dtype=np.float64), compute_uv=False)
+
+
+def best_rank_k(a: np.ndarray, k: int) -> LowRankFactors:
+    """The best rank-k factors of a dense ``a``, from its verified thin :func:`~sketchlr.svd`.
+
+    ``y = u_k sigma_k`` and ``z = v_k``: optimal in every Schatten p-norm
+    (Mirsky).
+    """
+    res = svd(a)
+    if not 1 <= k <= res.sigma.size:
+        raise ValueError(f"k must be in [1, {res.sigma.size}], got {k}")
+    return LowRankFactors(y=res.u[:, :k] * res.sigma[:k], z=res.v[:, :k].copy(), k=k)
+
+
+def ridge_leverage_scores(a, k: int, ridge_scale: float) -> np.ndarray:
+    """Exact column ridge leverage scores ``a_j^T (A A^T + lam I)^+ a_j`` of a dense or sparse A.
+
+    The ridge is ``lam = ridge_scale * ||A - A_k||_F^2``. Both the scores and
+    the tail come from an eigendecomposition of the Gram matrix of the
+    smaller side (``A A^T`` or ``A^T A``), formed from the sparse input.
+    Eigenvalues below ``d * eps_mach * lambda_max`` count as null, which
+    floors the rounding tail at zero.
+    """
+    x = (a if isinstance(a, SparseMatrix) else SparseMatrix.from_dense(a)).csr
+    m, n = x.shape
+    d = min(m, n)
+    gram = (x @ x.T if m <= n else x.T @ x).toarray()
+    lam, vecs = scipy.linalg.eigh(gram, overwrite_a=True, driver="evd")
+    lam, vecs = lam[::-1], vecs[:, ::-1]
+    lam = np.where(lam > d * np.finfo(float).eps * lam[0], lam, 0.0)
+    ridge = ridge_scale * float(np.sum(lam[k:]))
+    live = lam > 0.0
+    lam, vecs = lam[live], vecs[:, live]
+    if m <= n:
+        # A A^T = U diag(lam) U^T: tau_j = sum_i (u_i^T a_j)^2 / (lam_i + ridge)
+        return ((x.T @ vecs) ** 2) @ (1.0 / (lam + ridge))
+    # A^T A = V diag(lam) V^T: tau_j = sum_i v_ji^2 lam_i / (lam_i + ridge)
+    return (vecs**2) @ (lam / (lam + ridge))
+
+
+def countsketch_matrix(op: CountSketchOperator) -> sp.csr_array:
+    """The ``input_dim x sketch_dim`` matrix a CountSketch implies, as scipy sparse storage."""
+    return sp.csr_array(
+        (op.sign, (np.arange(op.input_dim), op.bucket)), shape=(op.input_dim, op.sketch_dim)
+    )
 
 
 @pytest.fixture

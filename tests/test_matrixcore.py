@@ -7,7 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import make_gen, random_orthonormal, random_rank_k, random_sparse
+from conftest import (
+    best_rank_k,
+    make_gen,
+    random_orthonormal,
+    random_rank_k,
+    random_sparse,
+    singular_values,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,10 +27,8 @@ from sketchlr import (
     build_countsketch,
     complete_basis,
     schatten_norm,
-    singular_values,
     sparse_dense_multiply,
     svd,
-    truncate_rank,
 )
 from sketchlr.matrixcore import SVD_TOL, ScaleLimitError, block_krylov, top_singular
 from sketchlr.sketches import apply_countsketch_left
@@ -629,29 +634,33 @@ class TestBlockKrylov:
     def test_top_singular_takes_dense_input_only(self):
         with pytest.raises(TypeError, match="dense array, not a SparseMatrix"):
             top_singular(random_sparse(make_gen(42), 8, 6, density=0.5), 2)
+
+
 class TestTruncateRank:
+    """The best rank-k reference the oracle tests compare against: the
+    package's verified :func:`svd`, truncated into :class:`LowRankFactors`."""
+
     def test_top_direction(self):
-        res = svd(np.diag([5.0, 3.0, 1.0]))
-        f = truncate_rank(res, 1)
+        f = best_rank_k(np.diag([5.0, 3.0, 1.0]), 1)
         np.testing.assert_allclose(f.y @ f.z.T, np.diag([5.0, 0.0, 0.0]), atol=1e-12)
 
     def test_full_rank_reproduces(self):
         a = np.diag([5.0, 3.0, 1.0])
-        f = truncate_rank(svd(a), 3)
+        f = best_rank_k(a, 3)
         np.testing.assert_allclose(f.y @ f.z.T, a, atol=1e-12)
 
     def test_golden_residual(self):
-        f = truncate_rank(svd(GOLDEN), 1)
+        f = best_rank_k(GOLDEN, 1)
         resid_sigma = singular_values(GOLDEN - f.y @ f.z.T)
         np.testing.assert_allclose(resid_sigma[0], 0.7051, atol=1e-4)
         assert resid_sigma[1] < 1e-12
 
     def test_k_out_of_range(self):
-        res = svd(np.diag([5.0, 3.0]))
+        a = np.diag([5.0, 3.0])
         with pytest.raises(ValueError):
-            truncate_rank(res, 0)
+            best_rank_k(a, 0)
         with pytest.raises(ValueError):
-            truncate_rank(res, 3)
+            best_rank_k(a, 3)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
     def test_mirsky_beats_random_candidates(self, p):
@@ -659,7 +668,8 @@ class TestTruncateRank:
         for _ in range(3):
             m, n, k = 12, 10, int(gen.integers(1, 5))
             a = gen.standard_normal((m, n))
-            opt = schatten_norm(singular_values(a - _best(a, k)), p)
+            f = best_rank_k(a, k)
+            opt = schatten_norm(singular_values(a - f.y @ f.z.T), p)
             for _ in range(200):
                 q = random_orthonormal(gen, n, k)
                 cand = schatten_norm(singular_values(a - (a @ q) @ q.T), p)
@@ -684,11 +694,6 @@ class TestLowRankFactors:
         # an all-NaN z has a NaN gap |Z^T Z - I|, which no "gap > tol" rejects
         with pytest.raises(ValueError, match="z does not have orthonormal columns"):
             LowRankFactors(y=y, z=np.full_like(z, bad), k=2)
-
-
-def _best(a, k):
-    f = truncate_rank(svd(a), k)
-    return f.y @ f.z.T
 
 
 class TestGoldenCounterexample:

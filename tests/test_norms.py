@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import make_gen
+from conftest import make_gen, singular_values
 
 from sketchlr import (
     HuberLoss,
@@ -16,7 +16,6 @@ from sketchlr import (
     parse_loss,
     phi_objective,
     schatten_norm,
-    singular_values,
 )
 
 GOLDEN = np.array([[20.0, 20.0], [1.0, 2.0]])

@@ -7,7 +7,16 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import lowrank_plus_noise, make_gen, plant_head, random_sparse, sample_constant
+from conftest import (
+    countsketch_matrix,
+    lowrank_plus_noise,
+    make_gen,
+    plant_head,
+    random_sparse,
+    ridge_leverage_scores,
+    sample_constant,
+    singular_values,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -17,6 +26,7 @@ import sketchlr.sketches as sketches
 from sketchlr import (
     CountSketchOperator,
     MultiplyAddCounter,
+    OracleScorer,
     RandomStream,
     ScaleLimitError,
     SparseMatrix,
@@ -26,13 +36,11 @@ from sketchlr import (
     build_row_sampler,
     make_sketch_plan,
     sample_count,
-    singular_values,
     solve_schatten,
     sparse_dense_multiply,
 )
 from sketchlr.matrixcore import DENSE_GUARD
 from sketchlr.rng import generator_from_seed
-from sketchlr.sketches import ridge_leverage_scores
 
 
 def materialize(op: CountSketchOperator) -> np.ndarray:
@@ -122,7 +130,7 @@ class TestCountSketchApply:
         a = SparseMatrix.from_dense(dense)
         left = build_countsketch(m, sketch_dim, RandomStream(seed))
         got_left = apply_countsketch_left(a, left)
-        ref_left = (left.matrix().T @ a.csr).toarray()
+        ref_left = (countsketch_matrix(left).T @ a.csr).toarray()
         assert got_left.dtype == ref_left.dtype and got_left.shape == (sketch_dim, n)
         assert got_left.tobytes() == ref_left.tobytes()
 
@@ -881,14 +889,16 @@ class TestDenseGuard:
         assert peak < 8 * (8 * (a.nrows + a.ncols) * k + 2 * a.nnz)
 
     def test_exact_scores_above_guard_raise_scale_limit_error(self, monkeypatch):
+        # exact scores above the guard come only from the oracle scorer's
+        # dense R, which the guard refuses before anything is densified
         def densify(*_):
             raise AssertionError("the guard must refuse before densifying")
 
         monkeypatch.setattr(SparseMatrix, "to_dense", densify)
         with pytest.raises(ScaleLimitError, match="DENSE_GUARD=5000") as info:
-            ridge_leverage_scores(self._diagonal(self.n), 1, 1.0)
+            OracleScorer(self._diagonal(self.n))
         assert isinstance(info.value, ValueError)
-        assert "build_row_sampler" in str(info.value)
+        assert "full_pipeline without the oracle flag" in str(info.value)
 
     def test_large_budget_above_guard_is_clipped(self):
         a = self._diagonal(self.n + 1000)  # the last 1000 columns are empty
@@ -1051,7 +1061,6 @@ class TestDenseOperand:
             "build_row_sampler": sampler,
             "apply_row_sampler": lambda x, c: apply_row_sampler(x, rows, c),
             "apply_countsketch_left": lambda x, c: apply_countsketch_left(x, op, c),
-            "ridge_leverage_scores": lambda x, c: ridge_leverage_scores(x, 1, 0.5),
             "block_krylov": lambda x, c: matrixcore.block_krylov(x, 1, 1, c),
             "sparse_dense_multiply": lambda x, c: sparse_dense_multiply(x, right, c),
         }

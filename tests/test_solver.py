@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from conftest import (
+    best_rank_k,
     lowrank_plus_noise,
     make_gen,
     oracle_error,
@@ -17,6 +18,7 @@ from conftest import (
     random_rank_k,
     random_sparse,
     sample_constant,
+    singular_values,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -26,6 +28,7 @@ import sketchlr.matrixcore as matrixcore
 import sketchlr.sketches as sketches
 import sketchlr.solver as solver
 from sketchlr import (
+    ExperimentConfig,
     HuberLoss,
     L1L2Loss,
     RandomStream,
@@ -35,15 +38,14 @@ from sketchlr import (
     SparseMatrix,
     cpe_constant,
     diagnose_kyfan_preservation,
-    exact_oracle,
     kyfan_pr_norm,
     make_sketch_plan,
     parse_loss,
     phi_objective,
     relative_error_from,
+    run_experiment,
     sample_count,
     schatten_norm,
-    singular_values,
     solve_generalized,
     solve_schatten,
     sparse_dense_multiply,
@@ -57,49 +59,53 @@ GOLDEN = np.array([[20.0, 20.0], [1.0, 2.0]])
 
 
 class TestExactOracle:
+    """The exact oracle of an oracle run: the scorer's spectra of the input
+    and of its residual, scored at the best rank-k factors."""
+
     def test_residual_spectrum(self):
-        res = exact_oracle(SparseMatrix.from_dense(np.diag([5.0, 3.0, 1.0])), 2)
-        np.testing.assert_allclose(res.spectrum, [5.0, 3.0, 1.0], atol=1e-12)
-        resid = np.diag([5.0, 3.0, 1.0]) - res.factors.y @ res.factors.z.T
-        np.testing.assert_allclose(singular_values(resid), [1.0, 0.0, 0.0], atol=1e-12)
+        a = np.diag([5.0, 3.0, 1.0])
+        scorer = OracleScorer(SparseMatrix.from_dense(a))
+        np.testing.assert_allclose(scorer.spectrum, [5.0, 3.0, 1.0], atol=1e-12)
+        f = best_rank_k(a, 2)
+        np.testing.assert_allclose(scorer.residual_spectrum(f.y, f.z), [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_golden_nuclear_residual(self):
-        res = exact_oracle(SparseMatrix.from_dense(GOLDEN), 1)
-        resid = GOLDEN - res.factors.y @ res.factors.z.T
-        assert schatten_norm(singular_values(resid), 1.0) == pytest.approx(
-            0.7051, abs=1e-4
-        )
+        f = best_rank_k(GOLDEN, 1)
+        resid = OracleScorer(SparseMatrix.from_dense(GOLDEN)).residual_spectrum(f.y, f.z)
+        assert schatten_norm(resid, 1.0) == pytest.approx(0.7051, abs=1e-4)
 
     def test_beats_random_projections(self):
         gen = make_gen(61)
         a = gen.standard_normal((15, 10))
-        res = exact_oracle(SparseMatrix.from_dense(a), 3)
-        opt = schatten_norm(
-            singular_values(a - res.factors.y @ res.factors.z.T), 1.7
-        )
+        f = best_rank_k(a, 3)
+        opt = schatten_norm(OracleScorer(a).residual_spectrum(f.y, f.z), 1.7)
         for _ in range(500):
             q = random_orthonormal(gen, 10, 3)
             cand = schatten_norm(singular_values(a - (a @ q) @ q.T), 1.7)
             assert opt <= cand + 1e-9
 
     def test_size_guard(self):
-        big = SparseMatrix(5001, 5001, [0], [0], [1.0])
-        with pytest.raises(ValueError, match="guard"):
-            exact_oracle(big, 3)
+        # the guard bounds min(m, n), the side of R, in either orientation
+        tall = SparseMatrix(20000, 5001, [0], [0], [1.0])
+        for big in (tall, tall.transpose()):
+            with pytest.raises(ValueError, match="guard"):
+                OracleScorer(big)
 
     def test_size_guard_is_a_typed_scale_limit(self):
         big = SparseMatrix(5001, 5001, [0], [0], [1.0])
         with pytest.raises(ScaleLimitError, match="DENSE_GUARD=5000") as info:
-            exact_oracle(big, 3)
+            OracleScorer(big)
         assert isinstance(info.value, ValueError)
         assert "full_pipeline without the oracle flag (--oracle)" in str(info.value)
 
     def test_k_range(self):
-        a = SparseMatrix.from_dense(np.eye(4))
-        with pytest.raises(ValueError):
-            exact_oracle(a, 0)
-        with pytest.raises(ValueError):
-            exact_oracle(a, 5)
+        # an oracle run refuses a rank outside [1, min(m, n) - 1] before it scores
+        for k in (0, 5):
+            cfg = ExperimentConfig(
+                k_list=[k], trials=1, oracle=True, nrows=4, ncols=4, density=1.0
+            )
+            with pytest.raises(ValueError):
+                run_experiment(cfg)
 
 
 def _dense_formula_error(dense, factors, objective):
@@ -191,6 +197,26 @@ class TestOracleScorer:
             singular_values(dense - y @ z.T),
             rtol=0.0,
             atol=1e-12 * np.linalg.norm(dense),
+        )
+
+    def test_tall_trial_peak_is_one_factor_sized_array(self):
+        # B = P X D and T W are each 20000x5 (800 KB): a trial holds M, one
+        # of them and one block of B's rows, not both
+        m, n, k = 20000, 50, 5
+        gen = make_gen(32)
+        a = random_sparse(gen, m, n, density=0.05)
+        scorer = OracleScorer(a)
+        dense = a.to_dense()
+        y, z = _projection_pair(gen, dense, k)
+        tracemalloc.start()
+        try:
+            sigma = scorer.residual_spectrum(y, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 8 * (n * n + m * k + solver.R_BLOCK_ROWS * k)
+        np.testing.assert_allclose(
+            sigma, singular_values(dense - y @ z.T), rtol=0.0, atol=1e-12 * np.linalg.norm(dense)
         )
 
     @pytest.mark.parametrize(
