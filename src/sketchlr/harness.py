@@ -13,6 +13,7 @@ import itertools
 import lzma
 import math
 import os
+import stat
 import time
 from dataclasses import astuple, dataclass
 
@@ -193,8 +194,7 @@ _MM_SUPPORTED = (
 )
 
 
-def _parse_matrix_market(path, text: str | bytes, plain: bool) -> SparseMatrix:
-    lines = _numbered_lines(text, plain)
+def _matrix_market_header(path, text: str | bytes, lines) -> tuple[_Body, bool]:
     try:
         lineno, header = next(lines)
     except StopIteration:
@@ -223,13 +223,11 @@ def _parse_matrix_market(path, text: str | bytes, plain: bool) -> SparseMatrix:
             raise ParseError(path, lineno, f"matrix shape must be positive, got {nrows}x{ncols}")
         if symmetric and nrows != ncols:
             raise ParseError(path, lineno, f"symmetric matrix must be square, got {nrows}x{ncols}")
-        body = _Body(nrows, ncols, declared, lineno, fields, True, symmetric)
-        return _parse_triplets(path, plain, lines, body)
+        return _Body(nrows, ncols, declared, lineno, fields, True, symmetric), False
     raise ParseError(path, _past_end(text), "missing size line")
 
 
-def _parse_bag_of_words(path, text: str | bytes, plain: bool) -> SparseMatrix:
-    lines = _numbered_lines(text, plain)
+def _bag_of_words_header(path, text: str | bytes, lines) -> tuple[_Body, bool]:
     header = []
     for _ in range(3):
         try:
@@ -245,33 +243,8 @@ def _parse_bag_of_words(path, text: str | bytes, plain: bool) -> SparseMatrix:
         if len(header) < 3 and header[-1] < 1:
             raise ParseError(path, lineno, "document and word counts must be positive")
     n_docs, n_words, declared = header
-    body = _Body(n_docs, n_words, declared, lineno, ("docID", "wordID", "count"))
     # keep the taller orientation so downstream solves see m >= n
-    return _parse_triplets(path, plain, lines, body, transpose=n_docs < n_words)
-
-
-def _parse_triplets(
-    path, plain: bool, lines, body: _Body, transpose: bool = False
-) -> SparseMatrix:
-    """The entries after a header, as a :class:`SparseMatrix` (transposed if asked).
-
-    A plain body is read by one ``np.loadtxt`` call on ``path`` and checked
-    with whole array operations. Where that call raises or a check fails,
-    the per-line pass reads the body instead, by the same rules, and names
-    the line at fault. ``lines`` continues just after the size line. A shape
-    that cannot be stored is refused at the size line, in either pass.
-    """
-    try:
-        mat = None
-        # np.loadtxt warns on a body without rows; the per-line pass reads it at once
-        if plain and (first := next(lines, None)) is not None:
-            lines = itertools.chain([first], lines)
-            mat = _parse_whole_body(path, body)
-        if mat is None:
-            mat = _parse_per_line(path, lines, body)
-        return mat.transpose() if transpose else mat
-    except ScaleLimitError as exc:
-        raise ParseError(path, body.size_line, str(exc)) from None
+    return _Body(n_docs, n_words, declared, lineno, ("docID", "wordID", "count")), n_docs < n_words
 
 
 def _parse_whole_body(path, body: _Body) -> SparseMatrix | None:
@@ -279,12 +252,15 @@ def _parse_whole_body(path, body: _Body) -> SparseMatrix | None:
 
     numpy parses a path with its chunked C reader, but any file object, even
     one over bytes already in memory, one Python line at a time, which is
-    slower. So a plain file is read twice: once as bytes, for the header and
-    the per-line rules, and once here. It holds only printable ASCII, tab
-    and newline, so the lines numpy skips are the lines ``_numbered_lines``
-    numbers. numpy picks a decompressor by the path's extension (``.gz``,
-    ``.bz2``, ``.xz``, ``.lzma``); a plain file of such a name fails to
-    decompress, and the per-line pass reads it.
+    slower. So a plain regular file is read twice: as bytes for the header,
+    dropped before this read, and here; the per-line pass reads it once more
+    if this one returns None. It holds only printable ASCII, tab and newline,
+    so the lines numpy skips are the lines ``_numbered_lines`` numbers. numpy
+    picks a decompressor by the path's extension (``.gz``, ``.bz2``, ``.xz``,
+    ``.lzma``); a plain file of such a name fails to decompress, and the
+    per-line pass reads it. Indices out of range are refused by
+    :class:`~sketchlr.matrixcore.SparseMatrix`, whose ``ValueError`` returns
+    None too.
     """
     dtype = np.dtype(list(zip(body.fields, (np.int64, np.int64, np.float64))))
     try:
@@ -296,19 +272,11 @@ def _parse_whole_body(path, body: _Body) -> SparseMatrix | None:
             skiprows=body.size_line,
             encoding="latin-1",
         )
-    except (TypeError, ValueError, OSError, lzma.LZMAError):
-        # a file descriptor the text read closed, a line numpy refuses, or a
-        # plain file named like a compressed one
+    except (ValueError, OSError, lzma.LZMAError):
+        # a line numpy refuses, or a plain file named like a compressed one
         return None
     rows, cols = entries[body.fields[0]], entries[body.fields[1]]
-    if (
-        entries.size != body.declared
-        or rows.min() < 1
-        or rows.max() > body.nrows
-        or cols.min() < 1
-        or cols.max() > body.ncols
-        or (body.symmetric and np.any(cols > rows))
-    ):
+    if entries.size != body.declared or (body.symmetric and np.any(cols > rows)):
         return None
     # contiguous columns, so the structured array is freed before assembly
     vals = entries[body.fields[2]].copy() if len(body.fields) == 3 else np.ones(entries.size)
@@ -328,7 +296,7 @@ def _parse_per_line(path, lines, body: _Body) -> SparseMatrix:
     rows, cols, vals = [], [], []
     seen = set()
     for lineno, line in lines:
-        if body.comments and line.startswith("%"):
+        if lineno <= body.size_line or (body.comments and line.startswith("%")):
             continue
         parts = line.split()
         if len(parts) != len(body.fields):
@@ -388,24 +356,51 @@ def load_matrix(path, fmt: str = "matrix_market") -> SparseMatrix:
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
+    header = _matrix_market_header if fmt == "matrix_market" else _bag_of_words_header
+    text, plain = _read_text(path)
+    lines = _numbered_lines(text, plain)
+    body, transpose = header(path, text, lines)
+    # numpy reads the body of a path it can open again, not of a descriptor or pipe the
+    # text read closed or emptied, and warns on a body without rows: the per-line pass reads those
+    regular = isinstance(path, (str, bytes, os.PathLike)) and stat.S_ISREG(os.stat(path).st_mode)
+    try:
+        mat = None
+        if plain and regular and next(lines, None) is not None:
+            del text, lines  # no copy of the file is held while numpy reads it
+            if (mat := _parse_whole_body(path, body)) is None:
+                lines = _numbered_lines(*_read_text(path))
+        if mat is None:
+            mat = _parse_per_line(path, lines, body)
+        return mat.transpose() if transpose else mat
+    except ScaleLimitError as exc:
+        # a shape that cannot be stored is refused at the size line, in either pass
+        raise ParseError(path, body.size_line, str(exc)) from None
+
+
+def _read_text(path) -> tuple[str | bytes, bool]:
+    """The file's text past a UTF-8 byte order mark, and whether it is plain.
+
+    A plain file stays bytes, with universal newlines, and is decoded a line
+    at a time (``_newline_split``); any other is decoded whole as UTF-8, and
+    a byte that is not UTF-8 is refused at its line.
+    """
     with open(path, "rb") as fh:
         text = fh.read().removeprefix(codecs.BOM_UTF8)
-    plain = not text.translate(None, _PLAIN_BYTES)
+    # 64 KiB at a time: translate allocates its output at its input's length
+    plain = not any(
+        text[i : i + 2**16].translate(None, _PLAIN_BYTES) for i in range(0, len(text), 2**16)
+    )
     if not plain:
         # decoded whole: str.splitlines breaks at "\r\n" and "\r" as universal newlines do
         try:
-            text = text.decode("utf-8")
+            return text.decode("utf-8"), False
         except UnicodeDecodeError as exc:
             # the line is numbered as the per-line pass numbers it
             line = len((text[: exc.start].decode("utf-8") + ".").splitlines())
             raise ParseError(path, line, f"byte 0x{text[exc.start]:02x} is not UTF-8") from None
-    elif b"\r" in text:
-        # a plain file stays bytes, a line decoded when it is read (_newline_split),
-        # with the universal newlines of a file read as text
+    if b"\r" in text:
         text = text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    if fmt == "matrix_market":
-        return _parse_matrix_market(path, text, plain)
-    return _parse_bag_of_words(path, text, plain)
+    return text, True
 
 
 def write_matrix_market(path, mat: SparseMatrix) -> None:

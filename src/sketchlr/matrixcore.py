@@ -21,7 +21,6 @@ import scipy.sparse as sp
 from scipy.linalg import blas, lapack
 
 SVD_TOL = 1e-9    # relative factorization / orthonormality tolerance
-RANK_TOL = 1e-10  # singular values below RANK_TOL * sigma_max count as zero
 DENSE_GUARD = 5000  # largest min-dimension any exact dense factorization accepts
 KRYLOV_SEED = 0x1A2C  # seeds the block Krylov start block, so reruns are bit-identical
 
@@ -69,6 +68,23 @@ class MultiplyAddCounter:
         return f"MultiplyAddCounter({self.count})"
 
 
+def _indices(idx, name: str, bound: int) -> np.ndarray:
+    """``idx`` as a flat int64 array; refuses a non-integral entry by name.
+
+    An integer array is cast with no check. Any other is read as float64
+    and must hold whole numbers, clipped to ``[-1, bound]`` before the cast
+    so that an inf or a value past the int64 range stays out of bounds.
+    """
+    idx = np.asarray(idx)
+    if idx.dtype.kind in "iu":
+        return idx.astype(np.int64, copy=False).ravel()
+    idx = np.asarray(idx, dtype=np.float64).ravel()
+    bad = idx != np.trunc(idx)  # NaN compares unequal too
+    if np.any(bad):
+        raise ValueError(f"{name} index {float(idx[bad][0])!r} is not an integer")
+    return np.clip(idx, -1, bound).astype(np.int64)
+
+
 class SparseMatrix:
     """Row-compressed sparse real matrix.
 
@@ -85,8 +101,7 @@ class SparseMatrix:
             raise ValueError(f"matrix shape must be positive, got {nrows}x{ncols}")
         if max(nrows, ncols) >= np.iinfo(np.int64).max:
             raise ScaleLimitError(f"matrix shape {nrows}x{ncols} exceeds the int64 index range")
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        cols = np.asarray(cols, dtype=np.int64).ravel()
+        rows, cols = _indices(rows, "row", nrows), _indices(cols, "column", ncols)
         values = np.asarray(values, dtype=np.float64).ravel()
         if not (rows.size == cols.size == values.size):
             raise ValueError("rows, cols and values must have equal length")
@@ -297,14 +312,15 @@ def block_krylov(
     projected off twice more and normalized again: once the space is used
     up, a new block is rounding noise (or QR's completion of a zero column)
     largely inside span(Q), and those two projections keep Q orthonormal.
-    An ``eigh`` of H is the Rayleigh-Ritz step. The span needs no gap at k
+    A partial ``eigh`` of H is the Rayleigh-Ritz step, the one
+    :func:`top_singular` takes on all of a side. The span needs no gap at k
     to be near-optimal for rank-k approximation (Musco & Musco, 2015).
     A space that covers a side above ``DENSE_GUARD`` would hold a dense
     ``d x d`` basis and H, and is refused with :class:`ScaleLimitError`.
 
     A dense ``a`` is read as its :class:`SparseMatrix`. Returns ``(sigma, v)``: the
-    r largest Ritz values as singular values, non-increasing (0 for a
-    ``theta`` at or below ``d eps theta_1``, as in :func:`top_singular`),
+    r largest Ritz values as singular values, non-increasing (0 at the
+    rounding floor, as ``_rayleigh_ritz`` says),
     and the ``n x r`` right block, ``Q S_r`` for a tall A and
     ``A^T U diag(sigma)^-1`` for the Ritz vectors U of a wide one (zero
     where sigma is). ``counter`` gets ``2 nnz(A)`` per basis column, the
@@ -341,40 +357,62 @@ def block_krylov(
         for _ in range(2):  # block -= done @ (done.T @ block), in place on the column-major Q
             block = blas.dgemm(-1.0, done, done.T @ block, beta=1.0, c=block, overwrite_c=True)
         basis[:, hi : hi + cols] = _orthonormal(block, lwork)
-    theta, s = np.linalg.eigh(h, UPLO="U")  # ascending
-    theta = theta[: -k - 1 : -1]
-    # below the rounding floor of a Gram eigenvalue a Ritz value is noise
-    sigma = np.sqrt(np.where(theta > d * np.finfo(float).eps * theta[0], theta, 0.0))
-    side = basis @ s[:, : -k - 1 : -1]
     if counter is not None:  # 2 nnz(A) per basis column, k nnz(A) for A^T U
         counter.add(x.nnz * (2 * width + k * wide))
-    if not wide:
+    return _rayleigh_ritz(h, basis, k, x if wide else None)
+
+
+def _rayleigh_ritz(h, basis, k: int, a=None) -> tuple[np.ndarray, np.ndarray]:
+    """The top-k Ritz pairs of a space on the smaller side of A, from ``H = Q^T G Q``.
+
+    ``G`` is the Gram matrix of that side, of dimension d, and Q an
+    orthonormal basis of the space, ``None`` for all of the side (Q = I).
+    H's upper triangle is read, and a partial ``eigh`` factors it in place.
+    Returns ``(sigma, side)``: the k largest Ritz values as singular values,
+    non-increasing, and the ``Q S`` block of the k Ritz vectors U; for a
+    wide A, passed as ``a``, the block ``A^T U diag(sigma)^-1`` instead,
+    zero where sigma is. sigma is 0 where ``theta <= d eps theta_1``, and
+    for a wide A from the first ``||A^T u||^2`` at or below that on.
+    """
+    w = h.shape[0]
+    d = w if basis is None else basis.shape[0]
+    # h.T is column-major, so dsyevr factors it without a copy; its lower
+    # triangle is h's upper one
+    theta, s = scipy.linalg.eigh(
+        h.T, overwrite_a=True, check_finite=False, subset_by_index=[w - k, w - 1]
+    )
+    theta, s = theta[::-1], s[:, ::-1]  # eigh's order is ascending
+    # below the rounding floor of a Gram eigenvalue a Ritz value is noise
+    floor = d * np.finfo(float).eps * theta[0]
+    sigma = np.sqrt(np.where(theta > floor, theta, 0.0))
+    side = s if basis is None else basis @ s
+    if a is None:
         return sigma, side
-    # U^T G U = diag(theta) for Ritz vectors U, so these columns are orthonormal
-    v = inner @ side
-    return sigma, np.divide(v, sigma, out=np.zeros_like(v), where=sigma > 0)
+    # U^T G U = diag(theta) for Ritz vectors U, so these columns are orthonormal;
+    # (U^T A)^T reads a row-major A along its rows, as A.T @ U does not
+    v = (side.T @ a).T
+    # eigh's error can lift a zero theta past the floor, but not ||A^T u||^2
+    sigma[~np.logical_and.accumulate(np.einsum("ij,ij->j", v, v) > floor)] = 0.0
+    v /= np.where(sigma > 0, sigma, np.inf)  # in place: v is the one n x k block
+    return sigma, v
 
 
-def top_singular(a, k: int) -> SvdResult:
-    """Top-k singular triplets of a dense matrix from the Gram matrix of its smaller side.
+def top_singular(a, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k right Ritz pairs of a dense A from the Gram matrix of its smaller side.
 
-    Takes the top eigenpairs of ``G = A^T A`` (``A A^T`` when A is wide) by
-    a partial ``eigh`` and derives the other side by one product, a fraction
-    of a full :func:`svd` when k is small. A is read twice, by G and by that
-    product; G's trace ``||A||_F^2`` stands for A's finiteness (a NaN or inf
-    entry spoils it), and an ``||A||_F^2`` beyond the double range is
-    refused too. Every triplet is verified at ``SVD_TOL``: both ``d x k``
-    blocks orthonormal, and the residual of the other product
-    (``A V - U diag(sigma)`` wide, ``A^T U - V diag(sigma)`` tall), read as
-    ``(G S - S Lambda) diag(sigma)^-1`` for the eigenvector block S, small
-    against ``||A||_F``. The Gram matrix squares the conditioning, so when
-    sigma_k is numerically zero, ties with sigma_(k+1), or a check fails,
-    the result is the k-column truncation of the verified full :func:`svd`.
-    G is the one ``d x d`` array: ``eigh`` factors it in place, and the
-    residual's ``G S`` is read from the triangle it leaves and the saved
-    diagonal. Besides A, G and the eigenvector block, it holds one more
-    ``d' x k`` block, the other side, divided by sigma in place (``d'`` the
-    larger dimension).
+    :func:`block_krylov`'s Rayleigh-Ritz step on a space that covers all of
+    that side, so that step is exact: a partial ``eigh`` of ``G = A^T A``
+    (``A A^T`` when A is wide), with no start block and no basis. Returns
+    ``(sigma, v)`` as :func:`block_krylov` does: the k largest singular
+    values, non-increasing (0 at the Gram matrix's rounding floor, as
+    ``_rayleigh_ritz`` says), and the ``n x k`` right block, the
+    eigenvectors of G for a tall A and ``A^T U diag(sigma)^-1`` for a wide
+    one. Like the Krylov span, the block is a near-optimal rank-k row space
+    of A whatever gap sigma has at k. A is read twice when wide, by G and
+    by that product; G's trace ``||A||_F^2`` stands for A's finiteness (a
+    NaN or inf entry spoils it), and an ``||A||_F^2`` beyond the double
+    range is refused too. G is the one ``d x d`` array, and ``eigh``
+    factors it in place.
     """
     a = _check_dense(a, finite=False)
     d = min(a.shape)
@@ -382,46 +420,10 @@ def top_singular(a, k: int) -> SvdResult:
         raise ValueError(f"k={k} out of range 1..{d}")
     wide = a.shape[0] < a.shape[1]
     gram = a @ a.T if wide else a.T @ a
-    fro = math.sqrt(np.trace(gram))
-    if not math.isfinite(fro):  # a NaN or inf entry spoils its diagonal entry
+    if not math.isfinite(np.trace(gram)):  # a NaN or inf entry spoils its diagonal entry
         _check_dense(a)
         raise ValueError("matrix Frobenius norm overflows: ||A||_F^2 is not a double")
-    # one eigenpair past k exposes the gap that separates the top-k subspace
-    top = min(k + 1, d)
-    diag = gram.diagonal().copy()
-    # G is exactly symmetric, so its column-major view is G itself: dsyevr factors
-    # it in place, destroying the view's lower triangle and the diagonal
-    lam, vecs = scipy.linalg.eigh(gram.T, overwrite_a=True, subset_by_index=[d - top, d - 1])
-    lam, vecs = lam[::-1], vecs[:, ::-1]
-    # dsyevr may return fewer pairs than asked for on a tight cluster
-    if (
-        lam.size == top
-        and lam[k - 1] > d * np.finfo(float).eps * lam[0]
-        and (top == k or lam[k - 1] - lam[k] > SVD_TOL * lam[0])
-    ):
-        sigma = np.sqrt(lam[:k])
-        side = np.ascontiguousarray(vecs[:, :k])
-        # (side^T A)^T reads the row-major A along its rows, as a.T @ side does not
-        prod = (side.T @ a).T if wide else a @ side
-        prod /= sigma  # in place: the other side is the one d x k block besides side
-        # the other product's residual A other - side sigma is (G side - side Lambda)/sigma;
-        # G side from the view's upper triangle, which dsyevr left, and the saved diagonal,
-        # as (side^T G)^T: side.T is column-major, so dsymm takes it without a copy
-        np.fill_diagonal(gram, diag)
-        u, v = (side, prod) if wide else (prod, side)
-        worst = max(
-            float(np.max(np.abs(u.T @ u - np.eye(k)))),
-            float(np.max(np.abs(v.T @ v - np.eye(k)))),
-            float(np.linalg.norm(
-                (blas.dsymm(1.0, gram.T, side.T, side=1, lower=0).T - side * lam[:k]) / sigma
-            )) / fro,
-        )
-        if worst <= SVD_TOL:
-            return SvdResult(u=u, sigma=sigma, v=v)
-    res = svd(a)
-    return SvdResult(
-        u=res.u[:, :k].copy(), sigma=res.sigma[:k].copy(), v=res.v[:, :k].copy()
-    )
+    return _rayleigh_ritz(gram, None, k, a if wide else None)
 
 
 def complete_basis(z: np.ndarray, k: int) -> np.ndarray:

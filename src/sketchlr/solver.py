@@ -9,11 +9,13 @@ The pipeline for ``min_X ||A - X||_p`` over rank-k ``X``:
 3. take the top-k right block V of ``SA``: the Ritz vectors of a block
    Krylov space of depth ``q = ceil(ln d / sqrt(eps))``, ``d = min(SA.shape)``
    (:func:`~sketchlr.matrixcore.block_krylov`) in full_pipeline mode, on
-   the sparse ``SA``, the exact :func:`~sketchlr.matrixcore.top_singular`
-   on the dense CountSketch ``SA`` of simplified mode. The Krylov space
-   stops at d, where its Rayleigh-Ritz step is exact, so no solve densifies
-   its input or its sketch. ``Z`` is V cut at ``RANK_TOL``, put through one
-   Cholesky-QR step and padded to k columns;
+   the sparse ``SA``, and in simplified mode the same Rayleigh-Ritz step on
+   all of the dense CountSketch ``SA``'s smaller side
+   (:func:`~sketchlr.matrixcore.top_singular`). The Krylov space stops at
+   d, where its Rayleigh-Ritz step is exact, so no solve densifies its
+   input or its sketch. Both kernels return a Ritz value below the Gram
+   matrix's rounding floor as 0; ``Z`` is V without those columns, put
+   through one Cholesky-QR step and padded to k columns;
 4. regress exactly: ``Y = A Z``, ``k nnz(A)`` multiply-adds. With Z
    orthonormal, ``A Z`` minimizes ``||A - Y Z^T||`` in every unitarily
    invariant norm, the Schatten norms included, because
@@ -46,7 +48,6 @@ from scipy.linalg import blas, lapack
 
 from .matrixcore import (
     DENSE_GUARD,
-    RANK_TOL,
     SVD_TOL,
     LowRankFactors,
     MultiplyAddCounter,
@@ -106,11 +107,13 @@ class SolveReport:
     short of ``d = min(SA.shape)`` and ``2 d nnz(SA)`` in all for one that
     reaches it, plus ``min(k, d) nnz(SA)`` for ``SA^T U`` when ``SA`` is
     wide; ``krylov_depth`` is the rule's q, also for a space that reached
-    d first, and ``ritz_values`` the ``min(k, d)`` Ritz values as singular
-    values. In simplified mode the top-k is ``top_singular``:
-    ``krylov_depth`` is ``None`` and ``wsa`` is ``U^T SA``, ``k s n`` for
-    the dense ``s x n`` CountSketch ``SA``, which ``top_singular`` forms or
-    checks. ``s_scores`` is the sparse work of
+    d first. In simplified mode the top-k is ``top_singular``, the
+    Rayleigh-Ritz step of a space that covers ``SA``'s smaller side:
+    ``krylov_depth`` is ``None``, and ``wsa`` is ``k s n`` for
+    ``(U^T SA)^T``, the right block of a wide dense ``s x n`` CountSketch
+    ``SA``, absent for a tall one, whose Ritz vectors are that block.
+    ``ritz_values`` holds the ``min(k, d)`` Ritz values of either kernel as
+    singular values. ``s_scores`` is the sparse work of
     the scores behind a sampled ``S`` (absent when none ran: ``S`` clipped
     on its row count, A is zero, or the solve is in simplified mode):
     ``3 nnz(A)`` for the squared row norms and the two
@@ -352,17 +355,16 @@ def _rowspace(sa, k: int, eps: float, report: SolveReport) -> np.ndarray:
         if report.plan.mode == "full_pipeline":
             depth = math.ceil(math.log(min(sa.shape)) / math.sqrt(eps))
             sigma, v = block_krylov(sa, k, depth, _FoldingCounter(counters, "krylov"))
-            report.krylov_depth, report.ritz_values = depth, tuple(sigma.tolist())
+            report.krylov_depth = depth
         else:
-            top = top_singular(sa, k)
-            # U^T SA = diag(sigma) V^T, k per entry of the dense SA, is what
-            # top_singular forms or checks, so Z is V
-            counters["wsa"] = k * sa.size
-            sigma, v = top.sigma, top.v
+            sigma, v = top_singular(sa, k)
+            if sa.shape[0] < sa.shape[1]:  # (U^T SA)^T, k per entry of the dense SA
+                counters["wsa"] = k * sa.size
+        report.ritz_values = tuple(sigma.tolist())
         # a dense simplified-mode SA is the largest array of the solve: the
         # caller holds no reference, so this frees it for the steps below
         del sa
-    v = v[:, : int(np.sum(sigma > RANK_TOL * sigma[0]))]
+    v = v[:, : np.count_nonzero(sigma)]  # both kernels floor a value at rounding to 0
     # Cholesky-QR, V R^-1 for V^T V = R^T R: SA^T U / sigma drifts like eps (s1/sk)^2
     return complete_basis(v @ np.linalg.inv(np.linalg.cholesky(v.T @ v)).T, k)
 

@@ -81,8 +81,8 @@ def test_countsketch_left(benchmark, large):
 def test_top_singular_dense_sa(benchmark, large):
     sa = apply_countsketch_left(*large)
     _, benchmark.extra_info["peak_mib"] = _peak_mib(lambda: top_singular(sa, 10))
-    res = benchmark(top_singular, sa, 10)
-    assert res.v.shape == (20000, 10)
+    sigma, v = benchmark(top_singular, sa, 10)
+    assert v.shape == (20000, 10)
 
 
 def test_top_singular_dense_sa_bench_oracle_shape(benchmark):
@@ -90,14 +90,14 @@ def test_top_singular_dense_sa_bench_oracle_shape(benchmark):
     sa = apply_countsketch_left(a, build_countsketch(800, 20 * 20, RandomStream(7)))
     assert sa.shape == (400, 600)
     _, benchmark.extra_info["peak_mib"] = _peak_mib(lambda: top_singular(sa, 20))
-    res = benchmark(top_singular, sa, 20)
-    assert res.v.shape == (600, 20)
+    sigma, v = benchmark(top_singular, sa, 20)
+    assert v.shape == (600, 20)
 
 
 def test_top_singular_dense_tall_sa(benchmark, large):
     sat = np.ascontiguousarray(apply_countsketch_left(*large).T)
-    res = benchmark(top_singular, sat, 10)
-    assert res.u.shape == (20000, 10)
+    sigma, v = benchmark(top_singular, sat, 10)
+    assert v.shape == (100, 10)
 
 
 def test_block_krylov_sparse_sa(benchmark):

@@ -1,7 +1,9 @@
 """Tests for synthetic generation, file ingestion, trial runs and CSV I/O."""
 
 import math
+import os
 import re
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -595,6 +597,84 @@ class TestWholeBodyParse:
             tracemalloc.stop()
         assert _same_csr(got, mat)
         assert peak < 5 * path.stat().st_size
+
+    @pytest.mark.parametrize("fmt", ["matrix_market", "bag_of_words_triplets"])
+    def test_no_copy_of_the_file_is_held_while_numpy_reads(self, megabyte, fmt, monkeypatch):
+        # the header's bytes and the lines over them are dropped before numpy
+        # reads the body from the path; the per-line pass would read it again
+        mat, paths = megabyte
+        path = paths[fmt]
+        held, loadtxt = [], np.loadtxt
+
+        def spy(*args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        load_matrix(path, fmt)  # the imports a first read makes are not the read's memory
+        tracemalloc.start()
+        try:
+            got = load_matrix(path, fmt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _same_csr(got, mat)
+        assert len(held) == 2 and held[1] < path.stat().st_size / 10
+        # 1.71 times the file measured, the structured array numpy returns
+        # and the CSR built from it; 2.72 while the bytes were held
+        assert peak < 2 * path.stat().st_size
+
+    @staticmethod
+    def _feed(data: bytes, target) -> threading.Thread:
+        # a pipe holds 64 KiB, so its writer runs beside the reader
+        def write():
+            with open(target, "wb") as fh:
+                fh.write(data)
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        return writer
+
+    @pytest.mark.parametrize("fmt", ["matrix_market", "bag_of_words_triplets"])
+    @pytest.mark.parametrize("source", ["descriptor", "pipe", "fifo"])
+    def test_a_file_that_cannot_be_read_again_loads(self, megabyte, tmp_path, fmt, source):
+        # the text read closes a descriptor and empties a pipe, so their
+        # body is read from the lines already held
+        mat, paths = megabyte
+        data = paths[fmt].read_bytes()
+        writer = None
+        if source == "descriptor":
+            target = os.open(paths[fmt], os.O_RDONLY)
+        elif source == "pipe":
+            target, w = os.pipe()
+            writer = self._feed(data, w)
+        else:
+            target = tmp_path / "fifo"
+            os.mkfifo(target)
+            writer = self._feed(data, target)
+        try:
+            got = load_matrix(target, fmt)
+        finally:
+            if writer is not None:
+                writer.join()
+        assert _same_csr(got, mat)
+        assert _same_csr(got, load_matrix(paths[fmt], fmt))
+
+    @pytest.mark.parametrize("source", ["descriptor", "pipe"])
+    def test_a_pipe_names_the_line_at_fault(self, tmp_path, source):
+        path = tmp_path / "bad.mtx"
+        path.write_text(MM_HEADER + "3 3 3\n1 1 1.0\n2 x 2.0\n3 3 3.0\n")
+        with pytest.raises(ParseError) as want:
+            load_matrix(path)
+        if source == "descriptor":
+            target = os.open(path, os.O_RDONLY)
+        else:
+            target, w = os.pipe()
+            self._feed(path.read_bytes(), w).join()
+        with pytest.raises(ParseError) as got:
+            load_matrix(target)
+        assert got.value.line == want.value.line == 4
+        assert str(got.value).split(": ", 1)[1] == str(want.value).split(": ", 1)[1]
 
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
     def test_plain_file_named_like_a_compressed_one_loads(self, megabyte, tmp_path, suffix):

@@ -11,7 +11,6 @@ from conftest import (
     best_rank_k,
     make_gen,
     random_orthonormal,
-    random_rank_k,
     random_sparse,
     singular_values,
 )
@@ -93,6 +92,21 @@ class TestSparseMatrix:
             SparseMatrix(2, 2, [0, 2], [0, 0], [1.0, 1.0])
         with pytest.raises(ValueError, match="out of bounds"):
             SparseMatrix(2, 2, [0], [-1], [1.0])
+
+    def test_rejects_non_integral_indices_by_name(self):
+        # an int64 cast would build the entries (0, 0) and (1, 2)
+        with pytest.raises(ValueError, match=r"row index 0\.7 is not an integer"):
+            SparseMatrix(3, 3, [0.7, 1.2], [0, 2.9], [1.0, 2.0])
+        with pytest.raises(ValueError, match=r"column index 2\.9 is not an integer"):
+            SparseMatrix(3, 3, [0.0, 1.0], [0, 2.9], [1.0, 2.0])
+        with pytest.raises(ValueError, match="row index nan is not an integer"):
+            SparseMatrix(3, 3, [np.nan], [0], [1.0])
+        # whole floats are indices; inf and values past int64 stay out of bounds
+        mat = SparseMatrix(3, 3, [0.0, 1.0], np.array([0.0, 2.0]), [1.0, 2.0])
+        np.testing.assert_array_equal(mat.to_dense(), [[1, 0, 0], [0, 0, 2], [0, 0, 0]])
+        for bad in (np.inf, -np.inf, 1e30):
+            with pytest.raises(ValueError, match="row index out of bounds"):
+                SparseMatrix(3, 3, [bad], [0], [1.0])
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -246,38 +260,37 @@ class TestSvd:
         )
 
 
-def assert_verified(a, res, k):
-    """The factor checks ``top_singular`` promises, at ``SVD_TOL``."""
-    assert res.u.shape == (a.shape[0], k) and res.v.shape == (a.shape[1], k)
-    assert res.sigma.shape == (k,) and np.all(np.diff(res.sigma) <= 0)
-    for block in (res.u, res.v):
-        assert np.max(np.abs(block.T @ block - np.eye(k))) <= SVD_TOL
-    scale = max(np.linalg.norm(a), 1.0)
-    assert np.linalg.norm(a.T @ res.u - res.v * res.sigma) <= SVD_TOL * scale
-    assert np.linalg.norm(a @ res.v - res.u * res.sigma) <= SVD_TOL * scale
+def assert_ritz_pairs(a, sigma, v, k):
+    """The pair ``top_singular`` returns: k non-increasing values, an orthonormal
+    ``n x k`` block, and ``A^T A v = v sigma^2`` at ``SVD_TOL`` of ``||A||^2``."""
+    assert sigma.shape == (k,) and v.shape == (a.shape[1], k)
+    assert np.all(np.diff(sigma) <= 0)
+    assert np.max(np.abs(v.T @ v - np.eye(k))) <= SVD_TOL
+    scale = max(np.linalg.norm(a), 1.0) ** 2
+    assert np.linalg.norm(a.T @ (a @ v) - v * sigma**2) <= SVD_TOL * scale
 
 
-def assert_matches_svd(a, res, k, gap_rtol=1e-3):
-    """sigma equals svd's top k; where sigma_k is separated, so are the subspaces."""
+def assert_matches_svd(a, sigma, v, k, gap_rtol=1e-3):
+    """sigma equals svd's top k; where sigma_k is separated, so is the right subspace."""
     full = svd(a)
     s1 = max(full.sigma[0], 1e-300)
-    np.testing.assert_allclose(res.sigma, full.sigma[:k], rtol=0, atol=1e-9 * s1)
+    np.testing.assert_allclose(sigma, full.sigma[:k], rtol=0, atol=1e-9 * s1)
     if k == full.sigma.size or full.sigma[k - 1] - full.sigma[k] > gap_rtol * s1:
-        for mine, ref in ((res.u, full.u[:, :k]), (res.v, full.v[:, :k])):
-            np.testing.assert_allclose(mine @ mine.T, ref @ ref.T, atol=1e-8)
+        ref = full.v[:, :k]
+        np.testing.assert_allclose(v @ v.T, ref @ ref.T, atol=1e-8)
 
 
 @pytest.fixture
 def svd_calls(monkeypatch):
-    """Counts calls of the full ``svd`` that ``top_singular`` falls back to."""
+    """Counts calls of every SVD routine; ``top_singular`` takes none."""
     calls = []
-    full = matrixcore.svd
+    for owner, name in ((matrixcore, "svd"), (np.linalg, "svd"), (scipy.linalg, "svd")):
 
-    def spy(a):
-        calls.append(np.shape(a))
-        return full(a)
+        def spy(a, *args, _real=getattr(owner, name), **kwargs):
+            calls.append(np.shape(a))
+            return _real(a, *args, **kwargs)
 
-    monkeypatch.setattr(matrixcore, "svd", spy)
+        monkeypatch.setattr(owner, name, spy)
     return calls
 
 
@@ -286,47 +299,23 @@ class TestTopSingular:
     @pytest.mark.parametrize("k", [1, 5, 39])
     def test_matches_svd_on_random_shapes(self, shape, k, svd_calls):
         a = make_gen(sum(shape) + k).standard_normal(shape)
-        res = top_singular(a, k)
-        assert svd_calls == []  # a generic input needs no fallback
-        assert_verified(a, res, k)
-        assert_matches_svd(a, res, k)
+        sigma, v = top_singular(a, k)
+        assert svd_calls == []
+        assert_ritz_pairs(a, sigma, v, k)
+        assert_matches_svd(a, sigma, v, k)
 
     def test_k_equal_to_min_dimension(self, svd_calls):
         a = make_gen(21).standard_normal((12, 7))
-        res = top_singular(a, 7)
+        sigma, v = top_singular(a, 7)
         assert svd_calls == []
-        assert_verified(a, res, 7)
-        assert_matches_svd(a, res, 7)
+        assert_ritz_pairs(a, sigma, v, 7)
+        assert_matches_svd(a, sigma, v, 7)
 
     def test_sparse_like_input(self):
         a = random_sparse(make_gen(22), 80, 30, density=0.1).to_dense()
-        res = top_singular(a, 4)
-        assert_verified(a, res, 4)
-        assert_matches_svd(a, res, 4)
-
-    def test_rank_deficient_falls_back(self, svd_calls):
-        a = random_rank_k(make_gen(23), 30, 20, 3)
-        res = top_singular(a, 4)  # sigma_4 = 0
-        assert svd_calls == [(30, 20)]
-        assert_verified(a, res, 4)
-        assert res.sigma[3] <= 1e-12 * res.sigma[0]
-        assert_matches_svd(a, res, 4, gap_rtol=np.inf)
-
-    def test_repeated_singular_values_fall_back(self, svd_calls):
-        gen = make_gen(24)
-        sigma = np.array([5.0, 3.0, 3.0, 3.0, 1.0, 0.5])
-        a = (random_orthonormal(gen, 9, 6) * sigma) @ random_orthonormal(gen, 6, 6).T
-        res = top_singular(a, 2)  # sigma_2 ties with sigma_3
-        assert svd_calls == [(9, 6)]
-        assert_verified(a, res, 2)
-        np.testing.assert_allclose(res.sigma, [5.0, 3.0], rtol=1e-12)
-
-    def test_zero_matrix_falls_back(self, svd_calls):
-        a = np.zeros((6, 4))
-        res = top_singular(a, 2)
-        assert svd_calls == [(6, 4)]
-        assert_verified(a, res, 2)
-        np.testing.assert_array_equal(res.sigma, [0.0, 0.0])
+        sigma, v = top_singular(a, 4)
+        assert_ritz_pairs(a, sigma, v, 4)
+        assert_matches_svd(a, sigma, v, 4)
 
     def test_k_out_of_range(self):
         a = np.ones((5, 3))
@@ -363,8 +352,8 @@ class TestTopSingular:
             a[0, 0], a[1, 1] = math.sqrt(sq0), math.sqrt(sq1)
             return a if wide else a.T.copy()
 
-        res = top_singular(pair(0.8e308, 0.5e308), 1)  # ||A||_F^2 = 1.3e308
-        assert res.sigma[0] == pytest.approx(math.sqrt(0.8e308), rel=1e-12)
+        sigma, _ = top_singular(pair(0.8e308, 0.5e308), 1)  # ||A||_F^2 = 1.3e308
+        assert sigma[0] == pytest.approx(math.sqrt(0.8e308), rel=1e-12)
         with pytest.raises(ValueError, match="Frobenius norm overflows"):
             top_singular(pair(1e308, 1e308), 1)  # ||A||_F^2 = 2e308
 
@@ -377,30 +366,39 @@ class TestTopSingular:
         sa = apply_countsketch_left(a, build_countsketch(20000, 100, RandomStream(7)))
         sa = sa if wide else np.ascontiguousarray(sa.T)
         sizes = []
-        isfinite = np.isfinite
 
-        def spy(x, *args, **kwargs):
-            sizes.append(np.size(x))
-            return isfinite(x, *args, **kwargs)
+        def spy(scan):
+            def counted(x, *args, **kwargs):
+                sizes.append(np.size(x))
+                return scan(x, *args, **kwargs)
 
-        monkeypatch.setattr(np, "isfinite", spy)
-        res = top_singular(sa, 10)
+            return counted
+
+        # np.asarray_chkfinite is the scan scipy's check_finite runs
+        for name in ("isfinite", "asarray_chkfinite"):
+            monkeypatch.setattr(np, name, spy(getattr(np, name)))
+        sigma, v = top_singular(sa, 10)
         assert svd_calls == []
-        assert sizes and max(sizes) < sa.size
+        assert sizes == []
+        # a NaN spoils G's trace, and only then is A scanned, to name the fault
+        bad = sa.copy()
+        bad[3, 5] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            top_singular(bad, 10)
+        assert sizes == [sa.size]
         monkeypatch.undo()
-        assert_verified(sa, res, 10)
+        assert_ritz_pairs(sa, sigma, v, 10)
 
     @pytest.mark.parametrize("shape", [(400, 600), (600, 400)])
     def test_gram_is_factored_in_place(self, shape, svd_calls):
-        # eigh overwrites G and G S is read from what it leaves, so the working
-        # set stays below one and a half d x d arrays, and the triplets are
-        # those of an eigh of a copy of G
+        # eigh overwrites G, so the working set stays below one and a half
+        # d x d arrays, and the pair is that of a partial eigh of a copy of G
         a = make_gen(29).standard_normal(shape)
         d, k = 400, 20
         top_singular(a, k)  # the first call's one-time allocations are not the kernel's
         tracemalloc.start()
         try:
-            res = top_singular(a, k)
+            sigma, v = top_singular(a, k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -408,63 +406,11 @@ class TestTopSingular:
         assert svd_calls == []
         wide = shape[0] < shape[1]
         gram = a @ a.T if wide else a.T @ a
-        lam, vecs = scipy.linalg.eigh(gram.copy(), subset_by_index=[d - k - 1, d - 1])
-        side = np.ascontiguousarray(vecs[:, : -k - 1 : -1])
-        sigma = np.sqrt(lam[: -k - 1 : -1])
-        other = ((side.T @ a).T if wide else a @ side) / sigma
-        u, v = (side, other) if wide else (other, side)
-        assert np.array_equal(res.u, u)
-        assert np.array_equal(res.sigma, sigma)
-        assert np.array_equal(res.v, v)
-
-    @pytest.mark.parametrize("shape", [(30, 80), (80, 30)])
-    def test_gram_residual_refuses_a_rotated_eigenvector(self, shape, monkeypatch, svd_calls):
-        # Rotating the top eigenvector by 1e-6 toward the one past k keeps
-        # both blocks orthonormal to O(1e-12), so only the residual, read from
-        # the Gram matrix, can refuse the triplet.
-        gen = make_gen(28)
-        a = _spectrum_input(gen, *shape, np.array([10.0, 6.0, 4.0] + [1.0] * 27))
-        k, theta = 3, 1e-6
-        eigh = matrixcore.scipy.linalg.eigh
-        seen = {}
-
-        def rotated(gram, **kwargs):
-            lam, vecs = eigh(gram, **kwargs)
-            vecs = vecs.copy()  # ascending: column 0 is past k, the last is the top
-            vecs[:, -1] = np.cos(theta) * vecs[:, -1] + np.sin(theta) * vecs[:, 0]
-            seen.update(lam=lam[::-1], side=vecs[:, ::-1][:, :k])
-            return lam, vecs
-
-        monkeypatch.setattr(matrixcore.scipy.linalg, "eigh", rotated)
-        res = top_singular(a, k)
-        assert svd_calls == [shape]
-        sigma, side = np.sqrt(seen["lam"][:k]), seen["side"]
-        other = (a.T @ side if shape[0] < shape[1] else a @ side) / sigma
-        for block in (side, other):
-            assert np.max(np.abs(block.T @ block - np.eye(k))) <= SVD_TOL
-        monkeypatch.undo()
-        assert_verified(a, res, k)
-        assert_matches_svd(a, res, k)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        m=st.integers(1, 40),
-        n=st.integers(1, 40),
-        k_frac=st.floats(0.0, 1.0),
-        decay=st.floats(0.0, 8.0),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_property_verified_and_matches_svd(self, m, n, k_frac, decay, seed):
-        # spectra from flat to eight decades of decay, so that some draws
-        # take the Gram path and the ill-conditioned ones fall back
-        gen = make_gen(seed)
-        d = min(m, n)
-        k = 1 + int(k_frac * (d - 1))
-        sigma = 10.0 ** (-decay * gen.random(d))
-        a = (random_orthonormal(gen, m, d) * np.sort(sigma)[::-1]) @ random_orthonormal(gen, n, d).T
-        res = top_singular(a, k)
-        assert_verified(a, res, k)
-        assert_matches_svd(a, res, k)
+        lam, vecs = scipy.linalg.eigh(gram.copy(), subset_by_index=[d - k, d - 1])
+        side = vecs[:, ::-1]
+        want = np.sqrt(lam[::-1])
+        assert np.array_equal(sigma, want)
+        assert np.array_equal(v, (side.T @ a).T / want if wide else side)
 
 
 def _spectrum_input(gen, m, n, sigma):

@@ -553,7 +553,7 @@ _PASS_THROUGH_SOLVES = {
 def _pass_through_input(gen, m, n, k, kind):
     """A small input of one kind: sparse, with fewer than k nonzero rows, or of
     rank below k up to noise 1e-13 of its scale (the sketch inherits it, far
-    below the ``RANK_TOL`` cut, so both bases drop the same directions)."""
+    below the kernels' rounding floor, so both bases drop the same directions)."""
     r = int(gen.integers(1, max(k, 2)))  # 1 <= r < k when k > 1
     if kind == "deficient":
         dense = gen.standard_normal((m, r)) @ gen.standard_normal((r, n))
@@ -587,9 +587,8 @@ class TestPassThroughRowspace:
         real_complete = solver.complete_basis
 
         def top_spy(x, kk):
-            res = real_top(x, kk)
-            seen.append((x, res.sigma, res.v))
-            return res
+            seen.append((x, *real_top(x, kk)))
+            return seen[-1][1:]
 
         def krylov_spy(x, *args):
             seen.append((x, *real_krylov(x, *args)))
@@ -608,19 +607,21 @@ class TestPassThroughRowspace:
         assert len(seen) == len(made) == 1
         (sa, sigma, v), z = seen[0], made[0]
         sa = sa.to_dense() if isinstance(sa, SparseMatrix) else sa
-        # the kernel's block, cut at RANK_TOL like Z
-        rank = int(np.sum(sigma > matrixcore.RANK_TOL * sigma[0]))
+        # the kernel's block without the values it floored to 0, like Z
+        rank = np.count_nonzero(sigma)
         z_ref = real_complete(np.linalg.qr(v[:, :rank])[0], k)
         assert z.shape == z_ref.shape == (sa.shape[1], k)
         assert np.linalg.norm(z @ z.T - z_ref @ z_ref.T) <= 1e-9
         assert np.max(np.abs(z.T @ z - np.eye(k))) <= 1e-9
         counts = rep.multiply_add_counts
         stored = np.count_nonzero(sa) if solve != "simplified" else sa.size
+        assert rep.ritz_values == tuple(sigma)
         if rep.krylov_depth is None:
-            assert "krylov" not in counts and rep.ritz_values == ()
-            assert counts["wsa"] == min(k, *sa.shape) * stored
+            # k per entry of SA for the right block (U^T SA)^T of a wide SA
+            wide = sa.shape[0] < sa.shape[1]
+            assert "krylov" not in counts and counts.get("wsa") == (k * stored if wide else None)
         else:
-            assert "wsa" not in counts and rep.ritz_values == tuple(sigma)
+            assert "wsa" not in counts
             # 2 per stored entry and basis column, capped at d; r for SA^T U of a wide SA
             d, wide = min(sa.shape), sa.shape[0] < sa.shape[1]
             r = min(k, d)
@@ -661,6 +662,19 @@ class TestPassThroughRowspace:
         z = rep.factors.z
         assert np.max(np.abs(z.T @ z - np.eye(k))) <= 1e-13
 
+    def test_gram_noise_past_the_floor_is_cut(self):
+        # a 5x4 input of rank 2 at k = 3: its wide 3x4 SA's third Ritz value
+        # is 0, but the partial eigh of H returned theta_3 = 7 eps theta_1,
+        # past the floor, and SA^T u_3 / sigma_3 was a column of norm 6e-9
+        # that the Cholesky-QR refused
+        a = _pass_through_input(make_gen(4), 5, 4, 3, "sparse")
+        rep = solve_schatten(a, 3, 1.0, 0.5, RandomStream(4))
+        z = rep.factors.z
+        assert rep.ritz_values[2] == 0.0
+        assert np.max(np.abs(z.T @ z - np.eye(3))) <= 1e-13
+        dense = a.to_dense()
+        assert np.linalg.norm(dense - dense @ z @ z.T) <= 1e-14 * np.linalg.norm(dense)
+
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -682,6 +696,40 @@ class TestPassThroughRowspace:
 def _full_pipeline_report(k):
     plan = SketchPlan(eta1=1.0, r_kyfan=k, s_rows=1, mode="full_pipeline")
     return solver.SolveReport(factors=None, plan=plan)
+
+
+# spectra of SA for k = 3 that the Gram kernel cannot split by its gap at k
+_RANK_K_SPECTRA = {
+    "tied": lambda d: np.r_[4.0, 2.0, 1.0, 1.0, np.geomspace(0.5, 0.1, d - 4)],
+    "rank_below_k": lambda d: np.r_[4.0, 2.0, np.zeros(d - 2)],
+    # sigma_k^2 / sigma_1^2 = 1e-18 lies under the d eps floor, so its value reads 0
+    "sigma_k_at_1e-9": lambda d: np.r_[1.0, 0.5, np.geomspace(1e-9, 1e-10, d - 2)],
+}
+
+
+class TestSimplifiedRowspace:
+    """Z from ``top_singular`` on a dense simplified-mode ``SA``, wide or tall."""
+
+    @pytest.mark.parametrize("shape", [(9, 40), (9, 6)], ids=["wide", "tall"])
+    @pytest.mark.parametrize("kind", sorted(_RANK_K_SPECTRA))
+    def test_z_is_a_best_rank_k_row_space(self, kind, shape):
+        # a Ritz value at or below the d eps sigma_1^2 rounding floor reads 0
+        # and its column is replaced by padding, which may lose up to that
+        # floor of energy for each of the k columns; above it, Z leaves SA
+        # its tail spectrum to 1e-9, whatever ties sigma has at k
+        k, gen = 3, make_gen(sum(shape))
+        d = min(shape)
+        sigma = _RANK_K_SPECTRA[kind](d)
+        sa = (random_orthonormal(gen, shape[0], d) * sigma) @ random_orthonormal(gen, shape[1], d).T
+        plan = SketchPlan(eta1=1.0, r_kyfan=k, s_rows=shape[0], mode="simplified_experiment")
+        report = solver.SolveReport(factors=None, plan=plan)
+        z = solver._rowspace(sa, k, 0.5, report)
+        assert report.krylov_depth is None and len(report.ritz_values) == k
+        assert np.max(np.abs(z.T @ z - np.eye(k))) <= 1e-13
+        exact = singular_values(sa)
+        floor = k * d * np.finfo(float).eps * exact[0] ** 2
+        resid = np.linalg.norm(sa - (sa @ z) @ z.T) ** 2
+        assert resid <= (1.0 + 1e-9) * np.sum(exact[k:] ** 2) + floor
 
 
 def _spy_kernels(mp, seen):
@@ -784,7 +832,7 @@ class TestKrylovRowspace:
             assert rep.krylov_depth == depth and len(rep.ritz_values) == min(k, d)
         else:
             assert kernel == "top_singular"
-            assert rep.krylov_depth is None and rep.ritz_values == ()
+            assert rep.krylov_depth is None and len(rep.ritz_values) == k
         if mode == "simplified_experiment" or (depth + 1) * k >= d:
             # the exact top-k, or a Krylov space capped at all of SA's side:
             # Z leaves SA exactly its tail spectrum, whatever ties sigma has
@@ -849,7 +897,12 @@ def _large_square(n, nnz):
 
 
 def _traced_solve(solve, a, k, monkeypatch):
-    """``solve(a, k)``, its tracemalloc peak and the shapes given to ``scipy.linalg.eigh``."""
+    """``solve(a, k)`` and its tracemalloc peak.
+
+    Every matrix given to ``scipy.linalg.eigh`` is a Krylov space's ``H``, as
+    wide as that space's basis: the scores' space when they ran, then
+    ``SA``'s. No factorization is n-sized.
+    """
     shapes = []
     eigh = scipy.linalg.eigh
 
@@ -870,7 +923,11 @@ def _traced_solve(solve, a, k, monkeypatch):
         tracemalloc.stop()
     assert rep.factors.y.shape == a.shape[:1] + (k,) and rep.factors.z.shape == (a.ncols, k)
     np.testing.assert_allclose(rep.factors.z.T @ rep.factors.z, np.eye(k), atol=1e-10)
-    return rep, peak, shapes
+    widths = [min((rep.krylov_depth + 1) * k, rep.rows_drawn, a.ncols)]
+    if rep.score_kernel == "krylov":
+        widths.insert(0, min((sketches.SCORE_DEPTH + 1) * k, min(a.shape)))
+    assert shapes == [(w, w) for w in widths]
+    return rep, peak
 
 
 class TestSketchedScores:
@@ -908,9 +965,8 @@ class TestSketchedScores:
     def test_large_square_solves_run_in_sketch_memory(self, n, nnz, k, solve, monkeypatch):
         m = n
         a = plant_head(_large_square(n, nnz))
-        rep, peak, shapes = _traced_solve(solve, a, k, monkeypatch)
+        rep, peak = _traced_solve(solve, a, k, monkeypatch)
         assert not rep.clipped and rep.score_kernel == "krylov"
-        assert shapes == []  # the scores factor k x k matrices only, and not by scipy
         assert rep.multiply_add_counts["s_scores"] == _krylov_s_scores(k, a)
         # 11.7 MB measured at 20000^2 (7.3 nnz doubles) and 9.5 MB at
         # 120000^2 (4.9); the Gaussian score sketch these scores replace
@@ -920,9 +976,8 @@ class TestSketchedScores:
     @LARGE_SQUARE_SOLVES
     def test_large_square_solves_certify_the_row_norms(self, n, nnz, k, solve, monkeypatch):
         a = _large_square(n, nnz)
-        rep, peak, shapes = _traced_solve(solve, a, k, monkeypatch)
+        rep, peak = _traced_solve(solve, a, k, monkeypatch)
         assert not rep.clipped and rep.score_kernel == "norms"
-        assert shapes == []  # no score factorization at all
         assert rep.multiply_add_counts["s_scores"] == 3 * a.nnz
         # about 3.4 nnz doubles measured at either size: the row norms'
         # index and square temporaries (2 nnz), then SA's Krylov space and
