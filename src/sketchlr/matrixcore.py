@@ -262,16 +262,20 @@ def svd(a) -> SvdResult:
     return SvdResult(u=u, sigma=sigma, v=vt.T)
 
 
-def _singular_values(a: np.ndarray) -> np.ndarray:
-    """Singular values only (non-increasing) of a 2-D float64 array, with no scan for finiteness.
+def _singular_values(a: np.ndarray, rebuild) -> np.ndarray:
+    """Singular values only (non-increasing) of a 2-D float64 array, which it consumes.
 
-    For a caller whose array is finite by construction, such as one built
-    from inputs it checked: the scan reads every entry once more.
+    ``gesdd`` overwrites a column-major ``a`` in place, with no copy and no
+    scan for finiteness: for a caller whose array is finite by construction,
+    such as one built from inputs it checked. If ``gesdd`` fails to
+    converge, ``rebuild()`` returns a fresh copy of the input, as the first
+    attempt spoilt ``a``, and ``gesvd``, slower but sturdier, factors that.
     """
+    values_in_place = dict(compute_uv=False, overwrite_a=True, check_finite=False)
     try:
-        return np.linalg.svd(a, compute_uv=False)
+        return scipy.linalg.svd(a, **values_in_place)
     except np.linalg.LinAlgError:
-        return scipy.linalg.svd(a, compute_uv=False, lapack_driver="gesvd")
+        return scipy.linalg.svd(rebuild(), lapack_driver="gesvd", **values_in_place)
 
 
 def _orthonormal(w: np.ndarray, lwork: list[int] | None = None) -> np.ndarray:

@@ -211,17 +211,21 @@ class OracleScorer:
     built by a streamed TSQR (Demmel, Grigori, Hoemmen & Langou, 2012). Each
     block of ``R_BLOCK_ROWS`` rows of T's CSR is densified alone and folded
     into R in place by ``dtpqrt``, and Q is never formed. A block with no
-    stored entries is skipped: its reflectors would be the identity. So the
-    build peaks at R and one block (and, for a wide A, the CSR of A^T), and
-    the scorer holds R, the spectrum and its reference to the input: about
-    ``8 n^2`` bytes for any m. The dense guard bounds n, R's side.
+    stored entries is skipped: its reflectors would be the identity. R's
+    upper triangle is then kept packed (``dtrttp``), and the full R is
+    factored in place for the input's spectrum and freed. So the build peaks
+    at R and one block (and, for a wide A, the CSR of A^T), or at R and its
+    packed triangle, and the scorer holds the packed R, the spectrum and its
+    reference to the input: about ``4 n^2`` bytes for any m. The dense
+    guard bounds n, R's side.
 
     A trial scores a projection of T on its short side, the form of every
     solve's factors (:meth:`residual_spectrum`): ``T(I - W W^T)`` has the
     singular values of ``R(I - W W^T)`` (Chan's R-SVD), one ``n x n``
     singular-value computation a trial, and no singular vectors of the input.
-    Besides the pair, a trial holds the ``n x n`` M it factors, one ``m x k``
-    array and one block of ``R_BLOCK_ROWS`` rows.
+    Besides the pair and the packed R, a trial holds the ``n x n`` M it
+    unpacks from R and factors in place, one ``m x k`` array and one block
+    of ``R_BLOCK_ROWS`` rows.
     """
 
     def __init__(self, a):
@@ -239,8 +243,13 @@ class OracleScorer:
                 lapack.dtpqrt(
                     0, min(n, 16), r, csr[lo:hi].toarray(order="F"), overwrite_a=1, overwrite_b=1
                 )
-        self._r = r
-        self.spectrum = _singular_values(r)  # R of a SparseMatrix, whose entries are finite
+        self._packed = lapack.dtrttp(r)[0]  # R's upper triangle, n (n + 1) / 2 doubles
+        # gesdd consumes r, R of a SparseMatrix, whose entries are finite
+        self.spectrum = _singular_values(r, self._unpacked_r)
+
+    def _unpacked_r(self) -> np.ndarray:
+        """A fresh column-major ``n x n`` R, zero below its diagonal."""
+        return lapack.dtpttr(min(self._a.shape), self._packed)[0]
 
     def residual_spectrum(self, y: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Singular values of ``A - y @ z.T`` for a projection pair, non-increasing.
@@ -281,9 +290,13 @@ class OracleScorer:
                 f"exceeds SVD_TOL * ||A||_F = {bound:.3e}"
             )
         w = w[:, kept <= dropped]
-        m = self._r.copy(order="F")
-        blas.dgemm(-1.0, self._r @ w, w, beta=1.0, c=m, trans_b=1, overwrite_c=1)
-        return _singular_values(m)
+        return _singular_values(self._residual(w), lambda: self._residual(w))
+
+    def _residual(self, w: np.ndarray) -> np.ndarray:
+        """``M = R - (R W) W^T``, column-major, on a fresh unpacking of R."""
+        m = self._unpacked_r()
+        blas.dgemm(-1.0, m @ w, w, beta=1.0, c=m, trans_b=1, overwrite_c=1)
+        return m
 
     def relative_error(self, factors: LowRankFactors, objective) -> float:
         """:func:`relative_error_from` for ``objective`` of a spectrum."""

@@ -7,8 +7,9 @@ seed 900), where the build's cost in m shows. Each factor pair is a
 projection, ``(A Z, Z)`` for a seeded orthonormal Z, the form every solve
 returns; only its shape matters to the time. The tracemalloc peak of one
 more call, apart from the timed ones, goes to
-``benchmark.extra_info["peak_mib"]``. The file name keeps it out of the test
-suite; run it with
+``benchmark.extra_info["peak_mib"]``, and the traced bytes the build leaves
+held, the scorer's own, to ``["held_mib"]``. The file name keeps it out of
+the test suite; run it with
 
     PYTHONPATH=src python -m pytest tests/bench_scorer.py --benchmark-only
 """
@@ -32,11 +33,13 @@ def _seeded(m, n, nnz, seed):
     return SparseMatrix(m, n, flat // n, flat % n, 1.0 - gen.random(nnz))
 
 
-def _peak_mib(call):
+def _traced_mib(call):
+    """``call()``, the traced peak during it and the traced bytes left after it, in MiB."""
     tracemalloc.start()
     try:
         out = call()
-        return out, tracemalloc.get_traced_memory()[1] / 2**20
+        held, peak = tracemalloc.get_traced_memory()
+        return out, peak / 2**20, held / 2**20
     finally:
         tracemalloc.stop()
 
@@ -54,13 +57,16 @@ def scored(request):
 
 def test_build(benchmark, scored):
     a = scored[0]
-    scorer, benchmark.extra_info["peak_mib"] = _peak_mib(lambda: OracleScorer(a))
+    info = benchmark.extra_info
+    scorer, info["peak_mib"], info["held_mib"] = _traced_mib(lambda: OracleScorer(a))
     assert benchmark(OracleScorer, a).spectrum.tobytes() == scorer.spectrum.tobytes()
 
 
 def test_residual_spectrum(benchmark, scored):
     a, y, z = scored
     scorer = OracleScorer(a)
-    sigma, benchmark.extra_info["peak_mib"] = _peak_mib(lambda: scorer.residual_spectrum(y, z))
+    sigma, benchmark.extra_info["peak_mib"], _ = _traced_mib(
+        lambda: scorer.residual_spectrum(y, z)
+    )
     assert sigma.shape == (min(a.shape),)
     assert benchmark(scorer.residual_spectrum, y, z).tobytes() == sigma.tobytes()

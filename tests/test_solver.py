@@ -143,7 +143,7 @@ class TestOracleScorer:
         # R is built from one densified block of rows at a time, so the build
         # peaks at R and a block (with the sliced rows and dtpqrt's T and
         # workspace), plus the transposed storage of a wide input; a trial
-        # copies R once, beside O((m + n) k) of factor products
+        # unpacks R once, beside O((m + n) k) of factor products
         gen = make_gen(23)
         a = random_sparse(gen, *shape, density=0.05)
         m, n = max(shape), min(shape)
@@ -177,6 +177,57 @@ class TestOracleScorer:
             tracemalloc.stop()
         assert scorer.spectrum.size == 600
         assert held <= 8 * 600 * 600 + 64 * 1024
+
+    @pytest.mark.parametrize("shape", [(800, 600), (400, 600)], ids=["tall", "wide"])
+    def test_keeps_only_packed_r_and_spectrum(self, shape):
+        # R's upper triangle in packed storage and the spectrum: no full R
+        a = random_sparse(make_gen(33), *shape, density=0.05)
+        n = min(shape)
+        bound = 8 * (n * (n + 1) // 2 + n)
+        tracemalloc.start()
+        try:
+            scorer = OracleScorer(a)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        arrays = [v for v in vars(scorer).values() if isinstance(v, np.ndarray)]
+        assert sum(v.nbytes for v in arrays) <= bound
+        assert held <= bound + 64 * 1024
+
+    @pytest.mark.parametrize(
+        "shape, rank",
+        [((300, 40), 40), ((40, 300), 40), ((300, 40), 5), ((3 * solver.R_BLOCK_ROWS, 30), 0)],
+        ids=["tall", "wide", "exact-rank", "all-empty-blocks"],
+    )
+    def test_gesvd_fallback_rebuilds_the_consumed_input(self, shape, rank, monkeypatch):
+        # gesdd fails once at the build and once in a trial, after spoiling
+        # the array it was handed, as a failed in-place attempt may: gesvd
+        # must get a fresh R, and a fresh M, and the packed R must survive
+        gen = make_gen(34 + sum(shape))
+        dense = random_rank_k(gen, *shape, rank)
+        pairs = [_projection_pair(gen, dense, 4) for _ in range(2)]
+        want = [singular_values(dense)] + [singular_values(dense - y @ z.T) for y, z in pairs]
+        real, drivers, armed = scipy.linalg.svd, [], []
+
+        def svd(a, *args, lapack_driver="gesdd", **kwargs):
+            drivers.append(lapack_driver)
+            if armed and lapack_driver == "gesdd":
+                armed.clear()
+                a[...] = np.nan
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real(a, *args, lapack_driver=lapack_driver, **kwargs)
+
+        monkeypatch.setattr(matrixcore.scipy.linalg, "svd", svd)
+        armed.append(True)
+        scorer = OracleScorer(dense)
+        armed.append(True)
+        got = [scorer.spectrum, scorer.residual_spectrum(*pairs[0])]
+        assert drivers == ["gesdd", "gesvd", "gesdd", "gesvd"]
+        got.append(scorer.residual_spectrum(*pairs[1]))
+        assert drivers[4:] == ["gesdd"]
+        tol = 1e-12 * np.linalg.norm(dense)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=0.0, atol=tol)
 
     def test_tall_build_peak_does_not_grow_with_m(self):
         # a dense copy of this 20000x50 input would be 8 MB, and R with one
