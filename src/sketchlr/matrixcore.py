@@ -262,20 +262,33 @@ def svd(a) -> SvdResult:
     return SvdResult(u=u, sigma=sigma, v=vt.T)
 
 
-def _singular_values(a: np.ndarray, rebuild) -> np.ndarray:
-    """Singular values only (non-increasing) of a 2-D float64 array, which it consumes.
+def _singular_values(make) -> np.ndarray:
+    """Singular values only (non-increasing) of the 2-D float64 array ``make()`` returns.
 
-    ``gesdd`` overwrites a column-major ``a`` in place, with no copy and no
-    scan for finiteness: for a caller whose array is finite by construction,
-    such as one built from inputs it checked. If ``gesdd`` fails to
-    converge, ``rebuild()`` returns a fresh copy of the input, as the first
-    attempt spoilt ``a``, and ``gesvd``, slower but sturdier, factors that.
+    LAPACK's ``dgesdd`` is called directly, at the wrapper's default
+    workspace (about ``15n`` doubles and ``8n`` ints for an ``n x n``
+    array), and overwrites a column-major array in place, with no copy and
+    no scan for finiteness: for a caller whose array is finite by
+    construction, such as one built from inputs it checked. If ``dgesdd``
+    fails to converge (``info > 0``), the array it spoilt is dropped before
+    ``make()`` builds a fresh one, so one array is held at a time, and
+    ``dgesvd``, slower but sturdier, factors that in the same way. Raises
+    :class:`ConvergenceError` naming the shape when both fail, and
+    ``ValueError`` on an illegal argument (``info < 0``), a bug no other
+    driver would mend.
     """
-    values_in_place = dict(compute_uv=False, overwrite_a=True, check_finite=False)
-    try:
-        return scipy.linalg.svd(a, **values_in_place)
-    except np.linalg.LinAlgError:
-        return scipy.linalg.svd(rebuild(), lapack_driver="gesvd", **values_in_place)
+    for name in ("dgesdd", "dgesvd"):
+        a = make()
+        shape = a.shape
+        _, sigma, _, info = getattr(lapack, name)(a, compute_uv=0, overwrite_a=1)
+        del a  # spoilt unless info == 0, and freed before make() runs again
+        if info < 0:
+            raise ValueError(f"{name} was passed an illegal argument {-info}")
+        if info == 0:
+            return sigma
+    raise ConvergenceError(
+        f"neither dgesdd nor dgesvd converged on a {shape[0]}x{shape[1]} array", np.inf
+    )
 
 
 def _orthonormal(w: np.ndarray, lwork: list[int] | None = None) -> np.ndarray:

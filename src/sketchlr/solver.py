@@ -212,12 +212,12 @@ class OracleScorer:
     block of ``R_BLOCK_ROWS`` rows of T's CSR is densified alone and folded
     into R in place by ``dtpqrt``, and Q is never formed. A block with no
     stored entries is skipped: its reflectors would be the identity. R's
-    upper triangle is then kept packed (``dtrttp``), and the full R is
-    factored in place for the input's spectrum and freed. So the build peaks
-    at R and one block (and, for a wide A, the CSR of A^T), or at R and its
-    packed triangle, and the scorer holds the packed R, the spectrum and its
-    reference to the input: about ``4 n^2`` bytes for any m. The dense
-    guard bounds n, R's side.
+    upper triangle is then kept packed (``dtrttp``) and the full R is freed;
+    the input's spectrum comes from a fresh unpacking of it, factored in
+    place. So the build peaks at R and one block (and, for a wide A, the CSR
+    of A^T), or at R and its packed triangle, and the scorer holds the
+    packed R, the spectrum and its reference to the input: about ``4 n^2``
+    bytes for any m. The dense guard bounds n, R's side.
 
     A trial scores a projection of T on its short side, the form of every
     solve's factors (:meth:`residual_spectrum`): ``T(I - W W^T)`` has the
@@ -225,7 +225,11 @@ class OracleScorer:
     singular-value computation a trial, and no singular vectors of the input.
     Besides the pair and the packed R, a trial holds the ``n x n`` M it
     unpacks from R and factors in place, one ``m x k`` array and one block
-    of ``R_BLOCK_ROWS`` rows.
+    of ``R_BLOCK_ROWS`` rows. The build and every trial factor their array
+    by LAPACK's ``dgesdd`` called directly, at the wrapper's default
+    workspace of about ``15n`` doubles and ``8n`` ints. If ``dgesdd`` fails
+    to converge, the spoilt array is dropped before a fresh one is unpacked
+    for ``dgesvd``, so a fall-back holds one ``n x n`` array, not two.
     """
 
     def __init__(self, a):
@@ -244,8 +248,9 @@ class OracleScorer:
                     0, min(n, 16), r, csr[lo:hi].toarray(order="F"), overwrite_a=1, overwrite_b=1
                 )
         self._packed = lapack.dtrttp(r)[0]  # R's upper triangle, n (n + 1) / 2 doubles
-        # gesdd consumes r, R of a SparseMatrix, whose entries are finite
-        self.spectrum = _singular_values(r, self._unpacked_r)
+        del r
+        # R of a SparseMatrix, whose entries are finite
+        self.spectrum = _singular_values(self._unpacked_r)
 
     def _unpacked_r(self) -> np.ndarray:
         """A fresh column-major ``n x n`` R, zero below its diagonal."""
@@ -290,7 +295,7 @@ class OracleScorer:
                 f"exceeds SVD_TOL * ||A||_F = {bound:.3e}"
             )
         w = w[:, kept <= dropped]
-        return _singular_values(self._residual(w), lambda: self._residual(w))
+        return _singular_values(lambda: self._residual(w))
 
     def _residual(self, w: np.ndarray) -> np.ndarray:
         """``M = R - (R W) W^T``, column-major, on a fresh unpacking of R."""

@@ -1,9 +1,10 @@
 """Stage microbenchmark: building the exact-error scorer and scoring one factor pair.
 
 ``OracleScorer(a)`` and one ``residual_spectrum`` are timed at bench_oracle's
-800x600 shape (24000 nonzeros, k=20), at a tall-skinny 20000x400 with
-200000 nonzeros, and at perfbench's 100000x400 with 1M nonzeros (generator
-seed 900), where the build's cost in m shows. Each factor pair is a
+800x600 shape (24000 nonzeros), at a tall-skinny 20000x400 with 200000
+nonzeros, and at perfbench's 100000x400 with 1M nonzeros (generator seed
+900), where the build's cost in m shows. A trial is timed at each of
+bench_oracle's ranks, k = 5, 10 and 20. Each factor pair is a
 projection, ``(A Z, Z)`` for a seeded orthonormal Z, the form every solve
 returns; only its shape matters to the time. The tracemalloc peak of one
 more call, apart from the timed ones, goes to
@@ -24,7 +25,7 @@ from sketchlr import SparseMatrix
 from sketchlr.solver import OracleScorer
 
 SHAPES = [(800, 600, 24_000), (20_000, 400, 200_000), (100_000, 400, 1_000_000)]
-K = 20
+KS = [5, 10, 20]  # bench_oracle's k_list
 
 
 def _seeded(m, n, nnz, seed):
@@ -45,25 +46,26 @@ def _traced_mib(call):
 
 
 @pytest.fixture(scope="module", params=SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
-def scored(request):
+def matrix(request):
     m, n, nnz = request.param
     if m == 100_000:
-        a = SparseMatrix(m, n, *sparse_triplets(m, n, nnz, 900))
-    else:
-        a = _seeded(m, n, nnz, m)
-    z = np.linalg.qr(np.random.default_rng(m + n).standard_normal((n, K)))[0]
-    return a, a.csr @ z, z
+        return SparseMatrix(m, n, *sparse_triplets(m, n, nnz, 900))
+    return _seeded(m, n, nnz, m)
 
 
-def test_build(benchmark, scored):
-    a = scored[0]
+def test_build(benchmark, matrix):
+    a = matrix
     info = benchmark.extra_info
     scorer, info["peak_mib"], info["held_mib"] = _traced_mib(lambda: OracleScorer(a))
     assert benchmark(OracleScorer, a).spectrum.tobytes() == scorer.spectrum.tobytes()
 
 
-def test_residual_spectrum(benchmark, scored):
-    a, y, z = scored
+@pytest.mark.parametrize("k", KS)
+def test_residual_spectrum(benchmark, matrix, k):
+    a = matrix
+    m, n = a.shape
+    z = np.linalg.qr(np.random.default_rng(m + n).standard_normal((n, k)))[0]
+    y = a.csr @ z
     scorer = OracleScorer(a)
     sigma, benchmark.extra_info["peak_mib"], _ = _traced_mib(
         lambda: scorer.residual_spectrum(y, z)

@@ -126,6 +126,37 @@ def _projection_pair(gen, dense, k):
     return w, dense.T @ w
 
 
+class _Drivers:
+    """Records each values-only LAPACK SVD that ``matrixcore`` runs, by name.
+
+    ``fail[name]`` holds the ``info`` codes that the next calls of that
+    driver return in place of factoring, after spoiling the array they were
+    handed with NaN, as a failed in-place attempt may.
+    """
+
+    def __init__(self, monkeypatch):
+        self.calls, self.fail = [], {"gesdd": [], "gesvd": []}
+        for name in self.fail:
+            real = getattr(matrixcore.lapack, "d" + name)
+            monkeypatch.setattr(matrixcore.lapack, "d" + name, self._spy(name, real))
+
+    def _spy(self, name, real):
+        def driver(a, **kwargs):
+            self.calls.append(name)
+            if not self.fail[name]:
+                return real(a, **kwargs)
+            a[...] = np.nan
+            spoilt = np.full(min(a.shape), np.nan)
+            return np.zeros((1, 1)), spoilt, np.zeros((1, 1)), self.fail[name].pop(0)
+
+        return driver
+
+
+@pytest.fixture
+def drivers(monkeypatch):
+    return _Drivers(monkeypatch)
+
+
 class TestOracleScorer:
     @pytest.mark.parametrize("shape", [(30, 20), (20, 30), (25, 25)])
     def test_spectrum_matches_dense(self, shape):
@@ -199,7 +230,7 @@ class TestOracleScorer:
         [((300, 40), 40), ((40, 300), 40), ((300, 40), 5), ((3 * solver.R_BLOCK_ROWS, 30), 0)],
         ids=["tall", "wide", "exact-rank", "all-empty-blocks"],
     )
-    def test_gesvd_fallback_rebuilds_the_consumed_input(self, shape, rank, monkeypatch):
+    def test_gesvd_fallback_rebuilds_the_consumed_input(self, shape, rank, drivers):
         # gesdd fails once at the build and once in a trial, after spoiling
         # the array it was handed, as a failed in-place attempt may: gesvd
         # must get a fresh R, and a fresh M, and the packed R must survive
@@ -207,27 +238,72 @@ class TestOracleScorer:
         dense = random_rank_k(gen, *shape, rank)
         pairs = [_projection_pair(gen, dense, 4) for _ in range(2)]
         want = [singular_values(dense)] + [singular_values(dense - y @ z.T) for y, z in pairs]
-        real, drivers, armed = scipy.linalg.svd, [], []
-
-        def svd(a, *args, lapack_driver="gesdd", **kwargs):
-            drivers.append(lapack_driver)
-            if armed and lapack_driver == "gesdd":
-                armed.clear()
-                a[...] = np.nan
-                raise np.linalg.LinAlgError("SVD did not converge")
-            return real(a, *args, lapack_driver=lapack_driver, **kwargs)
-
-        monkeypatch.setattr(matrixcore.scipy.linalg, "svd", svd)
-        armed.append(True)
+        drivers.fail["gesdd"].append(1)
         scorer = OracleScorer(dense)
-        armed.append(True)
+        drivers.fail["gesdd"].append(1)
         got = [scorer.spectrum, scorer.residual_spectrum(*pairs[0])]
-        assert drivers == ["gesdd", "gesvd", "gesdd", "gesvd"]
+        assert drivers.calls == ["gesdd", "gesvd", "gesdd", "gesvd"]
         got.append(scorer.residual_spectrum(*pairs[1]))
-        assert drivers[4:] == ["gesdd"]
+        assert drivers.calls[4:] == ["gesdd"]
         tol = 1e-12 * np.linalg.norm(dense)
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=0.0, atol=tol)
+
+    def test_gesvd_fallback_holds_one_array(self, drivers):
+        # the M a failed gesdd spoilt is dropped before the trial unpacks
+        # and updates another for gesvd: the fall-back's peak is the main
+        # path's, give or take gesvd's default workspace, not one M more
+        m, n, k = 400, 300, 10
+        gen = make_gen(35)
+        a = random_sparse(gen, m, n, density=0.05)
+        y, z = _projection_pair(gen, a.to_dense(), k)
+        scorer = OracleScorer(a)
+        peaks, got = [], []
+        for fail in ([], [1]):
+            drivers.fail["gesdd"].extend(fail)
+            tracemalloc.start()
+            try:
+                got.append(scorer.residual_spectrum(y, z))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert drivers.calls == ["gesdd", "gesdd", "gesdd", "gesvd"]
+        assert peaks[1] <= peaks[0] + 8 * 5 * n
+        np.testing.assert_allclose(got[1], got[0], rtol=0.0, atol=1e-12 * np.linalg.norm(got[0]))
+
+    def test_trial_svd_runs_at_the_default_workspace(self):
+        # beyond M and the O((m + n) k) factor products, a trial holds
+        # dgesdd's default workspace, 15n + 4 doubles and 8n ints for an
+        # n x n M, with the n values and 16 KiB of small objects: not the
+        # 67n doubles the optimal workspace takes at n = 600
+        m, n, k = 700, 600, 2
+        gen = make_gen(36)
+        a = random_sparse(gen, m, n, density=0.02)
+        y, z = _projection_pair(gen, a.to_dense(), k)
+        scorer = OracleScorer(a)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            scorer.residual_spectrum(y, z)
+            beyond = tracemalloc.get_traced_memory()[1] - held - 8 * (n * n + 3 * (m + n) * k)
+        finally:
+            tracemalloc.stop()
+        assert beyond <= 8 * (15 * n + 4) + 4 * 8 * n + 8 * n + 16 * 1024
+
+    @pytest.mark.parametrize("shape", [(30, 20), (20, 30)])
+    def test_both_drivers_failing_is_a_typed_error(self, shape, drivers):
+        drivers.fail["gesdd"].append(1)
+        drivers.fail["gesvd"].append(1)
+        with pytest.raises(matrixcore.ConvergenceError, match="dgesdd.*dgesvd.*20x20"):
+            OracleScorer(make_gen(37).standard_normal(shape))
+        assert drivers.calls == ["gesdd", "gesvd"]
+
+    def test_illegal_argument_is_raised_not_retried(self, drivers):
+        # info < 0 names a bad call, which the other driver would not mend
+        drivers.fail["gesdd"].append(-4)
+        with pytest.raises(ValueError, match="dgesdd was passed an illegal argument 4"):
+            OracleScorer(make_gen(38).standard_normal((30, 20)))
+        assert drivers.calls == ["gesdd"]
 
     def test_tall_build_peak_does_not_grow_with_m(self):
         # a dense copy of this 20000x50 input would be 8 MB, and R with one
