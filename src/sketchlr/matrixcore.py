@@ -90,7 +90,9 @@ class SparseMatrix:
 
     Immutable after construction: no duplicate coordinates, no explicitly
     stored zeros, all values finite, and ``nnz`` is exactly the number of
-    stored entries.
+    stored entries. scipy's CSR sums repeated coordinates, and no value is
+    zero, so it stores fewer entries exactly when a coordinate repeats; the
+    smallest one is then named.
     """
 
     __slots__ = ("nrows", "ncols", "_csr")
@@ -114,21 +116,15 @@ class SparseMatrix:
                 raise ValueError("non-finite value in sparse matrix")
             if np.any(values == 0.0):
                 raise ValueError("explicitly stored zero in sparse matrix")
-            # row-major input (files, np.nonzero) is strictly increasing in
-            # (row, col) and so has no duplicates; compared by differences,
-            # which cannot overflow the way row * ncols + col can
-            dr = np.diff(rows)
-            if not np.all((dr > 0) | ((dr == 0) & (np.diff(cols) > 0))):
-                order = np.lexsort((cols, rows))
-                rs, cs = rows[order], cols[order]
-                dup = (rs[1:] == rs[:-1]) & (cs[1:] == cs[:-1])
-                if np.any(dup):
-                    i = int(np.argmax(dup))
-                    raise ValueError(f"duplicate coordinate ({rs[i + 1]}, {cs[i + 1]})")
-        self.nrows = nrows
-        self.ncols = ncols
         with _storable(nrows, ncols):
             csr = sp.csr_array((values, (rows, cols)), shape=(nrows, ncols))
+        if csr.nnz < values.size:
+            order = np.lexsort((cols, rows))
+            rs, cs = rows[order], cols[order]
+            i = int(np.argmax((rs[1:] == rs[:-1]) & (cs[1:] == cs[:-1])))
+            raise ValueError(f"duplicate coordinate ({rs[i + 1]}, {cs[i + 1]})")
+        self.nrows = nrows
+        self.ncols = ncols
         csr.sort_indices()
         self._csr = csr
 
@@ -176,10 +172,9 @@ class SparseMatrix:
             return SparseMatrix._wrap(self._csr.T.tocsr())
 
     def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, values) in row-major coordinate order."""
+        """(rows, cols, values) in row-major order, the storage's own: no sort needed."""
         coo = self._csr.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        return coo.row[order], coo.col[order], coo.data[order]
+        return coo.row, coo.col, coo.data
 
     def __repr__(self) -> str:
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
@@ -291,26 +286,19 @@ def _singular_values(make) -> np.ndarray:
     )
 
 
-def _orthonormal(w: np.ndarray, lwork: list[int] | None = None) -> np.ndarray:
+def _orthonormal(w: np.ndarray) -> np.ndarray:
     """The Q factor of a thin Householder QR of a tall ``w`` (orthonormal for any rank).
 
-    ``dgeqrf`` and ``dorgqr`` are called directly, at the workspace each
-    queries, and R is never formed: byte for byte the Q of
+    ``dgeqrf`` and ``dorgqr`` are called directly, at the wrappers' default
+    workspaces, and R is never formed: byte for byte the Q of
     ``scipy.linalg.qr(w, mode="economic")``, whose wrapper (a copy of ``w``
-    for the workspace query, routine lookups, a ``triu`` of the unused R)
+    for a workspace query, routine lookups, a ``triu`` of the unused R)
     costs several times the factorization of the ``d x k`` blocks
-    :func:`block_krylov` passes it. The workspaces depend only on the
-    shape, so a caller that factors many blocks of one shape passes one
-    ``lwork`` list to every call: the first fills it, the rest reuse it.
-    They grow with the width, so they serve a narrower block too.
+    :func:`block_krylov` passes it. No workspace is queried: LAPACK's
+    default one gives the same Q in the same time.
     """
-    lwork = [] if lwork is None else lwork
-    if not lwork:
-        lwork.append(int(lapack.dgeqrf_lwork(*w.shape)[0]))
-    qr, tau = lapack.dgeqrf(w, lwork=lwork[0])[:2]
-    if len(lwork) == 1:
-        lwork.append(int(lapack.dorgqr(qr, tau, lwork=-1, overwrite_a=1)[1][0]))
-    return lapack.dorgqr(qr, tau, lwork=lwork[1], overwrite_a=1)[0]
+    qr, tau = lapack.dgeqrf(w)[:2]
+    return lapack.dorgqr(qr, tau, overwrite_a=1)[0]
 
 
 def block_krylov(
@@ -356,12 +344,7 @@ def block_krylov(
         )
     basis = np.zeros((d, width), order="F")  # column-major: each block is contiguous
     h = np.zeros((width, width))
-    # every QR is of a d x k block, or a narrower last one that a d x k
-    # block's workspaces serve too: one pair of workspace queries
-    lwork = []
-    basis[:, :k] = _orthonormal(
-        np.random.default_rng(KRYLOV_SEED).standard_normal((d, k)), lwork
-    )
+    basis[:, :k] = _orthonormal(np.random.default_rng(KRYLOV_SEED).standard_normal((d, k)))
     for lo in range(0, width, k):
         hi = min(lo + k, width)
         w = outer @ (inner @ basis[:, lo:hi])
@@ -370,10 +353,10 @@ def block_krylov(
         if hi == width:
             break
         cols = min(k, width - hi)  # the block that reaches d is cut short
-        block = _orthonormal(w[:, :cols] - done @ h[:hi, lo : lo + cols], lwork)
+        block = _orthonormal(w[:, :cols] - done @ h[:hi, lo : lo + cols])
         for _ in range(2):  # block -= done @ (done.T @ block), in place on the column-major Q
             block = blas.dgemm(-1.0, done, done.T @ block, beta=1.0, c=block, overwrite_c=True)
-        basis[:, hi : hi + cols] = _orthonormal(block, lwork)
+        basis[:, hi : hi + cols] = _orthonormal(block)
     if counter is not None:  # 2 nnz(A) per basis column, k nnz(A) for A^T U
         counter.add(x.nnz * (2 * width + k * wide))
     return _rayleigh_ritz(h, basis, k, x if wide else None)

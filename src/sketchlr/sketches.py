@@ -203,6 +203,16 @@ def _positive_split(eps: float, eta: float) -> float:
     return eta
 
 
+def _error_split(k: int, eps: float, alpha: float) -> float:
+    """The error split ``eta1 = min((eps/ceil(k/eps))^{1/alpha}, eps)`` at growth ``alpha``.
+
+    Schatten p < 2 takes it at ``alpha = p/2``: ``(eps^2/k)^{2/p}`` bit for
+    bit at eps = 1/2, as ``ceil(2k) = 2k``. It is 0 at ``alpha = 0``, or
+    where it underflows, and :func:`sample_count` then refuses eps by name.
+    """
+    return min((eps / _ceil_count(k, eps)) ** (1.0 / alpha), eps) if alpha > 0.0 else 0.0
+
+
 def _mass_count(mass: float, eps: float) -> int:
     """``t(K) = ceil(C_S * K (1 + ln K) / eps^2)`` samples by overestimates of mass ``K >= 1``."""
     return _ceil_count(C_S * mass * (1.0 + math.log(mass)), eps * eps)
@@ -450,8 +460,9 @@ def make_sketch_plan(
 ) -> SketchPlan:
     """Dimension plan for the rank-k pipeline at Schatten order ``p``.
 
-    The additive error split of the row sampler, capped at 1, is
-    ``eta1 = (eps^2/k)^{2/p}`` for p < 2 and
+    The additive error split of the row sampler is ``eta1 =
+    (eps/ceil(k/eps))^{2/p}`` for p < 2, the generalized solver's rule at
+    ``alpha = p/2`` (:func:`_error_split`), and
     ``eta1 = eps^{1+2/p} / (k^{2/p} n^{1-2/p})`` for p >= 2;
     ``r_kyfan = ceil(k/eps)``. In full_pipeline mode
     ``s_rows = min(sample_count(k, eps, eta1), m)``, at the fixed
@@ -472,10 +483,10 @@ def make_sketch_plan(
         raise ValueError(f"need 1 <= k <= n <= m, got k={k}, n={n}, m={m}")
 
     if p < 2.0:
-        eta1 = (eps * eps / k) ** (2.0 / p)
+        eta1 = _error_split(k, eps, p / 2.0)
     else:
         eta1 = eps ** (1.0 + 2.0 / p) / (k ** (2.0 / p) * n ** (1.0 - 2.0 / p))
-    return _sized_plan(m, k, eps, min(eta1, 1.0), mode)
+    return _sized_plan(m, k, eps, eta1, mode)
 
 
 def _sized_plan(m: int, k: int, eps: float, eta1: float, mode: str) -> SketchPlan:

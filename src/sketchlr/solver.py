@@ -74,6 +74,7 @@ from .rng import RandomStream
 from .sketches import (
     SketchPlan,
     _ceil_count,
+    _error_split,
     _positive_split,
     _sized_plan,
     apply_countsketch_left,
@@ -487,7 +488,9 @@ def solve_generalized(
     :func:`~sketchlr.norms.check_phi_conditions`; otherwise the solve
     refuses and names the violated condition. With ``alpha`` the grid
     estimate of the growth constant and ``r = ceil(k/eps)``, the additive
-    split is ``eta1 = min((eps/r)^{1/alpha}, eps)``. The row sample ``S``
+    split is ``eta1 = min((eps/r)^{1/alpha}, eps)``, Schatten p < 2's at
+    ``alpha = p/2``. A loss that does not grow (``alpha = 0``) is refused by
+    name, unless ``1 + eps == 1`` reads every loss so. The row sample ``S``
     and ``Z`` are those of :func:`solve_schatten`, and the output is
     ``(A Z, Z)``.
 
@@ -499,10 +502,9 @@ def solve_generalized(
     if not isinstance(loss, ScalarLoss):
         raise ValueError(f"loss must be a ScalarLoss, got {type(loss).__name__}")
     work, transposed, eps, warnings = _prologue(a, k, eps)
-    # eta1 = min(base^(1/alpha), eps) is 0 for every alpha once base
-    # underflows, so eps is sized first: the grid estimate fails at such an
-    # eps too, and would be blamed on the loss
-    base = _positive_split(eps, eps / _ceil_count(k, eps))
+    # the split is 0 for every alpha once eps / ceil(k / eps) underflows, so eps
+    # is sized first: the grid estimate fails there too, and would blame the loss
+    _positive_split(eps, eps / _ceil_count(k, eps))
     if isinstance(loss, Hashable):
         cond = _default_grid_conditions(loss, float(eps))
     else:
@@ -512,8 +514,9 @@ def solve_generalized(
             f"{loss.describe()} fails loss condition(s): "
             + "; ".join(cond.violated_conditions())
         )
-    alpha = max(cond.alpha, 1e-6)
-    eta1 = min(base ** (1.0 / alpha), eps)
+    if cond.alpha == 0.0 and 1.0 + eps > 1.0:  # else its zero split refuses eps
+        raise ValueError(f"{loss.describe()} does not grow: growth constant alpha=0 on the grid")
+    eta1 = _error_split(k, eps, cond.alpha)
     report = SolveReport(
         factors=None,  # type: ignore[arg-type]
         plan=_sized_plan(work.nrows, k, eps, eta1, "full_pipeline"),

@@ -242,6 +242,15 @@ def test_an_eps_too_small_to_size_is_config_error(args, capsys):
     assert capsys.readouterr().err.startswith(f"error: eps={eps} is too small: ")
 
 
+def test_a_loss_that_does_not_grow_is_refused_by_name(capsys):
+    # tukey_p with tau below the condition grid is constant on it, so its
+    # growth constant alpha is 0 and no error split is positive
+    assert main(["solve", "--m", "60", "--n", "40", "--k", "3", "--loss", "tukey_p:2:1e-7"]) == 2
+    assert capsys.readouterr().err == (
+        "error: tukey_p(p=2, tau=1e-07) does not grow: growth constant alpha=0 on the grid\n"
+    )
+
+
 def test_an_eps_whose_count_overflows_solves_on_every_row(capsys):
     source = ["--m", "50", "--n", "40", "--density", "0.5"]
     assert main(["solve", *source, "--k", "2", "--eps", "1e-66"]) == 0

@@ -21,6 +21,7 @@ import ast
 from pathlib import Path
 
 import pytest
+from src_lines import code_lines
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src").rglob("*.py"))
@@ -66,6 +67,14 @@ def test_detects_an_unused_import():
     source = "import os\nimport os.path as osp\nfrom sys import argv, path\n"
     source += "from sys import exit  # noqa: F401\n__all__ = ['path']\nprint(argv)\n"
     assert unused_imports(source) == ["os", "osp"]
+
+
+def test_counts_code_lines_past_docstrings_comments_and_blanks():
+    source = '"""A module.\n\nIts docstring."""\n\nimport os  # a comment\n\n'
+    source += "def f(x):\n    'One line.'\n    # a comment\n    return (\n        x\n    )\n\n"
+    source += 'class C:\n    """Two\n    lines."""\n\n    y = """a\nb"""\n'
+    # import, def, the return's three lines, class, and y's two lines
+    assert code_lines(source) == 8
 
 
 def unread_fields(sources: list[str], classes) -> list[str]:

@@ -116,6 +116,30 @@ class TestSparseMatrix:
         with pytest.raises(ValueError, match=r"duplicate coordinate \(1, 0\)"):
             SparseMatrix(5, 5, [3, 1, 0, 3, 1], [2, 0, 4, 2, 0], [1.0, 2.0, 3.0, 4.0, 5.0])
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 30),
+        n=st.integers(1, 30),
+        fill=st.floats(0.0, 0.5),
+        planted=st.integers(1, 4),
+    )
+    def test_property_shuffled_repeats_name_the_smallest(self, seed, m, n, fill, planted):
+        # distinct coordinates, some of them repeated once or more, in any
+        # order; a value depends only on its coordinate, up to its sign, so a
+        # repeat may cancel the first
+        gen = make_gen(seed)
+        distinct = gen.choice(m * n, size=max(1, int(fill * m * n)), replace=False)
+        repeated = gen.choice(distinct, size=min(planted, distinct.size), replace=False)
+        lin = np.concatenate([distinct, repeated, gen.choice(repeated, size=planted)])
+        values = 1.0 + lin % 3
+        values[distinct.size :] *= gen.choice([-1.0, 1.0], size=lin.size - distinct.size)
+        perm = gen.permutation(lin.size)
+        smallest = int(repeated.min())
+        refusal = rf"^duplicate coordinate \({smallest // n}, {smallest % n}\)$"
+        with pytest.raises(ValueError, match=refusal):
+            SparseMatrix(m, n, lin[perm] // n, lin[perm] % n, values[perm])
+
     def test_ordered_and_shuffled_input_build_the_same_storage(self):
         a = random_sparse(make_gen(7), 30, 20)
         rows, cols, vals = a.triplets()
@@ -431,7 +455,8 @@ def _qr_input(name):
     gen = make_gen(43)
     if name == "all_zero":
         return np.zeros((900, 5))
-    w = gen.standard_normal({"617x5": (617, 5), "900x40": (900, 40)}.get(name, (900, 5)))
+    shapes = {"617x5": (617, 5), "900x40": (900, 40), "2000x64": (2000, 64)}
+    w = gen.standard_normal(shapes.get(name, (900, 5)))
     if name == "zero_column":
         w[:, 2] = 0.0
     elif name == "repeated_column":
@@ -440,10 +465,11 @@ def _qr_input(name):
 
 
 class TestOrthonormal:
-    # 900x40 is wider than LAPACK's block size of 32
+    # 900x40 and 2000x64 are wider than LAPACK's block size of 32
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize(
-        "name", ["900x5", "617x5", "900x40", "zero_column", "repeated_column", "all_zero"]
+        "name",
+        ["900x5", "617x5", "900x40", "2000x64", "zero_column", "repeated_column", "all_zero"],
     )
     def test_q_is_scipy_economic_qr_byte_for_byte(self, name, order):
         w = np.asarray(_qr_input(name), order=order)
@@ -522,27 +548,37 @@ class TestBlockKrylov:
         assert counter.count == 4 * a.nnz * (2 * 6 + wide)
 
     @pytest.mark.parametrize("shape", [(70, 45), (45, 70)])
-    def test_one_workspace_query_serves_every_qr(self, shape, monkeypatch):
-        # every QR is of a d x k block, so one dgeqrf query (and one dorgqr
-        # query) serves the call; each Q stays byte for byte scipy's
+    def test_no_qr_queries_a_workspace(self, shape, monkeypatch):
+        # every QR runs at LAPACK's default workspaces, and each Q stays byte
+        # for byte scipy's (whose own calls go to LAPACK past these spies)
         a = random_sparse(make_gen(43), *shape, density=0.2)
-        queries = []
-        query, orthonormal = matrixcore.lapack.dgeqrf_lwork, matrixcore._orthonormal
+        calls, queries = [], []
+        lapack, orthonormal = matrixcore.lapack, matrixcore._orthonormal
 
-        def counted(*args):
-            queries.append(args)
-            return query(*args)
+        def spy(name):
+            real = getattr(lapack, name)
 
-        def checked(w, lwork=None):
+            def call(*args, **kwargs):
+                calls.append(name)
+                if name.endswith("_lwork") or "lwork" in kwargs:
+                    queries.append((name, kwargs.get("lwork")))
+                return real(*args, **kwargs)
+
+            return call
+
+        def checked(w):
             want = scipy.linalg.qr(w, mode="economic")[0]
-            q = orthonormal(w, lwork)
+            q = orthonormal(w)
             assert q.tobytes() == want.tobytes()
             return q
 
-        monkeypatch.setattr(matrixcore.lapack, "dgeqrf_lwork", counted)
+        for name in ("dgeqrf", "dgeqrf_lwork", "dorgqr"):
+            monkeypatch.setattr(lapack, name, spy(name))
         monkeypatch.setattr(matrixcore, "_orthonormal", checked)
         block_krylov(a, 4, 5)
-        assert queries == [(min(shape), 4)]
+        assert queries == []
+        # the start block, then two QRs for each of the five blocks after it
+        assert calls == ["dgeqrf", "dorgqr"] * 11
 
     @pytest.mark.parametrize("wide", [True, False])
     def test_rank_below_k(self, wide):

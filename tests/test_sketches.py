@@ -924,6 +924,17 @@ class TestSketchPlan:
         assert plan.eta1 == pytest.approx((0.25 / 4) ** 2)
         assert plan.r_kyfan == 8
 
+    @pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 1.999])
+    @pytest.mark.parametrize("k", [1, 3, 10, 20])
+    def test_p_below_two_takes_the_generalized_split(self, p, k):
+        # solve_generalized's (eps / ceil(k/eps))^(1/alpha) at alpha = p/2:
+        # (eps^2/k)^(2/p) bit for bit at eps = 1/2, and no larger elsewhere
+        assert make_sketch_plan(5000, 400, k, 0.5, p).eta1 == (0.25 / k) ** (2.0 / p)
+        for eps in (0.1, 0.3, 0.45):
+            eta1 = make_sketch_plan(5000, 400, k, eps, p).eta1
+            assert eta1 == (eps / math.ceil(k / eps)) ** (1.0 / (p / 2.0))
+            assert eta1 <= (eps * eps / k) ** (2.0 / p)
+
     def test_p_above_two_formulas(self):
         m, n, k, eps, p = 200, 150, 5, 0.5, 4.0
         plan = make_sketch_plan(m, n, k, eps, p)

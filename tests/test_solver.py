@@ -1156,6 +1156,18 @@ class TestSolveSchatten:
         capture = np.abs(rep.factors.z[: 2 * k + 1, :]).max()
         assert capture >= 0.9
 
+    def test_flat_input_certifies_by_norms_below_krylov_cost(self):
+        # the flat input of the first measured win, at a size tier-1 affords:
+        # the norms certify, S samples, and the whole solve counts fewer
+        # multiply-adds per stored entry than Krylov on A at q = 1,
+        # 2k(q + 1) + k = 50. The sample does not grow with m, so its cost
+        # per entry falls as m grows; at 20000x400 it is above 50.
+        m, n, k = 40000, 400, 10
+        a = SparseMatrix(m, n, *sparse_triplets(m, n, 200000, 903))
+        rep = solve_schatten(a, k, 2.0, 0.5, RandomStream(0))
+        assert rep.score_kernel == "norms" and not rep.clipped
+        assert sum(rep.multiply_add_counts.values()) < (2 * k * 2 + k) * a.nnz
+
     def test_simplified_mode_reasonable_error(self):
         gen = make_gen(82)
         a = SparseMatrix.from_dense(lowrank_plus_noise(gen, 80, 60, 10, noise=0.02))
@@ -1322,6 +1334,21 @@ class TestSolveGeneralized:
         refusal = rf"^eps={eps:g} is too small: the error split eta=0 is not positive$"
         with pytest.raises(ValueError, match=refusal):
             solve_generalized(a, 2, loss, eps, RandomStream(30))
+
+    @pytest.mark.parametrize("p, tau", [(2.0, 1e-7), (1.0, 5e-7)])
+    def test_a_loss_that_does_not_grow_is_refused_by_name(self, p, tau):
+        # constant on the condition grid: alpha = 0 sizes no error split;
+        # only where 1 + eps == 1, which reads every loss so, is eps refused
+        from sketchlr import TukeyPLoss
+
+        a = random_sparse(make_gen(97), 60, 40, density=0.2)
+        loss = TukeyPLoss(p, tau)
+        assert solver.check_phi_conditions(loss, 0.5).alpha == 0.0
+        refusal = rf"^tukey_p\(p={p:g}, tau={tau:g}\) does not grow: growth constant alpha=0 on "
+        with pytest.raises(ValueError, match=refusal):
+            solve_generalized(a, 3, loss, 0.5, RandomStream(30))
+        with pytest.raises(ValueError, match=r"^eps=1e-17 is too small: "):
+            solve_generalized(a, 3, loss, 1e-17, RandomStream(30))
 
     def test_exact_rank_k_huber(self):
         gen = make_gen(92)
