@@ -359,10 +359,11 @@ def block_krylov(
         basis[:, hi : hi + cols] = _orthonormal(block)
     if counter is not None:  # 2 nnz(A) per basis column, k nnz(A) for A^T U
         counter.add(x.nnz * (2 * width + k * wide))
-    return _rayleigh_ritz(h, basis, k, x if wide else None)
+    # (U^T A)^T reads the row-major CSR along its rows, as A.T @ U does not
+    return _rayleigh_ritz(h, basis, k, (lambda u: (u.T @ x).T) if wide else None)
 
 
-def _rayleigh_ritz(h, basis, k: int, a=None) -> tuple[np.ndarray, np.ndarray]:
+def _rayleigh_ritz(h, basis, k: int, right=None) -> tuple[np.ndarray, np.ndarray]:
     """The top-k Ritz pairs of a space on the smaller side of A, from ``H = Q^T G Q``.
 
     ``G`` is the Gram matrix of that side, of dimension d, and Q an
@@ -370,9 +371,9 @@ def _rayleigh_ritz(h, basis, k: int, a=None) -> tuple[np.ndarray, np.ndarray]:
     H's upper triangle is read, and a partial ``eigh`` factors it in place.
     Returns ``(sigma, side)``: the k largest Ritz values as singular values,
     non-increasing, and the ``Q S`` block of the k Ritz vectors U; for a
-    wide A, passed as ``a``, the block ``A^T U diag(sigma)^-1`` instead,
-    zero where sigma is. sigma is 0 where ``theta <= d eps theta_1``, and
-    for a wide A from the first ``||A^T u||^2`` at or below that on.
+    wide A, given ``right(U) = A^T U``, the block ``A^T U diag(sigma)^-1``
+    instead, zero where sigma is. sigma is 0 where ``theta <= d eps theta_1``,
+    and for a wide A from the first ``||A^T u||^2`` at or below that on.
     """
     w = h.shape[0]
     d = w if basis is None else basis.shape[0]
@@ -386,44 +387,60 @@ def _rayleigh_ritz(h, basis, k: int, a=None) -> tuple[np.ndarray, np.ndarray]:
     floor = d * np.finfo(float).eps * theta[0]
     sigma = np.sqrt(np.where(theta > floor, theta, 0.0))
     side = s if basis is None else basis @ s
-    if a is None:
+    if right is None:
         return sigma, side
-    # U^T G U = diag(theta) for Ritz vectors U, so these columns are orthonormal;
-    # (U^T A)^T reads a row-major A along its rows, as A.T @ U does not
-    v = (side.T @ a).T
+    # U^T G U = diag(theta) for Ritz vectors U, so these columns are orthonormal
+    v = right(side)
     # eigh's error can lift a zero theta past the floor, but not ||A^T u||^2
     sigma[~np.logical_and.accumulate(np.einsum("ij,ij->j", v, v) > floor)] = 0.0
     v /= np.where(sigma > 0, sigma, np.inf)  # in place: v is the one n x k block
     return sigma, v
 
 
-def top_singular(a, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k right Ritz pairs of a dense A from the Gram matrix of its smaller side.
+def top_singular(a, k: int, right=None) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k right Ritz pairs of A from the Gram matrix of its smaller side.
 
     :func:`block_krylov`'s Rayleigh-Ritz step on a space that covers all of
     that side, so that step is exact: a partial ``eigh`` of ``G = A^T A``
-    (``A A^T`` when A is wide), with no start block and no basis. Returns
+    (``A A^T`` when A is wide), with no start block and no basis. ``a`` is
+    a dense A; or, given ``right(U) = A^T U``, a wide ``d x n`` A as an
+    iterable of its column chunks in order, dense row-major ``d x w``
+    blocks that may share one buffer, as
+    :meth:`~sketchlr.sketches.CountSketchColumns.chunks` yields them. A
+    wide G is summed from ``syrk`` products ``C C^T``, one a chunk; a dense
+    wide A is one chunk, with ``right`` its product ``(U^T A)^T``. Returns
     ``(sigma, v)`` as :func:`block_krylov` does: the k largest singular
     values, non-increasing (0 at the Gram matrix's rounding floor, as
     ``_rayleigh_ritz`` says), and the ``n x k`` right block, the
     eigenvectors of G for a tall A and ``A^T U diag(sigma)^-1`` for a wide
     one. Like the Krylov span, the block is a near-optimal rank-k row space
-    of A whatever gap sigma has at k. A is read twice when wide, by G and
-    by that product; G's trace ``||A||_F^2`` stands for A's finiteness (a
-    NaN or inf entry spoils it), and an ``||A||_F^2`` beyond the double
-    range is refused too. G is the one ``d x d`` array, and ``eigh``
-    factors it in place.
+    of A whatever gap sigma has at k. G's trace ``||A||_F^2`` stands for
+    A's finiteness (a NaN or inf entry spoils it, and a dense A is then
+    scanned to name it), and an ``||A||_F^2`` beyond the double range is
+    refused too. G is the one ``d x d`` array, and ``eigh`` factors it in
+    place.
     """
-    a = _check_dense(a, finite=False)
-    d = min(a.shape)
+    dense = None
+    if right is None:
+        dense = a = _check_dense(a, finite=False)
+        if a.shape[0] >= a.shape[1]:
+            gram = a.T @ a
+        else:
+            a, right = (a,), (lambda u: (u.T @ dense).T)
+    if right is not None:
+        gram = None  # syrk allocates it, column-major, at the first chunk
+        for chunk in a:  # G += C C^T into G's lower triangle, H's upper one below
+            gram = blas.dsyrk(1.0, chunk.T, beta=1.0, c=gram, trans=1, lower=1, overwrite_c=1)
+        a = chunk = None  # a chunk may view a buffer, freed before the right block
+        gram = gram.T
+    d = gram.shape[0]
     if not 1 <= k <= d:
         raise ValueError(f"k={k} out of range 1..{d}")
-    wide = a.shape[0] < a.shape[1]
-    gram = a @ a.T if wide else a.T @ a
     if not math.isfinite(np.trace(gram)):  # a NaN or inf entry spoils its diagonal entry
-        _check_dense(a)
+        if dense is not None:
+            _check_dense(dense)
         raise ValueError("matrix Frobenius norm overflows: ||A||_F^2 is not a double")
-    return _rayleigh_ritz(gram, None, k, a if wide else None)
+    return _rayleigh_ritz(gram, None, k, right)
 
 
 def complete_basis(z: np.ndarray, k: int) -> np.ndarray:

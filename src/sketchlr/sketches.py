@@ -20,7 +20,13 @@ place through its CSR and that array's CSC view: no copy of A, and arrays
 of ``m x k`` and ``n x k`` besides the norm certificate's one array of
 ``nnz`` values. The CountSketch scatters A's entries a bounded block at a
 time, so its working memory past the ``s x n`` result does not grow with
-``nnz``.
+``nnz``. A wide ``SA`` too heavy to hold, past ``SKETCH_BUDGET`` and past
+the 16 bytes an entry of A that grouping them takes, is read by column
+chunks instead (:func:`countsketch_columns`): the entries, grouped once by
+chunk, then hold the memory that grows with ``nnz``, and each chunk is
+scattered into one reused buffer of at most ``SKETCH_BUDGET`` bytes as it
+is read, by the same entry arithmetic and in the same order, so bit for
+bit as the whole ``SA``.
 A sampler whose budget covers every nonzero row needs no scores at all and
 factorizes nothing, and applying one that keeps every row returns A itself.
 Otherwise ``SA`` is a :class:`SparseMatrix` of ``nnz(SA)`` entries, never a
@@ -29,7 +35,8 @@ dense copy of the rows it keeps. Every sketch reads a dense A as the
 
 Every kernel here is one a solve runs. The acceptance checks C6-C8 test the
 CountSketch product bound, the sampler's Gram sandwich and the sketched
-regression bound through these kernels: a column sample of A is the row
+regression bound through these kernels (a chunk of a streamed ``SA`` is
+the whole sketch's columns, bit for bit): a column sample of A is the row
 sampler on ``A^T``, and ``A R`` is ``(R^T A^T)^T``.
 """
 
@@ -62,6 +69,13 @@ SCORE_DEPTH = 2
 # 400-row sketch of 5M entries took 1.4x the time of one unblocked scatter
 # in blocks of 4096 entries, 1.1x in blocks of 16384 and 1.0x in these.
 _SCATTER_BLOCK = 1 << 16
+# Bytes of dense ``SA`` a simplified-mode sketch holds at a time: a wide
+# ``s x n`` CountSketch ``SA`` heavier than this, and heavier than grouping
+# A's entries (16 bytes an entry), is built a column chunk of at most this
+# size at a time (:func:`countsketch_columns`). Cache-sized chunks cost little:
+# at 20000^2 with 200k entries and s = 100, chunks of 0.5-2 MiB took the
+# top-k's peak from 16.9 to 6.8-7.7 MiB for 13% more time.
+SKETCH_BUDGET = 1 << 21
 
 
 # The constant behind the Theta(K log K / eps^2) row sample count of S; the
@@ -166,22 +180,129 @@ def apply_countsketch_left(
     out = np.zeros((op.sketch_dim, a.ncols))
     key = x.indptr.dtype.type  # a search key of another type would cast all of indptr
     for lo in range(0, x.nnz, _SCATTER_BLOCK):
-        _scatter_block(out.reshape(-1), x, op, key(lo), key(min(lo + _SCATTER_BLOCK, x.nnz)))
+        block = slice(key(lo), key(min(lo + _SCATTER_BLOCK, x.nnz)))
+        # unbuffered: adds in index order, repeats included
+        np.add.at(out.reshape(-1), *_entries(x, op, block, x.indices[block], a.ncols))
     return out
 
 
-def _scatter_block(flat: np.ndarray, x, op: CountSketchOperator, lo, hi) -> None:
-    """Add the stored entries ``lo..hi-1`` of the CSR ``x`` into ``flat``, ``R^T A`` row-major."""
+def _entries(x, op: CountSketchOperator, sel: slice, cols, width: int):
+    """Flat positions and weights of the stored entries ``sel`` of the CSR ``x``.
+
+    ``cols`` are the entries' columns in a row-major ``s x width`` block of
+    ``R^T A``: A's own in all of it, or their offsets in the chunk of
+    ``width`` columns that holds them. A position is ``bucket * width +
+    col`` of the entry's row and column, and a weight is ``sign * value``.
+    """
     ptr = x.indptr
     # rows r0..r1-1 hold the entries; the first and the last may hold others too
-    r0 = np.searchsorted(ptr, lo, "right") - 1
-    r1 = np.searchsorted(ptr, hi, "left")
-    counts = np.diff(np.clip(ptr[r0 : r1 + 1], lo, hi))
-    index = np.repeat(op.bucket[r0:r1] * x.shape[1], counts)
-    index += x.indices[lo:hi]
+    r0 = np.searchsorted(ptr, sel.start, "right") - 1
+    r1 = np.searchsorted(ptr, sel.stop, "left")
+    counts = np.diff(np.clip(ptr[r0 : r1 + 1], sel.start, sel.stop))
+    index = np.repeat(op.bucket[r0:r1] * width, counts)
+    index += cols
     weight = np.repeat(op.sign[r0:r1], counts)
-    weight *= x.data[lo:hi]
-    np.add.at(flat, index, weight)  # unbuffered: adds in index order, repeats included
+    weight *= x.data[sel]
+    return index, weight
+
+
+@dataclass(frozen=True)
+class CountSketchColumns:
+    """A wide ``SA = R^T A`` held as A's stored entries grouped by column chunk of ``SA``.
+
+    Chunk c is ``SA``'s columns ``c*width`` up to ``(c+1)*width - 1``, the
+    last padded with zero columns past ``SA``'s. Its entries are
+    ``index[ptr[c]:ptr[c+1]]`` and ``weight[ptr[c]:ptr[c+1]]``, in A's
+    storage order: their flat positions in the chunk, row-major, and
+    ``sign * value``. A is read in place, and the grouping holds 16 bytes
+    an entry. ``counter`` gets each chunk's entry count as it is
+    scattered, so ``nnz(A)`` a pass of :meth:`chunks`.
+    """
+
+    a: SparseMatrix
+    op: CountSketchOperator
+    width: int
+    ptr: np.ndarray
+    index: np.ndarray
+    weight: np.ndarray
+    counter: MultiplyAddCounter | None = None
+
+    def chunks(self):
+        """``SA``'s column chunks in order, each one reused row-major ``s x width`` buffer.
+
+        A chunk is scattered as :func:`apply_countsketch_left` scatters all
+        of ``SA``, one multiply-add an entry, each of its entries adding in
+        storage order: bit for bit the same columns of that ``SA``. A chunk
+        is overwritten by the next, so read each before asking for it.
+        """
+        buf = np.empty((self.op.sketch_dim, self.width))
+        for lo, hi in zip(self.ptr[:-1], self.ptr[1:]):
+            buf.fill(0.0)
+            np.add.at(buf.reshape(-1), self.index[lo:hi], self.weight[lo:hi])
+            if self.counter is not None:
+                self.counter.add(hi - lo)
+            yield buf
+
+    @property
+    def right(self):
+        """The map ``U -> SA^T U = A^T (R U)``, ``s x k`` to ``n x k``.
+
+        It holds A and R but not the grouping, so the grouping can be freed
+        while it runs. ``R U`` gathers U's rows by bucket and signs them,
+        ``m k`` multiplies, and ``A^T (R U)`` is ``k nnz(A)`` multiply-adds
+        more: ``k (m + nnz(A))`` in all, where ``(U^T SA)^T`` from a held
+        ``SA`` costs ``k s n``. The caller counts them.
+        """
+        x, op = self.a.csr, self.op
+
+        def right(u: np.ndarray) -> np.ndarray:
+            ru = u[op.bucket]
+            ru *= op.sign[:, None]
+            return x.T @ ru
+
+        return right
+
+
+def countsketch_columns(
+    a, op: CountSketchOperator, counter: MultiplyAddCounter | None = None
+) -> "np.ndarray | CountSketchColumns":
+    """``SA = R^T A``: dense, or by column chunks when holding it whole would cost more.
+
+    ``SA`` is :func:`apply_countsketch_left`'s dense array when it is tall
+    (``s >= n``), when its ``8 s n`` bytes fit ``SKETCH_BUDGET``, or when
+    they are no more than the 16 bytes an entry that grouping A's entries
+    holds. Otherwise ``SA``'s columns are cut into the fewest chunks of at
+    most ``SKETCH_BUDGET`` bytes, of one width, and A's entries are grouped
+    by chunk into a :class:`CountSketchColumns`, which scatters each chunk
+    as it is read and counts ``nnz(A)`` to ``counter`` a pass; the grouping
+    is no multiply-add. A stable sort of the entries' chunk ids, of one
+    byte an entry while the chunks number at most 256, orders their
+    positions and weights, computed in storage order as
+    :func:`apply_countsketch_left` computes them, from their offsets in
+    their chunks. So the grouping peaks at about 33 bytes an entry while
+    it is made: the offsets, the ids, the order and the storage-order
+    arrays.
+    """
+    a = _ensure_sparse(a)
+    s, n = op.sketch_dim, a.ncols
+    if s >= n or 8 * s * n <= max(SKETCH_BUDGET, 16 * a.nnz):
+        return apply_countsketch_left(a, op, counter)
+    if a.nrows != op.input_dim:
+        raise ValueError(f"dimension mismatch: {a.nrows} rows vs sketch input {op.input_dim}")
+    x = a.csr
+    count = -(-n // max(SKETCH_BUDGET // (8 * s), 1))
+    width = -(-n // count)
+    chunk, cols = np.divmod(x.indices, width)
+    # the chunk ids, of the smallest type that holds them: a radix sort's key
+    chunk = chunk.astype(np.min_scalar_type(count - 1))
+    order = np.argsort(chunk, kind="stable")
+    ptr = np.searchsorted(chunk, np.arange(count + 1), sorter=order)
+    del chunk
+    index, weight = _entries(x, op, slice(0, x.nnz), cols, width)
+    del cols
+    index = index[order]
+    weight = weight[order]
+    return CountSketchColumns(a, op, width, ptr, index, weight, counter)
 
 
 def sample_count(k: int, eps: float, eta: float) -> int:

@@ -11,9 +11,11 @@ The pipeline for ``min_X ||A - X||_p`` over rank-k ``X``:
    (:func:`~sketchlr.matrixcore.block_krylov`) in full_pipeline mode, on
    the sparse ``SA``, and in simplified mode the same Rayleigh-Ritz step on
    all of the dense CountSketch ``SA``'s smaller side
-   (:func:`~sketchlr.matrixcore.top_singular`). The Krylov space stops at
-   d, where its Rayleigh-Ritz step is exact, so no solve densifies its
-   input or its sketch. Both kernels return a Ritz value below the Gram
+   (:func:`~sketchlr.matrixcore.top_singular`), whole or, when a wide
+   ``SA`` outweighs ``sketches.SKETCH_BUDGET`` and its grouped entries, by column
+   chunks (:func:`~sketchlr.sketches.countsketch_columns`). The Krylov
+   space stops at d, where its Rayleigh-Ritz step is exact, so no solve
+   densifies its input or its sketch. Both kernels return a Ritz value below the Gram
    matrix's rounding floor as 0; ``Z`` is V without those columns, put
    through one Cholesky-QR step and padded to k columns;
 4. regress exactly: ``Y = A Z``, ``k nnz(A)`` multiply-adds. With Z
@@ -77,10 +79,11 @@ from .sketches import (
     _error_split,
     _positive_split,
     _sized_plan,
-    apply_countsketch_left,
+    CountSketchColumns,
     apply_row_sampler,
     build_countsketch,
     build_row_sampler,
+    countsketch_columns,
     make_sketch_plan,
 )
 
@@ -112,7 +115,10 @@ class SolveReport:
     Rayleigh-Ritz step of a space that covers ``SA``'s smaller side:
     ``krylov_depth`` is ``None``, and ``wsa`` is ``k s n`` for
     ``(U^T SA)^T``, the right block of a wide dense ``s x n`` CountSketch
-    ``SA``, absent for a tall one, whose Ritz vectors are that block.
+    ``SA``, absent for a tall one, whose Ritz vectors are that block. A wide
+    ``SA`` read by column chunks books ``k (nnz(A) + m)`` for its right
+    block ``A^T (R U)`` instead, and its ``s_apply`` of ``nnz(A)``, the one
+    scatter of its chunks, runs in ``svd_sat``'s time.
     ``ritz_values`` holds the ``min(k, d)`` Ritz values of either kernel as
     singular values. ``s_scores`` is the sparse work of
     the scores behind a sampled ``S`` (absent when none ran: ``S`` clipped
@@ -137,8 +143,9 @@ class SolveReport:
     the products that feed them, the block Krylov basis work (three
     projections and two QRs a block, about ``3 d k^2 q^2`` multiply-adds,
     and ``Q S_k``) and the ``n k^2`` Cholesky-QR step on ``Z``.
-    ``elapsed`` times the stages ``s_apply`` (scores included),
-    ``svd_sat`` (the top-k of ``SA``) and ``regression``. The report holds
+    ``elapsed`` times the stages ``s_apply`` (scores included, and only
+    the grouping of an ``SA`` read by column chunks), ``svd_sat`` (the
+    top-k of ``SA``, with such an ``SA``'s scatter) and ``regression``. The report holds
     no error: :class:`OracleScorer` scores the factors against the input.
     ``clipped`` flags a row sampler ``S`` that kept every nonzero row.
     ``fallback_used`` is always ``False``: the regression is exact and has
@@ -338,11 +345,12 @@ def _sketched_rowspace(
     eps: float,
     stream: RandomStream,
     report: SolveReport,
-) -> SparseMatrix | np.ndarray:
+) -> SparseMatrix | np.ndarray | CountSketchColumns:
     """Stage 2 under ``report.plan``: returns ``SA`` and fills the report bookkeeping.
 
-    ``SA`` is a :class:`SparseMatrix` from the row sampler and a dense array
-    from the simplified-mode CountSketch. The caller hands it straight to
+    ``SA`` is a :class:`SparseMatrix` from the row sampler, and a dense array
+    or a :class:`~sketchlr.sketches.CountSketchColumns` from the
+    simplified-mode CountSketch. The caller hands it straight to
     :func:`_rowspace`, so no other frame holds it.
     """
     plan, counters = report.plan, report.multiply_add_counts
@@ -351,7 +359,7 @@ def _sketched_rowspace(
             s_op = build_countsketch(work.nrows, plan.s_rows, stream)
             report.seeds["s"] = s_op.seed
             report.rows_drawn = plan.s_rows
-            return apply_countsketch_left(work, s_op, _FoldingCounter(counters, "s_apply"))
+            return countsketch_columns(work, s_op, _FoldingCounter(counters, "s_apply"))
         scores = _FoldingCounter(counters, "s_scores")
         s_sk = build_row_sampler(work, k, eps, plan.eta1, stream, scores)
         report.seeds["s"] = s_sk.seed
@@ -375,6 +383,12 @@ def _rowspace(sa, k: int, eps: float, report: SolveReport) -> np.ndarray:
             depth = math.ceil(math.log(min(sa.shape)) / math.sqrt(eps))
             sigma, v = block_krylov(sa, k, depth, _FoldingCounter(counters, "krylov"))
             report.krylov_depth = depth
+        elif isinstance(sa, CountSketchColumns):  # A^T (R U): k per entry of A and row of R
+            wsa = k * (sa.a.nnz + sa.a.nrows)
+            # only the pass over the chunks holds the grouping, so it is freed before A^T (R U)
+            chunks, right, sa = sa.chunks(), sa.right, None
+            sigma, v = top_singular(chunks, k, right)
+            counters["wsa"] = wsa
         else:
             sigma, v = top_singular(sa, k)
             if sa.shape[0] < sa.shape[1]:  # (U^T SA)^T, k per entry of the dense SA
@@ -382,6 +396,7 @@ def _rowspace(sa, k: int, eps: float, report: SolveReport) -> np.ndarray:
         report.ritz_values = tuple(sigma.tolist())
         # a dense simplified-mode SA is the largest array of the solve: the
         # caller holds no reference, so this frees it for the steps below
+        # (a CountSketchColumns is already freed)
         del sa
     v = v[:, : np.count_nonzero(sigma)]  # both kernels floor a value at rounding to 0
     # Cholesky-QR, V R^-1 for V^T V = R^T R: SA^T U / sigma drifts like eps (s1/sk)^2
@@ -489,8 +504,10 @@ def solve_generalized(
     refuses and names the violated condition. With ``alpha`` the grid
     estimate of the growth constant and ``r = ceil(k/eps)``, the additive
     split is ``eta1 = min((eps/r)^{1/alpha}, eps)``, Schatten p < 2's at
-    ``alpha = p/2``. A loss that does not grow (``alpha = 0``) is refused by
-    name, unless ``1 + eps == 1`` reads every loss so. The row sample ``S``
+    ``alpha = p/2``. A loss that does not grow (``alpha = 0``), or grows so
+    slowly that its split underflows to 0 where eps alone sizes a positive
+    one, is refused by name with its alpha, unless ``1 + eps == 1`` reads
+    every loss so. The row sample ``S``
     and ``Z`` are those of :func:`solve_schatten`, and the output is
     ``(A Z, Z)``.
 
@@ -514,9 +531,16 @@ def solve_generalized(
             f"{loss.describe()} fails loss condition(s): "
             + "; ".join(cond.violated_conditions())
         )
-    if cond.alpha == 0.0 and 1.0 + eps > 1.0:  # else its zero split refuses eps
-        raise ValueError(f"{loss.describe()} does not grow: growth constant alpha=0 on the grid")
     eta1 = _error_split(k, eps, cond.alpha)
+    # eps sized a positive split above, so a zero one is the loss's fault, unless
+    # 1 + eps == 1 reads every loss so: then sample_count refuses eps
+    if not eta1 > 0.0 and 1.0 + eps > 1.0:
+        if cond.alpha == 0.0:
+            raise ValueError(f"{loss.describe()} does not grow: growth constant alpha=0 on the grid")
+        raise ValueError(
+            f"{loss.describe()} grows too slowly: growth constant alpha={cond.alpha:g} on the "
+            f"grid underflows the error split (eps/ceil(k/eps))^(1/alpha) to 0"
+        )
     report = SolveReport(
         factors=None,  # type: ignore[arg-type]
         plan=_sized_plan(work.nrows, k, eps, eta1, "full_pipeline"),

@@ -24,7 +24,13 @@ saving: with one OpenBLAS thread on a 2-core VM the exact route took
 holds the largest gap between the two routes' sigma, relative to sigma_1
 (2.9e-16). The tall 20000x100
 ``SA^T`` times the other dense branch of ``top_singular``.
-``apply_countsketch_left`` is timed on the 20000x20000 input. For it, the
+``apply_countsketch_left`` is timed on the 20000x20000 input. On it too,
+the sketch and its top-k at k=10 are timed as a simplified solve runs them,
+by the whole 16 MB ``SA`` (``apply_countsketch_left`` then ``top_singular``)
+and by column chunks (``countsketch_columns``, whose grouping, chunk
+scatters and ``syrk`` sum feed ``top_singular``, and its ``A^T (R U)``),
+each with the traced peak of one more call in ``peak_mib``. For the
+CountSketch alone, the
 simplified-mode top-k of the 100x20000 and 400x600 ``SA`` and the clipped
 tall-skinny ``SA``, the tracemalloc peak of one more call, apart from the
 timed ones, goes to ``benchmark.extra_info["peak_mib"]``. The file name
@@ -44,7 +50,7 @@ import scipy.linalg
 from perfbench.inputs import sparse_triplets
 from sketchlr import RandomStream, SparseMatrix, build_countsketch, parse_loss, solver
 from sketchlr.matrixcore import block_krylov, top_singular
-from sketchlr.sketches import apply_countsketch_left
+from sketchlr.sketches import apply_countsketch_left, countsketch_columns
 
 def _depth(d):
     return math.ceil(math.log(d) / math.sqrt(0.5))
@@ -82,6 +88,27 @@ def test_top_singular_dense_sa(benchmark, large):
     sa = apply_countsketch_left(*large)
     _, benchmark.extra_info["peak_mib"] = _peak_mib(lambda: top_singular(sa, 10))
     sigma, v = benchmark(top_singular, sa, 10)
+    assert v.shape == (20000, 10)
+
+
+def _whole_top(a, op, k):
+    return top_singular(apply_countsketch_left(a, op), k)
+
+
+def _streamed_top(a, op, k):
+    sa = countsketch_columns(a, op)
+    chunks, right = sa.chunks(), sa.right
+    del sa  # as in a solve, the chunks' pass frees the grouping before A^T (R U)
+    return top_singular(chunks, k, right)
+
+
+@pytest.mark.parametrize("top", [_whole_top, _streamed_top], ids=["whole", "streamed"])
+def test_sketch_and_top_singular(benchmark, large, top):
+    a, op = large
+    (sigma, _), benchmark.extra_info["peak_mib"] = _peak_mib(lambda: top(a, op, 10))
+    ref = _whole_top(a, op, 10)[0]
+    assert np.max(np.abs(sigma - ref)) <= 1e-12 * ref[0]
+    sigma, v = benchmark(top, a, op, 10)
     assert v.shape == (20000, 10)
 
 

@@ -3,6 +3,7 @@
 import math
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -163,6 +164,76 @@ class TestCountSketchApply:
         op = build_countsketch(7, 3, RandomStream(16))
         with pytest.raises(ValueError, match="mismatch"):
             apply_countsketch_left(np.ones((6, 4)), op)
+
+
+class TestCountSketchColumns:
+    """``SA`` by column chunks: the same scatter as the whole sketch, a chunk at a time."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 40),
+        n=st.integers(2, 40),
+        sketch_dim=st.sampled_from([1, 2, 3, 7]),
+        width=st.integers(1, 39),
+        nnz=st.integers(0, 60),
+        empty=st.integers(0, 3),
+    )
+    def test_chunks_are_the_columns_of_the_whole_sketch_bit_for_bit(
+        self, seed, m, n, sketch_dim, width, nnz, empty
+    ):
+        # n need not be a multiple of the width; values over 20 decades make
+        # every summation order show in the last bits
+        gen = make_gen(seed)
+        flat = gen.choice(m * n, size=min(nnz, m * n), replace=False)
+        rows, cols = flat // n, flat % n
+        keep = ~np.isin(rows, gen.choice(m, min(empty, m), replace=False))
+        keep &= ~np.isin(cols, gen.choice(n, min(empty, n), replace=False))
+        vals = gen.standard_normal(flat.size) * 10.0 ** gen.integers(-10, 10, flat.size)
+        a = SparseMatrix(m, n, rows[keep], cols[keep], vals[keep])
+        op = build_countsketch(m, sketch_dim, RandomStream(seed))
+        width = min(width, n - 1)
+        counter = MultiplyAddCounter()
+        with mock.patch.object(sketches, "SKETCH_BUDGET", 8 * sketch_dim * width):
+            sa = sketches.countsketch_columns(a, op, counter)
+        whole = apply_countsketch_left(a, op)
+        if sketch_dim >= n or 8 * sketch_dim * n <= 16 * a.nnz:  # tall, or no lighter than grouping
+            assert isinstance(sa, np.ndarray) and sa.tobytes() == whole.tobytes()
+            assert counter.count == a.nnz
+            return
+        assert counter.count == 0  # the grouping is no multiply-add
+        # the fewest chunks within the budget, of one width, the last padded with zeros
+        count = -(-n // width)
+        assert sa.width == -(-n // count)
+        for rep in (1, 2):  # every pass scatters, and counts, each entry once
+            chunks = np.hstack([c.copy() for c in sa.chunks()])
+            assert chunks.shape == (sketch_dim, count * sa.width)
+            assert np.ascontiguousarray(chunks[:, :n]).tobytes() == whole.tobytes()
+            assert not np.any(chunks[:, n:])
+            assert counter.count == rep * a.nnz
+        u = gen.standard_normal((sketch_dim, 3))
+        scale = max(np.abs(whole).max(), 1.0)
+        np.testing.assert_allclose(sa.right(u), whole.T @ u, rtol=0, atol=1e-12 * scale)
+
+    def test_a_sketch_within_the_budget_or_no_heavier_than_grouping_is_dense(self):
+        a = tall_sparse(46, 300, 200, 600)
+        op = build_countsketch(300, 10, RandomStream(18))
+        whole = apply_countsketch_left(a, op)
+        # 8 s n = 16000 bytes against 16 nnz = 9600: grouping is the lighter
+        for budget, streamed in ((16000, False), (15999, True), (2000, True)):
+            with mock.patch.object(sketches, "SKETCH_BUDGET", budget):
+                sa = sketches.countsketch_columns(a, op)
+            assert isinstance(sa, sketches.CountSketchColumns) == streamed
+            if not streamed:
+                assert sa.tobytes() == whole.tobytes()
+        with mock.patch.object(sketches, "SKETCH_BUDGET", 2000):
+            denser = tall_sparse(47, 300, 200, 1000)  # 16 nnz = 16000 bytes
+            assert isinstance(sketches.countsketch_columns(denser, op), np.ndarray)
+            # a tall SA, s >= n, stays whole
+            tall = build_countsketch(300, 200, RandomStream(19))
+            assert isinstance(sketches.countsketch_columns(a, tall), np.ndarray)
+        with pytest.raises(ValueError, match="mismatch"):
+            sketches.countsketch_columns(tall_sparse(48, 301, 200, 600), op)
 
 
 class TestColumnSampler:

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from collections.abc import Hashable
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -859,6 +860,90 @@ class TestSimplifiedRowspace:
         assert resid <= (1.0 + 1e-9) * np.sum(exact[k:] ** 2) + floor
 
 
+def _simplified(a, k, seed, budget):
+    """A simplified-mode p=1 solve of ``a`` at ``sketches.SKETCH_BUDGET = budget``."""
+    with mock.patch.object(sketches, "SKETCH_BUDGET", budget):
+        return solve_schatten(a, k, 1.0, 0.5, RandomStream(seed), "simplified_experiment")
+
+
+class TestStreamedSimplified:
+    """A simplified solve whose ``SA`` is read by column chunks, against the whole ``SA``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 4),
+        n=st.integers(5, 40),
+        extra=st.integers(0, 20),
+        width=st.integers(1, 39),
+        kind=st.sampled_from(["sparse", "empty_lines", "zero", "tall_sa"]),
+    )
+    def test_the_streamed_kernel_agrees_with_the_whole_sketch(self, seed, k, n, extra, width, kind):
+        gen, s = make_gen(seed), k * k
+        # a wide SA, s < n; a tall one, s >= n, stays whole whatever the budget
+        n = int(gen.integers(k + 1, s + 1)) if kind == "tall_sa" else max(n, s + 1)
+        m = n + extra
+        # below s n / 2 entries, so grouping them is lighter than the dense SA
+        nnz = 0 if kind == "zero" else int(gen.integers(1, min(m * n, s * n // 2)))
+        flat = gen.choice(m * n, size=nnz, replace=False)
+        rows, cols = flat // n, flat % n
+        if kind == "empty_lines":
+            keep = ~np.isin(rows, gen.choice(m, 2, replace=False)) & ~np.isin(cols, [0, n - 1])
+            rows, cols, flat = rows[keep], cols[keep], flat[keep]
+        a = SparseMatrix(m, n, rows, cols, 1.0 - gen.random(flat.size))
+        width = min(width, n - 1)  # n need not be a multiple of it
+        streamed = _simplified(a, k, seed, 8 * s * width)
+        whole = _simplified(a, k, seed, 8 * s * n)
+        again = _simplified(a, k, seed, 8 * s * width)
+        assert again.factors.y.tobytes() == streamed.factors.y.tobytes()
+        assert again.factors.z.tobytes() == streamed.factors.z.tobytes()
+        assert again.ritz_values == streamed.ritz_values
+        counts, nnz = streamed.multiply_add_counts, a.nnz
+        if kind == "tall_sa":
+            assert streamed.factors.z.tobytes() == whole.factors.z.tobytes()
+            assert counts == whole.multiply_add_counts == {"s_apply": nnz, "regression": k * nnz}
+            return
+        # one scatter pass, and A^T (R U) in place of (U^T SA)^T
+        assert counts == {"s_apply": nnz, "wsa": k * (nnz + m), "regression": k * nnz}
+        whole_counts = {"s_apply": nnz, "wsa": k * s * n, "regression": k * nnz}
+        assert whole.multiply_add_counts == whole_counts
+        # the Ritz values come from the Gram eigenvalues, which agree to 1e-12 of the
+        # largest: sigma to 1e-12 sigma_1 wherever it is not near the rounding floor
+        theta, theta_whole = np.square(streamed.ritz_values), np.square(whole.ritz_values)
+        top = max(theta_whole[0], np.finfo(float).tiny)
+        np.testing.assert_allclose(theta, theta_whole, rtol=0, atol=1e-12 * top)
+        # the same span of Z where SA's spectrum has a gap at k; near-optimal always
+        op = sketches.CountSketchOperator.from_seed(m, s, streamed.seeds["s"])
+        sa = sketches.apply_countsketch_left(a, op)
+        exact = np.square(singular_values(sa))
+        z, z_whole = streamed.factors.z, whole.factors.z
+        if exact[k - 1] - exact[k] > 1e-3 * top:
+            assert np.linalg.norm(z @ z.T - z_whole @ z_whole.T) <= 1e-10
+        for zz in (z, z_whole):
+            resid = np.linalg.norm(sa - (sa @ zz) @ zz.T) ** 2
+            assert resid <= (1.0 + 1e-9) * np.sum(exact[k:]) + k * s * np.finfo(float).eps * top
+
+    def test_the_streamed_solve_holds_no_dense_sketch(self):
+        # 8 s n = 16.8 MB, over 8 times the budget: past Y and Z the solve holds
+        # at most the grouping, one chunk and a few n x k blocks
+        m = n = 21000
+        k, nnz, budget = 10, 100_000, sketches.SKETCH_BUDGET
+        r, c, v = sparse_triplets(m, n, nnz, 49)
+        a = SparseMatrix(m, n, r, c, v)
+        assert 8 * k * k * n >= 8 * budget
+        solve_schatten(a, k, 1.0, 0.5, RandomStream(50), "simplified_experiment")
+        tracemalloc.start()  # the first call's one-time allocations are not the solve's
+        try:
+            rep = solve_schatten(a, k, 1.0, 0.5, RandomStream(50), "simplified_experiment")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.multiply_add_counts["wsa"] == k * (nnz + m)  # it streamed
+        factors = rep.factors.y.nbytes + rep.factors.z.nbytes
+        bound = min(8 * k * k * n, 16 * nnz) + budget + 3 * 8 * n * k
+        assert peak - factors < bound < 8 * k * k * n
+
+
 def _spy_kernels(mp, seen):
     """Record ``(kernel name, SA)`` for every top-k kernel call of the solver."""
     for name in ("top_singular", "block_krylov"):
@@ -1349,6 +1434,26 @@ class TestSolveGeneralized:
             solve_generalized(a, 3, loss, 0.5, RandomStream(30))
         with pytest.raises(ValueError, match=r"^eps=1e-17 is too small: "):
             solve_generalized(a, 3, loss, 1e-17, RandomStream(30))
+
+    def test_a_loss_that_grows_too_slowly_is_refused_by_name(self):
+        # x^0.001 grows, but at its grid alpha of about 0.0014 the split
+        # (eps/ceil(k/eps))^(1/alpha) underflows, where eps alone sizes one
+        @dataclass(frozen=True)
+        class Slow(ScalarLoss):
+            name = "x^0.001"
+
+            def __call__(self, x):
+                return np.asarray(x, dtype=np.float64) ** 0.001
+
+        a = random_sparse(make_gen(98), 60, 40, density=0.2)
+        alpha = solver.check_phi_conditions(Slow(), 0.5).alpha
+        assert 0.0 < alpha < 0.002
+        refusal = rf"^x\^0\.001 grows too slowly: growth constant alpha={alpha:g} on the grid"
+        with pytest.raises(ValueError, match=refusal):
+            solve_generalized(a, 3, Slow(), 0.5, RandomStream(30))
+        # where 1 + eps == 1 every loss reads so, and eps is refused as before
+        with pytest.raises(ValueError, match=r"^eps=1e-17 is too small: "):
+            solve_generalized(a, 3, Slow(), 1e-17, RandomStream(30))
 
     def test_exact_rank_k_huber(self):
         gen = make_gen(92)
