@@ -397,50 +397,39 @@ def _rayleigh_ritz(h, basis, k: int, right=None) -> tuple[np.ndarray, np.ndarray
     return sigma, v
 
 
-def top_singular(a, k: int, right=None) -> tuple[np.ndarray, np.ndarray]:
+def top_singular(chunks, k: int, right=None) -> tuple[np.ndarray, np.ndarray]:
     """Top-k right Ritz pairs of A from the Gram matrix of its smaller side.
 
     :func:`block_krylov`'s Rayleigh-Ritz step on a space that covers all of
     that side, so that step is exact: a partial ``eigh`` of ``G = A^T A``
-    (``A A^T`` when A is wide), with no start block and no basis. ``a`` is
-    a dense A; or, given ``right(U) = A^T U``, a wide ``d x n`` A as an
-    iterable of its column chunks in order, dense row-major ``d x w``
-    blocks that may share one buffer, as
-    :meth:`~sketchlr.sketches.CountSketchColumns.chunks` yields them. A
-    wide G is summed from ``syrk`` products ``C C^T``, one a chunk; a dense
-    wide A is one chunk, with ``right`` its product ``(U^T A)^T``. Returns
-    ``(sigma, v)`` as :func:`block_krylov` does: the k largest singular
-    values, non-increasing (0 at the Gram matrix's rounding floor, as
-    ``_rayleigh_ritz`` says), and the ``n x k`` right block, the
-    eigenvectors of G for a tall A and ``A^T U diag(sigma)^-1`` for a wide
-    one. Like the Krylov span, the block is a near-optimal rank-k row space
-    of A whatever gap sigma has at k. G's trace ``||A||_F^2`` stands for
-    A's finiteness (a NaN or inf entry spoils it, and a dense A is then
-    scanned to name it), and an ``||A||_F^2`` beyond the double range is
-    refused too. G is the one ``d x d`` array, and ``eigh`` factors it in
-    place.
+    (``A A^T`` when A is wide), with no start block and no basis.
+    ``chunks`` is A as its column chunks in order, dense row-major
+    ``d x w`` blocks that may share one buffer, as
+    :func:`~sketchlr.sketches.countsketch_columns` gives them. Given
+    ``right(U) = A^T U``, A is wide, and G is summed from ``syrk`` products
+    ``C C^T``, one a chunk; without it, A is tall, its one chunk C gives
+    ``G = C^T C`` by one ``syrk``, and its Ritz vectors are its right
+    block. Returns ``(sigma, v)`` as :func:`block_krylov` does: the k
+    largest singular values, non-increasing (0 at the Gram matrix's
+    rounding floor, as ``_rayleigh_ritz`` says), and the ``n x k`` right
+    block, the eigenvectors of G for a tall A and ``A^T U
+    diag(sigma)^-1`` for a wide one. Like the Krylov span, the block is a
+    near-optimal rank-k row space of A whatever gap sigma has at k. G's
+    trace ``||A||_F^2`` stands for A's finiteness, which no chunk is
+    scanned for: a NaN or inf entry spoils it, and it is refused, as is an
+    ``||A||_F^2`` beyond the double range. G is the one ``d x d`` array,
+    and ``eigh`` factors it in place.
     """
-    dense = None
-    if right is None:
-        dense = a = _check_dense(a, finite=False)
-        if a.shape[0] >= a.shape[1]:
-            gram = a.T @ a
-        else:
-            a, right = (a,), (lambda u: (u.T @ dense).T)
-    if right is not None:
-        gram = None  # syrk allocates it, column-major, at the first chunk
-        for chunk in a:  # G += C C^T into G's lower triangle, H's upper one below
-            gram = blas.dsyrk(1.0, chunk.T, beta=1.0, c=gram, trans=1, lower=1, overwrite_c=1)
-        a = chunk = None  # a chunk may view a buffer, freed before the right block
-        gram = gram.T
+    gram, trans = None, int(right is not None)  # syrk allocates G, column-major
+    for chunk in chunks:  # G += C C^T (C^T C when tall) into G's lower triangle
+        gram = blas.dsyrk(1.0, chunk.T, beta=1.0, c=gram, trans=trans, lower=1, overwrite_c=1)
+    chunks = chunk = None  # a chunk may view a buffer, freed before the right block
     d = gram.shape[0]
     if not 1 <= k <= d:
         raise ValueError(f"k={k} out of range 1..{d}")
     if not math.isfinite(np.trace(gram)):  # a NaN or inf entry spoils its diagonal entry
-        if dense is not None:
-            _check_dense(dense)
         raise ValueError("matrix Frobenius norm overflows: ||A||_F^2 is not a double")
-    return _rayleigh_ritz(gram, None, k, right)
+    return _rayleigh_ritz(gram.T, None, k, right)  # H's upper triangle is G's lower one
 
 
 def complete_basis(z: np.ndarray, k: int) -> np.ndarray:

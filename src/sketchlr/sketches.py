@@ -20,13 +20,14 @@ place through its CSR and that array's CSC view: no copy of A, and arrays
 of ``m x k`` and ``n x k`` besides the norm certificate's one array of
 ``nnz`` values. The CountSketch scatters A's entries a bounded block at a
 time, so its working memory past the ``s x n`` result does not grow with
-``nnz``. A wide ``SA`` too heavy to hold, past ``SKETCH_BUDGET`` and past
-the 16 bytes an entry of A that grouping them takes, is read by column
-chunks instead (:func:`countsketch_columns`): the entries, grouped once by
-chunk, then hold the memory that grows with ``nnz``, and each chunk is
-scattered into one reused buffer of at most ``SKETCH_BUDGET`` bytes as it
-is read, by the same entry arithmetic and in the same order, so bit for
-bit as the whole ``SA``.
+``nnz``. Simplified mode takes every ``SA`` in one form, column chunks
+and the map ``U -> SA^T U`` (:func:`countsketch_columns`): the whole
+``SA`` as one chunk, unless a wide ``SA`` is too heavy to hold, past
+``SKETCH_BUDGET`` and past the 16 bytes an entry of A that grouping them
+takes. Its entries, grouped once by chunk, then hold the memory that grows
+with ``nnz``, and each chunk is scattered into one reused buffer of at
+most ``SKETCH_BUDGET`` bytes as it is read, by the same entry arithmetic
+and in the same order, so bit for bit as the whole ``SA``.
 A sampler whose budget covers every nonzero row needs no scores at all and
 factorizes nothing, and applying one that keeps every row returns A itself.
 Otherwise ``SA`` is a :class:`SparseMatrix` of ``nnz(SA)`` entries, never a
@@ -206,87 +207,35 @@ def _entries(x, op: CountSketchOperator, sel: slice, cols, width: int):
     return index, weight
 
 
-@dataclass(frozen=True)
-class CountSketchColumns:
-    """A wide ``SA = R^T A`` held as A's stored entries grouped by column chunk of ``SA``.
+def countsketch_columns(a, op: CountSketchOperator, counter: MultiplyAddCounter | None = None):
+    """``SA = R^T A`` as simplified mode's top-k takes it: ``(chunks, right, cost)``.
 
-    Chunk c is ``SA``'s columns ``c*width`` up to ``(c+1)*width - 1``, the
-    last padded with zero columns past ``SA``'s. Its entries are
-    ``index[ptr[c]:ptr[c+1]]`` and ``weight[ptr[c]:ptr[c+1]]``, in A's
-    storage order: their flat positions in the chunk, row-major, and
-    ``sign * value``. A is read in place, and the grouping holds 16 bytes
-    an entry. ``counter`` gets each chunk's entry count as it is
-    scattered, so ``nnz(A)`` a pass of :meth:`chunks`.
-    """
-
-    a: SparseMatrix
-    op: CountSketchOperator
-    width: int
-    ptr: np.ndarray
-    index: np.ndarray
-    weight: np.ndarray
-    counter: MultiplyAddCounter | None = None
-
-    def chunks(self):
-        """``SA``'s column chunks in order, each one reused row-major ``s x width`` buffer.
-
-        A chunk is scattered as :func:`apply_countsketch_left` scatters all
-        of ``SA``, one multiply-add an entry, each of its entries adding in
-        storage order: bit for bit the same columns of that ``SA``. A chunk
-        is overwritten by the next, so read each before asking for it.
-        """
-        buf = np.empty((self.op.sketch_dim, self.width))
-        for lo, hi in zip(self.ptr[:-1], self.ptr[1:]):
-            buf.fill(0.0)
-            np.add.at(buf.reshape(-1), self.index[lo:hi], self.weight[lo:hi])
-            if self.counter is not None:
-                self.counter.add(hi - lo)
-            yield buf
-
-    @property
-    def right(self):
-        """The map ``U -> SA^T U = A^T (R U)``, ``s x k`` to ``n x k``.
-
-        It holds A and R but not the grouping, so the grouping can be freed
-        while it runs. ``R U`` gathers U's rows by bucket and signs them,
-        ``m k`` multiplies, and ``A^T (R U)`` is ``k nnz(A)`` multiply-adds
-        more: ``k (m + nnz(A))`` in all, where ``(U^T SA)^T`` from a held
-        ``SA`` costs ``k s n``. The caller counts them.
-        """
-        x, op = self.a.csr, self.op
-
-        def right(u: np.ndarray) -> np.ndarray:
-            ru = u[op.bucket]
-            ru *= op.sign[:, None]
-            return x.T @ ru
-
-        return right
-
-
-def countsketch_columns(
-    a, op: CountSketchOperator, counter: MultiplyAddCounter | None = None
-) -> "np.ndarray | CountSketchColumns":
-    """``SA = R^T A``: dense, or by column chunks when holding it whole would cost more.
-
-    ``SA`` is :func:`apply_countsketch_left`'s dense array when it is tall
-    (``s >= n``), when its ``8 s n`` bytes fit ``SKETCH_BUDGET``, or when
-    they are no more than the 16 bytes an entry that grouping A's entries
-    holds. Otherwise ``SA``'s columns are cut into the fewest chunks of at
-    most ``SKETCH_BUDGET`` bytes, of one width, and A's entries are grouped
-    by chunk into a :class:`CountSketchColumns`, which scatters each chunk
-    as it is read and counts ``nnz(A)`` to ``counter`` a pass; the grouping
-    is no multiply-add. A stable sort of the entries' chunk ids, of one
-    byte an entry while the chunks number at most 256, orders their
-    positions and weights, computed in storage order as
-    :func:`apply_countsketch_left` computes them, from their offsets in
-    their chunks. So the grouping peaks at about 33 bytes an entry while
-    it is made: the offsets, the ids, the order and the storage-order
-    arrays.
+    ``chunks`` are ``SA``'s column chunks in order, dense row-major blocks;
+    ``right`` maps ``U`` to ``SA^T U`` (``None`` when ``SA`` is tall, ``s >=
+    n``) at ``cost`` multiply-adds a column of ``U``, which the caller counts.
+    A tall ``SA``, one whose ``8 s n`` bytes fit ``SKETCH_BUDGET``, and one
+    no heavier than the 16 bytes an entry that grouping A's entries holds
+    are one chunk, :func:`apply_countsketch_left`'s array, whose ``right``
+    is ``(U^T SA)^T``, ``s n`` a column. Otherwise ``SA``'s columns are cut
+    into the fewest chunks of at most ``SKETCH_BUDGET`` bytes, of one width
+    (the last padded with zero columns), and A's entries are grouped by
+    chunk, no multiply-add: a stable sort of their chunk ids, one byte an
+    entry while the chunks number at most 256, orders their positions and
+    weights, computed in storage order as :func:`apply_countsketch_left`
+    computes them. The grouping peaks at about 33 bytes an entry and then
+    holds 16; the chunk generator (:func:`_scattered`) is its only holder,
+    so it is freed once the last chunk is read. ``right`` is then
+    ``A^T (R U)``, which holds A and R only: ``R U`` gathers U's rows by
+    bucket and signs them, ``m`` multiplies a column, and ``A^T (R U)`` is
+    ``nnz(A)`` multiply-adds more.
     """
     a = _ensure_sparse(a)
     s, n = op.sketch_dim, a.ncols
     if s >= n or 8 * s * n <= max(SKETCH_BUDGET, 16 * a.nnz):
-        return apply_countsketch_left(a, op, counter)
+        sa = apply_countsketch_left(a, op, counter)
+        # (U^T SA)^T reads the row-major SA along its rows, as SA.T @ U does not. Both maps
+        # bind defaults: a closure's cells would be held from the call's start, at the peak
+        return [sa], (lambda u, sa=sa: (u.T @ sa).T) if s < n else None, s * n
     if a.nrows != op.input_dim:
         raise ValueError(f"dimension mismatch: {a.nrows} rows vs sketch input {op.input_dim}")
     x = a.csr
@@ -302,7 +251,31 @@ def countsketch_columns(
     del cols
     index = index[order]
     weight = weight[order]
-    return CountSketchColumns(a, op, width, ptr, index, weight, counter)
+
+    def right(u: np.ndarray, x=x, op=op) -> np.ndarray:
+        ru = u[op.bucket]
+        ru *= op.sign[:, None]
+        return x.T @ ru
+
+    return _scattered(s, width, ptr, index, weight, counter), right, a.nnz + a.nrows
+
+
+def _scattered(s: int, width: int, ptr, index, weight, counter: MultiplyAddCounter | None):
+    """A grouped ``SA``'s column chunks, each scattered into one reused ``s x width`` buffer.
+
+    Chunk c's entries are ``index[ptr[c]:ptr[c+1]]`` (flat positions in the
+    chunk) and ``weight[ptr[c]:ptr[c+1]]``, in A's storage order, so each
+    chunk is bit for bit those columns of :func:`apply_countsketch_left`'s
+    ``SA``; ``counter`` gets one multiply-add an entry. Read each chunk
+    before asking for the next, which overwrites it.
+    """
+    buf = np.empty((s, width))
+    for lo, hi in zip(ptr[:-1], ptr[1:]):
+        buf.fill(0.0)
+        np.add.at(buf.reshape(-1), index[lo:hi], weight[lo:hi])
+        if counter is not None:
+            counter.add(hi - lo)
+        yield buf
 
 
 def sample_count(k: int, eps: float, eta: float) -> int:

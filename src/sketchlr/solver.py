@@ -10,10 +10,11 @@ The pipeline for ``min_X ||A - X||_p`` over rank-k ``X``:
    Krylov space of depth ``q = ceil(ln d / sqrt(eps))``, ``d = min(SA.shape)``
    (:func:`~sketchlr.matrixcore.block_krylov`) in full_pipeline mode, on
    the sparse ``SA``, and in simplified mode the same Rayleigh-Ritz step on
-   all of the dense CountSketch ``SA``'s smaller side
-   (:func:`~sketchlr.matrixcore.top_singular`), whole or, when a wide
-   ``SA`` outweighs ``sketches.SKETCH_BUDGET`` and its grouped entries, by column
-   chunks (:func:`~sketchlr.sketches.countsketch_columns`). The Krylov
+   all of the CountSketch ``SA``'s smaller side
+   (:func:`~sketchlr.matrixcore.top_singular`), which reads ``SA`` by its
+   column chunks (:func:`~sketchlr.sketches.countsketch_columns`): one,
+   the whole dense ``SA``, unless a wide ``SA`` outweighs
+   ``sketches.SKETCH_BUDGET`` and its grouped entries. The Krylov
    space stops at d, where its Rayleigh-Ritz step is exact, so no solve
    densifies its input or its sketch. Both kernels return a Ritz value below the Gram
    matrix's rounding floor as 0; ``Z`` is V without those columns, put
@@ -79,7 +80,6 @@ from .sketches import (
     _error_split,
     _positive_split,
     _sized_plan,
-    CountSketchColumns,
     apply_row_sampler,
     build_countsketch,
     build_row_sampler,
@@ -113,12 +113,13 @@ class SolveReport:
     wide; ``krylov_depth`` is the rule's q, also for a space that reached
     d first. In simplified mode the top-k is ``top_singular``, the
     Rayleigh-Ritz step of a space that covers ``SA``'s smaller side:
-    ``krylov_depth`` is ``None``, and ``wsa`` is ``k s n`` for
-    ``(U^T SA)^T``, the right block of a wide dense ``s x n`` CountSketch
-    ``SA``, absent for a tall one, whose Ritz vectors are that block. A wide
-    ``SA`` read by column chunks books ``k (nnz(A) + m)`` for its right
-    block ``A^T (R U)`` instead, and its ``s_apply`` of ``nnz(A)``, the one
-    scatter of its chunks, runs in ``svd_sat``'s time.
+    ``krylov_depth`` is ``None``, and ``wsa`` is the right block's cost,
+    ``k`` times that of the map ``countsketch_columns`` returns: ``k s n``
+    for ``(U^T SA)^T`` from a wide ``s x n`` CountSketch ``SA`` held whole,
+    and ``k (nnz(A) + m)`` for ``A^T (R U)`` when it is streamed by column
+    chunks; it is absent for a tall ``SA``, whose Ritz vectors are that
+    block. ``s_apply`` is ``nnz(A)``, the one scatter of ``SA``'s entries,
+    which runs in ``svd_sat``'s time when ``SA`` is streamed.
     ``ritz_values`` holds the ``min(k, d)`` Ritz values of either kernel as
     singular values. ``s_scores`` is the sparse work of
     the scores behind a sampled ``S`` (absent when none ran: ``S`` clipped
@@ -345,17 +346,26 @@ def _sketched_rowspace(
     eps: float,
     stream: RandomStream,
     report: SolveReport,
-) -> SparseMatrix | np.ndarray | CountSketchColumns:
+) -> SparseMatrix | tuple:
     """Stage 2 under ``report.plan``: returns ``SA`` and fills the report bookkeeping.
 
-    ``SA`` is a :class:`SparseMatrix` from the row sampler, and a dense array
-    or a :class:`~sketchlr.sketches.CountSketchColumns` from the
-    simplified-mode CountSketch. The caller hands it straight to
-    :func:`_rowspace`, so no other frame holds it.
+    ``SA`` is a :class:`SparseMatrix` from the row sampler, and from the
+    simplified-mode CountSketch the ``(chunks, right, cost)`` of
+    :func:`~sketchlr.sketches.countsketch_columns`. A simplified-mode
+    top-k factors a dense ``d x d`` Gram matrix, ``d = min(k^2, n)``, so a
+    d above ``DENSE_GUARD`` is refused before any sketch is built. The
+    caller hands ``SA`` straight to :func:`_rowspace`, so no other frame
+    holds it.
     """
     plan, counters = report.plan, report.multiply_add_counts
     with _stage(report.elapsed, "s_apply"):
         if plan.mode == "simplified_experiment":
+            d = min(plan.s_rows, work.ncols)
+            if d > DENSE_GUARD:
+                raise ScaleLimitError(
+                    f"simplified mode's top-k of k={k} factors a dense Gram matrix of side "
+                    f"d=min(k^2, n)={d} > DENSE_GUARD={DENSE_GUARD}; lower k"
+                )
             s_op = build_countsketch(work.nrows, plan.s_rows, stream)
             report.seeds["s"] = s_op.seed
             report.rows_drawn = plan.s_rows
@@ -383,20 +393,15 @@ def _rowspace(sa, k: int, eps: float, report: SolveReport) -> np.ndarray:
             depth = math.ceil(math.log(min(sa.shape)) / math.sqrt(eps))
             sigma, v = block_krylov(sa, k, depth, _FoldingCounter(counters, "krylov"))
             report.krylov_depth = depth
-        elif isinstance(sa, CountSketchColumns):  # A^T (R U): k per entry of A and row of R
-            wsa = k * (sa.a.nnz + sa.a.nrows)
-            # only the pass over the chunks holds the grouping, so it is freed before A^T (R U)
-            chunks, right, sa = sa.chunks(), sa.right, None
+        else:  # SA's column chunks, U -> SA^T U (none when SA is tall) and its cost a column
+            chunks, right, cost = sa
             sigma, v = top_singular(chunks, k, right)
-            counters["wsa"] = wsa
-        else:
-            sigma, v = top_singular(sa, k)
-            if sa.shape[0] < sa.shape[1]:  # (U^T SA)^T, k per entry of the dense SA
-                counters["wsa"] = k * sa.size
+            if right is not None:
+                counters["wsa"] = k * cost
+            del chunks, right
         report.ritz_values = tuple(sigma.tolist())
-        # a dense simplified-mode SA is the largest array of the solve: the
-        # caller holds no reference, so this frees it for the steps below
-        # (a CountSketchColumns is already freed)
+        # the caller holds no reference, so this frees a simplified-mode SA held whole,
+        # the solve's largest array, for the steps below (a streamed one's went with its chunks)
         del sa
     v = v[:, : np.count_nonzero(sigma)]  # both kernels floor a value at rounding to 0
     # Cholesky-QR, V R^-1 for V^T V = R^T R: SA^T U / sigma drifts like eps (s1/sk)^2

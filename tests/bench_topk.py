@@ -1,7 +1,7 @@
 """Stage microbenchmark: the top-k kernels and the CountSketch that feeds one.
 
 The two kernels are timed on the shapes the benchmark workloads give them:
-``top_singular`` on the dense 100x20000 CountSketch ``SA`` of a seeded
+``top_singular`` on the 100x20000 CountSketch ``SA``, held whole, of a seeded
 20000x20000 matrix with 200k nonzeros at k=10 and on the dense 400x600
 ``SA`` of an 800x600 matrix with 24000 nonzeros at k=20 (simplified mode,
 the largest rank of the bench_oracle workload), and
@@ -23,12 +23,13 @@ saving: with one OpenBLAS thread on a 2-core VM the exact route took
 383-429 ms against 337-343 ms for ``block_krylov``; ``extra_info["sigma_gap"]``
 holds the largest gap between the two routes' sigma, relative to sigma_1
 (2.9e-16). The tall 20000x100
-``SA^T`` times the other dense branch of ``top_singular``.
+``SA^T`` times ``top_singular``'s tall branch, ``G = C^T C`` of one chunk.
 ``apply_countsketch_left`` is timed on the 20000x20000 input. On it too,
 the sketch and its top-k at k=10 are timed as a simplified solve runs them,
-by the whole 16 MB ``SA`` (``apply_countsketch_left`` then ``top_singular``)
-and by column chunks (``countsketch_columns``, whose grouping, chunk
-scatters and ``syrk`` sum feed ``top_singular``, and its ``A^T (R U)``),
+by the whole 16 MB ``SA`` (``apply_countsketch_left`` then ``top_singular``
+of that one chunk and ``(U^T SA)^T``) and by column chunks
+(``countsketch_columns``, whose grouping, chunk scatters and ``syrk`` sum
+feed ``top_singular``, and its ``A^T (R U)``),
 each with the traced peak of one more call in ``peak_mib``. For the
 CountSketch alone, the
 simplified-mode top-k of the 100x20000 and 400x600 ``SA`` and the clipped
@@ -47,6 +48,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import whole_sketch
 from perfbench.inputs import sparse_triplets
 from sketchlr import RandomStream, SparseMatrix, build_countsketch, parse_loss, solver
 from sketchlr.matrixcore import block_krylov, top_singular
@@ -84,21 +86,25 @@ def test_countsketch_left(benchmark, large):
     assert sa.shape == (100, 20000)
 
 
+def _top_of_whole(sa, k):
+    chunks, right, _ = whole_sketch(sa)
+    return top_singular(chunks, k, right)
+
+
 def test_top_singular_dense_sa(benchmark, large):
     sa = apply_countsketch_left(*large)
-    _, benchmark.extra_info["peak_mib"] = _peak_mib(lambda: top_singular(sa, 10))
-    sigma, v = benchmark(top_singular, sa, 10)
+    _, benchmark.extra_info["peak_mib"] = _peak_mib(lambda: _top_of_whole(sa, 10))
+    sigma, v = benchmark(_top_of_whole, sa, 10)
     assert v.shape == (20000, 10)
 
 
 def _whole_top(a, op, k):
-    return top_singular(apply_countsketch_left(a, op), k)
+    return _top_of_whole(apply_countsketch_left(a, op), k)
 
 
 def _streamed_top(a, op, k):
-    sa = countsketch_columns(a, op)
-    chunks, right = sa.chunks(), sa.right
-    del sa  # as in a solve, the chunks' pass frees the grouping before A^T (R U)
+    # as in a solve, the chunks' pass frees the grouping before A^T (R U)
+    chunks, right, _ = countsketch_columns(a, op)
     return top_singular(chunks, k, right)
 
 
@@ -116,14 +122,14 @@ def test_top_singular_dense_sa_bench_oracle_shape(benchmark):
     a = SparseMatrix(800, 600, *sparse_triplets(800, 600, 24000, 800))
     sa = apply_countsketch_left(a, build_countsketch(800, 20 * 20, RandomStream(7)))
     assert sa.shape == (400, 600)
-    _, benchmark.extra_info["peak_mib"] = _peak_mib(lambda: top_singular(sa, 20))
-    sigma, v = benchmark(top_singular, sa, 20)
+    _, benchmark.extra_info["peak_mib"] = _peak_mib(lambda: _top_of_whole(sa, 20))
+    sigma, v = benchmark(_top_of_whole, sa, 20)
     assert v.shape == (600, 20)
 
 
 def test_top_singular_dense_tall_sa(benchmark, large):
     sat = np.ascontiguousarray(apply_countsketch_left(*large).T)
-    sigma, v = benchmark(top_singular, sat, 10)
+    sigma, v = benchmark(top_singular, [sat], 10)
     assert v.shape == (100, 10)
 
 

@@ -143,6 +143,14 @@ def countsketch_matrix(op: CountSketchOperator) -> sp.csr_array:
     )
 
 
+def whole_sketch(sa):
+    """A dense ``sa`` in the form :func:`~sketchlr.sketches.countsketch_columns` gives a
+    sketch it holds whole: ``([sa], right, cost)``, with ``right(U) = sa^T U`` at ``cost``
+    multiply-adds a column of U for a wide ``sa``, ``None`` for a tall one."""
+    sa = np.ascontiguousarray(sa, dtype=np.float64)
+    return [sa], (lambda u: (u.T @ sa).T) if sa.shape[0] < sa.shape[1] else None, sa.size
+
+
 @pytest.fixture
 def gen() -> np.random.Generator:
     return make_gen()

@@ -320,11 +320,20 @@ def test_unstorable_gen_shape_exit_code(tmp_path, monkeypatch, capsys, rows):
     assert captured.out == "" and not out.exists()
 
 
+def test_simplified_top_k_above_the_dense_guard_exits_2(monkeypatch, capsys):
+    # k=20 on a 120x100 input: simplified mode's Gram matrix has side min(k^2, n) = 100
+    monkeypatch.setattr(sketchlr.solver, "DENSE_GUARD", 50)
+    argv = ["solve", "--m", "120", "--n", "100", "--k", "20", "--mode", "simplified_experiment"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "DENSE_GUARD=50; lower k" in err
+
+
 def test_numerical_failure_exit_code(monkeypatch, capsys):
     def broken_top_singular(*_):
         raise ConvergenceError("did not converge", residual=np.inf)
 
-    # a simplified-mode solve takes the top-k of its dense SA through top_singular
+    # a simplified-mode solve takes the top-k of its SA through top_singular
     monkeypatch.setattr(sketchlr.solver, "top_singular", broken_top_singular)
     code = main(["solve", "--m", "20", "--n", "10", "--k", "2", "--mode", "simplified_experiment"])
     assert code == 3

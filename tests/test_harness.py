@@ -763,9 +763,10 @@ class TestRunExperiment:
             svd_shapes.append(np.shape(x))
             return real_svd(x)
 
-        def top_spy(x, k):
+        def top_spy(chunks, k, right=None):
+            [x] = chunks = list(chunks)  # a small SA is held whole: one chunk
             factored.append(np.shape(x))
-            return real_top(x, k)
+            return real_top(chunks, k, right)
 
         reports = []
 

@@ -195,43 +195,56 @@ class TestCountSketchColumns:
         width = min(width, n - 1)
         counter = MultiplyAddCounter()
         with mock.patch.object(sketches, "SKETCH_BUDGET", 8 * sketch_dim * width):
-            sa = sketches.countsketch_columns(a, op, counter)
+            chunks, right, cost = sketches.countsketch_columns(a, op, counter)
         whole = apply_countsketch_left(a, op)
+        u = gen.standard_normal((sketch_dim, 3))
         if sketch_dim >= n or 8 * sketch_dim * n <= 16 * a.nnz:  # tall, or no lighter than grouping
-            assert isinstance(sa, np.ndarray) and sa.tobytes() == whole.tobytes()
+            [sa] = chunks
+            assert sa.tobytes() == whole.tobytes()
             assert counter.count == a.nnz
+            if sketch_dim >= n:  # a tall SA's Ritz vectors are its right block
+                assert right is None
+            else:
+                assert cost == sketch_dim * n
+                assert right(u).tobytes() == (u.T @ whole).T.tobytes()
             return
         assert counter.count == 0  # the grouping is no multiply-add
         # the fewest chunks within the budget, of one width, the last padded with zeros
         count = -(-n // width)
-        assert sa.width == -(-n // count)
-        for rep in (1, 2):  # every pass scatters, and counts, each entry once
-            chunks = np.hstack([c.copy() for c in sa.chunks()])
-            assert chunks.shape == (sketch_dim, count * sa.width)
-            assert np.ascontiguousarray(chunks[:, :n]).tobytes() == whole.tobytes()
-            assert not np.any(chunks[:, n:])
-            assert counter.count == rep * a.nnz
-        u = gen.standard_normal((sketch_dim, 3))
+        parts = [c.copy() for c in chunks]
+        assert chunks.gi_frame is None  # the spent chunks hold no grouping
+        stacked = np.hstack(parts)
+        assert len(parts) == count and stacked.shape == (sketch_dim, count * -(-n // count))
+        assert np.ascontiguousarray(stacked[:, :n]).tobytes() == whole.tobytes()
+        assert not np.any(stacked[:, n:])
+        assert counter.count == a.nnz  # the pass scatters, and counts, each entry once
+        assert cost == a.nnz + m
         scale = max(np.abs(whole).max(), 1.0)
-        np.testing.assert_allclose(sa.right(u), whole.T @ u, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(right(u), whole.T @ u, rtol=0, atol=1e-12 * scale)
 
     def test_a_sketch_within_the_budget_or_no_heavier_than_grouping_is_dense(self):
         a = tall_sparse(46, 300, 200, 600)
         op = build_countsketch(300, 10, RandomStream(18))
         whole = apply_countsketch_left(a, op)
+
+        def chunks_of(a, op):
+            chunks, _, cost = sketches.countsketch_columns(a, op)
+            return [c.copy() for c in chunks], cost
+
         # 8 s n = 16000 bytes against 16 nnz = 9600: grouping is the lighter
         for budget, streamed in ((16000, False), (15999, True), (2000, True)):
             with mock.patch.object(sketches, "SKETCH_BUDGET", budget):
-                sa = sketches.countsketch_columns(a, op)
-            assert isinstance(sa, sketches.CountSketchColumns) == streamed
+                parts, cost = chunks_of(a, op)
+            assert (len(parts) > 1) == streamed
+            assert cost == (a.nnz + a.nrows if streamed else 10 * 200)
             if not streamed:
-                assert sa.tobytes() == whole.tobytes()
+                assert parts[0].tobytes() == whole.tobytes()
         with mock.patch.object(sketches, "SKETCH_BUDGET", 2000):
             denser = tall_sparse(47, 300, 200, 1000)  # 16 nnz = 16000 bytes
-            assert isinstance(sketches.countsketch_columns(denser, op), np.ndarray)
+            assert len(chunks_of(denser, op)[0]) == 1
             # a tall SA, s >= n, stays whole
             tall = build_countsketch(300, 200, RandomStream(19))
-            assert isinstance(sketches.countsketch_columns(a, tall), np.ndarray)
+            assert len(chunks_of(a, tall)[0]) == 1
         with pytest.raises(ValueError, match="mismatch"):
             sketches.countsketch_columns(tall_sparse(48, 301, 200, 600), op)
 

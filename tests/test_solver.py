@@ -1,5 +1,6 @@
 """Tests for the rank-k pipeline, baseline, generalized losses and oracle."""
 
+import functools
 import math
 import tracemalloc
 from collections.abc import Hashable
@@ -20,6 +21,7 @@ from conftest import (
     random_sparse,
     sample_constant,
     singular_values,
+    whole_sketch,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -714,8 +716,9 @@ class TestPassThroughRowspace:
         real_top, real_krylov = solver.top_singular, solver.block_krylov
         real_complete = solver.complete_basis
 
-        def top_spy(x, kk):
-            seen.append((x, *real_top(x, kk)))
+        def top_spy(chunks, kk, right=None):
+            [x] = chunks = list(chunks)  # a small SA is held whole: one chunk
+            seen.append((x, *real_top(chunks, kk, right)))
             return seen[-1][1:]
 
         def krylov_spy(x, *args):
@@ -836,7 +839,7 @@ _RANK_K_SPECTRA = {
 
 
 class TestSimplifiedRowspace:
-    """Z from ``top_singular`` on a dense simplified-mode ``SA``, wide or tall."""
+    """Z from ``top_singular`` on a simplified-mode ``SA`` held whole, wide or tall."""
 
     @pytest.mark.parametrize("shape", [(9, 40), (9, 6)], ids=["wide", "tall"])
     @pytest.mark.parametrize("kind", sorted(_RANK_K_SPECTRA))
@@ -851,7 +854,7 @@ class TestSimplifiedRowspace:
         sa = (random_orthonormal(gen, shape[0], d) * sigma) @ random_orthonormal(gen, shape[1], d).T
         plan = SketchPlan(eta1=1.0, r_kyfan=k, s_rows=shape[0], mode="simplified_experiment")
         report = solver.SolveReport(factors=None, plan=plan)
-        z = solver._rowspace(sa, k, 0.5, report)
+        z = solver._rowspace(whole_sketch(sa), k, 0.5, report)
         assert report.krylov_depth is None and len(report.ritz_values) == k
         assert np.max(np.abs(z.T @ z - np.eye(k))) <= 1e-13
         exact = singular_values(sa)
@@ -943,14 +946,71 @@ class TestStreamedSimplified:
         bound = min(8 * k * k * n, 16 * nnz) + budget + 3 * 8 * n * k
         assert peak - factors < bound < 8 * k * k * n
 
+    def test_the_grouping_is_freed_before_the_right_block_runs(self, monkeypatch):
+        # the grouping holds 16 bytes an entry of A, and nothing else the solve
+        # holds at A^T (R U) comes near that: R's buckets and signs, G, its
+        # eigenvectors and the chunk buffer (freed with the grouping) are ~0.5 MB
+        m = n = 21000
+        k, nnz = 10, 100_000
+        a = SparseMatrix(m, n, *sparse_triplets(m, n, nnz, 49))
+        solve = functools.partial(
+            solve_schatten, a, k, 1.0, 0.5, RandomStream(50), "simplified_experiment"
+        )
+        solve()  # the first call's one-time allocations are not the solve's
+        real, held = solver.countsketch_columns, []
+
+        def columns(*args):
+            chunks, right, cost = real(*args)
+
+            def right_spy(u):
+                held.append(tracemalloc.get_traced_memory()[0] - base)
+                return right(u)
+
+            return chunks, right_spy, cost
+
+        monkeypatch.setattr(solver, "countsketch_columns", columns)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rep = solve()
+        finally:
+            tracemalloc.stop()
+        assert rep.multiply_add_counts["wsa"] == k * (nnz + m)  # it streamed
+        assert len(held) == 1 and held[0] < 16 * nnz
+
+
+
+class TestSimplifiedGuard:
+    """Simplified mode's dense ``d x d`` Gram matrix, ``d = min(k^2, n)``, is held to the guard."""
+
+    @pytest.mark.parametrize("k, refused", [(7, False), (8, True), (20, True)])
+    def test_d_above_the_guard_is_refused_before_any_sketch(self, k, refused, monkeypatch):
+        # full_pipeline refuses k=20 here too: its Krylov space covers d=100 > 50
+        a = SparseMatrix(120, 100, *sparse_triplets(120, 100, 3000, 5))
+        monkeypatch.setattr(solver, "DENSE_GUARD", 50)
+        with mock.patch.object(solver, "build_countsketch", wraps=solver.build_countsketch) as spy:
+            if not refused:  # d = 49
+                rep = solve_schatten(a, k, 1.0, 0.5, RandomStream(5), "simplified_experiment")
+                assert rep.rows_drawn == 49 and spy.call_count == 1
+                return
+            d = min(k * k, 100)
+            refusal = rf"d=min\(k\^2, n\)={d} > DENSE_GUARD=50; lower k"
+            with pytest.raises(ScaleLimitError, match=refusal):
+                solve_schatten(a, k, 1.0, 0.5, RandomStream(5), "simplified_experiment")
+            assert spy.call_count == 0
+
 
 def _spy_kernels(mp, seen):
-    """Record ``(kernel name, SA)`` for every top-k kernel call of the solver."""
+    """Record ``(kernel name, dense SA)`` for every top-k kernel call of the solver."""
     for name in ("top_singular", "block_krylov"):
         real = getattr(solver, name)
 
         def spy(sa, *args, _name=name, _real=real):
-            seen.append((_name, sa.to_dense() if isinstance(sa, SparseMatrix) else sa))
+            if _name == "top_singular":  # a small SA is held whole: one chunk
+                [dense] = sa = list(sa)
+            else:
+                dense = sa.to_dense()
+            seen.append((_name, dense))
             return _real(sa, *args)
 
         mp.setattr(solver, name, spy)
